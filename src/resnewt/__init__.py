@@ -5,8 +5,7 @@ package reconstructs the orthogonal projection of the resultant's Newton
 polytope onto those coefficients, using only exact integer and rational
 arithmetic.  The polytope is recovered output-sensitively from a vertex
 oracle built on the Cayley trick; determinant predicates are accelerated by
-a cache of reusable minors, with a compiled kernel when available (set
-``RESNEWT_PURE=1`` to force the pure-Python backend).
+a cache of reusable minors.
 """
 
 from .cayley import (
@@ -29,10 +28,10 @@ from .errors import (
     DegenerateInput,
     EmptyIntersection,
     InvalidDirection,
+    InvariantViolation,
     NotEssential,
     ParseError,
     ResnewtError,
-    StaleMinorKey,
 )
 from .exactlin import MinorCache, det_bareiss
 from .geometry import (
@@ -42,8 +41,6 @@ from .geometry import (
     clip_halfspace,
     f_vector,
     hull_volume,
-    placing_refine,
-    regular_subdivision,
 )
 from .kernels import BACKEND
 from .oracle import VertexOracle, vtx, vtx_secondary
@@ -70,6 +67,7 @@ __all__ = [
     "Facet",
     "Hyperplane",
     "InvalidDirection",
+    "InvariantViolation",
     "MinorCache",
     "NotEssential",
     "ParseError",
@@ -77,7 +75,6 @@ __all__ = [
     "RandomReport",
     "ResnewtError",
     "SandwichReport",
-    "StaleMinorKey",
     "SupportFamily",
     "TriangulatedHull",
     "VertexOracle",
@@ -98,9 +95,7 @@ __all__ = [
     "parse_input",
     "parse_json",
     "parse_text",
-    "placing_refine",
     "preprocess",
-    "regular_subdivision",
     "stats",
     "unproject",
     "vtx",

@@ -458,10 +458,7 @@ def main(argv=None):
                 args.seed,
                 mode=_MODE_ALIASES[args.projection],
             )
-        except (ParseError, ValueError) as exc:
-            _sys.stderr.write("error: %s\n" % exc)
-            return 2
-        except ResnewtError as exc:
+        except (ValueError, ResnewtError) as exc:
             _sys.stderr.write("error: %s\n" % exc)
             return 2
         if args.format == "json":

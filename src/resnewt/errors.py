@@ -39,6 +39,6 @@ class AmbiguousUnprojection(ResnewtError):
     projected vertex, so full-space vertices cannot be recovered."""
 
 
-class StaleMinorKey(ResnewtError):
-    """A minor key from a previous cache generation was presented after the
-    cache was cleared."""
+class InvariantViolation(ResnewtError):
+    """An internal exactness or call-bound invariant failed: a result the
+    algorithm certifies would be wrong, so the run stops instead."""

@@ -1,32 +1,24 @@
 """Exact linear algebra: determinants, predicates, minor cache, lattices.
 
-Re-exports the kernel backend (compiled when available) and adds the exact
-rational/integer routines used by the geometry and reconstruction layers:
-Gaussian solving over ``Fraction``, integer kernels with unimodular
-bookkeeping (so kernel lattice bases are saturated), saturated subspace
-bases, and canonical integer direction/hyperplane normal forms.
+Re-exports the determinant kernels and adds the exact rational/integer
+routines used by the geometry and reconstruction layers: Gaussian solving
+over ``Fraction``, integer kernels with unimodular bookkeeping (so kernel
+lattice bases are saturated), saturated subspace bases, and canonical
+integer direction/hyperplane normal forms.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidDirection
-from .kernels import BACKEND, MinorCache, det_bareiss, sort_with_parity
+from .kernels import MinorCache, det_bareiss, sort_with_parity
 
 __all__ = [
-    "BACKEND",
     "MinorCache",
     "det_bareiss",
     "sort_with_parity",
-    "minor",
-    "hom_det",
-    "orientation",
-    "volume_predicate",
-    "cache_maintain",
     "dot",
     "vec_sub",
-    "mat_vec",
-    "transpose",
     "gcd_vector",
     "primitive",
     "canonical_direction",
@@ -40,33 +32,6 @@ __all__ = [
 ]
 
 
-# -- functional wrappers over the minor cache --------------------------------
-
-def minor(cache, cols):
-    """Signed pure minor of the cache's base matrix (top rows x ``cols``)."""
-    return cache.minor(cols)
-
-
-def hom_det(cache, cols):
-    """Homogeneous minor: chosen columns with an all-ones row appended."""
-    return cache.hom_det(cols)
-
-
-def orientation(cache, cols, lifting):
-    """Sign of det(columns + lifting row + ones row); see ``MinorCache``."""
-    return cache.orientation(cols, lifting)
-
-
-def volume_predicate(cache, cols):
-    """Normalized volume of the simplex spanned by the chosen columns."""
-    return cache.volume_predicate(cols)
-
-
-def cache_maintain(cache):
-    """Clear the cache if it holds more entries than its threshold."""
-    cache.maintain()
-
-
 # -- small vector helpers -----------------------------------------------------
 
 def dot(u, v):
@@ -75,14 +40,6 @@ def dot(u, v):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def mat_vec(rows, v):
-    return tuple(dot(row, v) for row in rows)
-
-
-def transpose(rows):
-    return [tuple(col) for col in zip(*rows)]
 
 
 def gcd_vector(vec):

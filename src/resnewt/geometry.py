@@ -4,8 +4,8 @@ Provides an incremental Beneath-and-Beyond hull that maintains its placing
 triangulation, works at any intrinsic dimension inside its ambient space,
 and accepts a pluggable orientation callback so that hulls over structured
 point sets can route predicates through the shared minor cache.  On top of
-the hull sit regular subdivisions from liftings, placing refinement,
-lattice-normalized volume, halfspace clipping, and f-vector extraction.
+the hull sit lattice-normalized volume, halfspace clipping, and f-vector
+extraction.
 
 All arithmetic is exact (integers and ``fractions.Fraction``); no floating
 point is ever used.
@@ -32,12 +32,7 @@ __all__ = [
     "Hyperplane",
     "Facet",
     "TriangulatedHull",
-    "RegularSubdivision",
-    "LiftedTriangulation",
     "affine_dim",
-    "hull_insert",
-    "regular_subdivision",
-    "placing_refine",
     "hull_volume",
     "clip_halfspace",
     "f_vector",
@@ -386,11 +381,6 @@ class TriangulatedHull:
         return out
 
 
-def hull_insert(hull, point, tag=None):
-    """Insert a point into a hull; returns (removed_facets, added_facets)."""
-    return hull.insert(point, tag=tag)
-
-
 # -- volume ---------------------------------------------------------------------
 
 
@@ -504,124 +494,3 @@ def f_vector(hull):
         d = affine_dim([hull.points[i] for i in f])
         counts[d] += 1
     return tuple(counts)
-
-
-# -- regular subdivisions -----------------------------------------------------------
-
-
-@dataclass
-class RegularSubdivision:
-    """Upper-hull subdivision of a point set induced by a lifting.
-
-    ``cells`` are sorted index tuples; a cell holds *every* input index whose
-    lifted image lies on that upper facet.  ``functionals`` holds the facet
-    hyperplanes of the lifted hull (in intrinsic coordinates), aligned with
-    cells; a degenerate (flat) lifting yields the single trivial cell with
-    functional None.  ``coords`` are intrinsic integer coordinates of the
-    input points in a saturated basis of their affine hull.
-    """
-
-    points: list
-    lifting: list
-    dim: int
-    coords: list
-    cells: list
-    functionals: list
-
-
-def regular_subdivision(points, lifting, expect_dim=None, insertion_order=None):
-    """Regular subdivision of ``points`` induced by ``lifting`` (upper hull).
-
-    ``expect_dim`` (optional) asserts the affine dimension of the input;
-    ``DegenerateInput`` is raised on mismatch.  ``insertion_order`` controls
-    the placing order used to build the lifted hull (default: given order).
-    """
-    pts = [tuple(int(x) for x in p) for p in points]
-    lifts = [Fraction(x) for x in lifting]
-    if len(pts) != len(lifts):
-        raise ValueError("one lifting value per point required")
-    d = affine_dim(pts)
-    if expect_dim is not None and d != expect_dim:
-        raise DegenerateInput(
-            "points span dimension %d, expected %d" % (d, expect_dim)
-        )
-    p0 = pts[0]
-    sat = saturated_basis([vec_sub(p, p0) for p in pts[1:]], ambient_dim=len(p0))
-    rows = [tuple(col) for col in zip(*sat)]
-    coords = []
-    for p in pts:
-        if sat:
-            status, sol = solve_exact(rows, vec_sub(p, p0))
-            assert status == "unique"
-            ints = tuple(int(x) for x in sol)
-        else:
-            ints = ()
-        coords.append(ints)
-
-    hull = TriangulatedHull(d + 1)
-    order = insertion_order if insertion_order is not None else range(len(pts))
-    for i in order:
-        hull.insert(coords[i] + (lifts[i],), tag=i)
-
-    if hull.dim < d + 1:
-        cells = [tuple(range(len(pts)))]
-        functionals = [None]
-        return RegularSubdivision(pts, lifts, d, coords, cells, functionals)
-
-    cells = []
-    functionals = []
-    for plane in hull.facet_map():
-        if plane.normal[-1] <= 0:
-            continue
-        members = tuple(
-            i
-            for i in range(len(pts))
-            if dot(plane.normal, coords[i] + (lifts[i],)) == plane.offset
-        )
-        cells.append(members)
-        functionals.append(plane)
-    paired = sorted(zip(cells, functionals))
-    cells = [c for c, _ in paired]
-    functionals = [f for _, f in paired]
-    return RegularSubdivision(pts, lifts, d, coords, cells, functionals)
-
-
-@dataclass
-class LiftedTriangulation:
-    """A triangulation refining a regular subdivision.
-
-    ``simplices`` are (dim+1)-index tuples over the original point set;
-    ``cell_of`` gives, per simplex, the index of the subdivision cell it
-    refines.
-    """
-
-    simplices: list
-    cell_of: list
-
-
-def placing_refine(sub, order=None):
-    """Triangulate each cell of a subdivision by placing its points in order.
-
-    ``order`` is a permutation of all point indices (default identity); each
-    cell is triangulated by inserting its members in the induced order.
-    Simplicial cells pass through unchanged; every output simplex lies in
-    exactly one input cell.
-    """
-    if order is None:
-        order = list(range(len(sub.points)))
-    simplices = []
-    cell_of = []
-    for ci, cell in enumerate(sub.cells):
-        cell_set = set(cell)
-        if len(cell) == sub.dim + 1:
-            simplices.append(tuple(sorted(cell)))
-            cell_of.append(ci)
-            continue
-        hull = TriangulatedHull(sub.dim)
-        for i in order:
-            if i in cell_set:
-                hull.insert(sub.coords[i], tag=i)
-        for tri in hull.cells:
-            simplices.append(tuple(sorted(hull.tags[v] for v in tri)))
-            cell_of.append(ci)
-    return LiftedTriangulation(simplices, cell_of)

@@ -1,33 +1,346 @@
-"""Backend selection for the determinant kernels.
+"""Determinant kernels.
 
-The package ships two interchangeable implementations of the kernel API
-(`det_bareiss`, `sort_with_parity`, `MinorCache`):
+This module implements the hot numeric core: a fraction-free integer
+determinant and a cache of signed minors of a fixed base matrix.  The cache
+serves two geometric predicates built from the same column data:
 
-* ``resnewt._kernels`` — compiled (Cython) extension, used when available;
-* ``resnewt._kernels_py`` — pure Python, always available.
+* ``volume_predicate`` / ``hom_det`` — determinant of chosen columns with an
+  all-ones homogenizing row appended (expanded along the ones row into pure
+  minors),
+* ``orientation`` — determinant of chosen columns extended by a per-column
+  lifting value and the ones row (expanded along the lifting row into
+  homogeneous minors).
 
-Set the environment variable ``RESNEWT_PURE=1`` to force the pure-Python
-backend.  ``BACKEND`` reports which one is active ("compiled" or "python").
+Because the base matrix excludes both the lifting and the homogenizing row,
+every cached minor is independent of the lifting, so one cache accelerates
+predicate evaluations across many lifting directions.
+
+``BACKEND`` names the implementation in run reports (``--stats`` and the
+benchmark's result context); there is one, in pure Python.
 """
 
-import os
-
-if os.environ.get("RESNEWT_PURE") == "1":
-    from . import _kernels_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
-
-        BACKEND = "python"
-
-det_bareiss = _impl.det_bareiss
-sort_with_parity = _impl.sort_with_parity
-MinorCache = _impl.MinorCache
+from time import perf_counter
 
 __all__ = ["det_bareiss", "sort_with_parity", "MinorCache", "BACKEND"]
+
+BACKEND = "python"
+
+
+def det_bareiss(rows):
+    """Exact determinant of a square integer matrix, fraction-free.
+
+    Uses Bareiss elimination: every intermediate value is an exact integer
+    and every division is exact.  Returns 0 for singular matrices.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    for row in a:
+        if len(row) != n:
+            raise ValueError("det_bareiss requires a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = -1
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    pivot = r
+                    break
+            if pivot < 0:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            ai = a[i]
+            ak = a[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+            ai[k] = 0
+        prev = akk
+    return sign * a[n - 1][n - 1]
+
+
+def sort_with_parity(seq):
+    """Sort distinct items; return (sorted tuple, permutation parity, perm).
+
+    ``perm`` maps target position -> source position, so aligned data can be
+    permuted with ``[data[i] for i in perm]``.  Parity is +1 for an even
+    permutation and -1 for an odd one.
+    """
+    items = list(seq)
+    n = len(items)
+    perm = sorted(range(n), key=items.__getitem__)
+    inversions = 0
+    for i in range(n):
+        pi = perm[i]
+        for j in range(i + 1, n):
+            if perm[j] < pi:
+                inversions += 1
+    parity = -1 if inversions & 1 else 1
+    return tuple(items[i] for i in perm), parity, perm
+
+
+def _sign(value):
+    if value > 0:
+        return 1
+    if value < 0:
+        return -1
+    return 0
+
+
+class MinorCache:
+    """Cache of signed minors of one fixed integer base matrix.
+
+    The base matrix is given column-wise; minors are keyed by strictly
+    increasing column-index tuples and always take the *top* rows of matching
+    count.  Two tables are kept:
+
+    * pure minors  ``m(S)``: rows ``0..|S|-1`` of columns ``S``;
+    * homogeneous minors ``h(S)``: rows ``0..|S|-2`` of columns ``S`` plus a
+      final all-ones row.
+
+    Laplace expansions are pinned so that every sub-determinant lands back in
+    these tables: ``h`` expands along the ones row into pure minors, and the
+    ``orientation`` predicate expands along its lifting row into homogeneous
+    minors.  The lifting row expansion requests *every* sub-minor ``h(S\\j)``
+    (even where the lifting value is zero) so that the cache is fully primed
+    for subsequent liftings on the same columns.
+
+    Statistics count hits and misses (misses = actually computed minors),
+    with pure-minor counts broken down by size; counters are cumulative and
+    survive cache clears.
+    """
+
+    def __init__(self, columns, threshold=10 ** 6, use_cache=True):
+        cols = [tuple(int(x) for x in c) for c in columns]
+        if cols:
+            nrows = len(cols[0])
+            for c in cols:
+                if len(c) != nrows:
+                    raise ValueError("all columns must have equal length")
+        else:
+            nrows = 0
+        self._columns = cols
+        self._nrows = nrows
+        self.threshold = threshold
+        self.use_cache = use_cache
+        self._pure_tab = {}
+        self._hom_tab = {}
+        self.pure_misses = {}
+        self.pure_hits = {}
+        self.hom_misses = 0
+        self.hom_hits = 0
+        self.clears = 0
+        self.predicate_calls = 0
+        self.predicate_time = 0.0
+        self._depth = 0
+        self._t0 = 0.0
+
+    # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def num_columns(self):
+        return len(self._columns)
+
+    @property
+    def num_rows(self):
+        return self._nrows
+
+    @property
+    def entries(self):
+        return len(self._pure_tab) + len(self._hom_tab)
+
+    def clear(self):
+        """Drop all cached minors (statistics counters are kept)."""
+        self._pure_tab.clear()
+        self._hom_tab.clear()
+        self.clears += 1
+
+    def maintain(self):
+        """Clear the tables if the entry count exceeds the threshold."""
+        if self.entries > self.threshold:
+            self.clear()
+
+    def stats(self):
+        """Snapshot of all counters as a plain dict."""
+        return {
+            "pure_misses_by_size": dict(self.pure_misses),
+            "pure_hits_by_size": dict(self.pure_hits),
+            "pure_misses": sum(self.pure_misses.values()),
+            "pure_hits": sum(self.pure_hits.values()),
+            "hom_misses": self.hom_misses,
+            "hom_hits": self.hom_hits,
+            "entries": self.entries,
+            "clears": self.clears,
+            "predicate_calls": self.predicate_calls,
+            "predicate_time": self.predicate_time,
+        }
+
+    def _enter(self):
+        self._depth += 1
+        if self._depth == 1:
+            self._t0 = perf_counter()
+
+    def _exit(self):
+        self._depth -= 1
+        if self._depth == 0:
+            self.predicate_time += perf_counter() - self._t0
+            self.maintain()
+
+    # -- recursions (cols: strictly increasing tuples) ---------------------
+
+    def _minor(self, cols):
+        k = len(cols)
+        if k == 1:
+            return self._columns[cols[0]][0]
+        if self.use_cache:
+            v = self._pure_tab.get(cols)
+            if v is not None:
+                self.pure_hits[k] = self.pure_hits.get(k, 0) + 1
+                return v
+        row = k - 1
+        total = 0
+        sign = -1 if row & 1 else 1
+        for j in range(k):
+            coef = self._columns[cols[j]][row]
+            if coef:
+                total += sign * coef * self._minor(cols[:j] + cols[j + 1:])
+            sign = -sign
+        self.pure_misses[k] = self.pure_misses.get(k, 0) + 1
+        if self.use_cache:
+            self._pure_tab[cols] = total
+        return total
+
+    def _hom(self, cols):
+        k = len(cols)
+        if k == 1:
+            return 1
+        if self.use_cache:
+            v = self._hom_tab.get(cols)
+            if v is not None:
+                self.hom_hits += 1
+                return v
+        total = 0
+        sign = -1 if (k - 1) & 1 else 1
+        for j in range(k):
+            total += sign * self._minor(cols[:j] + cols[j + 1:])
+            sign = -sign
+        self.hom_misses += 1
+        if self.use_cache:
+            self._hom_tab[cols] = total
+        return total
+
+    def _check_increasing(self, cols, max_len):
+        if len(cols) > max_len:
+            raise ValueError("too many columns for this base matrix")
+        prev = -1
+        for c in cols:
+            if c <= prev or c >= len(self._columns):
+                raise ValueError("column indices must be strictly increasing and in range")
+            prev = c
+
+    # -- public API ---------------------------------------------------------
+
+    def minor(self, cols):
+        """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
+
+        ``cols`` must be strictly increasing.
+        """
+        cols = tuple(cols)
+        self._check_increasing(cols, self._nrows)
+        self._enter()
+        try:
+            return self._minor(cols)
+        finally:
+            self._exit()
+
+    def hom_det(self, cols):
+        """Homogeneous minor: top ``len(cols)-1`` rows plus an all-ones row.
+
+        ``cols`` must be strictly increasing.
+        """
+        cols = tuple(cols)
+        self._check_increasing(cols, self._nrows + 1)
+        self._enter()
+        try:
+            return self._hom(cols)
+        finally:
+            self._exit()
+
+    def hom_sign(self, cols):
+        """Sign of the homogeneous determinant with columns in *given* order.
+
+        Accepts an arbitrary order of distinct column indices; the sign of
+        the sorting permutation is folded in.  Repeated columns give 0.
+        """
+        cols = tuple(cols)
+        if len(set(cols)) != len(cols):
+            self.predicate_calls += 1
+            return 0
+        srt, parity, _ = sort_with_parity(cols)
+        self._check_increasing(srt, self._nrows + 1)
+        self._enter()
+        try:
+            self.predicate_calls += 1
+            return parity * _sign(self._hom(srt))
+        finally:
+            self._exit()
+
+    def volume_predicate(self, cols):
+        """Absolute homogeneous determinant (normalized simplex volume).
+
+        Accepts an arbitrary order of distinct column indices; repeated
+        columns give 0.
+        """
+        cols = tuple(cols)
+        if len(set(cols)) != len(cols):
+            self.predicate_calls += 1
+            return 0
+        srt = tuple(sorted(cols))
+        self._check_increasing(srt, self._nrows + 1)
+        self._enter()
+        try:
+            self.predicate_calls += 1
+            v = self._hom(srt)
+            return v if v >= 0 else -v
+        finally:
+            self._exit()
+
+    def orientation(self, cols, lifting):
+        """Sign of the determinant of columns extended by lifting + ones row.
+
+        The matrix has the coordinate rows of the chosen columns, one row of
+        per-column lifting values, then the all-ones row.  ``lifting`` is
+        aligned with ``cols`` (any order; the permutation sign is folded in).
+        Lifting values may be integers or ``fractions.Fraction``.  The
+        expansion runs along the lifting row; every homogeneous sub-minor is
+        requested (and thus cached) even when its lifting coefficient is 0.
+        """
+        cols = tuple(cols)
+        if len(cols) != len(lifting):
+            raise ValueError("lifting must align with cols")
+        if len(set(cols)) != len(cols):
+            self.predicate_calls += 1
+            return 0
+        srt, parity, perm = sort_with_parity(cols)
+        lift = [lifting[i] for i in perm]
+        self._check_increasing(srt, self._nrows + 2)
+        self._enter()
+        try:
+            self.predicate_calls += 1
+            k = len(srt)
+            total = 0
+            sign = -1 if (k - 2) & 1 else 1
+            for j in range(k):
+                h = self._hom(srt[:j] + srt[j + 1:])
+                w = lift[j]
+                if w:
+                    total += sign * w * h
+                sign = -sign
+            return parity * _sign(total)
+        finally:
+            self._exit()

@@ -102,12 +102,10 @@ class VertexOracle:
     reruns are reproducible and distinct directions decouple.
     """
 
-    def __init__(self, sys, seed=0, use_cache=True, cache_threshold=10 ** 6):
+    def __init__(self, sys, seed=0, use_cache=True):
         self.sys = sys
         self.seed = seed
-        self.cache = MinorCache(
-            sys.columns, threshold=cache_threshold, use_cache=use_cache
-        )
+        self.cache = MinorCache(sys.columns, use_cache=use_cache)
         self.memo = {}
         self.pipeline_runs = 0
         self._t0 = None

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+from .errors import InvariantViolation
 from .exactlin import (
     canonical_direction,
     canonical_hyperplane,
@@ -92,8 +93,9 @@ class BuildState:
         rows = [tuple(col) for col in zip(*self.basis)]
         status, sol = solve_exact(rows, vec_sub(x, self.p0))
         if status != "unique":
-            raise AssertionError("point outside the certified affine hull")
-        assert all(t.denominator == 1 for t in sol)
+            raise InvariantViolation("point outside the certified affine hull")
+        if any(t.denominator != 1 for t in sol):
+            raise InvariantViolation("point off the lattice of the certified affine hull")
         return tuple(int(t) for t in sol)
 
     def pullback(self, normal):
@@ -273,7 +275,7 @@ def _process(state, on_call=None):
             _, added = state.hull.insert(xi_v, tag=v)
             _enqueue(state, added)
         else:
-            raise AssertionError("oracle answer fell below a facet of Q")
+            raise InvariantViolation("oracle answer fell below a facet of Q")
         if on_call is not None and on_call(w, v):
             return False
     return True
@@ -425,13 +427,17 @@ def compute_pi_random(sys, k, seed=0, use_cache=True):
 
 
 def stats(state):
-    """Summary statistics; asserts the output-sensitive call bound."""
+    """Summary statistics; checks the output-sensitive call bound."""
     hull = state.hull
     nv = len(hull.points)
     nf = len(hull.facet_map()) if hull.dim == hull.ambient else 0
     total = state.oracle.pipeline_runs
     main = total - state.init_calls
-    assert main <= nv + nf, "oracle call bound violated"
+    if main > nv + nf:
+        raise InvariantViolation(
+            "oracle call bound violated: %d main calls for %d vertices and %d facets"
+            % (main, nv, nf)
+        )
     return {
         "oracle_calls": total,
         "init_calls": state.init_calls,

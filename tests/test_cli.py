@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -335,30 +334,7 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
     assert any(l.startswith("v ") for l in out.splitlines())
 
 
-# -- backend equivalence -------------------------------------------------------
-
-
-def test_pure_backend_byte_identical(tmp_path):
-    path = _write(tmp_path, "surface.txt", SURFACE_TEXT)
-    base_cmd = [
-        sys.executable,
-        "-m",
-        "resnewt.cli",
-        "compute",
-        path,
-        "--format",
-        "json",
-        "--f-vector",
-        "--unproject",
-    ]
-    compiled = subprocess.run(
-        base_cmd, capture_output=True, text=True, env=dict(os.environ)
-    )
-    pure_env = dict(os.environ)
-    pure_env["RESNEWT_PURE"] = "1"
-    pure = subprocess.run(base_cmd, capture_output=True, text=True, env=pure_env)
-    assert compiled.returncode == pure.returncode == 0
-    assert compiled.stdout == pure.stdout
+# -- installation -------------------------------------------------------------------
 
 
 def test_console_entry_point_installed():

@@ -1,7 +1,5 @@
 """Unit tests for the determinant kernels and exact linear algebra.
 
-The kernel tests run against the pure-Python backend and, when the compiled
-extension built, against it too — both must implement identical semantics.
 Expected values come from sympy (tests/reference.py) or from the independent
 Bareiss route; the two determinant routes are never collapsed into one.
 """
@@ -13,69 +11,55 @@ import pytest
 
 from reference import ref_det, ref_rank, ref_solve_unique
 
-from resnewt import _kernels_py
-from resnewt.errors import InvalidDirection, StaleMinorKey
+from resnewt.errors import InvalidDirection
 from resnewt.exactlin import (
     affine_dim,
     canonical_direction,
     canonical_hyperplane,
     clear_denominators,
-    det_bareiss,
     integer_kernel,
     primitive,
     rank_int,
     saturated_basis,
     solve_exact,
 )
-
-BACKENDS = [pytest.param(_kernels_py, id="python")]
-try:
-    from resnewt import _kernels
-
-    BACKENDS.append(pytest.param(_kernels, id="compiled"))
-except ImportError:  # pragma: no cover - compiled backend optional
-    pass
-
-
-@pytest.fixture(params=BACKENDS)
-def kern(request):
-    return request.param
+from resnewt.kernels import MinorCache, det_bareiss, sort_with_parity
 
 
 # -- det_bareiss ------------------------------------------------------------------
 
 
-def test_det_bareiss_small_cases(kern):
-    assert kern.det_bareiss([]) == 1
-    assert kern.det_bareiss([[7]]) == 7
-    assert kern.det_bareiss([[0, 1], [1, 0]]) == -1
-    assert kern.det_bareiss([[1, 2], [2, 4]]) == 0
+def test_det_bareiss_small_cases():
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[7]]) == 7
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
-        kern.det_bareiss([[1, 2, 3], [4, 5, 6]])
+        det_bareiss([[1, 2, 3], [4, 5, 6]])
 
 
-def test_det_bareiss_matches_reference(kern):
+def test_det_bareiss_matches_reference():
     rng = random.Random(1001)
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert kern.det_bareiss(rows) == ref_det(rows)
+        assert det_bareiss(rows) == ref_det(rows)
 
 
-def test_det_bareiss_needs_pivot_search(kern):
+def test_det_bareiss_needs_pivot_search():
     rows = [[0, 0, 2], [3, 0, 1], [0, 5, 4]]
-    assert kern.det_bareiss(rows) == ref_det(rows)
+    assert det_bareiss(rows) == ref_det(rows)
 
 
 # -- sort_with_parity ----------------------------------------------------------------
 
 
-def test_sort_with_parity(kern):
+def test_sort_with_parity():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 7)
         items = rng.sample(range(50), n)
-        srt, parity, perm = kern.sort_with_parity(items)
+        srt, parity, perm = sort_with_parity(items)
         assert srt == tuple(sorted(items))
         assert [items[i] for i in perm] == list(srt)
         # Parity must match the determinant of the permutation matrix.
@@ -114,13 +98,13 @@ def _orientation_matrix(columns, cols, lifting):
     return rows
 
 
-def test_minor_and_hom_values(kern):
+def test_minor_and_hom_values():
     rng = random.Random(77)
     for _ in range(25):
         ncols = rng.randint(4, 8)
         nrows = rng.randint(2, 5)
         base = _random_base(rng, nrows, ncols)
-        cache = kern.MinorCache(base)
+        cache = MinorCache(base)
         for _ in range(20):
             k = rng.randint(1, min(nrows, ncols))
             cols = tuple(sorted(rng.sample(range(ncols), k)))
@@ -130,7 +114,7 @@ def test_minor_and_hom_values(kern):
             assert cache.hom_det(cols) == ref_det(_hom_matrix(base, cols))
 
 
-def test_minor_against_bareiss_route(kern):
+def test_minor_against_bareiss_route():
     # Dual-route check at unit scale: the cached Laplace recursion and the
     # independent fraction-free elimination must agree exactly.
     rng = random.Random(31)
@@ -138,37 +122,37 @@ def test_minor_against_bareiss_route(kern):
         ncols = rng.randint(3, 7)
         nrows = rng.randint(2, 5)
         base = _random_base(rng, nrows, ncols)
-        cache = kern.MinorCache(base)
+        cache = MinorCache(base)
         k = rng.randint(1, min(nrows, ncols))
         cols = tuple(sorted(rng.sample(range(ncols), k)))
-        assert cache.minor(cols) == kern.det_bareiss(_minor_matrix(base, cols))
+        assert cache.minor(cols) == det_bareiss(_minor_matrix(base, cols))
 
 
-def test_hom_sign_and_volume(kern):
+def test_hom_sign_and_volume():
     rng = random.Random(13)
     for _ in range(40):
         ncols = rng.randint(4, 8)
         nrows = rng.randint(2, 4)
         base = _random_base(rng, nrows, ncols)
-        cache = kern.MinorCache(base)
+        cache = MinorCache(base)
         k = rng.randint(2, min(nrows + 1, ncols))
         cols = rng.sample(range(ncols), k)  # arbitrary order
         d = ref_det(_hom_matrix(base, cols))
         sign = _sign(d)
         assert cache.hom_sign(cols) == sign
         assert cache.volume_predicate(cols) == abs(d)
-    cache = kern.MinorCache([(0, 0), (1, 0), (0, 1)])
+    cache = MinorCache([(0, 0), (1, 0), (0, 1)])
     assert cache.hom_sign((1, 1)) == 0
     assert cache.volume_predicate((2, 2)) == 0
 
 
-def test_orientation_value_and_antisymmetry(kern):
+def test_orientation_value_and_antisymmetry():
     rng = random.Random(99)
     for _ in range(40):
         ncols = rng.randint(4, 8)
         nrows = rng.randint(2, 4)
         base = _random_base(rng, nrows, ncols)
-        cache = kern.MinorCache(base)
+        cache = MinorCache(base)
         k = rng.randint(2, min(nrows + 2, ncols))
         cols = rng.sample(range(ncols), k)
         lifting = [rng.randint(-6, 6) for _ in range(k)]
@@ -183,12 +167,12 @@ def test_orientation_value_and_antisymmetry(kern):
             assert cache.orientation(swapped, lswap) == -sign if sign else sign == 0
 
 
-def test_orientation_shift_invariance(kern):
+def test_orientation_shift_invariance():
     # Adding a constant to every lifting value must not change the sign:
     # the lifting row minus that multiple of the ones row is a row operation.
     rng = random.Random(4)
     base = _random_base(rng, 4, 9)
-    cache = kern.MinorCache(base)
+    cache = MinorCache(base)
     for _ in range(30):
         k = rng.randint(2, 6)
         cols = rng.sample(range(9), k)
@@ -198,25 +182,25 @@ def test_orientation_shift_invariance(kern):
         assert cache.orientation(cols, lifting) == cache.orientation(cols, shifted)
 
 
-def test_orientation_fraction_lifting(kern):
+def test_orientation_fraction_lifting():
     base = [(0, 0), (1, 0), (0, 1), (2, 3)]
-    cache = kern.MinorCache(base)
+    cache = MinorCache(base)
     cols = (0, 1, 3)
     lifting = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)]
     d = ref_det(_orientation_matrix(base, cols, lifting))
     assert cache.orientation(cols, lifting) == _sign(d)
 
 
-def test_orientation_zero_lifting_is_degenerate(kern):
+def test_orientation_zero_lifting_is_degenerate():
     base = [(0, 0), (1, 0), (0, 1)]
-    cache = kern.MinorCache(base)
+    cache = MinorCache(base)
     assert cache.orientation((0, 1, 2), [0, 0, 0]) == 0
 
 
 # -- MinorCache bookkeeping -----------------------------------------------------
 
 
-def test_cache_counts_and_reuse(kern):
+def test_cache_counts_and_reuse():
     # First expansion on six columns of a (2n x |A|) base with a lifting
     # supported on three of them: 15 four-column minors; swapping one column
     # adds 10 new; changing the lifting values adds none.
@@ -231,7 +215,7 @@ def test_cache_counts_and_reuse(kern):
         (0, 2, 1, 0),
         (0, 1, 0, 1),
     ]
-    cache = kern.MinorCache(cols9)
+    cache = MinorCache(cols9)
     cache.orientation((0, 1, 2, 3, 4, 5), (3, 1, 4, 0, 0, 0))
     s1 = cache.stats()
     assert s1["pure_misses_by_size"][4] == 15
@@ -244,11 +228,11 @@ def test_cache_counts_and_reuse(kern):
     assert s3["hom_misses"] == s2["hom_misses"]
 
 
-def test_cache_disabled_same_values(kern):
+def test_cache_disabled_same_values():
     rng = random.Random(17)
     base = _random_base(rng, 4, 8)
-    on = kern.MinorCache(base, use_cache=True)
-    off = kern.MinorCache(base, use_cache=False)
+    on = MinorCache(base, use_cache=True)
+    off = MinorCache(base, use_cache=False)
     for _ in range(20):
         k = rng.randint(2, 5)
         cols = rng.sample(range(8), k)
@@ -262,25 +246,22 @@ def test_cache_disabled_same_values(kern):
     assert off.stats()["pure_hits"] == 0
 
 
-def test_cache_clear_and_stale_keys(kern):
+def test_cache_clear_keeps_stats():
     base = [(1, 0), (0, 1), (2, 3), (4, 5)]
-    cache = kern.MinorCache(base)
-    cache.minor((0, 1))
-    key = cache.make_key((0, 1))
-    assert cache.cached_value(key) == cache.minor((0, 1))
+    cache = MinorCache(base)
+    value = cache.minor((0, 1))
     before = cache.stats()["pure_misses"]
     cache.clear()
     assert cache.entries == 0
     assert cache.stats()["pure_misses"] == before  # stats survive clears
     assert cache.stats()["clears"] == 1
-    with pytest.raises(StaleMinorKey):
-        cache.cached_value(key)
+    assert cache.minor((0, 1)) == value  # recomputed after the clear
 
 
-def test_cache_threshold_maintenance(kern):
+def test_cache_threshold_maintenance():
     rng = random.Random(3)
     base = _random_base(rng, 4, 9)
-    cache = kern.MinorCache(base, threshold=5)
+    cache = MinorCache(base, threshold=5)
     for _ in range(10):
         cols = rng.sample(range(9), 4)
         cache.volume_predicate(cols)
@@ -288,8 +269,8 @@ def test_cache_threshold_maintenance(kern):
     assert cache.entries <= 5 or cache.stats()["clears"] >= 1
 
 
-def test_cache_validates_columns(kern):
-    cache = kern.MinorCache([(1, 0), (0, 1), (1, 1)])
+def test_cache_validates_columns():
+    cache = MinorCache([(1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
         cache.minor((1, 0))  # not increasing
     with pytest.raises(ValueError):
@@ -297,7 +278,7 @@ def test_cache_validates_columns(kern):
     with pytest.raises(ValueError):
         cache.minor((0, 1, 2))  # more columns than rows
     with pytest.raises(ValueError):
-        kern.MinorCache([(1, 0), (0,)])  # ragged columns
+        MinorCache([(1, 0), (0,)])  # ragged columns
     with pytest.raises(ValueError):
         cache.orientation((0, 1), [1])  # misaligned lifting
 

@@ -1,4 +1,4 @@
-"""Tests for the incremental convex hull, volumes, clipping, and subdivisions.
+"""Tests for the incremental convex hull, volumes, clipping, and f-vectors.
 
 Facet sets and extreme points are checked against the brute-force procedures
 in tests/reference.py on seeded random point clouds; volumes against closed
@@ -10,8 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import system_from
-from golden import MONOMIAL_SURFACE, MONOMIAL_SURFACE_CELLS_MINUS, MONOMIAL_SURFACE_CELLS_PLUS
 from reference import brute_force_facets, extreme_points, point_in_hull, shoelace_area
 
 from resnewt.errors import EmptyIntersection
@@ -21,8 +19,6 @@ from resnewt.geometry import (
     clip_halfspace,
     f_vector,
     hull_volume,
-    placing_refine,
-    regular_subdivision,
 )
 
 
@@ -250,98 +246,6 @@ def test_f_vector_euler_relation():
             fv = f_vector(hull)
             euler = sum((-1) ** i * fv[i] for i in range(len(fv)))
             assert euler == 1 - (-1) ** hull.dim
-
-
-# -- regular subdivisions ----------------------------------------------------------
-
-
-def test_regular_subdivision_collinear():
-    pts = [(0,), (1,), (2,), (3,)]
-    sub = regular_subdivision(pts, [0, 1, 1, 0])
-    assert sub.cells == [(0, 1), (1, 2), (2, 3)]
-    flat = regular_subdivision(pts, [2, 2, 2, 2])
-    assert flat.cells == [(0, 1, 2, 3)]
-    assert flat.functionals == [None]
-
-
-def test_regular_subdivision_functionals_certify_cells():
-    # Each functional is the supporting hyperplane of one upper facet of the
-    # lifted hull (intrinsic coordinates): equality on the cell's members,
-    # strict slack for every other lifted point.
-    pts = [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)]
-    lifting = [0, 4, 4, 1, 9]
-    sub = regular_subdivision(pts, lifting)
-    assert len(sub.cells) >= 2
-    covered = set()
-    for cell, fn in zip(sub.cells, sub.functionals):
-        assert fn is not None
-        normal, offset = fn
-        assert normal[-1] > 0  # upper facet
-        for i in range(len(pts)):
-            lifted = sub.coords[i] + (sub.lifting[i],)
-            val = sum(a * b for a, b in zip(normal, lifted))
-            if i in cell:
-                assert val == offset
-            else:
-                assert val < offset
-        covered.update(cell)
-    assert covered == set(range(len(pts))) - {
-        i for i in range(len(pts)) if all(i not in c for c in sub.cells)
-    }
-    # The never-covered points are exactly those below every upper facet:
-    assert 4 in covered  # apex participates
-
-
-def test_regular_subdivision_golden_cells():
-    sysd = system_from(MONOMIAL_SURFACE["n"], MONOMIAL_SURFACE["supports"], "full")
-    plus = regular_subdivision(sysd.columns, [1, 0, 0, 0, 0, 0])
-    minus = regular_subdivision(sysd.columns, [-1, 0, 0, 0, 0, 0])
-    assert sorted(plus.cells) == sorted(MONOMIAL_SURFACE_CELLS_PLUS)
-    assert sorted(minus.cells) == sorted(MONOMIAL_SURFACE_CELLS_MINUS)
-
-
-def test_placing_refine_two_orders():
-    # Flat lifting of the unit square: one coarse cell; placing orders
-    # (0,1,2,3) and (3,2,1,0) cut it along the two different diagonals.
-    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    sub = regular_subdivision(pts, [0, 0, 0, 0])
-    assert sub.cells == [(0, 1, 2, 3)]
-    tri_a = placing_refine(sub, order=[0, 1, 2, 3]).simplices
-    tri_b = placing_refine(sub, order=[1, 0, 3, 2]).simplices
-    assert sorted(tri_a) == [(0, 1, 2), (1, 2, 3)]  # diagonal 1-2
-    assert sorted(tri_b) == [(0, 1, 3), (0, 2, 3)]  # diagonal 0-3
-    for tri in (tri_a, tri_b):
-        assert len(tri) == 2
-        for cell in tri:
-            assert len(cell) == 3
-        # Simplex areas sum to the square's area.
-        total = Fraction(0)
-        for cell in tri:
-            a, b, c = (pts[i] for i in cell)
-            det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            total += Fraction(abs(det), 2)
-        assert total == 1
-
-
-def test_placing_refine_conserves_cell_volumes():
-    rng = random.Random(31)
-    pts = _random_points(rng, 2, 8)
-    lifting = [rng.randint(0, 5) for _ in pts]
-    sub = regular_subdivision(pts, lifting)
-    refined = placing_refine(sub)
-    tri = refined.simplices
-    # Each refined simplex sits inside one coarse cell; total area matches.
-    def area(cell):
-        a, b, c = (pts[i] for i in cell)
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return Fraction(abs(det), 2)
-
-    hull = _build(pts)
-    if hull.dim == 2:
-        assert sum(area(c) for c in tri) == hull_volume(hull)
-    for simplex, ci in zip(tri, refined.cell_of):
-        assert len(simplex) == 3
-        assert set(simplex) <= set(sub.cells[ci])
 
 
 # -- lower-dimensional hulls ---------------------------------------------------------

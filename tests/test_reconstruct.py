@@ -9,8 +9,10 @@ from conftest import system_from
 from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 from reference import count_lattice_points, point_in_hull
 
+from resnewt.errors import InvariantViolation
 from resnewt.geometry import hull_volume
 from resnewt.reconstruct import (
+    BuildState,
     compute_pi,
     compute_pi_approx,
     compute_pi_random,
@@ -129,6 +131,25 @@ def test_stats_call_bound_and_shape():
         assert s["main_calls"] <= s["vertices"] + s["facets"], name
         assert s["dim"] + s["equations"] == state.m
         assert "cache" in s
+
+
+def test_stats_rejects_violated_call_bound():
+    state = compute_pi(_sys(SYLVESTER, "full"))
+    s = stats(state)
+    state.oracle.pipeline_runs += s["vertices"] + s["facets"] - s["main_calls"] + 1
+    with pytest.raises(InvariantViolation):
+        stats(state)
+
+
+def test_xi_of_rejects_points_off_the_affine_hull():
+    # A line through the origin in the plane, spanned by a non-saturated
+    # basis vector so that a point of the line can still miss its lattice.
+    state = BuildState(oracle=None, p0=(0, 0), basis=[(2, 2)], equations=[], hull=None)
+    assert state.xi_of((4, 4)) == (2,)
+    with pytest.raises(InvariantViolation):
+        state.xi_of((1, 0))  # off the line
+    with pytest.raises(InvariantViolation):
+        state.xi_of((1, 1))  # on the line, but xi = 1/2
 
 
 def test_sylvester_lattice_point_count():
