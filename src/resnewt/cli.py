@@ -8,7 +8,8 @@ and seeds produce byte-identical output; timing lives in the optional stats
 block on stderr.
 
 Exit codes: 0 success, 2 unusable input (parse/usage), 3 non-essential
-family (the violating blocks are printed).
+family (the violating blocks are printed), 4 an internal exactness or
+call-bound invariant failed (reported on one stderr line).
 """
 
 import argparse
@@ -32,7 +33,7 @@ from .cayley import (
     preprocess,
     unproject,
 )
-from .errors import NotEssential, ParseError, ResnewtError
+from .errors import InvariantViolation, NotEssential, ParseError, ResnewtError
 from .exactlin import saturated_basis, solve_exact, vec_sub
 from .geometry import TriangulatedHull, f_vector
 from .kernels import BACKEND
@@ -218,6 +219,15 @@ def run(config, stdin=None, stdout=None, stderr=None):
             )
         return 3
 
+    try:
+        return _compute(config, system, out, err)
+    except InvariantViolation as exc:
+        err.write("error: internal invariant violated: %s\n" % exc)
+        return 4
+
+
+def _compute(config, system, out, err):
+    """Run the selected mode on a built system and print; the exit code."""
     use_cache = not config.no_hash
     t0 = time.perf_counter()
 

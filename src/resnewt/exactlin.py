@@ -15,6 +15,7 @@ from .kernels import MinorCache, det_bareiss, sort_with_parity
 
 __all__ = [
     "MinorCache",
+    "adjugate",
     "det_bareiss",
     "sort_with_parity",
     "dot",
@@ -24,6 +25,7 @@ __all__ = [
     "canonical_direction",
     "canonical_hyperplane",
     "clear_denominators",
+    "echelon_reduce",
     "solve_exact",
     "rank_int",
     "affine_dim",
@@ -83,6 +85,8 @@ def canonical_hyperplane(normal, offset):
 
 def clear_denominators(vec):
     """Scale a rational vector by a positive integer to integer entries."""
+    if all(map(int.__instancecheck__, vec)):
+        return tuple(vec)
     fracs = [Fraction(x) for x in vec]
     mult = 1
     for f in fracs:
@@ -92,6 +96,24 @@ def clear_denominators(vec):
 
 
 # -- exact Gaussian elimination ----------------------------------------------
+
+def echelon_reduce(vec, rows, pivots):
+    """Remainder of an integer vector against a fraction-free echelon.
+
+    ``rows[i]`` is an integer row that is nonzero at coordinate
+    ``pivots[i]`` and zero at every earlier pivot.  The remainder is a
+    nonzero multiple of ``vec`` minus an integer combination of the rows; it
+    is zero at every pivot, and it is the zero vector exactly when ``vec``
+    lies in the span of the rows.
+    """
+    v = vec
+    for row, c in zip(rows, pivots):
+        a = v[c]
+        if a:
+            p = row[c]
+            v = [p * x - a * y for x, y in zip(v, row)]
+    return v
+
 
 def solve_exact(rows, rhs):
     """Solve ``rows @ x = rhs`` exactly over the rationals.
@@ -138,6 +160,19 @@ def solve_exact(rows, rhs):
     for i, c in enumerate(pivots):
         sol[c] = a[i][n]
     return "unique", tuple(sol)
+
+
+def adjugate(mat):
+    """Integer adjugate of a square integer matrix: adj(M) M = det(M) I."""
+    n = len(mat)
+    return [
+        [
+            (-1) ** (i + j)
+            * det_bareiss([row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def rank_int(rows):

@@ -8,7 +8,9 @@ the hull sit lattice-normalized volume, halfspace clipping, and f-vector
 extraction.
 
 All arithmetic is exact (integers and ``fractions.Fraction``); no floating
-point is ever used.
+point is ever used.  The hull itself runs on integers: a rational point is
+cleared of denominators once, when it is recorded; ``Fraction`` remains in
+volumes and in the cut points of halfspace clipping.
 """
 
 from dataclasses import dataclass
@@ -17,12 +19,14 @@ from itertools import combinations
 from math import factorial, gcd
 from typing import NamedTuple
 
-from .errors import DegenerateInput, EmptyIntersection
+from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from .exactlin import (
     affine_dim,
     canonical_hyperplane,
     det_bareiss,
     dot,
+    echelon_reduce,
+    primitive,
     saturated_basis,
     solve_exact,
     vec_sub,
@@ -63,18 +67,24 @@ class _BoundarySimplex:
     ``inner_sign`` is the orientation sign of (verts..., opp) computed when
     the simplex was created; a candidate point lies beyond the simplex's
     hyperplane exactly when its orientation sign is the negative of it.
+    ``plane`` caches the simplex's outward hyperplane once ``facet_map`` has
+    computed it (full-dimensional hulls only; points never move).
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "alive")
+    __slots__ = ("verts", "opp", "inner_sign", "alive", "plane")
 
     def __init__(self, verts, opp, inner_sign):
         self.verts = verts
         self.opp = opp
         self.inner_sign = inner_sign
         self.alive = True
+        self.plane = None
 
 
 def _row_cleared(row):
+    """(integer row, positive multiplier) clearing the row's denominators."""
+    if all(map(int.__instancecheck__, row)):  # no Fraction ABC check per entry
+        return row, 1
     mult = 1
     for x in row:
         if isinstance(x, Fraction):
@@ -98,18 +108,18 @@ def _det_rational(rows):
     return Fraction(det_bareiss(cleared), denom)
 
 
-def _sign_hom(coords):
-    """Sign of det of rows (point_i, 1): orientation of len(coords) points."""
-    cleared = []
-    for c in coords:
-        r, _ = _row_cleared(list(c) + [1])
-        cleared.append(r)
-    d = det_bareiss(cleared)
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
+def _hom_row(pt):
+    """(m.pt, m): the point's homogeneous row, cleared by a positive m.
+
+    Scaling a row by a positive integer keeps the sign of any determinant
+    it enters, so orientation signs can be taken over these rows.
+    """
+    row, mult = _row_cleared(pt)
+    return (*row, mult)
+
+
+def _sign(d):
+    return (d > 0) - (d < 0)
 
 
 class TriangulatedHull:
@@ -120,6 +130,19 @@ class TriangulatedHull:
     ``orient_fn(hull, ids)`` may return the orientation sign of the points
     with the given ids (in order), or None to fall back to the built-in exact
     determinant; the callback lets structured hulls reuse cached minors.
+
+    Below full dimension the hull keeps an integer chart of its affine hull:
+    a fraction-free echelon of the span (one primitive row per dimension,
+    each zero at the pivot coordinates of the rows before it) and
+    ``basis``, the ambient direction of each dimension jump.  Membership is
+    a remainder against the echelon; orientation is the sign over the pivot
+    coordinates alone, on which the affine hull projects bijectively.  That
+    sign is the intrinsic one times a factor fixed within one dimension, and
+    a dimension jump recomputes every stored sign, so every comparison of
+    signs answers exactly as in intrinsic coordinates.  Orientation signs
+    and facet planes are taken over each point's homogeneous row (m.p, m),
+    cleared of denominators once when the point is recorded, so hulls of
+    rational points run on integers too.
 
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
     (dim+1)-tuple of point ids; cells partition the hull.  ``points`` records
@@ -133,10 +156,16 @@ class TriangulatedHull:
         self.orient_fn = orient_fn
         self.track_facets = track_facets
         self.points = []
+        self._hom = []  # _hom_row of each point, for orientation signs
         self.tags = []
-        self.xi = []  # intrinsic coords per point; None once dim == ambient
         self.dim = -1
         self.basis = []  # ambient direction vectors, one per intrinsic coord
+        self._echelon = []  # primitive integer rows spanning basis
+        self._pivots = []  # pivot coordinate of each echelon row
+        # The pivots in increasing order, so that a clone of a full-dimensional
+        # hull orients over its old coordinates in their old order, then the
+        # homogeneous coordinate (index -1 of a _hom row).
+        self._chart = [-1]
         self.cells = []
         self.boundary = []
         self._index = {}
@@ -149,30 +178,29 @@ class TriangulatedHull:
             s = self.orient_fn(self, ids)
             if s is not None:
                 return s
-        if self.dim == self.ambient or self.xi is None:
-            coords = [self.points[i] for i in ids]
-        else:
-            coords = [self.xi[i] for i in ids]
-        return _sign_hom(coords)
+        hom = self._hom
+        if self.dim == self.ambient:
+            return _sign(det_bareiss([hom[i] for i in ids]))
+        chart = self._chart
+        return _sign(det_bareiss([[hom[i][j] for j in chart] for i in ids]))
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record(self, pt, tag, xi_val):
+    def _record(self, pt, tag):
         vid = len(self.points)
         self.points.append(pt)
+        self._hom.append(_hom_row(pt))
         self.tags.append(tag)
-        if self.xi is not None:
-            self.xi.append(xi_val)
         self._index[pt] = vid
         return vid
 
     def _unrecord(self, vid):
         pt = self.points.pop()
+        self._hom.pop()
         self.tags.pop()
-        if self.xi is not None:
-            self.xi.pop()
         del self._index[pt]
-        assert vid == len(self.points)
+        if vid != len(self.points):
+            raise InvariantViolation("unrecorded point is not the last one")
 
     def alive_boundary(self):
         return [bs for bs in self.boundary if bs.alive]
@@ -211,42 +239,28 @@ class TriangulatedHull:
 
     def _insert_inner(self, pt, tag):
         if self.dim == -1:
-            self._record(pt, tag, ())
+            self._record(pt, tag)
             self.dim = 0
             self.cells = [(0,)]
             self.boundary = []
             return True
 
         if self.dim < self.ambient:
-            p0 = self.points[0]
-            rows = [tuple(col) for col in zip(*self.basis)] if self.basis else []
-            rhs = vec_sub(pt, p0)
-            if self.basis:
-                status, sol = solve_exact(rows, rhs)
-            else:
-                status, sol = ("unique", ()) if all(x == 0 for x in rhs) else ("inconsistent", None)
-            if status == "inconsistent":
-                self._dim_jump(pt, tag)
+            diff, _ = _row_cleared(vec_sub(pt, self.points[0]))
+            rem = echelon_reduce(diff, self._echelon, self._pivots)
+            if any(rem):
+                self._dim_jump(pt, tag, primitive(rem))
                 return True
-            xi_val = tuple(sol)
-        else:
-            xi_val = None
-        return self._standard_insert(pt, tag, xi_val)
+        return self._standard_insert(pt, tag)
 
-    def _dim_jump(self, pt, tag):
-        p0 = self.points[0]
-        vid = self._record(pt, tag, None)
-        self.basis.append(vec_sub(pt, p0))
+    def _dim_jump(self, pt, tag, row):
+        vid = self._record(pt, tag)
+        self.basis.append(vec_sub(pt, self.points[0]))
+        self._echelon.append(row)
+        self._pivots.append(next(j for j, x in enumerate(row) if x))
+        self._chart = sorted(self._pivots) + [-1]
         old_dim = self.dim
         self.dim += 1
-        if self.dim == self.ambient:
-            self.xi = None
-        elif self.xi is not None:
-            zero = Fraction(0)
-            for i in range(len(self.xi)):
-                if self.xi[i] is not None:
-                    self.xi[i] = tuple(self.xi[i]) + (zero,)
-            self.xi[vid] = tuple([zero] * old_dim) + (Fraction(1),)
 
         if old_dim == 0:
             self.cells = [(0, vid)]
@@ -265,12 +279,17 @@ class TriangulatedHull:
                     )
             self.cells = [cell + (vid,) for cell in self.cells]
         for bs in new_boundary:
-            bs.inner_sign = self._orient(bs.verts + (bs.opp,))
-            assert bs.inner_sign != 0
+            bs.inner_sign = self._nonzero_orient(bs.verts + (bs.opp,))
         self.boundary = new_boundary
 
-    def _standard_insert(self, pt, tag, xi_val):
-        vid = self._record(pt, tag, xi_val)
+    def _nonzero_orient(self, ids):
+        s = self._orient(ids)
+        if s == 0:
+            raise InvariantViolation("boundary simplex with a flat witness")
+        return s
+
+    def _standard_insert(self, pt, tag):
+        vid = self._record(pt, tag)
         visible = []
         for bs in self.boundary:
             if not bs.alive:
@@ -299,8 +318,7 @@ class TriangulatedHull:
             opp = next(v for v in bs.verts if v not in ridge)
             verts = ridge + (vid,)
             nb = _BoundarySimplex(verts, opp, 0)
-            nb.inner_sign = self._orient(verts + (opp,))
-            assert nb.inner_sign != 0
+            nb.inner_sign = self._nonzero_orient(verts + (opp,))
             fresh.append(nb)
         self.boundary = [bs for bs in self.boundary if bs.alive] + fresh
         return True
@@ -308,33 +326,41 @@ class TriangulatedHull:
     # -- facets ----------------------------------------------------------------
 
     def _bs_plane(self, bs):
-        pts = [self.points[i] for i in bs.verts]
+        # Over the cleared rows (m.p, m) everything stays integral:
+        # m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled by m0.mi > 0, which
+        # scales the normal by a positive factor, and the plane
+        # normal.x = normal.p0 scaled by m0 > 0 is (m0.normal, normal.(m0.p0)).
+        # The canonical form divides every positive factor out.
+        hom = self._hom
         k = self.ambient
-        diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
+        h0 = hom[bs.verts[0]]
+        m0 = h0[k]
+        diffs = [
+            [m0 * a - h[k] * b for a, b in zip(h[:k], h0)]
+            for h in (hom[v] for v in bs.verts[1:])
+        ]
         normal = []
         sgn = 1
         for j in range(k):
             sub = [[row[t] for t in range(k) if t != j] for row in diffs]
-            normal.append(sgn * _det_rational(sub))
+            normal.append(sgn * det_bareiss(sub))
             sgn = -sgn
-        offset = sum(a * b for a, b in zip(normal, pts[0]))
-        side_opp = sum(a * b for a, b in zip(normal, self.points[bs.opp])) - offset
-        assert side_opp != 0
+        offset = dot(normal, h0[:k])
+        h_opp = hom[bs.opp]
+        side_opp = m0 * dot(normal, h_opp[:k]) - h_opp[k] * offset
+        if side_opp == 0:
+            raise InvariantViolation("boundary simplex witness lies on its plane")
         if side_opp > 0:
             normal = [-a for a in normal]
             offset = -offset
-        mult = 1
-        for x in list(normal) + [offset]:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                mult = mult // gcd(mult, d) * d
-        ints = [int(x * mult) for x in normal]
-        off = int(offset * mult)
-        nrm, off = canonical_hyperplane(ints, off)
+        nrm, off = canonical_hyperplane([m0 * a for a in normal], offset)
         return Hyperplane(nrm, off)
 
     def facet_map(self):
-        """Facets of a full-dimensional hull, keyed by canonical hyperplane."""
+        """Facets of a full-dimensional hull, keyed by canonical hyperplane.
+
+        Each boundary simplex's plane is computed once and kept on it.
+        """
         if self.dim != self.ambient:
             raise DegenerateInput(
                 "facets require a full-dimensional hull (dim %d of %d)"
@@ -346,8 +372,9 @@ class TriangulatedHull:
         for bs in self.boundary:
             if not bs.alive:
                 continue
-            plane = self._bs_plane(bs)
-            groups.setdefault(plane, set()).update(bs.verts)
+            if bs.plane is None:
+                bs.plane = self._bs_plane(bs)
+            groups.setdefault(bs.plane, set()).update(bs.verts)
         self._facet_cache = {
             plane: Facet(plane, frozenset(verts)) for plane, verts in groups.items()
         }
@@ -358,19 +385,19 @@ class TriangulatedHull:
     def extended_clone(self, orient_fn=None):
         """Clone into one more ambient coordinate (appended, set to 0).
 
-        The triangulation, boundary, intrinsic basis and vertex order carry
-        over unchanged; the clone can then take points whose new coordinate
-        is nonzero, which raises its intrinsic dimension.
+        The triangulation, boundary, chart and vertex order carry over
+        unchanged; the clone can then take points whose new coordinate is
+        nonzero, which raises its intrinsic dimension.
         """
         out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn)
         out.points = [pt + (0,) for pt in self.points]
+        out._hom = [h[:-1] + (0, h[-1]) for h in self._hom]
         out.tags = list(self.tags)
-        if self.xi is not None:
-            out.xi = list(self.xi)
-        else:
-            out.xi = None
         out.dim = self.dim
         out.basis = [tuple(b) + (0,) for b in self.basis]
+        out._echelon = [row + (0,) for row in self._echelon]
+        out._pivots = list(self._pivots)
+        out._chart = list(self._chart)
         out.cells = list(self.cells)
         out.boundary = [
             _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign)

@@ -18,10 +18,12 @@ from random import Random
 
 from .errors import InvariantViolation
 from .exactlin import (
+    adjugate,
     canonical_direction,
     canonical_hyperplane,
-    clear_denominators,
+    det_bareiss,
     dot,
+    echelon_reduce,
     integer_kernel,
     rank_int,
     saturated_basis,
@@ -48,6 +50,36 @@ __all__ = [
 ]
 
 
+class _Operators:
+    """Integer maps between original and intrinsic coordinates, built once.
+
+    For the k basis vectors B (as columns), ``rows`` are k coordinates J on
+    which B is nonsingular, ``det`` is det B_J, ``adj`` the integer adjugate
+    of B_J (so adj.B_J = det.I), ``span`` the m rows of B, and ``pull`` the
+    m rows of B.adj(B^T B).
+    """
+
+    def __init__(self, basis, m):
+        echelon, pivots = [], []
+        for b in basis:
+            rem = echelon_reduce(b, echelon, pivots)
+            pivot = next((j for j, x in enumerate(rem) if x), None)
+            if pivot is None:
+                raise InvariantViolation("certified basis is not independent")
+            echelon.append(rem)
+            pivots.append(pivot)
+        self.rows = sorted(pivots)
+        b_j = [[b[j] for b in basis] for j in self.rows]
+        self.det = det_bareiss(b_j)
+        self.adj = adjugate(b_j)
+        self.span = [tuple(b[j] for b in basis) for j in range(m)]
+        gram = [[dot(a, b) for b in basis] for a in basis]
+        adj_gram = adjugate(gram)
+        self.pull = [
+            tuple(dot(row, col) for col in zip(*adj_gram)) for row in self.span
+        ]
+
+
 @dataclass
 class BuildState:
     """Everything the reconstruction loop maintains.
@@ -68,6 +100,7 @@ class BuildState:
     queued: set = field(default_factory=set)
     legal: dict = field(default_factory=dict)
     init_calls: int = 0
+    _ops: _Operators = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -76,6 +109,11 @@ class BuildState:
     @property
     def m(self):
         return self.oracle.sys.m
+
+    def _operators(self):
+        if self._ops is None:
+            self._ops = _Operators(self.basis, len(self.p0))
+        return self._ops
 
     def vertices(self):
         """Vertices found so far, in original coordinates, lexicographic."""
@@ -89,34 +127,35 @@ class BuildState:
         )
 
     def xi_of(self, x):
-        """Intrinsic coordinates of a point of the target's affine hull."""
-        rows = [tuple(col) for col in zip(*self.basis)]
-        status, sol = solve_exact(rows, vec_sub(x, self.p0))
-        if status != "unique":
+        """Intrinsic coordinates of a point of the target's affine hull.
+
+        In integers only: with v = x - p0, num = adj(B_J).v_J equals
+        det(B_J).xi whenever v = B.xi.  The point lies on the certified
+        affine hull exactly when B.num = det(B_J).v, and on its lattice
+        exactly when det(B_J) divides every entry of num.
+        """
+        ops = self._operators()
+        d = ops.det
+        v = vec_sub(x, self.p0)
+        v_j = [v[j] for j in ops.rows]
+        num = [dot(row, v_j) for row in ops.adj]
+        if any(dot(row, num) != d * t for row, t in zip(ops.span, v)):
             raise InvariantViolation("point outside the certified affine hull")
-        if any(t.denominator != 1 for t in sol):
+        if any(t % d for t in num):
             raise InvariantViolation("point off the lattice of the certified affine hull")
-        return tuple(int(t) for t in sol)
+        return tuple(t // d for t in num)
 
     def pullback(self, normal):
         """Direction in original coordinates acting on xi as ``normal``.
 
-        Solves B^T w = normal within the column space of B; the canonical
-        integer representative acts on xi as a positive multiple of
-        ``normal``, so facet comparisons transfer exactly.
+        The solution w = B.(B^T B)^{-1}.normal of B^T w = normal within the
+        column space of B is a positive multiple of B.adj(B^T B).normal
+        (det(B^T B) > 0), so the canonical integer form of the latter is
+        taken; it acts on xi as a positive multiple of ``normal``, so facet
+        comparisons transfer exactly.
         """
-        k = len(self.basis)
-        gram = [
-            [dot(self.basis[a], self.basis[b]) for b in range(k)]
-            for a in range(k)
-        ]
-        status, y = solve_exact(gram, normal)
-        assert status == "unique"
-        w = [
-            sum(y[a] * self.basis[a][j] for a in range(k))
-            for j in range(self.m)
-        ]
-        return canonical_direction(clear_denominators(w))
+        pull = self._operators().pull
+        return canonical_direction([dot(row, normal) for row in pull])
 
     def facets_x(self):
         """Current facets as (normal, offset) in original coordinates."""
@@ -226,7 +265,8 @@ def initialize(sys, seed=0, use_cache=True):
     )
     for p in seen:
         hull.insert(state.xi_of(p), tag=p)
-    assert hull.dim == k, "seed hull must span the certified affine hull"
+    if hull.dim != k:
+        raise InvariantViolation("seed hull does not span the certified affine hull")
 
     if k > 0:
         for key in sorted(hull.facet_map()):

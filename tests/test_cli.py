@@ -1,14 +1,20 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import family_from
 from golden import CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 
+import resnewt
+from resnewt import cli
+from resnewt.cayley import family_to_text
 from resnewt.cli import main
+from resnewt.errors import InvariantViolation
 
 SYLVESTER_TEXT = """\
 1
@@ -268,6 +274,46 @@ def test_compute_not_essential_exit_3(tmp_path, capsys):
     assert code == 3
     assert "essential" in err
     assert "0" in err and "1" in err  # the violating blocks
+
+
+def test_compute_invariant_violation_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("oracle answer fell below a facet of Q")
+
+    monkeypatch.setattr(cli, "compute_pi", broken)
+    path = _write(tmp_path, "sylvester.txt", SYLVESTER_TEXT)
+    code, out, err = _run(["compute", path], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal invariant violated: oracle answer fell below a facet of Q\n"
+
+
+@pytest.mark.parametrize(
+    "golden, mode",
+    [(SYLVESTER, "full"), (CIRCLE_LINE, "u-resultant")],
+    ids=["sylvester-full", "circle-line-ures"],
+)
+def test_compute_json_identical_under_python_O(golden, mode):
+    # Typed invariants, not asserts, guard the exact paths, so stripping
+    # asserts must not change a single byte of the output.
+    text = family_to_text(family_from(golden["n"], golden["supports"], mode))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resnewt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "resnewt", "compute", "-", "--format", "json"],
+            input=text,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert json.loads(outs[0])["vertices"]
+    assert outs[0] == outs[1]
 
 
 # -- generate ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from reference import brute_force_facets, extreme_points, point_in_hull, shoelace_area
 
-from resnewt.errors import EmptyIntersection
+from resnewt.errors import EmptyIntersection, InvariantViolation
 from resnewt.geometry import (
     Hyperplane,
     TriangulatedHull,
@@ -263,3 +263,117 @@ def test_lower_dim_hull_membership():
     assert hull.dim <= 2
     for p in hull.points:
         assert point_in_hull(p, raw)
+
+
+def _boundary(hull):
+    return sorted((bs.verts, bs.opp) for bs in hull.alive_boundary())
+
+
+def test_flat_chart_matches_intrinsic_hull():
+    # Points p0 + a.u + b.v of a 2-flat in R^4 (u, v a saturated basis of
+    # its direction space), some with Fraction (a, b).  The flat hull orients
+    # over its chart; the hull of the (a, b) in R^2 orients directly.  Both
+    # must make every decision alike: same cells, same boundary simplices,
+    # and facets that are the brute-force facets of the flat points.
+    p0, u, v = (1, -2, 0, 3), (1, 0, 2, -1), (0, 1, -1, 2)
+    rng = random.Random(41)
+    for trial in range(6):
+        ab = []
+        while len(ab) < 9:
+            a = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2, 3)))
+            b = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2)))
+            if (a, b) not in ab:
+                ab.append((a, b))
+        flat_pts = [
+            tuple(x + a * y + b * z for x, y, z in zip(p0, u, v)) for a, b in ab
+        ]
+        flat = _build(flat_pts, ambient=4, track=False)
+        intrinsic = TriangulatedHull(2, track_facets=True)
+        for (a, b), p in zip(ab, flat_pts):
+            intrinsic.insert((a, b), tag=p)
+        assert flat.dim == intrinsic.dim == 2
+        assert flat.tags == intrinsic.tags
+        assert flat.cells == intrinsic.cells
+        assert _boundary(flat) == _boundary(intrinsic)
+        got = {
+            frozenset(
+                p
+                for (a, b), p in zip(ab, flat_pts)
+                if plane.normal[0] * a + plane.normal[1] * b == plane.offset
+            )
+            for plane in intrinsic.facet_map()
+        }
+        expect = {
+            frozenset(flat_pts[i] for i in ids)
+            for ids in brute_force_facets(flat_pts)
+        }
+        assert got == expect
+
+
+@pytest.mark.parametrize("base_dim", [2, 3])
+def test_extended_clone_matches_direct_build(base_dim):
+    # A base hull in R^3 (full, or in a plane when base_dim is 2), cloned
+    # into R^4 and given lifted points, ends with the cells of a hull built
+    # in R^4 from all the points in the same order.  The base starts along
+    # the last axes first, so its chart's pivots arrive out of order.
+    rng = random.Random(70 + base_dim)
+    for trial in range(5):
+        if base_dim == 3:
+            start = [(0, 0, 0), (0, 0, 3), (0, 2, 1), (1, 1, 1)]
+            base = list(dict.fromkeys(start + _random_points(rng, 3, 8)))
+        else:
+            start = [(0, 0), (0, 3), (1, 1)]
+            base = list(dict.fromkeys(
+                (x, y, 2 * x - y) for x, y in start + _random_points(rng, 2, 7)
+            ))
+        lifted = list(dict.fromkeys(
+            p + (rng.randint(-9, 9),) for p in _random_points(rng, 3, 6)
+        ))
+        small = _build(base, track=False)
+        clone = small.extended_clone()
+        direct = TriangulatedHull(4)
+        for p in base:
+            direct.insert(p + (0,), tag=p + (0,))
+        for p in lifted:
+            clone.insert(p, tag=p)
+            direct.insert(p, tag=p)
+        assert clone.dim == direct.dim
+        assert clone.points == direct.points
+        assert clone.cells == direct.cells
+        assert _boundary(clone) == _boundary(direct)
+
+
+def test_cached_planes_track_every_insert():
+    # facet_map keeps each boundary simplex's plane; after every insert its
+    # facets must still be those of a brute-force hull of the points so far.
+    rng = random.Random(5)
+    pts = _random_points(rng, 3, 14)
+    hull = TriangulatedHull(3, track_facets=True)
+    for n, p in enumerate(pts, start=1):
+        hull.insert(p, tag=p)
+        if hull.dim < 3:
+            continue
+        so_far = pts[:n]
+        got = set()
+        for plane, facet in hull.facet_map().items():
+            on_plane = frozenset(
+                q for q in so_far
+                if sum(a * x for a, x in zip(plane.normal, q)) == plane.offset
+            )
+            assert {hull.points[i] for i in facet.vertex_ids} <= on_plane
+            assert all(
+                sum(a * x for a, x in zip(plane.normal, q)) <= plane.offset
+                for q in so_far
+            )
+            got.add(on_plane)
+        expect = {frozenset(so_far[i] for i in ids) for ids in brute_force_facets(so_far)}
+        assert got == expect
+
+
+def test_flat_witness_raises_invariant_violation():
+    # An orientation callback that finds every simplex flat breaks the
+    # hull's invariants; that must raise a typed error even under -O.
+    hull = TriangulatedHull(2, orient_fn=lambda h, ids: 0)
+    with pytest.raises(InvariantViolation):
+        for p in [(0, 0), (1, 0), (0, 1)]:
+            hull.insert(p)

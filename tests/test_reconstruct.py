@@ -1,5 +1,6 @@
 """Tests for the incremental reconstruction, approximation, and random modes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import system_from
 from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
-from reference import count_lattice_points, point_in_hull
+from reference import count_lattice_points, point_in_hull, ref_rank, ref_solve_unique
 
 from resnewt.errors import InvariantViolation
+from resnewt.exactlin import saturated_basis
 from resnewt.geometry import hull_volume
 from resnewt.reconstruct import (
     BuildState,
@@ -150,6 +152,49 @@ def test_xi_of_rejects_points_off_the_affine_hull():
         state.xi_of((1, 0))  # off the line
     with pytest.raises(InvariantViolation):
         state.xi_of((1, 1))  # on the line, but xi = 1/2
+
+
+def test_xi_of_rejects_points_off_a_zero_dimensional_target():
+    # With no basis the certified affine hull is the single point p0.
+    state = BuildState(oracle=None, p0=(0, 0), basis=[], equations=[], hull=None)
+    assert state.xi_of((0, 0)) == ()
+    with pytest.raises(InvariantViolation):
+        state.xi_of((5, 7))
+
+
+def test_xi_of_and_pullback_match_rational_solves():
+    # Both use integer operators built once per state; check them against
+    # sympy's exact solves on random saturated bases.
+    rng = random.Random(8)
+    for trial in range(25):
+        m = rng.randint(2, 6)
+        vecs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, m))]
+        basis = saturated_basis(vecs, ambient_dim=m)
+        k = len(basis)
+        if k == 0:
+            continue
+        p0 = tuple(rng.randint(-5, 5) for _ in range(m))
+        state = BuildState(oracle=None, p0=p0, basis=list(basis), equations=[], hull=None)
+        cols = [[b[j] for b in basis] for j in range(m)]  # B, m x k
+        xi = tuple(rng.randint(-6, 6) for _ in range(k))
+        x = tuple(p0[j] + _dot(cols[j], xi) for j in range(m))
+        assert state.xi_of(x) == xi
+        off = tuple(rng.randint(-3, 3) for _ in range(m))
+        if ref_rank(list(basis) + [off]) > k:
+            with pytest.raises(InvariantViolation):
+                state.xi_of(tuple(a + b for a, b in zip(x, off)))
+        normal = tuple(rng.randint(-5, 5) for _ in range(k))
+        if not any(normal):
+            continue
+        w = state.pullback(normal)
+        # w is the primitive integer vector of the column space of B whose
+        # action B^T w on xi is a positive multiple of the normal.
+        assert ref_solve_unique(cols, w) is not None
+        acts = [_dot(b, w) for b in basis]
+        scale = next(Fraction(a, n) for a, n in zip(acts, normal) if n)
+        assert scale > 0
+        assert all(a == scale * n for a, n in zip(acts, normal))
+        assert math.gcd(*w) == 1
 
 
 def test_sylvester_lattice_point_count():
