@@ -12,8 +12,14 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AmbiguousUnprojection, NotEssential, ParseError, ResnewtError
-from .exactlin import affine_dim, rank_int, solve_exact, vec_sub
+from .errors import (
+    AmbiguousUnprojection,
+    DegenerateInput,
+    NotEssential,
+    ParseError,
+    ResnewtError,
+)
+from .exactlin import AffineChart, affine_dim, rank_int, vec_sub
 from .geometry import TriangulatedHull
 
 __all__ = [
@@ -450,8 +456,9 @@ def unproject(sys, projected_vertices, rho_ref):
     The invariant M.rho = const across vertices pins the specialized
     coordinates: with C sampled from one full reference vertex, each
     projected vertex B solves M_spec X = C - M_sym B exactly.  Solutions
-    must be unique and integral; ``AmbiguousUnprojection`` is raised when
-    the specialized columns leave degrees of freedom.
+    must be unique and integral: ``AmbiguousUnprojection`` is raised when
+    the specialized columns leave degrees of freedom, ``ResnewtError`` when
+    a vertex has no integral solution.
     """
     total = sys.num_columns
     if len(rho_ref) != total:
@@ -460,7 +467,14 @@ def unproject(sys, projected_vertices, rho_ref):
         return [tuple(int(x) for x in b) for b in projected_vertices]
     c_vec = [sum(row[j] * rho_ref[j] for j in range(total)) for row in sys.M]
     spec_cols = [j for j in range(total) if j not in set(sys.projection)]
-    rows = [tuple(row[j] for j in spec_cols) for row in sys.M]
+    try:
+        chart = AffineChart(
+            [0] * len(sys.M), [[row[j] for row in sys.M] for j in spec_cols]
+        )
+    except DegenerateInput:
+        raise AmbiguousUnprojection(
+            "specialized columns do not determine the remaining coordinates"
+        ) from None
     out = []
     for b in projected_vertices:
         if len(b) != sys.m:
@@ -470,21 +484,15 @@ def unproject(sys, projected_vertices, rho_ref):
             - sum(sys.M[r][col] * b[k] for k, col in enumerate(sys.projection))
             for r in range(len(sys.M))
         ]
-        status, sol = solve_exact(rows, rhs)
-        if status == "underdetermined":
-            raise AmbiguousUnprojection(
-                "specialized columns do not determine the remaining coordinates"
-            )
-        if status == "inconsistent":
+        sol = chart.coords(rhs)
+        if sol is None:
             raise ResnewtError(
-                "unprojection system inconsistent; reference vertex mismatch"
+                "unprojection system has no integral solution; vertex mismatch"
             )
         full = [0] * total
         for k, col in enumerate(sys.projection):
             full[col] = int(b[k])
         for k, col in enumerate(spec_cols):
-            x = sol[k]
-            assert x.denominator == 1, "unprojected coordinate not integral"
-            full[col] = int(x)
+            full[col] = sol[k]
         out.append(tuple(full))
     return out

@@ -34,7 +34,7 @@ from .cayley import (
     unproject,
 )
 from .errors import InvariantViolation, NotEssential, ParseError, ResnewtError
-from .exactlin import saturated_basis, solve_exact, vec_sub
+from .exactlin import intrinsic_coords
 from .geometry import TriangulatedHull, f_vector
 from .kernels import BACKEND
 from .reconstruct import (
@@ -92,14 +92,10 @@ def _fr(x):
 def _intrinsic_copy(points):
     """Rebuild a hull of the given points over their own affine hull."""
     pts = sorted(set(points))
-    p0 = pts[0]
-    basis = saturated_basis([vec_sub(p, p0) for p in pts[1:]], ambient_dim=len(p0))
-    rows = [tuple(col) for col in zip(*basis)]
-    hull = TriangulatedHull(len(basis))
-    for p in pts:
-        status, sol = solve_exact(rows, vec_sub(p, p0))
-        assert status == "unique" and all(t.denominator == 1 for t in sol)
-        hull.insert(tuple(int(t) for t in sol), tag=p)
+    coords = intrinsic_coords(pts)
+    hull = TriangulatedHull(len(coords[0]))
+    for p, xi in zip(pts, coords):
+        hull.insert(xi, tag=p)
     return hull
 
 

@@ -1,19 +1,22 @@
 """Exact linear algebra: determinants, predicates, minor cache, lattices.
 
-Re-exports the determinant kernels and adds the exact rational/integer
-routines used by the geometry and reconstruction layers: Gaussian solving
-over ``Fraction``, integer kernels with unimodular bookkeeping (so kernel
-lattice bases are saturated), saturated subspace bases, and canonical
-integer direction/hyperplane normal forms.
+Re-exports the determinant kernels and adds the exact integer routines
+used by the geometry and reconstruction layers: fraction-free (Bareiss)
+echelon reduction and rank, integer kernels with unimodular bookkeeping (so
+kernel lattice bases are saturated), saturated subspace bases, affine
+lattice charts (integer coordinates of a point in p0 + Z.B, by adjugates),
+and canonical integer direction/hyperplane normal forms.  No elimination
+runs over ``Fraction``: rational input is cleared of denominators first.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidDirection
+from .errors import DegenerateInput, InvalidDirection, InvariantViolation
 from .kernels import MinorCache, det_bareiss, sort_with_parity
 
 __all__ = [
+    "AffineChart",
     "MinorCache",
     "adjugate",
     "det_bareiss",
@@ -26,11 +29,12 @@ __all__ = [
     "canonical_hyperplane",
     "clear_denominators",
     "echelon_reduce",
-    "solve_exact",
+    "echelon_extend",
     "rank_int",
     "affine_dim",
     "integer_kernel",
     "saturated_basis",
+    "intrinsic_coords",
 ]
 
 
@@ -95,7 +99,7 @@ def clear_denominators(vec):
     return tuple(int(f * mult) for f in fracs)
 
 
-# -- exact Gaussian elimination ----------------------------------------------
+# -- fraction-free elimination -----------------------------------------------
 
 def echelon_reduce(vec, rows, pivots):
     """Remainder of an integer vector against a fraction-free echelon.
@@ -115,53 +119,6 @@ def echelon_reduce(vec, rows, pivots):
     return v
 
 
-def solve_exact(rows, rhs):
-    """Solve ``rows @ x = rhs`` exactly over the rationals.
-
-    Returns ``(status, solution)`` where status is one of ``"unique"``,
-    ``"inconsistent"``, ``"underdetermined"``; solution is a tuple of
-    ``Fraction`` for "unique" and ``None`` otherwise.  The system may be
-    rectangular (overdetermined systems are fine when consistent).
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = -1
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr = a[r]
-        inv = 1 / pr[c]
-        for j in range(c, n + 1):
-            pr[j] *= inv
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                ai = a[i]
-                for j in range(c, n + 1):
-                    ai[j] -= f * pr[j]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return "inconsistent", None
-    if len(pivots) < n:
-        return "underdetermined", None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][n]
-    return "unique", tuple(sol)
-
-
 def adjugate(mat):
     """Integer adjugate of a square integer matrix: adj(M) M = det(M) I."""
     n = len(mat)
@@ -175,34 +132,27 @@ def adjugate(mat):
     ]
 
 
+def echelon_extend(vec, rows, pivots):
+    """Append ``vec``'s remainder to the echelon unless it is zero.
+
+    Returns False, leaving the echelon as it was, when ``vec`` lies in the
+    span of the rows.
+    """
+    rem = echelon_reduce(vec, rows, pivots)
+    pivot = next((j for j, x in enumerate(rem) if x), None)
+    if pivot is None:
+        return False
+    rows.append(primitive(rem))
+    pivots.append(pivot)
+    return True
+
+
 def rank_int(rows):
     """Rank of a rational/integer matrix (exact)."""
-    if not rows:
-        return 0
-    m = len(rows)
-    n = len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(n):
-        pivot = -1
-        for i in range(rank, m):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for i in range(rank + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c] / pr[c]
-                ai = a[i]
-                for j in range(c, n):
-                    ai[j] -= f * pr[j]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    echelon, pivots = [], []
+    for row in rows:
+        echelon_extend(clear_denominators(row), echelon, pivots)
+    return len(echelon)
 
 
 def affine_dim(points):
@@ -286,3 +236,68 @@ def saturated_basis(vectors, ambient_dim=None):
         m = ambient_dim
     annihilator = integer_kernel(vecs, ncols=m)
     return integer_kernel(annihilator, ncols=m)
+
+
+# -- affine lattice charts ----------------------------------------------------
+
+class AffineChart:
+    """Integer coordinates on the lattice p0 + Z.B, computed in integers only.
+
+    For the k independent integer basis vectors B (as columns), ``rows`` are
+    k coordinates J on which B is nonsingular, ``det`` is det B_J, ``adj``
+    the integer adjugate of B_J (so adj.B_J = det.I), ``span`` the m rows of
+    B, ``gram_det`` is det(B^T B) > 0 and ``pull`` the m rows of
+    B.adj(B^T B), so that (B^T B)^{-1} B^T is pull^T / gram_det.  Raises
+    ``DegenerateInput`` when the basis vectors are dependent.
+    """
+
+    def __init__(self, p0, basis):
+        echelon, pivots = [], []
+        for b in basis:
+            if not echelon_extend(b, echelon, pivots):
+                raise DegenerateInput("basis vectors are linearly dependent")
+        self.p0 = tuple(p0)
+        self.rows = sorted(pivots)
+        b_j = [[b[j] for b in basis] for j in self.rows]
+        self.det = det_bareiss(b_j)
+        self.adj = adjugate(b_j)
+        self.span = [tuple(b[j] for b in basis) for j in range(len(self.p0))]
+        gram = [[dot(a, b) for b in basis] for a in basis]
+        self.gram_det = det_bareiss(gram)
+        adj_gram = adjugate(gram)
+        self.pull = [
+            tuple(dot(row, col) for col in zip(*adj_gram)) for row in self.span
+        ]
+
+    def coords(self, x):
+        """The integer xi with x = p0 + B.xi, or None when there is none.
+
+        With v = x - p0, num = adj(B_J).v_J equals det(B_J).xi whenever
+        v = B.xi.  The point lies on the affine hull exactly when
+        B.num = det(B_J).v, and on its lattice exactly when det(B_J) divides
+        every entry of num.
+        """
+        d = self.det
+        v = vec_sub(x, self.p0)
+        v_j = [v[j] for j in self.rows]
+        num = [dot(row, v_j) for row in self.adj]
+        if any(dot(row, num) != d * t for row, t in zip(self.span, v)):
+            return None
+        if any(t % d for t in num):
+            return None
+        return tuple(t // d for t in num)
+
+
+def intrinsic_coords(points):
+    """Integer coordinates of integer points over their own affine hull.
+
+    The chart is ``points[0]`` plus a saturated basis of the differences, so
+    every point gets integer coordinates and lattice volumes are kept.
+    """
+    p0 = points[0]
+    basis = saturated_basis([vec_sub(p, p0) for p in points[1:]], ambient_dim=len(p0))
+    chart = AffineChart(p0, basis)
+    coords = [chart.coords(p) for p in points]
+    if None in coords:
+        raise InvariantViolation("point off the lattice of its own affine hull")
+    return coords

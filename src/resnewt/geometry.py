@@ -25,10 +25,8 @@ from .exactlin import (
     canonical_hyperplane,
     det_bareiss,
     dot,
-    echelon_reduce,
-    primitive,
-    saturated_basis,
-    solve_exact,
+    echelon_extend,
+    intrinsic_coords,
     vec_sub,
 )
 
@@ -247,17 +245,14 @@ class TriangulatedHull:
 
         if self.dim < self.ambient:
             diff, _ = _row_cleared(vec_sub(pt, self.points[0]))
-            rem = echelon_reduce(diff, self._echelon, self._pivots)
-            if any(rem):
-                self._dim_jump(pt, tag, primitive(rem))
+            if echelon_extend(diff, self._echelon, self._pivots):
+                self._dim_jump(pt, tag)
                 return True
         return self._standard_insert(pt, tag)
 
-    def _dim_jump(self, pt, tag, row):
+    def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
         self.basis.append(vec_sub(pt, self.points[0]))
-        self._echelon.append(row)
-        self._pivots.append(next(j for j, x in enumerate(row) if x))
         self._chart = sorted(self._pivots) + [-1]
         old_dim = self.dim
         self.dim += 1
@@ -426,16 +421,7 @@ def hull_volume(hull):
     if k == hull.ambient:
         coords = hull.points
     else:
-        p0 = hull.points[0]
-        sat = saturated_basis(
-            [vec_sub(p, p0) for p in hull.points[1:]], ambient_dim=hull.ambient
-        )
-        rows = [tuple(col) for col in zip(*sat)]
-        coords = []
-        for p in hull.points:
-            status, sol = solve_exact(rows, vec_sub(p, p0))
-            assert status == "unique"
-            coords.append(sol)
+        coords = intrinsic_coords(hull.points)
     total = Fraction(0)
     for cell in hull.cells:
         edges = [vec_sub(coords[v], coords[cell[0]]) for v in cell[1:]]

@@ -18,16 +18,13 @@ from random import Random
 
 from .errors import InvariantViolation
 from .exactlin import (
-    adjugate,
+    AffineChart,
     canonical_direction,
     canonical_hyperplane,
-    det_bareiss,
     dot,
-    echelon_reduce,
     integer_kernel,
     rank_int,
     saturated_basis,
-    solve_exact,
     vec_sub,
 )
 from .geometry import (
@@ -50,36 +47,6 @@ __all__ = [
 ]
 
 
-class _Operators:
-    """Integer maps between original and intrinsic coordinates, built once.
-
-    For the k basis vectors B (as columns), ``rows`` are k coordinates J on
-    which B is nonsingular, ``det`` is det B_J, ``adj`` the integer adjugate
-    of B_J (so adj.B_J = det.I), ``span`` the m rows of B, and ``pull`` the
-    m rows of B.adj(B^T B).
-    """
-
-    def __init__(self, basis, m):
-        echelon, pivots = [], []
-        for b in basis:
-            rem = echelon_reduce(b, echelon, pivots)
-            pivot = next((j for j, x in enumerate(rem) if x), None)
-            if pivot is None:
-                raise InvariantViolation("certified basis is not independent")
-            echelon.append(rem)
-            pivots.append(pivot)
-        self.rows = sorted(pivots)
-        b_j = [[b[j] for b in basis] for j in self.rows]
-        self.det = det_bareiss(b_j)
-        self.adj = adjugate(b_j)
-        self.span = [tuple(b[j] for b in basis) for j in range(m)]
-        gram = [[dot(a, b) for b in basis] for a in basis]
-        adj_gram = adjugate(gram)
-        self.pull = [
-            tuple(dot(row, col) for col in zip(*adj_gram)) for row in self.span
-        ]
-
-
 @dataclass
 class BuildState:
     """Everything the reconstruction loop maintains.
@@ -100,7 +67,7 @@ class BuildState:
     queued: set = field(default_factory=set)
     legal: dict = field(default_factory=dict)
     init_calls: int = 0
-    _ops: _Operators = field(default=None, init=False, repr=False, compare=False)
+    _chart: AffineChart = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -110,40 +77,27 @@ class BuildState:
     def m(self):
         return self.oracle.sys.m
 
-    def _operators(self):
-        if self._ops is None:
-            self._ops = _Operators(self.basis, len(self.p0))
-        return self._ops
+    @property
+    def chart(self):
+        """The lattice chart p0 + Z.B, built on first use."""
+        if self._chart is None:
+            self._chart = AffineChart(self.p0, self.basis)
+        return self._chart
 
     def vertices(self):
         """Vertices found so far, in original coordinates, lexicographic."""
         return sorted(self.hull.tags)
 
-    def to_x(self, xi):
-        """Map intrinsic coordinates back to original coordinates."""
-        return tuple(
-            self.p0[j] + sum(b[j] * t for b, t in zip(self.basis, xi))
-            for j in range(self.m)
-        )
-
     def xi_of(self, x):
         """Intrinsic coordinates of a point of the target's affine hull.
 
-        In integers only: with v = x - p0, num = adj(B_J).v_J equals
-        det(B_J).xi whenever v = B.xi.  The point lies on the certified
-        affine hull exactly when B.num = det(B_J).v, and on its lattice
-        exactly when det(B_J) divides every entry of num.
+        Raises ``InvariantViolation`` when x is off the certified affine
+        hull or off its lattice.
         """
-        ops = self._operators()
-        d = ops.det
-        v = vec_sub(x, self.p0)
-        v_j = [v[j] for j in ops.rows]
-        num = [dot(row, v_j) for row in ops.adj]
-        if any(dot(row, num) != d * t for row, t in zip(ops.span, v)):
-            raise InvariantViolation("point outside the certified affine hull")
-        if any(t % d for t in num):
-            raise InvariantViolation("point off the lattice of the certified affine hull")
-        return tuple(t // d for t in num)
+        xi = self.chart.coords(x)
+        if xi is None:
+            raise InvariantViolation("point off the certified affine hull or its lattice")
+        return xi
 
     def pullback(self, normal):
         """Direction in original coordinates acting on xi as ``normal``.
@@ -154,7 +108,7 @@ class BuildState:
         taken; it acts on xi as a positive multiple of ``normal``, so facet
         comparisons transfer exactly.
         """
-        pull = self._operators().pull
+        pull = self.chart.pull
         return canonical_direction([dot(row, normal) for row in pull])
 
     def facets_x(self):
@@ -368,27 +322,16 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         return state, report
 
     # Bounding simplex: |xi_i| is bounded via xi = S (x - p0) with
-    # S = (B^T B)^{-1} B^T and the coordinate-wise diameter of the target,
-    # which the +-e_j queries already pinned down exactly.
-    m = state.m
-    gram = [
-        [dot(a, b) for b in state.basis] for a in state.basis
-    ]
+    # S = (B^T B)^{-1} B^T = pull^T / gram_det and the coordinate-wise
+    # diameter of the target, which the +-e_j queries already pinned down
+    # exactly.
+    chart = state.chart
     xs = list(state.hull.tags)
-    diam = [
-        max(x[j] for x in xs) - min(x[j] for x in xs) for j in range(m)
-    ]
-    s_cols = []  # column j of S = (B^T B)^{-1} B^T, each of length k
-    for j in range(m):
-        status, col = solve_exact(gram, [b[j] for b in state.basis])
-        assert status == "unique"
-        s_cols.append(col)
-    radius = Fraction(0)
-    for i in range(k):
-        bound = sum(abs(s_cols[j][i]) * diam[j] for j in range(m))
-        if bound > radius:
-            radius = bound
-    radius += 1
+    diam = [max(x[j] for x in xs) - min(x[j] for x in xs) for j in range(state.m)]
+    bound = max(
+        sum(abs(row[i]) * dj for row, dj in zip(chart.pull, diam)) for i in range(k)
+    )
+    radius = Fraction(bound, chart.gram_det) + 1
 
     outer = TriangulatedHull(k)
     base = tuple(-radius for _ in range(k))
@@ -398,7 +341,8 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
             (2 * k - 1) * radius if i == t else -radius for i in range(k)
         )
         outer.insert(apex)
-    assert outer.dim == k
+    if outer.dim != k:
+        raise InvariantViolation("bounding simplex does not span the intrinsic space")
 
     for w in sorted(state.oracle.memo):
         point = state.oracle.memo[w][0]

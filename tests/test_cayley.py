@@ -19,7 +19,7 @@ from resnewt.cayley import (
     preprocess,
     unproject,
 )
-from resnewt.errors import NotEssential, ParseError
+from resnewt.errors import NotEssential, ParseError, ResnewtError
 from resnewt.reconstruct import compute_pi
 
 
@@ -276,3 +276,13 @@ def test_unproject_validates_lengths():
         unproject(sysd, [(1, 2)], [0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         unproject(sysd, [(4, 0, 0)], [0, 0])
+
+
+def test_unproject_rejects_non_integral_solution():
+    # Points 0 of both blocks stay symbolic, so 1 and 3 of the first block
+    # and 2 of the second are specialized.  For the projected point (1, 0)
+    # their coordinates solve to -1/2, 1/2 and 1, which no vertex can have.
+    supports = [[(0,), (1,), (3,)], [(0,), (2,)]]
+    sysd = system_from(1, supports, "custom", pairs=[(0, 0), (1, 0)])
+    with pytest.raises(ResnewtError):
+        unproject(sysd, [(1, 0)], [0, 1, 0, 0, 1])

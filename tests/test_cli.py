@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -230,6 +231,24 @@ def test_compute_random_mode(tmp_path, capsys):
     assert "directions: 400" in out
 
 
+def test_compute_random_mode_lower_dimensional_f_vector(tmp_path, capsys):
+    # With the full projection the Sylvester target is a triangle of dim 2
+    # in ambient 5, so the f-vector and the volume are taken over the
+    # intrinsic lattice of its affine hull.
+    path = _write(tmp_path, "sylvester.txt", SYLVESTER_TEXT)
+    code, out, err = _run(
+        ["compute", path, "--mode", "random", "--directions", "300", "--f-vector"],
+        capsys,
+    )
+    assert code == 0
+    assert "dim: 2\nambient: 5\n" in out
+    assert "f-vector: 3 3\n" in out
+    assert "volume: 1\n" in out
+    code, exact, err = _run(["compute", path, "--f-vector"], capsys)
+    assert code == 0
+    assert "f-vector: 3 3\n" in exact
+
+
 # -- compute: failure modes ---------------------------------------------------------
 
 
@@ -314,6 +333,23 @@ def test_compute_json_identical_under_python_O(golden, mode):
         outs.append(result.stdout)
     assert json.loads(outs[0])["vertices"]
     assert outs[0] == outs[1]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so every invariant in the package is a typed
+    # error instead.
+    pkg = os.path.dirname(os.path.abspath(resnewt.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                "%s:%d" % (name, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+    assert found == []
 
 
 # -- generate ---------------------------------------------------------------------

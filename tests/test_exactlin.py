@@ -11,8 +11,9 @@ import pytest
 
 from reference import ref_det, ref_rank, ref_solve_unique
 
-from resnewt.errors import InvalidDirection
+from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
+    AffineChart,
     affine_dim,
     canonical_direction,
     canonical_hyperplane,
@@ -21,7 +22,6 @@ from resnewt.exactlin import (
     primitive,
     rank_int,
     saturated_basis,
-    solve_exact,
 )
 from resnewt.kernels import MinorCache, det_bareiss, sort_with_parity
 
@@ -307,34 +307,60 @@ def test_canonical_hyperplane():
     assert canonical_hyperplane([0, 0, 5], 0) == ((0, 0, 1), 0)
 
 
-# -- solve / rank / kernels ---------------------------------------------------------
+# -- charts / rank / kernels --------------------------------------------------------
 
 
-def test_solve_exact_statuses():
-    status, sol = solve_exact([[2, 0], [0, 3]], [4, 9])
-    assert status == "unique" and sol == (Fraction(2), Fraction(3))
-    status, sol = solve_exact([[1, 1], [2, 2]], [1, 3])
-    assert status == "inconsistent" and sol is None
-    status, sol = solve_exact([[1, 1], [2, 2]], [1, 2])
-    assert status == "underdetermined" and sol is None
-    # Rectangular overdetermined but consistent:
-    status, sol = solve_exact([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
-    assert status == "unique" and sol == (Fraction(2), Fraction(3))
+def test_affine_chart_outcomes():
+    # Unique: the columns (2, 0) and (0, 3) at p0 = (1, 1).
+    chart = AffineChart((1, 1), [(2, 0), (0, 3)])
+    assert chart.coords((5, 7)) == (2, 2)
+    assert chart.coords((2, 1)) is None  # xi = (1/2, 0): off the lattice
+    assert chart.det in (6, -6)
+    # A line in the plane: off its affine hull, and on it but off the lattice
+    # of a basis vector with det +-2.
+    line = AffineChart((0, 0), [(2, 2)])
+    assert line.coords((4, 4)) == (2,)
+    assert line.coords((1, 0)) is None
+    assert line.coords((1, 1)) is None
+    assert abs(line.det) == 2
+    # Dependent basis vectors:
+    with pytest.raises(DegenerateInput):
+        AffineChart((0, 0), [(1, 1), (2, 2)])
+    with pytest.raises(DegenerateInput):
+        AffineChart((0, 0, 0), [(1, 0, 2), (0, 0, 0)])
+    # Overdetermined but consistent: three equations, two unknowns.
+    over = AffineChart((0, 0, 0), [(1, 0, 1), (0, 1, 1)])
+    assert over.coords((2, 3, 5)) == (2, 3)
+    assert over.coords((2, 3, 6)) is None
+    # (B^T B)^{-1} B^T = pull^T / gram_det, with gram_det = det(B^T B).
+    assert over.gram_det == 3
+    pinv = [[Fraction(row[i], over.gram_det) for row in over.pull] for i in range(2)]
+    assert pinv == [[Fraction(2, 3), Fraction(-1, 3), Fraction(1, 3)],
+                    [Fraction(-1, 3), Fraction(2, 3), Fraction(1, 3)]]
 
 
-def test_solve_exact_random_vs_reference():
+def test_affine_chart_random_vs_reference():
     rng = random.Random(2024)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        b = [rng.randint(-6, 6) for _ in range(n)]
-        ref = ref_solve_unique(rows, b)
-        status, sol = solve_exact(rows, b)
-        if ref is None:
-            assert status != "unique"
+    for _ in range(80):
+        k = rng.randint(1, 4)
+        m = rng.randint(k, k + 2)
+        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        rows = [[c[j] for c in cols] for j in range(m)]
+        p0 = [rng.randint(-3, 3) for _ in range(m)]
+        if ref_rank(cols) < k:
+            with pytest.raises(DegenerateInput):
+                AffineChart(p0, cols)
+            continue
+        chart = AffineChart(p0, cols)
+        xi = tuple(rng.randint(-5, 5) for _ in range(k))
+        on = [p + sum(r * t for r, t in zip(row, xi)) for p, row in zip(p0, rows)]
+        assert chart.coords(on) == xi
+        x = [rng.randint(-6, 6) for _ in range(m)]
+        ref = ref_solve_unique(rows, [a - b for a, b in zip(x, p0)])
+        if ref is None or any(t.denominator != 1 for t in ref):
+            assert chart.coords(x) is None
         else:
-            assert status == "unique"
-            assert sol == ref
+            assert chart.coords(x) == ref
 
 
 def test_rank_and_affine_dim():
@@ -347,6 +373,8 @@ def test_rank_and_affine_dim():
         for _ in range(rng.randint(0, 4)):
             rows.append([rng.randint(-4, 4) for _ in range(width)])
         assert rank_int(rows) == ref_rank(rows)
+        rational = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+        assert rank_int(rational) == ref_rank(rows)
     assert affine_dim([]) == -1
     assert affine_dim([(3, 3)]) == 0
     assert affine_dim([(0, 0), (2, 0), (1, 0)]) == 1
@@ -372,10 +400,10 @@ def test_integer_kernel_is_saturated():
         assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
     # (1, -3, 0, 0) and (0, 1, 0, -1) are integer kernel members; both must
     # be integer combinations of the basis.
+    rows_b = [tuple(col) for col in zip(*basis)]
     for target in [(1, -3, 0, 0), (0, 1, 0, -1)]:
-        rows_b = [tuple(col) for col in zip(*basis)]
-        status, sol = solve_exact(rows_b, list(target))
-        assert status == "unique"
+        sol = ref_solve_unique(rows_b, target)
+        assert sol is not None
         assert all(x.denominator == 1 for x in sol)
 
 
@@ -392,11 +420,11 @@ def test_saturated_basis_properties():
         rows_b = [tuple(col) for col in zip(*basis)]
         # Every input vector has integer coordinates in the basis.
         for v in vecs:
-            status, sol = solve_exact(rows_b, v)
-            assert status == "unique"
+            sol = ref_solve_unique(rows_b, v)
+            assert sol is not None
             assert all(x.denominator == 1 for x in sol)
     # Scaled generators still give a unimodular-saturated basis:
     basis = saturated_basis([(2, 0), (0, 2)], ambient_dim=2)
     rows_b = [tuple(col) for col in zip(*basis)]
-    status, sol = solve_exact(rows_b, (1, 1))
-    assert status == "unique" and all(x.denominator == 1 for x in sol)
+    sol = ref_solve_unique(rows_b, (1, 1))
+    assert sol is not None and all(x.denominator == 1 for x in sol)
