@@ -1,26 +1,27 @@
 """Exact linear algebra: determinants, predicates, minor cache, lattices.
 
-Re-exports the determinant kernels and adds the exact integer routines
-used by the geometry and reconstruction layers: fraction-free (Bareiss)
-echelon reduction and rank, integer kernels with unimodular bookkeeping (so
-kernel lattice bases are saturated), saturated subspace bases, affine
-lattice charts (integer coordinates of a point in p0 + Z.B, by adjugates),
-and canonical integer direction/hyperplane normal forms.  No elimination
-runs over ``Fraction``: rational input is cleared of denominators first.
+Re-exports the determinant kernels (``det_bareiss``, ``MinorCache``) and
+adds the exact integer routines used by the geometry and reconstruction
+layers: fraction-free (Bareiss) echelon reduction and rank, integer kernels
+with unimodular bookkeeping (so kernel lattice bases are saturated),
+saturated subspace bases, affine lattice charts (integer coordinates of a
+point in p0 + Z.B, by adjugates), and canonical integer direction/hyperplane
+normal forms.  No elimination runs over ``Fraction``: rational input is
+cleared of denominators first, row by row or vector by vector, with a
+positive multiplier, which keeps every rank, kernel and span.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInput, InvalidDirection, InvariantViolation
-from .kernels import MinorCache, det_bareiss, sort_with_parity
+from .kernels import MinorCache, det_bareiss
 
 __all__ = [
     "AffineChart",
     "MinorCache",
     "adjugate",
     "det_bareiss",
-    "sort_with_parity",
     "dot",
     "vec_sub",
     "gcd_vector",
@@ -172,7 +173,8 @@ def integer_kernel(rows, ncols=None):
     Returns a list of integer vectors forming a basis of the kernel as a
     lattice; because the basis arises from unimodular column operations it is
     automatically saturated (spans all integer points of the kernel space).
-    ``ncols`` is required when ``rows`` is empty.
+    ``ncols`` is required when ``rows`` is empty.  Rational rows are cleared
+    of denominators first; a positive multiple of a row has the same kernel.
     """
     rows = [list(r) for r in rows]
     if rows:
@@ -181,7 +183,7 @@ def integer_kernel(rows, ncols=None):
         if ncols is None:
             raise ValueError("ncols required for an empty row list")
         n = ncols
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(clear_denominators(row)) for row in rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def col_swap(j1, j2):
@@ -226,8 +228,9 @@ def saturated_basis(vectors, ambient_dim=None):
     The result spans the same rational subspace and contains every integer
     point of that subspace (so coordinates of integer points in this basis
     are integers).  ``ambient_dim`` is required when ``vectors`` is empty.
+    Rational vectors are cleared of denominators first, which keeps the span.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    vecs = [clear_denominators(v) for v in vectors]
     if vecs:
         m = len(vecs[0])
     else:

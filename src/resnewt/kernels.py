@@ -15,13 +15,20 @@ Because the base matrix excludes both the lifting and the homogenizing row,
 every cached minor is independent of the lifting, so one cache accelerates
 predicate evaluations across many lifting directions.
 
+Most predicate calls are answered from cached minors, so the work around a
+lookup is kept small: the predicates take columns in any order, sort their
+positions once and look the permutation's parity up in a memo; a sorted
+tuple of distinct columns needs only its length and its two ends checked;
+each call reads one clock pair and checks the cache threshold once.
+
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
 """
 
+from itertools import combinations
 from time import perf_counter
 
-__all__ = ["det_bareiss", "sort_with_parity", "MinorCache", "BACKEND"]
+__all__ = ["det_bareiss", "MinorCache", "BACKEND"]
 
 BACKEND = "python"
 
@@ -64,32 +71,22 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
-def sort_with_parity(seq):
-    """Sort distinct items; return (sorted tuple, permutation parity, perm).
-
-    ``perm`` maps target position -> source position, so aligned data can be
-    permuted with ``[data[i] for i in perm]``.  Parity is +1 for an even
-    permutation and -1 for an odd one.
-    """
-    items = list(seq)
-    n = len(items)
-    perm = sorted(range(n), key=items.__getitem__)
-    inversions = 0
-    for i in range(n):
-        pi = perm[i]
-        for j in range(i + 1, n):
-            if perm[j] < pi:
-                inversions += 1
-    parity = -1 if inversions & 1 else 1
-    return tuple(items[i] for i in perm), parity, perm
-
-
 def _sign(value):
     if value > 0:
         return 1
     if value < 0:
         return -1
     return 0
+
+
+def _inversion_parity(perm):
+    """+1 for an even permutation of ``range(len(perm))``, -1 for an odd one."""
+    inversions = 0
+    for i, pi in enumerate(perm):
+        for pj in perm[i + 1:]:
+            if pj < pi:
+                inversions += 1
+    return -1 if inversions & 1 else 1
 
 
 class MinorCache:
@@ -112,7 +109,9 @@ class MinorCache:
 
     Statistics count hits and misses (misses = actually computed minors),
     with pure-minor counts broken down by size; counters are cumulative and
-    survive cache clears.
+    survive cache clears.  ``predicate_time`` sums the time spent inside the
+    public entries after their arguments are checked; each entry clears the
+    tables on its way out once they hold more than ``threshold`` minors.
     """
 
     def __init__(self, columns, threshold=10 ** 6, use_cache=True):
@@ -130,6 +129,7 @@ class MinorCache:
         self.use_cache = use_cache
         self._pure_tab = {}
         self._hom_tab = {}
+        self._parity = {}  # sorting permutation -> its parity
         self.pure_misses = {}
         self.pure_hits = {}
         self.hom_misses = 0
@@ -137,8 +137,6 @@ class MinorCache:
         self.clears = 0
         self.predicate_calls = 0
         self.predicate_time = 0.0
-        self._depth = 0
-        self._t0 = 0.0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -158,12 +156,8 @@ class MinorCache:
         """Drop all cached minors (statistics counters are kept)."""
         self._pure_tab.clear()
         self._hom_tab.clear()
+        self._parity.clear()
         self.clears += 1
-
-    def maintain(self):
-        """Clear the tables if the entry count exceeds the threshold."""
-        if self.entries > self.threshold:
-            self.clear()
 
     def stats(self):
         """Snapshot of all counters as a plain dict."""
@@ -179,17 +173,6 @@ class MinorCache:
             "predicate_calls": self.predicate_calls,
             "predicate_time": self.predicate_time,
         }
-
-    def _enter(self):
-        self._depth += 1
-        if self._depth == 1:
-            self._t0 = perf_counter()
-
-    def _exit(self):
-        self._depth -= 1
-        if self._depth == 0:
-            self.predicate_time += perf_counter() - self._t0
-            self.maintain()
 
     # -- recursions (cols: strictly increasing tuples) ---------------------
 
@@ -234,6 +217,8 @@ class MinorCache:
             self._hom_tab[cols] = total
         return total
 
+    # -- argument checks -----------------------------------------------------
+
     def _check_increasing(self, cols, max_len):
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
@@ -243,7 +228,29 @@ class MinorCache:
                 raise ValueError("column indices must be strictly increasing and in range")
             prev = c
 
+    def _sort(self, cols, max_len):
+        """(sorted cols, permutation, its parity) for distinct columns.
+
+        ``perm`` maps target position -> source position, so aligned data is
+        read as ``data[perm[j]]``.  Parities are memoized per permutation.
+        Raises the ValueErrors of ``_check_increasing``; distinct sorted
+        columns are strictly increasing, so only the length and the two ends
+        need checking.
+        """
+        perm = tuple(sorted(range(len(cols)), key=cols.__getitem__))
+        srt = tuple([cols[i] for i in perm])
+        if len(srt) > max_len:
+            raise ValueError("too many columns for this base matrix")
+        if srt and (srt[0] < 0 or srt[-1] >= len(self._columns)):
+            raise ValueError("column indices must be strictly increasing and in range")
+        parity = self._parity.get(perm)
+        if parity is None:
+            parity = self._parity[perm] = _inversion_parity(perm)
+        return srt, perm, parity
+
     # -- public API ---------------------------------------------------------
+    # Each entry takes one perf_counter pair and checks the threshold itself:
+    # entries never call one another, so nothing nests.
 
     def minor(self, cols):
         """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
@@ -252,11 +259,12 @@ class MinorCache:
         """
         cols = tuple(cols)
         self._check_increasing(cols, self._nrows)
-        self._enter()
-        try:
-            return self._minor(cols)
-        finally:
-            self._exit()
+        t0 = perf_counter()
+        value = self._minor(cols)
+        self.predicate_time += perf_counter() - t0
+        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
+            self.clear()
+        return value
 
     def hom_det(self, cols):
         """Homogeneous minor: top ``len(cols)-1`` rows plus an all-ones row.
@@ -265,11 +273,12 @@ class MinorCache:
         """
         cols = tuple(cols)
         self._check_increasing(cols, self._nrows + 1)
-        self._enter()
-        try:
-            return self._hom(cols)
-        finally:
-            self._exit()
+        t0 = perf_counter()
+        value = self._hom(cols)
+        self.predicate_time += perf_counter() - t0
+        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
+            self.clear()
+        return value
 
     def hom_sign(self, cols):
         """Sign of the homogeneous determinant with columns in *given* order.
@@ -281,14 +290,18 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt, parity, _ = sort_with_parity(cols)
-        self._check_increasing(srt, self._nrows + 1)
-        self._enter()
-        try:
-            self.predicate_calls += 1
-            return parity * _sign(self._hom(srt))
-        finally:
-            self._exit()
+        srt, _, parity = self._sort(cols, self._nrows + 1)
+        t0 = perf_counter()
+        self.predicate_calls += 1
+        value = self._hom_tab.get(srt)
+        if value is None:
+            value = self._hom(srt)
+        else:
+            self.hom_hits += 1
+        self.predicate_time += perf_counter() - t0
+        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
+            self.clear()
+        return parity * _sign(value)
 
     def volume_predicate(self, cols):
         """Absolute homogeneous determinant (normalized simplex volume).
@@ -300,15 +313,14 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt = tuple(sorted(cols))
-        self._check_increasing(srt, self._nrows + 1)
-        self._enter()
-        try:
-            self.predicate_calls += 1
-            v = self._hom(srt)
-            return v if v >= 0 else -v
-        finally:
-            self._exit()
+        srt, _, _ = self._sort(cols, self._nrows + 1)
+        t0 = perf_counter()
+        self.predicate_calls += 1
+        value = self._hom(srt)
+        self.predicate_time += perf_counter() - t0
+        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
+            self.clear()
+        return value if value >= 0 else -value
 
     def orientation(self, cols, lifting):
         """Sign of the determinant of columns extended by lifting + ones row.
@@ -321,26 +333,36 @@ class MinorCache:
         requested (and thus cached) even when its lifting coefficient is 0.
         """
         cols = tuple(cols)
-        if len(cols) != len(lifting):
+        k = len(cols)
+        if k != len(lifting):
             raise ValueError("lifting must align with cols")
-        if len(set(cols)) != len(cols):
+        if not k or len(set(cols)) != k:  # no columns, or repeated ones
             self.predicate_calls += 1
             return 0
-        srt, parity, perm = sort_with_parity(cols)
-        lift = [lifting[i] for i in perm]
-        self._check_increasing(srt, self._nrows + 2)
-        self._enter()
-        try:
-            self.predicate_calls += 1
-            k = len(srt)
-            total = 0
-            sign = -1 if (k - 2) & 1 else 1
-            for j in range(k):
-                h = self._hom(srt[:j] + srt[j + 1:])
-                w = lift[j]
-                if w:
-                    total += sign * w * h
-                sign = -sign
-            return parity * _sign(total)
-        finally:
-            self._exit()
+        srt, perm, parity = self._sort(cols, self._nrows + 2)
+        t0 = perf_counter()
+        self.predicate_calls += 1
+        hom_tab = self._hom_tab
+        hits = 0
+        total = 0
+        # combinations() yields srt without position j for j = k-1 down to 0,
+        # whose cofactor sign along row k-2 is (-1)^(k-2+j): -1 first, then
+        # alternating.  The order of the requests changes no count: the
+        # minors computed are those reachable through minors not cached when
+        # the call starts, in whatever order they are reached.
+        sign = -1
+        for sub, i in zip(combinations(srt, k - 1), reversed(perm)):
+            h = hom_tab.get(sub)
+            if h is None:
+                h = self._hom(sub)
+            else:
+                hits += 1
+            w = lifting[i]
+            if w:
+                total += sign * w * h
+            sign = -sign
+        self.hom_hits += hits
+        self.predicate_time += perf_counter() - t0
+        if len(self._pure_tab) + len(hom_tab) > self.threshold:
+            self.clear()
+        return parity * _sign(total)

@@ -115,20 +115,22 @@ class VertexOracle:
 
     def _t0_orient(self, hull, ids):
         if len(ids) == self._full:
-            return self.cache.hom_sign([hull.tags[i] for i in ids])
+            tags = hull.tags
+            return self.cache.hom_sign(tuple([tags[i] for i in ids]))
         return None
 
     def _lifted_orient(self, hull, ids):
+        tags, points = hull.tags, hull.points
         if len(ids) == self._full + 1:
-            cols = [hull.tags[i] for i in ids]
-            lifts = [hull.points[i][-1] for i in ids]
-            return self.cache.orientation(cols, lifts)
+            return self.cache.orientation(
+                tuple([tags[i] for i in ids]), [points[i][-1] for i in ids]
+            )
         if (
             len(ids) == self._full
-            and all(hull.points[i][-1] == 0 for i in ids)
+            and all(points[i][-1] == 0 for i in ids)
             and all(b[-1] == 0 for b in hull.basis)
         ):
-            return self.cache.hom_sign([hull.tags[i] for i in ids])
+            return self.cache.hom_sign(tuple([tags[i] for i in ids]))
         return None
 
     # -- triangulation pipeline -------------------------------------------------

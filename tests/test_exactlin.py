@@ -6,6 +6,7 @@ Bareiss route; the two determinant routes are never collapsed into one.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -23,7 +24,7 @@ from resnewt.exactlin import (
     rank_int,
     saturated_basis,
 )
-from resnewt.kernels import MinorCache, det_bareiss, sort_with_parity
+from resnewt.kernels import MinorCache, det_bareiss
 
 
 # -- det_bareiss ------------------------------------------------------------------
@@ -49,22 +50,6 @@ def test_det_bareiss_matches_reference():
 def test_det_bareiss_needs_pivot_search():
     rows = [[0, 0, 2], [3, 0, 1], [0, 5, 4]]
     assert det_bareiss(rows) == ref_det(rows)
-
-
-# -- sort_with_parity ----------------------------------------------------------------
-
-
-def test_sort_with_parity():
-    rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randint(1, 7)
-        items = rng.sample(range(50), n)
-        srt, parity, perm = sort_with_parity(items)
-        assert srt == tuple(sorted(items))
-        assert [items[i] for i in perm] == list(srt)
-        # Parity must match the determinant of the permutation matrix.
-        mat = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-        assert parity == ref_det(mat)
 
 
 # -- MinorCache values ------------------------------------------------------------
@@ -197,6 +182,42 @@ def test_orientation_zero_lifting_is_degenerate():
     assert cache.orientation((0, 1, 2), [0, 0, 0]) == 0
 
 
+def test_predicates_over_every_column_order():
+    # Each order of each column set (and, for orientation, of its aligned
+    # lifting) against the sign of the explicitly built matrix.  One cache
+    # per base, so later orders are answered from cached minors.
+    rng = random.Random(21)
+    for nrows, k_hom, k_orient in ((2, 3, 4), (3, 4, 5), (4, 5, 6)):
+        ncols = k_orient + 3
+        base = _random_base(rng, nrows, ncols)
+        cache = MinorCache(base)
+        cols = rng.sample(range(ncols), k_hom)
+        for order in permutations(cols):
+            d = ref_det(_hom_matrix(base, order))
+            assert cache.hom_sign(order) == _sign(d), order
+        cols = rng.sample(range(ncols), k_orient)
+        lifting = [rng.choice((0, 0, 1, -2, 3, Fraction(1, 2))) for _ in cols]
+        for perm in permutations(range(k_orient)):
+            order = [cols[i] for i in perm]
+            lift = [lifting[i] for i in perm]
+            d = ref_det(_orientation_matrix(base, order, lift))
+            assert cache.orientation(order, lift) == _sign(d), order
+        # Repeated columns give 0 whatever their lifting.
+        assert cache.hom_sign([cols[0]] + cols[:k_hom - 1]) == 0
+        assert cache.orientation(cols[:-1] + [cols[0]], [1] * k_orient) == 0
+        # Out of range at either end and too many columns raise.
+        for bad in (ncols, -1):
+            with pytest.raises(ValueError):
+                cache.hom_sign(cols[1:k_hom] + [bad])
+            with pytest.raises(ValueError):
+                cache.orientation([bad] + cols[1:], [1] * k_orient)
+        too_many = rng.sample(range(ncols), k_orient + 1)
+        with pytest.raises(ValueError):
+            cache.hom_sign(too_many[:k_hom + 1])
+        with pytest.raises(ValueError):
+            cache.orientation(too_many, [1] * (k_orient + 1))
+
+
 # -- MinorCache bookkeeping -----------------------------------------------------
 
 
@@ -259,14 +280,25 @@ def test_cache_clear_keeps_stats():
 
 
 def test_cache_threshold_maintenance():
+    # Every public entry clears the tables once they exceed the threshold,
+    # and answers as a cache that stores nothing.
     rng = random.Random(3)
     base = _random_base(rng, 4, 9)
     cache = MinorCache(base, threshold=5)
+    plain = MinorCache(base, use_cache=False)
     for _ in range(10):
-        cols = rng.sample(range(9), 4)
-        cache.volume_predicate(cols)
+        calls = [
+            ("minor", (sorted(rng.sample(range(9), 4)),)),
+            ("hom_det", (sorted(rng.sample(range(9), 5)),)),
+            ("hom_sign", (rng.sample(range(9), 5),)),
+            ("volume_predicate", (rng.sample(range(9), 4),)),
+            ("orientation", (rng.sample(range(9), 6), [rng.randint(-3, 3) for _ in range(6)])),
+        ]
+        for name, args in calls:
+            assert getattr(cache, name)(*args) == getattr(plain, name)(*args), name
+            assert cache.entries <= 5, name
     assert cache.stats()["clears"] >= 1
-    assert cache.entries <= 5 or cache.stats()["clears"] >= 1
+    assert plain.entries == 0
 
 
 def test_cache_validates_columns():
@@ -388,6 +420,12 @@ def test_integer_kernel_basic():
     v = basis[0]
     assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in rows)
     assert integer_kernel([], ncols=2) == [(1, 0), (0, 1)]
+
+
+def test_kernel_and_saturation_clear_rational_entries():
+    # A row or vector is scaled by a positive integer, never truncated.
+    assert saturated_basis([(Fraction(1, 2), 1)], ambient_dim=2) in ([(1, 2)], [(-1, -2)])
+    assert integer_kernel([[Fraction(1, 2), 1]]) in ([(2, -1)], [(-2, 1)])
 
 
 def test_integer_kernel_is_saturated():

@@ -91,6 +91,46 @@ def test_compute_pi_bicubic():
     assert set(state.vertices()) == BICUBIC["vertices"]
 
 
+# Minor-cache counters after compute_pi (all but predicate_time), frozen
+# before the predicates' glue was last rewritten.  A rewrite that skips a
+# sub-minor whose lifting is 0, or miscounts a hit, moves them.
+CACHE_STATS = {
+    "sylvester-full": {
+        "pure_misses_by_size": {2: 10},
+        "pure_hits_by_size": {2: 20},
+        "pure_misses": 10,
+        "pure_hits": 20,
+        "hom_misses": 10,
+        "hom_hits": 625,
+        "entries": 20,
+        "clears": 0,
+        "predicate_calls": 281,
+    },
+    "bicubic-implicit": {
+        "pure_misses_by_size": {2: 326, 3: 1229, 4: 2224},
+        "pure_hits_by_size": {2: 530, 3: 3013, 4: 6011},
+        "pure_misses": 3779,
+        "pure_hits": 9554,
+        "hom_misses": 1647,
+        "hom_hits": 18354,
+        "entries": 5426,
+        "clears": 0,
+        "predicate_calls": 5821,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_STATS))
+def test_minor_cache_stats_frozen(name):
+    golden, mode = {
+        "sylvester-full": (SYLVESTER, "full"),
+        "bicubic-implicit": (BICUBIC, "implicitization"),
+    }[name]
+    got = compute_pi(_sys(golden, mode)).oracle.cache.stats()
+    del got["predicate_time"]
+    assert got == CACHE_STATS[name]
+
+
 def test_compute_pi_deterministic_per_seed():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     a = compute_pi(sysd, seed=3)
