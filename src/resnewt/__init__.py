@@ -38,12 +38,12 @@ from .geometry import (
     Facet,
     Hyperplane,
     TriangulatedHull,
-    clip_halfspace,
     f_vector,
     hull_volume,
 )
 from .kernels import BACKEND
 from .oracle import VertexOracle, vtx, vtx_secondary
+from .outer import OuterPolytope, clip_halfspace
 from .reconstruct import (
     BuildState,
     RandomReport,
@@ -70,6 +70,7 @@ __all__ = [
     "InvariantViolation",
     "MinorCache",
     "NotEssential",
+    "OuterPolytope",
     "ParseError",
     "ProjectionSpec",
     "RandomReport",

@@ -4,22 +4,21 @@ Provides an incremental Beneath-and-Beyond hull that maintains its placing
 triangulation, works at any intrinsic dimension inside its ambient space,
 and accepts a pluggable orientation callback so that hulls over structured
 point sets can route predicates through the shared minor cache.  On top of
-the hull sit lattice-normalized volume, halfspace clipping, and f-vector
-extraction.
+the hull sit lattice-normalized volume and f-vector extraction.
 
-All arithmetic is exact (integers and ``fractions.Fraction``); no floating
-point is ever used.  The hull itself runs on integers: a rational point is
-cleared of denominators once, when it is recorded; ``Fraction`` remains in
-volumes and in the cut points of halfspace clipping.
+All arithmetic is exact; no floating point is ever used.  The hull and its
+volume run on integers: a rational point is kept as its homogeneous row
+(m.p, m), cleared of denominators once.  ``Fraction`` appears only in the
+volumes handed out.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
-from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
+from .errors import DegenerateInput, InvariantViolation
 from .exactlin import (
     affine_dim,
     canonical_hyperplane,
@@ -36,7 +35,6 @@ __all__ = [
     "TriangulatedHull",
     "affine_dim",
     "hull_volume",
-    "clip_halfspace",
     "f_vector",
 ]
 
@@ -93,19 +91,6 @@ def _row_cleared(row):
     return [int(x * mult) for x in row], mult
 
 
-def _det_rational(rows):
-    """Exact determinant of a square matrix with int/Fraction entries."""
-    if not rows:
-        return Fraction(1)
-    cleared = []
-    denom = 1
-    for row in rows:
-        r, m = _row_cleared(row)
-        cleared.append(r)
-        denom *= m
-    return Fraction(det_bareiss(cleared), denom)
-
-
 def _hom_row(pt):
     """(m.pt, m): the point's homogeneous row, cleared by a positive m.
 
@@ -143,10 +128,13 @@ class TriangulatedHull:
     rational points run on integers too.
 
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
-    (dim+1)-tuple of point ids; cells partition the hull.  ``points`` records
-    every point that was a vertex when inserted (a later insertion may make
-    an earlier point non-extreme without removing it from this list; that
-    never happens when every inserted point is a vertex of the final hull).
+    (dim+1)-tuple of point ids; cells partition the hull.  Within one
+    dimension cells are only appended, so ``hull_volume`` keeps a running
+    sum over the cells it has seen; a dimension jump rewrites every cell and
+    resets that sum.  ``points`` records every point that was a vertex when
+    inserted (a later insertion may make an earlier point non-extreme
+    without removing it from this list; that never happens when every
+    inserted point is a vertex of the final hull).
     """
 
     def __init__(self, ambient_dim, orient_fn=None, track_facets=False):
@@ -168,6 +156,9 @@ class TriangulatedHull:
         self.boundary = []
         self._index = {}
         self._facet_cache = None
+        # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
+        self._vol_cells = 0
+        self._vol_sum = 0
 
     # -- predicates ----------------------------------------------------------
 
@@ -256,6 +247,8 @@ class TriangulatedHull:
         self._chart = sorted(self._pivots) + [-1]
         old_dim = self.dim
         self.dim += 1
+        self._vol_cells = 0
+        self._vol_sum = 0
 
         if old_dim == 0:
             self.cells = [(0, vid)]
@@ -406,76 +399,50 @@ class TriangulatedHull:
 # -- volume ---------------------------------------------------------------------
 
 
+def _cell_volume(rows):
+    """dim! times the volume of the simplex with these homogeneous rows."""
+    d = abs(det_bareiss(rows))
+    m = prod(row[-1] for row in rows)
+    return d if m == 1 else Fraction(d, m)
+
+
 def hull_volume(hull):
     """Lattice-normalized volume: sum over cells of |det(edges)| / dim!.
 
-    Full-dimensional hulls use raw coordinates; lower-dimensional hulls are
+    Full-dimensional hulls take one integer determinant per cell over the
+    cleared homogeneous rows: det(m_i.p_i, m_i) is prod(m_i) times the
+    determinant of the cell's edges.  Lower-dimensional hulls are
     re-parameterized over a saturated basis of their affine hull, so integer
     polytopes get their lattice-normalized volume and volume *ratios* of
-    hulls sharing one space are parameterization-independent.  A single
-    point has volume 1 by convention.
+    hulls sharing one space are parameterization-independent; a cell's
+    volume does not depend on which saturated basis is taken, so it is
+    summed once.  The sum is kept on the hull and a call adds only the cells
+    appended since the last one.  A single point has volume 1 by convention.
+    Rational points below full dimension raise ``ValueError``: their affine
+    hull need not carry a lattice to normalize by.
     """
     k = hull.dim
     if k <= 0:
         return Fraction(1)
+    hom = hull._hom
+    new_cells = hull.cells[hull._vol_cells:]
+    total = hull._vol_sum
     if k == hull.ambient:
-        coords = hull.points
-    else:
+        for cell in new_cells:
+            total += _cell_volume([hom[v] for v in cell])
+    elif new_cells:
+        if any(h[-1] != 1 for h in hom):
+            raise ValueError(
+                "hull_volume below full dimension needs integer points: the "
+                "volume is normalized to the lattice of the affine hull"
+            )
         coords = intrinsic_coords(hull.points)
-    total = Fraction(0)
-    for cell in hull.cells:
-        edges = [vec_sub(coords[v], coords[cell[0]]) for v in cell[1:]]
-        total += abs(_det_rational(edges))
-    return total / factorial(k)
-
-
-# -- halfspace clipping -----------------------------------------------------------
-
-
-def _is_edge(hull, facet_sets, u, v):
-    common = [fs for fs in facet_sets if u in fs and v in fs]
-    if not common:
-        return len(hull.points) == 2
-    inter = frozenset.intersection(*common)
-    return inter == {u, v}
-
-
-def clip_halfspace(hull, plane):
-    """Intersect a full-dimensional hull with {x : normal.x <= offset}.
-
-    Returns the same object when nothing is strictly outside; raises
-    ``EmptyIntersection`` when everything is strictly outside.  Otherwise
-    keeps the inner vertices, adds the rational intersection points of
-    crossing edges, and rebuilds the hull from scratch.
-    """
-    normal, offset = plane.normal, plane.offset
-    vals = [dot(normal, p) - offset for p in hull.points]
-    if all(v <= 0 for v in vals):
-        return hull
-    if all(v > 0 for v in vals):
-        raise EmptyIntersection("hull lies strictly outside the halfspace")
-    facet_sets = [f.vertex_ids for f in hull.facet_map().values()]
-    keep = [i for i, v in enumerate(vals) if v <= 0]
-    cuts = set()
-    for u in range(len(hull.points)):
-        if vals[u] >= 0:
-            continue
-        for v in range(len(hull.points)):
-            if vals[v] <= 0:
-                continue
-            if not _is_edge(hull, facet_sets, u, v):
-                continue
-            t = Fraction(vals[u], vals[u] - vals[v])
-            pu = hull.points[u]
-            pv = hull.points[v]
-            cut = tuple(Fraction(a) + t * (Fraction(b) - Fraction(a)) for a, b in zip(pu, pv))
-            cuts.add(cut)
-    out = TriangulatedHull(hull.ambient, track_facets=hull.track_facets)
-    for i in keep:
-        out.insert(hull.points[i], tag=hull.tags[i])
-    for cut in sorted(cuts):
-        out.insert(cut)
-    return out
+        for cell in new_cells:
+            c0 = coords[cell[0]]
+            total += abs(det_bareiss([vec_sub(coords[v], c0) for v in cell[1:]]))
+    hull._vol_cells = len(hull.cells)
+    hull._vol_sum = total
+    return Fraction(total) / factorial(k)
 
 
 # -- f-vector ---------------------------------------------------------------------

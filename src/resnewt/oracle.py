@@ -141,6 +141,10 @@ class VertexOracle:
             for col in range(self.sys.num_columns):
                 if not self.sys.is_symbolic(col):
                     hull.insert(self.sys.columns[col], tag=col)
+            # The base hull is only cloned from now on; dropping its bound
+            # method keeps the oracle free of a reference cycle, so an
+            # oracle is freed as soon as its last user lets go of it.
+            hull.orient_fn = None
             self._t0 = hull
         return self._t0
 

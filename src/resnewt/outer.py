@@ -1,0 +1,199 @@
+"""The outer polytope of approx mode, as a double description.
+
+``OuterPolytope`` keeps a full-dimensional polytope as its vertices, each a
+primitive integer homogeneous row, together with the ids of the constraints
+tight at each vertex (Fukuda & Prodon's double description method).
+``clip_halfspace`` cuts it down by one halfspace: the cut points come from
+one integer combination of an edge's two rows, edges are recognized from
+the tight sets alone, and the volume is updated from a pulling
+triangulation of the smaller side of the cut, built from the tight sets as
+well.  Nothing here builds a ``TriangulatedHull``.
+
+All arithmetic is exact and runs on integers; ``Fraction`` appears only in
+the volumes and vertex coordinates handed out.
+"""
+
+from fractions import Fraction
+from math import factorial, prod
+
+from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
+from .exactlin import det_bareiss, dot, primitive
+from .geometry import Hyperplane, _cell_volume, _hom_row, _row_cleared
+
+__all__ = ["OuterPolytope", "clip_halfspace"]
+
+
+def _vertex_masks(tight):
+    """Constraint id -> bit mask of the vertices tight at it."""
+    masks = {}
+    for i, ts in enumerate(tight):
+        bit = 1 << i
+        for c in ts:
+            masks[c] = masks.get(c, 0) | bit
+    return masks
+
+
+def _pulling_simplices(face, sets, d, memo):
+    """The pulling triangulation of a d-face, as tuples of vertex indices.
+
+    ``face`` is the face's vertex set as a bit mask and ``sets`` holds its
+    intersections with the constraints' vertex sets.  The facets of the
+    face are the maximal proper nonempty ones among them; the face is coned
+    from its first vertex over its facets that miss that vertex.  A face's
+    simplices depend on the face alone, so ``memo`` keeps them per face.
+    """
+    if d == 0:
+        return [(face.bit_length() - 1,)]
+    got = memo.get(face)
+    if got is not None:
+        return got
+    apex_bit = face & -face
+    apex = apex_bit.bit_length() - 1
+    proper = {t for t in sets if t and t != face}
+    out = []
+    for sub in proper:
+        if sub & apex_bit:
+            continue
+        if any(sub & t == sub and t != sub for t in proper):
+            continue  # not a facet of this face
+        for simplex in _pulling_simplices(sub, {t & sub for t in proper}, d - 1, memo):
+            out.append((apex, *simplex))
+    memo[face] = out
+    return out
+
+
+def _pulling_volume(dim, rows, tight):
+    """Volume of a full-dimensional polytope from a double description.
+
+    ``rows`` are its vertices as homogeneous rows and ``tight[i]`` the ids of
+    the constraints tight at vertex i, among constraints that include every
+    facet, so that a face is known by its vertex set.
+    """
+    everything = (1 << len(rows)) - 1
+    sets = set(_vertex_masks(tight).values())
+    cells = _pulling_simplices(everything, sets, dim, {})
+    total = sum(_cell_volume([rows[v] for v in cell]) for cell in cells)
+    return Fraction(total) / factorial(dim)
+
+
+def _constraint_row(plane):
+    """Primitive integer row g with g.(m.x, m) of the sign of normal.x - offset."""
+    row, _ = _row_cleared((*plane.normal, -plane.offset))
+    return primitive(row)
+
+
+class OuterPolytope:
+    """A full-dimensional polytope as a double description.
+
+    ``rows`` are the vertices as primitive integer homogeneous rows (a, d)
+    with d > 0, standing for a/d.  ``constraints`` holds every halfspace
+    {x : normal.x <= offset} that shaped the polytope, as ``Hyperplane``s,
+    indexed by id; the polytope is their intersection, and they include
+    all its facets.  ``tight[i]`` is the frozenset of ids of the
+    constraints whose hyperplane contains vertex i.  ``volume`` is exact.
+    """
+
+    __slots__ = ("dim", "rows", "tight", "constraints", "volume")
+
+    def __init__(self, dim, rows, tight, constraints, volume):
+        self.dim = dim
+        self.rows = rows
+        self.tight = tight
+        self.constraints = constraints
+        self.volume = volume
+
+    @classmethod
+    def simplex(cls, points):
+        """The simplex spanned by dim + 1 affinely independent points.
+
+        The facet opposite point i gets id i, so point i is tight at every
+        constraint but its own.
+        """
+        k = len(points) - 1
+        rows = [primitive(_hom_row(p)) for p in points]
+        if k == 0:
+            return cls(0, rows, [frozenset()], [], Fraction(1))
+        det = det_bareiss(rows)
+        if det == 0:
+            raise InvariantViolation("simplex vertices are affinely dependent")
+        constraints = []
+        for i in range(k + 1):
+            others = rows[:i] + rows[i + 1:]
+            # Cofactors: g.h is the determinant of the others over the row h.
+            g = [
+                (-1) ** j * det_bareiss([r[:j] + r[j + 1:] for r in others])
+                for j in range(k + 1)
+            ]
+            if dot(g, rows[i]) > 0:
+                g = [-x for x in g]
+            g = primitive(g)
+            constraints.append(Hyperplane(g[:k], -g[k]))
+        everything = frozenset(range(k + 1))
+        tight = [everything - {i} for i in range(k + 1)]
+        volume = Fraction(abs(det), prod(r[-1] for r in rows) * factorial(k))
+        return cls(k, rows, tight, constraints, volume)
+
+    def points(self):
+        """The vertices as rational points, in the order of ``rows``."""
+        return [
+            tuple(a if row[-1] == 1 else Fraction(a, row[-1]) for a in row[:-1])
+            for row in self.rows
+        ]
+
+
+def clip_halfspace(outer, plane):
+    """Intersect an ``OuterPolytope`` with {x : normal.x <= offset}.
+
+    Returns the same object when nothing is strictly outside; raises
+    ``EmptyIntersection`` when everything is strictly outside.  Otherwise
+    returns a new polytope: the vertices not strictly outside, plus the
+    point where the plane crosses each edge from a strictly inside vertex u
+    to a strictly outside vertex v.  They span an edge exactly when no third
+    vertex is tight at every constraint tight at both.  The volume is
+    updated by triangulating the smaller side of the cut only.
+    """
+    if len(plane.normal) != outer.dim:
+        raise ValueError("plane has wrong dimension")
+    g = _constraint_row(plane)
+    rows, tight = outer.rows, outer.tight
+    vals = [dot(g, h) for h in rows]
+    inside = [i for i, v in enumerate(vals) if v < 0]
+    outside = [i for i, v in enumerate(vals) if v > 0]
+    if not outside:
+        return outer
+    if not inside:
+        if len(outside) == len(rows):
+            raise EmptyIntersection("polytope lies strictly outside the halfspace")
+        raise DegenerateInput("halfspace leaves a lower-dimensional intersection")
+    on_plane = [i for i, v in enumerate(vals) if v == 0]
+    cid = len(outer.constraints)
+    tight_at = _vertex_masks(tight)
+    everyone = (1 << len(rows)) - 1
+    need = outer.dim - 1
+    cut_rows, cut_tight = [], []
+    for u in inside:
+        hu, gu, tu = rows[u], vals[u], tight[u]
+        for v in outside:
+            common = tu & tight[v]
+            if len(common) < need:
+                continue
+            shared = everyone
+            for c in common:
+                shared &= tight_at[c]
+            if shared != (1 << u) | (1 << v):
+                continue
+            gv = vals[v]
+            cut_rows.append(primitive([gv * a - gu * b for a, b in zip(hu, rows[v])]))
+            cut_tight.append(common | {cid})
+    on_tight = [tight[i] | {cid} for i in on_plane]
+    new_rows = [rows[i] for i in inside] + [rows[i] for i in on_plane] + cut_rows
+    new_tight = [tight[i] for i in inside] + on_tight + cut_tight
+    if len(outside) < len(inside):
+        cap_rows = [rows[i] for i in outside] + new_rows[len(inside):]
+        cap_tight = [tight[i] for i in outside] + new_tight[len(inside):]
+        volume = outer.volume - _pulling_volume(outer.dim, cap_rows, cap_tight)
+    else:
+        volume = _pulling_volume(outer.dim, new_rows, new_tight)
+    return OuterPolytope(
+        outer.dim, new_rows, new_tight, outer.constraints + [plane], volume
+    )

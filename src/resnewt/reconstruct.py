@@ -30,10 +30,10 @@ from .exactlin import (
 from .geometry import (
     Hyperplane,
     TriangulatedHull,
-    clip_halfspace,
     hull_volume,
 )
 from .oracle import VertexOracle
+from .outer import OuterPolytope, clip_halfspace
 
 __all__ = [
     "BuildState",
@@ -124,14 +124,18 @@ class BuildState:
 
 @dataclass
 class SandwichReport:
-    """Certified volume sandwich vol(Q) <= vol(target) <= vol(Q_o)."""
+    """Certified volume sandwich vol(Q) <= vol(target) <= vol(Q_o).
+
+    ``outer`` is Q_o in xi-space: its vertices and the certified
+    constraints it is the intersection of.
+    """
 
     inner_volume: Fraction
     outer_volume: Fraction
     ratio: Fraction
     threshold: Fraction
     reached: bool
-    outer_hull: TriangulatedHull
+    outer: OuterPolytope
 
 
 @dataclass
@@ -317,7 +321,7 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
             ratio=Fraction(1),
             threshold=threshold,
             reached=True,
-            outer_hull=state.hull,
+            outer=OuterPolytope.simplex([()]),
         )
         return state, report
 
@@ -333,16 +337,12 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
     )
     radius = Fraction(bound, chart.gram_det) + 1
 
-    outer = TriangulatedHull(k)
     base = tuple(-radius for _ in range(k))
-    outer.insert(base)
-    for t in range(k):
-        apex = tuple(
-            (2 * k - 1) * radius if i == t else -radius for i in range(k)
-        )
-        outer.insert(apex)
-    if outer.dim != k:
-        raise InvariantViolation("bounding simplex does not span the intrinsic space")
+    apexes = [
+        tuple((2 * k - 1) * radius if i == t else -radius for i in range(k))
+        for t in range(k)
+    ]
+    outer = OuterPolytope.simplex([base] + apexes)
 
     for w in sorted(state.oracle.memo):
         point = state.oracle.memo[w][0]
@@ -351,7 +351,7 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
             outer = clip_halfspace(outer, plane)
 
     vol_q = hull_volume(state.hull)
-    vol_qo = hull_volume(outer)
+    vol_qo = outer.volume
     ratio = vol_q / vol_qo
     if ratio >= threshold:
         report = SandwichReport(vol_q, vol_qo, ratio, threshold, True, outer)
@@ -363,13 +363,13 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         if plane is not None:
             outer = clip_halfspace(outer, plane)
         vol_q = hull_volume(state.hull)
-        vol_qo = hull_volume(outer)
+        vol_qo = outer.volume
         ratio = vol_q / vol_qo
         return ratio >= threshold
 
     _process(state, on_call=on_call)
     vol_q = hull_volume(state.hull)
-    vol_qo = hull_volume(outer)
+    vol_qo = outer.volume
     ratio = vol_q / vol_qo
     report = SandwichReport(
         vol_q, vol_qo, ratio, threshold, ratio >= threshold, outer

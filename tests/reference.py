@@ -113,6 +113,42 @@ def brute_force_facets(points):
     return facets
 
 
+def _solve_square(rows, rhs):
+    """Unique solution of a square system by Gauss-Jordan over Fractions."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(row[n] for row in aug)
+
+
+def brute_force_vertices(constraints, dim):
+    """Vertices of {x : normal.x <= offset for every (normal, offset)}.
+
+    Solves every dim-subset of the constraints with equality and keeps the
+    unique solutions that satisfy all of them.  Exponential; small inputs
+    only.  Returns a set of tuples of Fractions.
+    """
+    cons = [(tuple(n), o) for n, o in constraints]
+    found = set()
+    for subset in combinations(cons, dim):
+        x = _solve_square([n for n, _ in subset], [o for _, o in subset])
+        if x is None:
+            continue
+        if all(sum(a * b for a, b in zip(n, x)) <= o for n, o in cons):
+            found.add(x)
+    return found
+
+
 def point_in_hull(point, points):
     """Exact membership test: point in conv(points)?"""
     pts = list(points)

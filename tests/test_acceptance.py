@@ -306,13 +306,12 @@ def test_criterion_9_sandwich_certification():
                 worst_ratio = true_ratio
             inner_ok = set(state.vertices()) <= set(exact_state.vertices())
             outer_ok = True
-            hull = report.outer_hull
-            if hull is not None and hull.dim == hull.ambient and hull.dim > 0:
-                planes = list(hull.facet_map())
-                for v in exact_state.vertices():
-                    xi = exact_state.xi_of(v)
-                    if any(_dot(p.normal, xi) > p.offset for p in planes):
-                        outer_ok = False
+            # Every certified outer constraint, a superset of Q_o's facets:
+            planes = report.outer.constraints
+            for v in exact_state.vertices():
+                xi = exact_state.xi_of(v)
+                if any(_dot(p.normal, xi) > p.offset for p in planes):
+                    outer_ok = False
             if not (report.reached and true_ratio >= threshold
                     and inner_ok and outer_ok):
                 failures.append(

@@ -10,16 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from reference import brute_force_facets, extreme_points, point_in_hull, shoelace_area
-
-from resnewt.errors import EmptyIntersection, InvariantViolation
-from resnewt.geometry import (
-    Hyperplane,
-    TriangulatedHull,
-    clip_halfspace,
-    f_vector,
-    hull_volume,
+from reference import (
+    brute_force_facets,
+    brute_force_vertices,
+    extreme_points,
+    point_in_hull,
+    ref_det,
+    shoelace_area,
 )
+
+from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
+from resnewt.geometry import Hyperplane, TriangulatedHull, f_vector, hull_volume
+from resnewt.outer import OuterPolytope, clip_halfspace
 
 
 def _build(points, ambient=None, track=True):
@@ -165,11 +167,81 @@ def test_hull_volume_matches_shoelace():
         assert hull_volume(hull) == shoelace_area(ring)
 
 
-# -- halfspace clipping ------------------------------------------------------------
+def test_hull_volume_running_sum_across_dimension_jumps():
+    # hull_volume keeps a running sum over the cells; after every insert of a
+    # build through dimensions 0, 1, 2 and 3 (rational points included) it
+    # must equal a fresh hull's sum over the same points, and at full
+    # dimension the sum over cells of |det(edges)| / 3!.
+    rng = random.Random(23)
+    line = [(0, 0, 0), (2, 4, 6), (-1, -2, -3), (3, 6, 9)]
+    plane = [(1, 0, 0), (3, 2, 3), (-4, -2, -3)]  # line + Z(1, 0, 0)
+    space = [(0, 1, 5), (Fraction(1, 2), 3, -1)] + [
+        tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(3))
+        for _ in range(6)
+    ]
+    hull = TriangulatedHull(3)
+    dims = []
+    for n, p in enumerate(line + plane + space, start=1):
+        hull.insert(p)
+        dims.append(hull.dim)
+        fresh = TriangulatedHull(3)
+        for q in (line + plane + space)[:n]:
+            fresh.insert(q)
+        assert hull_volume(hull) == hull_volume(fresh)
+        if hull.dim == 3:
+            by_cells = sum(
+                abs(ref_det([[a - b for a, b in zip(hull.points[v], hull.points[cell[0]])]
+                             for v in cell[1:]]))
+                for cell in hull.cells
+            )
+            assert hull_volume(hull) == Fraction(by_cells) / 6
+    assert dims[:4] == [0, 1, 1, 1] and dims[4:7] == [2, 2, 2] and dims[-1] == 3
+
+
+def test_hull_volume_rejects_rational_points_below_full_dimension():
+    segment = _build([(0, 0), (Fraction(1, 2), 1)])
+    assert segment.dim == 1
+    with pytest.raises(ValueError, match="integer points"):
+        hull_volume(segment)
+
+
+# -- outer polytope and halfspace clipping ---------------------------------------------
+
+
+def _clip_all(outer, planes):
+    for n, c in planes:
+        outer = clip_halfspace(outer, Hyperplane(n, c))
+    return outer
+
+
+def _box(side):
+    """The square [0, side]^2 cut out of a simplex by two clips."""
+    simplex = OuterPolytope.simplex([(0, 0), (2 * side, 0), (0, 2 * side)])
+    return _clip_all(simplex, [((1, 0), side), ((0, 1), side)])
+
+
+def _fresh_volume(points):
+    hull = TriangulatedHull(len(points[0]))
+    for p in points:
+        hull.insert(p)
+    return hull_volume(hull)
+
+
+def test_outer_simplex_constraints():
+    pts = [(0, 0, 0), (3, 0, 0), (0, Fraction(5, 2), 0), (1, 1, 4)]
+    simplex = OuterPolytope.simplex(pts)
+    assert simplex.points() == pts
+    assert simplex.volume == _fresh_volume(pts) == 5
+    for cid, plane in enumerate(simplex.constraints):
+        values = [sum(a * x for a, x in zip(plane.normal, p)) for p in pts]
+        assert values[cid] < plane.offset
+        assert all(v == plane.offset for i, v in enumerate(values) if i != cid)
+        assert [cid in t for t in simplex.tight] == [i != cid for i in range(4)]
 
 
 def test_clip_identity_and_empty():
-    square = _build([(0, 0), (2, 0), (2, 2), (0, 2)])
+    square = _box(2)
+    assert set(square.points()) == {(0, 0), (2, 0), (2, 2), (0, 2)}
     same = clip_halfspace(square, Hyperplane((1, 0), 5))
     assert same is square  # nothing strictly outside: identity object
     with pytest.raises(EmptyIntersection):
@@ -177,41 +249,114 @@ def test_clip_identity_and_empty():
 
 
 def test_clip_rectangle_area():
-    square = _build([(0, 0), (4, 0), (4, 4), (0, 4)])
+    square = _box(4)
     clipped = clip_halfspace(square, Hyperplane((1, 0), 1))
-    assert hull_volume(clipped) == 4
-    assert set(clipped.points) == {(0, 0), (1, 0), (1, 4), (0, 4)}
+    assert clipped.volume == 4
+    assert set(clipped.points()) == {(0, 0), (1, 0), (1, 4), (0, 4)}
 
 
 def test_clip_simplex_scaling():
     # Cutting the corner of the standard simplex at x <= t leaves
     # volume 1/6 - (1-t)^3/6 ... easier checked from the apex side:
     # {x >= t} intersected with the simplex is a scaled copy, volume (1-t)^3/6.
-    simplex = _build([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    simplex = OuterPolytope.simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     t = Fraction(1, 3)
     upper = clip_halfspace(simplex, Hyperplane((-1, 0, 0), -t))  # x >= t
-    assert hull_volume(upper) == (1 - t) ** 3 / 6
+    assert upper.volume == (1 - t) ** 3 / 6
 
 
 def test_clip_cascade_monotone():
     rng = random.Random(11)
-    cube = _build([(x, y) for x in (0, 6) for y in (0, 6)])
-    vol = hull_volume(cube)
-    hull = cube
+    cube = _box(6)
+    vol = cube.volume
+    outer = cube
     for _ in range(6):
         n = (rng.randint(-2, 2), rng.randint(-2, 2))
         if n == (0, 0):
             continue
-        c = max(sum(a * b for a, b in zip(n, p)) for p in hull.points) - 1
+        c = max(sum(a * b for a, b in zip(n, p)) for p in outer.points()) - 1
         try:
-            hull = clip_halfspace(hull, Hyperplane(n, c))
+            outer = clip_halfspace(outer, Hyperplane(n, c))
         except EmptyIntersection:
             break
-        new_vol = hull_volume(hull)
+        new_vol = outer.volume
         assert new_vol <= vol
         vol = new_vol
-        for p in hull.points:
+        for p in outer.points():
             assert sum(a * b for a, b in zip(n, p)) <= c
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_clip_cascades_match_vertex_enumeration(d):
+    # Seeded cascades of clips from a simplex {x_i >= -r, sum x <= s}: after
+    # every clip the outer polytope's vertices are those a brute-force
+    # enumeration finds from the same constraints, and its running volume is
+    # that of a fresh triangulated hull of them.  Offsets are rational, some
+    # planes pass through a vertex, some miss the polytope.
+    rng = random.Random(600 + d)
+    for trial in range(4 if d < 4 else 2):
+        r, s = rng.randint(1, 4), rng.randint(1, 6)
+        # The simplex's facet opposite its i-th corner has constraint id i.
+        constraints = [((1,) * d, s)] + [
+            (tuple(-1 if i == t else 0 for i in range(d)), r) for t in range(d)
+        ]
+        corners = [(-r,) * d] + [
+            tuple(s + (d - 1) * r if i == t else -r for i in range(d))
+            for t in range(d)
+        ]
+        outer = OuterPolytope.simplex(corners)
+        for _ in range(7 if d < 4 else 5):
+            n = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(n):
+                continue
+            values = [sum(a * x for a, x in zip(n, p)) for p in outer.points()]
+            lo, hi = min(values), max(values)
+            pick = rng.random()
+            if pick < 0.2:
+                c = rng.choice([v for v in values if v > lo])
+            elif pick < 0.3:
+                c = hi + Fraction(1, rng.randint(1, 3))
+            else:
+                c = lo + (hi - lo) * Fraction(rng.randint(1, 11), 12)
+            clipped = clip_halfspace(outer, Hyperplane(n, c))
+            if c >= hi:
+                assert clipped is outer
+                continue
+            outer = clipped
+            constraints.append((n, c))
+            expect = brute_force_vertices(constraints, d)
+            assert set(outer.points()) == expect
+            assert outer.volume == _fresh_volume(sorted(expect))
+            for cid, (cn, cc) in enumerate(constraints):
+                assert outer.constraints[cid] == (cn, cc)
+                for p, tight in zip(outer.points(), outer.tight):
+                    value = sum(a * x for a, x in zip(cn, p))
+                    assert (value == cc) == (cid in tight)
+
+
+def test_clip_adjacency_needs_more_than_rank():
+    # In R^4, x1 - x2 <= 0 cuts the cube [0, 2]^4 through its 2-face
+    # G = {x1 = x2 = 0}.  Three constraints are then tight on all of G, as
+    # many as on an edge, yet the diagonal from (0,0,0,0) to (0,0,2,2) is no
+    # edge: cutting it with x3 + x4 <= 3 must not add its midpoint.
+    d = 4
+    corners = [(0,) * d] + [tuple(8 if i == t else 0 for i in range(d)) for t in range(d)]
+    constraints = [((1,) * d, 8)] + [
+        (tuple(-1 if i == t else 0 for i in range(d)), 0) for t in range(d)
+    ]
+    constraints += [(tuple(1 if i == t else 0 for i in range(d)), 2) for t in range(d)]
+    constraints += [((1, -1, 0, 0), 0), ((0, 0, 1, 1), 3)]
+    outer = _clip_all(OuterPolytope.simplex(corners), constraints[d + 1:])
+    expect = brute_force_vertices(constraints, d)
+    assert (0, 0, Fraction(3, 2), Fraction(3, 2)) not in expect
+    assert set(outer.points()) == expect
+    # Half of the cube, times the 7/8 of [0, 2]^2 below x3 + x4 = 3:
+    assert outer.volume == _fresh_volume(sorted(expect)) == 7
+
+
+def test_clip_to_a_lower_dimensional_face_raises():
+    with pytest.raises(DegenerateInput):
+        clip_halfspace(_box(2), Hyperplane((1, 0), 0))
 
 
 # -- f-vectors ------------------------------------------------------------------
@@ -229,8 +374,6 @@ def test_f_vector_closed_forms():
     seg = _build([(0,), (5,)])
     assert f_vector(seg) == (2,)
     # Non-full-dimensional hulls need reparameterization first:
-    from resnewt.errors import DegenerateInput
-
     with pytest.raises(DegenerateInput):
         f_vector(_build([(0, 0), (5, 0)]))
 

@@ -1,6 +1,8 @@
 """Tests for the vertex oracle: lifted triangulations, mixed cells, rho/phi."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -128,6 +130,21 @@ def test_vtx_memoizes_by_direction():
     assert canonical([2, -4, 0, 0, 2, 0]) == w
     opposite = canonical([-1, 2, 0, 0, -1, 0])
     assert opposite != w
+
+
+def test_oracle_is_freed_without_the_cycle_collector():
+    # An oracle that has answered queries holds no reference cycle, so it is
+    # freed as soon as it is dropped; otherwise every run's oracle, cache and
+    # base hull would wait for the cycle collector and raise peak memory.
+    oracle = VertexOracle(_sys(MONOMIAL_SURFACE, "full"), seed=0)
+    oracle.vtx(canonical([1, -2, 0, 0, 1, 0]))
+    freed = weakref.ref(oracle)
+    gc.disable()
+    try:
+        del oracle
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_vtx_answers_are_golden_vertices():

@@ -12,7 +12,7 @@ from reference import count_lattice_points, point_in_hull, ref_rank, ref_solve_u
 
 from resnewt.errors import InvariantViolation
 from resnewt.exactlin import saturated_basis
-from resnewt.geometry import hull_volume
+from resnewt.geometry import TriangulatedHull, hull_volume
 from resnewt.reconstruct import (
     BuildState,
     compute_pi,
@@ -268,18 +268,23 @@ def test_approx_threshold_sandwich(name, sysd, vertices):
     # Inner vertices are genuine vertices of the target:
     inner = set(state.vertices())
     assert inner <= set(exact_state.vertices())
-    # The target's vertices respect every outer constraint (xi-space):
-    for plane, facet in _outer_planes(report):
+    # The target's vertices respect every certified outer constraint
+    # (xi-space); the constraints include every facet of Q_o:
+    outer = report.outer
+    assert len(outer.constraints) > outer.dim
+    for plane in outer.constraints:
         for v in exact_state.vertices():
             xi = exact_state.xi_of(v)
             assert _dot(plane.normal, xi) <= plane.offset
+    # Q_o's running volume is that of the hull of its vertices:
+    assert report.outer_volume == outer.volume == _fresh_volume(outer.points())
 
 
-def _outer_planes(report):
-    hull = report.outer_hull
-    if hull is None or hull.dim != hull.ambient:
-        return []
-    return list(hull.facet_map().items())
+def _fresh_volume(points):
+    hull = TriangulatedHull(len(points[0]))
+    for p in points:
+        hull.insert(p)
+    return hull_volume(hull)
 
 
 def _sys_copy(sysd):
