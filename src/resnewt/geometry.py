@@ -60,11 +60,13 @@ class Facet:
 class _BoundarySimplex:
     """One (k-1)-simplex of the hull boundary, with an off-plane witness.
 
-    ``inner_sign`` is the orientation sign of (verts..., opp) computed when
-    the simplex was created; a candidate point lies beyond the simplex's
-    hyperplane exactly when its orientation sign is the negative of it.
-    ``plane`` caches the simplex's outward hyperplane once ``facet_map`` has
-    computed it (full-dimensional hulls only; points never move).
+    ``inner_sign`` is the orientation sign of (verts..., opp), set when the
+    simplex is created (a dimension jump derives it from the old signs); a
+    candidate point lies beyond the simplex's hyperplane exactly when its
+    orientation sign is the negative of it.  ``plane`` caches the simplex's
+    outward hyperplane once ``facet_map`` has computed it (full-dimensional
+    hulls only; points never move); a ``track_facets`` hull also tests
+    visibility against it.
     """
 
     __slots__ = ("verts", "opp", "inner_sign", "alive", "plane")
@@ -120,12 +122,19 @@ class TriangulatedHull:
     ``basis``, the ambient direction of each dimension jump.  Membership is
     a remainder against the echelon; orientation is the sign over the pivot
     coordinates alone, on which the affine hull projects bijectively.  That
-    sign is the intrinsic one times a factor fixed within one dimension, and
-    a dimension jump recomputes every stored sign, so every comparison of
-    signs answers exactly as in intrinsic coordinates.  Orientation signs
-    and facet planes are taken over each point's homogeneous row (m.p, m),
-    cleared of denominators once when the point is recorded, so hulls of
-    rational points run on integers too.
+    sign is the intrinsic one times a factor fixed within one dimension, so
+    every comparison of signs answers exactly as in intrinsic coordinates.
+    ``_cell_signs`` holds each cell's sign.  A dimension jump to a point v
+    takes one orientation, of the first cell with v, and gets every other
+    new sign from the stored ones: (T, v) has sigma times T's old sign for
+    every tuple T of old points, with sigma fixed for that jump (this holds
+    for the chart, and for an ``orient_fn`` that, like the oracle's, is a
+    determinant of the lifted points).  Orientation signs and facet planes
+    are taken over each point's homogeneous row (m.p, m), cleared of
+    denominators once when the point is recorded, so hulls of rational
+    points run on integers too.  A full-dimensional ``track_facets`` hull
+    finds the simplices a point sees from their cached facet planes, one
+    dot product per distinct plane, instead of one orientation each.
 
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
     (dim+1)-tuple of point ids; cells partition the hull.  Within one
@@ -153,6 +162,7 @@ class TriangulatedHull:
         # homogeneous coordinate (index -1 of a _hom row).
         self._chart = [-1]
         self.cells = []
+        self._cell_signs = []  # orientation sign of each cell
         self.boundary = []
         self._index = {}
         self._facet_cache = None
@@ -231,6 +241,7 @@ class TriangulatedHull:
             self._record(pt, tag)
             self.dim = 0
             self.cells = [(0,)]
+            self._cell_signs = [1]  # the sign of the 1x1 row (m), m > 0
             self.boundary = []
             return True
 
@@ -252,22 +263,29 @@ class TriangulatedHull:
 
         if old_dim == 0:
             self.cells = [(0, vid)]
-            new_boundary = [
-                _BoundarySimplex((0,), vid, 0),
-                _BoundarySimplex((vid,), 0, 0),
+            sign = self._nonzero_orient((0, vid))
+            self._cell_signs = [sign]
+            self.boundary = [
+                _BoundarySimplex((0,), vid, sign),
+                _BoundarySimplex((vid,), 0, self._nonzero_orient((vid, 0))),
             ]
-        else:
-            new_boundary = [
-                _BoundarySimplex(cell, vid, 0) for cell in self.cells
-            ]
-            for bs in self.boundary:
-                if bs.alive:
-                    new_boundary.append(
-                        _BoundarySimplex(bs.verts + (vid,), bs.opp, 0)
-                    )
-            self.cells = [cell + (vid,) for cell in self.cells]
-        for bs in new_boundary:
-            bs.inner_sign = self._nonzero_orient(bs.verts + (bs.opp,))
+            return
+        # Old points keep their old coordinates and get 0 in the new one, so
+        # orient(T + (vid,)) is sigma times T's old sign, with sigma fixed
+        # for this jump: one call gives sigma and every new sign follows.
+        sigma = self._nonzero_orient(self.cells[0] + (vid,)) * self._cell_signs[0]
+        signs = [sigma * s for s in self._cell_signs]
+        new_boundary = [
+            _BoundarySimplex(cell, vid, s) for cell, s in zip(self.cells, signs)
+        ]
+        for bs in self.boundary:
+            if bs.alive:
+                # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
+                new_boundary.append(
+                    _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
+                )
+        self.cells = [cell + (vid,) for cell in self.cells]
+        self._cell_signs = signs
         self.boundary = new_boundary
 
     def _nonzero_orient(self, ids):
@@ -279,12 +297,26 @@ class TriangulatedHull:
     def _standard_insert(self, pt, tag):
         vid = self._record(pt, tag)
         visible = []
-        for bs in self.boundary:
-            if not bs.alive:
-                continue
-            side = self._orient(bs.verts + (vid,))
-            if side == -bs.inner_sign:
-                visible.append(bs)
+        if self.track_facets and self.dim == self.ambient:
+            # insert's facet_map() filled every live plane: test each
+            # distinct plane once, over the point's cleared row (m.p, m).
+            k = self.ambient
+            h = self._hom[vid]
+            x, m = h[:k], h[k]
+            beyond = {}
+            for bs in self.boundary:
+                if not bs.alive:
+                    continue
+                plane = bs.plane
+                side = beyond.get(plane)
+                if side is None:
+                    side = beyond[plane] = dot(plane.normal, x) > m * plane.offset
+                if side:
+                    visible.append(bs)
+        else:
+            for bs in self.boundary:
+                if bs.alive and self._orient(bs.verts + (vid,)) == -bs.inner_sign:
+                    visible.append(bs)
         if not visible:
             self._unrecord(vid)
             return False
@@ -292,6 +324,7 @@ class TriangulatedHull:
             bs.alive = False
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
+            self._cell_signs.append(-bs.inner_sign)
         ridge_info = {}
         for bs in visible:
             for ridge in combinations(sorted(bs.verts), len(bs.verts) - 1):
@@ -387,6 +420,7 @@ class TriangulatedHull:
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
         out.cells = list(self.cells)
+        out._cell_signs = list(self._cell_signs)
         out.boundary = [
             _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign)
             for bs in self.boundary

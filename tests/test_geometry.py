@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import system_from
+from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 from reference import (
     brute_force_facets,
     brute_force_vertices,
@@ -22,6 +24,7 @@ from reference import (
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import Hyperplane, TriangulatedHull, f_vector, hull_volume
 from resnewt.outer import OuterPolytope, clip_halfspace
+from resnewt.reconstruct import compute_pi
 
 
 def _build(points, ambient=None, track=True):
@@ -412,6 +415,38 @@ def _boundary(hull):
     return sorted((bs.verts, bs.opp) for bs in hull.alive_boundary())
 
 
+def _assert_signs_fresh(hull):
+    # Every stored sign, including those a dimension jump derived rather
+    # than computed, is what a fresh orientation of its tuple gives.
+    assert len(hull._cell_signs) == len(hull.cells)
+    for cell, sign in zip(hull.cells, hull._cell_signs):
+        assert sign == hull._orient(cell) != 0, cell
+    for bs in hull.alive_boundary():
+        assert bs.inner_sign == hull._orient(bs.verts + (bs.opp,)) != 0, bs.verts
+
+
+def _flat_points(rng, ambient, n, rational):
+    # Points of a random flat of R^ambient, drawn along its directions in
+    # reverse order, so the chart's pivots often arrive out of order.
+    k = rng.randint(1, ambient)
+    p0 = [rng.randint(-3, 3) for _ in range(ambient)]
+    dirs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+    pts = [tuple(p0)]
+    for j in reversed(range(k)):
+        pts.append(tuple(x + d for x, d in zip(p0, dirs[j])))
+    while len(pts) < n:
+        coef = [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+            if rational
+            else rng.randint(-3, 3)
+            for _ in range(k)
+        ]
+        pts.append(tuple(
+            x + sum(c * d[i] for c, d in zip(coef, dirs)) for i, x in enumerate(p0)
+        ))
+    return list(dict.fromkeys(pts))
+
+
 def test_flat_chart_matches_intrinsic_hull():
     # Points p0 + a.u + b.v of a 2-flat in R^4 (u, v a saturated basis of
     # its direction space), some with Fraction (a, b).  The flat hull orients
@@ -477,9 +512,11 @@ def test_extended_clone_matches_direct_build(base_dim):
         direct = TriangulatedHull(4)
         for p in base:
             direct.insert(p + (0,), tag=p + (0,))
+        _assert_signs_fresh(clone)
         for p in lifted:
             clone.insert(p, tag=p)
             direct.insert(p, tag=p)
+            _assert_signs_fresh(clone)
         assert clone.dim == direct.dim
         assert clone.points == direct.points
         assert clone.cells == direct.cells
@@ -520,3 +557,128 @@ def test_flat_witness_raises_invariant_violation():
     with pytest.raises(InvariantViolation):
         for p in [(0, 0), (1, 0), (0, 1)]:
             hull.insert(p)
+
+
+# -- stored signs and plane visibility ----------------------------------------
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rational", [False, True])
+def test_stored_signs_match_fresh_orientations(ambient, rational):
+    rng = random.Random(600 + 10 * ambient + rational)
+    for trial in range(6):
+        if trial % 2:
+            pts = _flat_points(rng, ambient, ambient + 6, rational)
+        else:
+            pts = _random_points(rng, ambient, ambient + 6)
+        hull = TriangulatedHull(ambient, track_facets=bool(trial % 3))
+        for p in pts:
+            hull.insert(p, tag=p)
+            _assert_signs_fresh(hull)
+
+
+def test_dimension_jump_takes_one_orientation():
+    # A jump above dimension 1 orients the first cell with the new point and
+    # derives every other sign; the jump from a point to a segment orients
+    # both of its boundary simplices.
+    hull = TriangulatedHull(4)
+    calls = []
+    orient = hull._orient
+    hull._orient = lambda ids: calls.append(ids) or orient(ids)
+    hull.insert((0, 0, 0, 0))
+    for p, dim, asked in [
+        ((0, 0, 0, 3), 1, 2),
+        ((0, 0, 2, 1), 2, 1),
+        ((0, 0, 5, 5), 2, None),
+        ((0, 0, -1, 4), 2, None),
+        ((1, 1, 1, 1), 3, 1),
+        ((2, 2, 1, 2), 3, None),
+        ((0, 4, 0, 0), 4, 1),
+    ]:
+        del calls[:]
+        hull.insert(p)
+        assert hull.dim == dim
+        if asked is not None:
+            assert len(calls) == asked
+            assert dim < 3 or len(hull.cells) >= 3  # many signs derived
+        _assert_signs_fresh(hull)
+
+
+@pytest.mark.parametrize(
+    "name", ["sylvester", "surface-full", "surface-implicit", "circle-line", "bicubic"]
+)
+def test_oracle_lifted_hull_signs(monkeypatch, name):
+    # The oracle's hulls orient through the minor cache (_t0_orient, then
+    # _lifted_orient in the clone); after every insert of a compute_pi run
+    # their stored signs must still be fresh orientations.
+    golden, mode = {
+        "sylvester": (SYLVESTER, "full"),
+        "surface-full": (MONOMIAL_SURFACE, "full"),
+        "surface-implicit": (MONOMIAL_SURFACE, "implicitization"),
+        "circle-line": (CIRCLE_LINE, "u-resultant"),
+        "bicubic": (BICUBIC, "implicitization"),
+    }[name]
+    sysd = system_from(golden["n"], golden["supports"], mode)
+    lifted_dims = []
+    insert = TriangulatedHull.insert
+
+    def checked_insert(hull, point, tag=None):
+        out = insert(hull, point, tag)
+        if hull.orient_fn is not None:
+            _assert_signs_fresh(hull)
+            if hull.ambient == 2 * sysd.n + 1:
+                lifted_dims.append(hull.dim)
+        return out
+
+    monkeypatch.setattr(TriangulatedHull, "insert", checked_insert)
+    compute_pi(sysd)
+    assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull made its jump
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plane_visibility_matches_orientation(d):
+    # A track_facets hull finds visible simplices from its cached planes, a
+    # plain hull by orientation.  Grid points often lie exactly on a facet
+    # plane, which must not count as visible; both hulls must decide alike.
+    rng = random.Random(700 + d)
+    for trial in range(4):
+        pts = list(dict.fromkeys(
+            tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(d + 7)
+        ))
+        track = TriangulatedHull(d, track_facets=True)
+        plain = TriangulatedHull(d)
+        for p in pts:
+            track.insert(p, tag=p)
+            plain.insert(p, tag=p)
+            assert track.points == plain.points
+            assert track.cells == plain.cells
+            assert _boundary(track) == _boundary(plain)
+        if track.dim < d:
+            continue
+        got = {
+            frozenset(
+                p for p in pts
+                if sum(a * x for a, x in zip(plane.normal, p)) == plane.offset
+            )
+            for plane in track.facet_map()
+        }
+        assert got == {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
+
+
+def test_point_on_a_facet_plane_is_not_beyond_it():
+    hull = TriangulatedHull(2, track_facets=True)
+    for p in [(0, 0), (4, 0), (4, 4), (0, 4)]:
+        hull.insert(p, tag=p)
+    calls = []
+    orient = hull._orient
+    hull._orient = lambda ids: calls.append(ids) or orient(ids)
+    # On the plane y = 0 inside its facet, and inside the square: no-ops,
+    # decided from the cached planes without an orientation.
+    assert hull.insert((2, 0)) == ([], [])
+    assert hull.insert((1, 3)) == ([], [])
+    assert len(hull.points) == 4 and not calls
+    # On y = 0 beyond x = 4: only the facet x = 4 sees it, and y = 0 grows.
+    removed, added = hull.insert((6, 0))
+    assert [f.plane for f in removed] == [Hyperplane((1, 0), 4)]
+    bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
+    assert {hull.points[i] for i in bottom.vertex_ids} == {(0, 0), (4, 0), (6, 0)}
