@@ -35,7 +35,6 @@ from .errors import (
 )
 from .exactlin import MinorCache, det_bareiss
 from .geometry import (
-    Facet,
     Hyperplane,
     TriangulatedHull,
     f_vector,
@@ -64,7 +63,6 @@ __all__ = [
     "CayleySystem",
     "DegenerateInput",
     "EmptyIntersection",
-    "Facet",
     "Hyperplane",
     "InvalidDirection",
     "InvariantViolation",

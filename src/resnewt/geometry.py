@@ -12,7 +12,6 @@ volume run on integers: a rational point is kept as its homogeneous row
 volumes handed out.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
@@ -31,7 +30,6 @@ from .exactlin import (
 
 __all__ = [
     "Hyperplane",
-    "Facet",
     "TriangulatedHull",
     "affine_dim",
     "hull_volume",
@@ -49,14 +47,6 @@ class Hyperplane(NamedTuple):
     offset: int
 
 
-@dataclass(frozen=True)
-class Facet:
-    """A facet of a full-dimensional hull: its hyperplane + incident vertices."""
-
-    plane: Hyperplane
-    vertex_ids: frozenset
-
-
 class _BoundarySimplex:
     """One (k-1)-simplex of the hull boundary, with an off-plane witness.
 
@@ -64,18 +54,17 @@ class _BoundarySimplex:
     simplex is created (a dimension jump derives it from the old signs); a
     candidate point lies beyond the simplex's hyperplane exactly when its
     orientation sign is the negative of it.  ``plane`` caches the simplex's
-    outward hyperplane once ``facet_map`` has computed it (full-dimensional
-    hulls only; points never move); a ``track_facets`` hull also tests
-    visibility against it.
+    outward hyperplane in a full-dimensional hull (points never move): a
+    ``track_facets`` hull sets it when the simplex is made and tests
+    visibility against it; any other hull sets it in ``facet_map``.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "alive", "plane")
+    __slots__ = ("verts", "opp", "inner_sign", "plane")
 
     def __init__(self, verts, opp, inner_sign):
         self.verts = verts
         self.opp = opp
         self.inner_sign = inner_sign
-        self.alive = True
         self.plane = None
 
 
@@ -134,8 +123,11 @@ class TriangulatedHull:
     denominators once when the point is recorded, so hulls of rational
     points run on integers too.  A full-dimensional ``track_facets`` hull
     finds the simplices a point sees from their cached facet planes, one
-    dot product per distinct plane, instead of one orientation each.
+    dot product per distinct plane, instead of one orientation each, and
+    keeps its facet table (``facet_map``) current: an insert pops the planes
+    the point sees and files each fresh simplex under its plane.
 
+    ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
     (dim+1)-tuple of point ids; cells partition the hull.  Within one
     dimension cells are only appended, so ``hull_volume`` keeps a running
@@ -165,7 +157,7 @@ class TriangulatedHull:
         self._cell_signs = []  # orientation sign of each cell
         self.boundary = []
         self._index = {}
-        self._facet_cache = None
+        self._facets = None  # facet_map's table; None: regroup on the next call
         # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
         self._vol_cells = 0
         self._vol_sum = 0
@@ -201,56 +193,38 @@ class TriangulatedHull:
         if vid != len(self.points):
             raise InvariantViolation("unrecorded point is not the last one")
 
-    def alive_boundary(self):
-        return [bs for bs in self.boundary if bs.alive]
-
     # -- insertion -----------------------------------------------------------
 
     def insert(self, point, tag=None):
-        """Insert a point; returns (removed_facets, added_facets).
+        """Insert a point; returns (removed_planes, added_planes).
 
         Duplicates and points inside the hull are no-ops.  A point outside
         the current affine hull raises the intrinsic dimension by coning the
-        whole triangulation.  Facet deltas are reported only when the hull
-        was created with ``track_facets`` (and is full-dimensional).
+        whole triangulation.  Facet deltas, the ``facet_map`` keys that
+        vanished and appeared, are reported only when the hull was created
+        with ``track_facets`` and is full-dimensional after the insert; the
+        insert that makes it so reports every facet as added.
         """
         pt = tuple(point)
         if len(pt) != self.ambient:
             raise ValueError("point has wrong dimension")
         if pt in self._index:
             return ([], [])
-        if self.track_facets and self.dim == self.ambient:
-            before = dict(self.facet_map())
-        else:
-            before = {}
-
-        changed = self._insert_inner(pt, tag)
-        if not changed:
-            return ([], [])
-
-        self._facet_cache = None
-        if not self.track_facets:
-            return ([], [])
-        after = self.facet_map() if self.dim == self.ambient else {}
-        removed = [before[k] for k in before if k not in after]
-        added = [after[k] for k in after if k not in before]
-        return (removed, added)
-
-    def _insert_inner(self, pt, tag):
         if self.dim == -1:
             self._record(pt, tag)
             self.dim = 0
             self.cells = [(0,)]
             self._cell_signs = [1]  # the sign of the 1x1 row (m), m > 0
-            self.boundary = []
-            return True
-
-        if self.dim < self.ambient:
-            diff, _ = _row_cleared(vec_sub(pt, self.points[0]))
-            if echelon_extend(diff, self._echelon, self._pivots):
-                self._dim_jump(pt, tag)
-                return True
-        return self._standard_insert(pt, tag)
+        elif self.dim < self.ambient and echelon_extend(
+            _row_cleared(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
+        ):
+            self._dim_jump(pt, tag)
+        else:
+            return self._standard_insert(pt, tag)
+        # The hull has just reached this dimension, so every facet is new.
+        if self.track_facets and self.dim == self.ambient:
+            return ([], list(self.facet_map()))
+        return ([], [])
 
     def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
@@ -279,11 +253,10 @@ class TriangulatedHull:
             _BoundarySimplex(cell, vid, s) for cell, s in zip(self.cells, signs)
         ]
         for bs in self.boundary:
-            if bs.alive:
-                # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
-                new_boundary.append(
-                    _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
-                )
+            # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
+            new_boundary.append(
+                _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
+            )
         self.cells = [cell + (vid,) for cell in self.cells]
         self._cell_signs = signs
         self.boundary = new_boundary
@@ -296,32 +269,30 @@ class TriangulatedHull:
 
     def _standard_insert(self, pt, tag):
         vid = self._record(pt, tag)
-        visible = []
-        if self.track_facets and self.dim == self.ambient:
-            # insert's facet_map() filled every live plane: test each
-            # distinct plane once, over the point's cleared row (m.p, m).
+        keep, visible = [], []
+        tracked = self.track_facets and self.dim == self.ambient
+        if tracked:
+            # Every boundary simplex has its plane: test each distinct plane
+            # once, over the point's cleared row (m.p, m).
             k = self.ambient
             h = self._hom[vid]
             x, m = h[:k], h[k]
             beyond = {}
             for bs in self.boundary:
-                if not bs.alive:
-                    continue
                 plane = bs.plane
                 side = beyond.get(plane)
                 if side is None:
                     side = beyond[plane] = dot(plane.normal, x) > m * plane.offset
-                if side:
-                    visible.append(bs)
+                (visible if side else keep).append(bs)
         else:
             for bs in self.boundary:
-                if bs.alive and self._orient(bs.verts + (vid,)) == -bs.inner_sign:
+                if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
                     visible.append(bs)
+                else:
+                    keep.append(bs)
         if not visible:
             self._unrecord(vid)
-            return False
-        for bs in visible:
-            bs.alive = False
+            return ([], [])
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
             self._cell_signs.append(-bs.inner_sign)
@@ -341,8 +312,25 @@ class TriangulatedHull:
             nb = _BoundarySimplex(verts, opp, 0)
             nb.inner_sign = self._nonzero_orient(verts + (opp,))
             fresh.append(nb)
-        self.boundary = [bs for bs in self.boundary if bs.alive] + fresh
-        return True
+        self.boundary = keep + fresh
+        if not tracked:
+            self._facets = None
+            return ([], [])
+        # Visibility is decided per plane, so a plane the point sees loses
+        # every simplex on it, and any other plane keeps all of its own and
+        # gains the fresh ones on it (the point lies on that plane).
+        facets = self._facets
+        removed = [plane for plane, side in beyond.items() if side]
+        for plane in removed:
+            del facets[plane]
+        grown = {}
+        for nb in fresh:
+            nb.plane = self._bs_plane(nb)
+            grown.setdefault(nb.plane, set()).update(nb.verts)
+        added = [plane for plane in grown if plane not in facets]
+        for plane, ids in grown.items():
+            facets[plane] = facets.get(plane, frozenset()) | ids
+        return (removed, added)
 
     # -- facets ----------------------------------------------------------------
 
@@ -378,28 +366,28 @@ class TriangulatedHull:
         return Hyperplane(nrm, off)
 
     def facet_map(self):
-        """Facets of a full-dimensional hull, keyed by canonical hyperplane.
+        """Facets of a full-dimensional hull: {Hyperplane: frozenset of ids}.
 
-        Each boundary simplex's plane is computed once and kept on it.
+        Each canonical hyperplane maps to the ids of the vertices of the
+        boundary simplices on it, which may include points inside the facet.
+        A ``track_facets`` hull keeps this table current on every insert;
+        any other hull regroups its boundary on the first call after a
+        change, computing each simplex's plane once and keeping it on the
+        simplex.  The table is the hull's own: callers must not change it.
         """
         if self.dim != self.ambient:
             raise DegenerateInput(
                 "facets require a full-dimensional hull (dim %d of %d)"
                 % (self.dim, self.ambient)
             )
-        if self._facet_cache is not None:
-            return self._facet_cache
-        groups = {}
-        for bs in self.boundary:
-            if not bs.alive:
-                continue
-            if bs.plane is None:
-                bs.plane = self._bs_plane(bs)
-            groups.setdefault(bs.plane, set()).update(bs.verts)
-        self._facet_cache = {
-            plane: Facet(plane, frozenset(verts)) for plane, verts in groups.items()
-        }
-        return self._facet_cache
+        if self._facets is None:
+            groups = {}
+            for bs in self.boundary:
+                if bs.plane is None:
+                    bs.plane = self._bs_plane(bs)
+                groups.setdefault(bs.plane, set()).update(bs.verts)
+            self._facets = {plane: frozenset(ids) for plane, ids in groups.items()}
+        return self._facets
 
     # -- cloning ----------------------------------------------------------------
 
@@ -422,9 +410,7 @@ class TriangulatedHull:
         out.cells = list(self.cells)
         out._cell_signs = list(self._cell_signs)
         out.boundary = [
-            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign)
-            for bs in self.boundary
-            if bs.alive
+            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign) for bs in self.boundary
         ]
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out
@@ -491,7 +477,7 @@ def f_vector(hull):
     """
     if hull.dim == 0:
         return (1,)
-    facet_sets = {f.vertex_ids for f in hull.facet_map().values()}
+    facet_sets = set(hull.facet_map().values())
     faces = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:

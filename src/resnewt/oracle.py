@@ -165,8 +165,7 @@ class VertexOracle:
             simplices = [
                 tuple(hull.tags[i] for i in bs.verts)
                 for bs in hull.boundary
-                if bs.alive
-                and self.cache.hom_sign([hull.tags[i] for i in bs.verts])
+                if self.cache.hom_sign([hull.tags[i] for i in bs.verts])
                 == bs.inner_sign
             ]
         else:

@@ -114,11 +114,9 @@ class BuildState:
     def facets_x(self):
         """Current facets as (normal, offset) in original coordinates."""
         out = []
-        for plane, facet in sorted(self.hull.facet_map().items()):
+        for plane, ids in self.hull.facet_map().items():
             w = self.pullback(plane.normal)
-            vid = min(facet.vertex_ids)
-            off = dot(w, self.hull.tags[vid])
-            out.append((w, off))
+            out.append((w, dot(w, self.hull.tags[min(ids)])))
         return sorted(out)
 
 
@@ -235,7 +233,7 @@ def initialize(sys, seed=0, use_cache=True):
 
 
 def _enqueue(state, added):
-    for key in sorted(f.plane for f in added):
+    for key in sorted(added):
         if key not in state.legal and key not in state.queued:
             state.illegal.append(key)
             state.queued.add(key)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -350,6 +351,23 @@ def test_package_has_no_assert_statements():
                 if isinstance(node, ast.Assert)
             ]
     assert found == []
+
+
+def test_public_names_resolve():
+    # Every name a module exports, the package's included, must exist there.
+    pkg = os.path.dirname(os.path.abspath(resnewt.__file__))
+    modules = [resnewt] + [
+        importlib.import_module("resnewt." + name[:-3])
+        for name in sorted(os.listdir(pkg))
+        if name.endswith(".py") and name not in ("__init__.py", "__main__.py")
+    ]
+    missing = [
+        "%s.%s" % (mod.__name__, name)
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
 
 
 # -- generate ---------------------------------------------------------------------

@@ -79,16 +79,14 @@ def test_facet_vertices_are_the_extreme_points(d):
         if hull.dim < d:
             continue
         on_facets = {
-            hull.points[i]
-            for facet in hull.facet_map().values()
-            for i in facet.vertex_ids
+            hull.points[i] for ids in hull.facet_map().values() for i in ids
         }
-        # vertex_ids may include triangulation points interior to a facet,
+        # The ids may include triangulation points interior to a facet,
         # but every extreme point must appear on some facet, and everything
         # on a facet must satisfy its plane with equality.
         assert expect <= on_facets
-        for plane, facet in hull.facet_map().items():
-            for vid in facet.vertex_ids:
+        for plane, ids in hull.facet_map().items():
+            for vid in ids:
                 p = hull.points[vid]
                 assert sum(n * x for n, x in zip(plane.normal, p)) == plane.offset
 
@@ -115,9 +113,9 @@ def test_insert_returns_facet_deltas():
     planes_before = set(hull.facet_map())
     removed, added = hull.insert((2, 2), tag=(2, 2))
     planes_after = set(hull.facet_map())
-    assert {f.plane for f in added} == planes_after - planes_before
-    assert {f.plane for f in removed} <= planes_before
-    assert planes_before - {f.plane for f in removed} <= planes_after
+    assert set(added) == planes_after - planes_before
+    assert set(removed) <= planes_before
+    assert planes_before - set(removed) <= planes_after
 
 
 def test_facet_map_keys_support_hull():
@@ -126,10 +124,10 @@ def test_facet_map_keys_support_hull():
     hull = _build(pts)
     if hull.dim < 3:
         pytest.skip("degenerate draw")
-    for plane, facet in hull.facet_map().items():
+    for plane, ids in hull.facet_map().items():
         values = [sum(n * x for n, x in zip(plane.normal, p)) for p in hull.points]
         assert max(values) == plane.offset
-        for vid in facet.vertex_ids:
+        for vid in ids:
             v = sum(n * x for n, x in zip(plane.normal, hull.points[vid]))
             assert v == plane.offset
 
@@ -412,7 +410,7 @@ def test_lower_dim_hull_membership():
 
 
 def _boundary(hull):
-    return sorted((bs.verts, bs.opp) for bs in hull.alive_boundary())
+    return sorted((bs.verts, bs.opp) for bs in hull.boundary)
 
 
 def _assert_signs_fresh(hull):
@@ -421,7 +419,7 @@ def _assert_signs_fresh(hull):
     assert len(hull._cell_signs) == len(hull.cells)
     for cell, sign in zip(hull.cells, hull._cell_signs):
         assert sign == hull._orient(cell) != 0, cell
-    for bs in hull.alive_boundary():
+    for bs in hull.boundary:
         assert bs.inner_sign == hull._orient(bs.verts + (bs.opp,)) != 0, bs.verts
 
 
@@ -524,8 +522,8 @@ def test_extended_clone_matches_direct_build(base_dim):
 
 
 def test_cached_planes_track_every_insert():
-    # facet_map keeps each boundary simplex's plane; after every insert its
-    # facets must still be those of a brute-force hull of the points so far.
+    # A track_facets hull keeps its facet table current; after every insert
+    # its facets must still be those of a brute-force hull of the points so far.
     rng = random.Random(5)
     pts = _random_points(rng, 3, 14)
     hull = TriangulatedHull(3, track_facets=True)
@@ -535,12 +533,12 @@ def test_cached_planes_track_every_insert():
             continue
         so_far = pts[:n]
         got = set()
-        for plane, facet in hull.facet_map().items():
+        for plane, ids in hull.facet_map().items():
             on_plane = frozenset(
                 q for q in so_far
                 if sum(a * x for a, x in zip(plane.normal, q)) == plane.offset
             )
-            assert {hull.points[i] for i in facet.vertex_ids} <= on_plane
+            assert {hull.points[i] for i in ids} <= on_plane
             assert all(
                 sum(a * x for a, x in zip(plane.normal, q)) <= plane.offset
                 for q in so_far
@@ -635,26 +633,40 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull made its jump
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_plane_visibility_matches_orientation(d):
-    # A track_facets hull finds visible simplices from its cached planes, a
-    # plain hull by orientation.  Grid points often lie exactly on a facet
-    # plane, which must not count as visible; both hulls must decide alike.
+    # A track_facets hull finds visible simplices from its cached planes and
+    # updates its facet table from them, a plain hull orients and regroups.
+    # Grid points often lie exactly on a facet plane, which must not count as
+    # visible but must join that plane's ids; both hulls must decide alike,
+    # and replaying the reported deltas must give the table's keys.
     rng = random.Random(700 + d)
-    for trial in range(4):
-        pts = list(dict.fromkeys(
-            tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(d + 7)
-        ))
+    for trial in range(5):
+        if trial == 4:  # half-integer grid: rational points
+            draw = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+        else:
+            draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
+        pts = list(dict.fromkeys(draw() for _ in range(d + 7)))
         track = TriangulatedHull(d, track_facets=True)
         plain = TriangulatedHull(d)
+        keys = set()
         for p in pts:
-            track.insert(p, tag=p)
+            removed, added = track.insert(p, tag=p)
             plain.insert(p, tag=p)
             assert track.points == plain.points
             assert track.cells == plain.cells
             assert _boundary(track) == _boundary(plain)
-        if track.dim < d:
-            continue
+            assert not set(removed) & set(added)
+            assert set(removed) <= keys
+            assert len(set(added)) == len(added) and not set(added) & keys
+            keys = (keys - set(removed)) | set(added)
+            if track.dim == d:
+                assert track.facet_map() == plain.facet_map()
+                assert keys == set(track.facet_map())
+            else:
+                assert not keys
+        if track.dim < d or d == 5:
+            continue  # the brute force takes seconds in dimension 5
         got = {
             frozenset(
                 p for p in pts
@@ -679,6 +691,6 @@ def test_point_on_a_facet_plane_is_not_beyond_it():
     assert len(hull.points) == 4 and not calls
     # On y = 0 beyond x = 4: only the facet x = 4 sees it, and y = 0 grows.
     removed, added = hull.insert((6, 0))
-    assert [f.plane for f in removed] == [Hyperplane((1, 0), 4)]
+    assert removed == [Hyperplane((1, 0), 4)]
     bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
-    assert {hull.points[i] for i in bottom.vertex_ids} == {(0, 0), (4, 0), (6, 0)}
+    assert {hull.points[i] for i in bottom} == {(0, 0), (4, 0), (6, 0)}
