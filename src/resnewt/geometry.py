@@ -125,7 +125,9 @@ class TriangulatedHull:
     finds the simplices a point sees from their cached facet planes, one
     dot product per distinct plane, instead of one orientation each, and
     keeps its facet table (``facet_map``) current: an insert pops the planes
-    the point sees and files each fresh simplex under its plane.
+    the point sees and files each fresh simplex under its plane.  It reads
+    each fresh simplex's sign off its witness's side of that plane, so its
+    inserts orient nothing.
 
     ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
@@ -308,9 +310,11 @@ class TriangulatedHull:
             if bs is None:
                 continue
             opp = next(v for v in bs.verts if v not in ridge)
-            verts = ridge + (vid,)
-            nb = _BoundarySimplex(verts, opp, 0)
-            nb.inner_sign = self._nonzero_orient(verts + (opp,))
+            nb = _BoundarySimplex(ridge + (vid,), opp, 0)
+            if tracked:
+                nb.plane, nb.inner_sign = self._bs_plane(nb)
+            else:
+                nb.inner_sign = self._nonzero_orient(nb.verts + (opp,))
             fresh.append(nb)
         self.boundary = keep + fresh
         if not tracked:
@@ -325,7 +329,6 @@ class TriangulatedHull:
             del facets[plane]
         grown = {}
         for nb in fresh:
-            nb.plane = self._bs_plane(nb)
             grown.setdefault(nb.plane, set()).update(nb.verts)
         added = [plane for plane in grown if plane not in facets]
         for plane, ids in grown.items():
@@ -335,6 +338,13 @@ class TriangulatedHull:
     # -- facets ----------------------------------------------------------------
 
     def _bs_plane(self, bs):
+        """(outward plane of ``bs``, orientation sign of (verts..., opp)).
+
+        The normal is the cofactor row of that orientation's determinant
+        along the witness's row, so the sign is read off the witness's side
+        of the plane: det = -(normal.opp - offset) before the plane is turned
+        outward.
+        """
         # Over the cleared rows (m.p, m) everything stays integral:
         # m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled by m0.mi > 0, which
         # scales the normal by a positive factor, and the plane
@@ -363,7 +373,7 @@ class TriangulatedHull:
             normal = [-a for a in normal]
             offset = -offset
         nrm, off = canonical_hyperplane([m0 * a for a in normal], offset)
-        return Hyperplane(nrm, off)
+        return Hyperplane(nrm, off), (1 if side_opp < 0 else -1)
 
     def facet_map(self):
         """Facets of a full-dimensional hull: {Hyperplane: frozenset of ids}.
@@ -384,7 +394,7 @@ class TriangulatedHull:
             groups = {}
             for bs in self.boundary:
                 if bs.plane is None:
-                    bs.plane = self._bs_plane(bs)
+                    bs.plane = self._bs_plane(bs)[0]
                 groups.setdefault(bs.plane, set()).update(bs.verts)
             self._facets = {plane: frozenset(ids) for plane, ids in groups.items()}
         return self._facets

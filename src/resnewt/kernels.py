@@ -16,19 +16,30 @@ every cached minor is independent of the lifting, so one cache accelerates
 predicate evaluations across many lifting directions.
 
 Most predicate calls are answered from cached minors, so the work around a
-lookup is kept small: the predicates take columns in any order, sort their
-positions once and look the permutation's parity up in a memo; a sorted
-tuple of distinct columns needs only its length and its two ends checked;
-each call reads one clock pair and checks the cache threshold once.
+lookup is kept small.  The sorted entries, ``orientation_sorted`` and
+``hom_sign_sorted``, take strictly increasing columns with the parity of
+the permutation that sorted them: the oracle keeps each simplex's columns
+sorted and inserts a new column by bisection, so its calls sort nothing.
+Each entry checks only the length and the two ends of its columns, reads
+one clock pair and checks the cache threshold once.  The entries that take
+columns in any order sort them by the same bisection (``sorted_with_parity``)
+and hand them to a sorted entry, so each predicate has one expansion loop.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
 """
 
+from bisect import bisect_left
 from itertools import combinations
 from time import perf_counter
 
-__all__ = ["det_bareiss", "MinorCache", "BACKEND"]
+__all__ = [
+    "det_bareiss",
+    "MinorCache",
+    "BACKEND",
+    "insert_sorted",
+    "sorted_with_parity",
+]
 
 BACKEND = "python"
 
@@ -79,14 +90,26 @@ def _sign(value):
     return 0
 
 
-def _inversion_parity(perm):
-    """+1 for an even permutation of ``range(len(perm))``, -1 for an odd one."""
-    inversions = 0
-    for i, pi in enumerate(perm):
-        for pj in perm[i + 1:]:
-            if pj < pi:
-                inversions += 1
-    return -1 if inversions & 1 else 1
+def insert_sorted(cols, parity, col):
+    """Insert ``col`` into the sorted tuple ``cols`` by bisection.
+
+    ``parity`` is the sign of the permutation that sorted ``cols``; putting
+    ``col`` in flips it once for each column after the insertion point.
+    Returns (new tuple, its parity).  A column already in ``cols`` goes in
+    next to its copy, and every predicate of the result is 0.
+    """
+    p = bisect_left(cols, col)
+    if (len(cols) - p) & 1:
+        parity = -parity
+    return cols[:p] + (col,) + cols[p:], parity
+
+
+def sorted_with_parity(cols):
+    """(sorted tuple of ``cols``, sign of the permutation that sorts them)."""
+    srt, parity = (), 1
+    for c in cols:
+        srt, parity = insert_sorted(srt, parity, c)
+    return srt, parity
 
 
 class MinorCache:
@@ -129,7 +152,6 @@ class MinorCache:
         self.use_cache = use_cache
         self._pure_tab = {}
         self._hom_tab = {}
-        self._parity = {}  # sorting permutation -> its parity
         self.pure_misses = {}
         self.pure_hits = {}
         self.hom_misses = 0
@@ -156,7 +178,6 @@ class MinorCache:
         """Drop all cached minors (statistics counters are kept)."""
         self._pure_tab.clear()
         self._hom_tab.clear()
-        self._parity.clear()
         self.clears += 1
 
     def stats(self):
@@ -228,29 +249,18 @@ class MinorCache:
                 raise ValueError("column indices must be strictly increasing and in range")
             prev = c
 
-    def _sort(self, cols, max_len):
-        """(sorted cols, permutation, its parity) for distinct columns.
-
-        ``perm`` maps target position -> source position, so aligned data is
-        read as ``data[perm[j]]``.  Parities are memoized per permutation.
-        Raises the ValueErrors of ``_check_increasing``; distinct sorted
-        columns are strictly increasing, so only the length and the two ends
-        need checking.
-        """
-        perm = tuple(sorted(range(len(cols)), key=cols.__getitem__))
-        srt = tuple([cols[i] for i in perm])
-        if len(srt) > max_len:
+    def _check_sorted(self, cols, max_len):
+        # Sorted distinct columns are strictly increasing, so only the length
+        # and the two ends need checking.
+        if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
-        if srt and (srt[0] < 0 or srt[-1] >= len(self._columns)):
+        if cols and (cols[0] < 0 or cols[-1] >= len(self._columns)):
             raise ValueError("column indices must be strictly increasing and in range")
-        parity = self._parity.get(perm)
-        if parity is None:
-            parity = self._parity[perm] = _inversion_parity(perm)
-        return srt, perm, parity
 
     # -- public API ---------------------------------------------------------
-    # Each entry takes one perf_counter pair and checks the threshold itself:
-    # entries never call one another, so nothing nests.
+    # Each entry takes one perf_counter pair and checks the threshold itself;
+    # the any-order entries sort their columns and hand them to a sorted
+    # entry, so no clock pair nests.
 
     def minor(self, cols):
         """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
@@ -290,12 +300,23 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt, _, parity = self._sort(cols, self._nrows + 1)
+        srt, parity = sorted_with_parity(cols)
+        return self.hom_sign_sorted(srt, parity)
+
+    def hom_sign_sorted(self, cols, parity):
+        """``parity`` times the sign of the homogeneous minor ``h(cols)``.
+
+        ``cols`` must be strictly increasing (only its length and its two
+        ends are checked); ``parity`` is +1 or -1, the sign of the
+        permutation that sorted the caller's columns.  One table read when
+        the minor is cached.
+        """
+        self._check_sorted(cols, self._nrows + 1)
         t0 = perf_counter()
         self.predicate_calls += 1
-        value = self._hom_tab.get(srt)
+        value = self._hom_tab.get(cols)
         if value is None:
-            value = self._hom(srt)
+            value = self._hom(cols)
         else:
             self.hom_hits += 1
         self.predicate_time += perf_counter() - t0
@@ -313,7 +334,8 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt, _, _ = self._sort(cols, self._nrows + 1)
+        srt = tuple(sorted(cols))
+        self._check_sorted(srt, self._nrows + 1)
         t0 = perf_counter()
         self.predicate_calls += 1
         value = self._hom(srt)
@@ -328,9 +350,7 @@ class MinorCache:
         The matrix has the coordinate rows of the chosen columns, one row of
         per-column lifting values, then the all-ones row.  ``lifting`` is
         aligned with ``cols`` (any order; the permutation sign is folded in).
-        Lifting values may be integers or ``fractions.Fraction``.  The
-        expansion runs along the lifting row; every homogeneous sub-minor is
-        requested (and thus cached) even when its lifting coefficient is 0.
+        The columns are sorted and handed to ``orientation_sorted``.
         """
         cols = tuple(cols)
         k = len(cols)
@@ -339,25 +359,44 @@ class MinorCache:
         if not k or len(set(cols)) != k:  # no columns, or repeated ones
             self.predicate_calls += 1
             return 0
-        srt, perm, parity = self._sort(cols, self._nrows + 2)
+        srt, parity = sorted_with_parity(cols)
+        return self.orientation_sorted(srt, parity, dict(zip(cols, lifting)))
+
+    def orientation_sorted(self, cols, parity, lift):
+        """``parity`` times the sign of the lifted determinant of ``cols``.
+
+        ``cols`` must be nonempty and strictly increasing (only its length
+        and its two ends are checked); ``parity`` is +1 or -1, the sign of
+        the permutation that sorted the caller's columns.  ``lift`` is
+        indexed by column (a list over all columns, or a mapping); its
+        values may be integers or ``fractions.Fraction``.  The expansion
+        runs along the lifting row; every homogeneous sub-minor is requested
+        (and thus cached) even when its lifting coefficient is 0.  Columns
+        that are sorted but repeated give 0: the two terms that drop either
+        copy cancel, and every other sub-minor has two equal columns.
+        """
+        k = len(cols)
+        if not k:
+            raise ValueError("orientation needs at least one column")
+        self._check_sorted(cols, self._nrows + 2)
         t0 = perf_counter()
         self.predicate_calls += 1
         hom_tab = self._hom_tab
         hits = 0
         total = 0
-        # combinations() yields srt without position j for j = k-1 down to 0,
-        # whose cofactor sign along row k-2 is (-1)^(k-2+j): -1 first, then
-        # alternating.  The order of the requests changes no count: the
+        # combinations() yields cols without position j for j = k-1 down to
+        # 0, whose cofactor sign along row k-2 is (-1)^(k-2+j): -1 first,
+        # then alternating.  The order of the requests changes no count: the
         # minors computed are those reachable through minors not cached when
         # the call starts, in whatever order they are reached.
         sign = -1
-        for sub, i in zip(combinations(srt, k - 1), reversed(perm)):
+        for sub, c in zip(combinations(cols, k - 1), reversed(cols)):
             h = hom_tab.get(sub)
             if h is None:
                 h = self._hom(sub)
             else:
                 hits += 1
-            w = lifting[i]
+            w = lift[c]
             if w:
                 total += sign * w * h
             sign = -sign

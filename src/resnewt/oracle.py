@@ -16,6 +16,7 @@ from random import Random
 
 from .exactlin import MinorCache, canonical_direction, clear_denominators
 from .geometry import TriangulatedHull
+from .kernels import insert_sorted, sorted_with_parity
 
 __all__ = [
     "VertexOracle",
@@ -110,6 +111,10 @@ class VertexOracle:
         self.pipeline_runs = 0
         self._t0 = None
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
+        # While a triangulation is built: its lifting over all columns, and
+        # each oriented vertex-id tuple's (sorted tags, sort parity).
+        self._lift = None
+        self._sorted = None
 
     # -- predicate routing ----------------------------------------------------
 
@@ -119,19 +124,32 @@ class VertexOracle:
             return self.cache.hom_sign(tuple([tags[i] for i in ids]))
         return None
 
+    def _sorted_tags(self, hull, ids):
+        """(sorted tags of ``ids``, parity of that sort), kept per triangulation."""
+        hit = self._sorted.get(ids)
+        if hit is None:
+            tags = hull.tags
+            hit = self._sorted[ids] = sorted_with_parity([tags[i] for i in ids])
+        return hit
+
     def _lifted_orient(self, hull, ids):
-        tags, points = hull.tags, hull.points
-        if len(ids) == self._full + 1:
-            return self.cache.orientation(
-                tuple([tags[i] for i in ids]), [points[i][-1] for i in ids]
-            )
-        if (
-            len(ids) == self._full
-            and all(points[i][-1] == 0 for i in ids)
-            and all(b[-1] == 0 for b in hull.basis)
-        ):
-            return self.cache.hom_sign(tuple([tags[i] for i in ids]))
-        return None
+        # At dim 2n with the lift coordinate (index 2n) not a pivot, the
+        # pivots are 0..2n-1 and the hull's chart is [0..2n-1, -1]: its
+        # determinant is the homogeneous minor of the unlifted columns in ids
+        # order, the same sign and not merely up to a factor.  Otherwise the
+        # hull takes its own determinant there.
+        lifted = len(ids) == self._full + 1
+        if not lifted and (len(ids) != self._full or self._full - 1 in hull._pivots):
+            return None
+        # ids is a simplex of the hull (a boundary simplex, or the first cell
+        # at a dimension jump) plus one new point: the simplex's sorted tags
+        # come from the memo and the new tag goes in by bisection.
+        srt, parity = insert_sorted(
+            *self._sorted_tags(hull, ids[:-1]), hull.tags[ids[-1]]
+        )
+        if lifted:
+            return self.cache.orientation_sorted(srt, parity, self._lift)
+        return self.cache.hom_sign_sorted(srt, parity)
 
     # -- triangulation pipeline -------------------------------------------------
 
@@ -151,25 +169,32 @@ class VertexOracle:
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
-        Returns a list of simplices as tuples of column indices.  ``w`` must
-        already be canonical.
+        Returns a list of simplices as tuples of column indices, sorted when
+        the lifted hull is full-dimensional.  ``w`` must already be canonical.
         """
         sys = self.sys
-        lift = lift_direction(sys, w)
+        self._lift = lift = lift_direction(sys, w)
+        self._sorted = {}
         hull = self._base_hull().extended_clone(orient_fn=self._lifted_orient)
         order = list(sys.projection)
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
         for col in order:
             hull.insert(sys.columns[col] + (lift[col],), tag=col)
-        if hull.dim == 2 * sys.n + 1:
-            simplices = [
-                tuple(hull.tags[i] for i in bs.verts)
-                for bs in hull.boundary
-                if self.cache.hom_sign([hull.tags[i] for i in bs.verts])
-                == bs.inner_sign
-            ]
+        if hull.dim == self._full:
+            # The upper facets: a point x high up the lift axis lies beyond a
+            # boundary simplex when orient(verts, x), which tends to
+            # -lift[x] * h(verts), is -inner_sign, that is when h(verts) has
+            # the simplex's inner sign.  Orienting the simplex against any
+            # point requested h(verts), so most tests are one table read.
+            hom_sign = self.cache.hom_sign_sorted
+            simplices = []
+            for bs in hull.boundary:
+                srt, parity = self._sorted_tags(hull, bs.verts)
+                if hom_sign(srt, parity) == bs.inner_sign:
+                    simplices.append(srt)
         else:
             simplices = [tuple(hull.tags[i] for i in cell) for cell in hull.cells]
+        self._lift = self._sorted = None
         return simplices
 
     # -- oracle calls --------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from random import Random
 
 import pytest
 
@@ -18,7 +19,12 @@ from golden import (
     SYLVESTER,
 )
 
+from resnewt import geometry
+from resnewt.cayley import build_cayley
+from resnewt.cli import gen_random
 from resnewt.errors import InvalidDirection
+from resnewt.geometry import TriangulatedHull
+from resnewt.kernels import det_bareiss
 from resnewt.oracle import VertexOracle, canonical, lift_direction, mixed_cells, vtx
 
 
@@ -77,13 +83,96 @@ def test_triangulation_matches_frozen_cells():
     oracle = VertexOracle(sysd, seed=0)
     plus = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
     minus = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
-    # Cells come back in the lifted hull's stored column order.
+    # Cells come back as column tuples in no promised order.
     assert sorted(tuple(sorted(c)) for c in plus) == sorted(
         MONOMIAL_SURFACE_CELLS_PLUS
     )
     assert sorted(tuple(sorted(c)) for c in minus) == sorted(
         MONOMIAL_SURFACE_CELLS_MINUS
     )
+
+
+def _plain_upper_simplices(sysd, w, seed):
+    # The oracle's triangulation rebuilt without it: one hull over the
+    # lifted points, with no orient_fn and in the oracle's insertion order,
+    # filtered by its own determinants.  A boundary simplex is an upper
+    # facet when a point far up the lift axis lies beyond it, that is when
+    # det(verts; e_lift) has the sign opposite to its inner side.
+    lift = lift_direction(sysd, w)
+    n2 = 2 * sysd.n
+    hull = TriangulatedHull(n2 + 1)
+    order = list(sysd.projection)
+    Random(f"{seed}|{tuple(w)}").shuffle(order)
+    base = [c for c in range(sysd.num_columns) if not sysd.is_symbolic(c)]
+    for col in base + order:
+        hull.insert(sysd.columns[col] + (lift[col],), tag=col)
+    if hull.dim < n2 + 1:
+        return {tuple(sorted(hull.tags[i] for i in cell)) for cell in hull.cells}
+    up = [0] * n2 + [1, 0]
+    out = set()
+    for bs in hull.boundary:
+        d = det_bareiss([hull.points[i] + (1,) for i in bs.verts] + [up])
+        if (d > 0) - (d < 0) == -bs.inner_sign:
+            out.add(tuple(sorted(hull.tags[i] for i in bs.verts)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
+    # Directions with zero entries leave symbolic columns unlifted, so the
+    # lifted hull spends inserts at dimension 2n, where the oracle routes
+    # its orientations to the minor cache while the lift coordinate is not
+    # a pivot.  There the hull must never take a (2n+1)-row determinant.
+    systems = [
+        build_cayley(gen_random(n, delta, "dense", sizes, seed, mode=mode))
+        for n, delta, sizes, seed in (
+            (1, 4, [3, 3], 3),
+            (2, 2, [3, 3, 3], 5),
+            (2, 3, [3, 3, 4], 8),
+        )
+    ]
+    wide_dets = []  # per (2n+1)-row determinant: is the lift a pivot?
+    routed = [0]  # dimension-2n orientations with the lift not a pivot
+    hulls = []
+    orient = TriangulatedHull._orient
+
+    def lifted(hull):
+        orient_fn = getattr(hull.orient_fn, "__func__", None)
+        return orient_fn is VertexOracle._lifted_orient
+
+    def spy_orient(hull, ids):
+        hulls.append(hull)
+        try:
+            if lifted(hull) and len(ids) == hull.ambient:
+                routed[0] += hull.ambient - 1 not in hull._pivots
+            return orient(hull, ids)
+        finally:
+            hulls.pop()
+
+    def spy_det(rows):
+        if hulls and lifted(hulls[-1]) and len(rows) == hulls[-1].ambient:
+            wide_dets.append(hulls[-1].ambient - 1 in hulls[-1]._pivots)
+        return det_bareiss(rows)
+
+    monkeypatch.setattr(TriangulatedHull, "_orient", spy_orient)
+    monkeypatch.setattr(geometry, "det_bareiss", spy_det)
+    rng = random.Random(31)
+    for sysd in systems:
+        oracle = VertexOracle(sysd, seed=2)
+        for t in range(12):
+            w = [rng.randint(-4, 4) for _ in range(sysd.m)]
+            for i in rng.sample(range(sysd.m), t % sysd.m):
+                w[i] = 0  # zero entries, up to all but one
+            if not any(w):
+                w[0] = 1
+            w = canonical(w)
+            got = oracle.triangulation(w)
+            assert len(set(got)) == len(got)
+            assert {tuple(sorted(s)) for s in got} == _plain_upper_simplices(
+                sysd, w, 2
+            )
+    assert routed[0] > 0
+    assert all(wide_dets)
 
 
 def test_vtx_frozen_values_full_mode():

@@ -103,7 +103,11 @@ def test_compute_pi_bicubic():
 # sub-minor whose lifting is 0, or miscounts a hit, moves them.  They were
 # re-pinned when the lifted hull's dimension jump came to ask for one
 # orientation and derive the other signs: only predicate calls and
-# hom-minor hits moved, so no minor the oracle needs was skipped.
+# hom-minor hits moved, so no minor the oracle needs was skipped.  They were
+# re-pinned again when the lifted hull came to ask the cache for its
+# dimension-2n orientations (lift coordinate not a pivot) instead of taking
+# its own determinant: sylvester-full gained 78 predicate calls and 78
+# hom-minor hits, every routed minor already cached, and nothing else moved.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -111,10 +115,10 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 419,
+        "hom_hits": 497,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 222,
+        "predicate_calls": 300,
     },
     "bicubic-implicit": {
         "pure_misses_by_size": {2: 326, 3: 1229, 4: 2224},
