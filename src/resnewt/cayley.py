@@ -182,9 +182,15 @@ def parse_text(text):
     rest = proj_line.split(":", 1)
     if len(rest) != 2:
         raise ParseError("projection line must be 'projection: <mode> ...'")
-    words = rest[1].replace(",", " ").split()
+    spec = _projection_spec(rest[1].replace(",", " ").split())
+    _validate_supports(n, supports)
+    return _apply_projection(n, supports, spec)
+
+
+def _projection_spec(words):
+    """ProjectionSpec from a mode word and, for custom mode, index pairs."""
     if not words:
-        raise ParseError("projection line names no mode")
+        raise ParseError("projection names no mode")
     mode_word = words[0].lower()
     if mode_word not in _MODE_ALIASES:
         raise ParseError("unknown projection mode %r" % words[0])
@@ -201,8 +207,7 @@ def parse_text(text):
         pairs = list(zip(nums[0::2], nums[1::2]))
     elif len(words) > 1:
         raise ParseError("mode %r takes no extra arguments" % mode)
-    _validate_supports(n, supports)
-    return _apply_projection(n, supports, ProjectionSpec(mode, pairs))
+    return ProjectionSpec(mode, pairs)
 
 
 def parse_json(text):

@@ -24,6 +24,7 @@ from .cayley import (
     ProjectionSpec,
     _MODE_ALIASES,
     _apply_projection,
+    _projection_spec,
     build_cayley,
     check_essential,
     essential_violation,
@@ -63,26 +64,6 @@ class RunConfig:
     unproject: bool = False
     f_vector: bool = False
     stats: bool = False
-
-
-def _parse_projection_words(words):
-    mode_word = words[0].lower()
-    if mode_word not in _MODE_ALIASES:
-        raise ParseError("unknown projection mode %r" % words[0])
-    mode = _MODE_ALIASES[mode_word]
-    pairs = []
-    if mode == "custom":
-        idx = words[1:]
-        if not idx or len(idx) % 2 != 0:
-            raise ParseError("custom projection needs (block, point) index pairs")
-        try:
-            nums = [int(x) for x in idx]
-        except ValueError:
-            raise ParseError("non-integer index in custom projection") from None
-        pairs = list(zip(nums[0::2], nums[1::2]))
-    elif len(words) > 1:
-        raise ParseError("mode %r takes no extra arguments" % mode)
-    return ProjectionSpec(mode, pairs)
 
 
 def _fr(x):
@@ -192,7 +173,7 @@ def run(config, stdin=None, stdout=None, stderr=None):
     try:
         family = parse_input(text)
         if config.projection:
-            spec = _parse_projection_words(config.projection.split())
+            spec = _projection_spec(config.projection.split())
             family = _apply_projection(
                 family.n, [list(s) for s in family.supports], spec
             )

@@ -12,6 +12,7 @@ volume run on integers: a rational point is kept as its homogeneous row
 volumes handed out.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
@@ -27,6 +28,7 @@ from .exactlin import (
     intrinsic_coords,
     vec_sub,
 )
+from .kernels import insert_sorted, sorted_with_parity
 
 __all__ = [
     "Hyperplane",
@@ -50,22 +52,26 @@ class Hyperplane(NamedTuple):
 class _BoundarySimplex:
     """One (k-1)-simplex of the hull boundary, with an off-plane witness.
 
-    ``inner_sign`` is the orientation sign of (verts..., opp), set when the
-    simplex is created (a dimension jump derives it from the old signs); a
+    ``verts`` are point ids in increasing order.  ``inner_sign`` is the
+    orientation sign of (verts..., opp), set when the simplex is created; a
     candidate point lies beyond the simplex's hyperplane exactly when its
     orientation sign is the negative of it.  ``plane`` caches the simplex's
     outward hyperplane in a full-dimensional hull (points never move): a
     ``track_facets`` hull sets it when the simplex is made and tests
-    visibility against it; any other hull sets it in ``facet_map``.
+    visibility against it; any other hull sets it in ``facet_map``.  A hull
+    with a ``split_fn`` keeps ``key``, the sorted tags of ``verts``, and
+    ``parity``, the sign of the permutation that sorts them.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "plane")
+    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity")
 
-    def __init__(self, verts, opp, inner_sign):
+    def __init__(self, verts, opp, inner_sign, key=None, parity=1):
         self.verts = verts
         self.opp = opp
         self.inner_sign = inner_sign
         self.plane = None
+        self.key = key
+        self.parity = parity
 
 
 def _row_cleared(row):
@@ -104,6 +110,12 @@ class TriangulatedHull:
     ``orient_fn(hull, ids)`` may return the orientation sign of the points
     with the given ids (in order), or None to fall back to the built-in exact
     determinant; the callback lets structured hulls reuse cached minors.
+    ``split_fn(hull, vid)`` may return the (visible, kept) split of the
+    boundary by the new point ``vid``, every orientation of (verts..., vid)
+    taken at once, or None to orient simplex by simplex.  Its hull keeps
+    each boundary simplex's sorted tags (``key``), which must be distinct
+    and comparable: a fresh simplex gets its parent's without the witness's
+    tag and with the new point's; a dimension jump sorts an old cell's.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span (one primitive row per dimension,
@@ -127,7 +139,9 @@ class TriangulatedHull:
     keeps its facet table (``facet_map``) current: an insert pops the planes
     the point sees and files each fresh simplex under its plane.  It reads
     each fresh simplex's sign off its witness's side of that plane, so its
-    inserts orient nothing.
+    inserts orient nothing.  Any other hull derives that sign from the
+    parent's visibility test, which oriented a permutation of its points
+    (so, as at a jump, an ``orient_fn`` must be a determinant).
 
     ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
@@ -140,9 +154,10 @@ class TriangulatedHull:
     inserted point is a vertex of the final hull).
     """
 
-    def __init__(self, ambient_dim, orient_fn=None, track_facets=False):
+    def __init__(self, ambient_dim, orient_fn=None, track_facets=False, split_fn=None):
         self.ambient = ambient_dim
         self.orient_fn = orient_fn
+        self.split_fn = split_fn
         self.track_facets = track_facets
         self.points = []
         self._hom = []  # _hom_row of each point, for orientation signs
@@ -223,6 +238,13 @@ class TriangulatedHull:
             self._dim_jump(pt, tag)
         else:
             return self._standard_insert(pt, tag)
+        if self.split_fn is not None:  # after a jump: key the new simplices
+            tags = self.tags
+            for bs in self.boundary:
+                if bs.key is None:  # an old cell, or a first simplex
+                    bs.key, bs.parity = sorted_with_parity([tags[i] for i in bs.verts])
+                else:  # an old simplex, with the new point last
+                    bs.key, bs.parity = insert_sorted(bs.key, bs.parity, tags[-1])
         # The hull has just reached this dimension, so every facet is new.
         if self.track_facets and self.dim == self.ambient:
             return ([], list(self.facet_map()))
@@ -256,9 +278,9 @@ class TriangulatedHull:
         ]
         for bs in self.boundary:
             # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
-            new_boundary.append(
-                _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
-            )
+            new_boundary.append(_BoundarySimplex(
+                bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign, bs.key, bs.parity
+            ))
         self.cells = [cell + (vid,) for cell in self.cells]
         self._cell_signs = signs
         self.boundary = new_boundary
@@ -287,11 +309,15 @@ class TriangulatedHull:
                     side = beyond[plane] = dot(plane.normal, x) > m * plane.offset
                 (visible if side else keep).append(bs)
         else:
-            for bs in self.boundary:
-                if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
-                    visible.append(bs)
-                else:
-                    keep.append(bs)
+            split = self.split_fn and self.split_fn(self, vid)
+            if split is not None:
+                visible, keep = split
+            else:
+                for bs in self.boundary:
+                    if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
+                        visible.append(bs)
+                    else:
+                        keep.append(bs)
         if not visible:
             self._unrecord(vid)
             return ([], [])
@@ -300,21 +326,36 @@ class TriangulatedHull:
             self._cell_signs.append(-bs.inner_sign)
         ridge_info = {}
         for bs in visible:
-            for ridge in combinations(sorted(bs.verts), len(bs.verts) - 1):
+            # The ridge that leaves out verts[j], with j = k-1 down to 0.
+            j = len(bs.verts)
+            for ridge in combinations(bs.verts, j - 1):
+                j -= 1
                 if ridge in ridge_info:
                     ridge_info[ridge] = None  # internal: two visible cofacets
                 else:
-                    ridge_info[ridge] = bs
+                    ridge_info[ridge] = (bs, j)
         fresh = []
-        for ridge, bs in ridge_info.items():
-            if bs is None:
+        tags = self.tags
+        for ridge, info in ridge_info.items():
+            if info is None:
                 continue
-            opp = next(v for v in bs.verts if v not in ridge)
+            bs, j = info
+            opp = bs.verts[j]
             nb = _BoundarySimplex(ridge + (vid,), opp, 0)
             if tracked:
                 nb.plane, nb.inner_sign = self._bs_plane(nb)
             else:
-                nb.inner_sign = self._nonzero_orient(nb.verts + (opp,))
+                # orient(verts + (vid,)) is -inner_sign, and (ridge, vid, opp)
+                # is len(ridge) - j + 1 swaps from it.
+                sign = bs.inner_sign
+                nb.inner_sign = -sign if (len(ridge) - j) & 1 else sign
+                key = bs.key
+                if key is not None:  # opp's tag leaves from j and q: j + q swaps
+                    q = bisect_left(key, tags[opp])
+                    parity = -bs.parity if (j + q) & 1 else bs.parity
+                    nb.key, nb.parity = insert_sorted(
+                        key[:q] + key[q + 1:], parity, tags[vid]
+                    )
             fresh.append(nb)
         self.boundary = keep + fresh
         if not tracked:
@@ -401,14 +442,14 @@ class TriangulatedHull:
 
     # -- cloning ----------------------------------------------------------------
 
-    def extended_clone(self, orient_fn=None):
+    def extended_clone(self, orient_fn=None, split_fn=None):
         """Clone into one more ambient coordinate (appended, set to 0).
 
-        The triangulation, boundary, chart and vertex order carry over
-        unchanged; the clone can then take points whose new coordinate is
-        nonzero, which raises its intrinsic dimension.
+        The triangulation, boundary (with its keys), chart and vertex order
+        carry over unchanged; the clone can then take points whose new
+        coordinate is nonzero, which raises its intrinsic dimension.
         """
-        out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn)
+        out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn, split_fn=split_fn)
         out.points = [pt + (0,) for pt in self.points]
         out._hom = [h[:-1] + (0, h[-1]) for h in self._hom]
         out.tags = list(self.tags)
@@ -420,7 +461,8 @@ class TriangulatedHull:
         out.cells = list(self.cells)
         out._cell_signs = list(self._cell_signs)
         out.boundary = [
-            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign) for bs in self.boundary
+            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity)
+            for bs in self.boundary
         ]
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out

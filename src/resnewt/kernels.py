@@ -18,12 +18,11 @@ predicate evaluations across many lifting directions.
 Most predicate calls are answered from cached minors, so the work around a
 lookup is kept small.  The sorted entries, ``orientation_sorted`` and
 ``hom_sign_sorted``, take strictly increasing columns with the parity of
-the permutation that sorted them: the oracle keeps each simplex's columns
-sorted and inserts a new column by bisection, so its calls sort nothing.
-Each entry checks only the length and the two ends of its columns, reads
-one clock pair and checks the cache threshold once.  The entries that take
-columns in any order sort them by the same bisection (``sorted_with_parity``)
-and hand them to a sorted entry, so each predicate has one expansion loop.
+the permutation that sorted them; the any-order entries sort by bisection
+(``sorted_with_parity``) and call them.  The oracle's hulls call batches,
+``split_boundary`` and ``upper_facets``, on a whole boundary whose simplices
+carry their sorted columns and sort parity.  Every entry and every batch
+reads one clock pair and checks the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
@@ -126,14 +125,15 @@ class MinorCache:
     Laplace expansions are pinned so that every sub-determinant lands back in
     these tables: ``h`` expands along the ones row into pure minors, and the
     ``orientation`` predicate expands along its lifting row into homogeneous
-    minors.  The lifting row expansion requests *every* sub-minor ``h(S\\j)``
-    (even where the lifting value is zero) so that the cache is fully primed
-    for subsequent liftings on the same columns.
+    minors.  The public lifting row expansion requests *every* sub-minor
+    ``h(S\\j)`` (even where the lifting value is zero) so that the cache is
+    fully primed for subsequent liftings on the same columns; the oracle's
+    batch ``split_boundary`` reads only those a nonzero lift multiplies.
 
     Statistics count hits and misses (misses = actually computed minors),
     with pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
-    public entries after their arguments are checked; each entry clears the
+    entries and batches after their arguments are checked; each clears the
     tables on its way out once they hold more than ``threshold`` minors.
     """
 
@@ -161,14 +161,6 @@ class MinorCache:
         self.predicate_time = 0.0
 
     # -- bookkeeping -------------------------------------------------------
-
-    @property
-    def num_columns(self):
-        return len(self._columns)
-
-    @property
-    def num_rows(self):
-        return self._nrows
 
     @property
     def entries(self):
@@ -258,9 +250,9 @@ class MinorCache:
             raise ValueError("column indices must be strictly increasing and in range")
 
     # -- public API ---------------------------------------------------------
-    # Each entry takes one perf_counter pair and checks the threshold itself;
-    # the any-order entries sort their columns and hand them to a sorted
-    # entry, so no clock pair nests.
+    # Each entry takes one perf_counter pair and ends with ``_done``; the
+    # any-order entries sort their columns and hand them to a sorted entry,
+    # so no clock pair nests.
 
     def minor(self, cols):
         """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
@@ -271,9 +263,7 @@ class MinorCache:
         self._check_increasing(cols, self._nrows)
         t0 = perf_counter()
         value = self._minor(cols)
-        self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
-            self.clear()
+        self._done(t0, 0, 0)
         return value
 
     def hom_det(self, cols):
@@ -285,9 +275,7 @@ class MinorCache:
         self._check_increasing(cols, self._nrows + 1)
         t0 = perf_counter()
         value = self._hom(cols)
-        self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
-            self.clear()
+        self._done(t0, 0, 0)
         return value
 
     def hom_sign(self, cols):
@@ -313,15 +301,11 @@ class MinorCache:
         """
         self._check_sorted(cols, self._nrows + 1)
         t0 = perf_counter()
-        self.predicate_calls += 1
         value = self._hom_tab.get(cols)
-        if value is None:
+        hit = value is not None
+        if not hit:
             value = self._hom(cols)
-        else:
-            self.hom_hits += 1
-        self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
-            self.clear()
+        self._done(t0, 1, hit)
         return parity * _sign(value)
 
     def volume_predicate(self, cols):
@@ -337,11 +321,8 @@ class MinorCache:
         srt = tuple(sorted(cols))
         self._check_sorted(srt, self._nrows + 1)
         t0 = perf_counter()
-        self.predicate_calls += 1
         value = self._hom(srt)
-        self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
-            self.clear()
+        self._done(t0, 1, 0)
         return value if value >= 0 else -value
 
     def orientation(self, cols, lifting):
@@ -380,7 +361,6 @@ class MinorCache:
             raise ValueError("orientation needs at least one column")
         self._check_sorted(cols, self._nrows + 2)
         t0 = perf_counter()
-        self.predicate_calls += 1
         hom_tab = self._hom_tab
         hits = 0
         total = 0
@@ -400,8 +380,86 @@ class MinorCache:
             if w:
                 total += sign * w * h
             sign = -sign
+        self._done(t0, 1, hits)
+        return parity * _sign(total)
+
+    # -- batches for the oracle's hulls -----------------------------------------
+    # Each takes ``geometry._BoundarySimplex``es with ``key`` (sorted columns)
+    # and ``parity`` set, and counts one predicate call per simplex.
+
+    def split_boundary(self, boundary, col, lift=None):
+        """(visible, kept) split of ``boundary`` by the new column ``col``.
+
+        A simplex is visible when its orientation with ``col`` appended is
+        the negative of its ``inner_sign``.  That orientation is a
+        homogeneous minor when ``lift`` is None, else a lifted determinant
+        (``lift`` indexed by column) expanded over the columns whose lift is
+        nonzero only: unlike ``orientation_sorted``, no minor that a 0
+        multiplies is read.
+        """
+        t0 = perf_counter()
+        hom_tab, hom = self._hom_tab, self._hom
+        hits = 0
+        visible, keep = [], []
+        for bs in boundary:
+            key = bs.key
+            p = bisect_left(key, col)
+            cols = key[:p] + (col,) + key[p:]
+            if lift is None:
+                total = hom_tab.get(cols)
+                if total is None:
+                    total = hom(cols)
+                else:
+                    hits += 1
+            else:
+                total = 0
+                n = len(cols)  # cofactor sign (-1)^(n+i) along row n-2
+                for i, c in enumerate(cols):
+                    w = lift[c]
+                    if w:
+                        sub = key if i == p else cols[:i] + cols[i + 1:]
+                        h = hom_tab.get(sub)
+                        if h is None:
+                            h = hom(sub)
+                        else:
+                            hits += 1
+                        total += -w * h if (n + i) & 1 else w * h
+            # orientation = parity * sign(total), flipped once per column
+            # after the one put in
+            s = -bs.inner_sign * bs.parity
+            if (len(key) - p) & 1:
+                s = -s
+            (visible if (total > 0) - (total < 0) == s else keep).append(bs)
+        self._done(t0, len(boundary), hits)
+        return visible, keep
+
+    def upper_facets(self, boundary):
+        """(keys, volumes |h(key)|) of the simplices of ``boundary`` facing up.
+
+        A point far up the lifting axis sees a simplex when its orientation
+        with it, which tends to -lift * h(verts), is the negative of the
+        simplex's ``inner_sign``: when h(verts) = parity * h(key) has it.
+        """
+        t0 = perf_counter()
+        hom_tab = self._hom_tab
+        hits = 0
+        keys, volumes = [], []
+        for bs in boundary:
+            h = hom_tab.get(bs.key)
+            if h is None:
+                h = self._hom(bs.key)
+            else:
+                hits += 1
+            if (h > 0) - (h < 0) == bs.inner_sign * bs.parity:
+                keys.append(bs.key)
+                volumes.append(abs(h))
+        self._done(t0, len(boundary), hits)
+        return keys, volumes
+
+    def _done(self, t0, calls, hits):
+        # Count, stop the clock pair, and clear past ``threshold`` minors.
+        self.predicate_calls += calls
         self.hom_hits += hits
         self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(hom_tab) > self.threshold:
+        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
             self.clear()
-        return parity * _sign(total)

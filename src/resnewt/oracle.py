@@ -10,13 +10,16 @@ One :class:`VertexOracle` per computation: it owns the minor cache, the
 cached placing triangulation of the unlifted (non-symbolic) columns — built
 once and cloned per call — the per-direction memo (the used-normal set W),
 and the seeded insertion orders that stand in for generic perturbation.
+
+Both hulls test a whole boundary against a new point in one minor-cache
+batch over the simplices' sorted columns, which the hulls keep; the upper
+facets come from one more batch, whose minors are the volumes rho sums.
 """
 
 from random import Random
 
 from .exactlin import MinorCache, canonical_direction, clear_denominators
 from .geometry import TriangulatedHull
-from .kernels import insert_sorted, sorted_with_parity
 
 __all__ = [
     "VertexOracle",
@@ -70,22 +73,28 @@ def mixed_cells(simplices, sys):
     return out
 
 
-def rho_vector(simplices, sys, cache):
-    """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices."""
+def rho_vector(simplices, sys, cache, volumes=None):
+    """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
+
+    ``volumes`` (aligned with ``simplices``, as ``triangulation`` returns
+    them) saves reading each volume from ``cache``.
+    """
     rho = [0] * sys.num_columns
-    for simplex, cls in zip(simplices, mixed_cells(simplices, sys)):
-        if cls is None:
-            continue
-        _, vertex_col = cls
-        rho[vertex_col] += cache.volume_predicate(simplex)
+    for i, cls in enumerate(mixed_cells(simplices, sys)):
+        if cls is not None:
+            vol = cache.volume_predicate(simplices[i]) if volumes is None else volumes[i]
+            rho[cls[1]] += vol
     return tuple(rho)
 
 
-def phi_vector(simplices, sys, cache):
-    """Secondary vector: phi(a) = sum of volumes of ALL simplices containing a."""
+def phi_vector(simplices, sys, cache, volumes=None):
+    """Secondary vector: phi(a) = sum of volumes of ALL simplices containing a.
+
+    ``volumes`` as for ``rho_vector``.
+    """
     phi = [0] * sys.num_columns
-    for simplex in simplices:
-        vol = cache.volume_predicate(simplex)
+    for i, simplex in enumerate(simplices):
+        vol = cache.volume_predicate(simplex) if volumes is None else volumes[i]
         for col in simplex:
             phi[col] += vol
     return tuple(phi)
@@ -111,91 +120,73 @@ class VertexOracle:
         self.pipeline_runs = 0
         self._t0 = None
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
-        # While a triangulation is built: its lifting over all columns, and
-        # each oriented vertex-id tuple's (sorted tags, sort parity).
-        self._lift = None
-        self._sorted = None
+        self._lift = None  # the lifting over all columns, while a hull is built
 
     # -- predicate routing ----------------------------------------------------
+    # At dimension 2n with the lift coordinate (index 2n) not a pivot, the
+    # pivots are 0..2n-1 and the hull's chart is [0..2n-1, -1]: its
+    # determinant is the homogeneous minor of the unlifted columns in the
+    # given order, the same sign and not merely up to a factor.  At
+    # dimension 2n+1 it is the lifted determinant.  Otherwise the hull takes
+    # its own determinant.
 
-    def _t0_orient(self, hull, ids):
-        if len(ids) == self._full:
-            tags = hull.tags
-            return self.cache.hom_sign(tuple([tags[i] for i in ids]))
+    def _orient(self, hull, ids):
+        # One orientation, such as a dimension jump's.
+        if len(ids) == self._full + 1:
+            cols = [hull.tags[i] for i in ids]
+            return self.cache.orientation(cols, [self._lift[c] for c in cols])
+        if len(ids) == self._full and self._full - 1 not in hull._pivots:
+            return self.cache.hom_sign([hull.tags[i] for i in ids])
         return None
 
-    def _sorted_tags(self, hull, ids):
-        """(sorted tags of ``ids``, parity of that sort), kept per triangulation."""
-        hit = self._sorted.get(ids)
-        if hit is None:
-            tags = hull.tags
-            hit = self._sorted[ids] = sorted_with_parity([tags[i] for i in ids])
-        return hit
-
-    def _lifted_orient(self, hull, ids):
-        # At dim 2n with the lift coordinate (index 2n) not a pivot, the
-        # pivots are 0..2n-1 and the hull's chart is [0..2n-1, -1]: its
-        # determinant is the homogeneous minor of the unlifted columns in ids
-        # order, the same sign and not merely up to a factor.  Otherwise the
-        # hull takes its own determinant there.
-        lifted = len(ids) == self._full + 1
-        if not lifted and (len(ids) != self._full or self._full - 1 in hull._pivots):
-            return None
-        # ids is a simplex of the hull (a boundary simplex, or the first cell
-        # at a dimension jump) plus one new point: the simplex's sorted tags
-        # come from the memo and the new tag goes in by bisection.
-        srt, parity = insert_sorted(
-            *self._sorted_tags(hull, ids[:-1]), hull.tags[ids[-1]]
-        )
-        if lifted:
-            return self.cache.orientation_sorted(srt, parity, self._lift)
-        return self.cache.hom_sign_sorted(srt, parity)
+    def _split(self, hull, vid):
+        # Every visibility test of a standard insert, as one batch.
+        col = hull.tags[vid]
+        if hull.dim == self._full:
+            return self.cache.split_boundary(hull.boundary, col, self._lift)
+        if hull.dim == self._full - 1 and self._full - 1 not in hull._pivots:
+            return self.cache.split_boundary(hull.boundary, col)
+        return None
 
     # -- triangulation pipeline -------------------------------------------------
 
     def _base_hull(self):
         if self._t0 is None:
-            hull = TriangulatedHull(2 * self.sys.n, orient_fn=self._t0_orient)
+            hull = TriangulatedHull(
+                2 * self.sys.n, orient_fn=self._orient, split_fn=self._split
+            )
             for col in range(self.sys.num_columns):
                 if not self.sys.is_symbolic(col):
                     hull.insert(self.sys.columns[col], tag=col)
             # The base hull is only cloned from now on; dropping its bound
-            # method keeps the oracle free of a reference cycle, so an
+            # methods keeps the oracle free of a reference cycle, so an
             # oracle is freed as soon as its last user lets go of it.
-            hull.orient_fn = None
+            hull.orient_fn = hull.split_fn = None
             self._t0 = hull
         return self._t0
 
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
-        Returns a list of simplices as tuples of column indices, sorted when
-        the lifted hull is full-dimensional.  ``w`` must already be canonical.
+        Returns (simplices, volumes): the simplices as tuples of column
+        indices, sorted when the lifted hull is full-dimensional, and then
+        their normalized volumes too, aligned with them (else None).  ``w``
+        must already be canonical.
         """
         sys = self.sys
         self._lift = lift = lift_direction(sys, w)
-        self._sorted = {}
-        hull = self._base_hull().extended_clone(orient_fn=self._lifted_orient)
+        hull = self._base_hull().extended_clone(
+            orient_fn=self._orient, split_fn=self._split
+        )
         order = list(sys.projection)
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
         for col in order:
             hull.insert(sys.columns[col] + (lift[col],), tag=col)
+        self._lift = None
         if hull.dim == self._full:
-            # The upper facets: a point x high up the lift axis lies beyond a
-            # boundary simplex when orient(verts, x), which tends to
-            # -lift[x] * h(verts), is -inner_sign, that is when h(verts) has
-            # the simplex's inner sign.  Orienting the simplex against any
-            # point requested h(verts), so most tests are one table read.
-            hom_sign = self.cache.hom_sign_sorted
-            simplices = []
-            for bs in hull.boundary:
-                srt, parity = self._sorted_tags(hull, bs.verts)
-                if hom_sign(srt, parity) == bs.inner_sign:
-                    simplices.append(srt)
-        else:
-            simplices = [tuple(hull.tags[i] for i in cell) for cell in hull.cells]
-        self._lift = self._sorted = None
-        return simplices
+            # The upper facets, with the minors h(verts) that found them.
+            return self.cache.upper_facets(hull.boundary)
+        return [tuple(hull.tags[i] for i in cell) for cell in hull.cells], None
 
     # -- oracle calls --------------------------------------------------------------
 
@@ -210,8 +201,8 @@ class VertexOracle:
         if hit is not None:
             return hit
         self.pipeline_runs += 1
-        simplices = self.triangulation(key)
-        rho = rho_vector(simplices, self.sys, self.cache)
+        simplices, volumes = self.triangulation(key)
+        rho = rho_vector(simplices, self.sys, self.cache, volumes)
         point = tuple(rho[c] for c in self.sys.projection)
         answer = (point, rho)
         self.memo[key] = answer
@@ -223,8 +214,8 @@ class VertexOracle:
         Returns (projected phi, full phi); not memoized.
         """
         key = canonical(w)
-        simplices = self.triangulation(key)
-        phi = phi_vector(simplices, self.sys, self.cache)
+        simplices, volumes = self.triangulation(key)
+        phi = phi_vector(simplices, self.sys, self.cache, volumes)
         return tuple(phi[c] for c in self.sys.projection), phi
 
     @property

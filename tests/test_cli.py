@@ -270,6 +270,8 @@ def test_compute_errors_exit_2(tmp_path, capsys):
         ["compute", good, "--mode", "random", "--directions", "2"], capsys
     )
     assert code == 2
+    code, out, err = _run(["compute", good, "--projection", " "], capsys)
+    assert code == 2 and "names no mode" in err
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):

@@ -24,7 +24,7 @@ from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvalidDirection
 from resnewt.geometry import TriangulatedHull
-from resnewt.kernels import det_bareiss
+from resnewt.kernels import MinorCache, det_bareiss, sorted_with_parity
 from resnewt.oracle import VertexOracle, canonical, lift_direction, mixed_cells, vtx
 
 
@@ -81,8 +81,8 @@ def test_mixed_cells_classification():
 def test_triangulation_matches_frozen_cells():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)
-    plus = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
-    minus = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
+    plus, _ = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
+    minus, _ = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
     # Cells come back as column tuples in no promised order.
     assert sorted(tuple(sorted(c)) for c in plus) == sorted(
         MONOMIAL_SURFACE_CELLS_PLUS
@@ -117,13 +117,8 @@ def _plain_upper_simplices(sysd, w, seed):
     return out
 
 
-@pytest.mark.parametrize("mode", ["full", "implicitization"])
-def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
-    # Directions with zero entries leave symbolic columns unlifted, so the
-    # lifted hull spends inserts at dimension 2n, where the oracle routes
-    # its orientations to the minor cache while the lift coordinate is not
-    # a pivot.  There the hull must never take a (2n+1)-row determinant.
-    systems = [
+def _generated_systems(mode):
+    return [
         build_cayley(gen_random(n, delta, "dense", sizes, seed, mode=mode))
         for n, delta, sizes, seed in (
             (1, 4, [3, 3], 3),
@@ -131,14 +126,36 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             (2, 3, [3, 3, 4], 8),
         )
     ]
+
+
+def _directions_with_zeros(rng, m, count):
+    # Canonical directions with up to all but one entry zero.
+    for t in range(count):
+        w = [rng.randint(-4, 4) for _ in range(m)]
+        for i in rng.sample(range(m), t % m):
+            w[i] = 0
+        if not any(w):
+            w[0] = 1
+        yield canonical(w)
+
+
+@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
+    # Directions with zero entries leave symbolic columns unlifted, so the
+    # lifted hull spends inserts at dimension 2n, where the oracle routes
+    # its orientations to the minor cache while the lift coordinate is not
+    # a pivot.  There the hull must never take a (2n+1)-row determinant.
+    systems = _generated_systems(mode)
     wide_dets = []  # per (2n+1)-row determinant: is the lift a pivot?
     routed = [0]  # dimension-2n orientations with the lift not a pivot
     hulls = []
     orient = TriangulatedHull._orient
+    split = VertexOracle._split
 
     def lifted(hull):
+        # The oracle's clone in R^(2n+1), not its base hull in R^2n.
         orient_fn = getattr(hull.orient_fn, "__func__", None)
-        return orient_fn is VertexOracle._lifted_orient
+        return orient_fn is VertexOracle._orient and hull.ambient % 2 == 1
 
     def spy_orient(hull, ids):
         hulls.append(hull)
@@ -149,30 +166,75 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         finally:
             hulls.pop()
 
+    def spy_split(oracle, hull, vid):
+        # A standard insert's orientations come as one batch.
+        if lifted(hull) and hull.dim == hull.ambient - 1:
+            routed[0] += (hull.ambient - 1 not in hull._pivots) * len(hull.boundary)
+        return split(oracle, hull, vid)
+
     def spy_det(rows):
         if hulls and lifted(hulls[-1]) and len(rows) == hulls[-1].ambient:
             wide_dets.append(hulls[-1].ambient - 1 in hulls[-1]._pivots)
         return det_bareiss(rows)
 
     monkeypatch.setattr(TriangulatedHull, "_orient", spy_orient)
+    monkeypatch.setattr(VertexOracle, "_split", spy_split)
     monkeypatch.setattr(geometry, "det_bareiss", spy_det)
     rng = random.Random(31)
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
-        for t in range(12):
-            w = [rng.randint(-4, 4) for _ in range(sysd.m)]
-            for i in rng.sample(range(sysd.m), t % sysd.m):
-                w[i] = 0  # zero entries, up to all but one
-            if not any(w):
-                w[0] = 1
-            w = canonical(w)
-            got = oracle.triangulation(w)
+        for w in _directions_with_zeros(rng, sysd.m, 12):
+            got, _ = oracle.triangulation(w)
             assert len(set(got)) == len(got)
             assert {tuple(sorted(s)) for s in got} == _plain_upper_simplices(
                 sysd, w, 2
             )
     assert routed[0] > 0
     assert all(wide_dets)
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypatch):
+    # Each batch the oracle's hulls run on an insert must split the boundary
+    # as one orientation per simplex through the any-order public entries
+    # would: a simplex is visible when (verts..., new point) has the sign
+    # opposite to its inner sign.  The lifted batch skips the columns whose
+    # lift is 0, which directions with zero entries exercise; the keys the
+    # hull carries must be each simplex's sorted tags with their parity.
+    split = VertexOracle._split
+    batches = {"lifted": 0, "homogeneous": 0}
+
+    def checked_split(oracle, hull, vid):
+        boundary = list(hull.boundary)
+        out = split(oracle, hull, vid)
+        if out is None:
+            return out
+        tags, lift = hull.tags, oracle._lift
+        lifted = hull.dim == 2 * oracle.sys.n + 1
+        batches["lifted" if lifted else "homogeneous"] += 1
+        visible = []
+        for bs in boundary:
+            cols = [tags[v] for v in bs.verts]
+            assert (bs.key, bs.parity) == sorted_with_parity(cols)
+            cols.append(tags[vid])
+            if lifted:
+                s = reference.orientation(cols, [lift[c] for c in cols])
+            else:
+                s = reference.hom_sign(cols)
+            visible.append(s == -bs.inner_sign)
+        assert out[0] == [bs for bs, v in zip(boundary, visible) if v]
+        assert out[1] == [bs for bs, v in zip(boundary, visible) if not v]
+        return out
+
+    monkeypatch.setattr(VertexOracle, "_split", checked_split)
+    rng = random.Random(47)
+    for sysd in _generated_systems(mode):
+        reference = MinorCache(sysd.columns)
+        oracle = VertexOracle(sysd, seed=3, use_cache=use_cache)
+        for w in _directions_with_zeros(rng, sysd.m, 10):
+            oracle.vtx(w)
+    assert batches["lifted"] > 0 and batches["homogeneous"] > 0
 
 
 def test_vtx_frozen_values_full_mode():
@@ -305,9 +367,13 @@ def test_vtx_secondary_relation_to_rho():
 
     for wraw in [(1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 2), (-3, 1, 4, 1, -5, 9)]:
         w = canonical(list(wraw))
-        simplices = oracle.triangulation(w)
+        simplices, volumes = oracle.triangulation(w)
         rho = rho_vector(simplices, sysd, oracle.cache)
         phi = phi_vector(simplices, sysd, oracle.cache)
+        # The volumes the triangulation hands on are the cache's.
+        assert volumes == [oracle.cache.volume_predicate(s) for s in simplices]
+        assert rho_vector(simplices, sysd, oracle.cache, volumes) == rho
+        assert phi_vector(simplices, sysd, oracle.cache, volumes) == phi
         assert all(p >= r >= 0 for p, r in zip(phi, rho))
         total_volume = sum(
             oracle.cache.volume_predicate(cell) for cell in simplices

@@ -108,6 +108,12 @@ def test_compute_pi_bicubic():
 # dimension-2n orientations (lift coordinate not a pivot) instead of taking
 # its own determinant: sylvester-full gained 78 predicate calls and 78
 # hom-minor hits, every routed minor already cached, and nothing else moved.
+# They were re-pinned a third time when the lifted hull came to test a whole
+# boundary in one batch: the batch reads no sub-minor whose lift is 0 (that
+# alone moves every miss, entry and pure hit of bicubic-implicit), a fresh
+# simplex takes its sign from its parent's test instead of an orientation,
+# and rho sums the volumes the upper-facet filter read instead of asking for
+# them again.  Each drops predicate calls or hom-minor hits, none adds any.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -115,21 +121,21 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 497,
+        "hom_hits": 254,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 300,
+        "predicate_calls": 213,
     },
     "bicubic-implicit": {
-        "pure_misses_by_size": {2: 326, 3: 1229, 4: 2224},
-        "pure_hits_by_size": {2: 530, 3: 3013, 4: 6011},
-        "pure_misses": 3779,
-        "pure_hits": 9554,
-        "hom_misses": 1647,
-        "hom_hits": 11444,
-        "entries": 5426,
+        "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
+        "pure_hits_by_size": {2: 515, 3: 2819, 4: 3472},
+        "pure_misses": 3616,
+        "pure_hits": 6806,
+        "hom_misses": 1109,
+        "hom_hits": 3500,
+        "entries": 4725,
         "clears": 0,
-        "predicate_calls": 4646,
+        "predicate_calls": 4029,
     },
 }
 
@@ -216,6 +222,48 @@ def test_n1_facets_match_the_expanded_sylvester_resultant():
             assert max(values) == offset, key
             got.add(frozenset(i for i, v in enumerate(values) if v == offset))
         assert got == brute_force_facets(monos), key
+
+
+def test_n1_custom_projection_facets_match_the_projected_resultant():
+    # The Newton polytope of any projection of the resultant is the hull of
+    # its monomials' exponent vectors projected onto the symbolic
+    # coordinates.  With 0 in both supports and gcd 1 the Sylvester
+    # determinant is the sparse resultant, so brute_force_facets of the
+    # projected monomials must be compute_pi's facets, for seeded custom
+    # choices of the symbolic coefficients.
+    rng = random.Random(29)
+    seen = set()
+    dims = set()
+    while len(seen) < 16:
+        size_a, size_b = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+        a_exps = [0] + rng.sample(range(1, 5), size_a - 1)
+        b_exps = [0] + rng.sample(range(1, 5), size_b - 1)
+        points = [(0, i) for i in range(size_a)] + [(1, j) for j in range(size_b)]
+        pairs = sorted(rng.sample(points, rng.randint(2, len(points) - 1)))
+        key = (tuple(a_exps), tuple(b_exps), tuple(pairs))
+        if math.gcd(*a_exps, *b_exps) != 1 or key in seen:
+            continue
+        seen.add(key)
+        sysd = system_from(
+            1, [[(e,) for e in a_exps], [(e,) for e in b_exps]], "custom", pairs
+        )
+        monos = [
+            tuple(q[c] for c in sysd.projection)
+            for q in _sylvester_monomials(a_exps, b_exps)
+        ]
+        state = compute_pi(sysd)
+        dims.add(state.dim)
+        assert set(state.vertices()) <= set(monos), key
+        if state.dim == 0:
+            assert len(set(monos)) == 1, key
+            continue
+        got = set()
+        for w, offset in state.facets_x():
+            values = [_dot(w, q) for q in monos]
+            assert max(values) == offset, key
+            got.add(frozenset(i for i, v in enumerate(values) if v == offset))
+        assert got == brute_force_facets(monos), key
+    assert len(dims) > 1  # projections of several dimensions
 
 
 def test_stats_call_bound_and_shape():
