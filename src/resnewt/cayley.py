@@ -354,30 +354,26 @@ def preprocess(family):
 
     A non-symbolic point lying in the convex hull of the *other* non-symbolic
     points of its own block cannot contribute to the projected polytope and
-    is dropped; removal repeats until a fixpoint.  Symbolic points are never
-    touched.  Returns a new family.
+    is dropped, until none is left.  Symbolic points are never touched.
+    Returns a new family.
+
+    Dropping a point that lies in the hull of the others leaves that hull as
+    it was, and points are distinct, so the points dropped are exactly the
+    non-vertices of the block's non-symbolic hull: one pass over each block
+    finds them all, testing each point against those still kept.
     """
-    supports = [list(s) for s in family.supports]
-    symbolic = [list(f) for f in family.symbolic]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(supports)):
-            for j in range(len(supports[i])):
-                if symbolic[i][j]:
-                    continue
-                others = [
-                    supports[i][k]
-                    for k in range(len(supports[i]))
-                    if k != j and not symbolic[i][k]
-                ]
-                if _in_conv(supports[i][j], others, family.n):
-                    del supports[i][j]
-                    del symbolic[i][j]
-                    changed = True
-                    break
-            if changed:
-                break
+    supports = []
+    symbolic = []
+    for pts, flags in zip(family.supports, family.symbolic):
+        kept = list(range(len(pts)))
+        for j in range(len(pts)):
+            if flags[j]:
+                continue
+            others = [pts[k] for k in kept if k != j and not flags[k]]
+            if _in_conv(pts[j], others, family.n):
+                kept.remove(j)
+        supports.append([pts[k] for k in kept])
+        symbolic.append([flags[k] for k in kept])
     return SupportFamily(family.n, supports, symbolic, family.mode)
 
 

@@ -115,7 +115,8 @@ class TriangulatedHull:
     taken at once, or None to orient simplex by simplex.  Its hull keeps
     each boundary simplex's sorted tags (``key``), which must be distinct
     and comparable: a fresh simplex gets its parent's without the witness's
-    tag and with the new point's; a dimension jump sorts an old cell's.
+    tag and with the new point's; a dimension jump copies or sorts an old
+    cell's.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span (one primitive row per dimension,
@@ -125,12 +126,15 @@ class TriangulatedHull:
     coordinates alone, on which the affine hull projects bijectively.  That
     sign is the intrinsic one times a factor fixed within one dimension, so
     every comparison of signs answers exactly as in intrinsic coordinates.
-    ``_cell_signs`` holds each cell's sign.  A dimension jump to a point v
-    takes one orientation, of the first cell with v, and gets every other
-    new sign from the stored ones: (T, v) has sigma times T's old sign for
-    every tuple T of old points, with sigma fixed for that jump (this holds
-    for the chart, and for an ``orient_fn`` that, like the oracle's, is a
-    determinant of the lifted points).  Orientation signs and facet planes
+    ``_cell_signs`` holds each cell's sign.  While every insert has been a
+    dimension jump, the hull is one simplex: its sign and boundary wait for
+    the first standard insert or read (``_build``).  After that, a
+    dimension jump to a point v takes one orientation, of the first cell
+    with v, and gets every other new sign from the stored ones: (T, v) has
+    sigma times T's old sign for every tuple T of old points, with sigma
+    fixed for that jump (this holds for the chart, and for an
+    ``orient_fn`` that, like the oracle's, is a determinant of the lifted
+    points).  Orientation signs and facet planes
     are taken over each point's homogeneous row (m.p, m), cleared of
     denominators once when the point is recorded, so hulls of rational
     points run on integers too.  A full-dimensional ``track_facets`` hull
@@ -171,13 +175,60 @@ class TriangulatedHull:
         # homogeneous coordinate (index -1 of a _hom row).
         self._chart = [-1]
         self.cells = []
-        self._cell_signs = []  # orientation sign of each cell
-        self.boundary = []
+        self._signs = []  # orientation sign of each cell
+        self._boundary = []
+        self._pending = False  # a simplex above dimension 0 awaiting _build
+        self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
         self._facets = None  # facet_map's table; None: regroup on the next call
         # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
         self._vol_cells = 0
         self._vol_sum = 0
+
+    # -- the state a jump-only prefix builds on first read --------------------
+
+    @property
+    def boundary(self):
+        if self._pending:
+            self._build()
+        return self._boundary
+
+    @property
+    def _cell_signs(self):
+        if self._pending:
+            self._build()
+        return self._signs
+
+    def _build(self):
+        # The state the jumps would have left, from one orientation: the
+        # facet opposite the last vertex first, and k - j swaps take the
+        # witness from the end of the cell to its place j.
+        self._pending = False
+        cell = self.cells[0]
+        k = self.dim
+        s = self._nonzero_orient(cell)
+        self._signs = [s]
+        boundary = []
+        for j in range(k, -1, -1):
+            verts = cell[:j] + cell[j + 1:]
+            sign = -s if (k - j) & 1 else s
+            boundary.append(_BoundarySimplex(verts, cell[j], sign, *self._key(verts)))
+        self._boundary = boundary
+
+    def _key(self, ids):
+        # (sorted tags, parity) in a hull with a split_fn, else no key.
+        if self.split_fn is None:
+            return None, 1
+        return sorted_with_parity([self.tags[i] for i in ids])
+
+    def key_cells(self):
+        """Key each cell by its sorted tags, which the next jump copies.
+
+        Inserts keep the keys, also in an extended clone, up to that jump.
+        """
+        if self._pending:
+            self._build()
+        self._cell_keys = [self._key(cell) for cell in self.cells]
 
     # -- predicates ----------------------------------------------------------
 
@@ -231,20 +282,13 @@ class TriangulatedHull:
             self._record(pt, tag)
             self.dim = 0
             self.cells = [(0,)]
-            self._cell_signs = [1]  # the sign of the 1x1 row (m), m > 0
+            self._signs = [1]  # the sign of the 1x1 row (m), m > 0
         elif self.dim < self.ambient and echelon_extend(
             _row_cleared(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
         ):
             self._dim_jump(pt, tag)
         else:
             return self._standard_insert(pt, tag)
-        if self.split_fn is not None:  # after a jump: key the new simplices
-            tags = self.tags
-            for bs in self.boundary:
-                if bs.key is None:  # an old cell, or a first simplex
-                    bs.key, bs.parity = sorted_with_parity([tags[i] for i in bs.verts])
-                else:  # an old simplex, with the new point last
-                    bs.key, bs.parity = insert_sorted(bs.key, bs.parity, tags[-1])
         # The hull has just reached this dimension, so every facet is new.
         if self.track_facets and self.dim == self.ambient:
             return ([], list(self.facet_map()))
@@ -254,36 +298,36 @@ class TriangulatedHull:
         vid = self._record(pt, tag)
         self.basis.append(vec_sub(pt, self.points[0]))
         self._chart = sorted(self._pivots) + [-1]
-        old_dim = self.dim
         self.dim += 1
         self._vol_cells = 0
         self._vol_sum = 0
-
-        if old_dim == 0:
-            self.cells = [(0, vid)]
-            sign = self._nonzero_orient((0, vid))
-            self._cell_signs = [sign]
-            self.boundary = [
-                _BoundarySimplex((0,), vid, sign),
-                _BoundarySimplex((vid,), 0, self._nonzero_orient((vid, 0))),
-            ]
+        if self._pending or self.dim == 1:
+            # Jumps alone so far: one cell, built on first read.
+            self.cells = [self.cells[0] + (vid,)]
+            self._cell_keys = None
+            self._pending = True
             return
         # Old points keep their old coordinates and get 0 in the new one, so
         # orient(T + (vid,)) is sigma times T's old sign, with sigma fixed
         # for this jump: one call gives sigma and every new sign follows.
-        sigma = self._nonzero_orient(self.cells[0] + (vid,)) * self._cell_signs[0]
-        signs = [sigma * s for s in self._cell_signs]
+        sigma = self._nonzero_orient(self.cells[0] + (vid,)) * self._signs[0]
+        signs = [sigma * s for s in self._signs]
+        keys = self._cell_keys or [self._key(cell) for cell in self.cells]
         new_boundary = [
-            _BoundarySimplex(cell, vid, s) for cell, s in zip(self.cells, signs)
+            _BoundarySimplex(cell, vid, s, *kp)
+            for cell, s, kp in zip(self.cells, signs, keys)
         ]
-        for bs in self.boundary:
+        tag = self.tags[vid]
+        for bs in self._boundary:
             # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
-            new_boundary.append(_BoundarySimplex(
-                bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign, bs.key, bs.parity
-            ))
+            nb = _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
+            if bs.key is not None:  # the new point's tag goes in last
+                nb.key, nb.parity = insert_sorted(bs.key, bs.parity, tag)
+            new_boundary.append(nb)
         self.cells = [cell + (vid,) for cell in self.cells]
-        self._cell_signs = signs
-        self.boundary = new_boundary
+        self._signs = signs
+        self._boundary = new_boundary
+        self._cell_keys = None
 
     def _nonzero_orient(self, ids):
         s = self._orient(ids)
@@ -292,6 +336,8 @@ class TriangulatedHull:
         return s
 
     def _standard_insert(self, pt, tag):
+        if self._pending:
+            self._build()
         vid = self._record(pt, tag)
         keep, visible = [], []
         tracked = self.track_facets and self.dim == self.ambient
@@ -302,7 +348,7 @@ class TriangulatedHull:
             h = self._hom[vid]
             x, m = h[:k], h[k]
             beyond = {}
-            for bs in self.boundary:
+            for bs in self._boundary:
                 plane = bs.plane
                 side = beyond.get(plane)
                 if side is None:
@@ -313,7 +359,7 @@ class TriangulatedHull:
             if split is not None:
                 visible, keep = split
             else:
-                for bs in self.boundary:
+                for bs in self._boundary:
                     if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
                         visible.append(bs)
                     else:
@@ -323,7 +369,11 @@ class TriangulatedHull:
             return ([], [])
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
-            self._cell_signs.append(-bs.inner_sign)
+            self._signs.append(-bs.inner_sign)
+        cell_keys = self._cell_keys
+        if cell_keys is not None:
+            tag = self.tags[vid]
+            cell_keys.extend(insert_sorted(bs.key, bs.parity, tag) for bs in visible)
         ridge_info = {}
         for bs in visible:
             # The ridge that leaves out verts[j], with j = k-1 down to 0.
@@ -357,7 +407,7 @@ class TriangulatedHull:
                         key[:q] + key[q + 1:], parity, tags[vid]
                     )
             fresh.append(nb)
-        self.boundary = keep + fresh
+        self._boundary = keep + fresh
         if not tracked:
             self._facets = None
             return ([], [])
@@ -445,9 +495,10 @@ class TriangulatedHull:
     def extended_clone(self, orient_fn=None, split_fn=None):
         """Clone into one more ambient coordinate (appended, set to 0).
 
-        The triangulation, boundary (with its keys), chart and vertex order
-        carry over unchanged; the clone can then take points whose new
-        coordinate is nonzero, which raises its intrinsic dimension.
+        The triangulation, boundary (with its keys), cell keys, chart and
+        vertex order carry over unchanged; the clone can then take points
+        whose new coordinate is nonzero, which raises its intrinsic
+        dimension.  A hull made by jumps alone is built first.
         """
         out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn, split_fn=split_fn)
         out.points = [pt + (0,) for pt in self.points]
@@ -459,11 +510,13 @@ class TriangulatedHull:
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
         out.cells = list(self.cells)
-        out._cell_signs = list(self._cell_signs)
-        out.boundary = [
+        out._boundary = [
             _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity)
             for bs in self.boundary
         ]
+        out._signs = list(self._signs)  # built by the read of boundary
+        if self._cell_keys is not None:
+            out._cell_keys = list(self._cell_keys)
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out
 

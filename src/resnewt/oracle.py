@@ -158,6 +158,9 @@ class VertexOracle:
             for col in range(self.sys.num_columns):
                 if not self.sys.is_symbolic(col):
                     hull.insert(self.sys.columns[col], tag=col)
+            # Keyed once for every clone's jump (and built while split_fn
+            # is set).
+            hull.key_cells()
             # The base hull is only cloned from now on; dropping its bound
             # methods keeps the oracle free of a reference cycle, so an
             # oracle is freed as soon as its last user lets go of it.
@@ -182,11 +185,14 @@ class VertexOracle:
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
         for col in order:
             hull.insert(sys.columns[col] + (lift[col],), tag=col)
-        self._lift = None
         if hull.dim == self._full:
-            # The upper facets, with the minors h(verts) that found them.
-            return self.cache.upper_facets(hull.boundary)
-        return [tuple(hull.tags[i] for i in cell) for cell in hull.cells], None
+            # The upper facets, with the minors h(verts) that found them
+            # (a read that may orient, so before the lift goes).
+            out = self.cache.upper_facets(hull.boundary)
+        else:
+            out = [tuple(hull.tags[i] for i in cell) for cell in hull.cells], None
+        self._lift = None
+        return out
 
     # -- oracle calls --------------------------------------------------------------
 

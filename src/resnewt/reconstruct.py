@@ -159,7 +159,16 @@ def _normalize_equation(normal, offset):
     return (nrm, off)
 
 
-def initialize(sys, seed=0, use_cache=True):
+def _equation_rank(sys):
+    """How many independent equations M.rho = M.rho0 gives the projection."""
+    specialized = [
+        [row[c] for c in range(sys.num_columns) if not sys.is_symbolic(c)]
+        for row in sys.M
+    ]
+    return rank_int(sys.M) - rank_int(specialized)
+
+
+def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     """Find the affine hull of the target and a full-dimensional seed Q.
 
     Queries the 2m coordinate directions, then repeatedly picks an integer
@@ -168,6 +177,12 @@ def initialize(sys, seed=0, use_cache=True):
     either grows the rank of the point set or certifies a new independent
     equation (when max equals min), so rank + #equations reaches m in at
     most m rounds.
+
+    The target has at most m - ``_equation_rank`` dimensions.  Once the
+    points seen span that many, a round's direction is an equation through
+    them, recorded without an oracle call (the queries would certify the
+    same).  ``compute_pi_approx`` sets ``query_equations``: its Q and outer
+    bound start from those answers.
     """
     ctx = VertexOracle(sys, seed=seed, use_cache=use_cache)
     m = sys.m
@@ -185,6 +200,7 @@ def initialize(sys, seed=0, use_cache=True):
 
     eq_normals = []
     equations = []
+    eq_rank = None  # at the first round, which many instances never reach
     while True:
         pts = list(seen)
         dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
@@ -198,6 +214,13 @@ def initialize(sys, seed=0, use_cache=True):
             if rank_int(eq_normals + [list(cand)]) > len(eq_normals)
         )
         w = canonical_direction(w)
+        if not query_equations:
+            if eq_rank is None:
+                eq_rank = _equation_rank(sys)
+            if r + eq_rank == m:
+                eq_normals.append(list(w))
+                equations.append(_normalize_equation(w, dot(w, pts[0])))
+                continue
         vp = ask(w)
         vm = ask(tuple(-x for x in w))
         cp = dot(w, vp)
@@ -310,7 +333,7 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         threshold = Fraction(str(threshold))
     else:
         threshold = Fraction(threshold)
-    state = initialize(sys, seed=seed, use_cache=use_cache)
+    state = initialize(sys, seed=seed, use_cache=use_cache, query_equations=True)
     k = state.hull.dim
     if k == 0:
         report = SandwichReport(

@@ -1,11 +1,13 @@
 """Tests for input parsing, essentiality, preprocessing, and the block embedding."""
 
 import json
+import random
 
 import pytest
 
 from conftest import family_from, system_from
 from golden import BICUBIC, MONOMIAL_SURFACE, SYLVESTER
+from reference import extreme_points
 
 from resnewt.cayley import (
     build_cayley,
@@ -19,6 +21,7 @@ from resnewt.cayley import (
     preprocess,
     unproject,
 )
+from resnewt.cli import gen_random
 from resnewt.errors import NotEssential, ParseError, ResnewtError
 from resnewt.reconstruct import compute_pi
 
@@ -191,6 +194,48 @@ def test_preprocess_bicubic_column_count():
     full = compute_pi(build_cayley(fam))
     trimmed = compute_pi(build_cayley(slim))
     assert set(full.vertices()) == set(trimmed.vertices())
+
+
+def _preprocess_families():
+    rng = random.Random(29)
+    for seed in range(3):
+        for n, delta, sizes in ((1, 6, [5, 6]), (2, 4, [7, 8, 6])):
+            for mode in ("implicitization", "u-resultant", "custom"):
+                fam = gen_random(
+                    n, delta, "dense",
+                    [n + 1] + sizes[1:] if mode == "u-resultant" else sizes, seed,
+                    mode="full" if mode == "custom" else mode,
+                )
+                if mode == "custom":
+                    pairs = [
+                        (i, j) for i, s in enumerate(fam.supports) for j in range(len(s))
+                    ]
+                    fam = family_from(n, fam.supports, "custom", rng.sample(pairs, 3))
+                yield fam
+    # A flat block: the points between the ends of a segment go.
+    yield family_from(
+        2,
+        [[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 2), (1, 1), (3, 3)], [(0, 0), (1, 0), (0, 1)]],
+        "u-resultant",
+    )
+
+
+def test_preprocess_keeps_exactly_the_extreme_specialized_points():
+    # Every symbolic point stays, and of the specialized points of a block
+    # exactly the vertices of their hull, all in input order.
+    dropped = 0
+    for fam in _preprocess_families():
+        slim = preprocess(fam)
+        for pts, flags, kept, kept_flags in zip(
+            fam.supports, fam.symbolic, slim.supports, slim.symbolic
+        ):
+            spec = [p for p, f in zip(pts, flags) if not f]
+            extreme = {spec[i] for i in extreme_points(spec)}
+            expect = [p for p, f in zip(pts, flags) if f or p in extreme]
+            assert kept == expect
+            assert kept_flags == [flags[pts.index(p)] for p in kept]
+            dropped += len(pts) - len(kept)
+    assert dropped > 0
 
 
 def test_preprocess_is_idempotent():

@@ -23,6 +23,7 @@ from reference import (
 
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import Hyperplane, TriangulatedHull, f_vector, hull_volume
+from resnewt.kernels import sorted_with_parity
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -550,11 +551,13 @@ def test_cached_planes_track_every_insert():
 
 def test_flat_witness_raises_invariant_violation():
     # An orientation callback that finds every simplex flat breaks the
-    # hull's invariants; that must raise a typed error even under -O.
+    # hull's invariants; that must raise a typed error even under -O.  A
+    # hull built by jumps alone orients its cell when the boundary is read.
     hull = TriangulatedHull(2, orient_fn=lambda h, ids: 0)
     with pytest.raises(InvariantViolation):
         for p in [(0, 0), (1, 0), (0, 1)]:
             hull.insert(p)
+        hull.boundary
 
 
 # -- stored signs and plane visibility ----------------------------------------
@@ -576,18 +579,20 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
 
 
 def test_dimension_jump_takes_one_orientation():
-    # A jump above dimension 1 orients the first cell with the new point and
-    # derives every other sign; the jump from a point to a segment orients
-    # both of its boundary simplices.
+    # Jumps alone orient nothing: the hull is one simplex, whose sign and
+    # boundary its first read builds from one orientation of the cell.  A
+    # standard insert is such a read.  Once built, a jump orients the first
+    # cell with the new point and derives every other sign.  Signs are read
+    # only once the hull is built, or the prefix would be built eagerly.
     hull = TriangulatedHull(4)
     calls = []
     orient = hull._orient
     hull._orient = lambda ids: calls.append(ids) or orient(ids)
     hull.insert((0, 0, 0, 0))
     for p, dim, asked in [
-        ((0, 0, 0, 3), 1, 2),
-        ((0, 0, 2, 1), 2, 1),
-        ((0, 0, 5, 5), 2, None),
+        ((0, 0, 0, 3), 1, 0),
+        ((0, 0, 2, 1), 2, 0),
+        ((0, 0, 5, 5), 2, 1 + 3),  # the build, then one test per edge
         ((0, 0, -1, 4), 2, None),
         ((1, 1, 1, 1), 3, 1),
         ((2, 2, 1, 2), 3, None),
@@ -599,7 +604,98 @@ def test_dimension_jump_takes_one_orientation():
         if asked is not None:
             assert len(calls) == asked
             assert dim < 3 or len(hull.cells) >= 3  # many signs derived
-        _assert_signs_fresh(hull)
+        if asked != 0:
+            _assert_signs_fresh(hull)
+
+    simplex = TriangulatedHull(4)
+    orient = simplex._orient
+    simplex._orient = lambda ids: calls.append(ids) or orient(ids)
+    del calls[:]
+    for p in [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]:
+        simplex.insert(p)
+    assert simplex.dim == 4 and not calls
+    assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
+    _assert_signs_fresh(simplex)
+
+
+def _hull_state(hull):
+    # Cells, cell signs and boundary, in order, with every stored field.
+    return (
+        list(hull.cells),
+        list(hull._cell_signs),
+        [(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity) for bs in hull.boundary],
+    )
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("hooks", [False, True])
+def test_simplex_built_on_read_matches_eager_jumps(ambient, hooks):
+    # A hull whose boundary is read after every insert builds its simplex at
+    # dimension 1 and makes every later jump eagerly; a hull read only after
+    # the last insert builds its simplex then (or at its first standard
+    # insert) from one orientation.  Each prefix of the points must leave
+    # both in the same state, order included.  With hooks, the orientations
+    # go through an orient_fn and a split_fn makes the hull key its boundary.
+    rng = random.Random(900 + 10 * ambient + hooks)
+
+    def make():
+        if not hooks:
+            return TriangulatedHull(ambient)
+        return TriangulatedHull(
+            ambient, orient_fn=lambda h, ids: None, split_fn=lambda h, vid: None
+        )
+
+    for trial in range(6):
+        if trial % 2:
+            pts = _flat_points(rng, ambient, ambient + 4, trial % 4 == 3)
+        else:
+            pts = _random_points(rng, ambient, ambient + 4)
+        eager = make()
+        for n, p in enumerate(pts, start=1):
+            eager.insert(p, tag=p)
+            eager.boundary
+            lazy = make()
+            for q in pts[:n]:
+                lazy.insert(q, tag=q)
+            assert lazy.dim == eager.dim
+            assert _hull_state(lazy) == _hull_state(eager)
+        _assert_signs_fresh(eager)
+
+
+def test_cell_keys_carry_through_clone_inserts_and_jumps():
+    # key_cells keys each cell by its sorted tags and their parity; a clone
+    # keeps the keys current through inserts up to its jump, which hands
+    # them to the new boundary simplices and drops them.  The tags run
+    # against the insertion order, so parities vary.  A clone of an
+    # unkeyed base sorts at the jump instead and must end in the same state.
+    rng = random.Random(43)
+    split = lambda h, vid: None
+
+    def sorted_tags(hull, ids):
+        return sorted_with_parity([hull.tags[i] for i in ids])
+
+    for trial in range(6):
+        base_pts = _random_points(rng, 2, 9)
+        flat = [p + (0,) for p in _random_points(rng, 2, 4)]
+        lifted = [p + (rng.choice([-3, 2, 5]),) for p in _random_points(rng, 2, 3)]
+        tags = rng.sample(range(100), len(base_pts) + len(flat) + len(lifted))
+        clones = []
+        for keyed in (True, False):
+            base = TriangulatedHull(2, split_fn=split)
+            for p, t in zip(base_pts, tags):
+                base.insert(p, tag=t)
+            if keyed:
+                base.key_cells()
+            clone = base.extended_clone(split_fn=split)
+            for p, t in zip(flat + lifted, tags[len(base_pts):]):
+                clone.insert(p, tag=t)
+                if keyed and clone.dim < 3:
+                    assert clone._cell_keys == [sorted_tags(clone, c) for c in clone.cells]
+            assert clone.dim == 3 and clone._cell_keys is None
+            for bs in clone.boundary:
+                assert (bs.key, bs.parity) == sorted_tags(clone, bs.verts)
+            clones.append(clone)
+        assert _hull_state(clones[0]) == _hull_state(clones[1])
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,68 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
     assert batches["lifted"] > 0 and batches["homogeneous"] > 0
 
 
+@pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
+def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
+    # The oracle's hulls read after every insert build any simplex made by
+    # jumps alone at once and jump eagerly from then on; left alone, a full
+    # mode clone of the empty base hull stays one simplex until a standard
+    # insert or the upper-facet filter reads it.  Both ways must give the
+    # same triangulation and leave every hull in the same state, order,
+    # signs and keys included; kept cell keys must be the sorted tags.
+    insert = TriangulatedHull.insert
+    clone = TriangulatedHull.extended_clone
+    build = TriangulatedHull._build
+    read_every_insert = [False]
+    clones = []
+    late_builds = [0]  # builds of a simplex made by two jumps or more
+
+    def reading_insert(hull, point, tag=None):
+        out = insert(hull, point, tag)
+        if read_every_insert[0]:
+            hull.boundary
+        return out
+
+    def recorded_clone(hull, **kwargs):
+        out = clone(hull, **kwargs)
+        clones.append(out)
+        return out
+
+    def counted_build(hull):
+        late_builds[0] += hull.dim > 1
+        build(hull)
+
+    def state(hull):
+        return (
+            hull.dim,
+            list(hull.cells),
+            list(hull._cell_signs),
+            [(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity) for bs in hull.boundary],
+        )
+
+    monkeypatch.setattr(TriangulatedHull, "insert", reading_insert)
+    monkeypatch.setattr(TriangulatedHull, "extended_clone", recorded_clone)
+    monkeypatch.setattr(TriangulatedHull, "_build", counted_build)
+    rng = random.Random(53)
+    for sysd in _generated_systems(mode):
+        dirs = list(_directions_with_zeros(rng, sysd.m, 10))
+        runs = []
+        for read in (True, False):
+            read_every_insert[0] = read
+            del clones[:]
+            oracle = VertexOracle(sysd, seed=4)
+            got = [oracle.triangulation(w) for w in dirs]
+            hulls = [oracle._t0] + clones
+            for hull in hulls:
+                if hull._cell_keys is not None:
+                    tags = hull.tags
+                    assert hull._cell_keys == [
+                        sorted_with_parity([tags[i] for i in cell]) for cell in hull.cells
+                    ]
+            runs.append((got, [state(h) for h in hulls]))
+        assert runs[0] == runs[1]
+    assert late_builds[0] > 0
+
+
 def test_vtx_frozen_values_full_mode():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import system_from
+from conftest import family_from, system_from
 from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 from reference import (
     brute_force_facets,
@@ -17,9 +17,12 @@ from reference import (
     ref_solve_unique,
 )
 
+from resnewt.cayley import build_cayley
+from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
 from resnewt.exactlin import saturated_basis
 from resnewt.geometry import TriangulatedHull, hull_volume
+from resnewt.oracle import VertexOracle
 from resnewt.reconstruct import (
     BuildState,
     compute_pi,
@@ -36,6 +39,10 @@ def _sys(golden, mode):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 GOLDEN_CASES = [
@@ -82,6 +89,105 @@ def test_initialize_seeds_queue():
     assert state.init_calls == state.oracle.pipeline_runs
 
 
+def _init_system(name):
+    kind, _, seed = name.rpartition("-")
+    golden = {
+        "sylvester-full": (SYLVESTER, "full"),
+        "surface-full": (MONOMIAL_SURFACE, "full"),
+        "surface-implicit": (MONOMIAL_SURFACE, "implicitization"),
+        "circle-line-u": (CIRCLE_LINE, "u-resultant"),
+        "bicubic-implicit": (BICUBIC, "implicitization"),
+    }.get(name)
+    if golden is not None:
+        return _sys(*golden)
+    seed = int(seed)
+    if kind == "custom":
+        # One whole block, so that the projection keeps an equation, and a
+        # few points of the other blocks.
+        fam = gen_random(2, 3, "dense", [4, 4, 4], seed, mode="full")
+        rng = random.Random(seed)
+        b = rng.randrange(3)
+        rest = [
+            (i, j) for i, s in enumerate(fam.supports) if i != b for j in range(len(s))
+        ]
+        pairs = [(b, j) for j in range(len(fam.supports[b]))] + rng.sample(rest, seed + 1)
+        return system_from(2, fam.supports, "custom", sorted(pairs))
+    delta, sizes = {
+        "full": (2, [3, 3, 3]),
+        "implicitization": (3, [4, 4, 4]),
+        "u-resultant": (3, [3, 4, 4]),
+    }[kind]
+    return build_cayley(gen_random(2, delta, "dense", sizes, seed, mode=kind))
+
+
+# Oracle calls initialize made before the Cayley rank came to certify its
+# equation rounds.  Approximation mode still makes every one of them.
+APPROX_INIT_CALLS = {
+    "sylvester-full": 16,
+    "surface-full": 22,
+    "surface-implicit": 10,
+    "circle-line-u": 8,
+    "bicubic-implicit": 6,
+    "full-1": 28,
+    "full-2": 28,
+    "implicitization-1": 6,
+    "u-resultant-1": 8,
+    "u-resultant-2": 8,
+    "custom-1": 14,
+    "custom-2": 16,
+    "custom-3": 18,
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPROX_INIT_CALLS))
+def test_exact_initialization_skips_only_certified_rounds(name, monkeypatch):
+    # Exact initialization must certify the same equations as approx mode's,
+    # in the same order, from a prefix of approx's oracle calls: the prefix
+    # must already span the target's affine hull, of dimension m - eq_rank
+    # with eq_rank = rank(M) - rank(M on the specialized columns), and
+    # every call approx adds must belong to an equation round.
+    sysd = _init_system(name)
+    asked = []
+    triangulation = VertexOracle.triangulation
+
+    def spy(oracle, w):
+        asked.append(w)
+        return triangulation(oracle, w)
+
+    monkeypatch.setattr(VertexOracle, "triangulation", spy)
+    exact = initialize(sysd)
+    exact_asked = asked[:]
+    del asked[:]
+    approx, _ = compute_pi_approx(sysd, 0)  # threshold 0: stops after initialize
+    assert exact.equations == approx.equations
+    assert approx.init_calls == len(asked) == APPROX_INIT_CALLS[name]
+    assert exact.init_calls == len(exact_asked)
+    assert asked[: len(exact_asked)] == exact_asked
+
+    spec = [c for c in range(sysd.num_columns) if c not in sysd.projection]
+    eq_rank = ref_rank(sysd.M) - ref_rank(
+        [[row[c] for c in spec] for row in sysd.M] if spec else []
+    )
+    assert exact.dim == approx.dim == sysd.m - eq_rank == sysd.m - len(exact.equations)
+    assert ref_rank([_sub(p, exact.p0) for p in exact.hull.tags]) == exact.dim
+    for w in asked[len(exact_asked):]:
+        point = approx.oracle.memo[w][0]
+        assert any(
+            nrm in (w, tuple(-x for x in w)) and _dot(nrm, point) == off
+            for nrm, off in exact.equations
+        )
+    # Past the 2m coordinate queries, exact stops within the round in which
+    # approx's answers first reach that rank.
+    answers = [approx.oracle.memo[w][0] for w in asked]
+    full_rank = next(
+        i for i in range(1, len(answers) + 1)
+        if ref_rank([_sub(p, answers[0]) for p in answers[:i]]) == exact.dim
+    )
+    assert len(exact_asked) <= max(2 * sysd.m, full_rank + 1)
+    if name == "sylvester-full":
+        assert exact.init_calls < approx.init_calls
+
+
 # -- exact reconstruction ------------------------------------------------------------
 
 
@@ -114,6 +220,11 @@ def test_compute_pi_bicubic():
 # simplex takes its sign from its parent's test instead of an orientation,
 # and rho sums the volumes the upper-facet filter read instead of asking for
 # them again.  Each drops predicate calls or hom-minor hits, none adds any.
+# They were re-pinned a fourth time when exact initialization stopped
+# querying the equation rounds that the Cayley rank certifies (sylvester-full
+# makes 6 fewer oracle calls: 63 predicate calls and 63 hom-minor hits fewer)
+# and a hull built by jumps alone came to orient its one cell once instead of
+# once per jump (7 fewer of each); no miss or entry moved.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -121,10 +232,10 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 254,
+        "hom_hits": 184,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 213,
+        "predicate_calls": 143,
     },
     "bicubic-implicit": {
         "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
