@@ -337,16 +337,31 @@ def check_essential(family):
 # -- preprocessing -----------------------------------------------------------------
 
 
-def _in_conv(point, others, n):
-    if not others:
-        return False
-    hull = TriangulatedHull(n)
-    for p in others:
-        hull.insert(p)
-    count = len(hull.points)
+def _hull_vertices(points, n):
+    """The vertices of the hull of distinct points in R^n, as a set.
+
+    One hull over the points; below full dimension it is rebuilt on its
+    pivot coordinates, on which the affine hull projects bijectively.  A
+    recorded point is a vertex exactly when the facet normals through it
+    have rank equal to the hull's dimension.
+    """
+    hull = TriangulatedHull(n, track_facets=True)
+    for p in points:
+        hull.insert(p, tag=p)
+    if hull.dim == 0:
+        return set(hull.points)
+    if hull.dim < n:
+        pivots = hull._pivots
+        flat = TriangulatedHull(len(pivots), track_facets=True)
+        for p in hull.points:
+            flat.insert(tuple(p[i] for i in pivots), tag=p)
+        hull = flat
+    normals = {}
+    for plane, ids in hull.facet_map().items():
+        for u in ids:
+            normals.setdefault(u, []).append(plane.normal)
     dim = hull.dim
-    hull.insert(point)
-    return len(hull.points) == count and hull.dim == dim
+    return {hull.tags[u] for u, rows in normals.items() if rank_int(rows) == dim}
 
 
 def preprocess(family):
@@ -359,19 +374,15 @@ def preprocess(family):
 
     Dropping a point that lies in the hull of the others leaves that hull as
     it was, and points are distinct, so the points dropped are exactly the
-    non-vertices of the block's non-symbolic hull: one pass over each block
-    finds them all, testing each point against those still kept.
+    non-vertices of the block's non-symbolic hull: one hull per block with
+    non-symbolic points finds them all.
     """
     supports = []
     symbolic = []
     for pts, flags in zip(family.supports, family.symbolic):
-        kept = list(range(len(pts)))
-        for j in range(len(pts)):
-            if flags[j]:
-                continue
-            others = [pts[k] for k in kept if k != j and not flags[k]]
-            if _in_conv(pts[j], others, family.n):
-                kept.remove(j)
+        spec = [p for p, f in zip(pts, flags) if not f]
+        vertices = _hull_vertices(spec, family.n) if spec else ()
+        kept = [k for k, p in enumerate(pts) if flags[k] or p in vertices]
         supports.append([pts[k] for k in kept])
         symbolic.append([flags[k] for k in kept])
     return SupportFamily(family.n, supports, symbolic, family.mode)

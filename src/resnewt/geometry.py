@@ -16,6 +16,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .errors import DegenerateInput, InvariantViolation
@@ -57,13 +58,16 @@ class _BoundarySimplex:
     candidate point lies beyond the simplex's hyperplane exactly when its
     orientation sign is the negative of it.  ``plane`` caches the simplex's
     outward hyperplane in a full-dimensional hull (points never move): a
-    ``track_facets`` hull sets it when the simplex is made and tests
-    visibility against it; any other hull sets it in ``facet_map``.  A hull
-    with a ``split_fn`` keeps ``key``, the sorted tags of ``verts``, and
-    ``parity``, the sign of the permutation that sorts them.
+    ``track_facets`` hull sets it from cofactors (``_bs_plane``) on the
+    insert that makes the hull full-dimensional and from the pencil at the
+    horizon ridge on every later insert, tests visibility against it, and
+    numbers its simplices in order of creation (``serial``); any other hull
+    sets it in ``facet_map``.  A hull with a ``split_fn`` keeps ``key``, the
+    sorted tags of ``verts``, and ``parity``, the sign of the permutation
+    that sorts them.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity")
+    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity", "serial")
 
     def __init__(self, verts, opp, inner_sign, key=None, parity=1):
         self.verts = verts
@@ -138,13 +142,14 @@ class TriangulatedHull:
     are taken over each point's homogeneous row (m.p, m), cleared of
     denominators once when the point is recorded, so hulls of rational
     points run on integers too.  A full-dimensional ``track_facets`` hull
-    finds the simplices a point sees from their cached facet planes, one
-    dot product per distinct plane, instead of one orientation each, and
-    keeps its facet table (``facet_map``) current: an insert pops the planes
-    the point sees and files each fresh simplex under its plane.  It reads
-    each fresh simplex's sign off its witness's side of that plane, so its
-    inserts orient nothing.  Any other hull derives that sign from the
-    parent's visibility test, which oriented a permutation of its points
+    files its boundary simplices by facet plane and keeps its facet table
+    (``facet_map``) current.  An insert takes one dot product per plane,
+    touches only the simplices on the planes the point sees, and takes each
+    fresh simplex's plane from the two planes that meet at its horizon
+    ridge (``_pencil_plane``), so it computes no determinant; the boundary
+    is assembled, in creation order, only when read.  Every hull derives a
+    fresh simplex's sign from its parent's visibility test, which found the
+    point beyond the parent's plane or oriented a permutation of its points
     (so, as at a jump, an ``orient_fn`` must be a determinant).
 
     ``boundary`` holds the boundary simplices of the current hull, and
@@ -181,6 +186,12 @@ class TriangulatedHull:
         self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
         self._facets = None  # facet_map's table; None: regroup on the next call
+        # A full-dimensional track_facets hull files its boundary by plane:
+        # plane -> simplices on it, vertex id -> planes through it, and a
+        # creation serial per simplex that gives the boundary order.
+        self._on_plane = None
+        self._planes_at = None
+        self._serials = 0
         # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
         self._vol_cells = 0
         self._vol_sum = 0
@@ -191,6 +202,9 @@ class TriangulatedHull:
     def boundary(self):
         if self._pending:
             self._build()
+        if self._on_plane is not None:
+            simplices = [bs for group in self._on_plane.values() for bs in group]
+            return sorted(simplices, key=attrgetter("serial"))
         return self._boundary
 
     @property
@@ -291,8 +305,29 @@ class TriangulatedHull:
             return self._standard_insert(pt, tag)
         # The hull has just reached this dimension, so every facet is new.
         if self.track_facets and self.dim == self.ambient:
-            return ([], list(self.facet_map()))
+            self._file_by_plane()
+            return ([], list(self._facets))
         return ([], [])
+
+    def _file_by_plane(self):
+        # The first facet table, and the index that inserts keep from here.
+        boundary = self.boundary
+        on_plane = {}
+        for serial, bs in enumerate(boundary):
+            bs.plane = self._bs_plane(bs)
+            bs.serial = serial
+            on_plane.setdefault(bs.plane, []).append(bs)
+        planes_at = {}
+        facets = {}
+        for plane, group in on_plane.items():
+            ids = facets[plane] = frozenset(u for bs in group for u in bs.verts)
+            for u in ids:
+                planes_at.setdefault(u, set()).add(plane)
+        self._facets = facets
+        self._on_plane = on_plane
+        self._planes_at = planes_at
+        self._serials = len(boundary)
+        self._boundary = None
 
     def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
@@ -339,26 +374,26 @@ class TriangulatedHull:
         if self._pending:
             self._build()
         vid = self._record(pt, tag)
-        keep, visible = [], []
-        tracked = self.track_facets and self.dim == self.ambient
+        tracked = self._on_plane is not None
         if tracked:
-            # Every boundary simplex has its plane: test each distinct plane
-            # once, over the point's cleared row (m.p, m).
+            # One dot product per facet plane, over the point's cleared row
+            # (m.p, m): a = m.g(p) > 0 exactly when the point sees the plane.
             k = self.ambient
             h = self._hom[vid]
             x, m = h[:k], h[k]
-            beyond = {}
-            for bs in self._boundary:
-                plane = bs.plane
-                side = beyond.get(plane)
-                if side is None:
-                    side = beyond[plane] = dot(plane.normal, x) > m * plane.offset
-                (visible if side else keep).append(bs)
+            a_of = {
+                plane: sum(map(mul, plane.normal, x)) - m * plane.offset
+                for plane in self._on_plane
+            }
+            seen = [plane for plane, a in a_of.items() if a > 0]
+            visible = [bs for plane in seen for bs in self._on_plane[plane]]
+            visible.sort(key=attrgetter("serial"))
         else:
             split = self.split_fn and self.split_fn(self, vid)
             if split is not None:
                 visible, keep = split
             else:
+                keep, visible = [], []
                 for bs in self._boundary:
                     if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
                         visible.append(bs)
@@ -386,55 +421,105 @@ class TriangulatedHull:
                     ridge_info[ridge] = (bs, j)
         fresh = []
         tags = self.tags
+        pencil = {}
         for ridge, info in ridge_info.items():
             if info is None:
                 continue
             bs, j = info
             opp = bs.verts[j]
-            nb = _BoundarySimplex(ridge + (vid,), opp, 0)
+            # orient(verts + (vid,)) is -inner_sign, and (ridge, vid, opp)
+            # is len(ridge) - j + 1 swaps from it.
+            sign = bs.inner_sign
+            nb = _BoundarySimplex(
+                ridge + (vid,), opp, -sign if (len(ridge) - j) & 1 else sign
+            )
+            key = bs.key
+            if key is not None:  # opp's tag leaves from j and q: j + q swaps
+                q = bisect_left(key, tags[opp])
+                parity = -bs.parity if (j + q) & 1 else bs.parity
+                nb.key, nb.parity = insert_sorted(key[:q] + key[q + 1:], parity, tags[vid])
             if tracked:
-                nb.plane, nb.inner_sign = self._bs_plane(nb)
-            else:
-                # orient(verts + (vid,)) is -inner_sign, and (ridge, vid, opp)
-                # is len(ridge) - j + 1 swaps from it.
-                sign = bs.inner_sign
-                nb.inner_sign = -sign if (len(ridge) - j) & 1 else sign
-                key = bs.key
-                if key is not None:  # opp's tag leaves from j and q: j + q swaps
-                    q = bisect_left(key, tags[opp])
-                    parity = -bs.parity if (j + q) & 1 else bs.parity
-                    nb.key, nb.parity = insert_sorted(
-                        key[:q] + key[q + 1:], parity, tags[vid]
-                    )
+                nb.plane = self._pencil_plane(bs.plane, ridge, a_of, pencil)
+                nb.serial = self._serials
+                self._serials += 1
             fresh.append(nb)
-        self._boundary = keep + fresh
         if not tracked:
+            self._boundary = keep + fresh
             self._facets = None
             return ([], [])
-        # Visibility is decided per plane, so a plane the point sees loses
-        # every simplex on it, and any other plane keeps all of its own and
-        # gains the fresh ones on it (the point lies on that plane).
+        return self._refile(seen, fresh)
+
+    def _pencil_plane(self, g1, ridge, a_of, memo):
+        """Outward plane through a horizon ridge of plane ``g1`` and the point.
+
+        The ridge lies on ``g1`` and on exactly one plane g2 the point does
+        not see, found through the vertex -> planes map.  With g(x) =
+        normal.x - offset and a = m.g(p) for the point's cleared row, the
+        plane a1.g2 - a2.g1 vanishes on the ridge and at the point, and is
+        at most 0 on the hull since a1 > 0 >= a2: the dual of the edge
+        combination in ``outer.clip_halfspace``.  When a2 = 0 it is g2
+        itself.  ``memo`` holds the planes made in this insert, by (g1, g2).
+        """
+        if ridge:
+            planes_at = self._planes_at
+            through = set.intersection(*[planes_at[u] for u in ridge])
+        else:  # ambient dimension 1: the empty ridge lies on every plane
+            through = a_of
+        kept = [plane for plane in through if a_of[plane] <= 0]
+        if len(kept) != 1:
+            raise InvariantViolation(
+                "horizon ridge on %d planes the point does not see" % len(kept)
+            )
+        g2 = kept[0]
+        plane = memo.get((g1, g2))
+        if plane is None:
+            a1, a2 = a_of[g1], a_of[g2]
+            if a2 == 0:
+                plane = g2
+            else:
+                normal = [a1 * y - a2 * x for x, y in zip(g1.normal, g2.normal)]
+                offset = a1 * g2.offset - a2 * g1.offset
+                plane = Hyperplane(*canonical_hyperplane(normal, offset))
+            memo[g1, g2] = plane
+        return plane
+
+    def _refile(self, seen, fresh):
+        # A plane the point sees loses every simplex on it; any other plane
+        # keeps all of its own and gains the fresh ones on it (the point
+        # lies on that plane).
         facets = self._facets
-        removed = [plane for plane, side in beyond.items() if side]
-        for plane in removed:
-            del facets[plane]
+        on_plane = self._on_plane
+        planes_at = self._planes_at
+        for plane in seen:
+            del on_plane[plane]
+            for u in facets.pop(plane):
+                planes_at[u].discard(plane)
         grown = {}
         for nb in fresh:
-            grown.setdefault(nb.plane, set()).update(nb.verts)
-        added = [plane for plane in grown if plane not in facets]
-        for plane, ids in grown.items():
-            facets[plane] = facets.get(plane, frozenset()) | ids
-        return (removed, added)
+            grown.setdefault(nb.plane, []).append(nb)
+        added = []
+        for plane, group in grown.items():
+            ids = {u for nb in group for u in nb.verts}
+            old = facets.get(plane)
+            if old is None:
+                added.append(plane)
+                facets[plane] = frozenset(ids)
+                on_plane[plane] = group
+            else:
+                ids -= old
+                facets[plane] = old | ids
+                on_plane[plane].extend(group)
+            for u in ids:
+                planes_at.setdefault(u, set()).add(plane)
+        return (seen, added)
 
     # -- facets ----------------------------------------------------------------
 
     def _bs_plane(self, bs):
-        """(outward plane of ``bs``, orientation sign of (verts..., opp)).
+        """Outward plane of ``bs``: cofactors, turned away from its witness.
 
-        The normal is the cofactor row of that orientation's determinant
-        along the witness's row, so the sign is read off the witness's side
-        of the plane: det = -(normal.opp - offset) before the plane is turned
-        outward.
+        The normal is the cofactor row of the orientation determinant of
+        (verts..., opp) along the witness's row.
         """
         # Over the cleared rows (m.p, m) everything stays integral:
         # m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled by m0.mi > 0, which
@@ -463,8 +548,7 @@ class TriangulatedHull:
         if side_opp > 0:
             normal = [-a for a in normal]
             offset = -offset
-        nrm, off = canonical_hyperplane([m0 * a for a in normal], offset)
-        return Hyperplane(nrm, off), (1 if side_opp < 0 else -1)
+        return Hyperplane(*canonical_hyperplane([m0 * a for a in normal], offset))
 
     def facet_map(self):
         """Facets of a full-dimensional hull: {Hyperplane: frozenset of ids}.
@@ -485,7 +569,7 @@ class TriangulatedHull:
             groups = {}
             for bs in self.boundary:
                 if bs.plane is None:
-                    bs.plane = self._bs_plane(bs)[0]
+                    bs.plane = self._bs_plane(bs)
                 groups.setdefault(bs.plane, set()).update(bs.verts)
             self._facets = {plane: frozenset(ids) for plane, ids in groups.items()}
         return self._facets

@@ -9,6 +9,7 @@ from conftest import family_from, system_from
 from golden import BICUBIC, MONOMIAL_SURFACE, SYLVESTER
 from reference import extreme_points
 
+from resnewt import cayley
 from resnewt.cayley import (
     build_cayley,
     check_essential,
@@ -23,6 +24,7 @@ from resnewt.cayley import (
 )
 from resnewt.cli import gen_random
 from resnewt.errors import NotEssential, ParseError, ResnewtError
+from resnewt.exactlin import affine_dim
 from resnewt.reconstruct import compute_pi
 
 
@@ -218,6 +220,35 @@ def _preprocess_families():
         [[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 2), (1, 1), (3, 3)], [(0, 0), (1, 0), (0, 1)]],
         "u-resultant",
     )
+    # n = 3, with collinear extra points: each block with specialized
+    # points, scaled by 6, gains the points 1/2 and 1/3 of the way between
+    # two of them.
+    for seed, mode in enumerate(("implicitization", "u-resultant")):
+        fam = gen_random(3, 3, "dense", [4, 6, 5, 6], seed, mode=mode)
+        supports = []
+        for pts, flags in zip(fam.supports, fam.symbolic):
+            if not all(flags):
+                pts = [tuple(6 * x for x in p) for p in pts]
+            spec = [p for p, f in zip(pts, flags) if not f]
+            if len(spec) >= 2:
+                a, b = spec[-2:]
+                for t in (2, 3):
+                    q = tuple(x + (y - x) // t for x, y in zip(a, b))
+                    if q not in pts:
+                        pts.append(q)
+            supports.append(pts)
+        yield family_from(3, supports, mode)
+    # A whole block on a line in R^3, its points out of order.
+    yield family_from(
+        3,
+        [
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(2, 1, 0), (0, 0, 0), (6, 3, 0), (4, 2, 0)],
+            [(0, 0, 0), (1, 1, 0), (0, 1, 1), (2, 0, 1)],
+            [(0, 0, 0), (1, 0, 0), (0, 0, 2), (1, 1, 1), (0, 1, 1)],
+        ],
+        "u-resultant",
+    )
 
 
 def test_preprocess_keeps_exactly_the_extreme_specialized_points():
@@ -236,6 +267,31 @@ def test_preprocess_keeps_exactly_the_extreme_specialized_points():
             assert kept_flags == [flags[pts.index(p)] for p in kept]
             dropped += len(pts) - len(kept)
     assert dropped > 0
+
+
+def test_preprocess_builds_one_hull_per_block(monkeypatch):
+    # One hull per block with specialized points, and one more on its pivot
+    # coordinates when the block's specialized points are not full-dimensional.
+    builds = []
+
+    class CountedHull(cayley.TriangulatedHull):
+        def __init__(self, *args, **kwargs):
+            builds.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cayley, "TriangulatedHull", CountedHull)
+    for fam in _preprocess_families():
+        del builds[:]
+        preprocess(fam)
+        expect = []
+        for pts, flags in zip(fam.supports, fam.symbolic):
+            spec = [p for p, f in zip(pts, flags) if not f]
+            if spec:
+                expect.append(fam.n)
+                dim = affine_dim(spec)
+                if 0 < dim < fam.n:
+                    expect.append(dim)
+        assert builds == expect
 
 
 def test_preprocess_is_idempotent():

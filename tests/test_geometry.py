@@ -21,9 +21,10 @@ from reference import (
     shoelace_area,
 )
 
+from resnewt import geometry
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import Hyperplane, TriangulatedHull, f_vector, hull_volume
-from resnewt.kernels import sorted_with_parity
+from resnewt.kernels import det_bareiss, sorted_with_parity
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -790,3 +791,93 @@ def test_point_on_a_facet_plane_is_not_beyond_it():
     assert removed == [Hyperplane((1, 0), 4)]
     bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
     assert {hull.points[i] for i in bottom} == {(0, 0), (4, 0), (6, 0)}
+
+
+# -- fresh planes from the pencil at each horizon ridge ---------------------------
+
+
+def _pencil_points(rng, d, kind):
+    if kind == "random":
+        return _random_points(rng, d, d + 5)
+    if kind == "grid":  # coplanar points: planes that gain the new point
+        draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
+    else:  # half-integer grid: rational points
+        draw = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+    return list(dict.fromkeys(draw() for _ in range(d + 5)))
+
+
+def _assert_planes_filed(hull):
+    # The plane -> simplices index and the vertex -> planes map agree with
+    # the facet table.
+    facets = hull.facet_map()
+    assert set(hull._on_plane) == set(facets)
+    for plane, group in hull._on_plane.items():
+        assert all(bs.plane == plane for bs in group)
+        assert {u for bs in group for u in bs.verts} == facets[plane]
+    for u, planes in hull._planes_at.items():
+        assert planes == {plane for plane, ids in facets.items() if u in ids}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
+    # A tracked full-dimensional insert takes every fresh plane from the two
+    # planes at its horizon ridge and derives every fresh sign, so it calls
+    # no determinant.  Each plane must be the cofactor plane a plain hull of
+    # the same points computes, each sign a fresh orientation, and the final
+    # table the brute-force facets.
+    dets = []
+    monkeypatch.setattr(
+        geometry, "det_bareiss", lambda rows: dets.append(rows) or det_bareiss(rows)
+    )
+    rng = random.Random(900 + d)
+    gained = 0
+    for kind in ("random", "grid", "half"):
+        for trial in range(3):
+            pts = _pencil_points(rng, d, kind)
+            track = TriangulatedHull(d, track_facets=True)
+            plain = TriangulatedHull(d)
+            for p in pts:
+                full = track.dim == d
+                before = dict(track.facet_map()) if full else {}
+                del dets[:]
+                track.insert(p, tag=p)
+                if full:
+                    assert not dets
+                plain.insert(p, tag=p)
+                assert track.points == plain.points
+                if track.dim < d:
+                    continue
+                for bs in track.boundary:
+                    assert bs.plane == plain._bs_plane(bs)
+                    assert bs.inner_sign == track._orient(bs.verts + (bs.opp,))
+                assert track.facet_map() == plain.facet_map()
+                _assert_planes_filed(track)
+                vid = len(track.points) - 1
+                gained += any(
+                    vid in ids and plane in before
+                    for plane, ids in track.facet_map().items()
+                )
+            if track.dim < d or (d == 5 and trial):
+                continue  # the brute force takes seconds in dimension 5
+            got = {
+                frozenset(
+                    q for q in pts
+                    if sum(a * x for a, x in zip(plane.normal, q)) == plane.offset
+                )
+                for plane in track.facet_map()
+            }
+            assert got == {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
+    if d > 1:
+        assert gained  # some neighbour plane took the new point (a2 = 0)
+
+
+def test_horizon_ridge_on_no_kept_plane_raises():
+    hull = TriangulatedHull(2, track_facets=True)
+    for p in [(0, 0), (4, 0), (0, 4)]:
+        hull.insert(p, tag=p)
+    # (2, -3) sees only y = 0; unfile x = 0, so the horizon ridge (0, 0)
+    # lies on no plane the point does not see.
+    for planes in hull._planes_at.values():
+        planes.discard(Hyperplane((-1, 0), 0))
+    with pytest.raises(InvariantViolation):
+        hull.insert((2, -3))
