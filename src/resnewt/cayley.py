@@ -345,14 +345,14 @@ def _hull_vertices(points, n):
     recorded point is a vertex exactly when the facet normals through it
     have rank equal to the hull's dimension.
     """
-    hull = TriangulatedHull(n, track_facets=True)
+    hull = TriangulatedHull(n)
     for p in points:
         hull.insert(p, tag=p)
     if hull.dim == 0:
         return set(hull.points)
     if hull.dim < n:
         pivots = hull._pivots
-        flat = TriangulatedHull(len(pivots), track_facets=True)
+        flat = TriangulatedHull(len(pivots))
         for p in hull.points:
             flat.insert(tuple(p[i] for i in pivots), tag=p)
         hull = flat

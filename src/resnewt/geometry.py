@@ -56,15 +56,12 @@ class _BoundarySimplex:
     ``verts`` are point ids in increasing order.  ``inner_sign`` is the
     orientation sign of (verts..., opp), set when the simplex is created; a
     candidate point lies beyond the simplex's hyperplane exactly when its
-    orientation sign is the negative of it.  ``plane`` caches the simplex's
-    outward hyperplane in a full-dimensional hull (points never move): a
-    ``track_facets`` hull sets it from cofactors (``_bs_plane``) on the
-    insert that makes the hull full-dimensional and from the pencil at the
-    horizon ridge on every later insert, tests visibility against it, and
-    numbers its simplices in order of creation (``serial``); any other hull
-    sets it in ``facet_map``.  A hull with a ``split_fn`` keeps ``key``, the
-    sorted tags of ``verts``, and ``parity``, the sign of the permutation
-    that sorts them.
+    orientation sign is the negative of it.  A filed hull sets ``plane``,
+    the simplex's outward hyperplane, from cofactors (``_bs_plane``) when it
+    files and from the pencil at the horizon ridge after that, and numbers
+    its simplices in order of creation (``serial``).  A hull with a
+    ``split_fn`` keeps ``key``, the sorted tags of ``verts``, and
+    ``parity``, the sign of the permutation that sorts them.
     """
 
     __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity", "serial")
@@ -73,7 +70,6 @@ class _BoundarySimplex:
         self.verts = verts
         self.opp = opp
         self.inner_sign = inner_sign
-        self.plane = None
         self.key = key
         self.parity = parity
 
@@ -123,11 +119,11 @@ class TriangulatedHull:
     cell's.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
-    a fraction-free echelon of the span (one primitive row per dimension,
-    each zero at the pivot coordinates of the rows before it) and
-    ``basis``, the ambient direction of each dimension jump.  Membership is
-    a remainder against the echelon; orientation is the sign over the pivot
-    coordinates alone, on which the affine hull projects bijectively.  That
+    a fraction-free echelon of the span, one primitive row per dimension
+    jump, each zero at the pivot coordinates of the rows before it.
+    Membership is a remainder against the echelon; orientation is the sign
+    over the pivot coordinates alone, on which the affine hull projects
+    bijectively.  That
     sign is the intrinsic one times a factor fixed within one dimension, so
     every comparison of signs answers exactly as in intrinsic coordinates.
     ``_cell_signs`` holds each cell's sign.  While every insert has been a
@@ -141,13 +137,17 @@ class TriangulatedHull:
     points).  Orientation signs and facet planes
     are taken over each point's homogeneous row (m.p, m), cleared of
     denominators once when the point is recorded, so hulls of rational
-    points run on integers too.  A full-dimensional ``track_facets`` hull
-    files its boundary simplices by facet plane and keeps its facet table
-    (``facet_map``) current.  An insert takes one dot product per plane,
-    touches only the simplices on the planes the point sees, and takes each
-    fresh simplex's plane from the two planes that meet at its horizon
-    ridge (``_pencil_plane``), so it computes no determinant; the boundary
-    is assembled, in creation order, only when read.  Every hull derives a
+    points run on integers too.
+
+    The visibility test follows from what the hull is.  Below full
+    dimension it orients; at full dimension a hull with a ``split_fn`` (the
+    oracle's) asks it; any other hull files its boundary simplices by facet
+    plane on the insert that makes it full-dimensional and keeps its facet
+    table (``facet_map``) current.  A filed insert takes one dot product per
+    plane, touches only the simplices on the planes the point sees, and
+    takes each fresh plane from the two planes at its horizon ridge
+    (``_pencil_plane``), so it computes no determinant; the boundary is
+    assembled, in creation order, only when read.  Every hull derives a
     fresh simplex's sign from its parent's visibility test, which found the
     point beyond the parent's plane or oriented a permutation of its points
     (so, as at a jump, an ``orient_fn`` must be a determinant).
@@ -163,17 +163,15 @@ class TriangulatedHull:
     inserted point is a vertex of the final hull).
     """
 
-    def __init__(self, ambient_dim, orient_fn=None, track_facets=False, split_fn=None):
+    def __init__(self, ambient_dim, orient_fn=None, split_fn=None):
         self.ambient = ambient_dim
         self.orient_fn = orient_fn
         self.split_fn = split_fn
-        self.track_facets = track_facets
         self.points = []
         self._hom = []  # _hom_row of each point, for orientation signs
         self.tags = []
         self.dim = -1
-        self.basis = []  # ambient direction vectors, one per intrinsic coord
-        self._echelon = []  # primitive integer rows spanning basis
+        self._echelon = []  # primitive integer rows spanning the affine hull
         self._pivots = []  # pivot coordinate of each echelon row
         # The pivots in increasing order, so that a clone of a full-dimensional
         # hull orients over its old coordinates in their old order, then the
@@ -185,10 +183,9 @@ class TriangulatedHull:
         self._pending = False  # a simplex above dimension 0 awaiting _build
         self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
-        self._facets = None  # facet_map's table; None: regroup on the next call
-        # A full-dimensional track_facets hull files its boundary by plane:
-        # plane -> simplices on it, vertex id -> planes through it, and a
-        # creation serial per simplex that gives the boundary order.
+        self._facets = None  # facet_map's table, once the boundary is filed
+        # A filed hull: plane -> simplices on it, vertex id -> planes through
+        # it, and a creation serial per simplex that gives the boundary order.
         self._on_plane = None
         self._planes_at = None
         self._serials = 0
@@ -278,20 +275,19 @@ class TriangulatedHull:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, point, tag=None):
-        """Insert a point; returns (removed_planes, added_planes).
+        """Insert a point; returns the list of facet planes it added.
 
         Duplicates and points inside the hull are no-ops.  A point outside
         the current affine hull raises the intrinsic dimension by coning the
-        whole triangulation.  Facet deltas, the ``facet_map`` keys that
-        vanished and appeared, are reported only when the hull was created
-        with ``track_facets`` and is full-dimensional after the insert; the
-        insert that makes it so reports every facet as added.
+        whole triangulation.  The planes are the ``facet_map`` keys that
+        appeared: every facet on the insert that files the hull, [] while
+        the hull has no facet table.
         """
         pt = tuple(point)
         if len(pt) != self.ambient:
             raise ValueError("point has wrong dimension")
         if pt in self._index:
-            return ([], [])
+            return []
         if self.dim == -1:
             self._record(pt, tag)
             self.dim = 0
@@ -304,13 +300,13 @@ class TriangulatedHull:
         else:
             return self._standard_insert(pt, tag)
         # The hull has just reached this dimension, so every facet is new.
-        if self.track_facets and self.dim == self.ambient:
+        if self.dim == self.ambient and self.split_fn is None:
             self._file_by_plane()
-            return ([], list(self._facets))
-        return ([], [])
+            return list(self._facets)
+        return []
 
     def _file_by_plane(self):
-        # The first facet table, and the index that inserts keep from here.
+        # The facet table, and the index that inserts keep from here.
         boundary = self.boundary
         on_plane = {}
         for serial, bs in enumerate(boundary):
@@ -331,7 +327,6 @@ class TriangulatedHull:
 
     def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
-        self.basis.append(vec_sub(pt, self.points[0]))
         self._chart = sorted(self._pivots) + [-1]
         self.dim += 1
         self._vol_cells = 0
@@ -374,8 +369,8 @@ class TriangulatedHull:
         if self._pending:
             self._build()
         vid = self._record(pt, tag)
-        tracked = self._on_plane is not None
-        if tracked:
+        filed = self._on_plane is not None
+        if filed:
             # One dot product per facet plane, over the point's cleared row
             # (m.p, m): a = m.g(p) > 0 exactly when the point sees the plane.
             k = self.ambient
@@ -401,7 +396,7 @@ class TriangulatedHull:
                         keep.append(bs)
         if not visible:
             self._unrecord(vid)
-            return ([], [])
+            return []
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
             self._signs.append(-bs.inner_sign)
@@ -438,15 +433,14 @@ class TriangulatedHull:
                 q = bisect_left(key, tags[opp])
                 parity = -bs.parity if (j + q) & 1 else bs.parity
                 nb.key, nb.parity = insert_sorted(key[:q] + key[q + 1:], parity, tags[vid])
-            if tracked:
+            if filed:
                 nb.plane = self._pencil_plane(bs.plane, ridge, a_of, pencil)
                 nb.serial = self._serials
                 self._serials += 1
             fresh.append(nb)
-        if not tracked:
+        if not filed:
             self._boundary = keep + fresh
-            self._facets = None
-            return ([], [])
+            return []
         return self._refile(seen, fresh)
 
     def _pencil_plane(self, g1, ridge, a_of, memo):
@@ -511,67 +505,29 @@ class TriangulatedHull:
                 on_plane[plane].extend(group)
             for u in ids:
                 planes_at.setdefault(u, set()).add(plane)
-        return (seen, added)
+        return added
 
     # -- facets ----------------------------------------------------------------
 
     def _bs_plane(self, bs):
-        """Outward plane of ``bs``: cofactors, turned away from its witness.
-
-        The normal is the cofactor row of the orientation determinant of
-        (verts..., opp) along the witness's row.
-        """
-        # Over the cleared rows (m.p, m) everything stays integral:
-        # m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled by m0.mi > 0, which
-        # scales the normal by a positive factor, and the plane
-        # normal.x = normal.p0 scaled by m0 > 0 is (m0.normal, normal.(m0.p0)).
-        # The canonical form divides every positive factor out.
+        """Outward plane of ``bs``: its cofactor plane, away from its witness."""
         hom = self._hom
-        k = self.ambient
-        h0 = hom[bs.verts[0]]
-        m0 = h0[k]
-        diffs = [
-            [m0 * a - h[k] * b for a, b in zip(h[:k], h0)]
-            for h in (hom[v] for v in bs.verts[1:])
-        ]
-        normal = []
-        sgn = 1
-        for j in range(k):
-            sub = [[row[t] for t in range(k) if t != j] for row in diffs]
-            normal.append(sgn * det_bareiss(sub))
-            sgn = -sgn
-        offset = dot(normal, h0[:k])
-        h_opp = hom[bs.opp]
-        side_opp = m0 * dot(normal, h_opp[:k]) - h_opp[k] * offset
-        if side_opp == 0:
-            raise InvariantViolation("boundary simplex witness lies on its plane")
-        if side_opp > 0:
-            normal = [-a for a in normal]
-            offset = -offset
-        return Hyperplane(*canonical_hyperplane([m0 * a for a in normal], offset))
+        return _cofactor_plane([hom[v] for v in bs.verts], hom[bs.opp])
 
     def facet_map(self):
-        """Facets of a full-dimensional hull: {Hyperplane: frozenset of ids}.
+        """The facet table of a filed hull: {Hyperplane: frozenset of ids}.
 
         Each canonical hyperplane maps to the ids of the vertices of the
-        boundary simplices on it, which may include points inside the facet.
-        A ``track_facets`` hull keeps this table current on every insert;
-        any other hull regroups its boundary on the first call after a
-        change, computing each simplex's plane once and keeping it on the
-        simplex.  The table is the hull's own: callers must not change it.
+        boundary simplices on it, which may include points inside the
+        facet.  Inserts keep the table current; it is the hull's own, and
+        callers must not change it.  A hull below full dimension, or with a
+        ``split_fn``, has none and raises ``DegenerateInput``.
         """
-        if self.dim != self.ambient:
-            raise DegenerateInput(
-                "facets require a full-dimensional hull (dim %d of %d)"
-                % (self.dim, self.ambient)
-            )
         if self._facets is None:
-            groups = {}
-            for bs in self.boundary:
-                if bs.plane is None:
-                    bs.plane = self._bs_plane(bs)
-                groups.setdefault(bs.plane, set()).update(bs.verts)
-            self._facets = {plane: frozenset(ids) for plane, ids in groups.items()}
+            raise DegenerateInput(
+                "facets require a full-dimensional hull without a split_fn "
+                "(dim %d of %d)" % (self.dim, self.ambient)
+            )
         return self._facets
 
     # -- cloning ----------------------------------------------------------------
@@ -589,7 +545,6 @@ class TriangulatedHull:
         out._hom = [h[:-1] + (0, h[-1]) for h in self._hom]
         out.tags = list(self.tags)
         out.dim = self.dim
-        out.basis = [tuple(b) + (0,) for b in self.basis]
         out._echelon = [row + (0,) for row in self._echelon]
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
@@ -603,6 +558,38 @@ class TriangulatedHull:
             out._cell_keys = list(self._cell_keys)
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out
+
+
+def _cofactor_plane(rows, witness):
+    """Outward plane through k homogeneous rows in R^k, away from ``witness``.
+
+    Each row is a point's cleared row (m.p, m) with m > 0.  The normal is
+    the cofactor row of the orientation determinant of (rows..., witness)
+    along the witness's row.  Raises ``InvariantViolation`` when the
+    witness lies on the plane.
+    """
+    # Everything stays integral: m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled
+    # by m0.mi > 0, which scales the normal by a positive factor, and the
+    # plane normal.x = normal.p0 scaled by m0 > 0 is (m0.normal,
+    # normal.(m0.p0)).  The canonical form divides every positive factor out.
+    k = len(rows)
+    h0 = rows[0]
+    m0 = h0[k]
+    diffs = [[m0 * a - h[k] * b for a, b in zip(h[:k], h0)] for h in rows[1:]]
+    normal = []
+    sgn = 1
+    for j in range(k):
+        sub = [[row[t] for t in range(k) if t != j] for row in diffs]
+        normal.append(sgn * det_bareiss(sub))
+        sgn = -sgn
+    offset = dot(normal, h0[:k])
+    side = m0 * dot(normal, witness[:k]) - witness[k] * offset
+    if side == 0:
+        raise InvariantViolation("boundary simplex witness lies on its plane")
+    if side > 0:
+        normal = [-a for a in normal]
+        offset = -offset
+    return Hyperplane(*canonical_hyperplane([m0 * a for a in normal], offset))
 
 
 # -- volume ---------------------------------------------------------------------

@@ -16,10 +16,9 @@ every cached minor is independent of the lifting, so one cache accelerates
 predicate evaluations across many lifting directions.
 
 Most predicate calls are answered from cached minors, so the work around a
-lookup is kept small.  The sorted entries, ``orientation_sorted`` and
-``hom_sign_sorted``, take strictly increasing columns with the parity of
-the permutation that sorted them; the any-order entries sort by bisection
-(``sorted_with_parity``) and call them.  The oracle's hulls call batches,
+lookup is kept small.  The any-order entries sort their columns by
+bisection (``sorted_with_parity``) and fold in the parity of the
+permutation that sorted them.  The oracle's hulls call batches,
 ``split_boundary`` and ``upper_facets``, on a whole boundary whose simplices
 carry their sorted columns and sort parity.  Every entry and every batch
 reads one clock pair and checks the cache threshold once.
@@ -250,9 +249,8 @@ class MinorCache:
             raise ValueError("column indices must be strictly increasing and in range")
 
     # -- public API ---------------------------------------------------------
-    # Each entry takes one perf_counter pair and ends with ``_done``; the
-    # any-order entries sort their columns and hand them to a sorted entry,
-    # so no clock pair nests.
+    # Each entry takes one perf_counter pair and ends with ``_done``, so no
+    # clock pair nests.
 
     def minor(self, cols):
         """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
@@ -289,22 +287,12 @@ class MinorCache:
             self.predicate_calls += 1
             return 0
         srt, parity = sorted_with_parity(cols)
-        return self.hom_sign_sorted(srt, parity)
-
-    def hom_sign_sorted(self, cols, parity):
-        """``parity`` times the sign of the homogeneous minor ``h(cols)``.
-
-        ``cols`` must be strictly increasing (only its length and its two
-        ends are checked); ``parity`` is +1 or -1, the sign of the
-        permutation that sorted the caller's columns.  One table read when
-        the minor is cached.
-        """
-        self._check_sorted(cols, self._nrows + 1)
+        self._check_sorted(srt, self._nrows + 1)
         t0 = perf_counter()
-        value = self._hom_tab.get(cols)
+        value = self._hom_tab.get(srt)
         hit = value is not None
         if not hit:
-            value = self._hom(cols)
+            value = self._hom(srt)
         self._done(t0, 1, hit)
         return parity * _sign(value)
 
@@ -330,35 +318,24 @@ class MinorCache:
 
         The matrix has the coordinate rows of the chosen columns, one row of
         per-column lifting values, then the all-ones row.  ``lifting`` is
-        aligned with ``cols`` (any order; the permutation sign is folded in).
-        The columns are sorted and handed to ``orientation_sorted``.
+        aligned with ``cols`` (any order; the permutation sign is folded in)
+        and its values may be integers or ``fractions.Fraction``.  The
+        columns are sorted with the parity of the sorting permutation, and
+        the expansion runs along the lifting row; every homogeneous
+        sub-minor is requested (and thus cached) even when its lifting
+        coefficient is 0.  No columns raise ``ValueError``.
         """
         cols = tuple(cols)
         k = len(cols)
         if k != len(lifting):
             raise ValueError("lifting must align with cols")
-        if not k or len(set(cols)) != k:  # no columns, or repeated ones
-            self.predicate_calls += 1
-            return 0
-        srt, parity = sorted_with_parity(cols)
-        return self.orientation_sorted(srt, parity, dict(zip(cols, lifting)))
-
-    def orientation_sorted(self, cols, parity, lift):
-        """``parity`` times the sign of the lifted determinant of ``cols``.
-
-        ``cols`` must be nonempty and strictly increasing (only its length
-        and its two ends are checked); ``parity`` is +1 or -1, the sign of
-        the permutation that sorted the caller's columns.  ``lift`` is
-        indexed by column (a list over all columns, or a mapping); its
-        values may be integers or ``fractions.Fraction``.  The expansion
-        runs along the lifting row; every homogeneous sub-minor is requested
-        (and thus cached) even when its lifting coefficient is 0.  Columns
-        that are sorted but repeated give 0: the two terms that drop either
-        copy cancel, and every other sub-minor has two equal columns.
-        """
-        k = len(cols)
         if not k:
             raise ValueError("orientation needs at least one column")
+        if len(set(cols)) != k:
+            self.predicate_calls += 1
+            return 0
+        lift = dict(zip(cols, lifting))
+        cols, parity = sorted_with_parity(cols)
         self._check_sorted(cols, self._nrows + 2)
         t0 = perf_counter()
         hom_tab = self._hom_tab
@@ -394,7 +371,7 @@ class MinorCache:
         the negative of its ``inner_sign``.  That orientation is a
         homogeneous minor when ``lift`` is None, else a lifted determinant
         (``lift`` indexed by column) expanded over the columns whose lift is
-        nonzero only: unlike ``orientation_sorted``, no minor that a 0
+        nonzero only: unlike ``orientation``, no minor that a 0
         multiplies is read.
         """
         t0 = perf_counter()

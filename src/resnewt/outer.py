@@ -18,7 +18,7 @@ from math import factorial, prod
 
 from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from .exactlin import det_bareiss, dot, primitive
-from .geometry import Hyperplane, _cell_volume, _hom_row, _row_cleared
+from .geometry import _cell_volume, _cofactor_plane, _hom_row, _row_cleared
 
 __all__ = ["OuterPolytope", "clip_halfspace"]
 
@@ -116,18 +116,9 @@ class OuterPolytope:
         det = det_bareiss(rows)
         if det == 0:
             raise InvariantViolation("simplex vertices are affinely dependent")
-        constraints = []
-        for i in range(k + 1):
-            others = rows[:i] + rows[i + 1:]
-            # Cofactors: g.h is the determinant of the others over the row h.
-            g = [
-                (-1) ** j * det_bareiss([r[:j] + r[j + 1:] for r in others])
-                for j in range(k + 1)
-            ]
-            if dot(g, rows[i]) > 0:
-                g = [-x for x in g]
-            g = primitive(g)
-            constraints.append(Hyperplane(g[:k], -g[k]))
+        constraints = [
+            _cofactor_plane(rows[:i] + rows[i + 1:], rows[i]) for i in range(k + 1)
+        ]
         everything = frozenset(range(k + 1))
         tight = [everything - {i} for i in range(k + 1)]
         volume = Fraction(abs(det), prod(r[-1] for r in rows) * factorial(k))

@@ -234,7 +234,7 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     basis = saturated_basis(diffs, ambient_dim=m)
     k = len(basis)
 
-    hull = TriangulatedHull(k, track_facets=True)
+    hull = TriangulatedHull(k)
     state = BuildState(
         oracle=ctx,
         p0=p0,
@@ -246,11 +246,7 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
         hull.insert(state.xi_of(p), tag=p)
     if hull.dim != k:
         raise InvariantViolation("seed hull does not span the certified affine hull")
-
-    if k > 0:
-        for key in sorted(hull.facet_map()):
-            state.illegal.append(key)
-            state.queued.add(key)
+    _enqueue(state, hull.facet_map())
     state.init_calls = ctx.pipeline_runs
     return state
 
@@ -286,15 +282,11 @@ def _process(state, on_call=None):
         v, _ = ctx.vtx(w)
         xi_v = state.xi_of(v)
         val = dot(key.normal, xi_v)
-        if val > key.offset:
-            _, added = state.hull.insert(xi_v, tag=v)
-            _enqueue(state, added)
-        elif val == key.offset:
-            state.legal[key] = v
-            _, added = state.hull.insert(xi_v, tag=v)
-            _enqueue(state, added)
-        else:
+        if val < key.offset:
             raise InvariantViolation("oracle answer fell below a facet of Q")
+        if val == key.offset:
+            state.legal[key] = v
+        _enqueue(state, state.hull.insert(xi_v, tag=v))
         if on_call is not None and on_call(w, v):
             return False
     return True
@@ -371,31 +363,25 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         if plane is not None:
             outer = clip_halfspace(outer, plane)
 
-    vol_q = hull_volume(state.hull)
-    vol_qo = outer.volume
-    ratio = vol_q / vol_qo
-    if ratio >= threshold:
-        report = SandwichReport(vol_q, vol_qo, ratio, threshold, True, outer)
-        return state, report
-
-    def on_call(w, v):
-        nonlocal outer, vol_q, vol_qo, ratio
-        plane = _outer_constraint(state, w, v)
-        if plane is not None:
-            outer = clip_halfspace(outer, plane)
+    def sandwich():
         vol_q = hull_volume(state.hull)
         vol_qo = outer.volume
         ratio = vol_q / vol_qo
-        return ratio >= threshold
+        return SandwichReport(vol_q, vol_qo, ratio, threshold, ratio >= threshold, outer)
+
+    report = sandwich()
+    if report.reached:
+        return state, report
+
+    def on_call(w, v):
+        nonlocal outer
+        plane = _outer_constraint(state, w, v)
+        if plane is not None:
+            outer = clip_halfspace(outer, plane)
+        return sandwich().reached
 
     _process(state, on_call=on_call)
-    vol_q = hull_volume(state.hull)
-    vol_qo = outer.volume
-    ratio = vol_q / vol_qo
-    report = SandwichReport(
-        vol_q, vol_qo, ratio, threshold, ratio >= threshold, outer
-    )
-    return state, report
+    return state, sandwich()
 
 
 def compute_pi_random(sys, k, seed=0, use_cache=True):

@@ -9,14 +9,16 @@ import sys
 
 import pytest
 
-from conftest import family_from
-from golden import CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
+from conftest import family_from, system_from
+from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 
 import resnewt
 from resnewt import cli
 from resnewt.cayley import family_to_text
 from resnewt.cli import main
 from resnewt.errors import InvariantViolation
+from resnewt.geometry import hull_volume
+from resnewt.reconstruct import compute_pi
 
 SYLVESTER_TEXT = """\
 1
@@ -248,6 +250,27 @@ def test_compute_random_mode_lower_dimensional_f_vector(tmp_path, capsys):
     code, exact, err = _run(["compute", path, "--f-vector"], capsys)
     assert code == 0
     assert "f-vector: 3 3\n" in exact
+
+
+def test_compute_random_mode_full_dimensional_matches_exact(tmp_path, capsys):
+    # The bicubic target is full-dimensional in ambient 3, so random mode
+    # takes the f-vector from its own hull's facet table; that and its
+    # volume must be exact mode's (a saturated basis of Z^3 is unimodular,
+    # so Q's intrinsic volume is the ambient one).
+    supports = BICUBIC["supports"]
+    text = family_to_text(family_from(BICUBIC["n"], supports, "implicitization"))
+    path = _write(tmp_path, "bicubic.txt", text)
+    code, out, err = _run(
+        ["compute", path, "--mode", "random", "--directions", "60", "--f-vector"],
+        capsys,
+    )
+    assert code == 0
+    assert "dim: 3\nambient: 3\n" in out
+    code, exact, err = _run(["compute", path, "--f-vector"], capsys)
+    assert code == 0
+    assert "f-vector: 6 9 5\n" in exact and "f-vector: 6 9 5\n" in out
+    state = compute_pi(system_from(BICUBIC["n"], supports, "implicitization"))
+    assert "volume: %s\n" % hull_volume(state.hull) in out
 
 
 # -- compute: failure modes ---------------------------------------------------------

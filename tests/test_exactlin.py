@@ -221,9 +221,9 @@ def test_predicates_over_every_column_order():
 @pytest.mark.parametrize("use_cache", [True, False])
 def test_sorted_entries_over_every_order_and_insertion_point(use_cache):
     # Every order of a column set, sorted by bisection with its parity,
-    # reaches every insertion point at every step; the sorted entries must
-    # answer as the any-order ones and as the matrix built in that order,
-    # by Bareiss.
+    # reaches every insertion point at every step; the entries must answer
+    # as the matrix built in that order, by Bareiss, and as the sign of the
+    # sorted columns' matrix times the parity.
     rng = random.Random(22)
     for nrows, k_hom, k_orient in ((2, 3, 4), (3, 4, 5), (4, 5, 6)):
         ncols = k_orient + 3
@@ -233,41 +233,43 @@ def test_sorted_entries_over_every_order_and_insertion_point(use_cache):
         for order in permutations(rng.sample(range(ncols), k_hom)):
             srt, parity = sorted_with_parity(order)
             sign = _sign(det_bareiss(_hom_matrix(base, order)))
-            assert cache.hom_sign_sorted(srt, parity) == sign, order
+            assert parity * _sign(det_bareiss(_hom_matrix(base, srt))) == sign, order
             assert cache.hom_sign(order) == sign, order
         for order in permutations(rng.sample(range(ncols), k_orient)):
             srt, parity = sorted_with_parity(order)
             lifting = [lift[c] for c in order]
             sign = _sign(det_bareiss(_orientation_matrix(base, order, lifting)))
-            assert cache.orientation_sorted(srt, parity, lift) == sign, order
+            sorted_lifting = [lift[c] for c in srt]
+            sorted_sign = _sign(det_bareiss(_orientation_matrix(base, srt, sorted_lifting)))
+            assert parity * sorted_sign == sign, order
             assert cache.orientation(order, lifting) == sign, order
-        # A repeated column, sorted next to its copy, gives 0.
+        # A repeated column, next to its copy, gives 0.
         cols = tuple(sorted(rng.sample(range(ncols), k_orient - 1)))
-        assert cache.orientation_sorted(cols[:1] + cols, 1, lift) == 0
-        assert cache.hom_sign_sorted(cols[:1] + cols[:k_hom - 1], 1) == 0
+        assert cache.orientation(cols[:1] + cols, [lift[c] for c in cols[:1] + cols]) == 0
+        assert cache.hom_sign(cols[:1] + cols[:k_hom - 1]) == 0
         # Out of range at either end, too many columns and none raise.
         for bad in ((-1,) + cols, cols + (ncols,), tuple(range(nrows + 3)), ()):
             with pytest.raises(ValueError):
-                cache.orientation_sorted(bad, 1, lift)
+                cache.orientation(bad, [1] * len(bad))
         hom_cols = cols[:k_hom - 1]
         for bad in ((-1,) + hom_cols, hom_cols + (ncols,), tuple(range(nrows + 2))):
             with pytest.raises(ValueError):
-                cache.hom_sign_sorted(bad, 1)
+                cache.hom_sign(bad)
 
 
 def test_sorted_orientation_counts_match_criterion_5():
-    # The sorted entry requests every sub-minor as orientation does: 15
-    # four-column minors first, 10 new on a column swap, none on a new lift.
+    # orientation requests every sub-minor, whatever the column order: 15
+    # four-column minors first, 10 new on a column swap, none on a new lift
+    # or a new order.
     from golden import MINOR_COUNT_COLUMNS
 
     cache = MinorCache(MINOR_COUNT_COLUMNS)
-    lift = [3, 1, 4, 0, 0, 0, 0]
-    cache.orientation_sorted((0, 1, 2, 3, 4, 5), 1, lift)
+    cache.orientation((0, 1, 2, 3, 4, 5), [3, 1, 4, 0, 0, 0])
     first = cache.stats()["pure_misses_by_size"][4]
-    cache.orientation_sorted((0, 1, 2, 3, 4, 6), 1, lift)
+    cache.orientation((0, 1, 2, 3, 4, 6), [3, 1, 4, 0, 0, 0])
     swap = cache.stats()["pure_misses_by_size"][4] - first
     before = cache.stats()
-    cache.orientation_sorted((0, 1, 2, 3, 4, 5), -1, [7, -2, 9, 0, 0, 0, 0])
+    cache.orientation((1, 0, 2, 3, 4, 5), [-2, 7, 9, 0, 0, 0])
     after = cache.stats()
     assert (first, swap) == (15, 10)
     assert after["pure_misses"] == before["pure_misses"]

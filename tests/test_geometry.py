@@ -29,11 +29,30 @@ from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
 
-def _build(points, ambient=None, track=True):
-    hull = TriangulatedHull(ambient if ambient is not None else len(points[0]), track_facets=track)
+def _orienting(ambient):
+    # A hull whose split_fn always declines orients simplex by simplex and
+    # never files its boundary by plane: the reference for filed hulls.
+    return TriangulatedHull(ambient, split_fn=lambda hull, vid: None)
+
+
+def _build(points, ambient=None, orienting=False):
+    ambient = ambient if ambient is not None else len(points[0])
+    hull = _orienting(ambient) if orienting else TriangulatedHull(ambient)
     for p in points:
         hull.insert(tuple(p), tag=tuple(p))
     return hull
+
+
+def _grouped(hull):
+    # An orienting hull's facet table: its boundary grouped by _bs_plane.
+    groups = {}
+    for bs in hull.boundary:
+        groups.setdefault(hull._bs_plane(bs), set()).update(bs.verts)
+    return {plane: frozenset(ids) for plane, ids in groups.items()}
+
+
+def _sees(plane, p):
+    return sum(a * x for a, x in zip(plane.normal, p)) > plane.offset
 
 
 def _random_points(rng, d, n, lo=-6, hi=6):
@@ -94,30 +113,32 @@ def test_facet_vertices_are_the_extreme_points(d):
 
 
 def test_duplicate_and_interior_points_are_noops():
-    hull = TriangulatedHull(2, track_facets=True)
+    hull = TriangulatedHull(2)
     square = [(0, 0), (4, 0), (4, 4), (0, 4)]
     for p in square:
         hull.insert(p, tag=p)
     nverts = len(hull.points)
     cells_before = sorted(hull.cells)
-    removed, added = hull.insert((2, 2), tag=(2, 2))
-    assert not removed and not added
-    removed, added = hull.insert((0, 0), tag=(0, 0))
-    assert not removed and not added
+    planes_before = set(hull.facet_map())
+    assert hull.insert((2, 2), tag=(2, 2)) == []
+    assert hull.insert((0, 0), tag=(0, 0)) == []
+    assert set(hull.facet_map()) == planes_before
     assert len(hull.points) == nverts
     assert sorted(hull.cells) == cells_before
 
 
 def test_insert_returns_facet_deltas():
-    hull = TriangulatedHull(2, track_facets=True)
+    hull = TriangulatedHull(2)
     for p in [(0, 0), (2, 0), (0, 2)]:
         hull.insert(p, tag=p)
     planes_before = set(hull.facet_map())
-    removed, added = hull.insert((2, 2), tag=(2, 2))
+    added = hull.insert((2, 2), tag=(2, 2))
     planes_after = set(hull.facet_map())
     assert set(added) == planes_after - planes_before
-    assert set(removed) <= planes_before
-    assert planes_before - set(removed) <= planes_after
+    # The planes that went are exactly those the point sees.
+    removed = planes_before - planes_after
+    assert removed == {plane for plane in planes_before if _sees(plane, (2, 2))}
+    assert removed
 
 
 def test_facet_map_keys_support_hull():
@@ -405,7 +426,7 @@ def test_lower_dim_hull_membership():
     for _ in range(7):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         raw.append(tuple(a * u + b * v for u, v in zip(*base)))
-    hull = _build(raw, ambient=4, track=False)
+    hull = _build(raw, ambient=4, orienting=True)
     assert hull.dim <= 2
     for p in hull.points:
         assert point_in_hull(p, raw)
@@ -465,8 +486,8 @@ def test_flat_chart_matches_intrinsic_hull():
         flat_pts = [
             tuple(x + a * y + b * z for x, y, z in zip(p0, u, v)) for a, b in ab
         ]
-        flat = _build(flat_pts, ambient=4, track=False)
-        intrinsic = TriangulatedHull(2, track_facets=True)
+        flat = _build(flat_pts, ambient=4, orienting=True)
+        intrinsic = TriangulatedHull(2)
         for (a, b), p in zip(ab, flat_pts):
             intrinsic.insert((a, b), tag=p)
         assert flat.dim == intrinsic.dim == 2
@@ -507,7 +528,7 @@ def test_extended_clone_matches_direct_build(base_dim):
         lifted = list(dict.fromkeys(
             p + (rng.randint(-9, 9),) for p in _random_points(rng, 3, 6)
         ))
-        small = _build(base, track=False)
+        small = _build(base, orienting=True)
         clone = small.extended_clone()
         direct = TriangulatedHull(4)
         for p in base:
@@ -524,11 +545,11 @@ def test_extended_clone_matches_direct_build(base_dim):
 
 
 def test_cached_planes_track_every_insert():
-    # A track_facets hull keeps its facet table current; after every insert
-    # its facets must still be those of a brute-force hull of the points so far.
+    # A filed hull keeps its facet table current; after every insert its
+    # facets must still be those of a brute-force hull of the points so far.
     rng = random.Random(5)
     pts = _random_points(rng, 3, 14)
-    hull = TriangulatedHull(3, track_facets=True)
+    hull = TriangulatedHull(3)
     for n, p in enumerate(pts, start=1):
         hull.insert(p, tag=p)
         if hull.dim < 3:
@@ -573,7 +594,7 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
             pts = _flat_points(rng, ambient, ambient + 6, rational)
         else:
             pts = _random_points(rng, ambient, ambient + 6)
-        hull = TriangulatedHull(ambient, track_facets=bool(trial % 3))
+        hull = TriangulatedHull(ambient) if trial % 3 else _orienting(ambient)
         for p in pts:
             hull.insert(p, tag=p)
             _assert_signs_fresh(hull)
@@ -608,15 +629,29 @@ def test_dimension_jump_takes_one_orientation():
         if asked != 0:
             _assert_signs_fresh(hull)
 
-    simplex = TriangulatedHull(4)
+    corners = [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]
+    simplex = _orienting(4)
     orient = simplex._orient
     simplex._orient = lambda ids: calls.append(ids) or orient(ids)
     del calls[:]
-    for p in [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]:
-        simplex.insert(p)
+    for p in corners:
+        simplex.insert(p, tag=p)  # the split_fn makes the hull key by tags
     assert simplex.dim == 4 and not calls
     assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
     _assert_signs_fresh(simplex)
+
+    # A hull that files builds its simplex on the jump to full dimension,
+    # from the same one orientation.
+    filed = TriangulatedHull(4)
+    orient = filed._orient
+    filed._orient = lambda ids: calls.append(ids) or orient(ids)
+    del calls[:]
+    for p in corners[:-1]:
+        filed.insert(p)
+    assert not calls
+    filed.insert(corners[-1])
+    assert calls == [(0, 1, 2, 3, 4)] and len(filed.facet_map()) == 5
+    assert len(filed.boundary) == 5 and len(calls) == 1
 
 
 def _hull_state(hull):
@@ -703,9 +738,10 @@ def test_cell_keys_carry_through_clone_inserts_and_jumps():
     "name", ["sylvester", "surface-full", "surface-implicit", "circle-line", "bicubic"]
 )
 def test_oracle_lifted_hull_signs(monkeypatch, name):
-    # The oracle's hulls orient through the minor cache (_t0_orient, then
-    # _lifted_orient in the clone); after every insert of a compute_pi run
-    # their stored signs must still be fresh orientations.
+    # The oracle's hulls orient through the minor cache (their orient_fn
+    # and split_fn); after every insert of a compute_pi run
+    # their stored signs must still be fresh orientations, and having a
+    # split_fn, they never file their boundary by plane.
     golden, mode = {
         "sylvester": (SYLVESTER, "full"),
         "surface-full": (MONOMIAL_SURFACE, "full"),
@@ -721,6 +757,7 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
         out = insert(hull, point, tag)
         if hull.orient_fn is not None:
             _assert_signs_fresh(hull)
+            assert hull._facets is None and out == []
             if hull.ambient == 2 * sysd.n + 1:
                 lifted_dims.append(hull.dim)
         return out
@@ -732,11 +769,12 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_plane_visibility_matches_orientation(d):
-    # A track_facets hull finds visible simplices from its cached planes and
-    # updates its facet table from them, a plain hull orients and regroups.
-    # Grid points often lie exactly on a facet plane, which must not count as
+    # A filed hull finds visible simplices from its cached planes and
+    # updates its facet table from them, an orienting hull orients.  Grid
+    # points often lie exactly on a facet plane, which must not count as
     # visible but must join that plane's ids; both hulls must decide alike,
-    # and replaying the reported deltas must give the table's keys.
+    # the planes that go must be those the point sees, and replaying the
+    # reported additions must give the table's keys.
     rng = random.Random(700 + d)
     for trial in range(5):
         if trial == 4:  # half-integer grid: rational points
@@ -744,22 +782,23 @@ def test_plane_visibility_matches_orientation(d):
         else:
             draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
         pts = list(dict.fromkeys(draw() for _ in range(d + 7)))
-        track = TriangulatedHull(d, track_facets=True)
-        plain = TriangulatedHull(d)
+        track = TriangulatedHull(d)
+        plain = _orienting(d)
         keys = set()
         for p in pts:
-            removed, added = track.insert(p, tag=p)
+            added = track.insert(p, tag=p)
             plain.insert(p, tag=p)
             assert track.points == plain.points
             assert track.cells == plain.cells
             assert _boundary(track) == _boundary(plain)
-            assert not set(removed) & set(added)
-            assert set(removed) <= keys
+            after = set(track.facet_map()) if track.dim == d else set()
+            removed = keys - after
+            assert removed == {plane for plane in keys if _sees(plane, p)}
             assert len(set(added)) == len(added) and not set(added) & keys
-            keys = (keys - set(removed)) | set(added)
+            keys = (keys - removed) | set(added)
             if track.dim == d:
-                assert track.facet_map() == plain.facet_map()
-                assert keys == set(track.facet_map())
+                assert track.facet_map() == _grouped(plain)
+                assert keys == after
             else:
                 assert not keys
         if track.dim < d or d == 5:
@@ -774,8 +813,35 @@ def test_plane_visibility_matches_orientation(d):
         assert got == {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_only_a_hull_without_split_fn_files(d):
+    # Below full dimension no hull has a facet table.  At full dimension
+    # the hull without a split_fn files its boundary, and each insert
+    # returns exactly the keys it added; the hull with one never files.
+    rng = random.Random(800 + d)
+    pts = _random_points(rng, d, d + 8)
+    filed = TriangulatedHull(d)
+    batched = _orienting(d)
+    keys = set()
+    for p in pts:
+        added = filed.insert(p, tag=p)
+        assert batched.insert(p, tag=p) == []
+        with pytest.raises(DegenerateInput):
+            batched.facet_map()
+        assert batched._on_plane is None
+        if filed.dim < d:
+            assert added == []
+            with pytest.raises(DegenerateInput):
+                filed.facet_map()
+            continue
+        now = set(filed.facet_map())
+        assert len(added) == len(set(added)) and set(added) == now - keys
+        keys = now
+    assert filed.dim == batched.dim == d and keys
+
+
 def test_point_on_a_facet_plane_is_not_beyond_it():
-    hull = TriangulatedHull(2, track_facets=True)
+    hull = TriangulatedHull(2)
     for p in [(0, 0), (4, 0), (4, 4), (0, 4)]:
         hull.insert(p, tag=p)
     calls = []
@@ -783,12 +849,13 @@ def test_point_on_a_facet_plane_is_not_beyond_it():
     hull._orient = lambda ids: calls.append(ids) or orient(ids)
     # On the plane y = 0 inside its facet, and inside the square: no-ops,
     # decided from the cached planes without an orientation.
-    assert hull.insert((2, 0)) == ([], [])
-    assert hull.insert((1, 3)) == ([], [])
+    assert hull.insert((2, 0)) == []
+    assert hull.insert((1, 3)) == []
     assert len(hull.points) == 4 and not calls
     # On y = 0 beyond x = 4: only the facet x = 4 sees it, and y = 0 grows.
-    removed, added = hull.insert((6, 0))
-    assert removed == [Hyperplane((1, 0), 4)]
+    before = set(hull.facet_map())
+    hull.insert((6, 0))
+    assert before - set(hull.facet_map()) == {Hyperplane((1, 0), 4)}
     bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
     assert {hull.points[i] for i in bottom} == {(0, 0), (4, 0), (6, 0)}
 
@@ -822,8 +889,8 @@ def _assert_planes_filed(hull):
 def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
     # A tracked full-dimensional insert takes every fresh plane from the two
     # planes at its horizon ridge and derives every fresh sign, so it calls
-    # no determinant.  Each plane must be the cofactor plane a plain hull of
-    # the same points computes, each sign a fresh orientation, and the final
+    # no determinant.  Each plane must be the cofactor plane an orienting
+    # hull of the same points computes, each sign a fresh orientation, and the final
     # table the brute-force facets.
     dets = []
     monkeypatch.setattr(
@@ -834,8 +901,8 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
     for kind in ("random", "grid", "half"):
         for trial in range(3):
             pts = _pencil_points(rng, d, kind)
-            track = TriangulatedHull(d, track_facets=True)
-            plain = TriangulatedHull(d)
+            track = TriangulatedHull(d)
+            plain = _orienting(d)
             for p in pts:
                 full = track.dim == d
                 before = dict(track.facet_map()) if full else {}
@@ -850,7 +917,7 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
                 for bs in track.boundary:
                     assert bs.plane == plain._bs_plane(bs)
                     assert bs.inner_sign == track._orient(bs.verts + (bs.opp,))
-                assert track.facet_map() == plain.facet_map()
+                assert track.facet_map() == _grouped(plain)
                 _assert_planes_filed(track)
                 vid = len(track.points) - 1
                 gained += any(
@@ -872,7 +939,7 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
 
 
 def test_horizon_ridge_on_no_kept_plane_raises():
-    hull = TriangulatedHull(2, track_facets=True)
+    hull = TriangulatedHull(2)
     for p in [(0, 0), (4, 0), (0, 4)]:
         hull.insert(p, tag=p)
     # (2, -3) sees only y = 0; unfile x = 0, so the horizon ridge (0, 0)
