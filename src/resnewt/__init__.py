@@ -39,13 +39,13 @@ from .geometry import (
     TriangulatedHull,
     f_vector,
     hull_volume,
+    lattice_hull,
 )
 from .kernels import BACKEND
 from .oracle import VertexOracle, vtx, vtx_secondary
 from .outer import OuterPolytope, clip_halfspace
 from .reconstruct import (
     BuildState,
-    RandomReport,
     SandwichReport,
     compute_pi,
     compute_pi_approx,
@@ -71,7 +71,6 @@ __all__ = [
     "OuterPolytope",
     "ParseError",
     "ProjectionSpec",
-    "RandomReport",
     "ResnewtError",
     "SandwichReport",
     "SupportFamily",
@@ -91,6 +90,7 @@ __all__ = [
     "family_to_text",
     "hull_volume",
     "initialize",
+    "lattice_hull",
     "parse_input",
     "parse_json",
     "parse_text",

@@ -20,7 +20,7 @@ from .errors import (
     ResnewtError,
 )
 from .exactlin import AffineChart, affine_dim, rank_int, vec_sub
-from .geometry import TriangulatedHull
+from .geometry import TriangulatedHull, lattice_hull
 
 __all__ = [
     "SupportFamily",
@@ -340,10 +340,10 @@ def check_essential(family):
 def _hull_vertices(points, n):
     """The vertices of the hull of distinct points in R^n, as a set.
 
-    One hull over the points; below full dimension it is rebuilt on its
-    pivot coordinates, on which the affine hull projects bijectively.  A
-    recorded point is a vertex exactly when the facet normals through it
-    have rank equal to the hull's dimension.
+    One hull over the points; below full dimension its recorded points are
+    rebuilt as their ``lattice_hull``.  A recorded point is a vertex exactly
+    when the facet normals through it have rank equal to the hull's
+    dimension.
     """
     hull = TriangulatedHull(n)
     for p in points:
@@ -351,11 +351,7 @@ def _hull_vertices(points, n):
     if hull.dim == 0:
         return set(hull.points)
     if hull.dim < n:
-        pivots = hull._pivots
-        flat = TriangulatedHull(len(pivots))
-        for p in hull.points:
-            flat.insert(tuple(p[i] for i in pivots), tag=p)
-        hull = flat
+        hull = lattice_hull(hull.points)[0]
     normals = {}
     for plane, ids in hull.facet_map().items():
         for u in ids:

@@ -35,8 +35,7 @@ from .cayley import (
     unproject,
 )
 from .errors import InvariantViolation, NotEssential, ParseError, ResnewtError
-from .exactlin import intrinsic_coords
-from .geometry import TriangulatedHull, f_vector
+from .geometry import f_vector, hull_volume
 from .kernels import BACKEND
 from .reconstruct import (
     compute_pi,
@@ -68,16 +67,6 @@ class RunConfig:
 
 def _fr(x):
     return str(Fraction(x))
-
-
-def _intrinsic_copy(points):
-    """Rebuild a hull of the given points over their own affine hull."""
-    pts = sorted(set(points))
-    coords = intrinsic_coords(pts)
-    hull = TriangulatedHull(len(coords[0]))
-    for p, xi in zip(pts, coords):
-        hull.insert(xi, tag=p)
-    return hull
 
 
 def _emit_plain(doc, out):
@@ -206,72 +195,46 @@ def run(config, stdin=None, stdout=None, stderr=None):
 def _compute(config, system, out, err):
     """Run the selected mode on a built system and print; the exit code."""
     use_cache = not config.no_hash
+    random_mode = config.mode == "random"
     t0 = time.perf_counter()
-
-    if config.mode == "random":
+    sandwich = None
+    if random_mode:
         if config.directions < max(1, system.m + 1):
             err.write(
                 "error: random mode needs --directions >= m + 1 = %d\n"
                 % (system.m + 1)
             )
             return 2
-        report = compute_pi_random(
+        state = compute_pi_random(
             system, config.directions, seed=config.seed, use_cache=use_cache
         )
-        wall = time.perf_counter() - t0
-        doc = {
-            "mode": "random",
-            "dim": report.dim,
-            "ambient": system.m,
-            "points": [list(p) for p in report.points()],
-            "volume": _fr(report.volume),
-            "directions": report.directions,
-        }
-        if config.f_vector:
-            hull = (
-                report.hull
-                if report.hull.dim == report.hull.ambient
-                else _intrinsic_copy(report.hull.points)
-            )
-            doc["f_vector"] = list(f_vector(hull))
-        if config.unproject and report.hull.points:
-            ref = report.oracle.memo[min(report.oracle.memo)][1]
-            doc["unprojected"] = [
-                list(p)
-                for p in sorted(unproject(system, report.points(), ref))
-            ]
-        _emit(doc, config.fmt, out)
-        if config.stats:
-            lines = [
-                ("oracle calls", report.oracle.pipeline_runs),
-            ] + _cache_stat_lines(report.oracle.cache.stats(), wall)
-            _stats_block(lines, err)
-        return 0
-
-    if config.mode == "approx":
+    elif config.mode == "approx":
         state, sandwich = compute_pi_approx(
             system, config.threshold, seed=config.seed, use_cache=use_cache
         )
     else:
         state = compute_pi(system, seed=config.seed, use_cache=use_cache)
-        sandwich = None
     wall = time.perf_counter() - t0
 
     doc = {
         "mode": config.mode,
         "dim": state.dim,
         "ambient": state.m,
-        "vertices": [list(v) for v in state.vertices()],
+        "points" if random_mode else "vertices": [list(v) for v in state.vertices()],
     }
-    if state.dim > 0:
-        doc["facets"] = [
-            {"normal": list(wv), "offset": off} for wv, off in state.facets_x()
-        ]
-    if state.dim < state.m:
-        doc["equations"] = [
-            {"normal": list(nrm), "offset": off}
-            for nrm, off in sorted(state.equations)
-        ]
+    if random_mode:
+        doc["volume"] = _fr(hull_volume(state.hull))
+        doc["directions"] = config.directions
+    else:
+        if state.dim > 0:
+            doc["facets"] = [
+                {"normal": list(wv), "offset": off} for wv, off in state.facets_x()
+            ]
+        if state.dim < state.m:
+            doc["equations"] = [
+                {"normal": list(nrm), "offset": off}
+                for nrm, off in sorted(state.equations)
+            ]
     if config.f_vector:
         doc["f_vector"] = list(f_vector(state.hull))
     if sandwich is not None:
@@ -293,15 +256,18 @@ def _compute(config, system, out, err):
     _emit(doc, config.fmt, out)
 
     if config.stats:
-        st = reconstruct_stats(state)
-        lines = [
-            ("oracle calls", st["oracle_calls"]),
-            ("init calls", st["init_calls"]),
-            ("main calls", st["main_calls"]),
-            ("vertices", st["vertices"]),
-            ("facets", st["facets"]),
-        ] + _cache_stat_lines(st["cache"], wall)
-        _stats_block(lines, err)
+        if random_mode:
+            lines = [("oracle calls", state.oracle.pipeline_runs)]
+        else:
+            st = reconstruct_stats(state)
+            lines = [
+                ("oracle calls", st["oracle_calls"]),
+                ("init calls", st["init_calls"]),
+                ("main calls", st["main_calls"]),
+                ("vertices", st["vertices"]),
+                ("facets", st["facets"]),
+            ]
+        _stats_block(lines + _cache_stat_lines(state.oracle.cache.stats(), wall), err)
     return 0
 
 

@@ -14,7 +14,7 @@ positive multiplier, which keeps every rank, kernel and span.
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateInput, InvalidDirection, InvariantViolation
+from .errors import DegenerateInput, InvalidDirection
 from .kernels import MinorCache, det_bareiss
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "affine_dim",
     "integer_kernel",
     "saturated_basis",
-    "intrinsic_coords",
 ]
 
 
@@ -246,10 +245,11 @@ def saturated_basis(vectors, ambient_dim=None):
 class AffineChart:
     """Integer coordinates on the lattice p0 + Z.B, computed in integers only.
 
-    For the k independent integer basis vectors B (as columns), ``rows`` are
-    k coordinates J on which B is nonsingular, ``det`` is det B_J, ``adj``
-    the integer adjugate of B_J (so adj.B_J = det.I), ``span`` the m rows of
-    B, ``gram_det`` is det(B^T B) > 0 and ``pull`` the m rows of
+    For the k independent integer basis vectors B (as columns), kept in
+    ``basis``, ``rows`` are k coordinates J on which B is nonsingular,
+    ``det`` is det B_J, ``adj`` the integer adjugate of B_J (so
+    adj.B_J = det.I), ``span`` the m rows of B, ``gram_det`` is
+    det(B^T B) > 0 and ``pull`` the m rows of
     B.adj(B^T B), so that (B^T B)^{-1} B^T is pull^T / gram_det.  Raises
     ``DegenerateInput`` when the basis vectors are dependent.
     """
@@ -260,6 +260,7 @@ class AffineChart:
             if not echelon_extend(b, echelon, pivots):
                 raise DegenerateInput("basis vectors are linearly dependent")
         self.p0 = tuple(p0)
+        self.basis = list(basis)
         self.rows = sorted(pivots)
         b_j = [[b[j] for b in basis] for j in self.rows]
         self.det = det_bareiss(b_j)
@@ -290,17 +291,3 @@ class AffineChart:
             return None
         return tuple(t // d for t in num)
 
-
-def intrinsic_coords(points):
-    """Integer coordinates of integer points over their own affine hull.
-
-    The chart is ``points[0]`` plus a saturated basis of the differences, so
-    every point gets integer coordinates and lattice volumes are kept.
-    """
-    p0 = points[0]
-    basis = saturated_basis([vec_sub(p, p0) for p in points[1:]], ambient_dim=len(p0))
-    chart = AffineChart(p0, basis)
-    coords = [chart.coords(p) for p in points]
-    if None in coords:
-        raise InvariantViolation("point off the lattice of its own affine hull")
-    return coords

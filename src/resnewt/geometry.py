@@ -21,21 +21,23 @@ from typing import NamedTuple
 
 from .errors import DegenerateInput, InvariantViolation
 from .exactlin import (
+    AffineChart,
     affine_dim,
     canonical_hyperplane,
     det_bareiss,
     dot,
     echelon_extend,
-    intrinsic_coords,
+    saturated_basis,
     vec_sub,
 )
-from .kernels import insert_sorted, sorted_with_parity
+from .kernels import _sign, insert_sorted, sorted_with_parity
 
 __all__ = [
     "Hyperplane",
     "TriangulatedHull",
     "affine_dim",
     "hull_volume",
+    "lattice_hull",
     "f_vector",
 ]
 
@@ -98,10 +100,6 @@ def _hom_row(pt):
     return (*row, mult)
 
 
-def _sign(d):
-    return (d > 0) - (d < 0)
-
-
 class TriangulatedHull:
     """Incremental convex hull with maintained placing triangulation.
 
@@ -154,13 +152,12 @@ class TriangulatedHull:
 
     ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
-    (dim+1)-tuple of point ids; cells partition the hull.  Within one
+    (dim+1)-tuple of point ids; cells partition the hull.  At full
     dimension cells are only appended, so ``hull_volume`` keeps a running
-    sum over the cells it has seen; a dimension jump rewrites every cell and
-    resets that sum.  ``points`` records every point that was a vertex when
-    inserted (a later insertion may make an earlier point non-extreme
-    without removing it from this list; that never happens when every
-    inserted point is a vertex of the final hull).
+    sum over the cells it has seen.  ``points`` records every point that
+    was a vertex when inserted (a later insertion may make an earlier point
+    non-extreme without removing it from this list; that never happens when
+    every inserted point is a vertex of the final hull).
     """
 
     def __init__(self, ambient_dim, orient_fn=None, split_fn=None):
@@ -301,36 +298,25 @@ class TriangulatedHull:
             return self._standard_insert(pt, tag)
         # The hull has just reached this dimension, so every facet is new.
         if self.dim == self.ambient and self.split_fn is None:
-            self._file_by_plane()
-            return list(self._facets)
+            return self._file_by_plane()
         return []
 
     def _file_by_plane(self):
-        # The facet table, and the index that inserts keep from here.
+        # The facet table, and the index that inserts keep from here: every
+        # boundary simplex is fresh to empty tables.
         boundary = self.boundary
-        on_plane = {}
         for serial, bs in enumerate(boundary):
             bs.plane = self._bs_plane(bs)
             bs.serial = serial
-            on_plane.setdefault(bs.plane, []).append(bs)
-        planes_at = {}
-        facets = {}
-        for plane, group in on_plane.items():
-            ids = facets[plane] = frozenset(u for bs in group for u in bs.verts)
-            for u in ids:
-                planes_at.setdefault(u, set()).add(plane)
-        self._facets = facets
-        self._on_plane = on_plane
-        self._planes_at = planes_at
+        self._facets, self._on_plane, self._planes_at = {}, {}, {}
         self._serials = len(boundary)
         self._boundary = None
+        return self._refile((), boundary)
 
     def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
         self._chart = sorted(self._pivots) + [-1]
         self.dim += 1
-        self._vol_cells = 0
-        self._vol_sum = 0
         if self._pending or self.dim == 1:
             # Jumps alone so far: one cell, built on first read.
             self.cells = [self.cells[0] + (vid,)]
@@ -607,38 +593,57 @@ def hull_volume(hull):
 
     Full-dimensional hulls take one integer determinant per cell over the
     cleared homogeneous rows: det(m_i.p_i, m_i) is prod(m_i) times the
-    determinant of the cell's edges.  Lower-dimensional hulls are
-    re-parameterized over a saturated basis of their affine hull, so integer
+    determinant of the cell's edges.  The sum is kept on the hull and a call
+    adds only the cells appended since the last one.  A lower-dimensional
+    hull takes the volume of its points' ``lattice_hull``, so integer
     polytopes get their lattice-normalized volume and volume *ratios* of
-    hulls sharing one space are parameterization-independent; a cell's
-    volume does not depend on which saturated basis is taken, so it is
-    summed once.  The sum is kept on the hull and a call adds only the cells
-    appended since the last one.  A single point has volume 1 by convention.
-    Rational points below full dimension raise ``ValueError``: their affine
-    hull need not carry a lattice to normalize by.
+    hulls sharing one space are parameterization-independent.  A single
+    point has volume 1 by convention.  Rational points below full dimension
+    raise ``ValueError``: their affine hull need not carry a lattice to
+    normalize by.
     """
     k = hull.dim
     if k <= 0:
         return Fraction(1)
     hom = hull._hom
-    new_cells = hull.cells[hull._vol_cells:]
-    total = hull._vol_sum
-    if k == hull.ambient:
-        for cell in new_cells:
-            total += _cell_volume([hom[v] for v in cell])
-    elif new_cells:
+    if k < hull.ambient:
         if any(h[-1] != 1 for h in hom):
             raise ValueError(
                 "hull_volume below full dimension needs integer points: the "
                 "volume is normalized to the lattice of the affine hull"
             )
-        coords = intrinsic_coords(hull.points)
-        for cell in new_cells:
-            c0 = coords[cell[0]]
-            total += abs(det_bareiss([vec_sub(coords[v], c0) for v in cell[1:]]))
+        return hull_volume(lattice_hull(hull.points)[0])
+    total = hull._vol_sum
+    for cell in hull.cells[hull._vol_cells:]:
+        total += _cell_volume([hom[v] for v in cell])
     hull._vol_cells = len(hull.cells)
     hull._vol_sum = total
     return Fraction(total) / factorial(k)
+
+
+def lattice_hull(points):
+    """The hull of integer points over their own lattice, and its chart.
+
+    The chart is p0 = min(points) plus a saturated basis of the differences,
+    taken in the order given, so every integer point of the affine hull has
+    integer coordinates and lattice volumes are kept.  The points are
+    inserted in the order given, each tagged by itself; the hull is
+    full-dimensional in the chart.  Returns (hull, chart).
+    """
+    pts = list(points)
+    p0 = min(pts)
+    diffs = [vec_sub(p, p0) for p in pts if p != p0]
+    basis = saturated_basis(diffs, ambient_dim=len(p0))
+    chart = AffineChart(p0, basis)
+    hull = TriangulatedHull(len(basis))
+    for p in pts:
+        xi = chart.coords(p)
+        if xi is None:
+            raise InvariantViolation("point off the lattice of its own affine hull")
+        hull.insert(xi, tag=p)
+    if hull.dim != len(basis):
+        raise InvariantViolation("hull does not span its chart")
+    return hull, chart
 
 
 # -- f-vector ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ The polytope is recovered output-sensitively: an initialization phase finds
 its affine hull (recording every certified equation), then a Beneath-and-
 Beyond loop grows an inner approximation Q inside that affine hull.  Each
 facet of Q is either *legal* — certified to support the target polytope — or
-queued for a test query in its outward normal direction.  A query either
+awaiting a test query in its outward normal direction.  A query either
 certifies the facet or supplies a new vertex strictly beyond it.  When the
 queue empties, Q equals the target.  Every query also yields an outer
 halfspace, so a sandwich Q <= target <= Q_o is available at all times; the
@@ -24,13 +24,13 @@ from .exactlin import (
     dot,
     integer_kernel,
     rank_int,
-    saturated_basis,
     vec_sub,
 )
 from .geometry import (
     Hyperplane,
     TriangulatedHull,
     hull_volume,
+    lattice_hull,
 )
 from .oracle import VertexOracle
 from .outer import OuterPolytope, clip_halfspace
@@ -38,7 +38,6 @@ from .outer import OuterPolytope, clip_halfspace
 __all__ = [
     "BuildState",
     "SandwichReport",
-    "RandomReport",
     "initialize",
     "compute_pi",
     "compute_pi_approx",
@@ -52,22 +51,20 @@ class BuildState:
     """Everything the reconstruction loop maintains.
 
     ``hull`` is Q, kept in exact integer intrinsic coordinates: a point x of
-    the target satisfies x = p0 + B.xi with B the (saturated) column basis,
-    so xi runs over a full-dimensional lattice polytope.  ``legal`` maps a
-    facet hyperplane (in xi-space) to the oracle point certifying it;
-    ``illegal`` holds hyperplanes still awaiting their test query.
+    the target satisfies x = p0 + B.xi over the lattice ``chart`` p0 + Z.B,
+    with B a saturated basis, so xi runs over a full-dimensional lattice
+    polytope.  ``legal`` maps a facet hyperplane (in xi-space) to the oracle
+    point certifying it; ``illegal`` holds hyperplanes still awaiting their
+    test query, each once.
     """
 
     oracle: VertexOracle
-    p0: tuple
-    basis: list
+    chart: AffineChart
     equations: list
     hull: TriangulatedHull
     illegal: deque = field(default_factory=deque)
-    queued: set = field(default_factory=set)
     legal: dict = field(default_factory=dict)
     init_calls: int = 0
-    _chart: AffineChart = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -76,13 +73,6 @@ class BuildState:
     @property
     def m(self):
         return self.oracle.sys.m
-
-    @property
-    def chart(self):
-        """The lattice chart p0 + Z.B, built on first use."""
-        if self._chart is None:
-            self._chart = AffineChart(self.p0, self.basis)
-        return self._chart
 
     def vertices(self):
         """Vertices found so far, in original coordinates, lexicographic."""
@@ -134,20 +124,6 @@ class SandwichReport:
     threshold: Fraction
     reached: bool
     outer: OuterPolytope
-
-
-@dataclass
-class RandomReport:
-    """Hull of the oracle's answers over seeded random directions."""
-
-    oracle: VertexOracle
-    hull: TriangulatedHull
-    directions: int
-    dim: int
-    volume: Fraction
-
-    def points(self):
-        return sorted(self.hull.points)
 
 
 def _normalize_equation(normal, offset):
@@ -229,33 +205,17 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
             eq_normals.append(list(w))
             equations.append(_normalize_equation(w, cp))
 
-    p0 = min(seen)
-    diffs = [vec_sub(p, p0) for p in seen if p != p0]
-    basis = saturated_basis(diffs, ambient_dim=m)
-    k = len(basis)
-
-    hull = TriangulatedHull(k)
-    state = BuildState(
-        oracle=ctx,
-        p0=p0,
-        basis=list(basis),
-        equations=equations,
-        hull=hull,
-    )
-    for p in seen:
-        hull.insert(state.xi_of(p), tag=p)
-    if hull.dim != k:
-        raise InvariantViolation("seed hull does not span the certified affine hull")
+    hull, chart = lattice_hull(seen)
+    state = BuildState(ctx, chart, equations, hull, init_calls=ctx.pipeline_runs)
     _enqueue(state, hull.facet_map())
-    state.init_calls = ctx.pipeline_runs
     return state
 
 
 def _enqueue(state, added):
-    for key in sorted(added):
-        if key not in state.legal and key not in state.queued:
-            state.illegal.append(key)
-            state.queued.add(key)
+    # An insert reports only planes absent from Q's facet table, and a plane
+    # the new point sees never supports Q again: no plane comes twice, and
+    # none is legal before its pop.
+    state.illegal.extend(sorted(added))
 
 
 def _process(state, on_call=None):
@@ -267,11 +227,8 @@ def _process(state, on_call=None):
     ctx = state.oracle
     while state.illegal:
         key = state.illegal.popleft()
-        state.queued.discard(key)
         if key not in state.hull.facet_map():
-            continue  # facet destroyed since it was queued
-        if key in state.legal:
-            continue
+            continue  # facet destroyed while it waited
         w = state.pullback(key.normal)
         if w in ctx.memo:
             # A parallel facet was queried before; its answer lies on this
@@ -305,10 +262,11 @@ def _outer_constraint(state, w, point):
     Returns None when the direction is constant on the target's affine hull
     (an equation direction): its constraint is trivially true in xi-space.
     """
-    normal = tuple(dot(b, w) for b in state.basis)
+    chart = state.chart
+    normal = tuple(dot(b, w) for b in chart.basis)
     if all(a == 0 for a in normal):
         return None
-    offset = dot(w, vec_sub(point, state.p0))
+    offset = dot(w, vec_sub(point, chart.p0))
     nrm, off = canonical_hyperplane(list(normal), offset)
     return Hyperplane(nrm, off)
 
@@ -385,12 +343,14 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
 
 
 def compute_pi_random(sys, k, seed=0, use_cache=True):
-    """Hull of vtx answers over k seeded random integer directions.
+    """Q seeded with the vtx answers over k seeded random integer directions.
 
     Directions are drawn as rounded scaled Gaussian vectors, so for a fixed
     seed the first k1 < k2 directions of a k2-run are exactly the k1-run's.
-    Requires k >= m + 1; the resulting hull may still undershoot the target
-    (its dimension is reported, not asserted).
+    Requires k >= m + 1.  Returns a ``BuildState`` whose Q is the
+    ``lattice_hull`` of the answers, in the order found; its facets are
+    neither certified nor awaiting a query, and Q may still undershoot the
+    target (its dimension is reported, not asserted).
     """
     m = sys.m
     if k < m + 1:
@@ -404,24 +364,18 @@ def compute_pi_random(sys, k, seed=0, use_cache=True):
         if all(v == 0 for v in ints):
             continue
         dirs.append(canonical_direction(ints))
-    hull = TriangulatedHull(m)
+    seen = {}
     for w in dirs:
-        point, _ = ctx.vtx(w)
-        hull.insert(point, tag=point)
-    return RandomReport(
-        oracle=ctx,
-        hull=hull,
-        directions=k,
-        dim=hull.dim,
-        volume=hull_volume(hull),
-    )
+        seen.setdefault(ctx.vtx(w)[0])
+    hull, chart = lattice_hull(seen)
+    return BuildState(ctx, chart, [], hull, init_calls=ctx.pipeline_runs)
 
 
 def stats(state):
     """Summary statistics; checks the output-sensitive call bound."""
     hull = state.hull
     nv = len(hull.points)
-    nf = len(hull.facet_map()) if hull.dim == hull.ambient else 0
+    nf = len(hull.facet_map())
     total = state.oracle.pipeline_runs
     main = total - state.init_calls
     if main > nv + nf:

@@ -9,7 +9,7 @@ from conftest import family_from, system_from
 from golden import BICUBIC, MONOMIAL_SURFACE, SYLVESTER
 from reference import extreme_points
 
-from resnewt import cayley
+from resnewt import cayley, geometry
 from resnewt.cayley import (
     build_cayley,
     check_essential,
@@ -270,8 +270,9 @@ def test_preprocess_keeps_exactly_the_extreme_specialized_points():
 
 
 def test_preprocess_builds_one_hull_per_block(monkeypatch):
-    # One hull per block with specialized points, and one more on its pivot
-    # coordinates when the block's specialized points are not full-dimensional.
+    # One hull per block with specialized points, and one more, their
+    # lattice_hull, when the block's specialized points are not
+    # full-dimensional.
     builds = []
 
     class CountedHull(cayley.TriangulatedHull):
@@ -280,6 +281,7 @@ def test_preprocess_builds_one_hull_per_block(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cayley, "TriangulatedHull", CountedHull)
+    monkeypatch.setattr(geometry, "TriangulatedHull", CountedHull)
     for fam in _preprocess_families():
         del builds[:]
         preprocess(fam)

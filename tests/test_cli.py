@@ -313,6 +313,22 @@ def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+def test_compute_random_ambiguous_unprojection_exit_2(tmp_path, capsys):
+    # Random mode builds the same document as exact mode, so its
+    # --unproject fails as cleanly on the same instance.
+    text = (
+        "2\n0 0; 1 1\n0 0; 2 0; 0 2\n0 0; 1 0; 0 1\nprojection: implicit\n"
+    )
+    path = _write(tmp_path, "ambiguous.txt", text)
+    code, out, err = _run(
+        ["compute", path, "--mode", "random", "--directions", "10", "--unproject"],
+        capsys,
+    )
+    assert code == 2
+    assert "unproject" in err
+    assert out == ""
+
+
 def test_compute_not_essential_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "degenerate.txt", NOT_ESSENTIAL_TEXT)
     code, out, err = _run(["compute", path], capsys)
@@ -334,11 +350,15 @@ def test_compute_invariant_violation_exit_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "golden, mode",
-    [(SYLVESTER, "full"), (CIRCLE_LINE, "u-resultant")],
-    ids=["sylvester-full", "circle-line-ures"],
+    "golden, mode, args",
+    [
+        (SYLVESTER, "full", []),
+        (CIRCLE_LINE, "u-resultant", []),
+        (CIRCLE_LINE, "u-resultant", ["--mode", "random", "--directions", "30"]),
+    ],
+    ids=["sylvester-full", "circle-line-ures", "circle-line-ures-random"],
 )
-def test_compute_json_identical_under_python_O(golden, mode):
+def test_compute_json_identical_under_python_O(golden, mode, args):
     # Typed invariants, not asserts, guard the exact paths, so stripping
     # asserts must not change a single byte of the output.
     text = family_to_text(family_from(golden["n"], golden["supports"], mode))
@@ -348,7 +368,8 @@ def test_compute_json_identical_under_python_O(golden, mode):
     outs = []
     for flags in ([], ["-O"]):
         result = subprocess.run(
-            [sys.executable, *flags, "-m", "resnewt", "compute", "-", "--format", "json"],
+            [sys.executable, *flags, "-m", "resnewt", "compute", "-", "--format", "json"]
+            + args,
             input=text,
             capture_output=True,
             text=True,
@@ -357,7 +378,8 @@ def test_compute_json_identical_under_python_O(golden, mode):
         )
         assert result.returncode == 0, result.stderr
         outs.append(result.stdout)
-    assert json.loads(outs[0])["vertices"]
+    doc = json.loads(outs[0])
+    assert doc["points" if args else "vertices"]
     assert outs[0] == outs[1]
 
 

@@ -23,7 +23,13 @@ from reference import (
 
 from resnewt import geometry
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
-from resnewt.geometry import Hyperplane, TriangulatedHull, f_vector, hull_volume
+from resnewt.geometry import (
+    Hyperplane,
+    TriangulatedHull,
+    f_vector,
+    hull_volume,
+    lattice_hull,
+)
 from resnewt.kernels import det_bareiss, sorted_with_parity
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
@@ -171,6 +177,32 @@ def test_hull_volume_closed_forms():
     assert hull_volume(_build([(5, 5)])) == 1
     empty = TriangulatedHull(2)
     assert hull_volume(empty) == 1
+
+
+def test_lattice_hull_charts_points_over_their_own_lattice():
+    # Tagged by the points, full-dimensional in a chart that round-trips
+    # them, with the lattice volumes of test_hull_volume_closed_forms.
+    cases = [
+        ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], 2, 2),  # triangle in x+y+z=2
+        ([(0, 0, 0), (3, 6, 0)], 1, 3),  # segment: lattice length
+        ([(5, 5)], 0, 1),  # single point
+        ([(0, 0), (2, 0), (2, 2), (0, 2)], 2, 4),
+    ]
+    for pts, dim, volume in cases:
+        hull, chart = lattice_hull(pts)
+        assert hull.dim == hull.ambient == len(chart.basis) == dim
+        assert hull.tags == pts
+        assert chart.p0 == min(pts)
+        for xi, p in zip(hull.points, hull.tags):
+            assert chart.coords(p) == xi
+            back = tuple(
+                a + sum(b[j] * x for b, x in zip(chart.basis, xi))
+                for j, a in enumerate(chart.p0)
+            )
+            assert back == p
+        assert hull_volume(hull) == volume
+    with pytest.raises(InvariantViolation):
+        lattice_hull([(0, 0), (Fraction(1, 2), 0)])  # off its own lattice
 
 
 def test_hull_volume_matches_shoelace():

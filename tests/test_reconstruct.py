@@ -17,10 +17,11 @@ from reference import (
     ref_solve_unique,
 )
 
+from resnewt import reconstruct
 from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
-from resnewt.exactlin import saturated_basis
+from resnewt.exactlin import AffineChart, saturated_basis
 from resnewt.geometry import TriangulatedHull, hull_volume
 from resnewt.oracle import VertexOracle
 from resnewt.reconstruct import (
@@ -85,7 +86,7 @@ def test_initialize_equations_hold_on_golden_vertices():
 
 def test_initialize_seeds_queue():
     state = initialize(_sys(CIRCLE_LINE, "u-resultant"))
-    assert state.queued or state.dim == 0
+    assert state.illegal or state.dim == 0
     assert state.init_calls == state.oracle.pipeline_runs
 
 
@@ -169,7 +170,7 @@ def test_exact_initialization_skips_only_certified_rounds(name, monkeypatch):
         [[row[c] for c in spec] for row in sysd.M] if spec else []
     )
     assert exact.dim == approx.dim == sysd.m - eq_rank == sysd.m - len(exact.equations)
-    assert ref_rank([_sub(p, exact.p0) for p in exact.hull.tags]) == exact.dim
+    assert ref_rank([_sub(p, exact.chart.p0) for p in exact.hull.tags]) == exact.dim
     for w in asked[len(exact_asked):]:
         point = approx.oracle.memo[w][0]
         assert any(
@@ -399,7 +400,7 @@ def test_stats_rejects_violated_call_bound():
 def test_xi_of_rejects_points_off_the_affine_hull():
     # A line through the origin in the plane, spanned by a non-saturated
     # basis vector so that a point of the line can still miss its lattice.
-    state = BuildState(oracle=None, p0=(0, 0), basis=[(2, 2)], equations=[], hull=None)
+    state = BuildState(None, AffineChart((0, 0), [(2, 2)]), [], None)
     assert state.xi_of((4, 4)) == (2,)
     with pytest.raises(InvariantViolation):
         state.xi_of((1, 0))  # off the line
@@ -409,7 +410,7 @@ def test_xi_of_rejects_points_off_the_affine_hull():
 
 def test_xi_of_rejects_points_off_a_zero_dimensional_target():
     # With no basis the certified affine hull is the single point p0.
-    state = BuildState(oracle=None, p0=(0, 0), basis=[], equations=[], hull=None)
+    state = BuildState(None, AffineChart((0, 0), []), [], None)
     assert state.xi_of((0, 0)) == ()
     with pytest.raises(InvariantViolation):
         state.xi_of((5, 7))
@@ -427,7 +428,7 @@ def test_xi_of_and_pullback_match_rational_solves():
         if k == 0:
             continue
         p0 = tuple(rng.randint(-5, 5) for _ in range(m))
-        state = BuildState(oracle=None, p0=p0, basis=list(basis), equations=[], hull=None)
+        state = BuildState(None, AffineChart(p0, basis), [], None)
         cols = [[b[j] for b in basis] for j in range(m)]  # B, m x k
         xi = tuple(rng.randint(-6, 6) for _ in range(k))
         x = tuple(p0[j] + _dot(cols[j], xi) for j in range(m))
@@ -459,10 +460,28 @@ def test_legal_directions_certified():
     # After completion every queued direction was certified legal (supporting)
     # or became stale; the legal map stores the supporting answers.
     state = compute_pi(_sys(MONOMIAL_SURFACE, "full"))
-    assert not state.queued
     assert not state.illegal
     for key, answer in state.legal.items():
         assert answer in state.vertices()
+
+
+@pytest.mark.parametrize("name,sysd,vertices", GOLDEN_CASES, ids=lambda c: "")
+def test_each_plane_enqueued_once(name, sysd, vertices, monkeypatch):
+    # An insert reports only planes new to Q's facet table, and a plane the
+    # new point sees never supports Q again: no plane reaches the queue twice.
+    planes = []
+    enqueue = reconstruct._enqueue
+
+    def spy(state, added):
+        planes.extend(added)
+        enqueue(state, added)
+
+    monkeypatch.setattr(reconstruct, "_enqueue", spy)
+    for run in (compute_pi, lambda s: compute_pi_approx(s, threshold=1)):
+        del planes[:]
+        run(_sys_copy(sysd))
+        assert planes, name
+        assert len(planes) == len(set(planes)), name
 
 
 # -- approximation -----------------------------------------------------------------
@@ -541,27 +560,27 @@ def test_random_mode_requires_enough_directions():
 
 def test_random_mode_recovers_small_polytopes():
     for name, sysd, vertices in GOLDEN_CASES:
-        report = compute_pi_random(sysd, 600, seed=1)
-        assert set(report.points()) == set(vertices), name
-        pts = report.points()
-        assert report.dim == ref_rank([[a - b for a, b in zip(p, pts[0])] for p in pts])
+        state = compute_pi_random(sysd, 600, seed=1)
+        assert set(state.vertices()) == set(vertices), name
+        pts = state.vertices()
+        assert state.dim == ref_rank([[a - b for a, b in zip(p, pts[0])] for p in pts])
 
 
 def test_random_mode_nested_prefix():
     sysd = _sys(CIRCLE_LINE, "u-resultant")
     small = compute_pi_random(sysd, 40, seed=9)
     big = compute_pi_random(_sys(CIRCLE_LINE, "u-resultant"), 120, seed=9)
-    assert small.directions == 40 and big.directions == 120
+    assert len(small.oracle.memo) == 40 and len(big.oracle.memo) == 120
     # Same seed yields the same direction stream; the memo preserves order.
     small_dirs = list(small.oracle.memo)
     big_dirs = list(big.oracle.memo)
     assert big_dirs[: len(small_dirs)] == small_dirs
-    assert set(small.points()) <= set(big.points())
+    assert set(small.vertices()) <= set(big.vertices())
 
 
 def test_random_mode_points_inside_exact_hull():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     exact = set(compute_pi(_sys(MONOMIAL_SURFACE, "full")).vertices())
-    report = compute_pi_random(sysd, 10, seed=123)
-    for p in report.points():
+    state = compute_pi_random(sysd, 10, seed=123)
+    for p in state.vertices():
         assert p in exact or point_in_hull(p, sorted(exact))
