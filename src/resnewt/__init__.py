@@ -42,7 +42,7 @@ from .geometry import (
     lattice_hull,
 )
 from .kernels import BACKEND
-from .oracle import VertexOracle, vtx, vtx_secondary
+from .oracle import VertexOracle, vtx
 from .outer import OuterPolytope, clip_halfspace
 from .reconstruct import (
     BuildState,
@@ -98,5 +98,4 @@ __all__ = [
     "stats",
     "unproject",
     "vtx",
-    "vtx_secondary",
 ]

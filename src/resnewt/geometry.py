@@ -12,7 +12,6 @@ volume run on integers: a rational point is kept as its homogeneous row
 volumes handed out.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
@@ -30,7 +29,7 @@ from .exactlin import (
     saturated_basis,
     vec_sub,
 )
-from .kernels import _sign, insert_sorted, sorted_with_parity
+from .kernels import _sign, mask_with_parity
 
 __all__ = [
     "Hyperplane",
@@ -60,13 +59,14 @@ class _BoundarySimplex:
     candidate point lies beyond the simplex's hyperplane exactly when its
     orientation sign is the negative of it.  A filed hull sets ``plane``,
     the simplex's outward hyperplane, from cofactors (``_bs_plane``) when it
-    files and from the pencil at the horizon ridge after that, and numbers
-    its simplices in order of creation (``serial``).  A hull with a
-    ``split_fn`` keeps ``key``, the sorted tags of ``verts``, and
-    ``parity``, the sign of the permutation that sorts them.
+    files and from the pencil at the horizon ridge after that, numbers its
+    simplices in order of creation (``serial``), and links their neighbours:
+    ``nbrs[j]`` is the other simplex on the ridge without ``verts[j]``.  A
+    hull with a ``split_fn`` keeps ``key``, the bitmask of the tags of
+    ``verts`` (bit t for tag t), and ``parity``, the sign of their sort.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity", "serial")
+    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity", "serial", "nbrs")
 
     def __init__(self, verts, opp, inner_sign, key=None, parity=1):
         self.verts = verts
@@ -111,10 +111,11 @@ class TriangulatedHull:
     ``split_fn(hull, vid)`` may return the (visible, kept) split of the
     boundary by the new point ``vid``, every orientation of (verts..., vid)
     taken at once, or None to orient simplex by simplex.  Its hull keeps
-    each boundary simplex's sorted tags (``key``), which must be distinct
-    and comparable: a fresh simplex gets its parent's without the witness's
-    tag and with the new point's; a dimension jump copies or sorts an old
-    cell's.
+    each boundary simplex's tags as a bitmask with their sort parity
+    (``key``, ``parity``), so its tags must be distinct non-negative
+    ``int``s, and ``insert`` raises ``ValueError`` on any other: a fresh
+    simplex gets its parent's key with the witness's bit cleared and the
+    new point's set; a dimension jump copies an old cell's key or makes it.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
@@ -144,10 +145,11 @@ class TriangulatedHull:
     table (``facet_map``) current.  A filed insert takes one dot product per
     plane, touches only the simplices on the planes the point sees, and
     takes each fresh plane from the two planes at its horizon ridge
-    (``_pencil_plane``), so it computes no determinant; the boundary is
-    assembled, in creation order, only when read.  Every hull derives a
-    fresh simplex's sign from its parent's visibility test, which found the
-    point beyond the parent's plane or oriented a permutation of its points
+    (``_pencil_plane``), the second that of the simplex's neighbour across
+    the ridge, so it computes no determinant; the boundary is assembled, in
+    creation order, only when read.  Every hull derives a fresh simplex's
+    sign from its parent's visibility test, which found the point beyond
+    the parent's plane or oriented a permutation of its points
     (so, as at a jump, an ``orient_fn`` must be a determinant).
 
     ``boundary`` holds the boundary simplices of the current hull, and
@@ -181,10 +183,9 @@ class TriangulatedHull:
         self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
         self._facets = None  # facet_map's table, once the boundary is filed
-        # A filed hull: plane -> simplices on it, vertex id -> planes through
-        # it, and a creation serial per simplex that gives the boundary order.
+        # A filed hull: plane -> simplices on it, and a creation serial per
+        # simplex that gives the boundary order.
         self._on_plane = None
-        self._planes_at = None
         self._serials = 0
         # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
         self._vol_cells = 0
@@ -224,13 +225,13 @@ class TriangulatedHull:
         self._boundary = boundary
 
     def _key(self, ids):
-        # (sorted tags, parity) in a hull with a split_fn, else no key.
+        # (tag mask, parity) in a hull with a split_fn, else no key.
         if self.split_fn is None:
             return None, 1
-        return sorted_with_parity([self.tags[i] for i in ids])
+        return mask_with_parity([self.tags[i] for i in ids])
 
     def key_cells(self):
-        """Key each cell by its sorted tags, which the next jump copies.
+        """Key each cell by its tag mask, which the next jump copies.
 
         Inserts keep the keys, also in an extended clone, up to that jump.
         """
@@ -285,6 +286,8 @@ class TriangulatedHull:
             raise ValueError("point has wrong dimension")
         if pt in self._index:
             return []
+        if self.split_fn and (type(tag) is not int or tag < 0 or tag in self.tags):
+            raise ValueError("a hull with a split_fn takes distinct non-negative int tags")
         if self.dim == -1:
             self._record(pt, tag)
             self.dim = 0
@@ -308,9 +311,17 @@ class TriangulatedHull:
         for serial, bs in enumerate(boundary):
             bs.plane = self._bs_plane(bs)
             bs.serial = serial
-        self._facets, self._on_plane, self._planes_at = {}, {}, {}
+        self._facets, self._on_plane = {}, {}
         self._serials = len(boundary)
         self._boundary = None
+        open_ridges = {}  # ridge -> the first simplex on it, and its place
+        for bs in boundary:
+            verts = bs.verts
+            bs.nbrs = [None] * len(verts)
+            for j in range(len(verts)):
+                other, i = open_ridges.setdefault(verts[:j] + verts[j + 1:], (bs, j))
+                if other is not bs:
+                    other.nbrs[i], bs.nbrs[j] = bs, other
         return self._refile((), boundary)
 
     def _dim_jump(self, pt, tag):
@@ -338,7 +349,7 @@ class TriangulatedHull:
             # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
             nb = _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
             if bs.key is not None:  # the new point's tag goes in last
-                nb.key, nb.parity = insert_sorted(bs.key, bs.parity, tag)
+                nb.key, nb.parity = _with_tag(bs.key, bs.parity, tag)
             new_boundary.append(nb)
         self.cells = [cell + (vid,) for cell in self.cells]
         self._signs = signs
@@ -389,7 +400,7 @@ class TriangulatedHull:
         cell_keys = self._cell_keys
         if cell_keys is not None:
             tag = self.tags[vid]
-            cell_keys.extend(insert_sorted(bs.key, bs.parity, tag) for bs in visible)
+            cell_keys.extend(_with_tag(bs.key, bs.parity, tag) for bs in visible)
         ridge_info = {}
         for bs in visible:
             # The ridge that leaves out verts[j], with j = k-1 down to 0.
@@ -402,7 +413,9 @@ class TriangulatedHull:
                     ridge_info[ridge] = (bs, j)
         fresh = []
         tags = self.tags
+        tv = tags[vid]
         pencil = {}
+        open_ridges = {}
         for ridge, info in ridge_info.items():
             if info is None:
                 continue
@@ -415,12 +428,28 @@ class TriangulatedHull:
                 ridge + (vid,), opp, -sign if (len(ridge) - j) & 1 else sign
             )
             key = bs.key
-            if key is not None:  # opp's tag leaves from j and q: j + q swaps
-                q = bisect_left(key, tags[opp])
-                parity = -bs.parity if (j + q) & 1 else bs.parity
-                nb.key, nb.parity = insert_sorted(key[:q] + key[q + 1:], parity, tags[vid])
+            if key is not None:
+                # opp's tag leaves from place j of verts and from above the
+                # q tags below it: j + q swaps; vid's goes in as in _with_tag.
+                low = 1 << tags[opp]
+                sub = key ^ low
+                swaps = j + (key & (low - 1)).bit_count() + (sub >> tv).bit_count()
+                nb.key = sub | 1 << tv
+                nb.parity = -bs.parity if swaps & 1 else bs.parity
             if filed:
-                nb.plane = self._pencil_plane(bs.plane, ridge, a_of, pencil)
+                # The ridge's other simplex is kept and gives g2; nb takes
+                # bs's place next to it and pairs up with the fresh simplices
+                # on its ridges through vid.
+                other = bs.nbrs[j]
+                nb.plane = self._pencil_plane(bs.plane, other.plane, a_of, pencil)
+                nb.nbrs = [None] * len(ridge) + [other]
+                other.nbrs[other.nbrs.index(bs)] = nb
+                t = len(ridge)  # no ridge through vid in ambient dimension 1
+                for sub in combinations(ridge, t - 1) if t else ():
+                    t -= 1
+                    mate, i = open_ridges.setdefault(sub, (nb, t))
+                    if mate is not nb:
+                        mate.nbrs[i], nb.nbrs[t] = nb, mate
                 nb.serial = self._serials
                 self._serials += 1
             fresh.append(nb)
@@ -429,28 +458,19 @@ class TriangulatedHull:
             return []
         return self._refile(seen, fresh)
 
-    def _pencil_plane(self, g1, ridge, a_of, memo):
+    def _pencil_plane(self, g1, g2, a_of, memo):
         """Outward plane through a horizon ridge of plane ``g1`` and the point.
 
-        The ridge lies on ``g1`` and on exactly one plane g2 the point does
-        not see, found through the vertex -> planes map.  With g(x) =
-        normal.x - offset and a = m.g(p) for the point's cleared row, the
-        plane a1.g2 - a2.g1 vanishes on the ridge and at the point, and is
-        at most 0 on the hull since a1 > 0 >= a2: the dual of the edge
-        combination in ``outer.clip_halfspace``.  When a2 = 0 it is g2
-        itself.  ``memo`` holds the planes made in this insert, by (g1, g2).
+        ``g2`` is the plane of the ridge's other boundary simplex, which the
+        point must not see.  With g(x) = normal.x - offset and a = m.g(p)
+        for the point's cleared row, the plane a1.g2 - a2.g1 vanishes on the
+        ridge and at the point, and is at most 0 on the hull since a1 > 0 >=
+        a2: the dual of the edge combination in ``outer.clip_halfspace``.
+        When a2 = 0 it is g2 itself.  ``memo`` holds the planes made in this
+        insert, by (g1, g2).
         """
-        if ridge:
-            planes_at = self._planes_at
-            through = set.intersection(*[planes_at[u] for u in ridge])
-        else:  # ambient dimension 1: the empty ridge lies on every plane
-            through = a_of
-        kept = [plane for plane in through if a_of[plane] <= 0]
-        if len(kept) != 1:
-            raise InvariantViolation(
-                "horizon ridge on %d planes the point does not see" % len(kept)
-            )
-        g2 = kept[0]
+        if a_of[g2] > 0:
+            raise InvariantViolation("horizon ridge between two planes the point sees")
         plane = memo.get((g1, g2))
         if plane is None:
             a1, a2 = a_of[g1], a_of[g2]
@@ -469,11 +489,9 @@ class TriangulatedHull:
         # lies on that plane).
         facets = self._facets
         on_plane = self._on_plane
-        planes_at = self._planes_at
         for plane in seen:
             del on_plane[plane]
-            for u in facets.pop(plane):
-                planes_at[u].discard(plane)
+            del facets[plane]
         grown = {}
         for nb in fresh:
             grown.setdefault(nb.plane, []).append(nb)
@@ -486,11 +504,8 @@ class TriangulatedHull:
                 facets[plane] = frozenset(ids)
                 on_plane[plane] = group
             else:
-                ids -= old
                 facets[plane] = old | ids
                 on_plane[plane].extend(group)
-            for u in ids:
-                planes_at.setdefault(u, set()).add(plane)
         return added
 
     # -- facets ----------------------------------------------------------------
@@ -521,10 +536,11 @@ class TriangulatedHull:
     def extended_clone(self, orient_fn=None, split_fn=None):
         """Clone into one more ambient coordinate (appended, set to 0).
 
-        The triangulation, boundary (with its keys), cell keys, chart and
-        vertex order carry over unchanged; the clone can then take points
-        whose new coordinate is nonzero, which raises its intrinsic
-        dimension.  A hull made by jumps alone is built first.
+        The triangulation, boundary, chart and vertex order carry over
+        unchanged, and the keys too when the clone has a ``split_fn``; the
+        clone can then take points whose new coordinate is nonzero, which
+        raises its intrinsic dimension.  A hull made by jumps alone is built
+        first.
         """
         out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn, split_fn=split_fn)
         out.points = [pt + (0,) for pt in self.points]
@@ -535,15 +551,23 @@ class TriangulatedHull:
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
         out.cells = list(self.cells)
+        keyed = split_fn is not None  # only a hull with a split_fn keeps keys
         out._boundary = [
-            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity)
+            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign, *((bs.key, bs.parity) if keyed else ()))
             for bs in self.boundary
         ]
         out._signs = list(self._signs)  # built by the read of boundary
-        if self._cell_keys is not None:
+        if keyed and self._cell_keys is not None:
             out._cell_keys = list(self._cell_keys)
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out
+
+
+def _with_tag(key, parity, tag):
+    """(key, parity) with ``tag`` put in: one flip per tag above it."""
+    if (key >> tag).bit_count() & 1:
+        parity = -parity
+    return key | 1 << tag, parity
 
 
 def _cofactor_plane(rows, witness):

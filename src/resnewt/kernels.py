@@ -16,27 +16,25 @@ every cached minor is independent of the lifting, so one cache accelerates
 predicate evaluations across many lifting directions.
 
 Most predicate calls are answered from cached minors, so the work around a
-lookup is kept small.  The any-order entries sort their columns by
-bisection (``sorted_with_parity``) and fold in the parity of the
-permutation that sorted them.  The oracle's hulls call batches,
-``split_boundary`` and ``upper_facets``, on a whole boundary whose simplices
-carry their sorted columns and sort parity.  Every entry and every batch
-reads one clock pair and checks the cache threshold once.
+lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
+column c: a key hashes as one integer, and a column goes in or out by one
+OR or XOR.  The any-order entries fold in the parity of the permutation
+that sorts their columns (``mask_with_parity``).  The oracle's hulls call
+batches, ``split_boundary`` and ``upper_facets``, on a whole boundary whose
+simplices carry their column mask and sort parity.  Every entry and every
+batch reads one clock pair and checks the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
 """
 
-from bisect import bisect_left
-from itertools import combinations
 from time import perf_counter
 
 __all__ = [
     "det_bareiss",
     "MinorCache",
     "BACKEND",
-    "insert_sorted",
-    "sorted_with_parity",
+    "mask_with_parity",
 ]
 
 BACKEND = "python"
@@ -88,34 +86,26 @@ def _sign(value):
     return 0
 
 
-def insert_sorted(cols, parity, col):
-    """Insert ``col`` into the sorted tuple ``cols`` by bisection.
+def mask_with_parity(cols):
+    """(bitmask of the distinct ``cols``, sign of the permutation sorting them).
 
-    ``parity`` is the sign of the permutation that sorted ``cols``; putting
-    ``col`` in flips it once for each column after the insertion point.
-    Returns (new tuple, its parity).  A column already in ``cols`` goes in
-    next to its copy, and every predicate of the result is 0.
+    Putting column c into a mask S flips the parity once per column of S
+    above c, so it flips exactly when ``(S >> c).bit_count()`` is odd.
     """
-    p = bisect_left(cols, col)
-    if (len(cols) - p) & 1:
-        parity = -parity
-    return cols[:p] + (col,) + cols[p:], parity
-
-
-def sorted_with_parity(cols):
-    """(sorted tuple of ``cols``, sign of the permutation that sorts them)."""
-    srt, parity = (), 1
+    mask, parity = 0, 1
     for c in cols:
-        srt, parity = insert_sorted(srt, parity, c)
-    return srt, parity
+        if (mask >> c).bit_count() & 1:
+            parity = -parity
+        mask |= 1 << c
+    return mask, parity
 
 
 class MinorCache:
     """Cache of signed minors of one fixed integer base matrix.
 
-    The base matrix is given column-wise; minors are keyed by strictly
-    increasing column-index tuples and always take the *top* rows of matching
-    count.  Two tables are kept:
+    The base matrix is given column-wise; minors are keyed by the bitmask of
+    their columns (bit c for column c), taken in increasing order, and
+    always take the *top* rows of matching count.  Two tables are kept:
 
     * pure minors  ``m(S)``: rows ``0..|S|-1`` of columns ``S``;
     * homogeneous minors ``h(S)``: rows ``0..|S|-2`` of columns ``S`` plus a
@@ -124,13 +114,16 @@ class MinorCache:
     Laplace expansions are pinned so that every sub-determinant lands back in
     these tables: ``h`` expands along the ones row into pure minors, and the
     ``orientation`` predicate expands along its lifting row into homogeneous
-    minors.  The public lifting row expansion requests *every* sub-minor
-    ``h(S\\j)`` (even where the lifting value is zero) so that the cache is
-    fully primed for subsequent liftings on the same columns; the oracle's
-    batch ``split_boundary`` reads only those a nonzero lift multiplies.
+    minors, each over the set bits in increasing order, a sub-minor's mask
+    being the mask with one bit cleared.  The public lifting row expansion
+    requests *every* sub-minor ``h(S\\j)`` (even where the lifting value is
+    zero) so that the cache is fully primed for subsequent liftings on the
+    same columns; the oracle's batch ``split_boundary`` reads only those a
+    nonzero lift multiplies.
 
-    Statistics count hits and misses (misses = actually computed minors),
-    with pure-minor counts broken down by size; counters are cumulative and
+    The public entries take column tuples and convert them once.  Statistics
+    count hits and misses (misses = actually computed minors), with
+    pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
     entries and batches after their arguments are checked; each clears the
     tables on its way out once they hold more than ``threshold`` minors.
@@ -147,6 +140,7 @@ class MinorCache:
             nrows = 0
         self._columns = cols
         self._nrows = nrows
+        self._rows = [tuple(c[r] for c in cols) for r in range(nrows)]
         self.threshold = threshold
         self.use_cache = use_cache
         self._pure_tab = {}
@@ -186,47 +180,53 @@ class MinorCache:
             "predicate_time": self.predicate_time,
         }
 
-    # -- recursions (cols: strictly increasing tuples) ---------------------
+    # -- recursions (column masks; cofactor signs alternate over set bits) --
 
-    def _minor(self, cols):
-        k = len(cols)
+    def _minor(self, mask, k):
+        # k is the number of set bits of mask.
         if k == 1:
-            return self._columns[cols[0]][0]
+            return self._rows[0][mask.bit_length() - 1]
         if self.use_cache:
-            v = self._pure_tab.get(cols)
+            v = self._pure_tab.get(mask)
             if v is not None:
                 self.pure_hits[k] = self.pure_hits.get(k, 0) + 1
                 return v
-        row = k - 1
         total = 0
-        sign = -1 if row & 1 else 1
-        for j in range(k):
-            coef = self._columns[cols[j]][row]
+        row = self._rows[k - 1] if k else ()
+        sign = -1 if (k - 1) & 1 else 1
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            coef = row[low.bit_length() - 1]
             if coef:
-                total += sign * coef * self._minor(cols[:j] + cols[j + 1:])
+                total += sign * coef * self._minor(mask ^ low, k - 1)
             sign = -sign
         self.pure_misses[k] = self.pure_misses.get(k, 0) + 1
         if self.use_cache:
-            self._pure_tab[cols] = total
+            self._pure_tab[mask] = total
         return total
 
-    def _hom(self, cols):
-        k = len(cols)
+    def _hom(self, mask):
+        k = mask.bit_count()
         if k == 1:
             return 1
         if self.use_cache:
-            v = self._hom_tab.get(cols)
+            v = self._hom_tab.get(mask)
             if v is not None:
                 self.hom_hits += 1
                 return v
         total = 0
         sign = -1 if (k - 1) & 1 else 1
-        for j in range(k):
-            total += sign * self._minor(cols[:j] + cols[j + 1:])
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            total += sign * self._minor(mask ^ low, k - 1)
             sign = -sign
         self.hom_misses += 1
         if self.use_cache:
-            self._hom_tab[cols] = total
+            self._hom_tab[mask] = total
         return total
 
     # -- argument checks -----------------------------------------------------
@@ -239,14 +239,15 @@ class MinorCache:
             if c <= prev or c >= len(self._columns):
                 raise ValueError("column indices must be strictly increasing and in range")
             prev = c
+        return sum(1 << c for c in cols)
 
-    def _check_sorted(self, cols, max_len):
-        # Sorted distinct columns are strictly increasing, so only the length
-        # and the two ends need checking.
+    def _checked_mask(self, cols, max_len):
+        # (mask, parity) of distinct columns in any order.
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
-        if cols and (cols[0] < 0 or cols[-1] >= len(self._columns)):
+        if cols and (min(cols) < 0 or max(cols) >= len(self._columns)):
             raise ValueError("column indices must be strictly increasing and in range")
+        return mask_with_parity(cols)
 
     # -- public API ---------------------------------------------------------
     # Each entry takes one perf_counter pair and ends with ``_done``, so no
@@ -258,9 +259,9 @@ class MinorCache:
         ``cols`` must be strictly increasing.
         """
         cols = tuple(cols)
-        self._check_increasing(cols, self._nrows)
+        mask = self._check_increasing(cols, self._nrows)
         t0 = perf_counter()
-        value = self._minor(cols)
+        value = self._minor(mask, len(cols))
         self._done(t0, 0, 0)
         return value
 
@@ -270,9 +271,9 @@ class MinorCache:
         ``cols`` must be strictly increasing.
         """
         cols = tuple(cols)
-        self._check_increasing(cols, self._nrows + 1)
+        mask = self._check_increasing(cols, self._nrows + 1)
         t0 = perf_counter()
-        value = self._hom(cols)
+        value = self._hom(mask)
         self._done(t0, 0, 0)
         return value
 
@@ -286,13 +287,12 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt, parity = sorted_with_parity(cols)
-        self._check_sorted(srt, self._nrows + 1)
+        mask, parity = self._checked_mask(cols, self._nrows + 1)
         t0 = perf_counter()
-        value = self._hom_tab.get(srt)
+        value = self._hom_tab.get(mask)
         hit = value is not None
         if not hit:
-            value = self._hom(srt)
+            value = self._hom(mask)
         self._done(t0, 1, hit)
         return parity * _sign(value)
 
@@ -306,10 +306,9 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0
-        srt = tuple(sorted(cols))
-        self._check_sorted(srt, self._nrows + 1)
+        mask = self._checked_mask(cols, self._nrows + 1)[0]
         t0 = perf_counter()
-        value = self._hom(srt)
+        value = self._hom(mask)
         self._done(t0, 1, 0)
         return value if value >= 0 else -value
 
@@ -320,10 +319,9 @@ class MinorCache:
         per-column lifting values, then the all-ones row.  ``lifting`` is
         aligned with ``cols`` (any order; the permutation sign is folded in)
         and its values may be integers or ``fractions.Fraction``.  The
-        columns are sorted with the parity of the sorting permutation, and
-        the expansion runs along the lifting row; every homogeneous
-        sub-minor is requested (and thus cached) even when its lifting
-        coefficient is 0.  No columns raise ``ValueError``.
+        expansion runs along the lifting row of the sorted columns; every
+        homogeneous sub-minor is requested (and thus cached) even when its
+        lifting coefficient is 0.  No columns raise ``ValueError``.
         """
         cols = tuple(cols)
         k = len(cols)
@@ -335,25 +333,25 @@ class MinorCache:
             self.predicate_calls += 1
             return 0
         lift = dict(zip(cols, lifting))
-        cols, parity = sorted_with_parity(cols)
-        self._check_sorted(cols, self._nrows + 2)
+        mask, parity = self._checked_mask(cols, self._nrows + 2)
         t0 = perf_counter()
         hom_tab = self._hom_tab
         hits = 0
         total = 0
-        # combinations() yields cols without position j for j = k-1 down to
-        # 0, whose cofactor sign along row k-2 is (-1)^(k-2+j): -1 first,
-        # then alternating.  The order of the requests changes no count: the
-        # minors computed are those reachable through minors not cached when
-        # the call starts, in whatever order they are reached.
-        sign = -1
-        for sub, c in zip(combinations(cols, k - 1), reversed(cols)):
+        # The column in sorted place i has cofactor sign (-1)^(k-2+i) along
+        # row k-2: (-1)^k for the lowest bit, then alternating.
+        sign = -1 if k & 1 else 1
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            sub = mask ^ low
             h = hom_tab.get(sub)
             if h is None:
                 h = self._hom(sub)
             else:
                 hits += 1
-            w = lift[c]
+            w = lift[low.bit_length() - 1]
             if w:
                 total += sign * w * h
             sign = -sign
@@ -361,27 +359,28 @@ class MinorCache:
         return parity * _sign(total)
 
     # -- batches for the oracle's hulls -----------------------------------------
-    # Each takes ``geometry._BoundarySimplex``es with ``key`` (sorted columns)
+    # Each takes ``geometry._BoundarySimplex``es with ``key`` (column mask)
     # and ``parity`` set, and counts one predicate call per simplex.
 
-    def split_boundary(self, boundary, col, lift=None):
+    def split_boundary(self, boundary, col, lift=None, lift_mask=0):
         """(visible, kept) split of ``boundary`` by the new column ``col``.
 
         A simplex is visible when its orientation with ``col`` appended is
         the negative of its ``inner_sign``.  That orientation is a
         homogeneous minor when ``lift`` is None, else a lifted determinant
-        (``lift`` indexed by column) expanded over the columns whose lift is
-        nonzero only: unlike ``orientation``, no minor that a 0
-        multiplies is read.
+        (``lift`` indexed by column) expanded over the columns in
+        ``lift_mask``, which must hold exactly the columns whose lift is
+        nonzero: unlike ``orientation``, no minor that a 0 multiplies is
+        read.
         """
         t0 = perf_counter()
         hom_tab, hom = self._hom_tab, self._hom
         hits = 0
+        bit = 1 << col
         visible, keep = [], []
         for bs in boundary:
             key = bs.key
-            p = bisect_left(key, col)
-            cols = key[:p] + (col,) + key[p:]
+            cols = key | bit
             if lift is None:
                 total = hom_tab.get(cols)
                 if total is None:
@@ -390,21 +389,25 @@ class MinorCache:
                     hits += 1
             else:
                 total = 0
-                n = len(cols)  # cofactor sign (-1)^(n+i) along row n-2
-                for i, c in enumerate(cols):
+                m = cols & lift_mask
+                while m:
+                    low = m & -m
+                    m ^= low
+                    c = low.bit_length() - 1
+                    sub = cols ^ low
+                    h = hom_tab.get(sub)
+                    if h is None:
+                        h = hom(sub)
+                    else:
+                        hits += 1
+                    # Cofactor sign along the lifting row: negative when
+                    # an odd number of columns lie at or above c.
                     w = lift[c]
-                    if w:
-                        sub = key if i == p else cols[:i] + cols[i + 1:]
-                        h = hom_tab.get(sub)
-                        if h is None:
-                            h = hom(sub)
-                        else:
-                            hits += 1
-                        total += -w * h if (n + i) & 1 else w * h
+                    total += -w * h if (cols >> c).bit_count() & 1 else w * h
             # orientation = parity * sign(total), flipped once per column
-            # after the one put in
+            # above the one put in
             s = -bs.inner_sign * bs.parity
-            if (len(key) - p) & 1:
+            if (key >> col).bit_count() & 1:
                 s = -s
             (visible if (total > 0) - (total < 0) == s else keep).append(bs)
         self._done(t0, len(boundary), hits)

@@ -12,8 +12,10 @@ once and cloned per call — the per-direction memo (the used-normal set W),
 and the seeded insertion orders that stand in for generic perturbation.
 
 Both hulls test a whole boundary against a new point in one minor-cache
-batch over the simplices' sorted columns, which the hulls keep; the upper
+batch over the simplices' column bitmasks, which the hulls keep; the upper
 facets come from one more batch, whose minors are the volumes rho sums.
+A simplex is handed on as its column mask, and blocks are classified by
+popcounts against per-block masks.
 """
 
 from random import Random
@@ -27,9 +29,7 @@ __all__ = [
     "lift_direction",
     "mixed_cells",
     "rho_vector",
-    "phi_vector",
     "vtx",
-    "vtx_secondary",
 ]
 
 
@@ -51,23 +51,18 @@ def lift_direction(sys, w):
 def mixed_cells(simplices, sys):
     """Classify each simplex: (block, vertex column) if mixed, else None.
 
-    A simplex (2n+1 column indices) is i-mixed when it takes exactly one
-    column from block i and exactly two from every other block; the single
-    block-i column is the associated mixed-cell vertex.
+    A simplex is a column bitmask (bit c for column c).  It is i-mixed when
+    it takes exactly one column from block i and exactly two from every
+    other block; the single block-i column is the associated mixed-cell
+    vertex.  Each count is one popcount against a block's mask.
     """
+    masks = [sum(1 << c for c in ids) for ids in sys.blocks]
     out = []
     for simplex in simplices:
-        counts = {}
-        for col in simplex:
-            b = sys.block_of[col]
-            counts[b] = counts.get(b, 0) + 1
-        singles = [b for b, c in counts.items() if c == 1]
-        if len(singles) == 1 and len(counts) == sys.n + 1 and all(
-            c == 2 for b, c in counts.items() if b != singles[0]
-        ):
-            block = singles[0]
-            vertex_col = next(c for c in simplex if sys.block_of[c] == block)
-            out.append((block, vertex_col))
+        counts = [(simplex & bm).bit_count() for bm in masks]
+        if counts.count(1) == 1 and counts.count(2) == sys.n:
+            block = counts.index(1)
+            out.append((block, (simplex & masks[block]).bit_length() - 1))
         else:
             out.append(None)
     return out
@@ -76,28 +71,18 @@ def mixed_cells(simplices, sys):
 def rho_vector(simplices, sys, cache, volumes=None):
     """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
 
-    ``volumes`` (aligned with ``simplices``, as ``triangulation`` returns
-    them) saves reading each volume from ``cache``.
+    ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
+    ``triangulation`` returns them) saves reading each volume from
+    ``cache``.
     """
     rho = [0] * sys.num_columns
     for i, cls in enumerate(mixed_cells(simplices, sys)):
-        if cls is not None:
-            vol = cache.volume_predicate(simplices[i]) if volumes is None else volumes[i]
-            rho[cls[1]] += vol
+        if cls is not None and volumes is None:
+            s = simplices[i]
+            rho[cls[1]] += cache.volume_predicate([c for c in range(s.bit_length()) if s >> c & 1])
+        elif cls is not None:
+            rho[cls[1]] += volumes[i]
     return tuple(rho)
-
-
-def phi_vector(simplices, sys, cache, volumes=None):
-    """Secondary vector: phi(a) = sum of volumes of ALL simplices containing a.
-
-    ``volumes`` as for ``rho_vector``.
-    """
-    phi = [0] * sys.num_columns
-    for i, simplex in enumerate(simplices):
-        vol = cache.volume_predicate(simplex) if volumes is None else volumes[i]
-        for col in simplex:
-            phi[col] += vol
-    return tuple(phi)
 
 
 class VertexOracle:
@@ -121,6 +106,7 @@ class VertexOracle:
         self._t0 = None
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
         self._lift = None  # the lifting over all columns, while a hull is built
+        self._lift_mask = 0  # the columns whose lift is nonzero, with it
 
     # -- predicate routing ----------------------------------------------------
     # At dimension 2n with the lift coordinate (index 2n) not a pivot, the
@@ -143,7 +129,7 @@ class VertexOracle:
         # Every visibility test of a standard insert, as one batch.
         col = hull.tags[vid]
         if hull.dim == self._full:
-            return self.cache.split_boundary(hull.boundary, col, self._lift)
+            return self.cache.split_boundary(hull.boundary, col, self._lift, self._lift_mask)
         if hull.dim == self._full - 1 and self._full - 1 not in hull._pivots:
             return self.cache.split_boundary(hull.boundary, col)
         return None
@@ -171,13 +157,14 @@ class VertexOracle:
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
-        Returns (simplices, volumes): the simplices as tuples of column
-        indices, sorted when the lifted hull is full-dimensional, and then
-        their normalized volumes too, aligned with them (else None).  ``w``
-        must already be canonical.
+        Returns (simplices, volumes): the simplices as column bitmasks (bit
+        c for column c), the upper facets when the lifted hull is
+        full-dimensional, and then their normalized volumes too, aligned with
+        them (else None).  ``w`` must already be canonical.
         """
         sys = self.sys
         self._lift = lift = lift_direction(sys, w)
+        self._lift_mask = sum(1 << c for c, x in zip(sys.projection, w) if x)
         hull = self._base_hull().extended_clone(
             orient_fn=self._orient, split_fn=self._split
         )
@@ -190,7 +177,8 @@ class VertexOracle:
             # (a read that may orient, so before the lift goes).
             out = self.cache.upper_facets(hull.boundary)
         else:
-            out = [tuple(hull.tags[i] for i in cell) for cell in hull.cells], None
+            tags = hull.tags
+            out = [sum(1 << tags[i] for i in cell) for cell in hull.cells], None
         self._lift = None
         return out
 
@@ -214,26 +202,8 @@ class VertexOracle:
         self.memo[key] = answer
         return answer
 
-    def vtx_secondary(self, w):
-        """Same pipeline, but sums over all simplices (secondary vector).
-
-        Returns (projected phi, full phi); not memoized.
-        """
-        key = canonical(w)
-        simplices, volumes = self.triangulation(key)
-        phi = phi_vector(simplices, self.sys, self.cache, volumes)
-        return tuple(phi[c] for c in self.sys.projection), phi
-
-    @property
-    def used_normals(self):
-        return set(self.memo)
-
 
 def vtx(sys, w, seed=0):
     """One-shot oracle call (fresh context); see VertexOracle.vtx."""
     return VertexOracle(sys, seed=seed).vtx(w)
 
-
-def vtx_secondary(sys, w, seed=0):
-    """One-shot secondary oracle call (fresh context)."""
-    return VertexOracle(sys, seed=seed).vtx_secondary(w)

@@ -23,6 +23,20 @@ def ref_rank(rows):
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
 
 
+def ref_sort_parity(seq):
+    """Sign of the permutation that sorts ``seq`` (distinct items).
+
+    Counts inversions pair by pair: (-1) to their number.
+    """
+    inversions = sum(1 for i, j in combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def ref_mask_key(tags):
+    """(sum of 2**t over the distinct int ``tags``, their sort parity)."""
+    return sum(2 ** t for t in tags), ref_sort_parity(tags)
+
+
 def ref_affine_dim(points):
     """Dimension of the affine hull of a list of points."""
     pts = list(points)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -479,6 +480,34 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
     code, out, err = _run(["compute", path], capsys)
     assert code == 0
     assert any(l.startswith("v ") for l in out.splitlines())
+
+
+# -- reference instances -------------------------------------------------------------
+
+# The roadmap's reference instances S and M, generated with --seed 1: the
+# sha1 of the whole stdout of ``compute`` in exact and approx mode.
+REFERENCE_INSTANCES = {
+    "S": ["1", "4", "--sizes", "4,4"],
+    "M": ["2", "3", "--sizes", "4,4,3"],
+}
+REFERENCE_DIGESTS = {
+    ("S", "exact"): "2cb48c83b80b09ced099f6922dc49390c3325a1c",
+    ("S", "approx"): "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
+    ("M", "exact"): "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
+    ("M", "approx"): "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
+}
+
+
+@pytest.mark.parametrize("no_hash", [False, True])
+@pytest.mark.parametrize("name, mode", sorted(REFERENCE_DIGESTS))
+def test_reference_instance_stdout_digests(tmp_path, capsys, name, mode, no_hash):
+    code, text, _ = _run(["generate", *REFERENCE_INSTANCES[name], "--seed", "1"], capsys)
+    assert code == 0
+    path = _write(tmp_path, name + ".txt", text)
+    argv = ["compute", path, "--mode", mode] + (["--no-hash"] if no_hash else [])
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == REFERENCE_DIGESTS[name, mode]
 
 
 # -- installation -------------------------------------------------------------------

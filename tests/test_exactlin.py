@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from reference import ref_det, ref_rank, ref_solve_unique
+from reference import ref_det, ref_mask_key, ref_rank, ref_solve_unique, ref_sort_parity
 
 from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
@@ -24,7 +24,7 @@ from resnewt.exactlin import (
     rank_int,
     saturated_basis,
 )
-from resnewt.kernels import MinorCache, det_bareiss, sorted_with_parity
+from resnewt.kernels import MinorCache, det_bareiss, mask_with_parity
 
 
 # -- det_bareiss ------------------------------------------------------------------
@@ -218,12 +218,25 @@ def test_predicates_over_every_column_order():
             cache.orientation(too_many, [1] * (k_orient + 1))
 
 
+def test_mask_parity_matches_inversion_count():
+    # Every order of random column sets, folded into a mask one column at a
+    # time: the mask has exactly the set's bits, and the parity is the sign
+    # of the permutation that sorts the order, counted by inversions.
+    rng = random.Random(23)
+    for size in range(7):
+        for _ in range(4):
+            cols = rng.sample(range(70), size)
+            for order in permutations(cols):
+                assert mask_with_parity(order) == ref_mask_key(order), order
+    assert mask_with_parity(()) == (0, 1)
+
+
 @pytest.mark.parametrize("use_cache", [True, False])
 def test_sorted_entries_over_every_order_and_insertion_point(use_cache):
-    # Every order of a column set, sorted by bisection with its parity,
-    # reaches every insertion point at every step; the entries must answer
-    # as the matrix built in that order, by Bareiss, and as the sign of the
-    # sorted columns' matrix times the parity.
+    # Every order of a column set reaches every insertion point at every
+    # step of the any-order entries' masks; they must answer as the matrix
+    # built in that order, by Bareiss, and as the sign of the sorted
+    # columns' matrix times the parity of the sort.
     rng = random.Random(22)
     for nrows, k_hom, k_orient in ((2, 3, 4), (3, 4, 5), (4, 5, 6)):
         ncols = k_orient + 3
@@ -231,12 +244,12 @@ def test_sorted_entries_over_every_order_and_insertion_point(use_cache):
         lift = [rng.choice((0, 0, 1, -2, 3)) for _ in range(ncols)]
         cache = MinorCache(base, use_cache=use_cache)
         for order in permutations(rng.sample(range(ncols), k_hom)):
-            srt, parity = sorted_with_parity(order)
+            srt, parity = sorted(order), ref_sort_parity(order)
             sign = _sign(det_bareiss(_hom_matrix(base, order)))
             assert parity * _sign(det_bareiss(_hom_matrix(base, srt))) == sign, order
             assert cache.hom_sign(order) == sign, order
         for order in permutations(rng.sample(range(ncols), k_orient)):
-            srt, parity = sorted_with_parity(order)
+            srt, parity = sorted(order), ref_sort_parity(order)
             lifting = [lift[c] for c in order]
             sign = _sign(det_bareiss(_orientation_matrix(base, order, lifting)))
             sorted_lifting = [lift[c] for c in srt]

@@ -18,6 +18,7 @@ from reference import (
     extreme_points,
     point_in_hull,
     ref_det,
+    ref_mask_key,
     shoelace_area,
 )
 
@@ -30,22 +31,24 @@ from resnewt.geometry import (
     hull_volume,
     lattice_hull,
 )
-from resnewt.kernels import det_bareiss, sorted_with_parity
+from resnewt.kernels import det_bareiss
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
 
 def _orienting(ambient):
     # A hull whose split_fn always declines orients simplex by simplex and
-    # never files its boundary by plane: the reference for filed hulls.
+    # never files its boundary by plane: the reference for filed hulls.  It
+    # keys its simplices by tag masks, so it takes distinct int tags.
     return TriangulatedHull(ambient, split_fn=lambda hull, vid: None)
 
 
 def _build(points, ambient=None, orienting=False):
+    # Tags are the points, or their places in ``points`` when orienting.
     ambient = ambient if ambient is not None else len(points[0])
     hull = _orienting(ambient) if orienting else TriangulatedHull(ambient)
-    for p in points:
-        hull.insert(tuple(p), tag=tuple(p))
+    for i, p in enumerate(points):
+        hull.insert(tuple(p), tag=i if orienting else tuple(p))
     return hull
 
 
@@ -520,8 +523,8 @@ def test_flat_chart_matches_intrinsic_hull():
         ]
         flat = _build(flat_pts, ambient=4, orienting=True)
         intrinsic = TriangulatedHull(2)
-        for (a, b), p in zip(ab, flat_pts):
-            intrinsic.insert((a, b), tag=p)
+        for i, (a, b) in enumerate(ab):
+            intrinsic.insert((a, b), tag=i)
         assert flat.dim == intrinsic.dim == 2
         assert flat.tags == intrinsic.tags
         assert flat.cells == intrinsic.cells
@@ -627,8 +630,8 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
         else:
             pts = _random_points(rng, ambient, ambient + 6)
         hull = TriangulatedHull(ambient) if trial % 3 else _orienting(ambient)
-        for p in pts:
-            hull.insert(p, tag=p)
+        for i, p in enumerate(pts):
+            hull.insert(p, tag=i)
             _assert_signs_fresh(hull)
 
 
@@ -666,8 +669,8 @@ def test_dimension_jump_takes_one_orientation():
     orient = simplex._orient
     simplex._orient = lambda ids: calls.append(ids) or orient(ids)
     del calls[:]
-    for p in corners:
-        simplex.insert(p, tag=p)  # the split_fn makes the hull key by tags
+    for i, p in enumerate(corners):
+        simplex.insert(p, tag=i)  # the split_fn makes the hull key by tags
     assert simplex.dim == 4 and not calls
     assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
     _assert_signs_fresh(simplex)
@@ -720,18 +723,18 @@ def test_simplex_built_on_read_matches_eager_jumps(ambient, hooks):
             pts = _random_points(rng, ambient, ambient + 4)
         eager = make()
         for n, p in enumerate(pts, start=1):
-            eager.insert(p, tag=p)
+            eager.insert(p, tag=n)
             eager.boundary
             lazy = make()
-            for q in pts[:n]:
-                lazy.insert(q, tag=q)
+            for i, q in enumerate(pts[:n], start=1):
+                lazy.insert(q, tag=i)
             assert lazy.dim == eager.dim
             assert _hull_state(lazy) == _hull_state(eager)
         _assert_signs_fresh(eager)
 
 
 def test_cell_keys_carry_through_clone_inserts_and_jumps():
-    # key_cells keys each cell by its sorted tags and their parity; a clone
+    # key_cells keys each cell by its tag mask and sort parity; a clone
     # keeps the keys current through inserts up to its jump, which hands
     # them to the new boundary simplices and drops them.  The tags run
     # against the insertion order, so parities vary.  A clone of an
@@ -740,7 +743,7 @@ def test_cell_keys_carry_through_clone_inserts_and_jumps():
     split = lambda h, vid: None
 
     def sorted_tags(hull, ids):
-        return sorted_with_parity([hull.tags[i] for i in ids])
+        return ref_mask_key([hull.tags[i] for i in ids])
 
     for trial in range(6):
         base_pts = _random_points(rng, 2, 9)
@@ -764,6 +767,29 @@ def test_cell_keys_carry_through_clone_inserts_and_jumps():
                 assert (bs.key, bs.parity) == sorted_tags(clone, bs.verts)
             clones.append(clone)
         assert _hull_state(clones[0]) == _hull_state(clones[1])
+
+
+def test_keyed_hull_takes_distinct_non_negative_int_tags():
+    # A hull with a split_fn keys its simplices by tag masks, so insert
+    # rejects any tag that is not a distinct non-negative int, and leaves
+    # the hull as it was.  A hull without one takes any tag.
+    hull = _orienting(2)
+    for i, p in enumerate([(0, 0), (3, 0), (0, 3)]):
+        hull.insert(p, tag=i)
+    state = _hull_state(hull)
+    for bad in (None, (1, 1), -1, 1.0, True, "4", 0, 2):
+        with pytest.raises(ValueError):
+            hull.insert((5, 5), tag=bad)
+        assert len(hull.points) == 3 and _hull_state(hull) == state
+    hull.insert((5, 5), tag=7)
+    assert hull.tags == [0, 1, 2, 7]
+    assert [bs.key for bs in hull.boundary] == [
+        ref_mask_key([hull.tags[i] for i in bs.verts])[0] for bs in hull.boundary
+    ]
+    plain = TriangulatedHull(2)
+    for p in [(0, 0), (3, 0), (0, 3), (5, 5)]:
+        plain.insert(p, tag=None if p == (3, 0) else p)
+    assert plain.tags == [(0, 0), None, (0, 3), (5, 5)]
 
 
 @pytest.mark.parametrize(
@@ -817,9 +843,9 @@ def test_plane_visibility_matches_orientation(d):
         track = TriangulatedHull(d)
         plain = _orienting(d)
         keys = set()
-        for p in pts:
+        for i, p in enumerate(pts):
             added = track.insert(p, tag=p)
-            plain.insert(p, tag=p)
+            plain.insert(p, tag=i)
             assert track.points == plain.points
             assert track.cells == plain.cells
             assert _boundary(track) == _boundary(plain)
@@ -855,9 +881,9 @@ def test_only_a_hull_without_split_fn_files(d):
     filed = TriangulatedHull(d)
     batched = _orienting(d)
     keys = set()
-    for p in pts:
+    for i, p in enumerate(pts):
         added = filed.insert(p, tag=p)
-        assert batched.insert(p, tag=p) == []
+        assert batched.insert(p, tag=i) == []
         with pytest.raises(DegenerateInput):
             batched.facet_map()
         assert batched._on_plane is None
@@ -906,15 +932,26 @@ def _pencil_points(rng, d, kind):
 
 
 def _assert_planes_filed(hull):
-    # The plane -> simplices index and the vertex -> planes map agree with
-    # the facet table.
+    # The plane -> simplices index agrees with the facet table, and each
+    # simplex's neighbour across the ridge that leaves out verts[j] is the
+    # one other boundary simplex on that ridge, linked back to it.
     facets = hull.facet_map()
     assert set(hull._on_plane) == set(facets)
     for plane, group in hull._on_plane.items():
         assert all(bs.plane == plane for bs in group)
         assert {u for bs in group for u in bs.verts} == facets[plane]
-    for u, planes in hull._planes_at.items():
-        assert planes == {plane for plane, ids in facets.items() if u in ids}
+    on_ridge = {}
+    for bs in hull.boundary:
+        for j in range(len(bs.verts)):
+            ridge = bs.verts[:j] + bs.verts[j + 1:]
+            on_ridge.setdefault(ridge, []).append(bs)
+    for bs in hull.boundary:
+        assert len(bs.nbrs) == len(bs.verts)
+        for j, other in enumerate(bs.nbrs):
+            ridge = bs.verts[:j] + bs.verts[j + 1:]
+            pair = on_ridge[ridge]
+            assert len(pair) == 2 and bs in pair and other in pair and other is not bs
+            assert bs in other.nbrs
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -935,14 +972,14 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
             pts = _pencil_points(rng, d, kind)
             track = TriangulatedHull(d)
             plain = _orienting(d)
-            for p in pts:
+            for i, p in enumerate(pts):
                 full = track.dim == d
                 before = dict(track.facet_map()) if full else {}
                 del dets[:]
                 track.insert(p, tag=p)
                 if full:
                     assert not dets
-                plain.insert(p, tag=p)
+                plain.insert(p, tag=i)
                 assert track.points == plain.points
                 if track.dim < d:
                     continue
@@ -974,9 +1011,11 @@ def test_horizon_ridge_on_no_kept_plane_raises():
     hull = TriangulatedHull(2)
     for p in [(0, 0), (4, 0), (0, 4)]:
         hull.insert(p, tag=p)
-    # (2, -3) sees only y = 0; unfile x = 0, so the horizon ridge (0, 0)
-    # lies on no plane the point does not see.
-    for planes in hull._planes_at.values():
-        planes.discard(Hyperplane((-1, 0), 0))
+    # (2, -3) sees only y = 0; link the y = 0 simplex to itself across the
+    # horizon ridge (0, 0), so the ridge's other simplex lies on a plane the
+    # point sees.
+    (bottom,) = hull._on_plane[Hyperplane((0, -1), 0)]
+    j = bottom.verts.index(hull._index[(4, 0)])  # the ridge leaving out (4, 0)
+    bottom.nbrs[j] = bottom
     with pytest.raises(InvariantViolation):
         hull.insert((2, -3))

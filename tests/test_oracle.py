@@ -1,4 +1,4 @@
-"""Tests for the vertex oracle: lifted triangulations, mixed cells, rho/phi."""
+"""Tests for the vertex oracle: lifted triangulations, mixed cells, rho."""
 
 import gc
 import random
@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from conftest import system_from
+from reference import ref_mask_key
 from golden import (
     BICUBIC,
     CIRCLE_LINE,
@@ -24,8 +25,15 @@ from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvalidDirection
 from resnewt.geometry import TriangulatedHull
-from resnewt.kernels import MinorCache, det_bareiss, sorted_with_parity
-from resnewt.oracle import VertexOracle, canonical, lift_direction, mixed_cells, vtx
+from resnewt.kernels import MinorCache, det_bareiss
+from resnewt.oracle import (
+    VertexOracle,
+    canonical,
+    lift_direction,
+    mixed_cells,
+    rho_vector,
+    vtx,
+)
 
 
 def _sys(golden, mode):
@@ -34,6 +42,15 @@ def _sys(golden, mode):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _mask(cols):
+    return sum(2 ** c for c in cols)
+
+
+def _cols(mask):
+    # The columns of a simplex the oracle hands on as a bitmask, increasing.
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 # -- direction helpers ----------------------------------------------------------
@@ -60,7 +77,7 @@ def test_lift_direction_places_symbolic_heights():
 def test_mixed_cells_classification():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     cells = MONOMIAL_SURFACE_CELLS_PLUS
-    kinds = mixed_cells(cells, sysd)
+    kinds = mixed_cells([_mask(cell) for cell in cells], sysd)
     # Every golden cell takes one column from one block and two from each of
     # the others: i-mixed with the single column recorded.
     assert len(kinds) == len(cells)
@@ -71,8 +88,8 @@ def test_mixed_cells_classification():
         assert sum(1 for c in cell if sysd.block_of[c] == block) == 1
     # A simplex missing a block entirely classifies as None.
     syl = _sys(SYLVESTER, "full")
-    assert mixed_cells([(0, 1, 2)], syl)[0] is None  # all from block 0
-    assert mixed_cells([(0, 1, 3)], syl)[0] == (1, 3)
+    assert mixed_cells([_mask((0, 1, 2))], syl)[0] is None  # all from block 0
+    assert mixed_cells([_mask((0, 1, 3))], syl)[0] == (1, 3)
 
 
 # -- frozen pipeline evaluations ----------------------------------------------------
@@ -81,15 +98,20 @@ def test_mixed_cells_classification():
 def test_triangulation_matches_frozen_cells():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)
-    plus, _ = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
-    minus, _ = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
-    # Cells come back as column tuples in no promised order.
-    assert sorted(tuple(sorted(c)) for c in plus) == sorted(
-        MONOMIAL_SURFACE_CELLS_PLUS
-    )
-    assert sorted(tuple(sorted(c)) for c in minus) == sorted(
-        MONOMIAL_SURFACE_CELLS_MINUS
-    )
+    plus, plus_volumes = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
+    minus, minus_volumes = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
+    # Cells come back as column masks in no promised order.
+    assert sorted(_cols(c) for c in plus) == sorted(MONOMIAL_SURFACE_CELLS_PLUS)
+    assert sorted(_cols(c) for c in minus) == sorted(MONOMIAL_SURFACE_CELLS_MINUS)
+    # The volumes the triangulation hands on are the cache's, and rho reads
+    # the same from either.
+    for cells, volumes, rho in (
+        (plus, plus_volumes, MONOMIAL_SURFACE_RHO_PLUS),
+        (minus, minus_volumes, MONOMIAL_SURFACE_RHO_MINUS),
+    ):
+        assert volumes == [oracle.cache.volume_predicate(_cols(c)) for c in cells]
+        assert rho_vector(cells, sysd, oracle.cache) == rho
+        assert rho_vector(cells, sysd, oracle.cache, volumes) == rho
 
 
 def _plain_upper_simplices(sysd, w, seed):
@@ -186,7 +208,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         for w in _directions_with_zeros(rng, sysd.m, 12):
             got, _ = oracle.triangulation(w)
             assert len(set(got)) == len(got)
-            assert {tuple(sorted(s)) for s in got} == _plain_upper_simplices(
+            assert {_cols(s) for s in got} == _plain_upper_simplices(
                 sysd, w, 2
             )
     assert routed[0] > 0
@@ -201,7 +223,7 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
     # would: a simplex is visible when (verts..., new point) has the sign
     # opposite to its inner sign.  The lifted batch skips the columns whose
     # lift is 0, which directions with zero entries exercise; the keys the
-    # hull carries must be each simplex's sorted tags with their parity.
+    # hull carries must be each simplex's tag mask with its sort parity.
     split = VertexOracle._split
     batches = {"lifted": 0, "homogeneous": 0}
 
@@ -216,7 +238,7 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
         visible = []
         for bs in boundary:
             cols = [tags[v] for v in bs.verts]
-            assert (bs.key, bs.parity) == sorted_with_parity(cols)
+            assert (bs.key, bs.parity) == ref_mask_key(cols)
             cols.append(tags[vid])
             if lifted:
                 s = reference.orientation(cols, [lift[c] for c in cols])
@@ -237,6 +259,70 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
     assert batches["lifted"] > 0 and batches["homogeneous"] > 0
 
 
+class _Simplex:
+    # What the minor-cache batches read of a boundary simplex.
+    def __init__(self, key, parity, inner_sign):
+        self.key, self.parity, self.inner_sign = key, parity, inner_sign
+
+
+def _explicit_det(sysd, cols, lift=None):
+    # Coordinate rows, then the lift row if any, then the ones row, over the
+    # columns in the given order.
+    rows = [[sysd.columns[c][r] for c in cols] for r in range(2 * sysd.n)]
+    if lift is not None:
+        rows.append([lift[c] for c in cols])
+    rows.append([1] * len(cols))
+    d = det_bareiss(rows)
+    return (d > 0) - (d < 0), abs(d)
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def test_mask_batches_match_explicit_determinants(mode, use_cache):
+    # Random simplices of random Cayley systems, each given as its columns
+    # in a random order (the order of a hull simplex's points) and keyed by
+    # the reference mask and parity.  split_boundary, lifted by directions
+    # with zero entries or not lifted, upper_facets and orientation must
+    # answer as Bareiss on the explicit matrix built in that order.
+    rng = random.Random(61)
+    seen = {"visible": 0, "kept": 0, "up": 0}
+    for sysd in _generated_systems(mode):
+        cache = MinorCache(sysd.columns, use_cache=use_cache)
+        ncols, k = sysd.num_columns, 2 * sysd.n
+        for w in _directions_with_zeros(rng, sysd.m, 8):
+            lift = lift_direction(sysd, w)
+            lift_mask = _mask(c for c in range(ncols) if lift[c])
+            for lifted in (True, False):
+                col = rng.randrange(ncols)
+                others = [c for c in range(ncols) if c != col]
+                orders = [rng.sample(others, k + lifted) for _ in range(20)]
+                boundary = [_Simplex(*ref_mask_key(o), rng.choice((-1, 1))) for o in orders]
+                args = (lift, lift_mask) if lifted else ()
+                visible, kept = cache.split_boundary(boundary, col, *args)
+                expect = []
+                for order, bs in zip(orders, boundary):
+                    cols = order + [col]
+                    sign = _explicit_det(sysd, cols, lift if lifted else None)[0]
+                    expect.append(sign == -bs.inner_sign)
+                    if lifted:
+                        assert cache.orientation(cols, [lift[c] for c in cols]) == sign
+                assert visible == [bs for bs, v in zip(boundary, expect) if v]
+                assert kept == [bs for bs, v in zip(boundary, expect) if not v]
+                seen["visible"] += len(visible)
+                seen["kept"] += len(kept)
+            orders = [rng.sample(range(ncols), k + 1) for _ in range(20)]
+            boundary = [_Simplex(*ref_mask_key(o), rng.choice((-1, 1))) for o in orders]
+            expect = []
+            for order, bs in zip(orders, boundary):
+                sign, volume = _explicit_det(sysd, order)
+                if sign == bs.inner_sign:
+                    expect.append((_mask(order), volume))
+            keys, volumes = cache.upper_facets(boundary)
+            assert list(zip(keys, volumes)) == expect
+            seen["up"] += len(expect)
+    assert all(n > 20 for n in seen.values()), seen
+
+
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
     # The oracle's hulls read after every insert build any simplex made by
@@ -244,7 +330,7 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
     # mode clone of the empty base hull stays one simplex until a standard
     # insert or the upper-facet filter reads it.  Both ways must give the
     # same triangulation and leave every hull in the same state, order,
-    # signs and keys included; kept cell keys must be the sorted tags.
+    # signs and keys included; kept cell keys must be the tag masks.
     insert = TriangulatedHull.insert
     clone = TriangulatedHull.extended_clone
     build = TriangulatedHull._build
@@ -292,7 +378,7 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
                 if hull._cell_keys is not None:
                     tags = hull.tags
                     assert hull._cell_keys == [
-                        sorted_with_parity([tags[i] for i in cell]) for cell in hull.cells
+                        ref_mask_key([tags[i] for i in cell]) for cell in hull.cells
                     ]
             runs.append((got, [state(h) for h in hulls]))
         assert runs[0] == runs[1]
@@ -419,33 +505,6 @@ def test_vtx_seed_stability_on_generic_directions():
         assert len(answers) == 1
 
 
-def test_vtx_secondary_relation_to_rho():
-    # phi counts every simplex containing a column (times volume); rho only
-    # the mixed ones, so phi dominates rho componentwise, and the total mass
-    # of phi is (2n+1) times the triangulated volume.
-    sysd = _sys(MONOMIAL_SURFACE, "full")
-    oracle = VertexOracle(sysd, seed=0)
-    from resnewt.oracle import phi_vector, rho_vector
-
-    for wraw in [(1, 0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 2), (-3, 1, 4, 1, -5, 9)]:
-        w = canonical(list(wraw))
-        simplices, volumes = oracle.triangulation(w)
-        rho = rho_vector(simplices, sysd, oracle.cache)
-        phi = phi_vector(simplices, sysd, oracle.cache)
-        # The volumes the triangulation hands on are the cache's.
-        assert volumes == [oracle.cache.volume_predicate(s) for s in simplices]
-        assert rho_vector(simplices, sysd, oracle.cache, volumes) == rho
-        assert phi_vector(simplices, sysd, oracle.cache, volumes) == phi
-        assert all(p >= r >= 0 for p, r in zip(phi, rho))
-        total_volume = sum(
-            oracle.cache.volume_predicate(cell) for cell in simplices
-        )
-        assert sum(phi) == (2 * sysd.n + 1) * total_volume
-        v, phi_again = oracle.vtx_secondary(w)
-        assert phi_again == phi
-        assert v == tuple(phi[c] for c in sysd.projection)
-
-
 def test_bicubic_oracle_stays_extreme():
     sysd = _sys(BICUBIC, "implicitization")
     oracle = VertexOracle(sysd, seed=0)
@@ -454,13 +513,3 @@ def test_bicubic_oracle_stays_extreme():
         w = canonical([rng.randint(-7, 7) or 1 for _ in range(3)])
         v, _ = oracle.vtx(w)
         assert v in BICUBIC["vertices"]
-
-
-def test_used_normals_reflect_memo():
-    sysd = _sys(SYLVESTER, "full")
-    oracle = VertexOracle(sysd, seed=0)
-    w1 = canonical([1, 0, 0, 0, 0])
-    w2 = canonical([0, 1, 0, 0, -1])
-    oracle.vtx(w1)
-    oracle.vtx(w2)
-    assert set(oracle.used_normals) == {w1, w2}
