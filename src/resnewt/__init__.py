@@ -35,6 +35,7 @@ from .errors import (
 )
 from .exactlin import MinorCache, det_bareiss
 from .geometry import (
+    FacetHull,
     Hyperplane,
     TriangulatedHull,
     f_vector,
@@ -63,6 +64,7 @@ __all__ = [
     "CayleySystem",
     "DegenerateInput",
     "EmptyIntersection",
+    "FacetHull",
     "Hyperplane",
     "InvalidDirection",
     "InvariantViolation",

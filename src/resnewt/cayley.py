@@ -20,7 +20,7 @@ from .errors import (
     ResnewtError,
 )
 from .exactlin import AffineChart, affine_dim, rank_int, vec_sub
-from .geometry import TriangulatedHull, lattice_hull
+from .geometry import FacetHull, lattice_hull
 
 __all__ = [
     "SupportFamily",
@@ -337,27 +337,28 @@ def check_essential(family):
 # -- preprocessing -----------------------------------------------------------------
 
 
-def _hull_vertices(points, n):
-    """The vertices of the hull of distinct points in R^n, as a set.
+def _hull_vertices(points):
+    """The vertices of the hull of distinct points, as a set.
 
-    One hull over the points; below full dimension its recorded points are
-    rebuilt as their ``lattice_hull``.  A recorded point is a vertex exactly
-    when the facet normals through it have rank equal to the hull's
-    dimension.
+    One ``FacetHull`` of the points, taken over their own lattice
+    (``lattice_hull``) when they are not full-dimensional.  A point is a
+    vertex exactly when the facets through it meet in it alone.
     """
-    hull = TriangulatedHull(n)
-    for p in points:
-        hull.insert(p, tag=p)
-    if hull.dim == 0:
-        return set(hull.points)
-    if hull.dim < n:
-        hull = lattice_hull(hull.points)[0]
-    normals = {}
-    for plane, ids in hull.facet_map().items():
-        for u in ids:
-            normals.setdefault(u, []).append(plane.normal)
-    dim = hull.dim
-    return {hull.tags[u] for u, rows in normals.items() if rank_int(rows) == dim}
+    try:
+        hull = FacetHull(points)
+    except DegenerateInput:
+        hull = lattice_hull(points)[0]
+    masks = hull.facet_map().values()
+    everyone = (1 << len(hull.tags)) - 1
+    out = set()
+    for u, tag in enumerate(hull.tags):
+        meet = everyone
+        for mask in masks:
+            if mask >> u & 1:
+                meet &= mask
+        if meet == 1 << u:
+            out.add(tag)
+    return out
 
 
 def preprocess(family):
@@ -377,7 +378,7 @@ def preprocess(family):
     symbolic = []
     for pts, flags in zip(family.supports, family.symbolic):
         spec = [p for p, f in zip(pts, flags) if not f]
-        vertices = _hull_vertices(spec, family.n) if spec else ()
+        vertices = _hull_vertices(spec) if spec else ()
         kept = [k for k, p in enumerate(pts) if flags[k] or p in vertices]
         supports.append([pts[k] for k in kept])
         symbolic.append([flags[k] for k in kept])

@@ -1,21 +1,25 @@
 """Exact convex-hull machinery in general (small) dimension.
 
-Provides an incremental Beneath-and-Beyond hull that maintains its placing
-triangulation, works at any intrinsic dimension inside its ambient space,
-and accepts a pluggable orientation callback so that hulls over structured
-point sets can route predicates through the shared minor cache.  On top of
-the hull sit lattice-normalized volume and f-vector extraction.
+Two hulls live here.  ``TriangulatedHull`` is the oracle's: an incremental
+Beneath-and-Beyond hull that maintains its placing triangulation, works at
+any intrinsic dimension inside its ambient space, and accepts pluggable
+orientation callbacks so that hulls over structured point sets can route
+predicates through the shared minor cache.  ``FacetHull`` is Q's: a
+full-dimensional polytope kept as a double description, its points and its
+facets with the points on each, plus a facet graph.  On top of them sit the
+pulling triangulation that Q and approx mode's outer polytope share,
+lattice-normalized volume and f-vector extraction.
 
-All arithmetic is exact; no floating point is ever used.  The hull and its
-volume run on integers: a rational point is kept as its homogeneous row
-(m.p, m), cleared of denominators once.  ``Fraction`` appears only in the
-volumes handed out.
+All arithmetic is exact; no floating point is ever used.  The hulls and
+their volumes run on integers: a rational point is kept as its homogeneous
+row (m.p, m), cleared of denominators once.  ``Fraction`` appears only in
+the volumes handed out.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateInput, InvariantViolation
@@ -32,6 +36,7 @@ from .exactlin import (
 from .kernels import _sign, mask_with_parity
 
 __all__ = [
+    "FacetHull",
     "Hyperplane",
     "TriangulatedHull",
     "affine_dim",
@@ -57,16 +62,12 @@ class _BoundarySimplex:
     ``verts`` are point ids in increasing order.  ``inner_sign`` is the
     orientation sign of (verts..., opp), set when the simplex is created; a
     candidate point lies beyond the simplex's hyperplane exactly when its
-    orientation sign is the negative of it.  A filed hull sets ``plane``,
-    the simplex's outward hyperplane, from cofactors (``_bs_plane``) when it
-    files and from the pencil at the horizon ridge after that, numbers its
-    simplices in order of creation (``serial``), and links their neighbours:
-    ``nbrs[j]`` is the other simplex on the ridge without ``verts[j]``.  A
-    hull with a ``split_fn`` keeps ``key``, the bitmask of the tags of
-    ``verts`` (bit t for tag t), and ``parity``, the sign of their sort.
+    orientation sign is the negative of it.  A hull with a ``split_fn``
+    keeps ``key``, the bitmask of the tags of ``verts`` (bit t for tag t),
+    and ``parity``, the sign of their sort.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "plane", "key", "parity", "serial", "nbrs")
+    __slots__ = ("verts", "opp", "inner_sign", "key", "parity")
 
     def __init__(self, verts, opp, inner_sign, key=None, parity=1):
         self.verts = verts
@@ -103,19 +104,21 @@ def _hom_row(pt):
 class TriangulatedHull:
     """Incremental convex hull with maintained placing triangulation.
 
-    Points live in ``ambient_dim`` coordinates; the hull tracks its intrinsic
-    dimension, growing it as points outside the current affine hull arrive.
-    ``orient_fn(hull, ids)`` may return the orientation sign of the points
-    with the given ids (in order), or None to fall back to the built-in exact
-    determinant; the callback lets structured hulls reuse cached minors.
-    ``split_fn(hull, vid)`` may return the (visible, kept) split of the
-    boundary by the new point ``vid``, every orientation of (verts..., vid)
-    taken at once, or None to orient simplex by simplex.  Its hull keeps
-    each boundary simplex's tags as a bitmask with their sort parity
-    (``key``, ``parity``), so its tags must be distinct non-negative
-    ``int``s, and ``insert`` raises ``ValueError`` on any other: a fresh
-    simplex gets its parent's key with the witness's bit cleared and the
-    new point's set; a dimension jump copies an old cell's key or makes it.
+    This is the oracle's hull: its base hull of the unlifted columns and
+    the lifted clones of it.  Points live in ``ambient_dim`` coordinates;
+    the hull tracks its intrinsic dimension, growing it as points outside
+    the current affine hull arrive.  ``orient_fn(hull, ids)`` may return the
+    orientation sign of the points with the given ids (in order), or None to
+    fall back to the built-in exact determinant; the callback lets
+    structured hulls reuse cached minors.  ``split_fn(hull, vid)`` may
+    return the (visible, kept) split of the boundary by the new point
+    ``vid``, every orientation of (verts..., vid) taken at once, or None to
+    orient simplex by simplex.  Its hull keeps each boundary simplex's tags
+    as a bitmask with their sort parity (``key``, ``parity``), so its tags
+    must be distinct non-negative ``int``s, and ``insert`` raises
+    ``ValueError`` on any other: a fresh simplex gets its parent's key with
+    the witness's bit cleared and the new point's set; a dimension jump
+    copies an old cell's key or makes it.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
@@ -133,33 +136,19 @@ class TriangulatedHull:
     sigma times T's old sign for every tuple T of old points, with sigma
     fixed for that jump (this holds for the chart, and for an
     ``orient_fn`` that, like the oracle's, is a determinant of the lifted
-    points).  Orientation signs and facet planes
-    are taken over each point's homogeneous row (m.p, m), cleared of
-    denominators once when the point is recorded, so hulls of rational
-    points run on integers too.
-
-    The visibility test follows from what the hull is.  Below full
-    dimension it orients; at full dimension a hull with a ``split_fn`` (the
-    oracle's) asks it; any other hull files its boundary simplices by facet
-    plane on the insert that makes it full-dimensional and keeps its facet
-    table (``facet_map``) current.  A filed insert takes one dot product per
-    plane, touches only the simplices on the planes the point sees, and
-    takes each fresh plane from the two planes at its horizon ridge
-    (``_pencil_plane``), the second that of the simplex's neighbour across
-    the ridge, so it computes no determinant; the boundary is assembled, in
-    creation order, only when read.  Every hull derives a fresh simplex's
-    sign from its parent's visibility test, which found the point beyond
-    the parent's plane or oriented a permutation of its points
-    (so, as at a jump, an ``orient_fn`` must be a determinant).
+    points).  Orientation signs are taken over each point's homogeneous row
+    (m.p, m), cleared of denominators once when the point is recorded, so
+    hulls of rational points run on integers too.  A fresh simplex's sign
+    follows from its parent's visibility test, which oriented a permutation
+    of its points (so, as at a jump, an ``orient_fn`` must be a
+    determinant).
 
     ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
-    (dim+1)-tuple of point ids; cells partition the hull.  At full
-    dimension cells are only appended, so ``hull_volume`` keeps a running
-    sum over the cells it has seen.  ``points`` records every point that
-    was a vertex when inserted (a later insertion may make an earlier point
-    non-extreme without removing it from this list; that never happens when
-    every inserted point is a vertex of the final hull).
+    (dim+1)-tuple of point ids; cells partition the hull.  ``points``
+    records every point that was a vertex when inserted (a later insertion
+    may make an earlier point non-extreme without removing it from this
+    list).  The hull keeps no facet table: facets are ``FacetHull``'s.
     """
 
     def __init__(self, ambient_dim, orient_fn=None, split_fn=None):
@@ -182,14 +171,6 @@ class TriangulatedHull:
         self._pending = False  # a simplex above dimension 0 awaiting _build
         self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
-        self._facets = None  # facet_map's table, once the boundary is filed
-        # A filed hull: plane -> simplices on it, and a creation serial per
-        # simplex that gives the boundary order.
-        self._on_plane = None
-        self._serials = 0
-        # hull_volume's running sum of the cells[:_vol_cells] volumes, times dim!
-        self._vol_cells = 0
-        self._vol_sum = 0
 
     # -- the state a jump-only prefix builds on first read --------------------
 
@@ -197,9 +178,6 @@ class TriangulatedHull:
     def boundary(self):
         if self._pending:
             self._build()
-        if self._on_plane is not None:
-            simplices = [bs for group in self._on_plane.values() for bs in group]
-            return sorted(simplices, key=attrgetter("serial"))
         return self._boundary
 
     @property
@@ -273,19 +251,17 @@ class TriangulatedHull:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, point, tag=None):
-        """Insert a point; returns the list of facet planes it added.
+        """Insert a point.
 
         Duplicates and points inside the hull are no-ops.  A point outside
         the current affine hull raises the intrinsic dimension by coning the
-        whole triangulation.  The planes are the ``facet_map`` keys that
-        appeared: every facet on the insert that files the hull, [] while
-        the hull has no facet table.
+        whole triangulation.
         """
         pt = tuple(point)
         if len(pt) != self.ambient:
             raise ValueError("point has wrong dimension")
         if pt in self._index:
-            return []
+            return
         if self.split_fn and (type(tag) is not int or tag < 0 or tag in self.tags):
             raise ValueError("a hull with a split_fn takes distinct non-negative int tags")
         if self.dim == -1:
@@ -298,31 +274,7 @@ class TriangulatedHull:
         ):
             self._dim_jump(pt, tag)
         else:
-            return self._standard_insert(pt, tag)
-        # The hull has just reached this dimension, so every facet is new.
-        if self.dim == self.ambient and self.split_fn is None:
-            return self._file_by_plane()
-        return []
-
-    def _file_by_plane(self):
-        # The facet table, and the index that inserts keep from here: every
-        # boundary simplex is fresh to empty tables.
-        boundary = self.boundary
-        for serial, bs in enumerate(boundary):
-            bs.plane = self._bs_plane(bs)
-            bs.serial = serial
-        self._facets, self._on_plane = {}, {}
-        self._serials = len(boundary)
-        self._boundary = None
-        open_ridges = {}  # ridge -> the first simplex on it, and its place
-        for bs in boundary:
-            verts = bs.verts
-            bs.nbrs = [None] * len(verts)
-            for j in range(len(verts)):
-                other, i = open_ridges.setdefault(verts[:j] + verts[j + 1:], (bs, j))
-                if other is not bs:
-                    other.nbrs[i], bs.nbrs[j] = bs, other
-        return self._refile((), boundary)
+            self._standard_insert(pt, tag)
 
     def _dim_jump(self, pt, tag):
         vid = self._record(pt, tag)
@@ -366,34 +318,19 @@ class TriangulatedHull:
         if self._pending:
             self._build()
         vid = self._record(pt, tag)
-        filed = self._on_plane is not None
-        if filed:
-            # One dot product per facet plane, over the point's cleared row
-            # (m.p, m): a = m.g(p) > 0 exactly when the point sees the plane.
-            k = self.ambient
-            h = self._hom[vid]
-            x, m = h[:k], h[k]
-            a_of = {
-                plane: sum(map(mul, plane.normal, x)) - m * plane.offset
-                for plane in self._on_plane
-            }
-            seen = [plane for plane, a in a_of.items() if a > 0]
-            visible = [bs for plane in seen for bs in self._on_plane[plane]]
-            visible.sort(key=attrgetter("serial"))
+        split = self.split_fn and self.split_fn(self, vid)
+        if split is not None:
+            visible, keep = split
         else:
-            split = self.split_fn and self.split_fn(self, vid)
-            if split is not None:
-                visible, keep = split
-            else:
-                keep, visible = [], []
-                for bs in self._boundary:
-                    if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
-                        visible.append(bs)
-                    else:
-                        keep.append(bs)
+            keep, visible = [], []
+            for bs in self._boundary:
+                if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
+                    visible.append(bs)
+                else:
+                    keep.append(bs)
         if not visible:
             self._unrecord(vid)
-            return []
+            return
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
             self._signs.append(-bs.inner_sign)
@@ -414,8 +351,6 @@ class TriangulatedHull:
         fresh = []
         tags = self.tags
         tv = tags[vid]
-        pencil = {}
-        open_ridges = {}
         for ridge, info in ridge_info.items():
             if info is None:
                 continue
@@ -436,100 +371,12 @@ class TriangulatedHull:
                 swaps = j + (key & (low - 1)).bit_count() + (sub >> tv).bit_count()
                 nb.key = sub | 1 << tv
                 nb.parity = -bs.parity if swaps & 1 else bs.parity
-            if filed:
-                # The ridge's other simplex is kept and gives g2; nb takes
-                # bs's place next to it and pairs up with the fresh simplices
-                # on its ridges through vid.
-                other = bs.nbrs[j]
-                nb.plane = self._pencil_plane(bs.plane, other.plane, a_of, pencil)
-                nb.nbrs = [None] * len(ridge) + [other]
-                other.nbrs[other.nbrs.index(bs)] = nb
-                t = len(ridge)  # no ridge through vid in ambient dimension 1
-                for sub in combinations(ridge, t - 1) if t else ():
-                    t -= 1
-                    mate, i = open_ridges.setdefault(sub, (nb, t))
-                    if mate is not nb:
-                        mate.nbrs[i], nb.nbrs[t] = nb, mate
-                nb.serial = self._serials
-                self._serials += 1
             fresh.append(nb)
-        if not filed:
-            self._boundary = keep + fresh
-            return []
-        return self._refile(seen, fresh)
-
-    def _pencil_plane(self, g1, g2, a_of, memo):
-        """Outward plane through a horizon ridge of plane ``g1`` and the point.
-
-        ``g2`` is the plane of the ridge's other boundary simplex, which the
-        point must not see.  With g(x) = normal.x - offset and a = m.g(p)
-        for the point's cleared row, the plane a1.g2 - a2.g1 vanishes on the
-        ridge and at the point, and is at most 0 on the hull since a1 > 0 >=
-        a2: the dual of the edge combination in ``outer.clip_halfspace``.
-        When a2 = 0 it is g2 itself.  ``memo`` holds the planes made in this
-        insert, by (g1, g2).
-        """
-        if a_of[g2] > 0:
-            raise InvariantViolation("horizon ridge between two planes the point sees")
-        plane = memo.get((g1, g2))
-        if plane is None:
-            a1, a2 = a_of[g1], a_of[g2]
-            if a2 == 0:
-                plane = g2
-            else:
-                normal = [a1 * y - a2 * x for x, y in zip(g1.normal, g2.normal)]
-                offset = a1 * g2.offset - a2 * g1.offset
-                plane = Hyperplane(*canonical_hyperplane(normal, offset))
-            memo[g1, g2] = plane
-        return plane
-
-    def _refile(self, seen, fresh):
-        # A plane the point sees loses every simplex on it; any other plane
-        # keeps all of its own and gains the fresh ones on it (the point
-        # lies on that plane).
-        facets = self._facets
-        on_plane = self._on_plane
-        for plane in seen:
-            del on_plane[plane]
-            del facets[plane]
-        grown = {}
-        for nb in fresh:
-            grown.setdefault(nb.plane, []).append(nb)
-        added = []
-        for plane, group in grown.items():
-            ids = {u for nb in group for u in nb.verts}
-            old = facets.get(plane)
-            if old is None:
-                added.append(plane)
-                facets[plane] = frozenset(ids)
-                on_plane[plane] = group
-            else:
-                facets[plane] = old | ids
-                on_plane[plane].extend(group)
-        return added
-
-    # -- facets ----------------------------------------------------------------
-
-    def _bs_plane(self, bs):
-        """Outward plane of ``bs``: its cofactor plane, away from its witness."""
-        hom = self._hom
-        return _cofactor_plane([hom[v] for v in bs.verts], hom[bs.opp])
+        self._boundary = keep + fresh
 
     def facet_map(self):
-        """The facet table of a filed hull: {Hyperplane: frozenset of ids}.
-
-        Each canonical hyperplane maps to the ids of the vertices of the
-        boundary simplices on it, which may include points inside the
-        facet.  Inserts keep the table current; it is the hull's own, and
-        callers must not change it.  A hull below full dimension, or with a
-        ``split_fn``, has none and raises ``DegenerateInput``.
-        """
-        if self._facets is None:
-            raise DegenerateInput(
-                "facets require a full-dimensional hull without a split_fn "
-                "(dim %d of %d)" % (self.dim, self.ambient)
-            )
-        return self._facets
+        """Raises ``DegenerateInput``: a triangulated hull keeps no facets."""
+        raise DegenerateInput("a TriangulatedHull keeps no facet table; see FacetHull")
 
     # -- cloning ----------------------------------------------------------------
 
@@ -602,6 +449,173 @@ def _cofactor_plane(rows, witness):
     return Hyperplane(*canonical_hyperplane([m0 * a for a in normal], offset))
 
 
+class FacetHull:
+    """A full-dimensional polytope in R^k kept as a double description.
+
+    The first point and each later one that raises the affine rank make a
+    simplex, whose planes are cofactor planes; the other points are then
+    inserted in order.  ``points``, ``tags`` (by default the points) and
+    ``_hom`` record, simplex first, each point that lay outside the hull
+    when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
+    the recorded points on it}; the masks are exact, so a face is known by
+    its mask.  ``_nbrs`` maps each facet's plane to the planes of the
+    facets it shares a ridge with: the facet graph.
+
+    An insert takes a = m.g(p) per facet over the point's cleared row, and
+    the point sees the facets with a > 0.  A seen F and an unseen neighbour
+    G meet in a horizon ridge F & G, and a1.g2 - a2.g1 is the plane through
+    it and the point, at most 0 on the hull since a1 > 0 >= a2 (the dual of
+    the edge combination in ``outer.clip_halfspace``); when a2 = 0 it is G,
+    which gains the point.  The horizon ridges make a (k-2)-sphere, so each
+    facet of one lies on one other, and the facets through the point over
+    those two ridges meet in a ridge unless they are one.  ``hull_volume``
+    takes the pulling triangulation on first read; after that each insert
+    adds the point coned over the pulling triangulation of each seen facet.
+    """
+
+    def __init__(self, points, tags=None):
+        pts = [tuple(p) for p in points]
+        tags = pts if tags is None else list(tags)
+        k = self.dim = len(pts[0])
+        self.points, self.tags, self._hom, self._index = [], [], [], {}
+        self._volume = None
+        echelon, pivots, rest = [], [], []
+        for p, t in zip(pts, tags):
+            if not self.points or (len(self.points) <= k and echelon_extend(
+                _row_cleared(vec_sub(p, self.points[0]))[0], echelon, pivots
+            )):
+                self._record(p, _hom_row(p), t)
+            else:
+                rest.append((p, t))
+        if len(self.points) <= k:
+            raise DegenerateInput("points span %d of %d dimensions" % (len(echelon), k))
+        hom = self._hom
+        planes = [_cofactor_plane(hom[:i] + hom[i + 1:], hom[i]) for i in range(k + 1)] if k else []
+        everything = (1 << (k + 1)) - 1
+        self._facets = {plane: everything ^ 1 << i for i, plane in enumerate(planes)}
+        self._nbrs = {plane: set(planes) - {plane} for plane in planes}
+        for p, t in rest:
+            self.insert(p, t)
+
+    def _record(self, pt, row, tag):
+        vid = len(self.points)
+        self.points.append(pt)
+        self._hom.append(row)
+        self.tags.append(tag)
+        self._index[pt] = vid
+        return vid
+
+    def facet_map(self):
+        """The facet table {Hyperplane: bitmask of the ids on it}.
+
+        Inserts keep it current; it is the hull's own, and callers must not
+        change it.
+        """
+        return self._facets
+
+    def insert(self, point, tag=None):
+        """Insert a point; returns the list of facet planes it added.
+
+        Duplicates and points in the hull are no-ops.  Raises
+        ``InvariantViolation`` when the facet graph is found corrupted: a
+        facet of a horizon ridge that lies on no other.
+        """
+        pt = tuple(point)
+        k = self.dim
+        if len(pt) != k:
+            raise ValueError("point has wrong dimension")
+        if pt in self._index:
+            return []
+        row = _hom_row(pt)
+        x, m = row[:k], row[k]
+        facets, nbrs = self._facets, self._nbrs
+        a_of = {
+            plane: sum(map(mul, plane.normal, x)) - m * plane.offset for plane in facets
+        }
+        seen = [plane for plane, a in a_of.items() if a > 0]
+        if not seen:
+            return []
+        vid = self._record(pt, row, tag)
+        if self._volume is not None:
+            self._volume += self._cone_volume(vid, seen)
+        bit = 1 << vid
+        through = {}  # plane -> mask of each facet through the point
+        bases = []  # (fresh plane, the kept facet across its base ridge)
+        at_face = {}  # (k-3)-face of the horizon -> the facets over its ridges
+        for f in seen:
+            a1, mf = a_of[f], facets[f]
+            for g in nbrs[f]:
+                a2 = a_of[g]
+                if a2 > 0:
+                    continue  # seen too: the ridge goes
+                ridge = mf & facets[g]
+                if a2 == 0:
+                    plane = g
+                    through[g] = facets[g] | bit
+                else:
+                    normal = [a1 * v - a2 * u for u, v in zip(f.normal, g.normal)]
+                    offset = a1 * g.offset - a2 * f.offset
+                    plane = Hyperplane(*canonical_hyperplane(normal, offset))
+                    through[plane] = through.get(plane, bit) | ridge
+                    bases.append((plane, g))
+                for t in self._ridge_facets(ridge, f, g):
+                    at_face.setdefault(t, []).append(plane)
+        for f in seen:
+            del facets[f]
+            for g in nbrs.pop(f):
+                if a_of[g] <= 0:
+                    nbrs[g].discard(f)
+        added = [plane for plane in through if plane not in facets]
+        for plane in added:
+            nbrs[plane] = set()
+        facets.update(through)
+        for plane, g in bases:
+            nbrs[plane].add(g)
+            nbrs[g].add(plane)
+        for pair in at_face.values():
+            if len(pair) != 2:
+                raise InvariantViolation("a face of the horizon lies on %d of its ridges" % len(pair))
+            h1, h2 = pair
+            if h1 != h2:
+                nbrs[h1].add(h2)
+                nbrs[h2].add(h1)
+        return added
+
+    def _ridge_facets(self, ridge, f, g):
+        # The facets of the ridge F & G, as masks.  A ridge of k - 1 points
+        # is a simplex, whose facets leave out one point each; any other's
+        # are its maximal proper meets with the neighbours of F, or of G,
+        # since the next facet round each of them is one.
+        k, facets, nbrs = self.dim, self._facets, self._nbrs
+        if ridge.bit_count() == k - 1:
+            out, rest = [], ridge
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                out.append(ridge ^ low)
+            return out
+        near = nbrs[f] if len(nbrs[f]) < len(nbrs[g]) else nbrs[g]
+        subs = {ridge & facets[x] for x in near}
+        subs.discard(ridge)  # the meet with F or G
+        subs = [t for t in subs if t.bit_count() >= k - 2]
+        return [t for t in subs if not any(t & u == t != u for u in subs)]
+
+    def _cone_volume(self, vid, seen):
+        # The volume the point adds: it coned over the pulling triangulation
+        # of each facet it sees, whose ridges are its mask's meets with its
+        # neighbours'.
+        facets, nbrs, hom = self._facets, self._nbrs, self._hom
+        apex = hom[vid]
+        memo = {}
+        total = 0
+        for f in seen:
+            mf = facets[f]
+            ridges = {mf & facets[g] for g in nbrs[f]}
+            for cell in _pulling_simplices(mf, ridges, self.dim - 1, memo):
+                total += _cell_volume([apex] + [hom[v] for v in cell])
+        return Fraction(total) / factorial(self.dim)
+
+
 # -- volume ---------------------------------------------------------------------
 
 
@@ -612,37 +626,64 @@ def _cell_volume(rows):
     return d if m == 1 else Fraction(d, m)
 
 
-def hull_volume(hull):
-    """Lattice-normalized volume: sum over cells of |det(edges)| / dim!.
+def _pulling_simplices(face, sets, d, memo):
+    """The pulling triangulation of a d-face, as tuples of point indices.
 
-    Full-dimensional hulls take one integer determinant per cell over the
-    cleared homogeneous rows: det(m_i.p_i, m_i) is prod(m_i) times the
-    determinant of the cell's edges.  The sum is kept on the hull and a call
-    adds only the cells appended since the last one.  A lower-dimensional
-    hull takes the volume of its points' ``lattice_hull``, so integer
-    polytopes get their lattice-normalized volume and volume *ratios* of
-    hulls sharing one space are parameterization-independent.  A single
-    point has volume 1 by convention.  Rational points below full dimension
-    raise ``ValueError``: their affine hull need not carry a lattice to
-    normalize by.
+    ``face`` is the face's point set as a bit mask and ``sets`` holds point
+    sets whose maximal proper nonempty meets with it are its facets: the
+    facets' of a polytope, or a facet's ridges'.  The face is coned from
+    its lowest point over its facets that miss that point.  A face's
+    simplices depend on the face alone, so ``memo`` keeps them per face.
     """
-    k = hull.dim
-    if k <= 0:
+    if d == 0:
+        return [(face.bit_length() - 1,)]
+    got = memo.get(face)
+    if got is not None:
+        return got
+    apex_bit = face & -face
+    apex = apex_bit.bit_length() - 1
+    proper = {t for t in sets if t and t != face}
+    out = []
+    for sub in proper:
+        if sub & apex_bit:
+            continue
+        if any(sub & t == sub and t != sub for t in proper):
+            continue  # not a facet of this face
+        for simplex in _pulling_simplices(sub, {t & sub for t in proper}, d - 1, memo):
+            out.append((apex, *simplex))
+    memo[face] = out
+    return out
+
+
+def _pulling_volume(dim, rows, sets):
+    """Volume of a full-dimensional polytope from its facets' point sets.
+
+    ``rows`` are its points as homogeneous rows and ``sets`` the bit masks
+    of the points on each facet (bit i for ``rows[i]``), so that a face is
+    known by its point set.
+    """
+    face = 0
+    for t in sets:
+        face |= t
+    cells = _pulling_simplices(face, sets, dim, {})
+    total = sum(_cell_volume([rows[v] for v in cell]) for cell in cells)
+    return Fraction(total) / factorial(dim)
+
+
+def hull_volume(hull):
+    """The volume of a ``FacetHull``; a single point has volume 1.
+
+    The hull of a ``lattice_hull`` is full-dimensional over its points' own
+    lattice, so integer polytopes get their lattice-normalized volume and
+    volume *ratios* of hulls sharing one space are
+    parameterization-independent.  The first call takes the pulling
+    triangulation; inserts keep the volume from then on.
+    """
+    if hull.dim == 0:
         return Fraction(1)
-    hom = hull._hom
-    if k < hull.ambient:
-        if any(h[-1] != 1 for h in hom):
-            raise ValueError(
-                "hull_volume below full dimension needs integer points: the "
-                "volume is normalized to the lattice of the affine hull"
-            )
-        return hull_volume(lattice_hull(hull.points)[0])
-    total = hull._vol_sum
-    for cell in hull.cells[hull._vol_cells:]:
-        total += _cell_volume([hom[v] for v in cell])
-    hull._vol_cells = len(hull.cells)
-    hull._vol_sum = total
-    return Fraction(total) / factorial(k)
+    if hull._volume is None:
+        hull._volume = _pulling_volume(hull.dim, hull._hom, hull._facets.values())
+    return hull._volume
 
 
 def lattice_hull(points):
@@ -650,35 +691,31 @@ def lattice_hull(points):
 
     The chart is p0 = min(points) plus a saturated basis of the differences,
     taken in the order given, so every integer point of the affine hull has
-    integer coordinates and lattice volumes are kept.  The points are
-    inserted in the order given, each tagged by itself; the hull is
+    integer coordinates and lattice volumes are kept.  The points go to a
+    ``FacetHull`` in the order given, each tagged by itself; it is
     full-dimensional in the chart.  Returns (hull, chart).
     """
     pts = list(points)
     p0 = min(pts)
     diffs = [vec_sub(p, p0) for p in pts if p != p0]
-    basis = saturated_basis(diffs, ambient_dim=len(p0))
-    chart = AffineChart(p0, basis)
-    hull = TriangulatedHull(len(basis))
+    chart = AffineChart(p0, saturated_basis(diffs, ambient_dim=len(p0)))
+    xis = []
     for p in pts:
         xi = chart.coords(p)
         if xi is None:
             raise InvariantViolation("point off the lattice of its own affine hull")
-        hull.insert(xi, tag=p)
-    if hull.dim != len(basis):
-        raise InvariantViolation("hull does not span its chart")
-    return hull, chart
+        xis.append(xi)
+    return FacetHull(xis, pts), chart
 
 
 # -- f-vector ---------------------------------------------------------------------
 
 
 def f_vector(hull):
-    """Face counts (f_0, ..., f_{dim-1}) from vertex-facet incidence.
+    """Face counts (f_0, ..., f_{dim-1}) of a ``FacetHull``.
 
-    Faces are obtained by closing the facet vertex sets under intersection
-    and grading by affine dimension.  Requires a full-dimensional hull (a
-    single point gives (1,)).
+    Faces are obtained by closing the facets' point sets under intersection
+    and grading by affine dimension (a single point gives (1,)).
     """
     if hull.dim == 0:
         return (1,)
@@ -696,6 +733,6 @@ def f_vector(hull):
         frontier = new
     counts = [0] * hull.dim
     for f in faces:
-        d = affine_dim([hull.points[i] for i in f])
+        d = affine_dim([p for i, p in enumerate(hull.points) if f >> i & 1])
         counts[d] += 1
     return tuple(counts)

@@ -121,7 +121,8 @@ class MinorCache:
     same columns; the oracle's batch ``split_boundary`` reads only those a
     nonzero lift multiplies.
 
-    The public entries take column tuples and convert them once.  Statistics
+    The public entries take column tuples and convert them once; each
+    raises ``ValueError`` when given no columns.  Statistics
     count hits and misses (misses = actually computed minors), with
     pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
@@ -232,6 +233,8 @@ class MinorCache:
     # -- argument checks -----------------------------------------------------
 
     def _check_increasing(self, cols, max_len):
+        if not cols:
+            raise ValueError("a predicate needs at least one column")
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
         prev = -1
@@ -243,9 +246,11 @@ class MinorCache:
 
     def _checked_mask(self, cols, max_len):
         # (mask, parity) of distinct columns in any order.
+        if not cols:
+            raise ValueError("a predicate needs at least one column")
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
-        if cols and (min(cols) < 0 or max(cols) >= len(self._columns)):
+        if min(cols) < 0 or max(cols) >= len(self._columns):
             raise ValueError("column indices must be strictly increasing and in range")
         return mask_with_parity(cols)
 
@@ -321,14 +326,12 @@ class MinorCache:
         and its values may be integers or ``fractions.Fraction``.  The
         expansion runs along the lifting row of the sorted columns; every
         homogeneous sub-minor is requested (and thus cached) even when its
-        lifting coefficient is 0.  No columns raise ``ValueError``.
+        lifting coefficient is 0.
         """
         cols = tuple(cols)
         k = len(cols)
         if k != len(lifting):
             raise ValueError("lifting must align with cols")
-        if not k:
-            raise ValueError("orientation needs at least one column")
         if len(set(cols)) != k:
             self.predicate_calls += 1
             return 0

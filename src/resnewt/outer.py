@@ -7,7 +7,7 @@ tight at each vertex (Fukuda & Prodon's double description method).
 one integer combination of an edge's two rows, edges are recognized from
 the tight sets alone, and the volume is updated from a pulling
 triangulation of the smaller side of the cut, built from the tight sets as
-well.  Nothing here builds a ``TriangulatedHull``.
+well by the routine that Q's ``geometry.FacetHull`` uses.
 
 All arithmetic is exact and runs on integers; ``Fraction`` appears only in
 the volumes and vertex coordinates handed out.
@@ -18,7 +18,7 @@ from math import factorial, prod
 
 from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from .exactlin import det_bareiss, dot, primitive
-from .geometry import _cell_volume, _cofactor_plane, _hom_row, _row_cleared
+from .geometry import _cofactor_plane, _hom_row, _pulling_volume, _row_cleared
 
 __all__ = ["OuterPolytope", "clip_halfspace"]
 
@@ -31,49 +31,6 @@ def _vertex_masks(tight):
         for c in ts:
             masks[c] = masks.get(c, 0) | bit
     return masks
-
-
-def _pulling_simplices(face, sets, d, memo):
-    """The pulling triangulation of a d-face, as tuples of vertex indices.
-
-    ``face`` is the face's vertex set as a bit mask and ``sets`` holds its
-    intersections with the constraints' vertex sets.  The facets of the
-    face are the maximal proper nonempty ones among them; the face is coned
-    from its first vertex over its facets that miss that vertex.  A face's
-    simplices depend on the face alone, so ``memo`` keeps them per face.
-    """
-    if d == 0:
-        return [(face.bit_length() - 1,)]
-    got = memo.get(face)
-    if got is not None:
-        return got
-    apex_bit = face & -face
-    apex = apex_bit.bit_length() - 1
-    proper = {t for t in sets if t and t != face}
-    out = []
-    for sub in proper:
-        if sub & apex_bit:
-            continue
-        if any(sub & t == sub and t != sub for t in proper):
-            continue  # not a facet of this face
-        for simplex in _pulling_simplices(sub, {t & sub for t in proper}, d - 1, memo):
-            out.append((apex, *simplex))
-    memo[face] = out
-    return out
-
-
-def _pulling_volume(dim, rows, tight):
-    """Volume of a full-dimensional polytope from a double description.
-
-    ``rows`` are its vertices as homogeneous rows and ``tight[i]`` the ids of
-    the constraints tight at vertex i, among constraints that include every
-    facet, so that a face is known by its vertex set.
-    """
-    everything = (1 << len(rows)) - 1
-    sets = set(_vertex_masks(tight).values())
-    cells = _pulling_simplices(everything, sets, dim, {})
-    total = sum(_cell_volume([rows[v] for v in cell]) for cell in cells)
-    return Fraction(total) / factorial(dim)
 
 
 def _constraint_row(plane):
@@ -182,9 +139,11 @@ def clip_halfspace(outer, plane):
     if len(outside) < len(inside):
         cap_rows = [rows[i] for i in outside] + new_rows[len(inside):]
         cap_tight = [tight[i] for i in outside] + new_tight[len(inside):]
-        volume = outer.volume - _pulling_volume(outer.dim, cap_rows, cap_tight)
+        cap_sets = _vertex_masks(cap_tight).values()
+        volume = outer.volume - _pulling_volume(outer.dim, cap_rows, cap_sets)
     else:
-        volume = _pulling_volume(outer.dim, new_rows, new_tight)
+        new_sets = _vertex_masks(new_tight).values()
+        volume = _pulling_volume(outer.dim, new_rows, new_sets)
     return OuterPolytope(
         outer.dim, new_rows, new_tight, outer.constraints + [plane], volume
     )

@@ -26,12 +26,7 @@ from .exactlin import (
     rank_int,
     vec_sub,
 )
-from .geometry import (
-    Hyperplane,
-    TriangulatedHull,
-    hull_volume,
-    lattice_hull,
-)
+from .geometry import FacetHull, Hyperplane, hull_volume, lattice_hull
 from .oracle import VertexOracle
 from .outer import OuterPolytope, clip_halfspace
 
@@ -61,7 +56,7 @@ class BuildState:
     oracle: VertexOracle
     chart: AffineChart
     equations: list
-    hull: TriangulatedHull
+    hull: FacetHull
     illegal: deque = field(default_factory=deque)
     legal: dict = field(default_factory=dict)
     init_calls: int = 0
@@ -104,9 +99,9 @@ class BuildState:
     def facets_x(self):
         """Current facets as (normal, offset) in original coordinates."""
         out = []
-        for plane, ids in self.hull.facet_map().items():
+        for plane, mask in self.hull.facet_map().items():
             w = self.pullback(plane.normal)
-            out.append((w, dot(w, self.hull.tags[min(ids)])))
+            out.append((w, dot(w, self.hull.tags[(mask & -mask).bit_length() - 1])))
         return sorted(out)
 
 

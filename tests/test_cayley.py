@@ -270,18 +270,18 @@ def test_preprocess_keeps_exactly_the_extreme_specialized_points():
 
 
 def test_preprocess_builds_one_hull_per_block(monkeypatch):
-    # One hull per block with specialized points, and one more, their
-    # lattice_hull, when the block's specialized points are not
-    # full-dimensional.
+    # One facet hull per block with specialized points: of the points
+    # themselves when they are full-dimensional, else their lattice_hull, of
+    # their own dimension.
     builds = []
 
-    class CountedHull(cayley.TriangulatedHull):
+    class CountedHull(cayley.FacetHull):
         def __init__(self, *args, **kwargs):
-            builds.append(args[0])
             super().__init__(*args, **kwargs)
+            builds.append(self.dim)
 
-    monkeypatch.setattr(cayley, "TriangulatedHull", CountedHull)
-    monkeypatch.setattr(geometry, "TriangulatedHull", CountedHull)
+    monkeypatch.setattr(cayley, "FacetHull", CountedHull)
+    monkeypatch.setattr(geometry, "FacetHull", CountedHull)
     for fam in _preprocess_families():
         del builds[:]
         preprocess(fam)
@@ -289,10 +289,7 @@ def test_preprocess_builds_one_hull_per_block(monkeypatch):
         for pts, flags in zip(fam.supports, fam.symbolic):
             spec = [p for p, f in zip(pts, flags) if not f]
             if spec:
-                expect.append(fam.n)
-                dim = affine_dim(spec)
-                if 0 < dim < fam.n:
-                    expect.append(dim)
+                expect.append(affine_dim(spec))
         assert builds == expect
 
 

@@ -386,6 +386,25 @@ def test_cache_validates_columns():
         cache.orientation((0, 1), [1])  # misaligned lifting
 
 
+def test_no_columns_raise_and_count_nothing():
+    # Every tuple entry rejects an empty column set with one ValueError,
+    # before it counts a call or computes a minor.
+    cache = MinorCache([(1, 2), (3, 4)])
+    entries = [
+        lambda: cache.minor(()),
+        lambda: cache.hom_det(()),
+        lambda: cache.hom_sign(()),
+        lambda: cache.volume_predicate(()),
+        lambda: cache.orientation((), ()),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="at least one column"):
+            entry()
+    stats = cache.stats()
+    assert stats["predicate_calls"] == 0 and stats["pure_misses"] == 0
+    assert cache.entries == 0
+
+
 # -- vector helpers -----------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
-"""Tests for the incremental convex hull, volumes, clipping, and f-vectors.
+"""Tests for the convex hulls, volumes, clipping, and f-vectors.
 
-Facet sets and extreme points are checked against the brute-force procedures
-in tests/reference.py on seeded random point clouds; volumes against closed
-forms and the 2-D shoelace formula.
+Facet sets, extreme points and facet graphs are checked against the
+brute-force procedures in tests/reference.py on seeded random and
+degenerate point sets; volumes against closed forms, an independent sum
+over a placing triangulation's cells and the 2-D shoelace formula.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +20,7 @@ from reference import (
     brute_force_vertices,
     extreme_points,
     point_in_hull,
+    ref_affine_dim,
     ref_det,
     ref_mask_key,
     shoelace_area,
@@ -25,6 +29,7 @@ from reference import (
 from resnewt import geometry
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import (
+    FacetHull,
     Hyperplane,
     TriangulatedHull,
     f_vector,
@@ -37,31 +42,69 @@ from resnewt.reconstruct import compute_pi
 
 
 def _orienting(ambient):
-    # A hull whose split_fn always declines orients simplex by simplex and
-    # never files its boundary by plane: the reference for filed hulls.  It
-    # keys its simplices by tag masks, so it takes distinct int tags.
+    # A hull whose split_fn always declines orients simplex by simplex: the
+    # reference triangulation.  It keys its simplices by tag masks, so it
+    # takes distinct int tags.
     return TriangulatedHull(ambient, split_fn=lambda hull, vid: None)
 
 
-def _build(points, ambient=None, orienting=False):
-    # Tags are the points, or their places in ``points`` when orienting.
+def _build(points, ambient=None):
+    # An orienting hull of the points, tagged by their places.
     ambient = ambient if ambient is not None else len(points[0])
-    hull = _orienting(ambient) if orienting else TriangulatedHull(ambient)
+    hull = _orienting(ambient)
     for i, p in enumerate(points):
-        hull.insert(tuple(p), tag=i if orienting else tuple(p))
+        hull.insert(tuple(p), tag=i)
     return hull
 
 
+def _hull(points):
+    # The FacetHull of the points, or None when they do not span their space.
+    try:
+        return FacetHull(points)
+    except DegenerateInput:
+        return None
+
+
+def _grown(pts):
+    # The FacetHull of the shortest prefix of pts that spans, then the same
+    # hull after each later insert: yields (hull, points so far, planes
+    # added), all planes at the start.
+    d = len(pts[0])
+    n = next((n for n in range(1, len(pts) + 1) if ref_affine_dim(pts[:n]) == d), None)
+    if n is None:
+        return
+    hull = FacetHull(pts[:n])
+    yield hull, pts[:n], list(hull.facet_map())
+    for i in range(n, len(pts)):
+        added = hull.insert(pts[i])
+        yield hull, pts[: i + 1], added
+
+
+def _on(hull, mask):
+    # The recorded points whose bits are set in mask.
+    return {p for i, p in enumerate(hull.points) if mask >> i & 1}
+
+
+def _facet_points(hull):
+    return {plane: frozenset(_on(hull, mask)) for plane, mask in hull.facet_map().items()}
+
+
 def _grouped(hull):
-    # An orienting hull's facet table: its boundary grouped by _bs_plane.
-    groups = {}
+    # An orienting hull's facets: its boundary simplices grouped by their
+    # cofactor planes, each with the points of the simplices on it.
+    hom, groups = hull._hom, {}
     for bs in hull.boundary:
-        groups.setdefault(hull._bs_plane(bs), set()).update(bs.verts)
-    return {plane: frozenset(ids) for plane, ids in groups.items()}
+        plane = geometry._cofactor_plane([hom[v] for v in bs.verts], hom[bs.opp])
+        groups.setdefault(plane, set()).update(hull.points[v] for v in bs.verts)
+    return {plane: frozenset(pts) for plane, pts in groups.items()}
+
+
+def _value(plane, p):
+    return sum(a * x for a, x in zip(plane.normal, p))
 
 
 def _sees(plane, p):
-    return sum(a * x for a, x in zip(plane.normal, p)) > plane.offset
+    return _value(plane, p) > plane.offset
 
 
 def _random_points(rng, d, n, lo=-6, hi=6):
@@ -71,7 +114,111 @@ def _random_points(rng, d, n, lo=-6, hi=6):
     return list(dict.fromkeys(pts))
 
 
-# -- hull combinatorics vs brute force ---------------------------------------------
+def _brute_facets(pts):
+    return {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
+
+
+def _assert_double_description(hull, so_far):
+    # Facets, masks and facet graph of a FacetHull of the points so_far,
+    # against tests/reference.py: every plane supports the points, its
+    # points are a brute-force facet's, its mask holds exactly the recorded
+    # points on it, and the facet graph joins the facets that meet in a ridge.
+    facets = hull.facet_map()
+    got = set()
+    for plane, mask in facets.items():
+        assert all(_value(plane, q) <= plane.offset for q in so_far)
+        got.add(frozenset(q for q in so_far if _value(plane, q) == plane.offset))
+        assert _on(hull, mask) == {q for q in hull.points if _value(plane, q) == plane.offset}
+    brute = _brute_facets(so_far)
+    assert got == brute
+    # A point is a vertex when the brute-force facets through it meet in it.
+    for q in so_far:
+        through = [f for f in brute if q in f]
+        if through and frozenset.intersection(*through) == {q}:
+            assert q in hull.points
+    assert set(hull.points) <= set(so_far)
+    _assert_facet_graph(hull)
+
+
+def _cells_volume(points):
+    # The volume over an orienting hull's cells, each |det(edges)| / d!.
+    plain = _build(points)
+    d = plain.dim
+    total = sum(
+        abs(ref_det([[a - b for a, b in zip(plain.points[v], plain.points[cell[0]])]
+                     for v in cell[1:]]))
+        for cell in plain.cells
+    )
+    return Fraction(total) / math.factorial(d)
+
+
+# -- the facet hull against brute force ---------------------------------------------
+
+
+def _degenerate_sets(d):
+    # Cubes (below dimension 4, where the brute force is slow on them) and
+    # cross-polytopes, with points beyond them on a facet plane (a2 = 0: a
+    # kept facet gains the point) and on the planes of several.
+    cube = [p for p in product((0, 2), repeat=d)]
+    beyond = [(4,) + (0,) * (d - 1), (4,) + (2,) * (d - 1), (3,) + (1,) * (d - 1)]
+    cross = [(0,) * d] + [
+        tuple(s if i == t else 0 for i in range(d)) for t in range(d) for s in (2, -2)
+    ]
+    tip = [(4,) + (0,) * (d - 1), (1,) * d, (2,) + (1,) * (d - 1)]
+    sets = [list(dict.fromkeys(cross + tip))]
+    return sets if d == 4 else sets + [list(dict.fromkeys(cube + beyond))]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_facet_hull_matches_brute_force_after_every_insert(d):
+    # Random, grid (coplanar), half-integer and degenerate point sets: after
+    # the simplex and after every insert, the facets, masks and facet graph
+    # are the brute-force ones, and the running volume equals a fresh
+    # pulling volume and the sum over an independent triangulation's cells
+    # (and, in 2D, the shoelace area); the recorded points hold every
+    # vertex of the brute-force facets.
+    if d == 0:
+        hull = FacetHull([()])
+        assert hull.facet_map() == {} and hull.insert(()) == []
+        assert hull_volume(hull) == 1 and f_vector(hull) == (1,)
+        return
+    rng = random.Random(1000 + d)
+    sets = _degenerate_sets(d)
+    for trial in range(2 if d < 4 else 1):
+        sets.append(_random_points(rng, d, d + 5))
+        grid = lambda: tuple(rng.randint(0, 2) for _ in range(d))
+        sets.append(list(dict.fromkeys(grid() for _ in range(d + 5))))
+    half = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+    sets.append(list(dict.fromkeys(half() for _ in range(d + 5))))
+    gained = 0
+    for pts in sets:
+        seen = False
+        for hull, so_far, added in _grown(pts):
+            _assert_double_description(hull, so_far)
+            assert hull_volume(hull) == geometry._pulling_volume(
+                d, hull._hom, hull.facet_map().values()
+            )
+            assert hull_volume(hull) == _cells_volume(so_far)
+            if d == 2:
+                ring = [so_far[i] for i in _ring(so_far)]
+                assert hull_volume(hull) == shoelace_area(ring)
+            vid = len(hull.points) - 1
+            if seen and hull.points[vid] == so_far[-1]:
+                gained += any(
+                    mask >> vid & 1 and plane not in added
+                    for plane, mask in hull.facet_map().items()
+                )
+            seen = True
+    if d > 1:
+        assert gained  # some kept facet took the new point (a2 = 0)
+
+
+def _ring(pts):
+    # The indices of the extreme points of 2-D points, in angular order.
+    corners = extreme_points(pts)
+    cx = Fraction(sum(pts[i][0] for i in corners), len(corners))
+    cy = Fraction(sum(pts[i][1] for i in corners), len(corners))
+    return sorted(corners, key=lambda i: math.atan2(pts[i][1] - cy, pts[i][0] - cx))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -79,67 +226,53 @@ def test_facets_match_brute_force(d):
     rng = random.Random(200 + d)
     for trial in range(8 if d < 4 else 4):
         pts = _random_points(rng, d, rng.randint(d + 2, d + 7))
-        hull = _build(pts)
-        if hull.dim < d:
-            continue  # facet tracking applies to full-dimensional hulls
+        hull = _hull(pts)
+        if hull is None:
+            continue  # facets are those of full-dimensional hulls
         # Compare facets by the full set of input points lying on each
         # supporting hyperplane — the representation brute_force_facets uses.
         got = set()
         for plane in hull.facet_map():
-            on_plane = frozenset(
-                p
-                for p in pts
-                if sum(n * x for n, x in zip(plane.normal, p)) == plane.offset
-            )
+            on_plane = frozenset(p for p in pts if _value(plane, p) == plane.offset)
             got.add(on_plane)
-        expect = {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
-        assert got == expect
+        assert got == _brute_facets(pts)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_facet_vertices_are_the_extreme_points(d):
-    # hull.points stores every triangulation vertex (a point can be swallowed
-    # after insertion); the facets reference exactly the extreme points.
+    # hull.points records every point that lay outside the hull when it came
+    # (a later point can swallow it); the facets hold every extreme point.
     rng = random.Random(300 + d)
     for trial in range(10):
         pts = _random_points(rng, d, rng.randint(d + 2, d + 8))
-        hull = _build(pts)
+        hull = _hull(pts)
+        if hull is None:
+            continue
         expect = {pts[i] for i in extreme_points(pts)}
         assert expect <= set(hull.points) <= set(pts)
-        if hull.dim < d:
-            continue
-        on_facets = {
-            hull.points[i] for ids in hull.facet_map().values() for i in ids
-        }
-        # The ids may include triangulation points interior to a facet,
-        # but every extreme point must appear on some facet, and everything
-        # on a facet must satisfy its plane with equality.
+        on_facets = set().union(*(_on(hull, mask) for mask in hull.facet_map().values()))
+        # The masks may hold points interior to a facet, but every extreme
+        # point must appear on some facet, and everything on a facet must
+        # satisfy its plane with equality.
         assert expect <= on_facets
-        for plane, ids in hull.facet_map().items():
-            for vid in ids:
-                p = hull.points[vid]
-                assert sum(n * x for n, x in zip(plane.normal, p)) == plane.offset
+        for plane, mask in hull.facet_map().items():
+            for p in _on(hull, mask):
+                assert _value(plane, p) == plane.offset
 
 
 def test_duplicate_and_interior_points_are_noops():
-    hull = TriangulatedHull(2)
     square = [(0, 0), (4, 0), (4, 4), (0, 4)]
-    for p in square:
-        hull.insert(p, tag=p)
+    hull = FacetHull(square)
     nverts = len(hull.points)
-    cells_before = sorted(hull.cells)
-    planes_before = set(hull.facet_map())
+    facets_before = dict(hull.facet_map())
     assert hull.insert((2, 2), tag=(2, 2)) == []
     assert hull.insert((0, 0), tag=(0, 0)) == []
-    assert set(hull.facet_map()) == planes_before
+    assert hull.facet_map() == facets_before
     assert len(hull.points) == nverts
-    assert sorted(hull.cells) == cells_before
 
 
 def test_insert_returns_facet_deltas():
-    hull = TriangulatedHull(2)
-    for p in [(0, 0), (2, 0), (0, 2)]:
-        hull.insert(p, tag=p)
+    hull = FacetHull([(0, 0), (2, 0), (0, 2)])
     planes_before = set(hull.facet_map())
     added = hull.insert((2, 2), tag=(2, 2))
     planes_after = set(hull.facet_map())
@@ -153,15 +286,14 @@ def test_insert_returns_facet_deltas():
 def test_facet_map_keys_support_hull():
     rng = random.Random(42)
     pts = _random_points(rng, 3, 9)
-    hull = _build(pts)
-    if hull.dim < 3:
+    hull = _hull(pts)
+    if hull is None:
         pytest.skip("degenerate draw")
-    for plane, ids in hull.facet_map().items():
-        values = [sum(n * x for n, x in zip(plane.normal, p)) for p in hull.points]
+    for plane, mask in hull.facet_map().items():
+        values = [_value(plane, p) for p in hull.points]
         assert max(values) == plane.offset
-        for vid in ids:
-            v = sum(n * x for n, x in zip(plane.normal, hull.points[vid]))
-            assert v == plane.offset
+        for p in _on(hull, mask):
+            assert _value(plane, p) == plane.offset
 
 
 # -- volumes -------------------------------------------------------------------
@@ -169,17 +301,16 @@ def test_facet_map_keys_support_hull():
 
 def test_hull_volume_closed_forms():
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    assert hull_volume(_build(cube)) == 1
+    assert hull_volume(FacetHull(cube)) == 1
     square2 = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    assert hull_volume(_build(square2)) == 4
-    # Full-dimensional simplex 2*standard in the plane x+y+z=2 of R^3:
+    assert hull_volume(FacetHull(square2)) == 4
+    # Below full dimension, the volume over the points' own lattice:
+    # 2*standard triangle in the plane x+y+z=2 of R^3, and a segment.
     tri = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    assert hull_volume(_build(tri)) == 2
+    assert hull_volume(lattice_hull(tri)[0]) == 2
     seg = [(0, 0, 0), (3, 6, 0)]
-    assert hull_volume(_build(seg)) == 3  # lattice length
-    assert hull_volume(_build([(5, 5)])) == 1
-    empty = TriangulatedHull(2)
-    assert hull_volume(empty) == 1
+    assert hull_volume(lattice_hull(seg)[0]) == 3  # lattice length
+    assert hull_volume(lattice_hull([(5, 5)])[0]) == 1
 
 
 def test_lattice_hull_charts_points_over_their_own_lattice():
@@ -193,7 +324,7 @@ def test_lattice_hull_charts_points_over_their_own_lattice():
     ]
     for pts, dim, volume in cases:
         hull, chart = lattice_hull(pts)
-        assert hull.dim == hull.ambient == len(chart.basis) == dim
+        assert hull.dim == len(hull.points[0]) == len(chart.basis) == dim
         assert hull.tags == pts
         assert chart.p0 == min(pts)
         for xi, p in zip(hull.points, hull.tags):
@@ -209,59 +340,44 @@ def test_lattice_hull_charts_points_over_their_own_lattice():
 
 
 def test_hull_volume_matches_shoelace():
-    import math
-
     rng = random.Random(77)
     for _ in range(15):
         pts = _random_points(rng, 2, rng.randint(4, 9))
-        hull = _build(pts)
-        if hull.dim < 2:
+        hull = _hull(pts)
+        if hull is None:
             continue
-        corners = [pts[i] for i in extreme_points(pts)]
-        cx = Fraction(sum(p[0] for p in corners), len(corners))
-        cy = Fraction(sum(p[1] for p in corners), len(corners))
-        ring = sorted(
-            corners, key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx))
-        )
-        assert hull_volume(hull) == shoelace_area(ring)
+        assert hull_volume(hull) == shoelace_area([pts[i] for i in _ring(pts)])
 
 
 def test_hull_volume_running_sum_across_dimension_jumps():
-    # hull_volume keeps a running sum over the cells; after every insert of a
-    # build through dimensions 0, 1, 2 and 3 (rational points included) it
-    # must equal a fresh hull's sum over the same points, and at full
-    # dimension the sum over cells of |det(edges)| / 3!.
+    # Integer prefixes rising through dimensions 0 to 3 have the volume of
+    # their lattice_hull, which at full dimension is the volume of their own
+    # FacetHull.  Once read, a hull keeps a running sum: after every further
+    # insert (rational points included) it must equal a fresh hull's
+    # volume of the same points and the sum over an independent
+    # triangulation's cells of |det(edges)| / 3!.
     rng = random.Random(23)
     line = [(0, 0, 0), (2, 4, 6), (-1, -2, -3), (3, 6, 9)]
     plane = [(1, 0, 0), (3, 2, 3), (-4, -2, -3)]  # line + Z(1, 0, 0)
-    space = [(0, 1, 5), (Fraction(1, 2), 3, -1)] + [
+    space = [(0, 1, 5), (2, 3, -1)]
+    dims = []
+    pts = line + plane + space
+    for n in range(1, len(pts) + 1):
+        hull = lattice_hull(pts[:n])[0]
+        dims.append(hull.dim)
+        if hull.dim == 3:
+            assert hull_volume(hull) == hull_volume(FacetHull(pts[:n]))
+    assert dims[:4] == [0, 1, 1, 1] and dims[4:7] == [2, 2, 2] and dims[-1] == 3
+    hull = FacetHull(pts)
+    more = [
         tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(3))
         for _ in range(6)
     ]
-    hull = TriangulatedHull(3)
-    dims = []
-    for n, p in enumerate(line + plane + space, start=1):
+    hull_volume(hull)
+    for n, p in enumerate(more, start=1):
         hull.insert(p)
-        dims.append(hull.dim)
-        fresh = TriangulatedHull(3)
-        for q in (line + plane + space)[:n]:
-            fresh.insert(q)
-        assert hull_volume(hull) == hull_volume(fresh)
-        if hull.dim == 3:
-            by_cells = sum(
-                abs(ref_det([[a - b for a, b in zip(hull.points[v], hull.points[cell[0]])]
-                             for v in cell[1:]]))
-                for cell in hull.cells
-            )
-            assert hull_volume(hull) == Fraction(by_cells) / 6
-    assert dims[:4] == [0, 1, 1, 1] and dims[4:7] == [2, 2, 2] and dims[-1] == 3
-
-
-def test_hull_volume_rejects_rational_points_below_full_dimension():
-    segment = _build([(0, 0), (Fraction(1, 2), 1)])
-    assert segment.dim == 1
-    with pytest.raises(ValueError, match="integer points"):
-        hull_volume(segment)
+        assert hull_volume(hull) == hull_volume(FacetHull(pts + more[:n]))
+        assert hull_volume(hull) == _cells_volume(pts + more[:n])
 
 
 # -- outer polytope and halfspace clipping ---------------------------------------------
@@ -280,10 +396,7 @@ def _box(side):
 
 
 def _fresh_volume(points):
-    hull = TriangulatedHull(len(points[0]))
-    for p in points:
-        hull.insert(p)
-    return hull_volume(hull)
+    return hull_volume(FacetHull(points))
 
 
 def test_outer_simplex_constraints():
@@ -350,10 +463,10 @@ def test_clip_cascades_match_vertex_enumeration(d):
     # Seeded cascades of clips from a simplex {x_i >= -r, sum x <= s}: after
     # every clip the outer polytope's vertices are those a brute-force
     # enumeration finds from the same constraints, and its running volume is
-    # that of a fresh triangulated hull of them.  Offsets are rational, some
+    # that of a fresh facet hull of them.  Offsets are rational, some
     # planes pass through a vertex, some miss the polytope.
     rng = random.Random(600 + d)
-    for trial in range(4 if d < 4 else 2):
+    for trial in range(2 if d < 4 else 1):
         r, s = rng.randint(1, 4), rng.randint(1, 6)
         # The simplex's facet opposite its i-th corner has constraint id i.
         constraints = [((1,) * d, s)] + [
@@ -422,19 +535,19 @@ def test_clip_to_a_lower_dimensional_face_raises():
 
 
 def test_f_vector_closed_forms():
-    tetra = _build([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    tetra = FacetHull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert f_vector(tetra) == (4, 6, 4)
-    cube = _build([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    cube = FacetHull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert f_vector(cube) == (8, 12, 6)
-    square = _build([(0, 0), (1, 0), (1, 1), (0, 1)])
+    square = FacetHull([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert f_vector(square) == (4, 4)
-    point = _build([(7, 7)])
+    point = lattice_hull([(7, 7)])[0]
     assert f_vector(point) == (1,)
-    seg = _build([(0,), (5,)])
+    seg = FacetHull([(0,), (5,)])
     assert f_vector(seg) == (2,)
     # Non-full-dimensional hulls need reparameterization first:
     with pytest.raises(DegenerateInput):
-        f_vector(_build([(0, 0), (5, 0)]))
+        f_vector(FacetHull([(0, 0), (5, 0)]))
 
 
 def test_f_vector_euler_relation():
@@ -442,8 +555,8 @@ def test_f_vector_euler_relation():
     for d in (2, 3):
         for _ in range(5):
             pts = _random_points(rng, d, rng.randint(d + 2, d + 7))
-            hull = _build(pts)
-            if hull.dim < d:
+            hull = _hull(pts)
+            if hull is None:
                 continue
             fv = f_vector(hull)
             euler = sum((-1) ** i * fv[i] for i in range(len(fv)))
@@ -461,7 +574,7 @@ def test_lower_dim_hull_membership():
     for _ in range(7):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         raw.append(tuple(a * u + b * v for u, v in zip(*base)))
-    hull = _build(raw, ambient=4, orienting=True)
+    hull = _build(raw, ambient=4)
     assert hull.dim <= 2
     for p in hull.points:
         assert point_in_hull(p, raw)
@@ -507,8 +620,9 @@ def test_flat_chart_matches_intrinsic_hull():
     # Points p0 + a.u + b.v of a 2-flat in R^4 (u, v a saturated basis of
     # its direction space), some with Fraction (a, b).  The flat hull orients
     # over its chart; the hull of the (a, b) in R^2 orients directly.  Both
-    # must make every decision alike: same cells, same boundary simplices,
-    # and facets that are the brute-force facets of the flat points.
+    # must make every decision alike: same cells, same boundary simplices;
+    # and the facets of the (a, b) are the brute-force facets of the flat
+    # points.
     p0, u, v = (1, -2, 0, 3), (1, 0, 2, -1), (0, 1, -1, 2)
     rng = random.Random(41)
     for trial in range(6):
@@ -521,7 +635,7 @@ def test_flat_chart_matches_intrinsic_hull():
         flat_pts = [
             tuple(x + a * y + b * z for x, y, z in zip(p0, u, v)) for a, b in ab
         ]
-        flat = _build(flat_pts, ambient=4, orienting=True)
+        flat = _build(flat_pts, ambient=4)
         intrinsic = TriangulatedHull(2)
         for i, (a, b) in enumerate(ab):
             intrinsic.insert((a, b), tag=i)
@@ -535,7 +649,7 @@ def test_flat_chart_matches_intrinsic_hull():
                 for (a, b), p in zip(ab, flat_pts)
                 if plane.normal[0] * a + plane.normal[1] * b == plane.offset
             )
-            for plane in intrinsic.facet_map()
+            for plane in FacetHull(ab).facet_map()
         }
         expect = {
             frozenset(flat_pts[i] for i in ids)
@@ -563,7 +677,7 @@ def test_extended_clone_matches_direct_build(base_dim):
         lifted = list(dict.fromkeys(
             p + (rng.randint(-9, 9),) for p in _random_points(rng, 3, 6)
         ))
-        small = _build(base, orienting=True)
+        small = _build(base)
         clone = small.extended_clone()
         direct = TriangulatedHull(4)
         for p in base:
@@ -580,23 +694,18 @@ def test_extended_clone_matches_direct_build(base_dim):
 
 
 def test_cached_planes_track_every_insert():
-    # A filed hull keeps its facet table current; after every insert its
+    # A facet hull keeps its facet table current; after every insert its
     # facets must still be those of a brute-force hull of the points so far.
     rng = random.Random(5)
     pts = _random_points(rng, 3, 14)
-    hull = TriangulatedHull(3)
-    for n, p in enumerate(pts, start=1):
-        hull.insert(p, tag=p)
-        if hull.dim < 3:
-            continue
-        so_far = pts[:n]
+    for hull, so_far, _ in _grown(pts):
         got = set()
-        for plane, ids in hull.facet_map().items():
+        for plane, mask in hull.facet_map().items():
             on_plane = frozenset(
                 q for q in so_far
                 if sum(a * x for a, x in zip(plane.normal, q)) == plane.offset
             )
-            assert {hull.points[i] for i in ids} <= on_plane
+            assert _on(hull, mask) <= on_plane
             assert all(
                 sum(a * x for a, x in zip(plane.normal, q)) <= plane.offset
                 for q in so_far
@@ -674,19 +783,6 @@ def test_dimension_jump_takes_one_orientation():
     assert simplex.dim == 4 and not calls
     assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
     _assert_signs_fresh(simplex)
-
-    # A hull that files builds its simplex on the jump to full dimension,
-    # from the same one orientation.
-    filed = TriangulatedHull(4)
-    orient = filed._orient
-    filed._orient = lambda ids: calls.append(ids) or orient(ids)
-    del calls[:]
-    for p in corners[:-1]:
-        filed.insert(p)
-    assert not calls
-    filed.insert(corners[-1])
-    assert calls == [(0, 1, 2, 3, 4)] and len(filed.facet_map()) == 5
-    assert len(filed.boundary) == 5 and len(calls) == 1
 
 
 def _hull_state(hull):
@@ -798,8 +894,8 @@ def test_keyed_hull_takes_distinct_non_negative_int_tags():
 def test_oracle_lifted_hull_signs(monkeypatch, name):
     # The oracle's hulls orient through the minor cache (their orient_fn
     # and split_fn); after every insert of a compute_pi run
-    # their stored signs must still be fresh orientations, and having a
-    # split_fn, they never file their boundary by plane.
+    # their stored signs must still be fresh orientations, and they keep
+    # no facet table.
     golden, mode = {
         "sylvester": (SYLVESTER, "full"),
         "surface-full": (MONOMIAL_SURFACE, "full"),
@@ -815,7 +911,9 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
         out = insert(hull, point, tag)
         if hull.orient_fn is not None:
             _assert_signs_fresh(hull)
-            assert hull._facets is None and out == []
+            assert out is None
+            with pytest.raises(DegenerateInput):
+                hull.facet_map()
             if hull.ambient == 2 * sysd.n + 1:
                 lifted_dims.append(hull.dim)
         return out
@@ -825,12 +923,26 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull made its jump
 
 
+# -- facet visibility, fresh planes and the facet graph ----------------------------
+
+
+def _assert_facet_graph(hull):
+    # Two facets are neighbours exactly when their common points span
+    # dimension d - 2 (tests/reference.py's rank).
+    d, facets = hull.dim, hull.facet_map()
+    assert set(hull._nbrs) == set(facets)
+    for f, g in combinations(facets, 2):
+        common = list(_on(hull, facets[f] & facets[g]))
+        ridge = len(common) >= d - 1 and ref_affine_dim(common) == d - 2
+        assert (g in hull._nbrs[f]) == ridge == (f in hull._nbrs[g]), (f, g)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_plane_visibility_matches_orientation(d):
-    # A filed hull finds visible simplices from its cached planes and
+    # A facet hull finds the facets a point sees from their planes and
     # updates its facet table from them, an orienting hull orients.  Grid
     # points often lie exactly on a facet plane, which must not count as
-    # visible but must join that plane's ids; both hulls must decide alike,
+    # seen but must join that plane's points; both hulls must decide alike,
     # the planes that go must be those the point sees, and replaying the
     # reported additions must give the table's keys.
     rng = random.Random(700 + d)
@@ -840,85 +952,68 @@ def test_plane_visibility_matches_orientation(d):
         else:
             draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
         pts = list(dict.fromkeys(draw() for _ in range(d + 7)))
-        track = TriangulatedHull(d)
         plain = _orienting(d)
         keys = set()
-        for i, p in enumerate(pts):
-            added = track.insert(p, tag=p)
-            plain.insert(p, tag=i)
-            assert track.points == plain.points
-            assert track.cells == plain.cells
-            assert _boundary(track) == _boundary(plain)
-            after = set(track.facet_map()) if track.dim == d else set()
+        for hull, so_far, added in _grown(pts):
+            for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
+                plain.insert(so_far[i], tag=i)
+            assert set(hull.points) == set(plain.points)
+            p = so_far[-1]
+            after = set(hull.facet_map())
             removed = keys - after
             assert removed == {plane for plane in keys if _sees(plane, p)}
             assert len(set(added)) == len(added) and not set(added) & keys
             keys = (keys - removed) | set(added)
-            if track.dim == d:
-                assert track.facet_map() == _grouped(plain)
-                assert keys == after
-            else:
-                assert not keys
-        if track.dim < d or d == 5:
+            assert keys == after
+            assert _facet_points(hull) == _grouped(plain)
+        if not keys or d == 5:
             continue  # the brute force takes seconds in dimension 5
         got = {
-            frozenset(
-                p for p in pts
-                if sum(a * x for a, x in zip(plane.normal, p)) == plane.offset
-            )
-            for plane in track.facet_map()
+            frozenset(p for p in pts if _value(plane, p) == plane.offset)
+            for plane in hull.facet_map()
         }
-        assert got == {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
+        assert got == _brute_facets(pts)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_only_a_hull_without_split_fn_files(d):
-    # Below full dimension no hull has a facet table.  At full dimension
-    # the hull without a split_fn files its boundary, and each insert
-    # returns exactly the keys it added; the hull with one never files.
+def test_only_the_facet_hull_keeps_facets(d):
+    # A triangulated hull keeps no facet table at any dimension, with a
+    # split_fn or without, and its inserts return nothing; each insert of a
+    # facet hull returns exactly the keys it added.
     rng = random.Random(800 + d)
     pts = _random_points(rng, d, d + 8)
-    filed = TriangulatedHull(d)
-    batched = _orienting(d)
-    keys = set()
+    plain, batched = TriangulatedHull(d), _orienting(d)
     for i, p in enumerate(pts):
-        added = filed.insert(p, tag=p)
-        assert batched.insert(p, tag=i) == []
-        with pytest.raises(DegenerateInput):
-            batched.facet_map()
-        assert batched._on_plane is None
-        if filed.dim < d:
-            assert added == []
+        assert plain.insert(p, tag=p) is None
+        assert batched.insert(p, tag=i) is None
+        for hull in (plain, batched):
             with pytest.raises(DegenerateInput):
-                filed.facet_map()
-            continue
-        now = set(filed.facet_map())
+                hull.facet_map()
+    keys = set()
+    for hull, _, added in _grown(pts):
+        now = set(hull.facet_map())
         assert len(added) == len(set(added)) and set(added) == now - keys
         keys = now
-    assert filed.dim == batched.dim == d and keys
+    assert plain.dim == batched.dim == d and keys
 
 
-def test_point_on_a_facet_plane_is_not_beyond_it():
-    hull = TriangulatedHull(2)
-    for p in [(0, 0), (4, 0), (4, 4), (0, 4)]:
-        hull.insert(p, tag=p)
-    calls = []
-    orient = hull._orient
-    hull._orient = lambda ids: calls.append(ids) or orient(ids)
+def test_point_on_a_facet_plane_is_not_beyond_it(monkeypatch):
+    hull = FacetHull([(0, 0), (4, 0), (4, 4), (0, 4)])
+    dets = []
+    monkeypatch.setattr(
+        geometry, "det_bareiss", lambda rows: dets.append(rows) or det_bareiss(rows)
+    )
     # On the plane y = 0 inside its facet, and inside the square: no-ops,
-    # decided from the cached planes without an orientation.
+    # decided from the facet planes without a determinant.
     assert hull.insert((2, 0)) == []
     assert hull.insert((1, 3)) == []
-    assert len(hull.points) == 4 and not calls
+    assert len(hull.points) == 4 and not dets
     # On y = 0 beyond x = 4: only the facet x = 4 sees it, and y = 0 grows.
     before = set(hull.facet_map())
     hull.insert((6, 0))
     assert before - set(hull.facet_map()) == {Hyperplane((1, 0), 4)}
     bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
-    assert {hull.points[i] for i in bottom} == {(0, 0), (4, 0), (6, 0)}
-
-
-# -- fresh planes from the pencil at each horizon ridge ---------------------------
+    assert _on(hull, bottom) == {(0, 0), (4, 0), (6, 0)}
 
 
 def _pencil_points(rng, d, kind):
@@ -931,36 +1026,13 @@ def _pencil_points(rng, d, kind):
     return list(dict.fromkeys(draw() for _ in range(d + 5)))
 
 
-def _assert_planes_filed(hull):
-    # The plane -> simplices index agrees with the facet table, and each
-    # simplex's neighbour across the ridge that leaves out verts[j] is the
-    # one other boundary simplex on that ridge, linked back to it.
-    facets = hull.facet_map()
-    assert set(hull._on_plane) == set(facets)
-    for plane, group in hull._on_plane.items():
-        assert all(bs.plane == plane for bs in group)
-        assert {u for bs in group for u in bs.verts} == facets[plane]
-    on_ridge = {}
-    for bs in hull.boundary:
-        for j in range(len(bs.verts)):
-            ridge = bs.verts[:j] + bs.verts[j + 1:]
-            on_ridge.setdefault(ridge, []).append(bs)
-    for bs in hull.boundary:
-        assert len(bs.nbrs) == len(bs.verts)
-        for j, other in enumerate(bs.nbrs):
-            ridge = bs.verts[:j] + bs.verts[j + 1:]
-            pair = on_ridge[ridge]
-            assert len(pair) == 2 and bs in pair and other in pair and other is not bs
-            assert bs in other.nbrs
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
-    # A tracked full-dimensional insert takes every fresh plane from the two
-    # planes at its horizon ridge and derives every fresh sign, so it calls
-    # no determinant.  Each plane must be the cofactor plane an orienting
-    # hull of the same points computes, each sign a fresh orientation, and the final
-    # table the brute-force facets.
+    # An insert takes every fresh plane from the two planes at its horizon
+    # ridge, so it calls no determinant.  Each plane must be the cofactor
+    # plane an orienting hull of the same points computes, the facet graph
+    # must join the facets that meet in a ridge, and the final table must
+    # hold the brute-force facets.
     dets = []
     monkeypatch.setattr(
         geometry, "det_bareiss", lambda rows: dets.append(rows) or det_bareiss(rows)
@@ -970,52 +1042,41 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
     for kind in ("random", "grid", "half"):
         for trial in range(3):
             pts = _pencil_points(rng, d, kind)
-            track = TriangulatedHull(d)
             plain = _orienting(d)
-            for i, p in enumerate(pts):
-                full = track.dim == d
-                before = dict(track.facet_map()) if full else {}
-                del dets[:]
-                track.insert(p, tag=p)
-                if full:
+            keys = set()
+            for hull, so_far, added in _grown(pts):
+                if keys:
                     assert not dets
-                plain.insert(p, tag=i)
-                assert track.points == plain.points
-                if track.dim < d:
-                    continue
-                for bs in track.boundary:
-                    assert bs.plane == plain._bs_plane(bs)
-                    assert bs.inner_sign == track._orient(bs.verts + (bs.opp,))
-                assert track.facet_map() == _grouped(plain)
-                _assert_planes_filed(track)
-                vid = len(track.points) - 1
-                gained += any(
-                    vid in ids and plane in before
-                    for plane, ids in track.facet_map().items()
-                )
-            if track.dim < d or (d == 5 and trial):
+                for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
+                    plain.insert(so_far[i], tag=i)
+                assert _facet_points(hull) == _grouped(plain)
+                _assert_facet_graph(hull)
+                vid = len(hull.points) - 1
+                if keys and hull.points[vid] == so_far[-1]:
+                    gained += any(
+                        mask >> vid & 1 and plane in keys
+                        for plane, mask in hull.facet_map().items()
+                    )
+                keys = set(hull.facet_map())
+                del dets[:]
+            if not keys or (d == 5 and trial):
                 continue  # the brute force takes seconds in dimension 5
             got = {
-                frozenset(
-                    q for q in pts
-                    if sum(a * x for a, x in zip(plane.normal, q)) == plane.offset
-                )
-                for plane in track.facet_map()
+                frozenset(q for q in pts if _value(plane, q) == plane.offset)
+                for plane in hull.facet_map()
             }
-            assert got == {frozenset(pts[i] for i in ids) for ids in brute_force_facets(pts)}
+            assert got == _brute_facets(pts)
     if d > 1:
-        assert gained  # some neighbour plane took the new point (a2 = 0)
+        assert gained  # some kept facet took the new point (a2 = 0)
 
 
 def test_horizon_ridge_on_no_kept_plane_raises():
-    hull = TriangulatedHull(2)
-    for p in [(0, 0), (4, 0), (0, 4)]:
-        hull.insert(p, tag=p)
-    # (2, -3) sees only y = 0; link the y = 0 simplex to itself across the
-    # horizon ridge (0, 0), so the ridge's other simplex lies on a plane the
-    # point sees.
-    (bottom,) = hull._on_plane[Hyperplane((0, -1), 0)]
-    j = bottom.verts.index(hull._index[(4, 0)])  # the ridge leaving out (4, 0)
-    bottom.nbrs[j] = bottom
+    hull = FacetHull([(0, 0), (4, 0), (0, 4)])
+    # (2, -3) sees only y = 0.  Link the y = 0 facet to itself in place of
+    # x = 0: the horizon loses its ridge at (0, 0), so its one face, the
+    # empty one, lies on one horizon ridge only.
+    bottom, left = Hyperplane((0, -1), 0), Hyperplane((-1, 0), 0)
+    hull._nbrs[bottom].discard(left)
+    hull._nbrs[bottom].add(bottom)
     with pytest.raises(InvariantViolation):
         hull.insert((2, -3))

@@ -22,7 +22,7 @@ from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
 from resnewt.exactlin import AffineChart, saturated_basis
-from resnewt.geometry import TriangulatedHull, hull_volume
+from resnewt.geometry import FacetHull, hull_volume
 from resnewt.oracle import VertexOracle
 from resnewt.reconstruct import (
     BuildState,
@@ -513,10 +513,7 @@ def test_approx_threshold_sandwich(name, sysd, vertices):
 
 
 def _fresh_volume(points):
-    hull = TriangulatedHull(len(points[0]))
-    for p in points:
-        hull.insert(p)
-    return hull_volume(hull)
+    return hull_volume(FacetHull(points))
 
 
 def _sys_copy(sysd):

@@ -1,0 +1,58 @@
+"""The benchmark's traced run patches names in resnewt; they must all exist.
+
+``perfbench/layers.py`` installs its spans and counters on functions and
+methods of the package by name.  A rename that drops one of them would
+crash ``perfbench/run.py --trace 1``, so the hooks are installed here, one
+small instance runs under them in every mode, and everything is restored.
+"""
+
+import io
+import os
+
+from golden import SYLVESTER
+
+from resnewt import cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _text(golden):
+    lines = [str(golden["n"])]
+    lines += [" ; ".join(" ".join(map(str, p)) for p in s) for s in golden["supports"]]
+    return "\n".join(lines + ["projection: full"]) + "\n"
+
+
+def test_tracer_installs_runs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from layers import install, layer_metrics
+    from spans import Tracer
+
+    from resnewt import geometry, reconstruct
+
+    originals = [
+        (geometry.TriangulatedHull, "insert", geometry.TriangulatedHull.insert),
+        (geometry.TriangulatedHull, "facet_map", geometry.TriangulatedHull.facet_map),
+        (geometry, "det_bareiss", geometry.det_bareiss),
+        (reconstruct, "hull_volume", reconstruct.hull_volume),
+        (reconstruct, "clip_halfspace", reconstruct.clip_halfspace),
+        (cli, "run", cli.run),
+    ]
+    tracer = Tracer()
+    records = {}
+    install(tracer, records)
+    try:
+        for owner, name, orig in originals:
+            assert getattr(owner, name) is not orig, name
+        for i, mode in enumerate(("exact", "approx")):
+            tracer.instance = i
+            records[i] = {}
+            config = cli.RunConfig(mode=mode, stats=True)
+            out, err = io.StringIO(), io.StringIO()
+            assert cli.run(config, stdin=_text(SYLVESTER), stdout=out, stderr=err) == 0
+            records[i].update(vertices=3, facets=3)
+    finally:
+        tracer.restore()
+    for owner, name, orig in originals:
+        assert getattr(owner, name) is orig, name
+    metrics = layer_metrics(tracer.spans, tracer.flat, records, approx=False)
+    assert metrics["oracle.calls"] > 0 and metrics["geometry.insert_calls"] > 0
