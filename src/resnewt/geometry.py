@@ -506,11 +506,8 @@ class FacetHull:
         return vid
 
     def facet_map(self):
-        """The facet table {Hyperplane: bitmask of the ids on it}.
-
-        Inserts keep it current; it is the hull's own, and callers must not
-        change it.
-        """
+        """The facet table {Hyperplane: bitmask of the ids on it}, the hull's
+        own: inserts keep it current, and callers must not change it."""
         return self._facets
 
     def insert(self, point, tag=None):
@@ -529,9 +526,7 @@ class FacetHull:
         row = _hom_row(pt)
         x, m = row[:k], row[k]
         facets, nbrs = self._facets, self._nbrs
-        a_of = {
-            plane: sum(map(mul, plane.normal, x)) - m * plane.offset for plane in facets
-        }
+        a_of = {plane: sum(map(mul, plane.normal, x)) - m * plane.offset for plane in facets}
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
             return []
@@ -542,12 +537,11 @@ class FacetHull:
         through = {}  # plane -> mask of each facet through the point
         bases = []  # (fresh plane, the kept facet across its base ridge)
         at_face = {}  # (k-3)-face of the horizon -> the facets over its ridges
+        gone = set(seen)
         for f in seen:
             a1, mf = a_of[f], facets[f]
-            for g in nbrs[f]:
+            for g in nbrs[f] - gone:  # a ridge between two seen facets goes
                 a2 = a_of[g]
-                if a2 > 0:
-                    continue  # seen too: the ridge goes
                 ridge = mf & facets[g]
                 if a2 == 0:
                     plane = g
@@ -562,9 +556,8 @@ class FacetHull:
                     at_face.setdefault(t, []).append(plane)
         for f in seen:
             del facets[f]
-            for g in nbrs.pop(f):
-                if a_of[g] <= 0:
-                    nbrs[g].discard(f)
+            for g in nbrs.pop(f) - gone:
+                nbrs[g].discard(f)
         added = [plane for plane in through if plane not in facets]
         for plane in added:
             nbrs[plane] = set()
@@ -574,7 +567,7 @@ class FacetHull:
             nbrs[g].add(plane)
         for pair in at_face.values():
             if len(pair) != 2:
-                raise InvariantViolation("a face of the horizon lies on %d of its ridges" % len(pair))
+                raise InvariantViolation("a horizon face on %d horizon ridges" % len(pair))
             h1, h2 = pair
             if h1 != h2:
                 nbrs[h1].add(h2)
@@ -597,8 +590,13 @@ class FacetHull:
         near = nbrs[f] if len(nbrs[f]) < len(nbrs[g]) else nbrs[g]
         subs = {ridge & facets[x] for x in near}
         subs.discard(ridge)  # the meet with F or G
-        subs = [t for t in subs if t.bit_count() >= k - 2]
-        return [t for t in subs if not any(t & u == t != u for u in subs)]
+        out = []
+        for t in sorted(subs, key=int.bit_count, reverse=True):
+            if t.bit_count() < k - 2:
+                break  # too few points for a (k-3)-face
+            if all(t & u != t for u in out):
+                out.append(t)
+        return out
 
     def _cone_volume(self, vid, seen):
         # The volume the point adds: it coned over the pulling triangulation

@@ -1080,3 +1080,36 @@ def test_horizon_ridge_on_no_kept_plane_raises():
     hull._nbrs[bottom].add(bottom)
     with pytest.raises(InvariantViolation):
         hull.insert((2, -3))
+
+
+def test_horizon_ridge_meets_a_neighbour_in_an_edge():
+    # A pyramid (apex a) over a pyramid (apex b) over a triangular prism in
+    # R^5, with the midpoint of the edge e = [a, b] recorded: the facets
+    # round e make a prism, so a ridge through e meets the facet two steps
+    # round it in e alone, three points, as many as a facet of the ridge
+    # may have; only maximality tells e from the ridge's facets.  A point
+    # just beyond one facet through e must leave the true facet graph.
+    prism = [(x, y, z, 0, 0) for x, y in ((0, 0), (2, 0), (0, 2)) for z in (0, 2)]
+    b, a = (1, 1, 1, 2, 0), (1, 1, 1, 0, 2)
+    mid = tuple((u + v) // 2 for u, v in zip(a, b))
+    hull = FacetHull(prism + [b, mid, a])
+    assert mid in hull.points
+    on_e = [
+        (plane, mask)
+        for plane, mask in hull.facet_map().items()
+        if _value(plane, mid) == plane.offset
+    ]
+    assert len(on_e) == 5
+    plane, mask = next((plane, mask) for plane, mask in on_e if len(_on(hull, mask)) == 7)
+    inside = [sum(Fraction(q[i]) for q in _on(hull, mask)) / 7 for i in range(5)]
+    p = tuple(c + Fraction(n, 50) for c, n in zip(inside, plane.normal))
+    assert [pl for pl in hull.facet_map() if _sees(pl, p)] == [plane]
+    hull.insert(p)
+    _assert_facet_graph(hull)
+    pts = prism + [b, mid, a, p]
+    assert _facet_points(hull) == {
+        pl: frozenset(q for q in hull.points if _value(pl, q) == pl.offset)
+        for pl in hull.facet_map()
+    }
+    got = {frozenset(q for q in pts if _value(pl, q) == pl.offset) for pl in hull.facet_map()}
+    assert got == _brute_facets(pts)
