@@ -458,7 +458,7 @@ class FacetHull:
     ``_hom`` record, simplex first, each point that lay outside the hull
     when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
     the recorded points on it}; the masks are exact, so a face is known by
-    its mask.  ``_nbrs`` maps each facet's plane to the planes of the
+    its mask.  ``_graph`` maps each facet's plane to the planes of the
     facets it shares a ridge with: the facet graph.
 
     An insert takes a = m.g(p) per facet over the point's cleared row, and
@@ -493,7 +493,7 @@ class FacetHull:
         planes = [_cofactor_plane(hom[:i] + hom[i + 1:], hom[i]) for i in range(k + 1)] if k else []
         everything = (1 << (k + 1)) - 1
         self._facets = {plane: everything ^ 1 << i for i, plane in enumerate(planes)}
-        self._nbrs = {plane: set(planes) - {plane} for plane in planes}
+        self._graph = {plane: set(planes) - {plane} for plane in planes}
         for p, t in rest:
             self.insert(p, t)
 
@@ -525,7 +525,7 @@ class FacetHull:
             return []
         row = _hom_row(pt)
         x, m = row[:k], row[k]
-        facets, nbrs = self._facets, self._nbrs
+        facets, graph = self._facets, self._graph
         a_of = {plane: sum(map(mul, plane.normal, x)) - m * plane.offset for plane in facets}
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
@@ -540,7 +540,7 @@ class FacetHull:
         gone = set(seen)
         for f in seen:
             a1, mf = a_of[f], facets[f]
-            for g in nbrs[f] - gone:  # a ridge between two seen facets goes
+            for g in graph[f] - gone:  # a ridge between two seen facets goes
                 a2 = a_of[g]
                 ridge = mf & facets[g]
                 if a2 == 0:
@@ -556,22 +556,22 @@ class FacetHull:
                     at_face.setdefault(t, []).append(plane)
         for f in seen:
             del facets[f]
-            for g in nbrs.pop(f) - gone:
-                nbrs[g].discard(f)
+            for g in graph.pop(f) - gone:
+                graph[g].discard(f)
         added = [plane for plane in through if plane not in facets]
         for plane in added:
-            nbrs[plane] = set()
+            graph[plane] = set()
         facets.update(through)
         for plane, g in bases:
-            nbrs[plane].add(g)
-            nbrs[g].add(plane)
+            graph[plane].add(g)
+            graph[g].add(plane)
         for pair in at_face.values():
             if len(pair) != 2:
                 raise InvariantViolation("a horizon face on %d horizon ridges" % len(pair))
             h1, h2 = pair
             if h1 != h2:
-                nbrs[h1].add(h2)
-                nbrs[h2].add(h1)
+                graph[h1].add(h2)
+                graph[h2].add(h1)
         return added
 
     def _ridge_facets(self, ridge, f, g):
@@ -579,7 +579,7 @@ class FacetHull:
         # is a simplex, whose facets leave out one point each; any other's
         # are its maximal proper meets with the neighbours of F, or of G,
         # since the next facet round each of them is one.
-        k, facets, nbrs = self.dim, self._facets, self._nbrs
+        k, facets, graph = self.dim, self._facets, self._graph
         if ridge.bit_count() == k - 1:
             out, rest = [], ridge
             while rest:
@@ -587,7 +587,7 @@ class FacetHull:
                 rest ^= low
                 out.append(ridge ^ low)
             return out
-        near = nbrs[f] if len(nbrs[f]) < len(nbrs[g]) else nbrs[g]
+        near = graph[f] if len(graph[f]) < len(graph[g]) else graph[g]
         subs = {ridge & facets[x] for x in near}
         subs.discard(ridge)  # the meet with F or G
         out = []
@@ -602,13 +602,13 @@ class FacetHull:
         # The volume the point adds: it coned over the pulling triangulation
         # of each facet it sees, whose ridges are its mask's meets with its
         # neighbours'.
-        facets, nbrs, hom = self._facets, self._nbrs, self._hom
+        facets, graph, hom = self._facets, self._graph, self._hom
         apex = hom[vid]
         memo = {}
         total = 0
         for f in seen:
             mf = facets[f]
-            ridges = {mf & facets[g] for g in nbrs[f]}
+            ridges = {mf & facets[g] for g in graph[f]}
             for cell in _pulling_simplices(mf, ridges, self.dim - 1, memo):
                 total += _cell_volume([apex] + [hom[v] for v in cell])
         return Fraction(total) / factorial(self.dim)

@@ -930,11 +930,11 @@ def _assert_facet_graph(hull):
     # Two facets are neighbours exactly when their common points span
     # dimension d - 2 (tests/reference.py's rank).
     d, facets = hull.dim, hull.facet_map()
-    assert set(hull._nbrs) == set(facets)
+    assert set(hull._graph) == set(facets)
     for f, g in combinations(facets, 2):
         common = list(_on(hull, facets[f] & facets[g]))
         ridge = len(common) >= d - 1 and ref_affine_dim(common) == d - 2
-        assert (g in hull._nbrs[f]) == ridge == (f in hull._nbrs[g]), (f, g)
+        assert (g in hull._graph[f]) == ridge == (f in hull._graph[g]), (f, g)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -1076,8 +1076,8 @@ def test_horizon_ridge_on_no_kept_plane_raises():
     # x = 0: the horizon loses its ridge at (0, 0), so its one face, the
     # empty one, lies on one horizon ridge only.
     bottom, left = Hyperplane((0, -1), 0), Hyperplane((-1, 0), 0)
-    hull._nbrs[bottom].discard(left)
-    hull._nbrs[bottom].add(bottom)
+    hull._graph[bottom].discard(left)
+    hull._graph[bottom].add(bottom)
     with pytest.raises(InvariantViolation):
         hull.insert((2, -3))
 
