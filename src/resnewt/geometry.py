@@ -675,12 +675,14 @@ def hull_volume(hull):
     lattice, so integer polytopes get their lattice-normalized volume and
     volume *ratios* of hulls sharing one space are
     parameterization-independent.  The first call takes the pulling
-    triangulation; inserts keep the volume from then on.
+    triangulation; inserts keep the volume from then on.  A
+    ``TriangulatedHull`` keeps no facets and raises ``DegenerateInput``.
     """
+    facets = hull.facet_map()
     if hull.dim == 0:
         return Fraction(1)
     if hull._volume is None:
-        hull._volume = _pulling_volume(hull.dim, hull._hom, hull._facets.values())
+        hull._volume = _pulling_volume(hull.dim, hull._hom, facets.values())
     return hull._volume
 
 
@@ -713,11 +715,12 @@ def f_vector(hull):
     """Face counts (f_0, ..., f_{dim-1}) of a ``FacetHull``.
 
     Faces are obtained by closing the facets' point sets under intersection
-    and grading by affine dimension (a single point gives (1,)).
+    and grading by affine dimension (a single point gives (1,)).  A
+    ``TriangulatedHull`` keeps no facets and raises ``DegenerateInput``.
     """
+    facet_sets = set(hull.facet_map().values())
     if hull.dim == 0:
         return (1,)
-    facet_sets = set(hull.facet_map().values())
     faces = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:

@@ -1,6 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
+from fractions import Fraction
+
+from reference import ref_det
 from resnewt.cayley import ProjectionSpec, _apply_projection, build_cayley
+from resnewt.geometry import TriangulatedHull
 
 
 def family_from(n, supports, mode, pairs=()):
@@ -12,3 +17,23 @@ def family_from(n, supports, mode, pairs=()):
 def system_from(n, supports, mode, pairs=()):
     """Build a CayleySystem straight from raw supports (no preprocessing)."""
     return build_cayley(family_from(n, supports, mode, pairs))
+
+
+def cells_volume(points):
+    """The volume of the hull of full-dimensional points, summed over the
+    cells of a placing triangulation, each |det(edges)| / d! by ``ref_det``.
+
+    A reference that shares no code with the pulling triangulation behind
+    ``hull_volume`` and ``OuterPolytope.volume``.
+    """
+    d = len(points[0])
+    # A split_fn that always declines makes the hull orient every simplex.
+    plain = TriangulatedHull(d, split_fn=lambda hull, vid: None)
+    for i, p in enumerate(points):
+        plain.insert(tuple(p), tag=i)
+    total = sum(
+        abs(ref_det([[a - b for a, b in zip(plain.points[v], plain.points[cell[0]])]
+                     for v in cell[1:]]))
+        for cell in plain.cells
+    )
+    return Fraction(total) / math.factorial(d)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import family_from, system_from
+from conftest import cells_volume, family_from, system_from
 from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 from reference import (
     brute_force_facets,
@@ -22,7 +22,7 @@ from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
 from resnewt.exactlin import AffineChart, saturated_basis
-from resnewt.geometry import FacetHull, hull_volume
+from resnewt.geometry import hull_volume
 from resnewt.oracle import VertexOracle
 from resnewt.reconstruct import (
     BuildState,
@@ -509,11 +509,7 @@ def test_approx_threshold_sandwich(name, sysd, vertices):
             xi = exact_state.xi_of(v)
             assert _dot(plane.normal, xi) <= plane.offset
     # Q_o's running volume is that of the hull of its vertices:
-    assert report.outer_volume == outer.volume == _fresh_volume(outer.points())
-
-
-def _fresh_volume(points):
-    return hull_volume(FacetHull(points))
+    assert report.outer_volume == outer.volume == cells_volume(outer.points())
 
 
 def _sys_copy(sysd):
