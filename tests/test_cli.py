@@ -486,15 +486,28 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
 
 # The roadmap's reference instances S and M, generated with --seed 1: the
 # sha1 of the whole stdout of ``compute`` in exact and approx mode.
+# S and M project onto every coefficient, so their lifted hulls have no
+# unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
+# that the first lifted column cones over; U3 (u-resultant) has a lower
+# base, so its hulls grow point by point.
 REFERENCE_INSTANCES = {
     "S": ["1", "4", "--sizes", "4,4"],
     "M": ["2", "3", "--sizes", "4,4,3"],
+    "I2": ["2", "4", "--sizes", "6,6,6", "--projection", "implicit"],
+    "I3": ["3", "3", "--sizes", "4,4,4,4", "--projection", "implicit"],
+    "U3": ["3", "3", "--sizes", "4,4,4,4", "--projection", "u-res"],
 }
 REFERENCE_DIGESTS = {
     ("S", "exact"): "2cb48c83b80b09ced099f6922dc49390c3325a1c",
     ("S", "approx"): "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
     ("M", "exact"): "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
     ("M", "approx"): "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
+    ("I2", "exact"): "9b20941d378f94c7a85ca9f30992173df1a12665",
+    ("I2", "approx"): "bb6f34f0fd4c4149bcedbdea7cd8bf0fd249725d",
+    ("I3", "exact"): "6acfef967328703aae61e526ee5dec8be910ee82",
+    ("I3", "approx"): "b48bcd9c7f6414e829b9f0b873c9f91998a82731",
+    ("U3", "exact"): "ad65964232c5b325da50b369368a21536254a4a0",
+    ("U3", "approx"): "8103418f8ec40bb955c4dce6622d45648c9e6626",
 }
 
 
