@@ -251,7 +251,7 @@ class MinorCache:
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
         if min(cols) < 0 or max(cols) >= len(self._columns):
-            raise ValueError("column indices must be strictly increasing and in range")
+            raise ValueError("column indices must be in range")
         return mask_with_parity(cols)
 
     # -- public API ---------------------------------------------------------
@@ -362,15 +362,45 @@ class MinorCache:
         return parity * _sign(total)
 
     # -- batches for the oracle's hulls -----------------------------------------
-    # Each takes ``geometry._BoundarySimplex``es with ``key`` (column mask)
-    # and ``parity`` set, and counts one predicate call per simplex.
+    # Each counts one predicate call per simplex.  Below full dimension a
+    # simplex is a ``geometry._BoundarySimplex`` with ``key`` (column mask)
+    # and ``parity`` set; on a full-dimensional lifted hull it is a pair
+    # (mask, q), q the orientation of the mask's sorted columns followed by
+    # the simplex's witness, a point of the hull off its hyperplane.
 
-    def split_boundary(self, boundary, col, lift=None, lift_mask=0):
+    def split_boundary(self, boundary, col):
         """(visible, kept) split of ``boundary`` by the new column ``col``.
 
-        A simplex is visible when its orientation with ``col`` appended is
-        the negative of its ``inner_sign``.  That orientation is a
-        homogeneous minor when ``lift`` is None, else a lifted determinant
+        A simplex is visible when its orientation with ``col`` appended, a
+        homogeneous minor, is the negative of its ``inner_sign``.
+        """
+        t0 = perf_counter()
+        hom_tab, hom = self._hom_tab, self._hom
+        hits = 0
+        bit = 1 << col
+        visible, keep = [], []
+        for bs in boundary:
+            key = bs.key
+            cols = key | bit
+            total = hom_tab.get(cols)
+            if total is None:
+                total = hom(cols)
+            else:
+                hits += 1
+            # orientation = parity * sign(total), flipped once per column
+            # above the one put in
+            s = -bs.inner_sign * bs.parity
+            if (key >> col).bit_count() & 1:
+                s = -s
+            (visible if (total > 0) - (total < 0) == s else keep).append(bs)
+        self._done(t0, len(boundary), hits)
+        return visible, keep
+
+    def split_lifted(self, pairs, col, lift, lift_mask):
+        """(visible, kept) split of the (mask, q) ``pairs`` by the column ``col``.
+
+        A pair is visible when the orientation of its sorted columns with
+        ``col`` appended is -q.  That orientation is a lifted determinant
         (``lift`` indexed by column) expanded over the columns in
         ``lift_mask``, which must hold exactly the columns whose lift is
         nonzero: unlike ``orientation``, no minor that a 0 multiplies is
@@ -381,63 +411,55 @@ class MinorCache:
         hits = 0
         bit = 1 << col
         visible, keep = [], []
-        for bs in boundary:
-            key = bs.key
-            cols = key | bit
-            if lift is None:
-                total = hom_tab.get(cols)
-                if total is None:
-                    total = hom(cols)
+        for pair in pairs:
+            mask, q = pair
+            cols = mask | bit
+            total = 0
+            m = cols & lift_mask
+            while m:
+                low = m & -m
+                m ^= low
+                c = low.bit_length() - 1
+                sub = cols ^ low
+                h = hom_tab.get(sub)
+                if h is None:
+                    h = hom(sub)
                 else:
                     hits += 1
-            else:
-                total = 0
-                m = cols & lift_mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    c = low.bit_length() - 1
-                    sub = cols ^ low
-                    h = hom_tab.get(sub)
-                    if h is None:
-                        h = hom(sub)
-                    else:
-                        hits += 1
-                    # Cofactor sign along the lifting row: negative when
-                    # an odd number of columns lie at or above c.
-                    w = lift[c]
-                    total += -w * h if (cols >> c).bit_count() & 1 else w * h
-            # orientation = parity * sign(total), flipped once per column
-            # above the one put in
-            s = -bs.inner_sign * bs.parity
-            if (key >> col).bit_count() & 1:
-                s = -s
-            (visible if (total > 0) - (total < 0) == s else keep).append(bs)
-        self._done(t0, len(boundary), hits)
+                # Cofactor sign along the lifting row: negative when an odd
+                # number of columns lie at or above c.
+                w = lift[c]
+                total += -w * h if (cols >> c).bit_count() & 1 else w * h
+            # sign(total) is the sorted orientation; appending col instead
+            # flips it once per column of mask above col.
+            if (mask >> col).bit_count() & 1:
+                q = -q
+            (visible if (total > 0) - (total < 0) == -q else keep).append(pair)
+        self._done(t0, len(pairs), hits)
         return visible, keep
 
-    def upper_facets(self, boundary):
-        """(keys, volumes |h(key)|) of the simplices of ``boundary`` facing up.
+    def upper_facets(self, pairs):
+        """(masks, volumes |h(mask)|) of the (mask, q) ``pairs`` facing up.
 
-        A point far up the lifting axis sees a simplex when its orientation
-        with it, which tends to -lift * h(verts), is the negative of the
-        simplex's ``inner_sign``: when h(verts) = parity * h(key) has it.
+        A point far up the lifting axis sees a facet when its orientation
+        with it, which tends to -lift * h(mask), is -q: when h(mask) has the
+        sign q.
         """
         t0 = perf_counter()
         hom_tab = self._hom_tab
         hits = 0
-        keys, volumes = [], []
-        for bs in boundary:
-            h = hom_tab.get(bs.key)
+        masks, volumes = [], []
+        for mask, q in pairs:
+            h = hom_tab.get(mask)
             if h is None:
-                h = self._hom(bs.key)
+                h = self._hom(mask)
             else:
                 hits += 1
-            if (h > 0) - (h < 0) == bs.inner_sign * bs.parity:
-                keys.append(bs.key)
+            if (h > 0) - (h < 0) == q:
+                masks.append(mask)
                 volumes.append(abs(h))
-        self._done(t0, len(boundary), hits)
-        return keys, volumes
+        self._done(t0, len(pairs), hits)
+        return masks, volumes
 
     def _done(self, t0, calls, hits):
         # Count, stop the clock pair, and clear past ``threshold`` minors.

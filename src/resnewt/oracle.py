@@ -21,6 +21,7 @@ popcounts against per-block masks.
 from random import Random
 
 from .exactlin import MinorCache, canonical_direction, clear_denominators
+from .kernels import mask_with_parity
 from .geometry import TriangulatedHull
 
 __all__ = [
@@ -106,7 +107,7 @@ class VertexOracle:
         self._t0 = None
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
         self._lift = None  # the lifting over all columns, while a hull is built
-        self._lift_mask = 0  # the columns whose lift is nonzero, with it
+        self._cones = {}  # (column, its lift > 0) -> pairs of its cone over the base
 
     # -- predicate routing ----------------------------------------------------
     # At dimension 2n with the lift coordinate (index 2n) not a pivot, the
@@ -126,12 +127,10 @@ class VertexOracle:
         return None
 
     def _split(self, hull, vid):
-        # Every visibility test of a standard insert, as one batch.
-        col = hull.tags[vid]
-        if hull.dim == self._full:
-            return self.cache.split_boundary(hull.boundary, col, self._lift, self._lift_mask)
+        # Every visibility test of a standard insert at dimension 2n, as one
+        # batch.  A hull is handed on as pairs once it is full-dimensional.
         if hull.dim == self._full - 1 and self._full - 1 not in hull._pivots:
-            return self.cache.split_boundary(hull.boundary, col)
+            return self.cache.split_boundary(hull.boundary, hull.tags[vid])
         return None
 
     # -- triangulation pipeline -------------------------------------------------
@@ -154,6 +153,50 @@ class VertexOracle:
             self._t0 = hull
         return self._t0
 
+    def _grow(self, order):
+        # The lifted clone of the base hull, given the columns of order one
+        # by one until it is full-dimensional: (hull, columns given).
+        hull = self._base_hull().extended_clone(
+            orient_fn=self._orient, split_fn=self._split
+        )
+        given = 0
+        for col in order:
+            hull.insert(self.sys.columns[col] + (self._lift[col],), tag=col)
+            given += 1
+            if hull.dim == self._full:
+                break
+        return hull, given
+
+    def _simplex(self, head):
+        # With no base: the facets of the lifted simplex on the 2n+2 columns
+        # of head, or None when they do not span.  Facet x (the mask less x)
+        # has x for its witness: moving x from its sorted place to the end
+        # passes the columns above it.
+        lift = self._lift
+        if len(head) <= self._full or not any(lift[c] for c in head):
+            return None
+        s = self.cache.orientation(head, [lift[c] for c in head])
+        if not s:
+            return None
+        cols, parity = mask_with_parity(head)
+        s *= parity  # the orientation of the sorted columns
+        pairs = []
+        for x in head:
+            facet = cols ^ 1 << x
+            pairs.append((facet, -s if (facet >> x).bit_count() & 1 else s))
+        return pairs
+
+    def _cone(self, col):
+        # With a base of dimension 2n and a lifted first column: the cone
+        # from it over the base.  Every base point has lift 0, so the cone
+        # depends on the column and the sign of its lift alone.
+        key = (col, self._lift[col] > 0)
+        pairs = self._cones.get(key)
+        if pairs is None:
+            hull, _ = self._grow([col])
+            pairs = self._cones[key] = _pairs(hull.boundary)
+        return pairs
+
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
@@ -161,26 +204,43 @@ class VertexOracle:
         c for column c), the upper facets when the lifted hull is
         full-dimensional, and then their normalized volumes too, aligned with
         them (else None).  ``w`` must already be canonical.
+
+        Once full-dimensional, the hull is kept as its boundary's (mask, q)
+        pairs, and each later column goes in by one ``split_lifted`` batch
+        and a cone over the horizon.  It gets there in one step from the
+        simplex on the first 2n+2 columns when there is no base, or from a
+        memoized cone when the base has dimension 2n; otherwise the clone of
+        the base hull grows until it does.
         """
         sys = self.sys
         self._lift = lift = lift_direction(sys, w)
-        self._lift_mask = sum(1 << c for c, x in zip(sys.projection, w) if x)
-        hull = self._base_hull().extended_clone(
-            orient_fn=self._orient, split_fn=self._split
-        )
         order = list(sys.projection)
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
-        for col in order:
-            hull.insert(sys.columns[col] + (lift[col],), tag=col)
-        if hull.dim == self._full:
-            # The upper facets, with the minors h(verts) that found them
-            # (a read that may orient, so before the lift goes).
-            out = self.cache.upper_facets(hull.boundary)
-        else:
-            tags = hull.tags
-            out = [sum(1 << tags[i] for i in cell) for cell in hull.cells], None
+        base = self._base_hull()
+        pairs = None
+        if base.dim == -1:
+            placed = self._full + 1
+            pairs = self._simplex(order[:placed])
+        elif base.dim == self._full - 1 and lift[order[0]]:
+            placed = 1
+            pairs = self._cone(order[0])
+        if pairs is None:
+            hull, placed = self._grow(order)
+            if hull.dim < self._full:
+                # Every column is in; the hull's cells are the answer.
+                self._lift = None
+                tags = hull.tags
+                return [sum(1 << tags[i] for i in cell) for cell in hull.cells], None
+            pairs = _pairs(hull.boundary)  # a read that may orient
+        cache = self.cache
+        lift_mask = sum(1 << c for c in order if lift[c])
+        for col in order[placed:]:
+            visible, keep = cache.split_lifted(pairs, col, lift, lift_mask)
+            if visible:
+                pairs = keep + _horizon_cone(visible, col)
         self._lift = None
-        return out
+        # The upper facets, with the minors h(mask) that found them.
+        return cache.upper_facets(pairs)
 
     # -- oracle calls --------------------------------------------------------------
 
@@ -201,6 +261,43 @@ class VertexOracle:
         answer = (point, rho)
         self.memo[key] = answer
         return answer
+
+
+def _pairs(boundary):
+    """(mask, q) of each simplex of a full-dimensional lifted boundary.
+
+    q, the orientation of the mask's sorted columns followed by the
+    witness, is the simplex's inner sign times its sort parity.
+    """
+    return [(bs.key, bs.inner_sign * bs.parity) for bs in boundary]
+
+
+def _horizon_cone(visible, col):
+    """The (mask, q) pairs of the new facets through column ``col``.
+
+    Each ridge R = mask - {x} of exactly one visible pair is on the horizon
+    and gives the facet R | col with witness x.  From q = -orient(mask
+    sorted, col): swapping col and x, then moving each into sorted place,
+    gives q times (-1)^(#R above x + #R above col).
+    """
+    ridges = {}
+    for mask, q in visible:
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            ridge = mask ^ low
+            # A ridge of two visible facets is inside the new hull.
+            ridges[ridge] = None if ridge in ridges else (low.bit_length() - 1, q)
+    bit = 1 << col
+    fresh = []
+    for ridge, info in ridges.items():
+        if info is not None:
+            x, q = info
+            if ((ridge >> x).bit_count() + (ridge >> col).bit_count()) & 1:
+                q = -q
+            fresh.append((ridge | bit, q))
+    return fresh
 
 
 def vtx(sys, w, seed=0):

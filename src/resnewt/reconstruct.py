@@ -22,6 +22,8 @@ from .exactlin import (
     canonical_direction,
     canonical_hyperplane,
     dot,
+    echelon_extend,
+    echelon_reduce,
     integer_kernel,
     rank_int,
     vec_sub,
@@ -169,27 +171,28 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
         ask(e)
         ask(tuple(-x for x in e))
 
-    eq_normals = []
+    eq_rows, eq_pivots = [], []  # an echelon of the certified normals
     equations = []
     eq_rank = None  # at the first round, which many instances never reach
+    known = 0  # the number of points that r and kernel were taken over
     while True:
-        pts = list(seen)
-        dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
-        r = rank_int(dirs) if dirs else 0
-        if r + len(eq_normals) == m:
+        if len(seen) != known:
+            known = len(seen)
+            pts = list(seen)
+            dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
+            r = rank_int(dirs) if dirs else 0
+            kernel = None
+        if r + len(eq_rows) == m:
             break
-        kernel = integer_kernel(dirs, ncols=m)
-        w = next(
-            cand
-            for cand in kernel
-            if rank_int(eq_normals + [list(cand)]) > len(eq_normals)
-        )
+        if kernel is None:
+            kernel = integer_kernel(dirs, ncols=m)
+        w = next(cand for cand in kernel if any(echelon_reduce(cand, eq_rows, eq_pivots)))
         w = canonical_direction(w)
         if not query_equations:
             if eq_rank is None:
                 eq_rank = _equation_rank(sys)
             if r + eq_rank == m:
-                eq_normals.append(list(w))
+                echelon_extend(list(w), eq_rows, eq_pivots)
                 equations.append(_normalize_equation(w, dot(w, pts[0])))
                 continue
         vp = ask(w)
@@ -197,7 +200,7 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
         cp = dot(w, vp)
         cm = dot(w, vm)
         if cp == cm:
-            eq_normals.append(list(w))
+            echelon_extend(list(w), eq_rows, eq_pivots)
             equations.append(_normalize_equation(w, cp))
 
     hull, chart = lattice_hull(seen)

@@ -484,9 +484,8 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
 
 # -- reference instances -------------------------------------------------------------
 
-# The roadmap's reference instances S and M, generated with --seed 1: the
-# sha1 of the whole stdout of ``compute`` in exact and approx mode.
-# S and M project onto every coefficient, so their lifted hulls have no
+# Reference instances, generated with --seed 1: the sha1 of the whole stdout
+# of ``compute`` in exact and approx mode.  The roadmap's S and M project onto every coefficient, so their lifted hulls have no
 # unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
 # that the first lifted column cones over; U3 (u-resultant) has a lower
 # base, so its hulls grow point by point.

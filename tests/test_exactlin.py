@@ -207,9 +207,9 @@ def test_predicates_over_every_column_order():
         assert cache.orientation(cols[:-1] + [cols[0]], [1] * k_orient) == 0
         # Out of range at either end and too many columns raise.
         for bad in (ncols, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="in range"):
                 cache.hom_sign(cols[1:k_hom] + [bad])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="in range"):
                 cache.orientation([bad] + cols[1:], [1] * k_orient)
         too_many = rng.sample(range(ncols), k_orient + 1)
         with pytest.raises(ValueError):

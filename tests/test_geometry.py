@@ -36,6 +36,7 @@ from resnewt.geometry import (
     lattice_hull,
 )
 from resnewt.kernels import det_bareiss
+from resnewt.oracle import VertexOracle
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -878,7 +879,9 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     # The oracle's hulls orient through the minor cache (their orient_fn
     # and split_fn); after every insert of a compute_pi run
     # their stored signs must still be fresh orientations, and they keep
-    # no facet table.
+    # no facet table.  A lifted hull reaches dimension 2n+1 by a jump, or,
+    # with no unlifted base, starts there as the (mask, q) pairs of a
+    # simplex, whose signs test_oracle.py checks.
     golden, mode = {
         "sylvester": (SYLVESTER, "full"),
         "surface-full": (MONOMIAL_SURFACE, "full"),
@@ -901,9 +904,18 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
                 lifted_dims.append(hull.dim)
         return out
 
+    simplex = VertexOracle._simplex
+
+    def counted_simplex(oracle, head):
+        out = simplex(oracle, head)
+        if out is not None:
+            lifted_dims.append(2 * sysd.n + 1)
+        return out
+
     monkeypatch.setattr(TriangulatedHull, "insert", checked_insert)
+    monkeypatch.setattr(VertexOracle, "_simplex", counted_simplex)
     compute_pi(sysd)
-    assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull made its jump
+    assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull reached it
 
 
 # -- facet visibility, fresh planes and the facet graph ----------------------------

@@ -114,6 +114,13 @@ def test_triangulation_matches_frozen_cells():
         assert rho_vector(cells, sysd, oracle.cache, volumes) == rho
 
 
+def _placing_order(sysd, w, seed):
+    # The order in which the oracle places the symbolic columns.
+    order = list(sysd.projection)
+    Random(f"{seed}|{tuple(w)}").shuffle(order)
+    return order
+
+
 def _plain_upper_simplices(sysd, w, seed):
     # The oracle's triangulation rebuilt without it: one hull over the
     # lifted points, with no orient_fn and in the oracle's insertion order,
@@ -123,10 +130,8 @@ def _plain_upper_simplices(sysd, w, seed):
     lift = lift_direction(sysd, w)
     n2 = 2 * sysd.n
     hull = TriangulatedHull(n2 + 1)
-    order = list(sysd.projection)
-    Random(f"{seed}|{tuple(w)}").shuffle(order)
     base = [c for c in range(sysd.num_columns) if not sysd.is_symbolic(c)]
-    for col in base + order:
+    for col in base + _placing_order(sysd, w, seed):
         hull.insert(sysd.columns[col] + (lift[col],), tag=col)
     if hull.dim < n2 + 1:
         return {tuple(sorted(hull.tags[i] for i in cell)) for cell in hull.cells}
@@ -161,18 +166,41 @@ def _directions_with_zeros(rng, m, count):
         yield canonical(w)
 
 
-@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def _same_first_lift_sign(sysd, dirs, seed):
+    # For each direction that lifts the column it places first, another
+    # that places the same column first, lifted with the same sign and a
+    # different size.
+    for w in dirs:
+        first = _placing_order(sysd, w, seed)[0]
+        k = sysd.projection.index(first)
+        for t in range(2, 60) if w[k] else ():
+            v = canonical(w[:k] + (t * w[k],) + w[k + 1:])
+            if abs(v[k]) != abs(w[k]) and _placing_order(sysd, v, seed)[0] == first:
+                yield v
+                break
+
+
+@pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # Directions with zero entries leave symbolic columns unlifted, so the
     # lifted hull spends inserts at dimension 2n, where the oracle routes
     # its orientations to the minor cache while the lift coordinate is not
     # a pivot.  There the hull must never take a (2n+1)-row determinant.
+    # A full projection has no base, so the hull starts as a simplex on the
+    # first 2n+2 columns when they span; implicitization's base has
+    # dimension 2n, so a lifted first column starts it as a memoized cone,
+    # which directions placing the same column first with a lift of the
+    # same sign and another size read back; u-resultant's base is lower, so
+    # its hulls grow point by point, as does any hull the others cannot
+    # start.
     systems = _generated_systems(mode)
     wide_dets = []  # per (2n+1)-row determinant: is the lift a pivot?
     routed = [0]  # dimension-2n orientations with the lift not a pivot
+    starts = {"simplex": 0, "cone hit": 0, "grown": 0}
     hulls = []
     orient = TriangulatedHull._orient
     split = VertexOracle._split
+    simplex, cone, grow = VertexOracle._simplex, VertexOracle._cone, VertexOracle._grow
 
     def lifted(hull):
         # The oracle's clone in R^(2n+1), not its base hull in R^2n.
@@ -199,13 +227,36 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             wide_dets.append(hulls[-1].ambient - 1 in hulls[-1]._pivots)
         return det_bareiss(rows)
 
+    def spy_simplex(oracle, head):
+        out = simplex(oracle, head)
+        starts["simplex"] += out is not None
+        return out
+
+    def spy_cone(oracle, col):
+        if (col, oracle._lift[col] > 0) in oracle._cones:
+            starts["cone hit"] += 1
+        else:
+            starts["grown"] -= 1  # a cone's first build grows one column
+        return cone(oracle, col)
+
+    def spy_grow(oracle, order):
+        starts["grown"] += 1
+        return grow(oracle, order)
+
     monkeypatch.setattr(TriangulatedHull, "_orient", spy_orient)
     monkeypatch.setattr(VertexOracle, "_split", spy_split)
+    monkeypatch.setattr(VertexOracle, "_simplex", spy_simplex)
+    monkeypatch.setattr(VertexOracle, "_cone", spy_cone)
+    monkeypatch.setattr(VertexOracle, "_grow", spy_grow)
     monkeypatch.setattr(geometry, "det_bareiss", spy_det)
     rng = random.Random(31)
+    same_cone = 0
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
-        for w in _directions_with_zeros(rng, sysd.m, 12):
+        dirs = list(_directions_with_zeros(rng, sysd.m, 12))
+        more = list(_same_first_lift_sign(sysd, dirs, 2))
+        same_cone += len(more)
+        for w in dirs + more:
             got, _ = oracle.triangulation(w)
             assert len(set(got)) == len(got)
             assert {_cols(s) for s in got} == _plain_upper_simplices(
@@ -213,18 +264,25 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             )
     assert routed[0] > 0
     assert all(wide_dets)
+    assert same_cone > 0
+    # Each start ran where its input allows it, and only there.
+    assert (starts["simplex"] > 0) == (mode == "full")
+    assert (starts["cone hit"] > 0) == (mode == "implicitization")
+    assert starts["grown"] > 0, starts
 
 
 @pytest.mark.parametrize("use_cache", [True, False])
 @pytest.mark.parametrize("mode", ["full", "implicitization"])
 def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypatch):
-    # Each batch the oracle's hulls run on an insert must split the boundary
-    # as one orientation per simplex through the any-order public entries
-    # would: a simplex is visible when (verts..., new point) has the sign
-    # opposite to its inner sign.  The lifted batch skips the columns whose
-    # lift is 0, which directions with zero entries exercise; the keys the
-    # hull carries must be each simplex's tag mask with its sort parity.
-    split = VertexOracle._split
+    # Each batch the oracle runs on an insert must split as one orientation
+    # per simplex through the any-order public entries would.  At dimension
+    # 2n a boundary simplex is visible when (verts..., new point) has the
+    # sign opposite to its inner sign, and the keys the hull carries must be
+    # each simplex's tag mask with its sort parity.  Once the hull is
+    # full-dimensional, a (mask, q) pair is visible when (sorted mask...,
+    # new column) has the sign -q.  The lifted batch skips the columns
+    # whose lift is 0, which directions with zero entries exercise.
+    split, split_lifted = VertexOracle._split, MinorCache.split_lifted
     batches = {"lifted": 0, "homogeneous": 0}
 
     def checked_split(oracle, hull, vid):
@@ -232,24 +290,32 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
         out = split(oracle, hull, vid)
         if out is None:
             return out
-        tags, lift = hull.tags, oracle._lift
-        lifted = hull.dim == 2 * oracle.sys.n + 1
-        batches["lifted" if lifted else "homogeneous"] += 1
+        batches["homogeneous"] += 1
+        tags = hull.tags
         visible = []
         for bs in boundary:
             cols = [tags[v] for v in bs.verts]
             assert (bs.key, bs.parity) == ref_mask_key(cols)
-            cols.append(tags[vid])
-            if lifted:
-                s = reference.orientation(cols, [lift[c] for c in cols])
-            else:
-                s = reference.hom_sign(cols)
-            visible.append(s == -bs.inner_sign)
+            visible.append(reference.hom_sign(cols + [tags[vid]]) == -bs.inner_sign)
         assert out[0] == [bs for bs, v in zip(boundary, visible) if v]
         assert out[1] == [bs for bs, v in zip(boundary, visible) if not v]
         return out
 
+    def checked_split_lifted(cache, pairs, col, lift, lift_mask):
+        pairs = list(pairs)
+        out = split_lifted(cache, pairs, col, lift, lift_mask)
+        batches["lifted"] += 1
+        assert lift_mask == _mask(c for c, x in enumerate(lift) if x)
+        visible = []
+        for mask, q in pairs:
+            cols = _cols(mask) + (col,)
+            visible.append(reference.orientation(cols, [lift[c] for c in cols]) == -q)
+        assert out[0] == [p for p, v in zip(pairs, visible) if v]
+        assert out[1] == [p for p, v in zip(pairs, visible) if not v]
+        return out
+
     monkeypatch.setattr(VertexOracle, "_split", checked_split)
+    monkeypatch.setattr(MinorCache, "split_lifted", checked_split_lifted)
     rng = random.Random(47)
     for sysd in _generated_systems(mode):
         reference = MinorCache(sysd.columns)
@@ -257,6 +323,63 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
         for w in _directions_with_zeros(rng, sysd.m, 10):
             oracle.vtx(w)
     assert batches["lifted"] > 0 and batches["homogeneous"] > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
+def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
+    # Whatever start made them and after every placement, each pair's q
+    # must be the orientation of its sorted lifted columns followed by any
+    # point strictly inside the lifted hull, here the mean of every column
+    # on its boundary, as Bareiss takes it over the explicit rows.  The
+    # pairs are read as each split and the upper-facet filter get them.
+    triangulation = VertexOracle.triangulation
+    split_lifted, upper_facets = MinorCache.split_lifted, MinorCache.upper_facets
+    lifts = []  # the lift of the triangulation under way
+    checked = [0]
+
+    def check(pairs):
+        sysd, lift = lifts[-1]
+        inside = _mask(())
+        for mask, _ in pairs:
+            inside |= mask
+        cols = _cols(inside)
+        mean = [sum(sysd.columns[c][r] for c in cols) for r in range(2 * sysd.n)]
+        mean += [sum(lift[c] for c in cols), len(cols)]
+        for mask, q in pairs:
+            rows = [sysd.columns[c] + (lift[c], 1) for c in _cols(mask)]
+            d = det_bareiss(rows + [mean])
+            assert (d > 0) - (d < 0) == q
+        checked[0] += 1
+
+    def spy_triangulation(oracle, w):
+        lifts.append((oracle.sys, lift_direction(oracle.sys, w)))
+        try:
+            return triangulation(oracle, w)
+        finally:
+            lifts.pop()
+
+    def spy_split_lifted(cache, pairs, *args):
+        check(pairs)
+        return split_lifted(cache, pairs, *args)
+
+    def spy_upper_facets(cache, pairs):
+        check(pairs)
+        return upper_facets(cache, pairs)
+
+    monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
+    monkeypatch.setattr(MinorCache, "split_lifted", spy_split_lifted)
+    monkeypatch.setattr(MinorCache, "upper_facets", spy_upper_facets)
+    goldens = {
+        "full": [SYLVESTER, MONOMIAL_SURFACE],
+        "implicitization": [MONOMIAL_SURFACE, BICUBIC],
+        "u-resultant": [CIRCLE_LINE],
+    }[mode]
+    rng = random.Random(59)
+    for sysd in _generated_systems(mode) + [_sys(g, mode) for g in goldens]:
+        oracle = VertexOracle(sysd, seed=5)
+        for w in _directions_with_zeros(rng, sysd.m, 10):
+            oracle.vtx(w)
+    assert checked[0] > 20
 
 
 class _Simplex:
@@ -279,46 +402,58 @@ def _explicit_det(sysd, cols, lift=None):
 @pytest.mark.parametrize("use_cache", [True, False])
 @pytest.mark.parametrize("mode", ["full", "implicitization"])
 def test_mask_batches_match_explicit_determinants(mode, use_cache):
-    # Random simplices of random Cayley systems, each given as its columns
-    # in a random order (the order of a hull simplex's points) and keyed by
-    # the reference mask and parity.  split_boundary, lifted by directions
-    # with zero entries or not lifted, upper_facets and orientation must
-    # answer as Bareiss on the explicit matrix built in that order.
+    # Random simplices of random Cayley systems.  split_boundary takes each
+    # as its columns in a random order (the order of a hull simplex's
+    # points), keyed by the reference mask and parity; split_lifted, lifted
+    # by directions with zero entries, and upper_facets take (mask, q)
+    # pairs, q a random sign for the sorted columns.  Each must answer as
+    # Bareiss on the explicit matrix built in that order, and orientation
+    # too.
     rng = random.Random(61)
-    seen = {"visible": 0, "kept": 0, "up": 0}
+    seen = {"visible": 0, "kept": 0, "lifted visible": 0, "lifted kept": 0, "up": 0}
     for sysd in _generated_systems(mode):
         cache = MinorCache(sysd.columns, use_cache=use_cache)
         ncols, k = sysd.num_columns, 2 * sysd.n
         for w in _directions_with_zeros(rng, sysd.m, 8):
             lift = lift_direction(sysd, w)
             lift_mask = _mask(c for c in range(ncols) if lift[c])
-            for lifted in (True, False):
-                col = rng.randrange(ncols)
-                others = [c for c in range(ncols) if c != col]
-                orders = [rng.sample(others, k + lifted) for _ in range(20)]
-                boundary = [_Simplex(*ref_mask_key(o), rng.choice((-1, 1))) for o in orders]
-                args = (lift, lift_mask) if lifted else ()
-                visible, kept = cache.split_boundary(boundary, col, *args)
-                expect = []
-                for order, bs in zip(orders, boundary):
-                    cols = order + [col]
-                    sign = _explicit_det(sysd, cols, lift if lifted else None)[0]
-                    expect.append(sign == -bs.inner_sign)
-                    if lifted:
-                        assert cache.orientation(cols, [lift[c] for c in cols]) == sign
-                assert visible == [bs for bs, v in zip(boundary, expect) if v]
-                assert kept == [bs for bs, v in zip(boundary, expect) if not v]
-                seen["visible"] += len(visible)
-                seen["kept"] += len(kept)
-            orders = [rng.sample(range(ncols), k + 1) for _ in range(20)]
+            col = rng.randrange(ncols)
+            others = [c for c in range(ncols) if c != col]
+            orders = [rng.sample(others, k) for _ in range(20)]
             boundary = [_Simplex(*ref_mask_key(o), rng.choice((-1, 1))) for o in orders]
+            visible, kept = cache.split_boundary(boundary, col)
+            expect = [
+                _explicit_det(sysd, order + [col])[0] == -bs.inner_sign
+                for order, bs in zip(orders, boundary)
+            ]
+            assert visible == [bs for bs, v in zip(boundary, expect) if v]
+            assert kept == [bs for bs, v in zip(boundary, expect) if not v]
+            seen["visible"] += len(visible)
+            seen["kept"] += len(kept)
+            pairs = [
+                (_mask(rng.sample(others, k + 1)), rng.choice((-1, 1))) for _ in range(20)
+            ]
+            visible, kept = cache.split_lifted(pairs, col, lift, lift_mask)
             expect = []
-            for order, bs in zip(orders, boundary):
-                sign, volume = _explicit_det(sysd, order)
-                if sign == bs.inner_sign:
-                    expect.append((_mask(order), volume))
-            keys, volumes = cache.upper_facets(boundary)
-            assert list(zip(keys, volumes)) == expect
+            for mask, q in pairs:
+                cols = list(_cols(mask)) + [col]
+                sign = _explicit_det(sysd, cols, lift)[0]
+                expect.append(sign == -q)
+                assert cache.orientation(cols, [lift[c] for c in cols]) == sign
+            assert visible == [p for p, v in zip(pairs, expect) if v]
+            assert kept == [p for p, v in zip(pairs, expect) if not v]
+            seen["lifted visible"] += len(visible)
+            seen["lifted kept"] += len(kept)
+            pairs = [
+                (_mask(rng.sample(range(ncols), k + 1)), rng.choice((-1, 1))) for _ in range(20)
+            ]
+            expect = []
+            for mask, q in pairs:
+                sign, volume = _explicit_det(sysd, _cols(mask))
+                if sign == q:
+                    expect.append((mask, volume))
+            masks, volumes = cache.upper_facets(pairs)
+            assert list(zip(masks, volumes)) == expect
             seen["up"] += len(expect)
     assert all(n > 20 for n in seen.values()), seen
 
@@ -326,9 +461,9 @@ def test_mask_batches_match_explicit_determinants(mode, use_cache):
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
     # The oracle's hulls read after every insert build any simplex made by
-    # jumps alone at once and jump eagerly from then on; left alone, a full
-    # mode clone of the empty base hull stays one simplex until a standard
-    # insert or the upper-facet filter reads it.  Both ways must give the
+    # jumps alone at once and jump eagerly from then on; left alone, a clone
+    # made by jumps alone stays one simplex until a standard insert reads it
+    # or it is handed on as (mask, q) pairs.  Both ways must give the
     # same triangulation and leave every hull in the same state, order,
     # signs and keys included; kept cell keys must be the tag masks.
     insert = TriangulatedHull.insert

@@ -226,6 +226,12 @@ def test_compute_pi_bicubic():
 # makes 6 fewer oracle calls: 63 predicate calls and 63 hom-minor hits fewer)
 # and a hull built by jumps alone came to orient its one cell once instead of
 # once per jump (7 fewer of each); no miss or entry moved.
+# They were re-pinned a fifth time when a full-dimensional lifted hull came
+# to start, with no unlifted base, from the simplex on the first 2n+2
+# columns placed: sylvester-full has one direction whose first four columns
+# do not span, so the oracle orients them (1 predicate call, 4 cached
+# hom-minor hits) before it grows the hull point by point; no miss or entry
+# moved.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -233,10 +239,10 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 184,
+        "hom_hits": 188,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 143,
+        "predicate_calls": 144,
     },
     "bicubic-implicit": {
         "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
