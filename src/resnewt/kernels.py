@@ -20,9 +20,11 @@ lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
 column c: a key hashes as one integer, and a column goes in or out by one
 OR or XOR.  The any-order entries fold in the parity of the permutation
 that sorts their columns (``mask_with_parity``).  The oracle's hulls call
-batches, ``split_boundary`` and ``upper_facets``, on a whole boundary whose
-simplices carry their column mask and sort parity.  Every entry and every
-batch reads one clock pair and checks the cache threshold once.
+batches on a whole boundary: ``split_boundary`` at dimension 2n, on
+simplices that carry their column mask and sort parity, and
+``split_lifted`` and ``upper_facets`` on the (mask, q) pairs of a
+full-dimensional lifted hull.  Every entry and every batch reads one clock
+pair and checks the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.

@@ -11,18 +11,24 @@ cached placing triangulation of the unlifted (non-symbolic) columns — built
 once and cloned per call — the per-direction memo (the used-normal set W),
 and the seeded insertion orders that stand in for generic perturbation.
 
-Both hulls test a whole boundary against a new point in one minor-cache
-batch over the simplices' column bitmasks, which the hulls keep; the upper
-facets come from one more batch, whose minors are the volumes rho sums.
-A simplex is handed on as its column mask, and blocks are classified by
-popcounts against per-block masks.
+Below full dimension the hulls test a whole boundary against a new point
+in one minor-cache batch over the simplices' column bitmasks, which the
+hulls keep.  Once the lifted hull has dimension 2n+1 it is kept as its
+boundary's (mask, q) pairs alone, q the orientation of the mask's sorted
+columns followed by the simplex's witness: a column goes in by one batch
+and a cone over the horizon, and the upper facets come from one more
+batch, whose minors are the volumes rho sums.  The hull starts there as a
+simplex when no column is unlifted, and as a cone memoized per (column,
+sign of its lift) when the unlifted columns span dimension 2n.  A simplex
+is handed on as its column mask, and blocks are classified by popcounts
+against per-block masks.
 """
 
 from random import Random
 
 from .exactlin import MinorCache, canonical_direction, clear_denominators
-from .kernels import mask_with_parity
 from .geometry import TriangulatedHull
+from .kernels import mask_with_parity
 
 __all__ = [
     "VertexOracle",
