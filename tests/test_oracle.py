@@ -339,7 +339,7 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
 
     def check(pairs):
         sysd, lift = lifts[-1]
-        inside = _mask(())
+        inside = 0
         for mask, _ in pairs:
             inside |= mask
         cols = _cols(inside)
