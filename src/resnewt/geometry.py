@@ -1,10 +1,9 @@
 """Exact convex-hull machinery in general (small) dimension.
 
-Two hulls live here.  ``TriangulatedHull`` is the oracle's: an incremental
-Beneath-and-Beyond hull that maintains its placing triangulation, works at
-any intrinsic dimension inside its ambient space, and accepts pluggable
-orientation callbacks so that hulls over structured point sets can route
-predicates through the shared minor cache.  ``FacetHull`` is Q's: a
+Two hulls live here.  ``TriangulatedHull`` is the oracle's below dimension
+2n: an incremental Beneath-and-Beyond hull that maintains its placing
+triangulation, works at any intrinsic dimension inside its ambient space
+and orients over an integer chart of its own.  ``FacetHull`` is Q's: a
 full-dimensional polytope kept as a double description, its points and its
 facets with the points on each, plus a facet graph.  On top of them sit the
 pulling triangulation that Q and approx mode's outer polytope share,
@@ -33,7 +32,7 @@ from .exactlin import (
     saturated_basis,
     vec_sub,
 )
-from .kernels import _sign, mask_with_parity
+from .kernels import _sign
 
 __all__ = [
     "FacetHull",
@@ -62,19 +61,16 @@ class _BoundarySimplex:
     ``verts`` are point ids in increasing order.  ``inner_sign`` is the
     orientation sign of (verts..., opp), set when the simplex is created; a
     candidate point lies beyond the simplex's hyperplane exactly when its
-    orientation sign is the negative of it.  A hull with a ``split_fn``
-    keeps ``key``, the bitmask of the tags of ``verts`` (bit t for tag t),
-    and ``parity``, the sign of their sort.
+    orientation sign is the negative of it.  A simplex is never changed, so
+    hulls and their clones share them.
     """
 
-    __slots__ = ("verts", "opp", "inner_sign", "key", "parity")
+    __slots__ = ("verts", "opp", "inner_sign")
 
-    def __init__(self, verts, opp, inner_sign, key=None, parity=1):
+    def __init__(self, verts, opp, inner_sign):
         self.verts = verts
         self.opp = opp
         self.inner_sign = inner_sign
-        self.key = key
-        self.parity = parity
 
 
 def _row_cleared(row):
@@ -105,20 +101,10 @@ class TriangulatedHull:
     """Incremental convex hull with maintained placing triangulation.
 
     This is the oracle's hull: its base hull of the unlifted columns and
-    the lifted clones of it.  Points live in ``ambient_dim`` coordinates;
-    the hull tracks its intrinsic dimension, growing it as points outside
-    the current affine hull arrive.  ``orient_fn(hull, ids)`` may return the
-    orientation sign of the points with the given ids (in order), or None to
-    fall back to the built-in exact determinant; the callback lets
-    structured hulls reuse cached minors.  ``split_fn(hull, vid)`` may
-    return the (visible, kept) split of the boundary by the new point
-    ``vid``, every orientation of (verts..., vid) taken at once, or None to
-    orient simplex by simplex.  Its hull keeps each boundary simplex's tags
-    as a bitmask with their sort parity (``key``, ``parity``), so its tags
-    must be distinct non-negative ``int``s, and ``insert`` raises
-    ``ValueError`` on any other: a fresh simplex gets its parent's key with
-    the witness's bit cleared and the new point's set; a dimension jump
-    copies an old cell's key or makes it.
+    the lifted clones of it, until they are handed on as column masks.
+    Points live in ``ambient_dim`` coordinates; the hull tracks its
+    intrinsic dimension, growing it as points outside the current affine
+    hull arrive.  ``tags`` holds each recorded point's tag.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
@@ -134,14 +120,11 @@ class TriangulatedHull:
     dimension jump to a point v takes one orientation, of the first cell
     with v, and gets every other new sign from the stored ones: (T, v) has
     sigma times T's old sign for every tuple T of old points, with sigma
-    fixed for that jump (this holds for the chart, and for an
-    ``orient_fn`` that, like the oracle's, is a determinant of the lifted
-    points).  Orientation signs are taken over each point's homogeneous row
-    (m.p, m), cleared of denominators once when the point is recorded, so
-    hulls of rational points run on integers too.  A fresh simplex's sign
-    follows from its parent's visibility test, which oriented a permutation
-    of its points (so, as at a jump, an ``orient_fn`` must be a
-    determinant).
+    fixed for that jump.  Orientation signs are taken over each point's
+    homogeneous row (m.p, m), cleared of denominators once when the point
+    is recorded, so hulls of rational points run on integers too.  A fresh
+    simplex's sign follows from its parent's visibility test, which oriented
+    a permutation of its points.
 
     ``boundary`` holds the boundary simplices of the current hull, and
     ``cells`` holds the placing triangulation: insertion-ordered, each cell a
@@ -151,10 +134,8 @@ class TriangulatedHull:
     list).  The hull keeps no facet table: facets are ``FacetHull``'s.
     """
 
-    def __init__(self, ambient_dim, orient_fn=None, split_fn=None):
+    def __init__(self, ambient_dim):
         self.ambient = ambient_dim
-        self.orient_fn = orient_fn
-        self.split_fn = split_fn
         self.points = []
         self._hom = []  # _hom_row of each point, for orientation signs
         self.tags = []
@@ -169,7 +150,6 @@ class TriangulatedHull:
         self._signs = []  # orientation sign of each cell
         self._boundary = []
         self._pending = False  # a simplex above dimension 0 awaiting _build
-        self._cell_keys = None  # key_cells: (key, parity) of each cell
         self._index = {}
 
     # -- the state a jump-only prefix builds on first read --------------------
@@ -199,31 +179,12 @@ class TriangulatedHull:
         for j in range(k, -1, -1):
             verts = cell[:j] + cell[j + 1:]
             sign = -s if (k - j) & 1 else s
-            boundary.append(_BoundarySimplex(verts, cell[j], sign, *self._key(verts)))
+            boundary.append(_BoundarySimplex(verts, cell[j], sign))
         self._boundary = boundary
-
-    def _key(self, ids):
-        # (tag mask, parity) in a hull with a split_fn, else no key.
-        if self.split_fn is None:
-            return None, 1
-        return mask_with_parity([self.tags[i] for i in ids])
-
-    def key_cells(self):
-        """Key each cell by its tag mask, which the next jump copies.
-
-        Inserts keep the keys, also in an extended clone, up to that jump.
-        """
-        if self._pending:
-            self._build()
-        self._cell_keys = [self._key(cell) for cell in self.cells]
 
     # -- predicates ----------------------------------------------------------
 
     def _orient(self, ids):
-        if self.orient_fn is not None:
-            s = self.orient_fn(self, ids)
-            if s is not None:
-                return s
         hom = self._hom
         if self.dim == self.ambient:
             return _sign(det_bareiss([hom[i] for i in ids]))
@@ -262,8 +223,6 @@ class TriangulatedHull:
             raise ValueError("point has wrong dimension")
         if pt in self._index:
             return
-        if self.split_fn and (type(tag) is not int or tag < 0 or tag in self.tags):
-            raise ValueError("a hull with a split_fn takes distinct non-negative int tags")
         if self.dim == -1:
             self._record(pt, tag)
             self.dim = 0
@@ -283,7 +242,6 @@ class TriangulatedHull:
         if self._pending or self.dim == 1:
             # Jumps alone so far: one cell, built on first read.
             self.cells = [self.cells[0] + (vid,)]
-            self._cell_keys = None
             self._pending = True
             return
         # Old points keep their old coordinates and get 0 in the new one, so
@@ -291,22 +249,13 @@ class TriangulatedHull:
         # for this jump: one call gives sigma and every new sign follows.
         sigma = self._nonzero_orient(self.cells[0] + (vid,)) * self._signs[0]
         signs = [sigma * s for s in self._signs]
-        keys = self._cell_keys or [self._key(cell) for cell in self.cells]
-        new_boundary = [
-            _BoundarySimplex(cell, vid, s, *kp)
-            for cell, s, kp in zip(self.cells, signs, keys)
-        ]
-        tag = self.tags[vid]
+        new_boundary = [_BoundarySimplex(cell, vid, s) for cell, s in zip(self.cells, signs)]
         for bs in self._boundary:
             # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
-            nb = _BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign)
-            if bs.key is not None:  # the new point's tag goes in last
-                nb.key, nb.parity = _with_tag(bs.key, bs.parity, tag)
-            new_boundary.append(nb)
+            new_boundary.append(_BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign))
         self.cells = [cell + (vid,) for cell in self.cells]
         self._signs = signs
         self._boundary = new_boundary
-        self._cell_keys = None
 
     def _nonzero_orient(self, ids):
         s = self._orient(ids)
@@ -318,26 +267,18 @@ class TriangulatedHull:
         if self._pending:
             self._build()
         vid = self._record(pt, tag)
-        split = self.split_fn and self.split_fn(self, vid)
-        if split is not None:
-            visible, keep = split
-        else:
-            keep, visible = [], []
-            for bs in self._boundary:
-                if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
-                    visible.append(bs)
-                else:
-                    keep.append(bs)
+        keep, visible = [], []
+        for bs in self._boundary:
+            if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
+                visible.append(bs)
+            else:
+                keep.append(bs)
         if not visible:
             self._unrecord(vid)
             return
         for bs in visible:
             self.cells.append(bs.verts + (vid,))
             self._signs.append(-bs.inner_sign)
-        cell_keys = self._cell_keys
-        if cell_keys is not None:
-            tag = self.tags[vid]
-            cell_keys.extend(_with_tag(bs.key, bs.parity, tag) for bs in visible)
         ridge_info = {}
         for bs in visible:
             # The ridge that leaves out verts[j], with j = k-1 down to 0.
@@ -349,29 +290,16 @@ class TriangulatedHull:
                 else:
                     ridge_info[ridge] = (bs, j)
         fresh = []
-        tags = self.tags
-        tv = tags[vid]
         for ridge, info in ridge_info.items():
             if info is None:
                 continue
             bs, j = info
-            opp = bs.verts[j]
             # orient(verts + (vid,)) is -inner_sign, and (ridge, vid, opp)
             # is len(ridge) - j + 1 swaps from it.
             sign = bs.inner_sign
-            nb = _BoundarySimplex(
-                ridge + (vid,), opp, -sign if (len(ridge) - j) & 1 else sign
-            )
-            key = bs.key
-            if key is not None:
-                # opp's tag leaves from place j of verts and from above the
-                # q tags below it: j + q swaps; vid's goes in as in _with_tag.
-                low = 1 << tags[opp]
-                sub = key ^ low
-                swaps = j + (key & (low - 1)).bit_count() + (sub >> tv).bit_count()
-                nb.key = sub | 1 << tv
-                nb.parity = -bs.parity if swaps & 1 else bs.parity
-            fresh.append(nb)
+            fresh.append(_BoundarySimplex(
+                ridge + (vid,), bs.verts[j], -sign if (len(ridge) - j) & 1 else sign
+            ))
         self._boundary = keep + fresh
 
     def facet_map(self):
@@ -380,16 +308,15 @@ class TriangulatedHull:
 
     # -- cloning ----------------------------------------------------------------
 
-    def extended_clone(self, orient_fn=None, split_fn=None):
+    def extended_clone(self):
         """Clone into one more ambient coordinate (appended, set to 0).
 
         The triangulation, boundary, chart and vertex order carry over
-        unchanged, and the keys too when the clone has a ``split_fn``; the
-        clone can then take points whose new coordinate is nonzero, which
-        raises its intrinsic dimension.  A hull made by jumps alone is built
-        first.
+        unchanged; the clone can then take points whose new coordinate is
+        nonzero, which raises its intrinsic dimension.  A hull made by jumps
+        alone is built first.
         """
-        out = TriangulatedHull(self.ambient + 1, orient_fn=orient_fn, split_fn=split_fn)
+        out = TriangulatedHull(self.ambient + 1)
         out.points = [pt + (0,) for pt in self.points]
         out._hom = [h[:-1] + (0, h[-1]) for h in self._hom]
         out.tags = list(self.tags)
@@ -398,23 +325,10 @@ class TriangulatedHull:
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
         out.cells = list(self.cells)
-        keyed = split_fn is not None  # only a hull with a split_fn keeps keys
-        out._boundary = [
-            _BoundarySimplex(bs.verts, bs.opp, bs.inner_sign, *((bs.key, bs.parity) if keyed else ()))
-            for bs in self.boundary
-        ]
+        out._boundary = list(self.boundary)
         out._signs = list(self._signs)  # built by the read of boundary
-        if keyed and self._cell_keys is not None:
-            out._cell_keys = list(self._cell_keys)
         out._index = {pt: i for i, pt in enumerate(out.points)}
         return out
-
-
-def _with_tag(key, parity, tag):
-    """(key, parity) with ``tag`` put in: one flip per tag above it."""
-    if (key >> tag).bit_count() & 1:
-        parity = -parity
-    return key | 1 << tag, parity
 
 
 def _cofactor_plane(rows, witness):

@@ -20,10 +20,9 @@ lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
 column c: a key hashes as one integer, and a column goes in or out by one
 OR or XOR.  The any-order entries fold in the parity of the permutation
 that sorts their columns (``mask_with_parity``).  The oracle's hulls call
-batches on a whole boundary: ``split_boundary`` at dimension 2n, on
-simplices that carry their column mask and sort parity, and
-``split_lifted`` and ``upper_facets`` on the (mask, q) pairs of a
-full-dimensional lifted hull.  Every entry and every batch reads one clock
+batches on the (mask, q) pairs of a whole boundary: ``split_boundary`` at
+dimension 2n, ``split_lifted`` and ``upper_facets`` on a full-dimensional
+lifted hull.  Every entry and every batch reads one clock
 pair and checks the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
@@ -120,7 +119,7 @@ class MinorCache:
     being the mask with one bit cleared.  The public lifting row expansion
     requests *every* sub-minor ``h(S\\j)`` (even where the lifting value is
     zero) so that the cache is fully primed for subsequent liftings on the
-    same columns; the oracle's batch ``split_boundary`` reads only those a
+    same columns; the oracle's batch ``split_lifted`` reads only those a
     nonzero lift multiplies.
 
     The public entries take column tuples and convert them once; each
@@ -364,38 +363,38 @@ class MinorCache:
         return parity * _sign(total)
 
     # -- batches for the oracle's hulls -----------------------------------------
-    # Each counts one predicate call per simplex.  Below full dimension a
-    # simplex is a ``geometry._BoundarySimplex`` with ``key`` (column mask)
-    # and ``parity`` set; on a full-dimensional lifted hull it is a pair
-    # (mask, q), q the orientation of the mask's sorted columns followed by
-    # the simplex's witness, a point of the hull off its hyperplane.
+    # Each counts one predicate call per simplex, a pair (mask, q) of a hull
+    # of dimension 2n (its determinants homogeneous minors) or 2n+1 (lifted
+    # determinants): q is the orientation of the mask's sorted columns
+    # followed by the simplex's witness, a point of the hull off its
+    # hyperplane.
 
-    def split_boundary(self, boundary, col):
-        """(visible, kept) split of ``boundary`` by the new column ``col``.
+    def split_boundary(self, pairs, col):
+        """(visible, kept) split of the (mask, q) ``pairs`` by the column ``col``.
 
-        A simplex is visible when its orientation with ``col`` appended, a
-        homogeneous minor, is the negative of its ``inner_sign``.
+        The hull has dimension 2n, so the orientation of a pair's sorted
+        columns with ``col`` appended is a homogeneous minor; the pair is
+        visible when it is -q.
         """
         t0 = perf_counter()
         hom_tab, hom = self._hom_tab, self._hom
         hits = 0
         bit = 1 << col
         visible, keep = [], []
-        for bs in boundary:
-            key = bs.key
-            cols = key | bit
+        for pair in pairs:
+            mask, q = pair
+            cols = mask | bit
             total = hom_tab.get(cols)
             if total is None:
                 total = hom(cols)
             else:
                 hits += 1
-            # orientation = parity * sign(total), flipped once per column
-            # above the one put in
-            s = -bs.inner_sign * bs.parity
-            if (key >> col).bit_count() & 1:
-                s = -s
-            (visible if (total > 0) - (total < 0) == s else keep).append(bs)
-        self._done(t0, len(boundary), hits)
+            # sign(total) is the sorted orientation; appending col instead
+            # flips it once per column of mask above col.
+            if (mask >> col).bit_count() & 1:
+                q = -q
+            (visible if (total > 0) - (total < 0) == -q else keep).append(pair)
+        self._done(t0, len(pairs), hits)
         return visible, keep
 
     def split_lifted(self, pairs, col, lift, lift_mask):

@@ -7,26 +7,31 @@ volumes into the extreme exponent vector rho; the projection of rho is a
 vertex of the projected polytope maximizing w.
 
 One :class:`VertexOracle` per computation: it owns the minor cache, the
-cached placing triangulation of the unlifted (non-symbolic) columns — built
-once and cloned per call — the per-direction memo (the used-normal set W),
-and the seeded insertion orders that stand in for generic perturbation.
+placing triangulation of the unlifted (non-symbolic) columns — built once —
+the per-direction memo (the used-normal set W), and the seeded insertion
+orders that stand in for generic perturbation.
 
-Below full dimension the hulls test a whole boundary against a new point
-in one minor-cache batch over the simplices' column bitmasks, which the
-hulls keep.  Once the lifted hull has dimension 2n+1 it is kept as its
-boundary's (mask, q) pairs alone, q the orientation of the mask's sorted
-columns followed by the simplex's witness: a column goes in by one batch
-and a cone over the horizon, and the upper facets come from one more
-batch, whose minors are the volumes rho sums.  The hull starts there as a
-simplex when no column is unlifted, and as a cone memoized per (column,
-sign of its lift) when the unlifted columns span dimension 2n.  A simplex
-is handed on as its column mask, and blocks are classified by popcounts
+Below dimension 2n the lifted hull is a ``TriangulatedHull``, a clone of
+the base hull that orients over its own integer chart.  From dimension 2n
+on, once the lift is not a pivot of that chart, it is kept as its
+boundary's (mask, q) pairs, q the orientation of the mask's sorted columns
+followed by the simplex's witness, and at 2n its cells as (mask, sign of
+the homogeneous minor h(mask)).  A column on the 2n-flat goes in by one
+minor-cache batch and a cone over the horizon; the first column off it
+makes every cell a facet through it and every boundary pair a facet with
+it, each sign from the side of the flat the column is on, the cell's sign
+and a popcount parity, with no predicate.  A base of dimension 2n is kept
+that way once per oracle; with no base, the hull starts at 2n+1 as the
+simplex on the first 2n+2 columns when they span.  At 2n+1 a column goes
+in by one batch over the lifted determinant, and the upper facets come
+from one more batch, whose minors are the volumes rho sums.  A simplex is
+handed on as its column mask, and blocks are classified by popcounts
 against per-block masks.
 """
 
 from random import Random
 
-from .exactlin import MinorCache, canonical_direction, clear_denominators
+from .exactlin import MinorCache, canonical_direction, clear_denominators, dot
 from .geometry import TriangulatedHull
 from .kernels import mask_with_parity
 
@@ -98,10 +103,11 @@ class VertexOracle:
     ``memo`` maps each canonical direction ever queried to its (projected
     point, full rho) answer; its key set is the used-normal set W — opposite
     directions are distinct members.  The placing hull of the non-symbolic
-    (never lifted) columns is built once, in input column order, and cloned
-    into the lifted space for every query; the symbolic columns are then
-    placed in an order drawn from a PRNG seeded by (seed, direction), so
-    reruns are reproducible and distinct directions decouple.
+    (never lifted) columns is built once, in input column order: kept as
+    cells and boundary pairs when it has dimension 2n, else cloned into the
+    lifted space for every query.  The symbolic columns are then placed in
+    an order drawn from a PRNG seeded by (seed, direction), so reruns are
+    reproducible and distinct directions decouple.
     """
 
     def __init__(self, sys, seed=0, use_cache=True):
@@ -110,75 +116,28 @@ class VertexOracle:
         self.cache = MinorCache(sys.columns, use_cache=use_cache)
         self.memo = {}
         self.pipeline_runs = 0
-        self._t0 = None
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
-        self._lift = None  # the lifting over all columns, while a hull is built
-        self._cones = {}  # (column, its lift > 0) -> pairs of its cone over the base
-
-    # -- predicate routing ----------------------------------------------------
-    # At dimension 2n with the lift coordinate (index 2n) not a pivot, the
-    # pivots are 0..2n-1 and the hull's chart is [0..2n-1, -1]: its
-    # determinant is the homogeneous minor of the unlifted columns in the
-    # given order, the same sign and not merely up to a factor.  At
-    # dimension 2n+1 it is the lifted determinant.  Otherwise the hull takes
-    # its own determinant.
-
-    def _orient(self, hull, ids):
-        # One orientation, such as a dimension jump's.
-        if len(ids) == self._full + 1:
-            cols = [hull.tags[i] for i in ids]
-            return self.cache.orientation(cols, [self._lift[c] for c in cols])
-        if len(ids) == self._full and self._full - 1 not in hull._pivots:
-            return self.cache.hom_sign([hull.tags[i] for i in ids])
-        return None
-
-    def _split(self, hull, vid):
-        # Every visibility test of a standard insert at dimension 2n, as one
-        # batch.  A hull is handed on as pairs once it is full-dimensional.
-        if hull.dim == self._full - 1 and self._full - 1 not in hull._pivots:
-            return self.cache.split_boundary(hull.boundary, hull.tags[vid])
-        return None
+        self._base = None  # the base hull, built on first use
+        self._base_flat = None  # its (cells, pairs) when it has dimension 2n
 
     # -- triangulation pipeline -------------------------------------------------
 
     def _base_hull(self):
-        if self._t0 is None:
-            hull = TriangulatedHull(
-                2 * self.sys.n, orient_fn=self._orient, split_fn=self._split
-            )
+        if self._base is None:
+            hull = TriangulatedHull(2 * self.sys.n)
             for col in range(self.sys.num_columns):
                 if not self.sys.is_symbolic(col):
                     hull.insert(self.sys.columns[col], tag=col)
-            # Keyed once for every clone's jump (and built while split_fn
-            # is set).
-            hull.key_cells()
-            # The base hull is only cloned from now on; dropping its bound
-            # methods keeps the oracle free of a reference cycle, so an
-            # oracle is freed as soon as its last user lets go of it.
-            hull.orient_fn = hull.split_fn = None
-            self._t0 = hull
-        return self._t0
+            if hull.dim == self._full - 1:
+                self._base_flat = _cells(hull), _pairs(hull)
+            self._base = hull
+        return self._base
 
-    def _grow(self, order):
-        # The lifted clone of the base hull, given the columns of order one
-        # by one until it is full-dimensional: (hull, columns given).
-        hull = self._base_hull().extended_clone(
-            orient_fn=self._orient, split_fn=self._split
-        )
-        given = 0
-        for col in order:
-            hull.insert(self.sys.columns[col] + (self._lift[col],), tag=col)
-            given += 1
-            if hull.dim == self._full:
-                break
-        return hull, given
-
-    def _simplex(self, head):
+    def _simplex(self, head, lift):
         # With no base: the facets of the lifted simplex on the 2n+2 columns
         # of head, or None when they do not span.  Facet x (the mask less x)
         # has x for its witness: moving x from its sorted place to the end
         # passes the columns above it.
-        lift = self._lift
         if len(head) <= self._full or not any(lift[c] for c in head):
             return None
         s = self.cache.orientation(head, [lift[c] for c in head])
@@ -192,17 +151,6 @@ class VertexOracle:
             pairs.append((facet, -s if (facet >> x).bit_count() & 1 else s))
         return pairs
 
-    def _cone(self, col):
-        # With a base of dimension 2n and a lifted first column: the cone
-        # from it over the base.  Every base point has lift 0, so the cone
-        # depends on the column and the sign of its lift alone.
-        key = (col, self._lift[col] > 0)
-        pairs = self._cones.get(key)
-        if pairs is None:
-            hull, _ = self._grow([col])
-            pairs = self._cones[key] = _pairs(hull.boundary)
-        return pairs
-
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
@@ -211,40 +159,69 @@ class VertexOracle:
         full-dimensional, and then their normalized volumes too, aligned with
         them (else None).  ``w`` must already be canonical.
 
-        Once full-dimensional, the hull is kept as its boundary's (mask, q)
-        pairs, and each later column goes in by one ``split_lifted`` batch
-        and a cone over the horizon.  It gets there in one step from the
-        simplex on the first 2n+2 columns when there is no base, or from a
-        memoized cone when the base has dimension 2n; otherwise the clone of
-        the base hull grows until it does.
+        Below dimension 2n the hull is a clone of the base hull.  From 2n
+        on, once the lift is not a pivot of its chart, it is (mask, q)
+        pairs: at 2n, with its cells as (mask, sign h), a column on its flat
+        goes in by one ``split_boundary`` batch and a cone over the horizon,
+        and the first column off it makes every cell and boundary pair a
+        lifted pair with no predicate.  Each later column goes in by one
+        ``split_lifted`` batch and a cone over the horizon.  With no base,
+        the hull starts at 2n+1 from the simplex on the first 2n+2 columns
+        when they span.
         """
-        sys = self.sys
-        self._lift = lift = lift_direction(sys, w)
+        sys, full = self.sys, self._full
+        lift = lift_direction(sys, w)
         order = list(sys.projection)
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
         base = self._base_hull()
-        pairs = None
-        if base.dim == -1:
-            placed = self._full + 1
-            pairs = self._simplex(order[:placed])
-        elif base.dim == self._full - 1 and lift[order[0]]:
-            placed = 1
-            pairs = self._cone(order[0])
+        cells = pairs = None
+        placed = 0
+        height = lift.__getitem__  # the side of the flat at 2n a column is on
+        if self._base_flat is not None:
+            cells, pairs = self._base_flat
+        elif base.dim == -1:
+            placed = full + 1
+            pairs = self._simplex(order[:placed], lift)
         if pairs is None:
-            hull, placed = self._grow(order)
-            if hull.dim < self._full:
+            hull = base.extended_clone()
+            for placed, col in enumerate(order, 1):
+                hull.insert(sys.columns[col] + (lift[col],), tag=col)
+                if hull.dim == full:
+                    pairs = _pairs(hull)
+                    break
+                if hull.dim == full - 1 and full - 1 not in hull._pivots:
+                    cells, pairs = _cells(hull), _pairs(hull)
+                    if any(lift[c] for c in order[:placed]):
+                        height = _flat_height(hull, sys.columns, lift)
+                    break
+            else:
                 # Every column is in; the hull's cells are the answer.
-                self._lift = None
                 tags = hull.tags
                 return [sum(1 << tags[i] for i in cell) for cell in hull.cells], None
-            pairs = _pairs(hull.boundary)  # a read that may orient
         cache = self.cache
+        if cells is not None:
+            for col in order[placed:]:
+                placed += 1
+                up = height(col)
+                if up:
+                    pairs = _jump(cells, pairs, col, 1 if up > 0 else -1)
+                    break
+                visible, keep = cache.split_boundary(pairs, col)
+                if visible:
+                    # A new cell's sign is its orientation, -q, re-sorted.
+                    cells = cells + [
+                        (mask | 1 << col, q if (mask >> col).bit_count() & 1 else -q)
+                        for mask, q in visible
+                    ]
+                    pairs = keep + _horizon_cone(visible, col)
+            else:
+                # Every column is in at dimension 2n; its cells are the answer.
+                return [mask for mask, _ in cells], None
         lift_mask = sum(1 << c for c in order if lift[c])
         for col in order[placed:]:
             visible, keep = cache.split_lifted(pairs, col, lift, lift_mask)
             if visible:
                 pairs = keep + _horizon_cone(visible, col)
-        self._lift = None
         # The upper facets, with the minors h(mask) that found them.
         return cache.upper_facets(pairs)
 
@@ -269,13 +246,64 @@ class VertexOracle:
         return answer
 
 
-def _pairs(boundary):
-    """(mask, q) of each simplex of a full-dimensional lifted boundary.
+def _pairs(hull):
+    """(mask, q) of each boundary simplex of a hull handed on.
 
     q, the orientation of the mask's sorted columns followed by the
     witness, is the simplex's inner sign times its sort parity.
     """
-    return [(bs.key, bs.inner_sign * bs.parity) for bs in boundary]
+    tags, out = hull.tags, []
+    for bs in hull.boundary:
+        mask, parity = mask_with_parity([tags[i] for i in bs.verts])
+        out.append((mask, bs.inner_sign * parity))
+    return out
+
+
+def _cells(hull):
+    """(mask, sign h(mask)) of each cell of a hull handed on at dimension 2n."""
+    tags, out = hull.tags, []
+    for cell, s in zip(hull.cells, hull._cell_signs):
+        mask, parity = mask_with_parity([tags[i] for i in cell])
+        out.append((mask, s * parity))
+    return out
+
+
+def _flat_height(hull, columns, lift):
+    """height(c): which side of the hull's flat lifted column c lies on.
+
+    The flat has dimension 2n and is a graph over the unlifted coordinates
+    (the lift is not a pivot), so back substitution on its echelon, from
+    last entry 1, gives a normal whose last entry stays nonzero; it is made
+    positive, and height(c) is the normal's value at the column less its
+    value on the flat: a positive multiple of lift(c) less the flat's lift
+    at that column's coordinates.
+    """
+    normal = [0] * hull.ambient
+    normal[-1] = 1
+    for row, p in zip(reversed(hull._echelon), reversed(hull._pivots)):
+        t, a = dot(row, normal), row[p]
+        normal = [a * x for x in normal]
+        normal[p] = -t
+    if normal[-1] < 0:
+        normal = [-x for x in normal]
+    top, offset = normal[-1], dot(normal, hull.points[0])
+    return lambda c: dot(normal, columns[c]) + top * lift[c] - offset
+
+
+def _jump(cells, pairs, col, up):
+    """The lifted (mask, q) pairs once column ``col`` cones over a 2n-flat.
+
+    ``up`` is the sign of the column's height above the flat.  Along the
+    lift row less the flat's lift, only ``col`` is nonzero, so each cell T
+    becomes a facet with witness ``col`` and q = -up * sign h(T), and each
+    boundary pair (B, q) the facet B | col with its old witness and q times
+    ``up``, flipped once per column of B above ``col``.
+    """
+    out = [(mask, -up * s) for mask, s in cells]
+    bit = 1 << col
+    for mask, q in pairs:
+        out.append((mask | bit, -up * q if (mask >> col).bit_count() & 1 else up * q))
+    return out
 
 
 def _horizon_cone(visible, col):

@@ -27,8 +27,7 @@ def cells_volume(points):
     ``hull_volume`` and ``OuterPolytope.volume``.
     """
     d = len(points[0])
-    # A split_fn that always declines makes the hull orient every simplex.
-    plain = TriangulatedHull(d, split_fn=lambda hull, vid: None)
+    plain = TriangulatedHull(d)
     for i, p in enumerate(points):
         plain.insert(tuple(p), tag=i)
     total = sum(

@@ -21,7 +21,6 @@ from reference import (
     extreme_points,
     point_in_hull,
     ref_affine_dim,
-    ref_mask_key,
     shoelace_area,
 )
 
@@ -41,17 +40,10 @@ from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
 
-def _orienting(ambient):
-    # A hull whose split_fn always declines orients simplex by simplex: the
-    # reference triangulation.  It keys its simplices by tag masks, so it
-    # takes distinct int tags.
-    return TriangulatedHull(ambient, split_fn=lambda hull, vid: None)
-
-
 def _build(points, ambient=None):
-    # An orienting hull of the points, tagged by their places.
+    # A triangulated hull of the points, tagged by their places.
     ambient = ambient if ambient is not None else len(points[0])
-    hull = _orienting(ambient)
+    hull = TriangulatedHull(ambient)
     for i, p in enumerate(points):
         hull.insert(tuple(p), tag=i)
     return hull
@@ -90,7 +82,7 @@ def _facet_points(hull):
 
 
 def _grouped(hull):
-    # An orienting hull's facets: its boundary simplices grouped by their
+    # A triangulated hull's facets: its boundary simplices grouped by their
     # cofactor planes, each with the points of the simplices on it.
     hom, groups = hull._hom, {}
     for bs in hull.boundary:
@@ -700,10 +692,11 @@ def test_cached_planes_track_every_insert():
 
 
 def test_flat_witness_raises_invariant_violation():
-    # An orientation callback that finds every simplex flat breaks the
-    # hull's invariants; that must raise a typed error even under -O.  A
-    # hull built by jumps alone orients its cell when the boundary is read.
-    hull = TriangulatedHull(2, orient_fn=lambda h, ids: 0)
+    # An orientation that finds every simplex flat breaks the hull's
+    # invariants; that must raise a typed error even under -O.  A hull
+    # built by jumps alone orients its cell when the boundary is read.
+    hull = TriangulatedHull(2)
+    hull._orient = lambda ids: 0
     with pytest.raises(InvariantViolation):
         for p in [(0, 0), (1, 0), (0, 1)]:
             hull.insert(p)
@@ -722,7 +715,7 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
             pts = _flat_points(rng, ambient, ambient + 6, rational)
         else:
             pts = _random_points(rng, ambient, ambient + 6)
-        hull = TriangulatedHull(ambient) if trial % 3 else _orienting(ambient)
+        hull = TriangulatedHull(ambient)
         for i, p in enumerate(pts):
             hull.insert(p, tag=i)
             _assert_signs_fresh(hull)
@@ -758,12 +751,12 @@ def test_dimension_jump_takes_one_orientation():
             _assert_signs_fresh(hull)
 
     corners = [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]
-    simplex = _orienting(4)
+    simplex = TriangulatedHull(4)
     orient = simplex._orient
     simplex._orient = lambda ids: calls.append(ids) or orient(ids)
     del calls[:]
     for i, p in enumerate(corners):
-        simplex.insert(p, tag=i)  # the split_fn makes the hull key by tags
+        simplex.insert(p, tag=i)
     assert simplex.dim == 4 and not calls
     assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
     _assert_signs_fresh(simplex)
@@ -774,114 +767,61 @@ def _hull_state(hull):
     return (
         list(hull.cells),
         list(hull._cell_signs),
-        [(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity) for bs in hull.boundary],
+        [(bs.verts, bs.opp, bs.inner_sign) for bs in hull.boundary],
     )
 
 
 @pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("hooks", [False, True])
-def test_simplex_built_on_read_matches_eager_jumps(ambient, hooks):
+@pytest.mark.parametrize("clone", [False, True])
+def test_simplex_built_on_read_matches_eager_jumps(ambient, clone):
     # A hull whose boundary is read after every insert builds its simplex at
     # dimension 1 and makes every later jump eagerly; a hull read only after
     # the last insert builds its simplex then (or at its first standard
     # insert) from one orientation.  Each prefix of the points must leave
-    # both in the same state, order included.  With hooks, the orientations
-    # go through an orient_fn and a split_fn makes the hull key its boundary.
-    rng = random.Random(900 + 10 * ambient + hooks)
+    # both in the same state, order included.  With clone, the points
+    # before the first with a nonzero last coordinate go into a hull of one
+    # dimension less, whose extended clone (built first, as the oracle's
+    # clone of a base hull made by jumps alone is) takes the rest.
+    rng = random.Random(900 + 10 * ambient + clone)
 
-    def make():
-        if not hooks:
-            return TriangulatedHull(ambient)
-        return TriangulatedHull(
-            ambient, orient_fn=lambda h, ids: None, split_fn=lambda h, vid: None
-        )
+    def make(pts, read):
+        base = next((i for i, p in enumerate(pts) if p[-1]), len(pts)) if clone else 0
+        hull = TriangulatedHull(ambient - 1 if base else ambient)
+        for i, p in enumerate(pts):
+            if base and i == base:
+                hull = hull.extended_clone()
+            hull.insert(p[:-1] if i < base else p, tag=i)
+            if read:
+                hull.boundary
+        if base and base == len(pts):
+            hull = hull.extended_clone()
+        return hull
 
     for trial in range(6):
         if trial % 2:
             pts = _flat_points(rng, ambient, ambient + 4, trial % 4 == 3)
         else:
             pts = _random_points(rng, ambient, ambient + 4)
-        eager = make()
-        for n, p in enumerate(pts, start=1):
-            eager.insert(p, tag=n)
-            eager.boundary
-            lazy = make()
-            for i, q in enumerate(pts[:n], start=1):
-                lazy.insert(q, tag=i)
+        if clone:
+            lead = rng.randint(1, ambient + 1)
+            pts = list(dict.fromkeys(p[:-1] + (0,) if i < lead else p for i, p in enumerate(pts)))
+        for n in range(1, len(pts) + 1):
+            eager, lazy = make(pts[:n], True), make(pts[:n], False)
             assert lazy.dim == eager.dim
             assert _hull_state(lazy) == _hull_state(eager)
         _assert_signs_fresh(eager)
-
-
-def test_cell_keys_carry_through_clone_inserts_and_jumps():
-    # key_cells keys each cell by its tag mask and sort parity; a clone
-    # keeps the keys current through inserts up to its jump, which hands
-    # them to the new boundary simplices and drops them.  The tags run
-    # against the insertion order, so parities vary.  A clone of an
-    # unkeyed base sorts at the jump instead and must end in the same state.
-    rng = random.Random(43)
-    split = lambda h, vid: None
-
-    def sorted_tags(hull, ids):
-        return ref_mask_key([hull.tags[i] for i in ids])
-
-    for trial in range(6):
-        base_pts = _random_points(rng, 2, 9)
-        flat = [p + (0,) for p in _random_points(rng, 2, 4)]
-        lifted = [p + (rng.choice([-3, 2, 5]),) for p in _random_points(rng, 2, 3)]
-        tags = rng.sample(range(100), len(base_pts) + len(flat) + len(lifted))
-        clones = []
-        for keyed in (True, False):
-            base = TriangulatedHull(2, split_fn=split)
-            for p, t in zip(base_pts, tags):
-                base.insert(p, tag=t)
-            if keyed:
-                base.key_cells()
-            clone = base.extended_clone(split_fn=split)
-            for p, t in zip(flat + lifted, tags[len(base_pts):]):
-                clone.insert(p, tag=t)
-                if keyed and clone.dim < 3:
-                    assert clone._cell_keys == [sorted_tags(clone, c) for c in clone.cells]
-            assert clone.dim == 3 and clone._cell_keys is None
-            for bs in clone.boundary:
-                assert (bs.key, bs.parity) == sorted_tags(clone, bs.verts)
-            clones.append(clone)
-        assert _hull_state(clones[0]) == _hull_state(clones[1])
-
-
-def test_keyed_hull_takes_distinct_non_negative_int_tags():
-    # A hull with a split_fn keys its simplices by tag masks, so insert
-    # rejects any tag that is not a distinct non-negative int, and leaves
-    # the hull as it was.  A hull without one takes any tag.
-    hull = _orienting(2)
-    for i, p in enumerate([(0, 0), (3, 0), (0, 3)]):
-        hull.insert(p, tag=i)
-    state = _hull_state(hull)
-    for bad in (None, (1, 1), -1, 1.0, True, "4", 0, 2):
-        with pytest.raises(ValueError):
-            hull.insert((5, 5), tag=bad)
-        assert len(hull.points) == 3 and _hull_state(hull) == state
-    hull.insert((5, 5), tag=7)
-    assert hull.tags == [0, 1, 2, 7]
-    assert [bs.key for bs in hull.boundary] == [
-        ref_mask_key([hull.tags[i] for i in bs.verts])[0] for bs in hull.boundary
-    ]
-    plain = TriangulatedHull(2)
-    for p in [(0, 0), (3, 0), (0, 3), (5, 5)]:
-        plain.insert(p, tag=None if p == (3, 0) else p)
-    assert plain.tags == [(0, 0), None, (0, 3), (5, 5)]
 
 
 @pytest.mark.parametrize(
     "name", ["sylvester", "surface-full", "surface-implicit", "circle-line", "bicubic"]
 )
 def test_oracle_lifted_hull_signs(monkeypatch, name):
-    # The oracle's hulls orient through the minor cache (their orient_fn
-    # and split_fn); after every insert of a compute_pi run
-    # their stored signs must still be fresh orientations, and they keep
-    # no facet table.  A lifted hull reaches dimension 2n+1 by a jump, or,
-    # with no unlifted base, starts there as the (mask, q) pairs of a
-    # simplex, whose signs test_oracle.py checks.
+    # The oracle's hulls orient over their own charts; after every insert
+    # of a compute_pi run their stored signs must still be fresh
+    # orientations, and they keep no facet table.  A hull is handed on as
+    # (mask, q) pairs once it reaches dimension 2n, or, with no unlifted
+    # base, the lifted hull starts at 2n+1 as the pairs of a simplex;
+    # test_oracle.py checks the pairs' signs.
     golden, mode = {
         "sylvester": (SYLVESTER, "full"),
         "surface-full": (MONOMIAL_SURFACE, "full"),
@@ -890,32 +830,30 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
         "bicubic": (BICUBIC, "implicitization"),
     }[name]
     sysd = system_from(golden["n"], golden["supports"], mode)
-    lifted_dims = []
+    dims = []
     insert = TriangulatedHull.insert
 
     def checked_insert(hull, point, tag=None):
         out = insert(hull, point, tag)
-        if hull.orient_fn is not None:
-            _assert_signs_fresh(hull)
-            assert out is None
-            with pytest.raises(DegenerateInput):
-                hull.facet_map()
-            if hull.ambient == 2 * sysd.n + 1:
-                lifted_dims.append(hull.dim)
+        _assert_signs_fresh(hull)
+        assert out is None
+        with pytest.raises(DegenerateInput):
+            hull.facet_map()
+        dims.append(hull.dim)
         return out
 
     simplex = VertexOracle._simplex
 
-    def counted_simplex(oracle, head):
-        out = simplex(oracle, head)
+    def counted_simplex(oracle, head, lift):
+        out = simplex(oracle, head, lift)
         if out is not None:
-            lifted_dims.append(2 * sysd.n + 1)
+            dims.append(2 * sysd.n + 1)
         return out
 
     monkeypatch.setattr(TriangulatedHull, "insert", checked_insert)
     monkeypatch.setattr(VertexOracle, "_simplex", counted_simplex)
     compute_pi(sysd)
-    assert 2 * sysd.n + 1 in lifted_dims  # a lifted hull reached it
+    assert max(dims) >= 2 * sysd.n  # a hull was handed on
 
 
 # -- facet visibility, fresh planes and the facet graph ----------------------------
@@ -947,7 +885,7 @@ def test_plane_visibility_matches_orientation(d):
         else:
             draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
         pts = list(dict.fromkeys(draw() for _ in range(d + 7)))
-        plain = _orienting(d)
+        plain = TriangulatedHull(d)
         keys = set()
         for hull, so_far, added in _grown(pts):
             for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
@@ -972,26 +910,23 @@ def test_plane_visibility_matches_orientation(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_only_the_facet_hull_keeps_facets(d):
-    # A triangulated hull keeps no facet table at any dimension, with a
-    # split_fn or without, so it has no hull_volume or f_vector either, and
-    # its inserts return nothing; each insert of a facet hull returns
-    # exactly the keys it added.
+    # A triangulated hull keeps no facet table at any dimension, so it has
+    # no hull_volume or f_vector either, and its inserts return nothing;
+    # each insert of a facet hull returns exactly the keys it added.
     rng = random.Random(800 + d)
     pts = _random_points(rng, d, d + 8)
-    plain, batched = TriangulatedHull(d), _orienting(d)
-    for i, p in enumerate(pts):
+    plain = TriangulatedHull(d)
+    for p in pts:
         assert plain.insert(p, tag=p) is None
-        assert batched.insert(p, tag=i) is None
-        for hull in (plain, batched):
-            for read in (TriangulatedHull.facet_map, hull_volume, f_vector):
-                with pytest.raises(DegenerateInput):
-                    read(hull)
+        for read in (TriangulatedHull.facet_map, hull_volume, f_vector):
+            with pytest.raises(DegenerateInput):
+                read(plain)
     keys = set()
     for hull, _, added in _grown(pts):
         now = set(hull.facet_map())
         assert len(added) == len(set(added)) and set(added) == now - keys
         keys = now
-    assert plain.dim == batched.dim == d and keys
+    assert plain.dim == d and keys
 
 
 def test_point_on_a_facet_plane_is_not_beyond_it(monkeypatch):
@@ -1039,7 +974,7 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
     for kind in ("random", "grid", "half"):
         for trial in range(3):
             pts = _pencil_points(rng, d, kind)
-            plain = _orienting(d)
+            plain = TriangulatedHull(d)
             keys = set()
             for hull, so_far, added in _grown(pts):
                 if keys:

@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 from conftest import system_from
-from reference import ref_mask_key
 from golden import (
     BICUBIC,
     CIRCLE_LINE,
@@ -20,7 +19,7 @@ from golden import (
     SYLVESTER,
 )
 
-from resnewt import geometry
+from resnewt import oracle as oracle_module
 from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvalidDirection
@@ -166,139 +165,90 @@ def _directions_with_zeros(rng, m, count):
         yield canonical(w)
 
 
-def _same_first_lift_sign(sysd, dirs, seed):
-    # For each direction that lifts the column it places first, another
-    # that places the same column first, lifted with the same sign and a
-    # different size.
-    for w in dirs:
-        first = _placing_order(sysd, w, seed)[0]
-        k = sysd.projection.index(first)
-        for t in range(2, 60) if w[k] else ():
-            v = canonical(w[:k] + (t * w[k],) + w[k + 1:])
-            if abs(v[k]) != abs(w[k]) and _placing_order(sysd, v, seed)[0] == first:
-                yield v
-                break
-
-
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # Directions with zero entries leave symbolic columns unlifted, so the
-    # lifted hull spends inserts at dimension 2n, where the oracle routes
-    # its orientations to the minor cache while the lift coordinate is not
-    # a pivot.  There the hull must never take a (2n+1)-row determinant.
-    # A full projection has no base, so the hull starts as a simplex on the
-    # first 2n+2 columns when they span; implicitization's base has
-    # dimension 2n, so a lifted first column starts it as a memoized cone,
-    # which directions placing the same column first with a lift of the
-    # same sign and another size read back; u-resultant's base is lower, so
-    # its hulls grow point by point, as does any hull the others cannot
-    # start.
+    # lifted hull spends inserts at dimension 2n.  The oracle's
+    # TriangulatedHull serves only below that: once a lifted clone reaches
+    # 2n with the lift not a pivot it is handed on as cells and pairs, and
+    # takes no insert there.  A full projection has no base, so the hull
+    # starts as a simplex on the first 2n+2 columns when they span;
+    # implicitization's base has dimension 2n and is handed on once, so
+    # every call starts from its pairs; u-resultant's base is lower, so its
+    # clones grow to 2n and are handed on there.
     systems = _generated_systems(mode)
-    wide_dets = []  # per (2n+1)-row determinant: is the lift a pivot?
-    routed = [0]  # dimension-2n orientations with the lift not a pivot
-    starts = {"simplex": 0, "cone hit": 0, "grown": 0}
-    hulls = []
-    orient = TriangulatedHull._orient
-    split = VertexOracle._split
-    simplex, cone, grow = VertexOracle._simplex, VertexOracle._cone, VertexOracle._grow
+    late_inserts = [0]  # standard inserts of a clone that should be pairs
+    in_oracle = [False]  # the plain hull below is not the oracle's
+    starts = {"simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
+    standard = TriangulatedHull._standard_insert
+    simplex, triangulation = VertexOracle._simplex, VertexOracle.triangulation
+    cells = oracle_module._cells
 
-    def lifted(hull):
-        # The oracle's clone in R^(2n+1), not its base hull in R^2n.
-        orient_fn = getattr(hull.orient_fn, "__func__", None)
-        return orient_fn is VertexOracle._orient and hull.ambient % 2 == 1
+    def spy_standard(hull, pt, tag):
+        if in_oracle[0] and hull.ambient % 2 and hull.dim == hull.ambient - 1:
+            late_inserts[0] += hull.ambient - 1 not in hull._pivots
+        return standard(hull, pt, tag)
 
-    def spy_orient(hull, ids):
-        hulls.append(hull)
-        try:
-            if lifted(hull) and len(ids) == hull.ambient:
-                routed[0] += hull.ambient - 1 not in hull._pivots
-            return orient(hull, ids)
-        finally:
-            hulls.pop()
-
-    def spy_split(oracle, hull, vid):
-        # A standard insert's orientations come as one batch.
-        if lifted(hull) and hull.dim == hull.ambient - 1:
-            routed[0] += (hull.ambient - 1 not in hull._pivots) * len(hull.boundary)
-        return split(oracle, hull, vid)
-
-    def spy_det(rows):
-        if hulls and lifted(hulls[-1]) and len(rows) == hulls[-1].ambient:
-            wide_dets.append(hulls[-1].ambient - 1 in hulls[-1]._pivots)
-        return det_bareiss(rows)
-
-    def spy_simplex(oracle, head):
-        out = simplex(oracle, head)
+    def spy_simplex(oracle, head, lift):
+        out = simplex(oracle, head, lift)
         starts["simplex"] += out is not None
         return out
 
-    def spy_cone(oracle, col):
-        if (col, oracle._lift[col] > 0) in oracle._cones:
-            starts["cone hit"] += 1
-        else:
-            starts["grown"] -= 1  # a cone's first build grows one column
-        return cone(oracle, col)
+    def spy_cells(hull):
+        # Called on the base hull in R^2n, or on a lifted clone in R^(2n+1).
+        starts["handoff at 2n"] += hull.ambient % 2
+        return cells(hull)
 
-    def spy_grow(oracle, order):
-        starts["grown"] += 1
-        return grow(oracle, order)
+    def spy_triangulation(oracle, w):
+        in_oracle[0] = True
+        try:
+            out = triangulation(oracle, w)
+        finally:
+            in_oracle[0] = False
+        starts["calls"] += 1
+        starts["base pairs"] += oracle._base_flat is not None
+        return out
 
-    monkeypatch.setattr(TriangulatedHull, "_orient", spy_orient)
-    monkeypatch.setattr(VertexOracle, "_split", spy_split)
+    monkeypatch.setattr(TriangulatedHull, "_standard_insert", spy_standard)
     monkeypatch.setattr(VertexOracle, "_simplex", spy_simplex)
-    monkeypatch.setattr(VertexOracle, "_cone", spy_cone)
-    monkeypatch.setattr(VertexOracle, "_grow", spy_grow)
-    monkeypatch.setattr(geometry, "det_bareiss", spy_det)
+    monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
+    monkeypatch.setattr(oracle_module, "_cells", spy_cells)
     rng = random.Random(31)
-    same_cone = 0
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
-        dirs = list(_directions_with_zeros(rng, sysd.m, 12))
-        more = list(_same_first_lift_sign(sysd, dirs, 2))
-        same_cone += len(more)
-        for w in dirs + more:
+        for w in _directions_with_zeros(rng, sysd.m, 12):
             got, _ = oracle.triangulation(w)
             assert len(set(got)) == len(got)
             assert {_cols(s) for s in got} == _plain_upper_simplices(
                 sysd, w, 2
             )
-    assert routed[0] > 0
-    assert all(wide_dets)
-    assert same_cone > 0
+    assert late_inserts[0] == 0
     # Each start ran where its input allows it, and only there.
     assert (starts["simplex"] > 0) == (mode == "full")
-    assert (starts["cone hit"] > 0) == (mode == "implicitization")
-    assert starts["grown"] > 0, starts
+    implicit = mode == "implicitization"
+    assert starts["base pairs"] == (starts["calls"] if implicit else 0)
+    assert (starts["handoff at 2n"] > 0) == (not implicit), starts
 
 
 @pytest.mark.parametrize("use_cache", [True, False])
 @pytest.mark.parametrize("mode", ["full", "implicitization"])
 def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypatch):
     # Each batch the oracle runs on an insert must split as one orientation
-    # per simplex through the any-order public entries would.  At dimension
-    # 2n a boundary simplex is visible when (verts..., new point) has the
-    # sign opposite to its inner sign, and the keys the hull carries must be
-    # each simplex's tag mask with its sort parity.  Once the hull is
-    # full-dimensional, a (mask, q) pair is visible when (sorted mask...,
-    # new column) has the sign -q.  The lifted batch skips the columns
-    # whose lift is 0, which directions with zero entries exercise.
-    split, split_lifted = VertexOracle._split, MinorCache.split_lifted
+    # per simplex through the any-order public entries would: a (mask, q)
+    # pair is visible when (sorted mask..., new column) has the sign -q, a
+    # homogeneous minor at dimension 2n and a lifted determinant once the
+    # hull is full-dimensional.  The lifted batch skips the columns whose
+    # lift is 0, which directions with zero entries exercise.
+    split, split_lifted = MinorCache.split_boundary, MinorCache.split_lifted
     batches = {"lifted": 0, "homogeneous": 0}
 
-    def checked_split(oracle, hull, vid):
-        boundary = list(hull.boundary)
-        out = split(oracle, hull, vid)
-        if out is None:
-            return out
+    def checked_split(cache, pairs, col):
+        pairs = list(pairs)
+        out = split(cache, pairs, col)
         batches["homogeneous"] += 1
-        tags = hull.tags
-        visible = []
-        for bs in boundary:
-            cols = [tags[v] for v in bs.verts]
-            assert (bs.key, bs.parity) == ref_mask_key(cols)
-            visible.append(reference.hom_sign(cols + [tags[vid]]) == -bs.inner_sign)
-        assert out[0] == [bs for bs, v in zip(boundary, visible) if v]
-        assert out[1] == [bs for bs, v in zip(boundary, visible) if not v]
+        visible = [reference.hom_sign(_cols(mask) + (col,)) == -q for mask, q in pairs]
+        assert out[0] == [p for p, v in zip(pairs, visible) if v]
+        assert out[1] == [p for p, v in zip(pairs, visible) if not v]
         return out
 
     def checked_split_lifted(cache, pairs, col, lift, lift_mask):
@@ -314,7 +264,7 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
         assert out[1] == [p for p, v in zip(pairs, visible) if not v]
         return out
 
-    monkeypatch.setattr(VertexOracle, "_split", checked_split)
+    monkeypatch.setattr(MinorCache, "split_boundary", checked_split)
     monkeypatch.setattr(MinorCache, "split_lifted", checked_split_lifted)
     rng = random.Random(47)
     for sysd in _generated_systems(mode):
@@ -328,28 +278,42 @@ def test_fused_split_matches_per_simplex_orientations(mode, use_cache, monkeypat
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
     # Whatever start made them and after every placement, each pair's q
-    # must be the orientation of its sorted lifted columns followed by any
-    # point strictly inside the lifted hull, here the mean of every column
-    # on its boundary, as Bareiss takes it over the explicit rows.  The
-    # pairs are read as each split and the upper-facet filter get them.
+    # must be the orientation of its sorted columns followed by any point
+    # strictly inside the hull, here the mean of every column on its
+    # boundary, as Bareiss takes it over the explicit rows: the lifted rows
+    # once the hull is full-dimensional, the unlifted rows at dimension 2n,
+    # where the hull's flat projects onto them one to one.  There each
+    # cell's sign must be that of h of its sorted columns.  The pairs are
+    # read as each split and the upper-facet filter get them, and the cells
+    # and pairs at dimension 2n as the jump off the flat gets them; some of
+    # those flats hold lifted columns (tilted), so a jump's side is not
+    # always the sign of its column's lift.
     triangulation = VertexOracle.triangulation
     split_lifted, upper_facets = MinorCache.split_lifted, MinorCache.upper_facets
+    split_boundary, jump = MinorCache.split_boundary, oracle_module._jump
     lifts = []  # the lift of the triangulation under way
-    checked = [0]
+    checked = {"lifted": 0, "flat": 0, "cells": 0, "tilted": 0}
 
-    def check(pairs):
+    def check(pairs, lifted=True):
         sysd, lift = lifts[-1]
         inside = 0
         for mask, _ in pairs:
             inside |= mask
         cols = _cols(inside)
         mean = [sum(sysd.columns[c][r] for c in cols) for r in range(2 * sysd.n)]
-        mean += [sum(lift[c] for c in cols), len(cols)]
+        mean += [sum(lift[c] for c in cols)] * lifted + [len(cols)]
         for mask, q in pairs:
-            rows = [sysd.columns[c] + (lift[c], 1) for c in _cols(mask)]
+            rows = [sysd.columns[c] + (lift[c],) * lifted + (1,) for c in _cols(mask)]
             d = det_bareiss(rows + [mean])
             assert (d > 0) - (d < 0) == q
-        checked[0] += 1
+        checked["lifted" if lifted else "flat"] += 1
+
+    def check_cells(cells):
+        sysd = lifts[-1][0]
+        for mask, s in cells:
+            d = det_bareiss([sysd.columns[c] + (1,) for c in _cols(mask)])
+            assert (d > 0) - (d < 0) == s
+        checked["cells"] += 1
 
     def spy_triangulation(oracle, w):
         lifts.append((oracle.sys, lift_direction(oracle.sys, w)))
@@ -366,9 +330,22 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
         check(pairs)
         return upper_facets(cache, pairs)
 
+    def spy_split_boundary(cache, pairs, col):
+        check(pairs, lifted=False)
+        return split_boundary(cache, pairs, col)
+
+    def spy_jump(cells, pairs, col, up):
+        lift = lifts[-1][1]
+        checked["tilted"] += any(lift[c] for c in _cols(cells[0][0]))
+        check_cells(cells)
+        check(pairs, lifted=False)
+        return jump(cells, pairs, col, up)
+
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
     monkeypatch.setattr(MinorCache, "split_lifted", spy_split_lifted)
     monkeypatch.setattr(MinorCache, "upper_facets", spy_upper_facets)
+    monkeypatch.setattr(MinorCache, "split_boundary", spy_split_boundary)
+    monkeypatch.setattr(oracle_module, "_jump", spy_jump)
     goldens = {
         "full": [SYLVESTER, MONOMIAL_SURFACE],
         "implicitization": [MONOMIAL_SURFACE, BICUBIC],
@@ -377,15 +354,17 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
     rng = random.Random(59)
     for sysd in _generated_systems(mode) + [_sys(g, mode) for g in goldens]:
         oracle = VertexOracle(sysd, seed=5)
-        for w in _directions_with_zeros(rng, sysd.m, 10):
+        # Coordinate directions lift one column, so a full projection's
+        # hull often reaches dimension 2n before it.
+        axes = [
+            canonical([sign * (i == k) for i in range(sysd.m)])
+            for k in range(sysd.m)
+            for sign in (1, -1)
+        ]
+        for w in list(_directions_with_zeros(rng, sysd.m, 10)) + axes:
             oracle.vtx(w)
-    assert checked[0] > 20
-
-
-class _Simplex:
-    # What the minor-cache batches read of a boundary simplex.
-    def __init__(self, key, parity, inner_sign):
-        self.key, self.parity, self.inner_sign = key, parity, inner_sign
+    assert checked["lifted"] > 20 and checked["cells"] > 10, checked
+    assert checked["flat"] > checked["cells"] and checked["tilted"] > 0, checked
 
 
 def _explicit_det(sysd, cols, lift=None):
@@ -402,13 +381,11 @@ def _explicit_det(sysd, cols, lift=None):
 @pytest.mark.parametrize("use_cache", [True, False])
 @pytest.mark.parametrize("mode", ["full", "implicitization"])
 def test_mask_batches_match_explicit_determinants(mode, use_cache):
-    # Random simplices of random Cayley systems.  split_boundary takes each
-    # as its columns in a random order (the order of a hull simplex's
-    # points), keyed by the reference mask and parity; split_lifted, lifted
-    # by directions with zero entries, and upper_facets take (mask, q)
-    # pairs, q a random sign for the sorted columns.  Each must answer as
-    # Bareiss on the explicit matrix built in that order, and orientation
-    # too.
+    # Random simplices of random Cayley systems, as (mask, q) pairs, q a
+    # random sign for the sorted columns: 2n columns for split_boundary,
+    # 2n+1 for split_lifted, lifted by directions with zero entries, and
+    # for upper_facets.  Each must answer as Bareiss on the explicit matrix
+    # of the sorted columns, the new one last, and orientation too.
     rng = random.Random(61)
     seen = {"visible": 0, "kept": 0, "lifted visible": 0, "lifted kept": 0, "up": 0}
     for sysd in _generated_systems(mode):
@@ -419,15 +396,13 @@ def test_mask_batches_match_explicit_determinants(mode, use_cache):
             lift_mask = _mask(c for c in range(ncols) if lift[c])
             col = rng.randrange(ncols)
             others = [c for c in range(ncols) if c != col]
-            orders = [rng.sample(others, k) for _ in range(20)]
-            boundary = [_Simplex(*ref_mask_key(o), rng.choice((-1, 1))) for o in orders]
-            visible, kept = cache.split_boundary(boundary, col)
+            pairs = [(_mask(rng.sample(others, k)), rng.choice((-1, 1))) for _ in range(20)]
+            visible, kept = cache.split_boundary(pairs, col)
             expect = [
-                _explicit_det(sysd, order + [col])[0] == -bs.inner_sign
-                for order, bs in zip(orders, boundary)
+                _explicit_det(sysd, list(_cols(mask)) + [col])[0] == -q for mask, q in pairs
             ]
-            assert visible == [bs for bs, v in zip(boundary, expect) if v]
-            assert kept == [bs for bs, v in zip(boundary, expect) if not v]
+            assert visible == [p for p, v in zip(pairs, expect) if v]
+            assert kept == [p for p, v in zip(pairs, expect) if not v]
             seen["visible"] += len(visible)
             seen["kept"] += len(kept)
             pairs = [
@@ -464,8 +439,8 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
     # jumps alone at once and jump eagerly from then on; left alone, a clone
     # made by jumps alone stays one simplex until a standard insert reads it
     # or it is handed on as (mask, q) pairs.  Both ways must give the
-    # same triangulation and leave every hull in the same state, order,
-    # signs and keys included; kept cell keys must be the tag masks.
+    # same triangulation and leave every hull in the same state, order and
+    # signs included.
     insert = TriangulatedHull.insert
     clone = TriangulatedHull.extended_clone
     build = TriangulatedHull._build
@@ -479,8 +454,8 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
             hull.boundary
         return out
 
-    def recorded_clone(hull, **kwargs):
-        out = clone(hull, **kwargs)
+    def recorded_clone(hull):
+        out = clone(hull)
         clones.append(out)
         return out
 
@@ -493,7 +468,7 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
             hull.dim,
             list(hull.cells),
             list(hull._cell_signs),
-            [(bs.verts, bs.opp, bs.inner_sign, bs.key, bs.parity) for bs in hull.boundary],
+            [(bs.verts, bs.opp, bs.inner_sign) for bs in hull.boundary],
         )
 
     monkeypatch.setattr(TriangulatedHull, "insert", reading_insert)
@@ -508,13 +483,7 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
             del clones[:]
             oracle = VertexOracle(sysd, seed=4)
             got = [oracle.triangulation(w) for w in dirs]
-            hulls = [oracle._t0] + clones
-            for hull in hulls:
-                if hull._cell_keys is not None:
-                    tags = hull.tags
-                    assert hull._cell_keys == [
-                        ref_mask_key([tags[i] for i in cell]) for cell in hull.cells
-                    ]
+            hulls = [oracle._base] + clones
             runs.append((got, [state(h) for h in hulls]))
         assert runs[0] == runs[1]
     assert late_builds[0] > 0

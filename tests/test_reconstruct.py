@@ -232,6 +232,17 @@ def test_compute_pi_bicubic():
 # do not span, so the oracle orients them (1 predicate call, 4 cached
 # hom-minor hits) before it grows the hull point by point; no miss or entry
 # moved.
+# They were re-pinned a sixth time when the oracle's TriangulatedHull came
+# to serve only below dimension 2n, orienting over its own chart, with the
+# hull kept as (mask, q) pairs from 2n on.  sylvester-full loses the 5
+# hom_sign calls of jumps into 2n and the 5 orientations of jumps off it,
+# which take no predicate now (10 predicate calls and 25 hom-minor hits
+# fewer).  bicubic-implicit's base hull is built over its own chart, not in
+# 12 split_boundary batches and a hom_sign (644 predicate calls, 643 misses
+# fewer), and the 9 memoized cones' jumps take no orientation, which read
+# every sub-minor, also those a lift of 0 multiplies; upper_facets first
+# reads 33 of the minors those primed.  Misses and entries fall by more
+# than half; no counter rose.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -239,21 +250,21 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 188,
+        "hom_hits": 163,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 144,
+        "predicate_calls": 134,
     },
     "bicubic-implicit": {
-        "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
-        "pure_hits_by_size": {2: 515, 3: 2819, 4: 3472},
-        "pure_misses": 3616,
-        "pure_hits": 6806,
-        "hom_misses": 1109,
-        "hom_hits": 3500,
-        "entries": 4725,
+        "pure_misses_by_size": {2: 181, 3: 560, 4: 884},
+        "pure_hits_by_size": {2: 275, 3: 974, 4: 1571},
+        "pure_misses": 1625,
+        "pure_hits": 2820,
+        "hom_misses": 491,
+        "hom_hits": 3419,
+        "entries": 2116,
         "clears": 0,
-        "predicate_calls": 4029,
+        "predicate_calls": 3375,
     },
 }
 
