@@ -11,22 +11,23 @@ placing triangulation of the unlifted (non-symbolic) columns — built once —
 the per-direction memo (the used-normal set W), and the seeded insertion
 orders that stand in for generic perturbation.
 
-Below dimension 2n the lifted hull is a ``TriangulatedHull``, a clone of
-the base hull that orients over its own integer chart.  From dimension 2n
-on, once the lift is not a pivot of that chart, it is kept as its
+The lifted hull is a ``TriangulatedHull``, a clone of the base hull that
+orients over its own integer chart, until it has dimension 2n with the
+lift not a pivot of that chart (so that its chart's determinants are the
+homogeneous minors h), or 2n+1.  From there on it is kept as its
 boundary's (mask, q) pairs, q the orientation of the mask's sorted columns
 followed by the simplex's witness, and at 2n its cells as (mask, sign of
-the homogeneous minor h(mask)).  A column on the 2n-flat goes in by one
-minor-cache batch and a cone over the horizon; the first column off it
-makes every cell a facet through it and every boundary pair a facet with
-it, each sign from the side of the flat the column is on, the cell's sign
-and a popcount parity, with no predicate.  A base of dimension 2n is kept
-that way once per oracle; with no base, the hull starts at 2n+1 as the
-simplex on the first 2n+2 columns when they span.  At 2n+1 a column goes
-in by one batch over the lifted determinant, and the upper facets come
-from one more batch, whose minors are the volumes rho sums.  A simplex is
-handed on as its column mask, and blocks are classified by popcounts
-against per-block masks.
+h(mask)).  A column on the 2n-flat goes in by one minor-cache batch and a
+cone over the horizon; the first column off it makes every cell a facet
+through it and every boundary pair a facet with it, each sign from the
+side of the flat the column is on, the cell's sign and a popcount parity,
+with no predicate.  A base of dimension 2n is kept that way once per
+oracle; with no base, the hull starts at 2n+1 as the simplex on the first
+2n+2 columns when they span.  At 2n+1 a column goes in by one batch over
+the lifted determinant, and the upper facets come from one more batch,
+whose minors are the volumes rho sums.  A simplex is handed on as its
+column mask, and blocks are classified by popcounts against per-block
+masks.
 """
 
 from random import Random
@@ -159,15 +160,16 @@ class VertexOracle:
         full-dimensional, and then their normalized volumes too, aligned with
         them (else None).  ``w`` must already be canonical.
 
-        Below dimension 2n the hull is a clone of the base hull.  From 2n
-        on, once the lift is not a pivot of its chart, it is (mask, q)
-        pairs: at 2n, with its cells as (mask, sign h), a column on its flat
-        goes in by one ``split_boundary`` batch and a cone over the horizon,
-        and the first column off it makes every cell and boundary pair a
-        lifted pair with no predicate.  Each later column goes in by one
-        ``split_lifted`` batch and a cone over the horizon.  With no base,
-        the hull starts at 2n+1 from the simplex on the first 2n+2 columns
-        when they span.
+        The hull is a clone of the base hull until it has dimension 2n
+        with the lift not a pivot of its chart, or 2n+1; from there on it
+        is (mask, q) pairs.  At 2n, with its cells as (mask, sign h), a
+        column on its flat goes in by one ``split_boundary`` batch and a
+        cone over the horizon, and the first column off it makes every cell
+        and boundary pair a lifted pair with no predicate.  Each later
+        column goes in by one ``split_lifted`` batch and a cone over the
+        horizon.  A base of dimension 2n starts every call as its pairs;
+        with no base, the hull starts at 2n+1 from the simplex on the first
+        2n+2 columns when they span.
         """
         sys, full = self.sys, self._full
         lift = lift_direction(sys, w)
