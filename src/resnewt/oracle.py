@@ -124,13 +124,20 @@ class VertexOracle:
     # -- triangulation pipeline -------------------------------------------------
 
     def _base_hull(self):
+        # Built once: handed on at dimension 2n, where the rest of the base
+        # goes in as pairs.
         if self._base is None:
-            hull = TriangulatedHull(2 * self.sys.n)
-            for col in range(self.sys.num_columns):
-                if not self.sys.is_symbolic(col):
-                    hull.insert(self.sys.columns[col], tag=col)
-            if hull.dim == self._full - 1:
-                self._base_flat = _cells(hull), _pairs(hull)
+            sys = self.sys
+            hull = TriangulatedHull(2 * sys.n)
+            cols = [c for c in range(sys.num_columns) if not sys.is_symbolic(c)]
+            for placed, col in enumerate(cols, 1):
+                hull.insert(sys.columns[col], tag=col)
+                if hull.dim == self._full - 1:
+                    cells, pairs = _cells(hull), _pairs(hull)
+                    for col in cols[placed:]:
+                        cells, pairs = _on_flat(self.cache, cells, pairs, col)
+                    self._base_flat = cells, pairs
+                    break
             self._base = hull
         return self._base
 
@@ -208,14 +215,7 @@ class VertexOracle:
                 if up:
                     pairs = _jump(cells, pairs, col, 1 if up > 0 else -1)
                     break
-                visible, keep = cache.split_boundary(pairs, col)
-                if visible:
-                    # A new cell's sign is its orientation, -q, re-sorted.
-                    cells = cells + [
-                        (mask | 1 << col, q if (mask >> col).bit_count() & 1 else -q)
-                        for mask, q in visible
-                    ]
-                    pairs = keep + _horizon_cone(visible, col)
+                cells, pairs = _on_flat(cache, cells, pairs, col)
             else:
                 # Every column is in at dimension 2n; its cells are the answer.
                 return [mask for mask, _ in cells], None
@@ -290,6 +290,19 @@ def _flat_height(hull, columns, lift):
         normal = [-x for x in normal]
     top, offset = normal[-1], dot(normal, hull.points[0])
     return lambda c: dot(normal, columns[c]) + top * lift[c] - offset
+
+
+def _on_flat(cache, cells, pairs, col):
+    """(cells, pairs) of a hull of dimension 2n with ``col``, on its flat, in.
+
+    A new cell's sign is its orientation, -q, re-sorted.
+    """
+    visible, keep = cache.split_boundary(pairs, col)
+    if not visible:
+        return cells, pairs
+    bit = 1 << col
+    cells = cells + [(mask | bit, q if (mask >> col).bit_count() & 1 else -q) for mask, q in visible]
+    return cells, keep + _horizon_cone(visible, col)
 
 
 def _jump(cells, pairs, col, up):

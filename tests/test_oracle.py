@@ -169,15 +169,15 @@ def _directions_with_zeros(rng, m, count):
 def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # Directions with zero entries leave symbolic columns unlifted, so the
     # lifted hull spends inserts at dimension 2n.  The oracle's
-    # TriangulatedHull serves only below that: once a lifted clone reaches
-    # 2n with the lift not a pivot it is handed on as cells and pairs, and
-    # takes no insert there.  A full projection has no base, so the hull
+    # TriangulatedHull serves only below that: once the base hull or a
+    # lifted clone reaches 2n with the lift not a pivot it is handed on as
+    # cells and pairs, and takes no insert there.  A full projection has no base, so the hull
     # starts as a simplex on the first 2n+2 columns when they span;
     # implicitization's base has dimension 2n and is handed on once, so
     # every call starts from its pairs; u-resultant's base is lower, so its
     # clones grow to 2n and are handed on there.
     systems = _generated_systems(mode)
-    late_inserts = [0]  # standard inserts of a clone that should be pairs
+    late_inserts = [0]  # standard inserts of a hull that should be pairs
     in_oracle = [False]  # the plain hull below is not the oracle's
     starts = {"simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
     standard = TriangulatedHull._standard_insert
@@ -185,8 +185,9 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     cells = oracle_module._cells
 
     def spy_standard(hull, pt, tag):
-        if in_oracle[0] and hull.ambient % 2 and hull.dim == hull.ambient - 1:
-            late_inserts[0] += hull.ambient - 1 not in hull._pivots
+        n2 = hull.ambient - hull.ambient % 2  # the base is in R^2n, a clone in R^(2n+1)
+        if in_oracle[0] and hull.dim == n2:
+            late_inserts[0] += n2 not in hull._pivots
         return standard(hull, pt, tag)
 
     def spy_simplex(oracle, head, lift):

@@ -233,16 +233,15 @@ def test_compute_pi_bicubic():
 # hom-minor hits) before it grows the hull point by point; no miss or entry
 # moved.
 # They were re-pinned a sixth time when the oracle's TriangulatedHull came
-# to serve only below dimension 2n, orienting over its own chart, with the
-# hull kept as (mask, q) pairs from 2n on.  sylvester-full loses the 5
-# hom_sign calls of jumps into 2n and the 5 orientations of jumps off it,
-# which take no predicate now (10 predicate calls and 25 hom-minor hits
-# fewer).  bicubic-implicit's base hull is built over its own chart, not in
-# 12 split_boundary batches and a hom_sign (644 predicate calls, 643 misses
-# fewer), and the 9 memoized cones' jumps take no orientation, which read
-# every sub-minor, also those a lift of 0 multiplies; upper_facets first
-# reads 33 of the minors those primed.  Misses and entries fall by more
-# than half; no counter rose.
+# to serve only below dimension 2n, with the hull kept as (mask, q) pairs
+# from 2n on.  The jumps into 2n orient over the hull's own chart and the
+# jumps off it take no predicate: sylvester-full loses 5 hom_sign calls and
+# 5 orientations (10 predicate calls and 25 hom-minor hits fewer), and
+# bicubic-implicit the hom_sign of its base hull's jump and the
+# orientations of its 9 memoized cones, which read every sub-minor, also
+# those a lift of 0 multiplies; upper_facets first reads 4 of the minors
+# those primed (10 predicate calls, 3 misses and 3 entries fewer).  No
+# counter rose.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -256,15 +255,15 @@ CACHE_STATS = {
         "predicate_calls": 134,
     },
     "bicubic-implicit": {
-        "pure_misses_by_size": {2: 181, 3: 560, 4: 884},
-        "pure_hits_by_size": {2: 275, 3: 974, 4: 1571},
-        "pure_misses": 1625,
-        "pure_hits": 2820,
-        "hom_misses": 491,
-        "hom_hits": 3419,
-        "entries": 2116,
+        "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
+        "pure_hits_by_size": {2: 515, 3: 2819, 4: 3457},
+        "pure_misses": 3616,
+        "pure_hits": 6791,
+        "hom_misses": 1106,
+        "hom_hits": 3448,
+        "entries": 4722,
         "clears": 0,
-        "predicate_calls": 3375,
+        "predicate_calls": 4019,
     },
 }
 
