@@ -134,8 +134,8 @@ class VertexOracle:
                 hull.insert(sys.columns[col], tag=col)
                 if hull.dim == self._full - 1:
                     cells, pairs = _cells(hull), _pairs(hull)
-                    for col in cols[placed:]:
-                        cells, pairs = _on_flat(self.cache, cells, pairs, col)
+                    for c in cols[placed:]:
+                        cells, pairs = _on_flat(self.cache, cells, pairs, c)
                     self._base_flat = cells, pairs
                     break
             self._base = hull
