@@ -22,8 +22,8 @@ OR or XOR.  The any-order entries fold in the parity of the permutation
 that sorts their columns (``mask_with_parity``).  The oracle's hulls call
 batches on the (mask, q) pairs of a whole boundary: ``split_boundary`` at
 dimension 2n, ``split_lifted`` and ``upper_facets`` on a full-dimensional
-lifted hull.  Every entry and every batch reads one clock
-pair and checks the cache threshold once.
+lifted hull.  Every entry and every batch reads one clock pair and checks
+the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.

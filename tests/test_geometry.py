@@ -793,7 +793,7 @@ def test_simplex_built_on_read_matches_eager_jumps(ambient, clone):
             hull.insert(p[:-1] if i < base else p, tag=i)
             if read:
                 hull.boundary
-        if base and base == len(pts):
+        if base == len(pts):
             hull = hull.extended_clone()
         return hull
 
