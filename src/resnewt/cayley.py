@@ -229,27 +229,36 @@ def parse_json(text):
         raw_supports = data["supports"]
     except (KeyError, TypeError, ValueError):
         raise ParseError("JSON input needs integer 'n' and 'supports'") from None
+    if not isinstance(raw_supports, list):
+        raise ParseError("'supports' must be a list")
     supports = []
     for s in raw_supports:
-        pts = []
-        for p in s:
-            if len(p) != n or not all(isinstance(x, int) for x in p):
-                raise ParseError("points must be lists of %d integers" % n)
-            pts.append(tuple(p))
-        supports.append(pts)
+        if not _int_rows(s, n):
+            raise ParseError("a support must be a list of points, lists of %d integers" % n)
+        supports.append([tuple(p) for p in s])
     proj = data.get("projection", "full")
     if isinstance(proj, str):
         proj = {"mode": proj}
+    if not isinstance(proj, dict):
+        raise ParseError("'projection' must be a mode name or an object")
     mode_word = str(proj.get("mode", "full")).lower()
     if mode_word not in _MODE_ALIASES:
         raise ParseError("unknown projection mode %r" % proj.get("mode"))
     mode = _MODE_ALIASES[mode_word]
-    pairs = [tuple(p) for p in proj.get("symbolic", [])] if mode == "custom" else []
-    for p in pairs:
-        if len(p) != 2 or not all(isinstance(x, int) for x in p):
-            raise ParseError("symbolic pairs must be [block, point] integer pairs")
+    pairs = proj.get("symbolic", []) if mode == "custom" else []
+    if not _int_rows(pairs, 2):
+        raise ParseError("symbolic pairs must be [block, point] integer pairs")
+    pairs = [tuple(p) for p in pairs]
     _validate_supports(n, supports)
     return _apply_projection(n, supports, ProjectionSpec(mode, pairs))
+
+
+def _int_rows(value, length):
+    """Whether ``value`` is a list of lists of ``length`` ints (not bools)."""
+    return isinstance(value, list) and all(
+        isinstance(v, list) and len(v) == length and all(type(x) is int for x in v)
+        for v in value
+    )
 
 
 def parse_input(text):

@@ -302,6 +302,8 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
     origin into every block; u-resultant mode fixes block 0 to the unit
     simplex.  Resamples until the family is essential.
     """
+    if n < 1:
+        raise ParseError("n must be at least 1")
     if len(sizes) != n + 1:
         raise ParseError("need %d block sizes, got %d" % (n + 1, len(sizes)))
     if any(s < 1 for s in sizes):

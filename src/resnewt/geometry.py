@@ -1,9 +1,13 @@
 """Exact convex-hull machinery in general (small) dimension.
 
-Two hulls live here.  ``TriangulatedHull`` is the oracle's below dimension
-2n: an incremental Beneath-and-Beyond hull that maintains its placing
-triangulation, works at any intrinsic dimension inside its ambient space
-and orients over an integer chart of its own.  ``FacetHull`` is Q's: a
+Two hulls live here.  ``TriangulatedHull`` is the oracle's up to dimension
+2n or 2n+1: an incremental Beneath-and-Beyond hull that maintains its
+placing triangulation, works at any intrinsic dimension inside its ambient
+space and orients over an integer chart of its own.  It keeps its cells and
+boundary simplices as bitmasks of point tags with an orientation sign each,
+the oracle's own format, so the rules that make them (a simplex's boundary,
+a cone over the horizon, a cone over a flat) are written once, here, and
+the oracle reads the hull as it stands.  ``FacetHull`` is Q's: a
 full-dimensional polytope kept as a double description, its points and its
 facets with the points on each, plus a facet graph.  On top of them sit the
 pulling triangulation that Q and approx mode's outer polytope share,
@@ -16,7 +20,6 @@ the volumes handed out.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd, prod
 from operator import mul
 from typing import NamedTuple
@@ -55,24 +58,6 @@ class Hyperplane(NamedTuple):
     offset: int
 
 
-class _BoundarySimplex:
-    """One (k-1)-simplex of the hull boundary, with an off-plane witness.
-
-    ``verts`` are point ids in increasing order.  ``inner_sign`` is the
-    orientation sign of (verts..., opp), set when the simplex is created; a
-    candidate point lies beyond the simplex's hyperplane exactly when its
-    orientation sign is the negative of it.  A simplex is never changed, so
-    hulls and their clones share them.
-    """
-
-    __slots__ = ("verts", "opp", "inner_sign")
-
-    def __init__(self, verts, opp, inner_sign):
-        self.verts = verts
-        self.opp = opp
-        self.inner_sign = inner_sign
-
-
 def _row_cleared(row):
     """(integer row, positive multiplier) clearing the row's denominators."""
     if all(map(int.__instancecheck__, row)):  # no Fraction ABC check per entry
@@ -97,48 +82,127 @@ def _hom_row(pt):
     return (*row, mult)
 
 
+# -- simplices as (mask, sign) pairs, the format of TriangulatedHull and the oracle --
+
+
+def _simplex_facets(tags, s):
+    """The boundary (mask, q) pairs of the simplex on ``tags``, in their order.
+
+    s is the orientation of the points in tag order.  Facet x, the mask
+    less x, has x for its witness: moving x from its place in tag order to
+    the end passes the points above it.
+    """
+    mask = sum(1 << x for x in tags)
+    out = []
+    for x in tags:
+        facet = mask ^ 1 << x
+        out.append((facet, -s if (facet >> x).bit_count() & 1 else s))
+    return out
+
+
+def _place(cells, visible, keep, tag):
+    """(cells, boundary) once the point ``tag`` goes in beyond the ``visible`` pairs.
+
+    ``keep`` holds the other boundary pairs.  Each visible (B, q) gives the
+    cell B | tag, whose orientation with the point last is -q, flipped once
+    per point of B above it.
+    """
+    bit = 1 << tag
+    new = [(mask | bit, q if (mask >> tag).bit_count() & 1 else -q) for mask, q in visible]
+    return cells + new, keep + _horizon_cone(visible, tag)
+
+
+def _horizon_cone(visible, tag):
+    """The (mask, q) pairs of the new boundary simplices through the point ``tag``.
+
+    Each ridge R = mask - {x} of exactly one visible pair is on the horizon
+    and gives the simplex R | tag with witness x.  From q = -orient(mask in
+    tag order, tag): swapping the point and x, then moving each into its
+    place, gives q times (-1)^(#R above x + #R above tag).
+    """
+    ridges = {}
+    for mask, q in visible:
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            ridge = mask ^ low
+            # A ridge of two visible simplices is inside the new hull.
+            ridges[ridge] = None if ridge in ridges else (low.bit_length() - 1, q)
+    bit = 1 << tag
+    fresh = []
+    for ridge, info in ridges.items():
+        if info is not None:
+            x, q = info
+            if ((ridge >> x).bit_count() + (ridge >> tag).bit_count()) & 1:
+                q = -q
+            fresh.append((ridge | bit, q))
+    return fresh
+
+
+def _cone(cells, pairs, tag, t):
+    """The boundary (mask, q) pairs once the point ``tag`` cones over a flat hull.
+
+    ``cells`` and ``pairs`` are the hull's, and the point lies off its flat:
+    putting it after any tuple of the hull's points turns the tuple's
+    orientation in the flat into t times the orientation in the new span.
+    So each cell T becomes a simplex with the point for witness and q = t*s,
+    and each boundary pair (B, q) the simplex B | tag with its old witness
+    and q times -t, flipped once per point of B above the tag.
+    """
+    out = [(mask, t * s) for mask, s in cells]
+    bit = 1 << tag
+    for mask, q in pairs:
+        out.append((mask | bit, t * q if (mask >> tag).bit_count() & 1 else -t * q))
+    return out
+
+
 class TriangulatedHull:
     """Incremental convex hull with maintained placing triangulation.
 
     This is the oracle's hull: its base hull of the unlifted columns and
-    the lifted clones of it, until they are handed on as column masks.
-    Points live in ``ambient_dim`` coordinates; the hull tracks its
+    the lifted clones of it, until the oracle goes on with its simplices
+    alone.  Points live in ``ambient_dim`` coordinates; the hull tracks its
     intrinsic dimension, growing it as points outside the current affine
-    hull arrive.  ``tags`` holds each recorded point's tag.
+    hull arrive.
+
+    Each point carries a tag, a distinct non-negative ``int``, by default
+    its id (the number of points recorded before it), and a simplex is the
+    bitmask of its points' tags, bit t for the point tagged t.  ``cells``
+    holds the placing triangulation as pairs (mask, s), s the orientation
+    of the cell's points in increasing tag order; the cells partition the
+    hull.  ``boundary`` holds the boundary simplices as pairs (mask, q), q
+    the orientation of the mask's points in tag order followed by any point
+    of the hull off its hyperplane, so a new point lies beyond one exactly
+    when it orients as -q in that point's place.  The oracle keeps its
+    simplices so too, and the rules that make them (``_simplex_facets``,
+    ``_place``, ``_horizon_cone``, ``_cone``) serve both.  ``points`` and
+    ``tags`` record, in order, every point that lay outside the hull when
+    inserted, and ``_hom`` each one's homogeneous row (m.p, m) by tag,
+    cleared of denominators once, so hulls of rational points orient on
+    integers too.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
     jump, each zero at the pivot coordinates of the rows before it.
     Membership is a remainder against the echelon; orientation is the sign
     over the pivot coordinates alone, on which the affine hull projects
-    bijectively.  That
-    sign is the intrinsic one times a factor fixed within one dimension, so
-    every comparison of signs answers exactly as in intrinsic coordinates.
-    ``_cell_signs`` holds each cell's sign.  While every insert has been a
-    dimension jump, the hull is one simplex: its sign and boundary wait for
-    the first standard insert or read (``_build``).  After that, a
-    dimension jump to a point v takes one orientation, of the first cell
-    with v, and gets every other new sign from the stored ones: (T, v) has
-    sigma times T's old sign for every tuple T of old points, with sigma
-    fixed for that jump.  Orientation signs are taken over each point's
-    homogeneous row (m.p, m), cleared of denominators once when the point
-    is recorded, so hulls of rational points run on integers too.  A fresh
-    simplex's sign follows from its parent's visibility test, which oriented
-    a permutation of its points.
-
-    ``boundary`` holds the boundary simplices of the current hull, and
-    ``cells`` holds the placing triangulation: insertion-ordered, each cell a
-    (dim+1)-tuple of point ids; cells partition the hull.  ``points``
-    records every point that was a vertex when inserted (a later insertion
-    may make an earlier point non-extreme without removing it from this
-    list).  The hull keeps no facet table: facets are ``FacetHull``'s.
+    bijectively.  That sign is the intrinsic one times a factor fixed within
+    one dimension, so every comparison of signs answers exactly as in
+    intrinsic coordinates.  While every insert has been a dimension jump,
+    the hull is one simplex: its sign and boundary wait for the first
+    standard insert or read (``_build``).  After that, a dimension jump to
+    a point v takes one orientation, of the first cell with v, and
+    ``_cone`` gets every other new sign from the stored ones.  A fresh
+    simplex's sign follows from its parent's visibility test.  The hull
+    keeps no facet table: facets are ``FacetHull``'s.
     """
 
     def __init__(self, ambient_dim):
         self.ambient = ambient_dim
         self.points = []
-        self._hom = []  # _hom_row of each point, for orientation signs
         self.tags = []
+        self._hom = {}
         self.dim = -1
         self._echelon = []  # primitive integer rows spanning the affine hull
         self._pivots = []  # pivot coordinate of each echelon row
@@ -146,13 +210,17 @@ class TriangulatedHull:
         # hull orients over its old coordinates in their old order, then the
         # homogeneous coordinate (index -1 of a _hom row).
         self._chart = [-1]
-        self.cells = []
-        self._signs = []  # orientation sign of each cell
+        self._cells = []
         self._boundary = []
         self._pending = False  # a simplex above dimension 0 awaiting _build
-        self._index = {}
 
     # -- the state a jump-only prefix builds on first read --------------------
+
+    @property
+    def cells(self):
+        if self._pending:
+            self._build()
+        return self._cells
 
     @property
     def boundary(self):
@@ -160,74 +228,56 @@ class TriangulatedHull:
             self._build()
         return self._boundary
 
-    @property
-    def _cell_signs(self):
-        if self._pending:
-            self._build()
-        return self._signs
-
     def _build(self):
-        # The state the jumps would have left, from one orientation: the
-        # facet opposite the last vertex first, and k - j swaps take the
-        # witness from the end of the cell to its place j.
+        # The state the jumps would have left, from one orientation: each
+        # jump put the facet opposite its point first.
         self._pending = False
-        cell = self.cells[0]
-        k = self.dim
-        s = self._nonzero_orient(cell)
-        self._signs = [s]
-        boundary = []
-        for j in range(k, -1, -1):
-            verts = cell[:j] + cell[j + 1:]
-            sign = -s if (k - j) & 1 else s
-            boundary.append(_BoundarySimplex(verts, cell[j], sign))
-        self._boundary = boundary
+        mask = sum(1 << t for t in self.tags)
+        s = self._nonzero_orient(self._rows(mask))
+        self._cells = [(mask, s)]
+        self._boundary = _simplex_facets(self.tags[::-1], s)
 
     # -- predicates ----------------------------------------------------------
 
-    def _orient(self, ids):
+    def _rows(self, mask):
         hom = self._hom
+        return [hom[t] for t in range(mask.bit_length()) if mask >> t & 1]
+
+    def _orient(self, rows):
+        # The orientation of the points with these homogeneous rows.
         if self.dim == self.ambient:
-            return _sign(det_bareiss([hom[i] for i in ids]))
+            return _sign(det_bareiss(rows))
         chart = self._chart
-        return _sign(det_bareiss([[hom[i][j] for j in chart] for i in ids]))
+        return _sign(det_bareiss([[row[j] for j in chart] for row in rows]))
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _record(self, pt, tag):
-        vid = len(self.points)
-        self.points.append(pt)
-        self._hom.append(_hom_row(pt))
-        self.tags.append(tag)
-        self._index[pt] = vid
-        return vid
-
-    def _unrecord(self, vid):
-        pt = self.points.pop()
-        self._hom.pop()
-        self.tags.pop()
-        del self._index[pt]
-        if vid != len(self.points):
-            raise InvariantViolation("unrecorded point is not the last one")
+    def _nonzero_orient(self, rows):
+        s = self._orient(rows)
+        if s == 0:
+            raise InvariantViolation("boundary simplex with a flat witness")
+        return s
 
     # -- insertion -----------------------------------------------------------
 
     def insert(self, point, tag=None):
-        """Insert a point.
+        """Insert a point tagged ``tag``.
 
-        Duplicates and points inside the hull are no-ops.  A point outside
-        the current affine hull raises the intrinsic dimension by coning the
-        whole triangulation.
+        Points in the hull, duplicates among them, are no-ops.  A point
+        outside the current affine hull raises the intrinsic dimension by
+        coning the whole triangulation.  Raises ``ValueError`` on a point
+        of the wrong length or on a tag that is not a non-negative ``int``
+        or is a recorded point's.
         """
         pt = tuple(point)
         if len(pt) != self.ambient:
             raise ValueError("point has wrong dimension")
-        if pt in self._index:
-            return
+        if tag is None:
+            tag = len(self.points)
+        if type(tag) is not int or tag < 0 or tag in self._hom:
+            raise ValueError("tag %r is not a non-negative int of a new point" % (tag,))
         if self.dim == -1:
-            self._record(pt, tag)
+            self._record(pt, _hom_row(pt), tag)
             self.dim = 0
-            self.cells = [(0,)]
-            self._signs = [1]  # the sign of the 1x1 row (m), m > 0
+            self._cells = [(1 << tag, 1)]  # the sign of the 1x1 row (m), m > 0
         elif self.dim < self.ambient and echelon_extend(
             _row_cleared(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
         ):
@@ -235,72 +285,39 @@ class TriangulatedHull:
         else:
             self._standard_insert(pt, tag)
 
+    def _record(self, pt, row, tag):
+        self.points.append(pt)
+        self.tags.append(tag)
+        self._hom[tag] = row
+
     def _dim_jump(self, pt, tag):
-        vid = self._record(pt, tag)
+        row = _hom_row(pt)
+        self._record(pt, row, tag)
         self._chart = sorted(self._pivots) + [-1]
         self.dim += 1
         if self._pending or self.dim == 1:
-            # Jumps alone so far: one cell, built on first read.
-            self.cells = [self.cells[0] + (vid,)]
-            self._pending = True
+            self._pending = True  # jumps alone so far: one simplex
             return
         # Old points keep their old coordinates and get 0 in the new one, so
-        # orient(T + (vid,)) is sigma times T's old sign, with sigma fixed
-        # for this jump: one call gives sigma and every new sign follows.
-        sigma = self._nonzero_orient(self.cells[0] + (vid,)) * self._signs[0]
-        signs = [sigma * s for s in self._signs]
-        new_boundary = [_BoundarySimplex(cell, vid, s) for cell, s in zip(self.cells, signs)]
-        for bs in self._boundary:
-            # (verts, vid, opp) is one swap from (verts, opp) + (vid,)
-            new_boundary.append(_BoundarySimplex(bs.verts + (vid,), bs.opp, -sigma * bs.inner_sign))
-        self.cells = [cell + (vid,) for cell in self.cells]
-        self._signs = signs
-        self._boundary = new_boundary
-
-    def _nonzero_orient(self, ids):
-        s = self._orient(ids)
-        if s == 0:
-            raise InvariantViolation("boundary simplex with a flat witness")
-        return s
+        # putting the point after any tuple of old points multiplies its
+        # orientation by the same t: one call gives t.
+        cells, bit = self._cells, 1 << tag
+        mask, s = cells[0]
+        t = self._nonzero_orient(self._rows(mask) + [row]) * s
+        self._boundary = _cone(cells, self._boundary, tag, t)
+        self._cells = [(m | bit, s * (-t if (m >> tag).bit_count() & 1 else t)) for m, s in cells]
 
     def _standard_insert(self, pt, tag):
         if self._pending:
             self._build()
-        vid = self._record(pt, tag)
-        keep, visible = [], []
-        for bs in self._boundary:
-            if self._orient(bs.verts + (vid,)) == -bs.inner_sign:
-                visible.append(bs)
-            else:
-                keep.append(bs)
-        if not visible:
-            self._unrecord(vid)
-            return
-        for bs in visible:
-            self.cells.append(bs.verts + (vid,))
-            self._signs.append(-bs.inner_sign)
-        ridge_info = {}
-        for bs in visible:
-            # The ridge that leaves out verts[j], with j = k-1 down to 0.
-            j = len(bs.verts)
-            for ridge in combinations(bs.verts, j - 1):
-                j -= 1
-                if ridge in ridge_info:
-                    ridge_info[ridge] = None  # internal: two visible cofacets
-                else:
-                    ridge_info[ridge] = (bs, j)
-        fresh = []
-        for ridge, info in ridge_info.items():
-            if info is None:
-                continue
-            bs, j = info
-            # orient(verts + (vid,)) is -inner_sign, and (ridge, vid, opp)
-            # is len(ridge) - j + 1 swaps from it.
-            sign = bs.inner_sign
-            fresh.append(_BoundarySimplex(
-                ridge + (vid,), bs.verts[j], -sign if (len(ridge) - j) & 1 else sign
-            ))
-        self._boundary = keep + fresh
+        row = _hom_row(pt)
+        visible, keep = [], []
+        for pair in self._boundary:
+            beyond = self._orient(self._rows(pair[0]) + [row]) == -pair[1]
+            (visible if beyond else keep).append(pair)
+        if visible:
+            self._record(pt, row, tag)
+            self._cells, self._boundary = _place(self._cells, visible, keep, tag)
 
     def facet_map(self):
         """Raises ``DegenerateInput``: a triangulated hull keeps no facets."""
@@ -311,23 +328,21 @@ class TriangulatedHull:
     def extended_clone(self):
         """Clone into one more ambient coordinate (appended, set to 0).
 
-        The triangulation, boundary, chart and vertex order carry over
+        The triangulation, boundary, chart, tags and point order carry over
         unchanged; the clone can then take points whose new coordinate is
         nonzero, which raises its intrinsic dimension.  A hull made by jumps
         alone is built first.
         """
         out = TriangulatedHull(self.ambient + 1)
         out.points = [pt + (0,) for pt in self.points]
-        out._hom = [h[:-1] + (0, h[-1]) for h in self._hom]
         out.tags = list(self.tags)
+        out._hom = {t: h[:-1] + (0, h[-1]) for t, h in self._hom.items()}
         out.dim = self.dim
         out._echelon = [row + (0,) for row in self._echelon]
         out._pivots = list(self._pivots)
         out._chart = list(self._chart)
-        out.cells = list(self.cells)
-        out._boundary = list(self.boundary)
-        out._signs = list(self._signs)  # built by the read of boundary
-        out._index = {pt: i for i, pt in enumerate(out.points)}
+        out._cells = list(self.cells)
+        out._boundary = list(self._boundary)  # built by the read of cells
         return out
 
 

@@ -12,28 +12,28 @@ the per-direction memo (the used-normal set W), and the seeded insertion
 orders that stand in for generic perturbation.
 
 The lifted hull is a ``TriangulatedHull``, a clone of the base hull that
-orients over its own integer chart, until it has dimension 2n with the
-lift not a pivot of that chart (so that its chart's determinants are the
-homogeneous minors h), or 2n+1.  From there on it is kept as its
-boundary's (mask, q) pairs, q the orientation of the mask's sorted columns
-followed by the simplex's witness, and at 2n its cells as (mask, sign of
-h(mask)).  A column on the 2n-flat goes in by one minor-cache batch and a
-cone over the horizon; the first column off it makes every cell a facet
-through it and every boundary pair a facet with it, each sign from the
-side of the flat the column is on, the cell's sign and a popcount parity,
-with no predicate.  A base of dimension 2n is kept that way once per
+orients over its own integer chart and tags each point by its column, until
+it has dimension 2n with the lift not a pivot of that chart (so that its
+chart's determinants are the homogeneous minors h), or 2n+1.  From there on
+the oracle goes on with the hull's own simplices, in geometry's format: the
+boundary as (mask, q) pairs, q the orientation of the mask's sorted columns
+followed by a point of the hull off its hyperplane, and at 2n the cells as
+(mask, sign of h(mask)).  A column on the 2n-flat goes in by one
+minor-cache batch and geometry's ``_place``; the first column off it cones
+over the flat (``_cone``), each sign from the side of the flat the column
+is on, with no predicate.  A base of dimension 2n is kept that way once per
 oracle; with no base, the hull starts at 2n+1 as the simplex on the first
 2n+2 columns when they span.  At 2n+1 a column goes in by one batch over
-the lifted determinant, and the upper facets come from one more batch,
-whose minors are the volumes rho sums.  A simplex is handed on as its
-column mask, and blocks are classified by popcounts against per-block
-masks.
+the lifted determinant and a cone over the horizon, and the upper facets
+come from one more batch, whose minors are the volumes rho sums.  A simplex
+is handed on as its column mask, and blocks are classified by popcounts
+against per-block masks.
 """
 
 from random import Random
 
 from .exactlin import MinorCache, canonical_direction, clear_denominators, dot
-from .geometry import TriangulatedHull
+from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
 from .kernels import mask_with_parity
 
 __all__ = [
@@ -133,7 +133,7 @@ class VertexOracle:
             for placed, col in enumerate(cols, 1):
                 hull.insert(sys.columns[col], tag=col)
                 if hull.dim == self._full - 1:
-                    cells, pairs = _cells(hull), _pairs(hull)
+                    cells, pairs = hull.cells, hull.boundary
                     for c in cols[placed:]:
                         cells, pairs = _on_flat(self.cache, cells, pairs, c)
                     self._base_flat = cells, pairs
@@ -143,21 +143,13 @@ class VertexOracle:
 
     def _simplex(self, head, lift):
         # With no base: the facets of the lifted simplex on the 2n+2 columns
-        # of head, or None when they do not span.  Facet x (the mask less x)
-        # has x for its witness: moving x from its sorted place to the end
-        # passes the columns above it.
+        # of head, or None when they do not span.
         if len(head) <= self._full or not any(lift[c] for c in head):
             return None
         s = self.cache.orientation(head, [lift[c] for c in head])
         if not s:
             return None
-        cols, parity = mask_with_parity(head)
-        s *= parity  # the orientation of the sorted columns
-        pairs = []
-        for x in head:
-            facet = cols ^ 1 << x
-            pairs.append((facet, -s if (facet >> x).bit_count() & 1 else s))
-        return pairs
+        return _simplex_facets(head, s * mask_with_parity(head)[1])  # s of the sorted columns
 
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
@@ -168,15 +160,9 @@ class VertexOracle:
         them (else None).  ``w`` must already be canonical.
 
         The hull is a clone of the base hull until it has dimension 2n
-        with the lift not a pivot of its chart, or 2n+1; from there on it
-        is (mask, q) pairs.  At 2n, with its cells as (mask, sign h), a
-        column on its flat goes in by one ``split_boundary`` batch and a
-        cone over the horizon, and the first column off it makes every cell
-        and boundary pair a lifted pair with no predicate.  Each later
-        column goes in by one ``split_lifted`` batch and a cone over the
-        horizon.  A base of dimension 2n starts every call as its pairs;
-        with no base, the hull starts at 2n+1 from the simplex on the first
-        2n+2 columns when they span.
+        with the lift not a pivot of its chart, or 2n+1; from there on the
+        oracle goes on with its cells and boundary pairs, as the module
+        docstring says.
         """
         sys, full = self.sys, self._full
         lift = lift_direction(sys, w)
@@ -196,24 +182,24 @@ class VertexOracle:
             for placed, col in enumerate(order, 1):
                 hull.insert(sys.columns[col] + (lift[col],), tag=col)
                 if hull.dim == full:
-                    pairs = _pairs(hull)
+                    pairs = hull.boundary
                     break
                 if hull.dim == full - 1 and full - 1 not in hull._pivots:
-                    cells, pairs = _cells(hull), _pairs(hull)
+                    cells, pairs = hull.cells, hull.boundary
                     if any(lift[c] for c in order[:placed]):
                         height = _flat_height(hull, sys.columns, lift)
                     break
             else:
                 # Every column is in; the hull's cells are the answer.
-                tags = hull.tags
-                return [sum(1 << tags[i] for i in cell) for cell in hull.cells], None
+                return [mask for mask, _ in hull.cells], None
         cache = self.cache
         if cells is not None:
             for col in order[placed:]:
                 placed += 1
                 up = height(col)
                 if up:
-                    pairs = _jump(cells, pairs, col, 1 if up > 0 else -1)
+                    # Putting col last multiplies h by -sign(up).
+                    pairs = _cone(cells, pairs, col, -1 if up > 0 else 1)
                     break
                 cells, pairs = _on_flat(cache, cells, pairs, col)
             else:
@@ -248,28 +234,6 @@ class VertexOracle:
         return answer
 
 
-def _pairs(hull):
-    """(mask, q) of each boundary simplex of a hull handed on.
-
-    q, the orientation of the mask's sorted columns followed by the
-    witness, is the simplex's inner sign times its sort parity.
-    """
-    tags, out = hull.tags, []
-    for bs in hull.boundary:
-        mask, parity = mask_with_parity([tags[i] for i in bs.verts])
-        out.append((mask, bs.inner_sign * parity))
-    return out
-
-
-def _cells(hull):
-    """(mask, sign h(mask)) of each cell of a hull handed on at dimension 2n."""
-    tags, out = hull.tags, []
-    for cell, s in zip(hull.cells, hull._cell_signs):
-        mask, parity = mask_with_parity([tags[i] for i in cell])
-        out.append((mask, s * parity))
-    return out
-
-
 def _flat_height(hull, columns, lift):
     """height(c): which side of the hull's flat lifted column c lies on.
 
@@ -293,60 +257,9 @@ def _flat_height(hull, columns, lift):
 
 
 def _on_flat(cache, cells, pairs, col):
-    """(cells, pairs) of a hull of dimension 2n with ``col``, on its flat, in.
-
-    A new cell's sign is its orientation, -q, re-sorted.
-    """
+    """(cells, pairs) of a hull of dimension 2n with ``col``, on its flat, in."""
     visible, keep = cache.split_boundary(pairs, col)
-    if not visible:
-        return cells, pairs
-    bit = 1 << col
-    cells = cells + [(mask | bit, q if (mask >> col).bit_count() & 1 else -q) for mask, q in visible]
-    return cells, keep + _horizon_cone(visible, col)
-
-
-def _jump(cells, pairs, col, up):
-    """The lifted (mask, q) pairs once column ``col`` cones over a 2n-flat.
-
-    ``up`` is the sign of the column's height above the flat.  Along the
-    lift row less the flat's lift, only ``col`` is nonzero, so each cell T
-    becomes a facet with witness ``col`` and q = -up * sign h(T), and each
-    boundary pair (B, q) the facet B | col with its old witness and q times
-    ``up``, flipped once per column of B above ``col``.
-    """
-    out = [(mask, -up * s) for mask, s in cells]
-    bit = 1 << col
-    for mask, q in pairs:
-        out.append((mask | bit, -up * q if (mask >> col).bit_count() & 1 else up * q))
-    return out
-
-
-def _horizon_cone(visible, col):
-    """The (mask, q) pairs of the new facets through column ``col``.
-
-    Each ridge R = mask - {x} of exactly one visible pair is on the horizon
-    and gives the facet R | col with witness x.  From q = -orient(mask
-    sorted, col): swapping col and x, then moving each into sorted place,
-    gives q times (-1)^(#R above x + #R above col).
-    """
-    ridges = {}
-    for mask, q in visible:
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            ridge = mask ^ low
-            # A ridge of two visible facets is inside the new hull.
-            ridges[ridge] = None if ridge in ridges else (low.bit_length() - 1, q)
-    bit = 1 << col
-    fresh = []
-    for ridge, info in ridges.items():
-        if info is not None:
-            x, q = info
-            if ((ridge >> x).bit_count() + (ridge >> col).bit_count()) & 1:
-                q = -q
-            fresh.append((ridge | bit, q))
-    return fresh
+    return _place(cells, visible, keep, col) if visible else (cells, pairs)
 
 
 def vtx(sys, w, seed=0):

@@ -30,9 +30,8 @@ def cells_volume(points):
     plain = TriangulatedHull(d)
     for i, p in enumerate(points):
         plain.insert(tuple(p), tag=i)
-    total = sum(
-        abs(ref_det([[a - b for a, b in zip(plain.points[v], plain.points[cell[0]])]
-                     for v in cell[1:]]))
-        for cell in plain.cells
-    )
+    total = 0
+    for mask, _ in plain.cells:
+        cell = [p for i, p in enumerate(points) if mask >> i & 1]
+        total += abs(ref_det([[a - b for a, b in zip(p, cell[0])] for p in cell[1:]]))
     return Fraction(total) / math.factorial(d)

@@ -330,6 +330,30 @@ def test_compute_random_ambiguous_unprojection_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+SYLVESTER_SUPPORTS = [[[2], [1], [0]], [[2], [0]]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1, "supports": 5},
+        {"n": 1, "supports": [5, 6]},
+        {"n": 1, "supports": [[[2], [0], [True]], [[2], [0]]]},
+        {"n": 1, "supports": [[[2], [1], [0]], [[2], [False]]]},
+        {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": 3},
+        {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": {"mode": "custom", "symbolic": 7}},
+        {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": {"mode": "custom", "symbolic": [5]}},
+    ],
+)
+def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
+    # Wrongly shaped JSON input ends with an error line and exit 2, not a
+    # traceback; a JSON true or false is no integer coordinate.
+    path = _write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = _run(["compute", path], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_compute_not_essential_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "degenerate.txt", NOT_ESSENTIAL_TEXT)
     code, out, err = _run(["compute", path], capsys)
@@ -468,6 +492,14 @@ def test_generate_modes_and_validation(capsys):
         ["generate", "2", "3", "--sizes", "0,2,2", "--seed", "1"], capsys
     )
     assert code == 2  # empty support requested
+
+
+@pytest.mark.parametrize("argv", [["0", "2", "--sizes", "1"], ["-1", "2", "--sizes", ""]])
+def test_generate_rejects_n_below_1(capsys, argv):
+    # compute rejects n < 1, so generate must not print such a family.
+    code, out, err = _run(["generate", *argv], capsys)
+    assert code == 2
+    assert out == "" and err == "error: n must be at least 1\n"
 
 
 def test_generate_pipes_into_compute(tmp_path, capsys):

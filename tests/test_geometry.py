@@ -81,13 +81,27 @@ def _facet_points(hull):
     return {plane: frozenset(_on(hull, mask)) for plane, mask in hull.facet_map().items()}
 
 
+def _tags(mask):
+    # The tags of a triangulated hull's simplex, increasing.
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
+
+
 def _grouped(hull):
     # A triangulated hull's facets: its boundary simplices grouped by their
-    # cofactor planes, each with the points of the simplices on it.
-    hom, groups = hull._hom, {}
-    for bs in hull.boundary:
-        plane = geometry._cofactor_plane([hom[v] for v in bs.verts], hom[bs.opp])
-        groups.setdefault(plane, set()).update(hull.points[v] for v in bs.verts)
+    # cofactor planes, each with the points of the simplices on it.  A plane
+    # is taken away from any recorded point off it.
+    hom, point, groups = hull._hom, dict(zip(hull.tags, hull.points)), {}
+    for mask, _ in hull.boundary:
+        rows = [hom[t] for t in _tags(mask)]
+        for t in (t for t in hull.tags if not mask >> t & 1):
+            try:
+                plane = geometry._cofactor_plane(rows, hom[t])
+                break
+            except InvariantViolation:
+                continue  # t lies on the plane
+        else:
+            raise AssertionError("no recorded point off the plane of %s" % bin(mask))
+        groups.setdefault(plane, set()).update(point[t] for t in _tags(mask))
     return {plane: frozenset(pts) for plane, pts in groups.items()}
 
 
@@ -556,18 +570,26 @@ def test_lower_dim_hull_membership():
         assert point_in_hull(p, raw)
 
 
-def _boundary(hull):
-    return sorted((bs.verts, bs.opp) for bs in hull.boundary)
-
-
 def _assert_signs_fresh(hull):
     # Every stored sign, including those a dimension jump derived rather
-    # than computed, is what a fresh orientation of its tuple gives.
-    assert len(hull._cell_signs) == len(hull.cells)
-    for cell, sign in zip(hull.cells, hull._cell_signs):
-        assert sign == hull._orient(cell) != 0, cell
-    for bs in hull.boundary:
-        assert bs.inner_sign == hull._orient(bs.verts + (bs.opp,)) != 0, bs.verts
+    # than computed, is what a fresh orientation gives: a cell's, of its
+    # points in tag order; a boundary simplex's, of its points in tag order
+    # followed by each recorded point off its hyperplane, of which there is
+    # at least one.
+    hom = hull._hom
+    for mask, s in hull.cells:
+        assert s == hull._orient([hom[t] for t in _tags(mask)]) != 0, mask
+    for mask, q in hull.boundary:
+        rows = [hom[t] for t in _tags(mask)]
+        sides = {hull._orient(rows + [hom[t]]) for t in hull.tags if not mask >> t & 1}
+        assert sides - {0} == {q}, mask
+
+
+def _same_up_to_sign(a, b):
+    # Two lists of (mask, sign) pairs with the same masks in the same order,
+    # whose signs agree up to one common factor.
+    assert [m for m, _ in a] == [m for m, _ in b]
+    assert len({s * t for (_, s), (_, t) in zip(a, b)}) <= 1
 
 
 def _flat_points(rng, ambient, n, rational):
@@ -596,9 +618,9 @@ def test_flat_chart_matches_intrinsic_hull():
     # Points p0 + a.u + b.v of a 2-flat in R^4 (u, v a saturated basis of
     # its direction space), some with Fraction (a, b).  The flat hull orients
     # over its chart; the hull of the (a, b) in R^2 orients directly.  Both
-    # must make every decision alike: same cells, same boundary simplices;
-    # and the facets of the (a, b) are the brute-force facets of the flat
-    # points.
+    # must make every decision alike: same cells, same boundary simplices,
+    # their signs the same up to the chart's one factor; and the facets of
+    # the (a, b) are the brute-force facets of the flat points.
     p0, u, v = (1, -2, 0, 3), (1, 0, 2, -1), (0, 1, -1, 2)
     rng = random.Random(41)
     for trial in range(6):
@@ -617,8 +639,10 @@ def test_flat_chart_matches_intrinsic_hull():
             intrinsic.insert((a, b), tag=i)
         assert flat.dim == intrinsic.dim == 2
         assert flat.tags == intrinsic.tags
-        assert flat.cells == intrinsic.cells
-        assert _boundary(flat) == _boundary(intrinsic)
+        _same_up_to_sign(
+            flat.cells + sorted(flat.boundary),
+            intrinsic.cells + sorted(intrinsic.boundary),
+        )
         got = {
             frozenset(
                 p
@@ -656,17 +680,17 @@ def test_extended_clone_matches_direct_build(base_dim):
         small = _build(base)
         clone = small.extended_clone()
         direct = TriangulatedHull(4)
-        for p in base:
-            direct.insert(p + (0,), tag=p + (0,))
+        for i, p in enumerate(base):
+            direct.insert(p + (0,), tag=i)
         _assert_signs_fresh(clone)
-        for p in lifted:
-            clone.insert(p, tag=p)
-            direct.insert(p, tag=p)
+        for i, p in enumerate(lifted, len(base)):
+            clone.insert(p, tag=i)
+            direct.insert(p, tag=i)
             _assert_signs_fresh(clone)
         assert clone.dim == direct.dim
         assert clone.points == direct.points
         assert clone.cells == direct.cells
-        assert _boundary(clone) == _boundary(direct)
+        assert sorted(clone.boundary) == sorted(direct.boundary)
 
 
 def test_cached_planes_track_every_insert():
@@ -696,7 +720,7 @@ def test_flat_witness_raises_invariant_violation():
     # invariants; that must raise a typed error even under -O.  A hull
     # built by jumps alone orients its cell when the boundary is read.
     hull = TriangulatedHull(2)
-    hull._orient = lambda ids: 0
+    hull._orient = lambda rows: 0
     with pytest.raises(InvariantViolation):
         for p in [(0, 0), (1, 0), (0, 1)]:
             hull.insert(p)
@@ -730,7 +754,7 @@ def test_dimension_jump_takes_one_orientation():
     hull = TriangulatedHull(4)
     calls = []
     orient = hull._orient
-    hull._orient = lambda ids: calls.append(ids) or orient(ids)
+    hull._orient = lambda rows: calls.append(rows) or orient(rows)
     hull.insert((0, 0, 0, 0))
     for p, dim, asked in [
         ((0, 0, 0, 3), 1, 0),
@@ -753,22 +777,18 @@ def test_dimension_jump_takes_one_orientation():
     corners = [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]
     simplex = TriangulatedHull(4)
     orient = simplex._orient
-    simplex._orient = lambda ids: calls.append(ids) or orient(ids)
+    simplex._orient = lambda rows: calls.append(rows) or orient(rows)
     del calls[:]
     for i, p in enumerate(corners):
         simplex.insert(p, tag=i)
     assert simplex.dim == 4 and not calls
-    assert len(simplex.boundary) == 5 and calls == [(0, 1, 2, 3, 4)]
+    assert len(simplex.boundary) == 5 and calls == [[simplex._hom[t] for t in range(5)]]
     _assert_signs_fresh(simplex)
 
 
 def _hull_state(hull):
-    # Cells, cell signs and boundary, in order, with every stored field.
-    return (
-        list(hull.cells),
-        list(hull._cell_signs),
-        [(bs.verts, bs.opp, bs.inner_sign) for bs in hull.boundary],
-    )
+    # Cells and boundary, in order, signs included.
+    return list(hull.cells), list(hull.boundary)
 
 
 @pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
@@ -916,8 +936,8 @@ def test_only_the_facet_hull_keeps_facets(d):
     rng = random.Random(800 + d)
     pts = _random_points(rng, d, d + 8)
     plain = TriangulatedHull(d)
-    for p in pts:
-        assert plain.insert(p, tag=p) is None
+    for i, p in enumerate(pts):
+        assert plain.insert(p, tag=i) is None
         for read in (TriangulatedHull.facet_map, hull_volume, f_vector):
             with pytest.raises(DegenerateInput):
                 read(plain)
@@ -927,6 +947,21 @@ def test_only_the_facet_hull_keeps_facets(d):
         assert len(added) == len(set(added)) and set(added) == now - keys
         keys = now
     assert plain.dim == d and keys
+
+
+def test_insert_rejects_tags_that_are_not_new_non_negative_ints():
+    # A tag is a non-negative int that no recorded point has, the point's id
+    # by default.  A point in the hull is not recorded, so its tag stays
+    # free.
+    hull = TriangulatedHull(2)
+    hull.insert((0, 0), tag=1)
+    for tag in ("a", (1,), 1.0, True, -1, 1, None):  # None: the default id 1
+        with pytest.raises(ValueError):
+            hull.insert((2, 0), tag=tag)
+    hull.insert((2, 0), tag=0)
+    hull.insert((1, 0), tag=5)
+    hull.insert((0, 1), tag=5)
+    assert hull.tags == [1, 0, 5] and hull.dim == 2
 
 
 def test_point_on_a_facet_plane_is_not_beyond_it(monkeypatch):

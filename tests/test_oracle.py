@@ -122,10 +122,10 @@ def _placing_order(sysd, w, seed):
 
 def _plain_upper_simplices(sysd, w, seed):
     # The oracle's triangulation rebuilt without it: one hull over the
-    # lifted points, with no orient_fn and in the oracle's insertion order,
-    # filtered by its own determinants.  A boundary simplex is an upper
-    # facet when a point far up the lift axis lies beyond it, that is when
-    # det(verts; e_lift) has the sign opposite to its inner side.
+    # lifted points, in the oracle's insertion order, filtered by explicit
+    # determinants.  A boundary simplex (mask, q) is an upper facet when a
+    # point far up the lift axis lies beyond it, that is when det(sorted
+    # columns; e_lift) is -q.
     lift = lift_direction(sysd, w)
     n2 = 2 * sysd.n
     hull = TriangulatedHull(n2 + 1)
@@ -133,13 +133,13 @@ def _plain_upper_simplices(sysd, w, seed):
     for col in base + _placing_order(sysd, w, seed):
         hull.insert(sysd.columns[col] + (lift[col],), tag=col)
     if hull.dim < n2 + 1:
-        return {tuple(sorted(hull.tags[i] for i in cell)) for cell in hull.cells}
+        return {_cols(mask) for mask, _ in hull.cells}
     up = [0] * n2 + [1, 0]
     out = set()
-    for bs in hull.boundary:
-        d = det_bareiss([hull.points[i] + (1,) for i in bs.verts] + [up])
-        if (d > 0) - (d < 0) == -bs.inner_sign:
-            out.add(tuple(sorted(hull.tags[i] for i in bs.verts)))
+    for mask, q in hull.boundary:
+        d = det_bareiss([sysd.columns[c] + (lift[c], 1) for c in _cols(mask)] + [up])
+        if (d > 0) - (d < 0) == -q:
+            out.add(_cols(mask))
     return out
 
 
@@ -170,8 +170,8 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # Directions with zero entries leave symbolic columns unlifted, so the
     # lifted hull spends inserts at dimension 2n.  The oracle's
     # TriangulatedHull serves only below that: once the base hull or a
-    # lifted clone reaches 2n with the lift not a pivot it is handed on as
-    # cells and pairs, and takes no insert there.  A full projection has no base, so the hull
+    # lifted clone reaches 2n with the lift not a pivot the oracle goes on
+    # with its cells and pairs, and it takes no insert there.  A full projection has no base, so the hull
     # starts as a simplex on the first 2n+2 columns when they span;
     # implicitization's base has dimension 2n and is handed on once, so
     # every call starts from its pairs; u-resultant's base is lower, so its
@@ -182,7 +182,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     starts = {"simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
     standard = TriangulatedHull._standard_insert
     simplex, triangulation = VertexOracle._simplex, VertexOracle.triangulation
-    cells = oracle_module._cells
+    cells = TriangulatedHull.cells
 
     def spy_standard(hull, pt, tag):
         n2 = hull.ambient - hull.ambient % 2  # the base is in R^2n, a clone in R^(2n+1)
@@ -196,9 +196,9 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         return out
 
     def spy_cells(hull):
-        # Called on the base hull in R^2n, or on a lifted clone in R^(2n+1).
-        starts["handoff at 2n"] += hull.ambient % 2
-        return cells(hull)
+        # Read on the base hull in R^2n, or on a lifted clone in R^(2n+1).
+        starts["handoff at 2n"] += in_oracle[0] and hull.ambient % 2
+        return cells.fget(hull)
 
     def spy_triangulation(oracle, w):
         in_oracle[0] = True
@@ -213,7 +213,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     monkeypatch.setattr(TriangulatedHull, "_standard_insert", spy_standard)
     monkeypatch.setattr(VertexOracle, "_simplex", spy_simplex)
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
-    monkeypatch.setattr(oracle_module, "_cells", spy_cells)
+    monkeypatch.setattr(TriangulatedHull, "cells", property(spy_cells))
     rng = random.Random(31)
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
@@ -286,12 +286,12 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
     # where the hull's flat projects onto them one to one.  There each
     # cell's sign must be that of h of its sorted columns.  The pairs are
     # read as each split and the upper-facet filter get them, and the cells
-    # and pairs at dimension 2n as the jump off the flat gets them; some of
+    # and pairs at dimension 2n as the cone off the flat gets them; some of
     # those flats hold lifted columns (tilted), so a jump's side is not
     # always the sign of its column's lift.
     triangulation = VertexOracle.triangulation
     split_lifted, upper_facets = MinorCache.split_lifted, MinorCache.upper_facets
-    split_boundary, jump = MinorCache.split_boundary, oracle_module._jump
+    split_boundary, cone = MinorCache.split_boundary, oracle_module._cone
     lifts = []  # the lift of the triangulation under way
     checked = {"lifted": 0, "flat": 0, "cells": 0, "tilted": 0}
 
@@ -335,18 +335,18 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
         check(pairs, lifted=False)
         return split_boundary(cache, pairs, col)
 
-    def spy_jump(cells, pairs, col, up):
+    def spy_cone(cells, pairs, col, t):
         lift = lifts[-1][1]
         checked["tilted"] += any(lift[c] for c in _cols(cells[0][0]))
         check_cells(cells)
         check(pairs, lifted=False)
-        return jump(cells, pairs, col, up)
+        return cone(cells, pairs, col, t)
 
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
     monkeypatch.setattr(MinorCache, "split_lifted", spy_split_lifted)
     monkeypatch.setattr(MinorCache, "upper_facets", spy_upper_facets)
     monkeypatch.setattr(MinorCache, "split_boundary", spy_split_boundary)
-    monkeypatch.setattr(oracle_module, "_jump", spy_jump)
+    monkeypatch.setattr(oracle_module, "_cone", spy_cone)
     goldens = {
         "full": [SYLVESTER, MONOMIAL_SURFACE],
         "implicitization": [MONOMIAL_SURFACE, BICUBIC],
@@ -465,12 +465,7 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
         build(hull)
 
     def state(hull):
-        return (
-            hull.dim,
-            list(hull.cells),
-            list(hull._cell_signs),
-            [(bs.verts, bs.opp, bs.inner_sign) for bs in hull.boundary],
-        )
+        return hull.dim, list(hull.cells), list(hull.boundary)
 
     monkeypatch.setattr(TriangulatedHull, "insert", reading_insert)
     monkeypatch.setattr(TriangulatedHull, "extended_clone", recorded_clone)
