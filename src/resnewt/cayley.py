@@ -224,13 +224,9 @@ def parse_json(text):
         raise ParseError("invalid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ParseError("JSON input must be an object")
-    try:
-        n = int(data["n"])
-        raw_supports = data["supports"]
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("JSON input needs integer 'n' and 'supports'") from None
-    if not isinstance(raw_supports, list):
-        raise ParseError("'supports' must be a list")
+    n, raw_supports = data.get("n"), data.get("supports")
+    if type(n) is not int or not isinstance(raw_supports, list):
+        raise ParseError("JSON input needs integer 'n' and a list 'supports'")
     supports = []
     for s in raw_supports:
         if not _int_rows(s, n):

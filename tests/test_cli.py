@@ -336,6 +336,8 @@ SYLVESTER_SUPPORTS = [[[2], [1], [0]], [[2], [0]]]
 @pytest.mark.parametrize(
     "doc",
     [
+        {"n": 1.5, "supports": SYLVESTER_SUPPORTS},
+        {"n": True, "supports": SYLVESTER_SUPPORTS},
         {"n": 1, "supports": 5},
         {"n": 1, "supports": [5, 6]},
         {"n": 1, "supports": [[[2], [0], [True]], [[2], [0]]]},
@@ -347,7 +349,7 @@ SYLVESTER_SUPPORTS = [[[2], [1], [0]], [[2], [0]]]
 )
 def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
     # Wrongly shaped JSON input ends with an error line and exit 2, not a
-    # traceback; a JSON true or false is no integer coordinate.
+    # traceback or a guess; a JSON true or false is no integer.
     path = _write(tmp_path, "bad.json", json.dumps(doc))
     code, out, err = _run(["compute", path], capsys)
     assert code == 2
