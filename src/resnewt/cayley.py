@@ -230,7 +230,7 @@ def parse_json(text):
     supports = []
     for s in raw_supports:
         if not _int_rows(s, n):
-            raise ParseError("a support must be a list of points, lists of %d integers" % n)
+            raise ParseError("each support must be a list of points of %d integers" % n)
         supports.append([tuple(p) for p in s])
     proj = data.get("projection", "full")
     if isinstance(proj, str):
