@@ -152,7 +152,8 @@ def parse_text(text):
     """Parse the plain-text input format.
 
     Line 1: n.  Then n+1 lines, one per support, points separated by ';',
-    each point n integers.  Then one line ``projection: <mode>`` where mode
+    each point n integers; an empty point, as between two ';' or after a
+    trailing one, is an error.  Then one line ``projection: <mode>`` where mode
     is full | u-res | implicit | custom followed by (block, point) index
     pairs.  '#' starts a comment; blank lines are skipped.
     """
@@ -172,9 +173,8 @@ def parse_text(text):
     supports = []
     for i in range(1, n + 2):
         pieces = [p.strip() for p in lines[i].split(";")]
-        pieces = [p for p in pieces if p]
-        if not pieces:
-            raise ParseError("support line %d lists no points" % i)
+        if not all(pieces):
+            raise ParseError("support line %d has an empty point" % i)
         supports.append([_parse_point(p, n) for p in pieces])
     proj_line = lines[n + 2]
     if not proj_line.lower().startswith("projection"):

@@ -116,7 +116,8 @@ class MinorCache:
     these tables: ``h`` expands along the ones row into pure minors, and the
     ``orientation`` predicate expands along its lifting row into homogeneous
     minors, each over the set bits in increasing order, a sub-minor's mask
-    being the mask with one bit cleared.  The public lifting row expansion
+    being the mask with one bit cleared; a pure minor's expansion skips the
+    columns whose entry in its row is 0.  The public lifting row expansion
     requests *every* sub-minor ``h(S\\j)`` (even where the lifting value is
     zero) so that the cache is fully primed for subsequent liftings on the
     same columns; the oracle's batch ``split_lifted`` reads only those a
@@ -143,12 +144,14 @@ class MinorCache:
         self._columns = cols
         self._nrows = nrows
         self._rows = [tuple(c[r] for c in cols) for r in range(nrows)]
+        # Per row, the mask of the columns with a nonzero entry there.
+        self._nonzero = [sum(1 << c for c, x in enumerate(row) if x) for row in self._rows]
         self.threshold = threshold
         self.use_cache = use_cache
         self._pure_tab = {}
         self._hom_tab = {}
-        self.pure_misses = {}
-        self.pure_hits = {}
+        self.pure_misses = [0] * (nrows + 1)  # by size
+        self.pure_hits = [0] * (nrows + 1)
         self.hom_misses = 0
         self.hom_hits = 0
         self.clears = 0
@@ -170,10 +173,10 @@ class MinorCache:
     def stats(self):
         """Snapshot of all counters as a plain dict."""
         return {
-            "pure_misses_by_size": dict(self.pure_misses),
-            "pure_hits_by_size": dict(self.pure_hits),
-            "pure_misses": sum(self.pure_misses.values()),
-            "pure_hits": sum(self.pure_hits.values()),
+            "pure_misses_by_size": {k: v for k, v in enumerate(self.pure_misses) if v},
+            "pure_hits_by_size": {k: v for k, v in enumerate(self.pure_hits) if v},
+            "pure_misses": sum(self.pure_misses),
+            "pure_hits": sum(self.pure_hits),
             "hom_misses": self.hom_misses,
             "hom_hits": self.hom_hits,
             "entries": self.entries,
@@ -183,49 +186,61 @@ class MinorCache:
         }
 
     # -- recursions (column masks; cofactor signs alternate over set bits) --
+    # Each computes a minor its caller did not find in the tables, and looks
+    # every sub-minor up there before it recurses, counting the hits.
 
     def _minor(self, mask, k):
-        # k is the number of set bits of mask.
-        if k == 1:
-            return self._rows[0][mask.bit_length() - 1]
-        if self.use_cache:
-            v = self._pure_tab.get(mask)
-            if v is not None:
-                self.pure_hits[k] = self.pure_hits.get(k, 0) + 1
-                return v
-        total = 0
-        row = self._rows[k - 1] if k else ()
-        sign = -1 if (k - 1) & 1 else 1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            coef = row[low.bit_length() - 1]
-            if coef:
-                total += sign * coef * self._minor(mask ^ low, k - 1)
-            sign = -sign
-        self.pure_misses[k] = self.pure_misses.get(k, 0) + 1
+        # The pure minor of the k >= 2 columns of mask, expanded along row
+        # k-1 over the columns with a nonzero entry there; the column in
+        # place i of mask has cofactor sign (-1)^(k-1+i).
+        rows = self._rows
+        if k == 2:
+            a, b = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+            total = rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
+        else:
+            tab, row = self._pure_tab, rows[k - 1]
+            total = 0
+            m = mask & self._nonzero[k - 1]
+            while m:
+                low = m & -m
+                m ^= low
+                sub = mask ^ low
+                v = tab.get(sub)
+                if v is None:
+                    v = self._minor(sub, k - 1)
+                else:
+                    self.pure_hits[k - 1] += 1
+                v *= row[low.bit_length() - 1]
+                total += -v if (k - 1 + (mask & (low - 1)).bit_count()) & 1 else v
+        self.pure_misses[k] += 1
         if self.use_cache:
             self._pure_tab[mask] = total
         return total
 
     def _hom(self, mask):
+        # The homogeneous minor of mask, expanded along the ones row.
         k = mask.bit_count()
         if k == 1:
             return 1
-        if self.use_cache:
-            v = self._hom_tab.get(mask)
-            if v is not None:
-                self.hom_hits += 1
-                return v
-        total = 0
-        sign = -1 if (k - 1) & 1 else 1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            total += sign * self._minor(mask ^ low, k - 1)
-            sign = -sign
+        if k == 2:
+            row = self._rows[0]
+            total = row[(mask & -mask).bit_length() - 1] - row[mask.bit_length() - 1]
+        else:
+            tab = self._pure_tab
+            total = 0
+            neg = not k & 1  # the lowest column's cofactor sign is (-1)^(k-1)
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                sub = mask ^ low
+                v = tab.get(sub)
+                if v is None:
+                    v = self._minor(sub, k - 1)
+                else:
+                    self.pure_hits[k - 1] += 1
+                total += -v if neg else v
+                neg = not neg
         self.hom_misses += 1
         if self.use_cache:
             self._hom_tab[mask] = total
@@ -265,9 +280,16 @@ class MinorCache:
         ``cols`` must be strictly increasing.
         """
         cols = tuple(cols)
-        mask = self._check_increasing(cols, self._nrows)
+        mask, k = self._check_increasing(cols, self._nrows), len(cols)
         t0 = perf_counter()
-        value = self._minor(mask, len(cols))
+        if k == 1:
+            value = self._rows[0][cols[0]]
+        else:
+            value = self._pure_tab.get(mask)
+            if value is None:
+                value = self._minor(mask, k)
+            else:
+                self.pure_hits[k] += 1
         self._done(t0, 0, 0)
         return value
 
@@ -279,8 +301,11 @@ class MinorCache:
         cols = tuple(cols)
         mask = self._check_increasing(cols, self._nrows + 1)
         t0 = perf_counter()
-        value = self._hom(mask)
-        self._done(t0, 0, 0)
+        value = self._hom_tab.get(mask)
+        hit = value is not None
+        if not hit:
+            value = self._hom(mask)
+        self._done(t0, 0, hit)
         return value
 
     def hom_sign(self, cols):
@@ -314,8 +339,11 @@ class MinorCache:
             return 0
         mask = self._checked_mask(cols, self._nrows + 1)[0]
         t0 = perf_counter()
-        value = self._hom(mask)
-        self._done(t0, 1, 0)
+        value = self._hom_tab.get(mask)
+        hit = value is not None
+        if not hit:
+            value = self._hom(mask)
+        self._done(t0, 1, hit)
         return value if value >= 0 else -value
 
     def orientation(self, cols, lifting):

@@ -21,20 +21,22 @@ followed by a point of the hull off its hyperplane, and at 2n the cells as
 (mask, sign of h(mask)).  A column on the 2n-flat goes in by one
 minor-cache batch and geometry's ``_place``; the first column off it cones
 over the flat (``_cone``), each sign from the side of the flat the column
-is on, with no predicate.  A base of dimension 2n is kept that way once per
-oracle; with no base, the hull starts at 2n+1 as the simplex on the first
-2n+2 columns when they span.  At 2n+1 a column goes in by one batch over
-the lifted determinant and a cone over the horizon, and the upper facets
-come from one more batch, whose minors are the volumes rho sums.  A simplex
-is handed on as its column mask, and blocks are classified by popcounts
+is on: the sign of its lift while the flat's lift is 0, else -s times the
+lifted orientation of a cell (mask, s) of the flat followed by the column.
+A base of dimension 2n is kept that way once per oracle.  With no base (a
+full projection) the hull starts at 2n as the simplex on the first 2n+1
+columns placed, when one ``hom_sign`` finds they span, and is a clone only
+when they do not.  At 2n+1 a column goes in by one batch over the lifted
+determinant and a cone over the horizon, and the upper facets come from
+one more batch, whose minors are the volumes rho sums.  A simplex is
+handed on as its column mask, and blocks are classified by popcounts
 against per-block masks.
 """
 
 from random import Random
 
-from .exactlin import MinorCache, canonical_direction, clear_denominators, dot
+from .exactlin import MinorCache, canonical_direction, clear_denominators
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
-from .kernels import mask_with_parity
 
 __all__ = [
     "VertexOracle",
@@ -141,16 +143,6 @@ class VertexOracle:
             self._base = hull
         return self._base
 
-    def _simplex(self, head, lift):
-        # With no base: the facets of the lifted simplex on the 2n+2 columns
-        # of head, or None when they do not span.
-        if len(head) <= self._full or not any(lift[c] for c in head):
-            return None
-        s = self.cache.orientation(head, [lift[c] for c in head])
-        if not s:
-            return None
-        return _simplex_facets(head, s * mask_with_parity(head)[1])  # s of the sorted columns
-
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
@@ -159,24 +151,29 @@ class VertexOracle:
         full-dimensional, and then their normalized volumes too, aligned with
         them (else None).  ``w`` must already be canonical.
 
-        The hull is a clone of the base hull until it has dimension 2n
-        with the lift not a pivot of its chart, or 2n+1; from there on the
-        oracle goes on with its cells and boundary pairs, as the module
+        The hull starts as the base hull's cells and pairs when the base
+        has dimension 2n, else, with no base, as the 2n-simplex on the
+        sorted first 2n+1 columns of the order when their h is nonzero.
+        Otherwise it is a clone of the base hull until it has dimension 2n
+        with the lift not a pivot of its chart, or 2n+1.  From there on the
+        oracle goes on with cells and boundary pairs, as the module
         docstring says.
         """
         sys, full = self.sys, self._full
         lift = lift_direction(sys, w)
         order = list(sys.projection)
         Random(f"{self.seed}|{tuple(w)}").shuffle(order)
-        base = self._base_hull()
+        base, cache = self._base_hull(), self.cache
         cells = pairs = None
         placed = 0
-        height = lift.__getitem__  # the side of the flat at 2n a column is on
         if self._base_flat is not None:
             cells, pairs = self._base_flat
         elif base.dim == -1:
-            placed = full + 1
-            pairs = self._simplex(order[:placed], lift)
+            head = sorted(order[:full])
+            s = cache.hom_sign(head) if len(head) == full else 0
+            if s:
+                placed = full
+                cells, pairs = [(sum(1 << c for c in head), s)], _simplex_facets(head, s)
         if pairs is None:
             hull = base.extended_clone()
             for placed, col in enumerate(order, 1):
@@ -186,14 +183,15 @@ class VertexOracle:
                     break
                 if hull.dim == full - 1 and full - 1 not in hull._pivots:
                     cells, pairs = hull.cells, hull.boundary
-                    if any(lift[c] for c in order[:placed]):
-                        height = _flat_height(hull, sys.columns, lift)
                     break
             else:
                 # Every column is in; the hull's cells are the answer.
                 return [mask for mask, _ in hull.cells], None
-        cache = self.cache
         if cells is not None:
+            # The side of the flat at 2n a column is on: its lift while the
+            # flat's is 0, else read off a cell's lifted orientation.
+            tilted = any(lift[c] for c in order[:placed])
+            height = _height(cache, cells[0], lift) if tilted else lift.__getitem__
             for col in order[placed:]:
                 placed += 1
                 up = height(col)
@@ -234,26 +232,18 @@ class VertexOracle:
         return answer
 
 
-def _flat_height(hull, columns, lift):
-    """height(c): which side of the hull's flat lifted column c lies on.
+def _height(cache, cell, lift):
+    """height(c): the sign of lifted column c's side of a tilted 2n-flat.
 
-    The flat has dimension 2n and is a graph over the unlifted coordinates
-    (the lift is not a pivot), so back substitution on its echelon, from
-    last entry 1, gives a normal whose last entry stays nonzero; it is made
-    positive, and height(c) is the normal's value at the column less its
-    value on the flat: a positive multiple of lift(c) less the flat's lift
-    at that column's coordinates.
+    ``cell`` is a (mask, s) cell of the flat, s = sign h(mask).  Along the
+    lift row less the flat's lift only c is nonzero, so the orientation of
+    the cell's sorted columns followed by c is -(lift(c) less the flat's
+    lift at c) * h(mask): the side is -s times that orientation, from the
+    minor cache.
     """
-    normal = [0] * hull.ambient
-    normal[-1] = 1
-    for row, p in zip(reversed(hull._echelon), reversed(hull._pivots)):
-        t, a = dot(row, normal), row[p]
-        normal = [a * x for x in normal]
-        normal[p] = -t
-    if normal[-1] < 0:
-        normal = [-x for x in normal]
-    top, offset = normal[-1], dot(normal, hull.points[0])
-    return lambda c: dot(normal, columns[c]) + top * lift[c] - offset
+    mask, s = cell
+    flat = [c for c in range(mask.bit_length()) if mask >> c & 1]
+    return lambda c: -s * cache.orientation(flat + [c], [lift[x] for x in flat] + [lift[c]])
 
 
 def _on_flat(cache, cells, pairs, col):

@@ -90,6 +90,16 @@ def test_parse_errors():
         parse_json("{\"n\": 1}")  # incomplete document
 
 
+@pytest.mark.parametrize(
+    "line", ["2;;1", "2; ;1", "2; 1;", "; 2; 1", ";"]
+)
+def test_parse_text_rejects_an_empty_point(line):
+    # An empty point is a typo, not a point to skip: "2;;1" must not be
+    # read as "2; 1".
+    with pytest.raises(ParseError, match="support line 1 has an empty point"):
+        parse_text("1\n%s\n2; 0\nprojection: full\n" % line)
+
+
 def test_u_resultant_needs_unit_simplex():
     supports = [[(1, 0), (0, 1), (1, 1)], [(0, 0), (1, 0)], [(0, 0), (0, 1)]]
     with pytest.raises(ParseError):

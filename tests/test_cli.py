@@ -296,6 +296,9 @@ def test_compute_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, out, err = _run(["compute", good, "--projection", " "], capsys)
     assert code == 2 and "names no mode" in err
+    typo = _write(tmp_path, "typo.txt", "1\n2;;1\n2; 0\nprojection: full\n")
+    code, out, err = _run(["compute", typo], capsys)
+    assert code == 2 and "empty point" in err and not out
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):

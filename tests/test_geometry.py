@@ -25,6 +25,7 @@ from reference import (
 )
 
 from resnewt import geometry
+from resnewt import oracle as oracle_module
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import (
     FacetHull,
@@ -35,7 +36,6 @@ from resnewt.geometry import (
     lattice_hull,
 )
 from resnewt.kernels import det_bareiss
-from resnewt.oracle import VertexOracle
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -840,8 +840,9 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     # of a compute_pi run their stored signs must still be fresh
     # orientations, and they keep no facet table.  A hull is handed on as
     # (mask, q) pairs once it reaches dimension 2n, or, with no unlifted
-    # base, the lifted hull starts at 2n+1 as the pairs of a simplex;
-    # test_oracle.py checks the pairs' signs.
+    # base, the lifted hull starts at 2n as the simplex on its first 2n+1
+    # columns, whose sign must be a fresh orientation too; test_oracle.py
+    # checks the pairs' signs.
     golden, mode = {
         "sylvester": (SYLVESTER, "full"),
         "surface-full": (MONOMIAL_SURFACE, "full"),
@@ -862,16 +863,18 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
         dims.append(hull.dim)
         return out
 
-    simplex = VertexOracle._simplex
+    facets = oracle_module._simplex_facets
 
-    def counted_simplex(oracle, head, lift):
-        out = simplex(oracle, head, lift)
-        if out is not None:
-            dims.append(2 * sysd.n + 1)
-        return out
+    def checked_start(head, s):
+        # The oracle builds a simplex's pairs only to start from its head.
+        assert list(head) == sorted(head)
+        d = det_bareiss([sysd.columns[c] + (1,) for c in head])
+        assert s == (d > 0) - (d < 0) != 0
+        dims.append(2 * sysd.n)
+        return facets(head, s)
 
     monkeypatch.setattr(TriangulatedHull, "insert", checked_insert)
-    monkeypatch.setattr(VertexOracle, "_simplex", counted_simplex)
+    monkeypatch.setattr(oracle_module, "_simplex_facets", checked_start)
     compute_pi(sysd)
     assert max(dims) >= 2 * sysd.n  # a hull was handed on
 

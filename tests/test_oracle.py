@@ -171,17 +171,18 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # lifted hull spends inserts at dimension 2n.  The oracle's
     # TriangulatedHull serves only below that: once the base hull or a
     # lifted clone reaches 2n with the lift not a pivot the oracle goes on
-    # with its cells and pairs, and it takes no insert there.  A full projection has no base, so the hull
-    # starts as a simplex on the first 2n+2 columns when they span;
-    # implicitization's base has dimension 2n and is handed on once, so
-    # every call starts from its pairs; u-resultant's base is lower, so its
-    # clones grow to 2n and are handed on there.
+    # with its cells and pairs, and it takes no insert there.  A full
+    # projection has no base, so the hull starts at 2n as the simplex on
+    # the first 2n+1 columns when they span; implicitization's base has
+    # dimension 2n and is handed on once, so every call starts from its
+    # pairs; u-resultant's base is lower, so its clones grow to 2n and are
+    # handed on there.
     systems = _generated_systems(mode)
     late_inserts = [0]  # standard inserts of a hull that should be pairs
     in_oracle = [False]  # the plain hull below is not the oracle's
-    starts = {"simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
+    starts = {"2n simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
     standard = TriangulatedHull._standard_insert
-    simplex, triangulation = VertexOracle._simplex, VertexOracle.triangulation
+    facets, triangulation = oracle_module._simplex_facets, VertexOracle.triangulation
     cells = TriangulatedHull.cells
 
     def spy_standard(hull, pt, tag):
@@ -190,10 +191,10 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             late_inserts[0] += n2 not in hull._pivots
         return standard(hull, pt, tag)
 
-    def spy_simplex(oracle, head, lift):
-        out = simplex(oracle, head, lift)
-        starts["simplex"] += out is not None
-        return out
+    def spy_start(head, s):
+        # The oracle builds a simplex's pairs only to start from its head.
+        starts["2n simplex"] += 1
+        return facets(head, s)
 
     def spy_cells(hull):
         # Read on the base hull in R^2n, or on a lifted clone in R^(2n+1).
@@ -211,7 +212,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         return out
 
     monkeypatch.setattr(TriangulatedHull, "_standard_insert", spy_standard)
-    monkeypatch.setattr(VertexOracle, "_simplex", spy_simplex)
+    monkeypatch.setattr(oracle_module, "_simplex_facets", spy_start)
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
     monkeypatch.setattr(TriangulatedHull, "cells", property(spy_cells))
     rng = random.Random(31)
@@ -225,10 +226,138 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             )
     assert late_inserts[0] == 0
     # Each start ran where its input allows it, and only there.
-    assert (starts["simplex"] > 0) == (mode == "full")
+    assert (starts["2n simplex"] > 0) == (mode == "full")
     implicit = mode == "implicitization"
     assert starts["base pairs"] == (starts["calls"] if implicit else 0)
     assert (starts["handoff at 2n"] > 0) == (not implicit), starts
+
+
+def _spy_starts(monkeypatch):
+    # What one triangulation does from dimension 2n on: the heads it starts
+    # from, the clones it makes, the side each column is found on, the
+    # columns placed on the flat and the column that cones off it.
+    seen = {"heads": [], "clones": 0, "sides": [], "on flat": [], "cones": []}
+    facets, height = oracle_module._simplex_facets, oracle_module._height
+    on_flat, cone = oracle_module._on_flat, oracle_module._cone
+    clone = TriangulatedHull.extended_clone
+
+    def spy_facets(head, s):
+        seen["heads"].append(tuple(head))
+        return facets(head, s)
+
+    def spy_clone(hull):
+        seen["clones"] += 1
+        return clone(hull)
+
+    def spy_height(cache, cell, lift):
+        side = height(cache, cell, lift)
+
+        def recorded(c):
+            seen["sides"].append((c, side(c)))
+            return seen["sides"][-1][1]
+
+        return recorded
+
+    def spy_on_flat(cache, cells, pairs, col):
+        seen["on flat"].append(col)
+        return on_flat(cache, cells, pairs, col)
+
+    def spy_cone(cells, pairs, col, t):
+        seen["cones"].append(col)
+        return cone(cells, pairs, col, t)
+
+    monkeypatch.setattr(oracle_module, "_simplex_facets", spy_facets)
+    monkeypatch.setattr(oracle_module, "_height", spy_height)
+    monkeypatch.setattr(oracle_module, "_on_flat", spy_on_flat)
+    monkeypatch.setattr(oracle_module, "_cone", spy_cone)
+    monkeypatch.setattr(TriangulatedHull, "extended_clone", spy_clone)
+    return seen
+
+
+def _row_space_lift(sysd, rng):
+    # lift(c) = r . column c for a random r: every lifted column lies on one
+    # hyperplane through the origin, tilted wherever r is not 0.
+    r = [rng.choice((-2, -1, 1, 2)) for _ in range(2 * sysd.n)]
+    return [_dot(r, sysd.columns[c]) for c in sysd.projection]
+
+
+def _spanning_head(sysd, w, seed):
+    # The sorted first 2n+1 columns the oracle places, when they span.
+    head = sorted(_placing_order(sysd, w, seed)[: 2 * sysd.n + 1])
+    return head if _explicit_det(sysd, head)[0] else None
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_row_space_direction_keeps_every_column_on_a_tilted_flat(index, monkeypatch):
+    # w in the row space of M lifts every column onto one tilted flat, so
+    # the lifted hull has dimension 2n and its cells are the answer.  With
+    # a spanning head the oracle starts from its 2n-simplex, finds each
+    # later column on the flat from a cell's lifted orientation, and places
+    # it there.
+    sysd = _generated_systems("full")[index]
+    w = canonical(_row_space_lift(sysd, random.Random(67 + index)))
+    seed = next(seed for seed in range(100) if _spanning_head(sysd, w, seed))
+    head = _spanning_head(sysd, w, seed)
+    lift = lift_direction(sysd, w)
+    assert any(lift[c] for c in head)  # the flat is tilted
+    seen = _spy_starts(monkeypatch)
+    got, volumes = VertexOracle(sysd, seed=seed).triangulation(w)
+    later = _placing_order(sysd, w, seed)[len(head):]
+    assert seen["heads"] == [tuple(head)] and seen["clones"] == 0
+    assert seen["sides"] == [(c, 0) for c in later] and seen["on flat"] == later
+    assert not seen["cones"] and volumes is None
+    assert len(set(got)) == len(got)
+    assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
+    # A spanning head on a tilted flat, then a column on the flat, then one
+    # above or below it: the first goes in at dimension 2n, the second
+    # cones the hull to 2n+1, and the rest go in as lifted pairs.
+    sysd = _generated_systems("full")[index]
+    full = 2 * sysd.n + 1
+    lift = _row_space_lift(sysd, random.Random(71 + index))
+    j = sysd.projection.index(0)
+    lift[j] += 1  # column 0 off the flat
+    w = canonical(lift)
+
+    def wanted(seed):
+        order = _placing_order(sysd, w, seed)
+        return order[full + 1] == 0 and _spanning_head(sysd, w, seed)
+
+    seed = next(seed for seed in range(1000) if wanted(seed))
+    order = _placing_order(sysd, w, seed)
+    seen = _spy_starts(monkeypatch)
+    got, volumes = VertexOracle(sysd, seed=seed).triangulation(w)
+    assert seen["heads"] == [tuple(sorted(order[:full]))] and seen["clones"] == 0
+    assert [c for c, _ in seen["sides"]] == order[full:full + 2]
+    assert seen["sides"][0][1] == 0 and seen["sides"][1][1] != 0
+    assert seen["on flat"] == [order[full]] and seen["cones"] == [0]
+    assert volumes is not None and len(set(got)) == len(got)
+    assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
+    # 2n+1 columns that miss a block lie on a face of the Cayley polytope,
+    # so their h is 0: the oracle takes no 2n start and grows a clone.
+    sysd = _generated_systems("full")[index]
+    full = 2 * sysd.n + 1
+    rng = random.Random(73 + index)
+    w = canonical([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(sysd.m)])
+
+    def misses_a_block(seed):
+        head = _placing_order(sysd, w, seed)[:full]
+        return len({sysd.block_of[c] for c in head}) <= sysd.n
+
+    seed = next(seed for seed in range(100) if misses_a_block(seed))
+    assert not _spanning_head(sysd, w, seed)
+    seen = _spy_starts(monkeypatch)
+    got, _ = VertexOracle(sysd, seed=seed).triangulation(w)
+    assert seen["heads"] == [] and seen["clones"] == 1
+    assert len(set(got)) == len(got)
+    assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
 
 
 @pytest.mark.parametrize("use_cache", [True, False])

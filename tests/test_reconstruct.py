@@ -242,6 +242,16 @@ def test_compute_pi_bicubic():
 # those a lift of 0 multiplies; upper_facets first reads 4 of the minors
 # those primed (10 predicate calls, 3 misses and 3 entries fewer).  No
 # counter rose.
+# They were re-pinned a seventh time when a full projection's lifted hull
+# came to start at dimension 2n from the simplex on its first 2n+1 columns
+# placed, and the side of a tilted 2n-flat came to be read off a cell's
+# lifted orientation.  Sylvester-full asks one hom_sign per oracle call (13
+# predicate calls, 10 of them cached hits) and 8 orientations for the side
+# of the flat (32 hits), in place of the 9 orientations of the first four
+# columns (31 hits); 2 minors upper_facets found missing are now computed
+# by those predicates first.  So 12 more predicate calls and 9 more
+# hom-minor hits; no miss or entry moved, and bicubic-implicit, whose base
+# is a flat at lift 0, moved not at all.
 CACHE_STATS = {
     "sylvester-full": {
         "pure_misses_by_size": {2: 10},
@@ -249,10 +259,10 @@ CACHE_STATS = {
         "pure_misses": 10,
         "pure_hits": 20,
         "hom_misses": 10,
-        "hom_hits": 163,
+        "hom_hits": 172,
         "entries": 20,
         "clears": 0,
-        "predicate_calls": 134,
+        "predicate_calls": 146,
     },
     "bicubic-implicit": {
         "pure_misses_by_size": {2: 326, 3: 1217, 4: 2073},
