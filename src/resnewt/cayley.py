@@ -312,15 +312,16 @@ def essential_violation(family):
     """
     n = family.n
     all_points = [p for s in family.supports for p in s]
-    if affine_dim(all_points) < n:
+    if affine_dim(all_points, n) < n:
         return ()
     for size in range(1, n + 1):
         for subset in combinations(range(n + 1), size):
-            pooled = []
-            for i in subset:
-                base = family.supports[i][0]
-                pooled.extend(vec_sub(p, base) for p in family.supports[i][1:])
-            if (rank_int(pooled) if pooled else 0) < size:
+            pooled = (
+                vec_sub(p, family.supports[i][0])
+                for i in subset
+                for p in family.supports[i][1:]
+            )
+            if rank_int(pooled, size) < size:
                 return subset
     return None
 
@@ -403,6 +404,7 @@ class CayleySystem:
     that coordinate order.  ``M`` is the (2n+1) x |A| matrix whose column for
     a point a of block i is (a, unit_i) with unit_i in {0,1}^{n+1}; M maps
     exponent vectors to their block-degree/content invariants.
+    ``block_masks[i]`` is the column bit mask of block i.
     """
 
     n: int
@@ -424,6 +426,7 @@ class CayleySystem:
 
     def __post_init__(self):
         self._symbolic_set = set(self.projection)
+        self.block_masks = [sum(1 << c for c in ids) for ids in self.blocks]
 
 
 def build_cayley(family):

@@ -147,21 +147,33 @@ def echelon_extend(vec, rows, pivots):
     return True
 
 
-def rank_int(rows):
-    """Rank of a rational/integer matrix (exact)."""
+def rank_int(rows, cap=None):
+    """Rank of a rational/integer matrix (exact).
+
+    ``rows`` may be any iterable.  With ``cap`` the elimination stops once
+    the rank reaches it: the result is min(rank, cap), and later rows are
+    never read.
+    """
+    if cap == 0:
+        return 0
     echelon, pivots = [], []
     for row in rows:
         echelon_extend(clear_denominators(row), echelon, pivots)
+        if len(echelon) == cap:
+            break
     return len(echelon)
 
 
-def affine_dim(points):
-    """Dimension of the affine hull of a point set (-1 for empty input)."""
+def affine_dim(points, cap=None):
+    """Dimension of the affine hull of a point set (-1 for empty input).
+
+    With ``cap`` the result is min(dimension, cap), as in ``rank_int``.
+    """
     pts = list(points)
     if not pts:
         return -1
     p0 = pts[0]
-    return rank_int([vec_sub(p, p0) for p in pts[1:]])
+    return rank_int((vec_sub(p, p0) for p in pts[1:]), cap)
 
 
 # -- integer lattice routines --------------------------------------------------

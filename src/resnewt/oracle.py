@@ -71,7 +71,7 @@ def mixed_cells(simplices, sys):
     other block; the single block-i column is the associated mixed-cell
     vertex.  Each count is one popcount against a block's mask.
     """
-    masks = [sum(1 << c for c in ids) for ids in sys.blocks]
+    masks = sys.block_masks
     out = []
     for simplex in simplices:
         counts = [(simplex & bm).bit_count() for bm in masks]

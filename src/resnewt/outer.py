@@ -4,17 +4,18 @@
 primitive integer homogeneous row, together with the ids of the constraints
 tight at each vertex (Fukuda & Prodon's double description method).
 ``clip_halfspace`` cuts it down by one halfspace: the cut points come from
-one integer combination of an edge's two rows, edges are recognized from
-the tight sets alone, and the volume is updated from a pulling
-triangulation of the smaller side of the cut, built from the tight sets as
-well by the routine that Q's ``geometry.FacetHull`` uses.
+one integer combination of an edge's two rows, and edges are recognized
+from the tight sets alone.  The volume is taken on first read, by a pulling
+triangulation built from the tight sets by the routine that Q's
+``geometry.FacetHull`` uses, and kept.  A clip of a polytope whose volume
+has been read updates it from the smaller side of the cut; a clip of one
+whose volume has not leaves its own unread too.
 
 All arithmetic is exact and runs on integers; ``Fraction`` appears only in
 the volumes and vertex coordinates handed out.
 """
 
 from fractions import Fraction
-from math import factorial, prod
 
 from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from .exactlin import det_bareiss, dot, primitive
@@ -47,17 +48,25 @@ class OuterPolytope:
     {x : normal.x <= offset} that shaped the polytope, as ``Hyperplane``s,
     indexed by id; the polytope is their intersection, and they include
     all its facets.  ``tight[i]`` is the frozenset of ids of the
-    constraints whose hyperplane contains vertex i.  ``volume`` is exact.
+    constraints whose hyperplane contains vertex i.  ``volume`` is exact,
+    taken on first read unless given.
     """
 
-    __slots__ = ("dim", "rows", "tight", "constraints", "volume")
+    __slots__ = ("dim", "rows", "tight", "constraints", "_volume")
 
-    def __init__(self, dim, rows, tight, constraints, volume):
+    def __init__(self, dim, rows, tight, constraints, volume=None):
         self.dim = dim
         self.rows = rows
         self.tight = tight
         self.constraints = constraints
-        self.volume = volume
+        self._volume = volume
+
+    @property
+    def volume(self):
+        if self._volume is None:
+            sets = _vertex_masks(self.tight).values()
+            self._volume = _pulling_volume(self.dim, self.rows, sets)
+        return self._volume
 
     @classmethod
     def simplex(cls, points):
@@ -78,8 +87,7 @@ class OuterPolytope:
         ]
         everything = frozenset(range(k + 1))
         tight = [everything - {i} for i in range(k + 1)]
-        volume = Fraction(abs(det), prod(r[-1] for r in rows) * factorial(k))
-        return cls(k, rows, tight, constraints, volume)
+        return cls(k, rows, tight, constraints)
 
     def points(self):
         """The vertices as rational points, in the order of ``rows``."""
@@ -97,8 +105,9 @@ def clip_halfspace(outer, plane):
     returns a new polytope: the vertices not strictly outside, plus the
     point where the plane crosses each edge from a strictly inside vertex u
     to a strictly outside vertex v.  They span an edge exactly when no third
-    vertex is tight at every constraint tight at both.  The volume is
-    updated by triangulating the smaller side of the cut only.
+    vertex is tight at every constraint tight at both.  When ``outer``'s
+    volume has been read, the result's is updated by triangulating the
+    smaller side of the cut only; otherwise it is left to its first read.
     """
     if len(plane.normal) != outer.dim:
         raise ValueError("plane has wrong dimension")
@@ -136,7 +145,9 @@ def clip_halfspace(outer, plane):
     on_tight = [tight[i] | {cid} for i in on_plane]
     new_rows = [rows[i] for i in inside] + [rows[i] for i in on_plane] + cut_rows
     new_tight = [tight[i] for i in inside] + on_tight + cut_tight
-    if len(outside) < len(inside):
+    if outer._volume is None:
+        volume = None
+    elif len(outside) < len(inside):
         cap_rows = [rows[i] for i in outside] + new_rows[len(inside):]
         cap_tight = [tight[i] for i in outside] + new_tight[len(inside):]
         cap_sets = _vertex_masks(cap_tight).values()

@@ -329,7 +329,9 @@ def test_criterion_9_sandwich_certification():
 # -- 10: predicate-time reduction from minor hashing ---------------------------------
 
 
-def _predicate_seconds(text, no_hash):
+def _predicate_cost(text, no_hash, runs=3):
+    """Predicate seconds (the least of ``runs`` runs), minors computed (pure
+    plus hom misses, the same every run) and stdout, from ``--stats``."""
     import io
 
     config = RunConfig(
@@ -339,34 +341,50 @@ def _predicate_seconds(text, no_hash):
         no_preprocess=True,
         stats=True,
     )
-    out, err = io.StringIO(), io.StringIO()
-    code = run(config, stdin=text, stdout=out, stderr=err)
-    assert code == 0
-    match = re.search(r"predicate time: ([0-9.]+)s", err.getvalue())
-    assert match, err.getvalue()
-    return float(match.group(1)), out.getvalue()
+    seconds = []
+    for _ in range(runs):
+        out, err = io.StringIO(), io.StringIO()
+        code = run(config, stdin=text, stdout=out, stderr=err)
+        assert code == 0
+        stats_text = err.getvalue()
+        match = re.search(r"predicate time: ([0-9.]+)s", stats_text)
+        assert match, stats_text
+        seconds.append(float(match.group(1)))
+    misses = sum(
+        int(re.search(r"%s misses: +([0-9]+)" % kind, stats_text).group(1))
+        for kind in ("pure", "hom")
+    )
+    return min(seconds), misses, out.getvalue()
 
 
 def test_criterion_10_hashing_speedup():
+    # Each side's time is its best of 3 runs, so that load on the machine
+    # cannot fail the gate alone; the count of minors computed does not
+    # read the clock at all.
     with criterion(10) as rec:
         cached = uncached = 0.0
+        computed = computed_plain = 0
         for seed in (1, 2, 3):
             fam = gen_random(
                 2, 6, "dense", [20, 20, 20], seed=seed, mode="implicitization"
             )
             assert fam.num_points == 60 and fam.num_symbolic == 3
             text = family_to_text(fam)
-            t_hash, out_hash = _predicate_seconds(text, no_hash=False)
-            t_plain, out_plain = _predicate_seconds(text, no_hash=True)
+            t_hash, n_hash, out_hash = _predicate_cost(text, no_hash=False)
+            t_plain, n_plain, out_plain = _predicate_cost(text, no_hash=True)
             assert out_hash == out_plain  # identical geometry either way
             cached += t_hash
             uncached += t_plain
+            computed += n_hash
+            computed_plain += n_plain
         speedup = uncached / cached if cached else float("inf")
-        rec["ok"] = speedup >= 5.0
+        fewer = computed_plain / computed
+        rec["ok"] = speedup >= 5.0 and fewer >= 5.0
         rec["detail"] = (
             "batch of 3 instances (n=2, m=3, |A|=60): predicate time "
-            "%.3fs hashed vs %.3fs with --no-hash, %.1fx reduction (>= 5x)"
-            % (cached, uncached, speedup)
+            "%.3fs hashed vs %.3fs with --no-hash (best of 3), %.1fx reduction; "
+            "%d vs %d minors computed, %.1fx (both >= 5x)"
+            % (cached, uncached, speedup, computed, computed_plain, fewer)
         )
 
 

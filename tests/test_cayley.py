@@ -2,12 +2,13 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import family_from, system_from
 from golden import BICUBIC, MONOMIAL_SURFACE, SYLVESTER
-from reference import extreme_points
+from reference import extreme_points, ref_affine_dim, ref_rank
 
 from resnewt import cayley, geometry
 from resnewt.cayley import (
@@ -164,6 +165,68 @@ def test_essential_violation_whole_family():
     viol = essential_violation(fam)
     assert viol is not None
     assert len(viol) <= 3
+
+
+def _full_rank_violation(family):
+    """``essential_violation`` by full ranks from the reference, with no
+    early stop: the union's affine dimension, then each subfamily's pooled
+    edge rank, by size and then lexicographically."""
+    n = family.n
+    if ref_affine_dim([p for s in family.supports for p in s]) < n:
+        return ()
+    for size in range(1, n + 1):
+        for subset in combinations(range(n + 1), size):
+            pooled = [
+                [a - b for a, b in zip(p, family.supports[i][0])]
+                for i in subset
+                for p in family.supports[i][1:]
+            ]
+            if ref_rank(pooled) < size:
+                return subset
+    return None
+
+
+def _flat_family(rng, n, flat_blocks, flat_dim, one_flat=False):
+    """n + 1 random blocks in Z^n; ``flat_blocks`` of them lie in translates
+    of one random ``flat_dim``-dimensional lattice subspace, or in the
+    subspace itself with ``one_flat``."""
+    gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(flat_dim)]
+
+    def in_flat():
+        coef = [rng.randint(-2, 2) for _ in gens]
+        return [sum(c * g[k] for c, g in zip(coef, gens)) for k in range(n)]
+
+    supports = []
+    for i in range(n + 1):
+        flat = i in flat_blocks
+        base = in_flat() if flat and one_flat else [rng.randint(-3, 3) for _ in range(n)]
+        block = {tuple(base)}
+        for _ in range(rng.randint(1, 4)):
+            step = in_flat() if flat else [rng.randint(-3, 3) for _ in range(n)]
+            block.add(tuple(b + d for b, d in zip(base, step)))
+        supports.append(sorted(block))
+    return family_from(n, supports, "full")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_essential_violation_matches_full_ranks(n):
+    # Seeded families, essential or with a flat subfamily of each size
+    # 1..n, or with every block in one (n-1)-flat so that the union fails
+    # to span: the verdicts of the capped eliminations are those of full
+    # ranks, and the reference verdicts cover the essential case, the union
+    # case and every subset size.
+    rng = random.Random(2200 + n)
+    seen = set()
+    for _ in range(60):
+        size = rng.randint(0, n + 1)
+        if size > n:
+            fam = _flat_family(rng, n, range(n + 1), n - 1, one_flat=True)
+        else:
+            fam = _flat_family(rng, n, rng.sample(range(n + 1), size), max(size - 1, 0))
+        expect = _full_rank_violation(fam)
+        assert essential_violation(fam) == expect, fam.supports
+        seen.add(None if expect is None else len(expect))
+    assert seen == {None, *range(n + 1)}
 
 
 # -- preprocessing ------------------------------------------------------------------

@@ -10,7 +10,14 @@ from itertools import permutations
 
 import pytest
 
-from reference import ref_det, ref_mask_key, ref_rank, ref_solve_unique, ref_sort_parity
+from reference import (
+    ref_affine_dim,
+    ref_det,
+    ref_mask_key,
+    ref_rank,
+    ref_solve_unique,
+    ref_sort_parity,
+)
 
 from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
@@ -501,6 +508,25 @@ def test_rank_and_affine_dim():
     assert affine_dim([(3, 3)]) == 0
     assert affine_dim([(0, 0), (2, 0), (1, 0)]) == 1
     assert affine_dim([(0, 0), (1, 0), (0, 1)]) == 2
+
+
+def test_rank_and_affine_dim_stop_at_their_cap():
+    rng = random.Random(9)
+    for _ in range(40):
+        width = rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+        rank = ref_rank(rows)
+        points = [tuple(row) for row in rows]
+        for cap in range(width + 2):
+            assert rank_int(rows, cap) == min(rank, cap)
+            if points:
+                assert affine_dim(points, cap) == min(ref_affine_dim(points), cap)
+    # Rows past the one that reaches the cap are never read.
+    def rows_then_fail():
+        yield (1, 0, 0)
+        yield (0, 2, 0)
+        raise AssertionError("read past the cap")
+    assert rank_int(rows_then_fail(), 2) == 2
 
 
 def test_integer_kernel_basic():

@@ -26,6 +26,7 @@ from reference import (
 
 from resnewt import geometry
 from resnewt import oracle as oracle_module
+from resnewt import outer as outer_module
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.geometry import (
     FacetHull,
@@ -494,6 +495,75 @@ def test_clip_cascades_match_vertex_enumeration(d):
                 for p, tight in zip(outer.points(), outer.tight):
                     value = sum(a * x for a, x in zip(cn, p))
                     assert (value == cc) == (cid in tight)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_clip_chain_volume_taken_on_read(d, monkeypatch):
+    # One seeded chain of clips, replayed three times: with no read until
+    # its end, with a read after every clip, and with one read halfway.
+    # The cuts include planes through a vertex and planes that remove
+    # nothing.  Every replay ends with the same volume, that of a cell sum
+    # over the final vertices.  An unread chain takes one pulling
+    # triangulation, at its end; a chain once read takes one per clip that
+    # cuts something off.
+    pulls = []
+    pulling_volume = outer_module._pulling_volume
+
+    def spy(*args):
+        pulls.append(args)
+        return pulling_volume(*args)
+
+    monkeypatch.setattr(outer_module, "_pulling_volume", spy)
+    rng = random.Random(700 + d)
+    r, s = rng.randint(1, 4), rng.randint(1, 6)
+    corners = [(-r,) * d] + [
+        tuple(s + (d - 1) * r if i == t else -r for i in range(d)) for t in range(d)
+    ]
+    unread = OuterPolytope.simplex(corners)
+    planes = []
+    while len(planes) < 9:
+        n = tuple(rng.randint(-3, 3) for _ in range(d))
+        if not any(n):
+            continue
+        values = [sum(a * x for a, x in zip(n, p)) for p in unread.points()]
+        lo, hi = min(values), max(values)
+        kind = ("vertex", "nothing", "between")[len(planes) % 3]
+        if kind == "vertex":
+            through = [v for v in values if lo < v < hi]
+            if not through:
+                continue
+            c = rng.choice(through)
+        elif kind == "nothing":
+            c = hi + rng.randint(0, 2)
+        else:
+            c = lo + (hi - lo) * Fraction(rng.randint(1, 11), 12)
+        clipped = clip_halfspace(unread, Hyperplane(n, c))
+        assert (clipped is unread) == (kind == "nothing")
+        unread = clipped
+        planes.append(Hyperplane(n, c))
+    assert not pulls
+    expect = cells_volume(unread.points())
+
+    every = OuterPolytope.simplex(corners)
+    cuts = 0
+    every_volumes = [every.volume]
+    for plane in planes:
+        clipped = clip_halfspace(every, plane)
+        cuts += clipped is not every
+        every = clipped
+        every_volumes.append(every.volume)
+    assert len(pulls) == 1 + cuts  # the simplex's read, then one per cut
+
+    half = OuterPolytope.simplex(corners)
+    for k, plane in enumerate(planes, start=1):
+        half = clip_halfspace(half, plane)
+        if k == len(planes) // 2:
+            assert half.volume == every_volumes[k]
+
+    del pulls[:]
+    assert unread.volume == every.volume == half.volume == expect
+    assert len(pulls) == 1
+    assert unread.points() == every.points() == half.points()
 
 
 def test_clip_adjacency_needs_more_than_rank():

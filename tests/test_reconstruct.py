@@ -17,8 +17,9 @@ from reference import (
     ref_solve_unique,
 )
 
+from resnewt import outer as outer_module
 from resnewt import reconstruct
-from resnewt.cayley import build_cayley
+from resnewt.cayley import build_cayley, preprocess
 from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
 from resnewt.exactlin import AffineChart, saturated_basis
@@ -536,6 +537,37 @@ def test_approx_threshold_sandwich(name, sysd, vertices):
             assert _dot(plane.normal, xi) <= plane.offset
     # Q_o's running volume is that of the hull of its vertices:
     assert report.outer_volume == outer.volume == cells_volume(outer.points())
+
+
+def test_approx_reads_q_o_volume_only_at_sandwiches(monkeypatch):
+    # Events in order: "clip" per clip_halfspace, "read" per sandwich (its
+    # vol(Q) comes first), "pull" per pulling triangulation of Q_o.  The
+    # initial loop over the memo clips with no pull, the first sandwich
+    # takes exactly one, and from then on a clip takes at most one, to
+    # update the volume it carries forward.
+    events = []
+
+    def spy(module, name, event):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            events.append(event)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(reconstruct, "clip_halfspace", "clip")
+    spy(reconstruct, "hull_volume", "read")
+    spy(outer_module, "_pulling_volume", "pull")
+    fam = gen_random(1, 4, "dense", [4, 4], seed=1)
+    _, report = compute_pi_approx(build_cayley(preprocess(fam)), Fraction(9, 10))
+    assert report.reached
+    first = events.index("read")
+    assert events[:first] == ["clip"] * first and first > 0
+    assert events[first + 1] == "pull"
+    groups = " ".join(events[first + 2:]).split("read")
+    assert {g.strip() for g in groups} <= {"", "clip", "clip pull"}
+    assert any(g.strip() == "clip pull" for g in groups)
 
 
 def _sys_copy(sysd):
