@@ -2,13 +2,15 @@
 
 Re-exports the determinant kernels (``det_bareiss``, ``MinorCache``) and
 adds the exact integer routines used by the geometry and reconstruction
-layers: fraction-free (Bareiss) echelon reduction and rank, integer kernels
-with unimodular bookkeeping (so kernel lattice bases are saturated),
-saturated subspace bases, affine lattice charts (integer coordinates of a
-point in p0 + Z.B, by adjugates), and canonical integer direction/hyperplane
-normal forms.  No elimination runs over ``Fraction``: rational input is
-cleared of denominators first, row by row or vector by vector, with a
-positive multiplier, which keeps every rank, kernel and span.
+layers: fraction-free (Bareiss) echelon reduction and rank; the determinant
+and adjugate of a square matrix from one fraction-free Gauss-Jordan
+elimination (``adjugate``), whose columns are a simplex's facet planes;
+integer kernels with unimodular bookkeeping (so kernel lattice bases are
+saturated); saturated subspace bases; affine lattice charts (integer
+coordinates of a point in p0 + Z.B, by adjugates); and canonical integer
+direction/hyperplane normal forms.  No elimination runs over ``Fraction``:
+rational input is cleared of denominators first, row by row or vector by
+vector, with a positive multiplier, which keeps every rank, kernel and span.
 """
 
 from fractions import Fraction
@@ -49,10 +51,7 @@ def vec_sub(u, v):
 
 
 def gcd_vector(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*vec)
 
 
 def primitive(vec):
@@ -69,22 +68,25 @@ def primitive(vec):
 def canonical_direction(vec):
     """Canonical integer representative of a nonzero direction.
 
-    Divides by the gcd of the entries; orientation (sign) is preserved, so
-    opposite directions stay distinct.  Raises ``InvalidDirection`` on the
-    zero vector.
+    Divides the integer entries by their gcd; orientation (sign) is
+    preserved, so opposite directions stay distinct.  A tuple that is
+    already primitive is returned as it is.  Raises ``InvalidDirection`` on
+    the zero vector.
     """
-    if all(x == 0 for x in vec):
+    g = gcd(*vec)
+    if g == 0:
         raise InvalidDirection("zero vector is not a direction")
-    return primitive(vec)
+    if g == 1:
+        return vec if type(vec) is tuple else tuple(vec)
+    return tuple(x // g for x in vec)
 
 
 def canonical_hyperplane(normal, offset):
     """Reduce (normal, offset) by their common gcd, preserving orientation."""
-    g = gcd_vector(normal)
-    g = gcd(g, abs(int(offset)))
+    g = gcd(*normal, offset)
     if g <= 1:
-        return tuple(int(x) for x in normal), int(offset)
-    return tuple(int(x) // g for x in normal), int(offset) // g
+        return tuple(normal), offset
+    return tuple(x // g for x in normal), offset // g
 
 
 def clear_denominators(vec):
@@ -120,16 +122,35 @@ def echelon_reduce(vec, rows, pivots):
 
 
 def adjugate(mat):
-    """Integer adjugate of a square integer matrix: adj(M) M = det(M) I."""
+    """(det M, adj M) of a square integer matrix, so adj(M).M = det(M).I.
+
+    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss, 1968).
+    After step k every entry is a minor of order k + 1 of the augmented
+    matrix, so each division by the previous pivot is exact.  At the end
+    the left block is d.I and the right block d.M^-1, where d is det M up
+    to the sign of the row swaps, so the right block is adj M up to that
+    sign.  Raises ``DegenerateInput`` when M is singular.
+    """
     n = len(mat)
-    return [
-        [
-            (-1) ** (i + j)
-            * det_bareiss([row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    a = [list(row) + [0] * n for row in mat]
+    for i, row in enumerate(a):
+        row[n + i] = 1
+    sign = prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                raise DegenerateInput("matrix is singular")
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i, ai in enumerate(a):
+            if i != k:
+                f = ai[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ak)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def echelon_extend(vec, rows, pivots):
@@ -262,8 +283,9 @@ class AffineChart:
     ``det`` is det B_J, ``adj`` the integer adjugate of B_J (so
     adj.B_J = det.I), ``span`` the m rows of B, ``gram_det`` is
     det(B^T B) > 0 and ``pull`` the m rows of
-    B.adj(B^T B), so that (B^T B)^{-1} B^T is pull^T / gram_det.  Raises
-    ``DegenerateInput`` when the basis vectors are dependent.
+    B.adj(B^T B), so that (B^T B)^{-1} B^T is pull^T / gram_det.  Each
+    determinant and its adjugate come from one ``adjugate`` elimination.
+    Raises ``DegenerateInput`` when the basis vectors are dependent.
     """
 
     def __init__(self, p0, basis):
@@ -275,12 +297,12 @@ class AffineChart:
         self.basis = list(basis)
         self.rows = sorted(pivots)
         b_j = [[b[j] for b in basis] for j in self.rows]
-        self.det = det_bareiss(b_j)
-        self.adj = adjugate(b_j)
+        self.det, self.adj = adjugate(b_j)
         self.span = [tuple(b[j] for b in basis) for j in range(len(self.p0))]
+        on_j = set(self.rows)
+        self._off_j = [(j, row) for j, row in enumerate(self.span) if j not in on_j]
         gram = [[dot(a, b) for b in basis] for a in basis]
-        self.gram_det = det_bareiss(gram)
-        adj_gram = adjugate(gram)
+        self.gram_det, adj_gram = adjugate(gram)
         self.pull = [
             tuple(dot(row, col) for col in zip(*adj_gram)) for row in self.span
         ]
@@ -290,16 +312,17 @@ class AffineChart:
 
         With v = x - p0, num = adj(B_J).v_J equals det(B_J).xi whenever
         v = B.xi.  The point lies on the affine hull exactly when
-        B.num = det(B_J).v, and on its lattice exactly when det(B_J) divides
-        every entry of num.
+        B.num = det(B_J).v.  On the rows J that holds by construction,
+        B_J.adj(B_J).v_J = det(B_J).v_J, so only the other rows are tested.
+        The point lies on the lattice exactly when det(B_J) divides every
+        entry of num.
         """
         d = self.det
         v = vec_sub(x, self.p0)
         v_j = [v[j] for j in self.rows]
         num = [dot(row, v_j) for row in self.adj]
-        if any(dot(row, num) != d * t for row, t in zip(self.span, v)):
+        if any(dot(row, num) != d * v[j] for j, row in self._off_j):
             return None
         if any(t % d for t in num):
             return None
         return tuple(t // d for t in num)
-

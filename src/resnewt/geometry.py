@@ -27,10 +27,10 @@ from typing import NamedTuple
 from .errors import DegenerateInput, InvariantViolation
 from .exactlin import (
     AffineChart,
+    adjugate,
     affine_dim,
     canonical_hyperplane,
     det_bareiss,
-    dot,
     echelon_extend,
     saturated_basis,
     vec_sub,
@@ -346,46 +346,35 @@ class TriangulatedHull:
         return out
 
 
-def _cofactor_plane(rows, witness):
-    """Outward plane through k homogeneous rows in R^k, away from ``witness``.
+def _simplex_planes(rows):
+    """The outward facet planes of a simplex in R^k, the one opposite each point.
 
-    Each row is a point's cleared row (m.p, m) with m > 0.  The normal is
-    the cofactor row of the orientation determinant of (rows..., witness)
-    along the witness's row.  Raises ``InvariantViolation`` when the
-    witness lies on the plane.
+    ``rows`` are the k + 1 points' cleared homogeneous rows (m.p, m), m > 0.
+    Column i of the adjugate of their matrix H vanishes on every row but row
+    i, on which it takes det H: it is the plane through the other points,
+    and -sign(det H) turns it away from point i.  All planes come from one
+    elimination (``adjugate``).  Raises ``InvariantViolation`` when the
+    points are affinely dependent.
     """
-    # Everything stays integral: m0.(mi.pi) - mi.(m0.p0) is pi - p0 scaled
-    # by m0.mi > 0, which scales the normal by a positive factor, and the
-    # plane normal.x = normal.p0 scaled by m0 > 0 is (m0.normal,
-    # normal.(m0.p0)).  The canonical form divides every positive factor out.
-    k = len(rows)
-    h0 = rows[0]
-    m0 = h0[k]
-    diffs = [[m0 * a - h[k] * b for a, b in zip(h[:k], h0)] for h in rows[1:]]
-    normal = []
-    sgn = 1
-    for j in range(k):
-        sub = [[row[t] for t in range(k) if t != j] for row in diffs]
-        normal.append(sgn * det_bareiss(sub))
-        sgn = -sgn
-    offset = dot(normal, h0[:k])
-    side = m0 * dot(normal, witness[:k]) - witness[k] * offset
-    if side == 0:
-        raise InvariantViolation("boundary simplex witness lies on its plane")
-    if side > 0:
-        normal = [-a for a in normal]
-        offset = -offset
-    return Hyperplane(*canonical_hyperplane([m0 * a for a in normal], offset))
+    try:
+        det, adj = adjugate(rows)
+    except DegenerateInput:
+        raise InvariantViolation("simplex vertices are affinely dependent") from None
+    s = -1 if det > 0 else 1
+    return [
+        Hyperplane(*canonical_hyperplane([s * a for a in col[:-1]], -s * col[-1]))
+        for col in zip(*adj)
+    ]
 
 
 class FacetHull:
     """A full-dimensional polytope in R^k kept as a double description.
 
     The first point and each later one that raises the affine rank make a
-    simplex, whose planes are cofactor planes; the other points are then
-    inserted in order.  ``points``, ``tags`` (by default the points) and
-    ``_hom`` record, simplex first, each point that lay outside the hull
-    when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
+    simplex, whose planes are its adjugate's columns (``_simplex_planes``);
+    the other points are then inserted in order.  ``points``, ``tags`` (by
+    default the points) and ``_hom`` record, simplex first, each point that
+    lay outside the hull when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
     the recorded points on it}; the masks are exact, so a face is known by
     its mask.  ``_graph`` maps each facet's plane to the planes of the
     facets it shares a ridge with: the facet graph.
@@ -418,8 +407,7 @@ class FacetHull:
                 rest.append((p, t))
         if len(self.points) <= k:
             raise DegenerateInput("points span %d of %d dimensions" % (len(echelon), k))
-        hom = self._hom
-        planes = [_cofactor_plane(hom[:i] + hom[i + 1:], hom[i]) for i in range(k + 1)] if k else []
+        planes = _simplex_planes(self._hom) if k else []
         everything = (1 << (k + 1)) - 1
         self._facets = {plane: everything ^ 1 << i for i, plane in enumerate(planes)}
         self._graph = {plane: set(planes) - {plane} for plane in planes}

@@ -17,9 +17,9 @@ the volumes and vertex coordinates handed out.
 
 from fractions import Fraction
 
-from .errors import DegenerateInput, EmptyIntersection, InvariantViolation
-from .exactlin import det_bareiss, dot, primitive
-from .geometry import _cofactor_plane, _hom_row, _pulling_volume, _row_cleared
+from .errors import DegenerateInput, EmptyIntersection
+from .exactlin import dot, primitive
+from .geometry import _hom_row, _pulling_volume, _row_cleared, _simplex_planes
 
 __all__ = ["OuterPolytope", "clip_halfspace"]
 
@@ -73,18 +73,14 @@ class OuterPolytope:
         """The simplex spanned by dim + 1 affinely independent points.
 
         The facet opposite point i gets id i, so point i is tight at every
-        constraint but its own.
+        constraint but its own.  Raises ``InvariantViolation`` when the
+        points are affinely dependent.
         """
         k = len(points) - 1
         rows = [primitive(_hom_row(p)) for p in points]
         if k == 0:
             return cls(0, rows, [frozenset()], [], Fraction(1))
-        det = det_bareiss(rows)
-        if det == 0:
-            raise InvariantViolation("simplex vertices are affinely dependent")
-        constraints = [
-            _cofactor_plane(rows[:i] + rows[i + 1:], rows[i]) for i in range(k + 1)
-        ]
+        constraints = _simplex_planes(rows)
         everything = frozenset(range(k + 1))
         tight = [everything - {i} for i in range(k + 1)]
         return cls(k, rows, tight, constraints)

@@ -52,7 +52,9 @@ class BuildState:
     with B a saturated basis, so xi runs over a full-dimensional lattice
     polytope.  ``legal`` maps a facet hyperplane (in xi-space) to the oracle
     point certifying it; ``illegal`` holds hyperplanes still awaiting their
-    test query, each once.
+    test query, each once.  ``charted`` keeps each point's intrinsic
+    coordinates once found, from Q's seed points on, and ``pulled`` each
+    plane normal's pullback.
     """
 
     oracle: VertexOracle
@@ -62,6 +64,8 @@ class BuildState:
     illegal: deque = field(default_factory=deque)
     legal: dict = field(default_factory=dict)
     init_calls: int = 0
+    charted: dict = field(default_factory=dict, repr=False)
+    pulled: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -79,11 +83,14 @@ class BuildState:
         """Intrinsic coordinates of a point of the target's affine hull.
 
         Raises ``InvariantViolation`` when x is off the certified affine
-        hull or off its lattice.
+        hull or off its lattice; only points that have coordinates are kept.
         """
-        xi = self.chart.coords(x)
+        xi = self.charted.get(x)
         if xi is None:
-            raise InvariantViolation("point off the certified affine hull or its lattice")
+            xi = self.chart.coords(x)
+            if xi is None:
+                raise InvariantViolation("point off the certified affine hull or its lattice")
+            self.charted[x] = xi
         return xi
 
     def pullback(self, normal):
@@ -95,8 +102,11 @@ class BuildState:
         taken; it acts on xi as a positive multiple of ``normal``, so facet
         comparisons transfer exactly.
         """
-        pull = self.chart.pull
-        return canonical_direction([dot(row, normal) for row in pull])
+        w = self.pulled.get(normal)
+        if w is None:
+            pull = self.chart.pull
+            w = self.pulled[normal] = canonical_direction([dot(row, normal) for row in pull])
+        return w
 
     def facets_x(self):
         """Current facets as (normal, offset) in original coordinates."""
@@ -203,9 +213,19 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
             echelon_extend(list(w), eq_rows, eq_pivots)
             equations.append(_normalize_equation(w, cp))
 
+    state = _seeded_state(ctx, seen, equations)
+    _enqueue(state, state.hull.facet_map())
+    return state
+
+
+def _seeded_state(ctx, seen, equations):
+    """The ``BuildState`` whose Q is the ``lattice_hull`` of the points seen.
+
+    The coordinates ``lattice_hull`` found for Q's points are kept.
+    """
     hull, chart = lattice_hull(seen)
     state = BuildState(ctx, chart, equations, hull, init_calls=ctx.pipeline_runs)
-    _enqueue(state, hull.facet_map())
+    state.charted.update(zip(hull.tags, hull.points))
     return state
 
 
@@ -365,8 +385,7 @@ def compute_pi_random(sys, k, seed=0, use_cache=True):
     seen = {}
     for w in dirs:
         seen.setdefault(ctx.vtx(w)[0])
-    hull, chart = lattice_hull(seen)
-    return BuildState(ctx, chart, [], hull, init_calls=ctx.pipeline_runs)
+    return _seeded_state(ctx, seen, [])
 
 
 def stats(state):

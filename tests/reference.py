@@ -7,6 +7,7 @@ Bareiss/Laplace/Hermite routines.  Slow is fine; independent is the point.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 import sympy
 
@@ -14,6 +15,14 @@ import sympy
 def ref_det(rows):
     """Exact determinant of a square matrix (list of rows of ints/Fractions)."""
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).det()
+
+
+def ref_adjugate(rows):
+    """(det, adjugate) of a square integer matrix, by sympy's ``Matrix.adjugate``."""
+    if not rows:
+        return 1, []
+    mat = sympy.Matrix([[sympy.Integer(x) for x in row] for row in rows])
+    return int(mat.det()), [[int(x) for x in row] for row in mat.adjugate().tolist()]
 
 
 def ref_rank(rows):
@@ -125,6 +134,66 @@ def brute_force_facets(points):
         if len(sides) <= 1:
             facets.add(frozenset(on_plane))
     return facets
+
+
+def _nullspace(rows, ncols):
+    """A basis of {x : rows.x = 0}, by Gauss-Jordan over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -a[r][free]
+        basis.append(v)
+    return basis
+
+
+def ref_plane(points, witness):
+    """The oriented plane through k points of R^k, away from ``witness``.
+
+    Returns (normal, offset) with coprime integer entries and
+    normal.witness < offset, or None when the points do not span a
+    hyperplane or the witness lies on theirs.  The normal spans the
+    nullspace of the points' differences (``_nullspace``).
+    """
+    base = [Fraction(x) for x in points[0]]
+    diffs = [[Fraction(a) - b for a, b in zip(p, base)] for p in points[1:]]
+    null = _nullspace(diffs, len(base))
+    if len(null) != 1:
+        return None
+    g = null[0]
+    c = sum(a * x for a, x in zip(g, base))
+    side = sum(a * Fraction(x) for a, x in zip(g, witness)) - c
+    if side == 0:
+        return None
+    if side > 0:
+        g, c = [-a for a in g], -c
+    entries = g + [c]
+    scale = lcm(*(x.denominator for x in entries))
+    ints = [int(x * scale) for x in entries]
+    common = gcd(*ints)
+    ints = [x // common for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def ref_simplex_planes(points):
+    """The planes of a simplex, the one opposite each point in turn (see
+    ``ref_plane``); None for a plane whose points do not span one."""
+    return [ref_plane(points[:i] + points[i + 1:], points[i]) for i in range(len(points))]
 
 
 def _solve_square(rows, rhs):

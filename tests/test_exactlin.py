@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from reference import (
+    ref_adjugate,
     ref_affine_dim,
     ref_det,
     ref_mask_key,
@@ -22,6 +23,7 @@ from reference import (
 from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
     AffineChart,
+    adjugate,
     affine_dim,
     canonical_direction,
     canonical_hyperplane,
@@ -412,6 +414,57 @@ def test_no_columns_raise_and_count_nothing():
     assert cache.entries == 0
 
 
+# -- adjugate ---------------------------------------------------------------------
+
+
+def _needs_swap(rows):
+    # Whether a leading principal minor of order below n vanishes, so that
+    # elimination in row order meets a zero pivot.
+    return any(ref_det([r[:k] for r in rows[:k]]) == 0 for k in range(1, len(rows)))
+
+
+def test_adjugate_matches_reference():
+    # det M and adj M from one fraction-free Gauss-Jordan elimination, on
+    # seeded matrices of size 0-6: dense ones, ones with a zero leading
+    # pivot and anti-triangular ones, whose leading minors all vanish.
+    rng = random.Random(1968)
+    swapped = 0
+    for n in range(7):
+        for trial in range(15):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 1:
+                rows[0][0] = 0
+            elif n > 1 and trial % 3 == 2:
+                rows = [
+                    [rng.choice([-3, -2, -1, 1, 2, 3]) if i + j == n - 1 else
+                     rng.randint(-5, 5) if i + j > n - 1 else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+            det, adj = ref_adjugate(rows)
+            if det == 0:
+                with pytest.raises(DegenerateInput):
+                    adjugate(rows)
+                continue
+            swapped += _needs_swap(rows)
+            assert adjugate(rows) == (det, adj)
+    assert adjugate([]) == (1, [])
+    assert swapped >= 20
+
+
+def test_adjugate_of_a_singular_matrix_raises():
+    rng = random.Random(22)
+    singular = [[[0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]]]
+    for n in range(2, 7):
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        mix = [rng.randint(-2, 2) for _ in range(n - 1)]
+        rows.insert(rng.randrange(n), [sum(c * r[j] for c, r in zip(mix, rows)) for j in range(n)])
+        singular.append(rows)
+    for rows in singular:
+        assert ref_det(rows) == 0
+        with pytest.raises(DegenerateInput):
+            adjugate(rows)
+
+
 # -- vector helpers -----------------------------------------------------------------
 
 
@@ -490,6 +543,30 @@ def test_affine_chart_random_vs_reference():
             assert chart.coords(x) is None
         else:
             assert chart.coords(x) == ref
+
+
+def test_affine_chart_tests_the_rows_off_its_pivots():
+    # coords reads xi off the rows J alone, where B_J is nonsingular, and
+    # tests only the other rows: a point that agrees on J with a lattice
+    # point but differs in one row outside J is off the affine hull.
+    rng = random.Random(1452)
+    checked = 0
+    while checked < 30:
+        m = rng.randint(2, 6)
+        k = rng.randint(1, m - 1)
+        basis = saturated_basis([[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)], m)
+        if not basis:
+            continue
+        p0 = [rng.randint(-3, 3) for _ in range(m)]
+        chart = AffineChart(p0, basis)
+        xi = tuple(rng.randint(-5, 5) for _ in basis)
+        x = [p + sum(b[j] * t for b, t in zip(basis, xi)) for j, p in enumerate(p0)]
+        assert chart.coords(x) == xi
+        j = rng.choice([j for j in range(m) if j not in chart.rows])
+        x[j] += rng.choice([-2, -1, 1, 2])
+        assert ref_rank(list(basis) + [[a - b for a, b in zip(x, p0)]]) > len(basis)
+        assert chart.coords(x) is None
+        checked += 1
 
 
 def test_rank_and_affine_dim():

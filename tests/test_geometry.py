@@ -6,6 +6,7 @@ degenerate point sets; volumes against closed forms, an independent sum
 over a placing triangulation's cells and the 2-D shoelace formula.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,8 @@ from reference import (
     extreme_points,
     point_in_hull,
     ref_affine_dim,
+    ref_plane,
+    ref_simplex_planes,
     shoelace_area,
 )
 
@@ -89,21 +92,26 @@ def _tags(mask):
 
 def _grouped(hull):
     # A triangulated hull's facets: its boundary simplices grouped by their
-    # cofactor planes, each with the points of the simplices on it.  A plane
-    # is taken away from any recorded point off it.
-    hom, point, groups = hull._hom, dict(zip(hull.tags, hull.points)), {}
+    # planes, taken by tests/reference.py, each with the points of the
+    # simplices on it.  A plane is taken away from any recorded point off it.
+    point, groups = dict(zip(hull.tags, hull.points)), {}
     for mask, _ in hull.boundary:
-        rows = [hom[t] for t in _tags(mask)]
+        on = tuple(point[t] for t in _tags(mask))
         for t in (t for t in hull.tags if not mask >> t & 1):
-            try:
-                plane = geometry._cofactor_plane(rows, hom[t])
-                break
-            except InvariantViolation:
-                continue  # t lies on the plane
+            plane = _ref_plane(on, point[t])
+            if plane is not None:
+                break  # else t lies on the plane
         else:
             raise AssertionError("no recorded point off the plane of %s" % bin(mask))
-        groups.setdefault(plane, set()).update(point[t] for t in _tags(mask))
+        groups.setdefault(plane, set()).update(on)
     return {plane: frozenset(pts) for plane, pts in groups.items()}
+
+
+@functools.cache
+def _ref_plane(points, witness):
+    # ref_plane, once per (points, witness): a hull is grouped again after
+    # every insert.
+    return ref_plane(points, witness)
 
 
 def _value(plane, p):
@@ -388,6 +396,48 @@ def _box(side):
     """The square [0, side]^2 cut out of a simplex by two clips."""
     simplex = OuterPolytope.simplex([(0, 0), (2 * side, 0), (0, 2 * side)])
     return _clip_all(simplex, [((1, 0), side), ((0, 1), side)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_simplex_planes_match_reference(d):
+    # The outward planes read off one adjugate, against ref_simplex_planes, on
+    # seeded simplices with Fraction coordinates, so the homogeneous rows
+    # (m.p, m) have m > 1; the same points in another order permute them.
+    rng = random.Random(900 + d)
+    done = cleared = 0
+    while done < 6:
+        pts = [
+            tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4])) for _ in range(d))
+            for _ in range(d + 1)
+        ]
+        if ref_affine_dim(pts) < d:
+            continue
+        rows = [geometry._hom_row(p) for p in pts]
+        cleared += any(row[-1] > 1 for row in rows)
+        planes = geometry._simplex_planes(rows)
+        assert planes == ref_simplex_planes(pts)
+        order = list(range(d + 1))
+        rng.shuffle(order)
+        shuffled = geometry._simplex_planes([rows[i] for i in order])
+        assert shuffled == [planes[i] for i in order]
+        done += 1
+    assert cleared >= 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_simplex_planes_of_dependent_points_raise(d):
+    # Points on a common hyperplane: a repeated point, or one an affine
+    # combination of the others.
+    rng = random.Random(950 + d)
+    pts = [tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(d)) for _ in range(d)]
+    weights = [Fraction(rng.randint(-3, 3), 2) for _ in range(d - 1)]
+    combo = tuple(
+        p0 + sum(w * (p[j] - p0) for w, p in zip(weights, pts[1:])) for j, p0 in enumerate(pts[0])
+    )
+    for extra in (pts[0], combo):
+        rows = [geometry._hom_row(p) for p in pts + [extra]]
+        with pytest.raises(InvariantViolation):
+            geometry._simplex_planes(rows)
 
 
 def test_outer_simplex_constraints():
@@ -1069,10 +1119,10 @@ def _pencil_points(rng, d, kind):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
     # An insert takes every fresh plane from the two planes at its horizon
-    # ridge, so it calls no determinant.  Each plane must be the cofactor
-    # plane an orienting hull of the same points computes, the facet graph
-    # must join the facets that meet in a ridge, and the final table must
-    # hold the brute-force facets.
+    # ridge, so it calls no determinant.  Each plane must be the reference
+    # plane of the boundary simplices an orienting hull of the same points
+    # keeps, the facet graph must join the facets that meet in a ridge, and
+    # the final table must hold the brute-force facets.
     dets = []
     monkeypatch.setattr(
         geometry, "det_bareiss", lambda rows: dets.append(rows) or det_bareiss(rows)

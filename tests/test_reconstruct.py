@@ -1,5 +1,7 @@
 """Tests for the incremental reconstruction, approximation, and random modes."""
 
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,8 +19,8 @@ from reference import (
     ref_solve_unique,
 )
 
+from resnewt import cli, reconstruct
 from resnewt import outer as outer_module
-from resnewt import reconstruct
 from resnewt.cayley import build_cayley, preprocess
 from resnewt.cli import gen_random
 from resnewt.errors import InvariantViolation
@@ -323,14 +325,15 @@ def test_facets_support_the_vertex_set():
             assert sum(1 for x in values if x == offset) >= state.dim, name
 
 
-def _sylvester_monomials(a_exps, b_exps):
-    # Exponent vectors, over (a..., b...), of Res_x(sum a_i x^A_i, sum b_j x^B_j).
+def _sylvester_terms(a_exps, b_exps):
+    # {exponent vector over (a..., b...): coefficient} of
+    # Res_x(sum a_i x^A_i, sum b_j x^B_j), the Sylvester determinant.
     x = sympy.Symbol("x")
     a = sympy.symbols(f"a0:{len(a_exps)}")
     b = sympy.symbols(f"b0:{len(b_exps)}")
     f = sum(c * x**e for c, e in zip(a, a_exps))
     g = sum(c * x**e for c, e in zip(b, b_exps))
-    return sympy.Poly(sympy.resultant(f, g, x), *a, *b).monoms()
+    return dict(sympy.Poly(sympy.resultant(f, g, x), *a, *b).terms())
 
 
 def test_n1_facets_match_the_expanded_sylvester_resultant():
@@ -350,7 +353,7 @@ def test_n1_facets_match_the_expanded_sylvester_resultant():
         if math.gcd(*a_exps, *b_exps) != 1 or key in seen:
             continue
         seen.add(key)
-        monos = _sylvester_monomials(a_exps, b_exps)
+        monos = list(_sylvester_terms(a_exps, b_exps))
         state = compute_pi(
             system_from(1, [[(e,) for e in a_exps], [(e,) for e in b_exps]], "full")
         )
@@ -388,7 +391,7 @@ def test_n1_custom_projection_facets_match_the_projected_resultant():
         )
         monos = [
             tuple(q[c] for c in sysd.projection)
-            for q in _sylvester_monomials(a_exps, b_exps)
+            for q in _sylvester_terms(a_exps, b_exps)
         ]
         state = compute_pi(sysd)
         dims.add(state.dim)
@@ -403,6 +406,33 @@ def test_n1_custom_projection_facets_match_the_projected_resultant():
             got.add(frozenset(i for i, v in enumerate(values) if v == offset))
         assert got == brute_force_facets(monos), key
     assert len(dims) > 1  # projections of several dimensions
+
+
+def test_n1_cli_output_is_the_sylvester_newton_polytope():
+    # Through the CLI (parse, preprocess, JSON output), on full projections
+    # of supports that need not contain 0, of up to 4 points in [0, 6]:
+    # every printed vertex is an exponent of the Sylvester determinant of
+    # the supports shifted to start at 0, with coefficient +-1 (Gelfand,
+    # Kapranov & Zelevinsky, 1994), and every exponent satisfies every
+    # printed facet and equation.  Together the two prove equality.
+    rng = random.Random(23)
+    for sizes in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)] * 2:
+        while True:
+            supports = [sorted(rng.sample(range(7), size)) for size in sizes]
+            if math.gcd(*(p - s[0] for s in supports for p in s)) == 1:
+                break
+        terms = _sylvester_terms(*([p - s[0] for p in s] for s in supports))
+        text = "\n".join(["1", *(" ; ".join(map(str, s)) for s in supports), "projection: full", ""])
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(cli.RunConfig(fmt="json"), stdin=text, stdout=out, stderr=err) == 0
+        doc = json.loads(out.getvalue())
+        for v in doc["vertices"]:
+            assert abs(terms.get(tuple(v), 0)) == 1, (supports, v)
+        facets, equations = doc["facets"], doc["equations"]
+        assert len(facets) > doc["dim"] and len(equations) == doc["ambient"] - doc["dim"]
+        for e in terms:
+            assert all(_dot(f["normal"], e) <= f["offset"] for f in facets), (supports, e)
+            assert all(_dot(q["normal"], e) == q["offset"] for q in equations), (supports, e)
 
 
 def test_stats_call_bound_and_shape():
@@ -476,6 +506,51 @@ def test_xi_of_and_pullback_match_rational_solves():
         assert scale > 0
         assert all(a == scale * n for a, n in zip(acts, normal))
         assert math.gcd(*w) == 1
+
+
+def test_xi_of_raises_on_every_call_for_an_off_hull_point():
+    # Only points with coordinates are kept, so a rejection never turns
+    # into a hit: the same off-hull or off-lattice point raises each time.
+    state = BuildState(None, AffineChart((0, 0), [(2, 2)]), [], None)
+    for _ in range(3):
+        for x in ((1, 0), (1, 1)):
+            with pytest.raises(InvariantViolation):
+                state.xi_of(x)
+        assert state.xi_of((4, 4)) == (2,)
+    state = compute_pi(_sys(MONOMIAL_SURFACE, "full"))
+    off = tuple(a + 1 for a in state.vertices()[0])
+    for _ in range(3):
+        with pytest.raises(InvariantViolation):
+            state.xi_of(off)
+
+
+def _uncached_pullback(chart, normal):
+    w = [_dot(row, normal) for row in chart.pull]
+    g = math.gcd(*w)
+    return tuple(a // g for a in w)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memos_match_uncached_solves(seed):
+    # Q's seed points come charted from lattice_hull, and every memo entry
+    # is what a fresh solve gives; facets_x, whose pullbacks all come from
+    # the memo once the queue is drained, equals one from fresh pullbacks.
+    sysd = build_cayley(gen_random(2, 3, "dense", [3, 3, 3], seed, mode="full"))
+    state = initialize(sysd)
+    assert set(state.charted) == set(state.hull.tags)
+    reconstruct._process(state)
+    chart = state.chart
+    for x, xi in state.charted.items():
+        assert chart.coords(x) == xi
+    for normal, w in state.pulled.items():
+        assert w == _uncached_pullback(chart, normal)
+    facets = state.hull.facet_map()
+    assert all(plane.normal in state.pulled for plane in facets)
+    expected = []
+    for plane, mask in facets.items():
+        w = _uncached_pullback(chart, plane.normal)
+        expected.append((w, _dot(w, state.hull.tags[(mask & -mask).bit_length() - 1])))
+    assert state.facets_x() == sorted(expected)
 
 
 def test_sylvester_lattice_point_count():

@@ -4,6 +4,8 @@
 methods of the package by name.  A rename that drops one of them would
 crash ``perfbench/run.py --trace 1``, so the hooks are installed here, one
 small instance runs under them in every mode, and everything is restored.
+Every oracle query must pass through ``VertexOracle.vtx``, where the
+benchmark times it.
 """
 
 import io
@@ -25,7 +27,7 @@ def _text(golden):
 def test_tracer_installs_runs_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     from layers import install, layer_metrics
-    from spans import Tracer
+    from spans import NAME, PARENT, Tracer
 
     from resnewt import geometry, reconstruct
 
@@ -54,5 +56,12 @@ def test_tracer_installs_runs_and_restores(monkeypatch):
         tracer.restore()
     for owner, name, orig in originals:
         assert getattr(owner, name) is orig, name
+    # The oracle's per-call metrics time the triangulations nested in a
+    # VertexOracle.vtx span: a query that goes around vtx would drop out.
+    spans = tracer.spans
+    fresh = [s for s in spans if s[NAME] == "oracle.triangulation"]
+    in_vtx = [s for s in fresh if s[PARENT] is not None and spans[s[PARENT]][NAME] == "oracle.vtx"]
+    calls = sum(r["oracle_runs"] for r in records.values())
+    assert len(in_vtx) == len(fresh) == calls, "oracle query outside VertexOracle.vtx"
     metrics = layer_metrics(tracer.spans, tracer.flat, records, approx=False)
-    assert metrics["oracle.calls"] > 0 and metrics["geometry.insert_calls"] > 0
+    assert metrics["oracle.calls"] == calls and metrics["geometry.insert_calls"] > 0
