@@ -33,7 +33,6 @@ from .errors import (
     ParseError,
     ResnewtError,
 )
-from .exactlin import MinorCache, det_bareiss
 from .geometry import (
     FacetHull,
     Hyperplane,
@@ -42,8 +41,8 @@ from .geometry import (
     hull_volume,
     lattice_hull,
 )
-from .kernels import BACKEND
-from .oracle import VertexOracle, vtx
+from .kernels import BACKEND, MinorCache, det_bareiss
+from .oracle import VertexOracle
 from .outer import OuterPolytope, clip_halfspace
 from .reconstruct import (
     BuildState,
@@ -99,5 +98,4 @@ __all__ = [
     "preprocess",
     "stats",
     "unproject",
-    "vtx",
 ]

@@ -38,8 +38,6 @@ __all__ = [
     "unproject",
 ]
 
-_MODES = ("full", "u-resultant", "implicitization", "custom")
-
 _MODE_ALIASES = {
     "full": "full",
     "u-res": "u-resultant",
@@ -73,10 +71,6 @@ class SupportFamily:
     supports: list
     symbolic: list
     mode: str
-
-    @property
-    def num_points(self):
-        return sum(len(s) for s in self.supports)
 
     @property
     def num_symbolic(self):
@@ -182,13 +176,18 @@ def parse_text(text):
     rest = proj_line.split(":", 1)
     if len(rest) != 2:
         raise ParseError("projection line must be 'projection: <mode> ...'")
-    spec = _projection_spec(rest[1].replace(",", " ").split())
+    spec = _projection_spec(rest[1])
     _validate_supports(n, supports)
     return _apply_projection(n, supports, spec)
 
 
-def _projection_spec(words):
-    """ProjectionSpec from a mode word and, for custom mode, index pairs."""
+def _projection_spec(text):
+    """ProjectionSpec from a mode word and, for custom mode, index pairs.
+
+    ``text`` is the projection as written, on the input's projection line
+    or in ``--projection``: words split at spaces and commas.
+    """
+    words = text.replace(",", " ").split()
     if not words:
         raise ParseError("projection names no mode")
     mode_word = words[0].lower()
@@ -415,7 +414,6 @@ class CayleySystem:
     projection: list
     m: int
     M: list
-    nr_dim: int
 
     @property
     def num_columns(self):
@@ -453,7 +451,6 @@ def build_cayley(family):
         big_m.append(tuple(columns[c][r] for c in range(len(columns))))
     for i in range(n + 1):
         big_m.append(tuple(1 if block_of[c] == i else 0 for c in range(len(columns))))
-    nr_dim = len(columns) - 2 * n - 1
     return CayleySystem(
         n=n,
         family=family,
@@ -463,7 +460,6 @@ def build_cayley(family):
         projection=projection,
         m=m,
         M=big_m,
-        nr_dim=nr_dim,
     )
 
 

@@ -162,7 +162,7 @@ def run(config, stdin=None, stdout=None, stderr=None):
     try:
         family = parse_input(text)
         if config.projection:
-            spec = _projection_spec(config.projection.split())
+            spec = _projection_spec(config.projection)
             family = _apply_projection(
                 family.n, [list(s) for s in family.supports], spec
             )
@@ -373,7 +373,7 @@ def _build_parser():
     c.add_argument(
         "--projection",
         default="",
-        help="override the input's projection line, e.g. 'implicit'",
+        help="override the input's projection line, e.g. 'implicit' or 'custom 0 1, 1 0'",
     )
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--format", choices=["plain", "json"], default="plain")
@@ -386,7 +386,7 @@ def _build_parser():
     g = sub.add_parser("generate", help="emit a random essential input family")
     g.add_argument("n", type=int)
     g.add_argument("delta", type=int)
-    g.add_argument("--sizes", required=True, help="comma-separated block sizes")
+    g.add_argument("--sizes", required=True, help="block sizes, by commas or spaces")
     g.add_argument("--kind", choices=["dense", "sparse"], default="dense")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument(
@@ -404,7 +404,10 @@ def main(argv=None):
 
     if args.command == "generate":
         try:
-            sizes = [int(x) for x in args.sizes.replace(",", " ").split()]
+            pieces = args.sizes.split(",")
+            if len(pieces) > 1 and not all(p.strip() for p in pieces):
+                raise ParseError("--sizes has an empty entry")
+            sizes = [int(x) for p in pieces for x in p.split()]
             family = gen_random(
                 args.n,
                 args.delta,

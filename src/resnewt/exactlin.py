@@ -1,15 +1,15 @@
-"""Exact linear algebra: determinants, predicates, minor cache, lattices.
+"""Exact linear algebra: echelons, adjugates, lattices.
 
-Re-exports the determinant kernels (``det_bareiss``, ``MinorCache``) and
-adds the exact integer routines used by the geometry and reconstruction
-layers: fraction-free (Bareiss) echelon reduction and rank; the determinant
-and adjugate of a square matrix from one fraction-free Gauss-Jordan
-elimination (``adjugate``), whose columns are a simplex's facet planes;
-integer kernels with unimodular bookkeeping (so kernel lattice bases are
-saturated); saturated subspace bases; affine lattice charts (integer
-coordinates of a point in p0 + Z.B, by adjugates); and canonical integer
-direction/hyperplane normal forms.  No elimination runs over ``Fraction``:
-rational input is cleared of denominators first, row by row or vector by
+The exact integer routines used by the geometry and reconstruction layers
+(the determinant kernels are in ``kernels``): fraction-free (Bareiss)
+echelon reduction and rank; the determinant and adjugate of a square matrix
+from one fraction-free Gauss-Jordan elimination (``adjugate``), whose
+columns are a simplex's facet planes; integer kernels with unimodular
+bookkeeping (so kernel lattice bases are saturated); saturated subspace
+bases; affine lattice charts (integer coordinates of a point in p0 + Z.B,
+by adjugates); and canonical integer direction/hyperplane normal forms.
+No elimination runs over ``Fraction``: rational input is cleared of
+denominators first (``clear_denominators``), row by row or vector by
 vector, with a positive multiplier, which keeps every rank, kernel and span.
 """
 
@@ -17,16 +17,12 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInput, InvalidDirection
-from .kernels import MinorCache, det_bareiss
 
 __all__ = [
     "AffineChart",
-    "MinorCache",
     "adjugate",
-    "det_bareiss",
     "dot",
     "vec_sub",
-    "gcd_vector",
     "primitive",
     "canonical_direction",
     "canonical_hyperplane",
@@ -50,16 +46,12 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def gcd_vector(vec):
-    return gcd(*vec)
-
-
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (sign preserved).
 
     The zero vector is returned unchanged.
     """
-    g = gcd_vector(vec)
+    g = gcd(*vec)
     if g <= 1:
         return tuple(int(x) for x in vec)
     return tuple(int(x) // g for x in vec)
@@ -90,15 +82,19 @@ def canonical_hyperplane(normal, offset):
 
 
 def clear_denominators(vec):
-    """Scale a rational vector by a positive integer to integer entries."""
-    if all(map(int.__instancecheck__, vec)):
-        return tuple(vec)
+    """(integer tuple, positive multiplier m) with the tuple m.vec.
+
+    Each entry is read exactly as ``Fraction(x)``, floats included.  A
+    vector of ``int``s is returned as it is, with m = 1.
+    """
+    if all(map(int.__instancecheck__, vec)):  # no Fraction ABC check per entry
+        return vec, 1
     fracs = [Fraction(x) for x in vec]
     mult = 1
     for f in fracs:
         d = f.denominator
         mult = mult // gcd(mult, d) * d
-    return tuple(int(f * mult) for f in fracs)
+    return tuple(int(f * mult) for f in fracs), mult
 
 
 # -- fraction-free elimination -----------------------------------------------
@@ -179,7 +175,7 @@ def rank_int(rows, cap=None):
         return 0
     echelon, pivots = [], []
     for row in rows:
-        echelon_extend(clear_denominators(row), echelon, pivots)
+        echelon_extend(clear_denominators(row)[0], echelon, pivots)
         if len(echelon) == cap:
             break
     return len(echelon)
@@ -215,7 +211,7 @@ def integer_kernel(rows, ncols=None):
         if ncols is None:
             raise ValueError("ncols required for an empty row list")
         n = ncols
-    a = [list(clear_denominators(row)) for row in rows]
+    a = [list(clear_denominators(row)[0]) for row in rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def col_swap(j1, j2):
@@ -262,7 +258,7 @@ def saturated_basis(vectors, ambient_dim=None):
     are integers).  ``ambient_dim`` is required when ``vectors`` is empty.
     Rational vectors are cleared of denominators first, which keeps the span.
     """
-    vecs = [clear_denominators(v) for v in vectors]
+    vecs = [clear_denominators(v)[0] for v in vectors]
     if vecs:
         m = len(vecs[0])
     else:

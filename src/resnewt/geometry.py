@@ -20,7 +20,7 @@ the volumes handed out.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -30,12 +30,12 @@ from .exactlin import (
     adjugate,
     affine_dim,
     canonical_hyperplane,
-    det_bareiss,
+    clear_denominators,
     echelon_extend,
     saturated_basis,
     vec_sub,
 )
-from .kernels import _sign
+from .kernels import _sign, det_bareiss
 
 __all__ = [
     "FacetHull",
@@ -58,27 +58,13 @@ class Hyperplane(NamedTuple):
     offset: int
 
 
-def _row_cleared(row):
-    """(integer row, positive multiplier) clearing the row's denominators."""
-    if all(map(int.__instancecheck__, row)):  # no Fraction ABC check per entry
-        return row, 1
-    mult = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-    if mult == 1:
-        return [int(x) for x in row], 1
-    return [int(x * mult) for x in row], mult
-
-
 def _hom_row(pt):
     """(m.pt, m): the point's homogeneous row, cleared by a positive m.
 
     Scaling a row by a positive integer keeps the sign of any determinant
     it enters, so orientation signs can be taken over these rows.
     """
-    row, mult = _row_cleared(pt)
+    row, mult = clear_denominators(pt)
     return (*row, mult)
 
 
@@ -279,7 +265,7 @@ class TriangulatedHull:
             self.dim = 0
             self._cells = [(1 << tag, 1)]  # the sign of the 1x1 row (m), m > 0
         elif self.dim < self.ambient and echelon_extend(
-            _row_cleared(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
+            clear_denominators(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
         ):
             self._dim_jump(pt, tag)
         else:
@@ -400,7 +386,7 @@ class FacetHull:
         echelon, pivots, rest = [], [], []
         for p, t in zip(pts, tags):
             if not self.points or (len(self.points) <= k and echelon_extend(
-                _row_cleared(vec_sub(p, self.points[0]))[0], echelon, pivots
+                clear_denominators(vec_sub(p, self.points[0]))[0], echelon, pivots
             )):
                 self._record(p, _hom_row(p), t)
             else:

@@ -4,8 +4,8 @@ This module implements the hot numeric core: a fraction-free integer
 determinant and a cache of signed minors of a fixed base matrix.  The cache
 serves two geometric predicates built from the same column data:
 
-* ``volume_predicate`` / ``hom_det`` — determinant of chosen columns with an
-  all-ones homogenizing row appended (expanded along the ones row into pure
+* ``volume_predicate`` and ``hom_sign`` — determinant of chosen columns with
+  an all-ones homogenizing row appended (expanded along the ones row into pure
   minors),
 * ``orientation`` — determinant of chosen columns extended by a per-column
   lifting value and the ones row (expanded along the lifting row into
@@ -124,7 +124,8 @@ class MinorCache:
     nonzero lift multiplies.
 
     The public entries take column tuples and convert them once; each
-    raises ``ValueError`` when given no columns.  Statistics
+    raises ``ValueError`` on no columns, too many or one out of range, and
+    only then answers 0 for a repeated column.  Statistics
     count hits and misses (misses = actually computed minors), with
     pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
@@ -248,65 +249,22 @@ class MinorCache:
 
     # -- argument checks -----------------------------------------------------
 
-    def _check_increasing(self, cols, max_len):
-        if not cols:
-            raise ValueError("a predicate needs at least one column")
-        if len(cols) > max_len:
-            raise ValueError("too many columns for this base matrix")
-        prev = -1
-        for c in cols:
-            if c <= prev or c >= len(self._columns):
-                raise ValueError("column indices must be strictly increasing and in range")
-            prev = c
-        return sum(1 << c for c in cols)
-
     def _checked_mask(self, cols, max_len):
-        # (mask, parity) of distinct columns in any order.
+        # (mask, parity) of distinct columns in any order, or (0, 0) when a
+        # column repeats: the determinant is 0, and the caller counts one call.
         if not cols:
             raise ValueError("a predicate needs at least one column")
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
         if min(cols) < 0 or max(cols) >= len(self._columns):
             raise ValueError("column indices must be in range")
+        if len(set(cols)) != len(cols):
+            return 0, 0
         return mask_with_parity(cols)
 
     # -- public API ---------------------------------------------------------
     # Each entry takes one perf_counter pair and ends with ``_done``, so no
     # clock pair nests.
-
-    def minor(self, cols):
-        """Pure minor: determinant of the top ``len(cols)`` rows of ``cols``.
-
-        ``cols`` must be strictly increasing.
-        """
-        cols = tuple(cols)
-        mask, k = self._check_increasing(cols, self._nrows), len(cols)
-        t0 = perf_counter()
-        if k == 1:
-            value = self._rows[0][cols[0]]
-        else:
-            value = self._pure_tab.get(mask)
-            if value is None:
-                value = self._minor(mask, k)
-            else:
-                self.pure_hits[k] += 1
-        self._done(t0, 0, 0)
-        return value
-
-    def hom_det(self, cols):
-        """Homogeneous minor: top ``len(cols)-1`` rows plus an all-ones row.
-
-        ``cols`` must be strictly increasing.
-        """
-        cols = tuple(cols)
-        mask = self._check_increasing(cols, self._nrows + 1)
-        t0 = perf_counter()
-        value = self._hom_tab.get(mask)
-        hit = value is not None
-        if not hit:
-            value = self._hom(mask)
-        self._done(t0, 0, hit)
-        return value
 
     def hom_sign(self, cols):
         """Sign of the homogeneous determinant with columns in *given* order.
@@ -314,11 +272,10 @@ class MinorCache:
         Accepts an arbitrary order of distinct column indices; the sign of
         the sorting permutation is folded in.  Repeated columns give 0.
         """
-        cols = tuple(cols)
-        if len(set(cols)) != len(cols):
+        mask, parity = self._checked_mask(tuple(cols), self._nrows + 1)
+        if not mask:
             self.predicate_calls += 1
             return 0
-        mask, parity = self._checked_mask(cols, self._nrows + 1)
         t0 = perf_counter()
         value = self._hom_tab.get(mask)
         hit = value is not None
@@ -333,11 +290,10 @@ class MinorCache:
         Accepts an arbitrary order of distinct column indices; repeated
         columns give 0.
         """
-        cols = tuple(cols)
-        if len(set(cols)) != len(cols):
+        mask = self._checked_mask(tuple(cols), self._nrows + 1)[0]
+        if not mask:
             self.predicate_calls += 1
             return 0
-        mask = self._checked_mask(cols, self._nrows + 1)[0]
         t0 = perf_counter()
         value = self._hom_tab.get(mask)
         hit = value is not None
@@ -361,11 +317,11 @@ class MinorCache:
         k = len(cols)
         if k != len(lifting):
             raise ValueError("lifting must align with cols")
-        if len(set(cols)) != k:
+        mask, parity = self._checked_mask(cols, self._nrows + 2)
+        if not mask:
             self.predicate_calls += 1
             return 0
         lift = dict(zip(cols, lifting))
-        mask, parity = self._checked_mask(cols, self._nrows + 2)
         t0 = perf_counter()
         hom_tab = self._hom_tab
         hits = 0

@@ -35,8 +35,9 @@ against per-block masks.
 
 from random import Random
 
-from .exactlin import MinorCache, canonical_direction, clear_denominators
+from .exactlin import canonical_direction, clear_denominators
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
+from .kernels import MinorCache
 
 __all__ = [
     "VertexOracle",
@@ -44,13 +45,12 @@ __all__ = [
     "lift_direction",
     "mixed_cells",
     "rho_vector",
-    "vtx",
 ]
 
 
 def canonical(w):
     """Canonical integer form of a rational direction (orientation kept)."""
-    return canonical_direction(clear_denominators(w))
+    return canonical_direction(clear_denominators(w)[0])
 
 
 def lift_direction(sys, w):
@@ -250,9 +250,4 @@ def _on_flat(cache, cells, pairs, col):
     """(cells, pairs) of a hull of dimension 2n with ``col``, on its flat, in."""
     visible, keep = cache.split_boundary(pairs, col)
     return _place(cells, visible, keep, col) if visible else (cells, pairs)
-
-
-def vtx(sys, w, seed=0):
-    """One-shot oracle call (fresh context); see VertexOracle.vtx."""
-    return VertexOracle(sys, seed=seed).vtx(w)
 

@@ -18,8 +18,8 @@ the volumes and vertex coordinates handed out.
 from fractions import Fraction
 
 from .errors import DegenerateInput, EmptyIntersection
-from .exactlin import dot, primitive
-from .geometry import _hom_row, _pulling_volume, _row_cleared, _simplex_planes
+from .exactlin import clear_denominators, dot, primitive
+from .geometry import _hom_row, _pulling_volume, _simplex_planes
 
 __all__ = ["OuterPolytope", "clip_halfspace"]
 
@@ -36,8 +36,7 @@ def _vertex_masks(tight):
 
 def _constraint_row(plane):
     """Primitive integer row g with g.(m.x, m) of the sign of normal.x - offset."""
-    row, _ = _row_cleared((*plane.normal, -plane.offset))
-    return primitive(row)
+    return primitive(clear_denominators((*plane.normal, -plane.offset))[0])
 
 
 class OuterPolytope:

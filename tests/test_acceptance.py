@@ -171,15 +171,18 @@ def test_criterion_6_determinant_routes_agree():
         trials = 10**4
         mismatches = 0
         for _ in range(trials):
+            # k + 1 columns in Z^k: the homogeneous minor h = sign * volume
+            # expands along its ones row into the k x k pure minors.
             k = rng.randint(1, 5)
-            cols = [tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(k)]
-            rows = [[cols[c][r] for c in range(k)] for r in range(k)]
-            if MinorCache(cols).minor(tuple(range(k))) != det_bareiss(rows):
+            cols = [tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(k + 1)]
+            rows = [[c[r] for c in cols] for r in range(k)] + [[1] * (k + 1)]
+            cache, every = MinorCache(cols), range(k + 1)
+            if cache.hom_sign(every) * cache.volume_predicate(every) != det_bareiss(rows):
                 mismatches += 1
         rec["ok"] = mismatches == 0
         rec["detail"] = (
-            "%d random matrices, cached Laplace vs Bareiss, %d mismatches "
-            "(zero tolerance)" % (trials, mismatches)
+            "%d random homogeneous matrices, cached Laplace vs Bareiss, %d "
+            "mismatches (zero tolerance)" % (trials, mismatches)
         )
 
 
@@ -368,7 +371,7 @@ def test_criterion_10_hashing_speedup():
             fam = gen_random(
                 2, 6, "dense", [20, 20, 20], seed=seed, mode="implicitization"
             )
-            assert fam.num_points == 60 and fam.num_symbolic == 3
+            assert sum(len(s) for s in fam.supports) == 60 and fam.num_symbolic == 3
             text = family_to_text(fam)
             t_hash, n_hash, out_hash = _predicate_cost(text, no_hash=False)
             t_plain, n_plain, out_plain = _predicate_cost(text, no_hash=True)

@@ -262,9 +262,9 @@ def test_preprocess_keeps_symbolic_points():
 
 def test_preprocess_bicubic_column_count():
     fam = family_from(BICUBIC["n"], BICUBIC["supports"], "implicitization")
-    assert fam.num_points == 27
+    assert sum(len(s) for s in fam.supports) == 27
     slim = preprocess(fam)
-    assert slim.num_points == 18
+    assert sum(len(s) for s in slim.supports) == 18
     # Preprocessing must not change the computed polytope.
     full = compute_pi(build_cayley(fam))
     trimmed = compute_pi(build_cayley(slim))
@@ -399,7 +399,6 @@ def test_build_cayley_monomial_surface():
         assert sysd.M[sysd.n + i] == tuple(
             1 if b == i else 0 for b in sysd.block_of
         )
-    assert sysd.nr_dim == 6 - 2 * 2 - 1
     assert sysd.projection == list(range(6))
     assert all(sysd.is_symbolic(j) for j in range(6))
 

@@ -209,6 +209,19 @@ def test_compute_projection_override(tmp_path, capsys):
     assert verts == MONOMIAL_SURFACE["mode_full_vertices"]
 
 
+def test_custom_projection_reads_alike_on_the_line_and_the_flag(tmp_path, capsys):
+    # One tokenizer: "custom i j, k l" means the same pairs in either place.
+    supports = "1\n0; 1; 2\n0; 1\n"
+    on_line = _write(tmp_path, "line.txt", supports + "projection: custom 0 1, 1 0\n")
+    code, out_line, err = _run(["compute", on_line], capsys)
+    assert code == 0, err
+    plain = _write(tmp_path, "full.txt", supports + "projection: full\n")
+    code, out_flag, err = _run(["compute", plain, "--projection", "custom 0 1, 1 0"], capsys)
+    assert code == 0, err
+    assert out_flag == out_line
+    assert "v 0 2" in out_line.splitlines()
+
+
 def test_compute_approx_mode(tmp_path, capsys):
     path = _write(tmp_path, "circle.txt", CIRCLE_LINE_TEXT)
     code, out, err = _run(
@@ -497,6 +510,22 @@ def test_generate_modes_and_validation(capsys):
         ["generate", "2", "3", "--sizes", "0,2,2", "--seed", "1"], capsys
     )
     assert code == 2  # empty support requested
+
+
+@pytest.mark.parametrize("sizes", ["3,,3,3", "3,3,3,", ",3,3,3", "3, ,3,3"])
+def test_generate_rejects_an_empty_size(capsys, sizes):
+    code, out, err = _run(["generate", "2", "3", "--sizes", sizes], capsys)
+    assert code == 2
+    assert out == "" and err == "error: --sizes has an empty entry\n"
+
+
+def test_generate_takes_sizes_apart_by_commas_or_spaces(capsys):
+    outs = {
+        sizes: _run(["generate", "2", "3", "--sizes", sizes, "--seed", "4"], capsys)
+        for sizes in ("3,3,3", "3 3 3", "3, 3, 3")
+    }
+    assert len(set(outs.values())) == 1
+    assert outs["3,3,3"][0] == 0
 
 
 @pytest.mark.parametrize("argv", [["0", "2", "--sizes", "1"], ["-1", "2", "--sizes", ""]])

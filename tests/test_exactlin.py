@@ -92,7 +92,14 @@ def _orientation_matrix(columns, cols, lifting):
     return rows
 
 
+def _mask(cols):
+    return sum(1 << c for c in cols)
+
+
 def test_minor_and_hom_values():
+    # The recursions behind every entry, on column masks: a pure minor of
+    # k >= 2 columns (one column is an entry of the base) and a homogeneous
+    # minor of k >= 1.
     rng = random.Random(77)
     for _ in range(25):
         ncols = rng.randint(4, 8)
@@ -100,16 +107,16 @@ def test_minor_and_hom_values():
         base = _random_base(rng, nrows, ncols)
         cache = MinorCache(base)
         for _ in range(20):
-            k = rng.randint(1, min(nrows, ncols))
+            k = rng.randint(2, min(nrows, ncols))
             cols = tuple(sorted(rng.sample(range(ncols), k)))
-            assert cache.minor(cols) == ref_det(_minor_matrix(base, cols))
+            assert cache._minor(_mask(cols), k) == ref_det(_minor_matrix(base, cols))
             kk = rng.randint(1, min(nrows + 1, ncols))
             cols = tuple(sorted(rng.sample(range(ncols), kk)))
-            assert cache.hom_det(cols) == ref_det(_hom_matrix(base, cols))
+            assert cache._hom(_mask(cols)) == ref_det(_hom_matrix(base, cols))
 
 
 def test_minor_against_bareiss_route():
-    # Dual-route check at unit scale: the cached Laplace recursion and the
+    # Dual-route check at unit scale: the cached Laplace recursions and the
     # independent fraction-free elimination must agree exactly.
     rng = random.Random(31)
     for _ in range(50):
@@ -117,9 +124,12 @@ def test_minor_against_bareiss_route():
         nrows = rng.randint(2, 5)
         base = _random_base(rng, nrows, ncols)
         cache = MinorCache(base)
-        k = rng.randint(1, min(nrows, ncols))
+        k = rng.randint(2, min(nrows, ncols))
         cols = tuple(sorted(rng.sample(range(ncols), k)))
-        assert cache.minor(cols) == det_bareiss(_minor_matrix(base, cols))
+        assert cache._minor(_mask(cols), k) == det_bareiss(_minor_matrix(base, cols))
+        k = rng.randint(1, min(nrows + 1, ncols))
+        cols = tuple(sorted(rng.sample(range(ncols), k)))
+        assert cache._hom(_mask(cols)) == det_bareiss(_hom_matrix(base, cols))
 
 
 def test_hom_sign_and_volume():
@@ -350,13 +360,15 @@ def test_cache_disabled_same_values():
 def test_cache_clear_keeps_stats():
     base = [(1, 0), (0, 1), (2, 3), (4, 5)]
     cache = MinorCache(base)
-    value = cache.minor((0, 1))
+    value = cache.volume_predicate((0, 1, 2))
     before = cache.stats()["pure_misses"]
+    assert before > 0
     cache.clear()
     assert cache.entries == 0
     assert cache.stats()["pure_misses"] == before  # stats survive clears
     assert cache.stats()["clears"] == 1
-    assert cache.minor((0, 1)) == value  # recomputed after the clear
+    assert cache.volume_predicate((0, 1, 2)) == value  # recomputed after the clear
+    assert cache.stats()["pure_misses"] > before
 
 
 def test_cache_threshold_maintenance():
@@ -368,8 +380,6 @@ def test_cache_threshold_maintenance():
     plain = MinorCache(base, use_cache=False)
     for _ in range(10):
         calls = [
-            ("minor", (sorted(rng.sample(range(9), 4)),)),
-            ("hom_det", (sorted(rng.sample(range(9), 5)),)),
             ("hom_sign", (rng.sample(range(9), 5),)),
             ("volume_predicate", (rng.sample(range(9), 4),)),
             ("orientation", (rng.sample(range(9), 6), [rng.randint(-3, 3) for _ in range(6)])),
@@ -382,17 +392,30 @@ def test_cache_threshold_maintenance():
 
 
 def test_cache_validates_columns():
+    # Range and count are checked before repeated columns answer 0, and
+    # each raise counts nothing.
     cache = MinorCache([(1, 0), (0, 1), (1, 1)])
-    with pytest.raises(ValueError):
-        cache.minor((1, 0))  # not increasing
-    with pytest.raises(ValueError):
-        cache.minor((0, 5))  # out of range
-    with pytest.raises(ValueError):
-        cache.minor((0, 1, 2))  # more columns than rows
-    with pytest.raises(ValueError):
-        MinorCache([(1, 0), (0,)])  # ragged columns
-    with pytest.raises(ValueError):
-        cache.orientation((0, 1), [1])  # misaligned lifting
+    bad = [
+        lambda: cache.hom_sign((0, 5)),  # out of range
+        lambda: cache.hom_sign((5, 5)),  # repeated, out of range
+        lambda: cache.hom_sign((-1, 0)),
+        lambda: cache.hom_sign((0, 1, 2, 0)),  # more columns than rows + 1
+        lambda: cache.volume_predicate((3, 3)),
+        lambda: cache.volume_predicate((0, 0, 0, 0)),
+        lambda: cache.orientation((4, 4), [1, 1]),
+        lambda: cache.orientation((0, 0, 0, 0, 0), [1] * 5),
+        lambda: cache.orientation((0, 1), [1]),  # misaligned lifting
+        lambda: MinorCache([(1, 0), (0,)]),  # ragged columns
+    ]
+    for entry in bad:
+        with pytest.raises(ValueError):
+            entry()
+    assert cache.stats()["predicate_calls"] == 0 and cache.entries == 0
+    # A repeated in-range tuple is 0 and counts one call.
+    assert cache.hom_sign((1, 1)) == 0
+    assert cache.volume_predicate((0, 2, 0)) == 0
+    assert cache.orientation((2, 2), [1, 3]) == 0
+    assert cache.stats()["predicate_calls"] == 3 and cache.entries == 0
 
 
 def test_no_columns_raise_and_count_nothing():
@@ -400,8 +423,6 @@ def test_no_columns_raise_and_count_nothing():
     # before it counts a call or computes a minor.
     cache = MinorCache([(1, 2), (3, 4)])
     entries = [
-        lambda: cache.minor(()),
-        lambda: cache.hom_det(()),
         lambda: cache.hom_sign(()),
         lambda: cache.volume_predicate(()),
         lambda: cache.orientation((), ()),
@@ -409,8 +430,16 @@ def test_no_columns_raise_and_count_nothing():
     for entry in entries:
         with pytest.raises(ValueError, match="at least one column"):
             entry()
+    # Nor does a repeated column skip the other checks.
+    with pytest.raises(ValueError, match="in range"):
+        cache.hom_sign((2, 2))
+    with pytest.raises(ValueError, match="too many columns"):
+        cache.volume_predicate((0, 0, 0, 0))
+    with pytest.raises(ValueError, match="too many columns"):
+        cache.orientation((1,) * 5, (0,) * 5)
     stats = cache.stats()
     assert stats["predicate_calls"] == 0 and stats["pure_misses"] == 0
+    assert stats["hom_misses"] == stats["hom_hits"] == 0
     assert cache.entries == 0
 
 
@@ -478,9 +507,14 @@ def test_primitive_and_canonical_direction():
 
 
 def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    assert clear_denominators([2, -4]) == (2, -4)
-    assert clear_denominators([Fraction(-2, 5), 1]) == (-2, 5)
+    # (m.vec, m) with m the least positive multiplier; a float is read as
+    # the Fraction it equals, not truncated.
+    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == ((3, 2), 6)
+    assert clear_denominators((2, -4)) == ((2, -4), 1)
+    assert clear_denominators([Fraction(-2, 5), 1]) == ((-2, 5), 5)
+    assert clear_denominators([Fraction(4, 2), True]) == ((2, 1), 1)
+    assert clear_denominators((0, 0.5, 0.75)) == ((0, 2, 3), 4)
+    assert clear_denominators((-1.5, 2)) == ((-3, 4), 2)
 
 
 def test_canonical_hyperplane():

@@ -299,6 +299,30 @@ def test_facet_map_keys_support_hull():
             assert _value(plane, p) == plane.offset
 
 
+# -- non-integer points ---------------------------------------------------------
+
+
+def test_float_points_build_the_hull_of_the_equal_fractions():
+    # A float coordinate is read exactly, as the Fraction it equals.
+    floats = [(0, 0), (1, 0), (0, 1), (0.5, 0.75), (0.25, 0.25), (1.5, -0.5)]
+    fracs = [tuple(Fraction(x) for x in p) for p in floats]
+    by_float, by_frac = FacetHull(floats), FacetHull(fracs)
+    assert by_float.facet_map() == by_frac.facet_map()
+    assert by_float.points == by_frac.points
+    assert hull_volume(by_float) == hull_volume(by_frac)
+    # (0.5, 0.75) lies beyond the triangle's diagonal x + y = 1.
+    quad = FacetHull([(0, 0), (1, 0), (0, 1), (0.5, 0.75)])
+    assert len(quad.points) == 4 and len(quad.facet_map()) == 4
+    assert any(mask >> 3 & 1 for mask in quad.facet_map().values())
+    # The triangulated hull, also on a flat of 3-space with a float offset.
+    for pts, ambient in ((floats, 2), ([(*p, 0.5) for p in floats], 3)):
+        exact = [tuple(Fraction(x) for x in p) for p in pts]
+        by_float, by_frac = _build(pts, ambient), _build(exact, ambient)
+        assert by_float.dim == by_frac.dim == 2
+        assert by_float.cells == by_frac.cells
+        assert by_float.boundary == by_frac.boundary
+
+
 # -- volumes -------------------------------------------------------------------
 
 
@@ -466,6 +490,15 @@ def test_clip_rectangle_area():
     clipped = clip_halfspace(square, Hyperplane((1, 0), 1))
     assert clipped.volume == 4
     assert set(clipped.points()) == {(0, 0), (1, 0), (1, 4), (0, 4)}
+
+
+def test_clip_by_a_float_offset_cuts_as_the_equal_fraction():
+    half = Fraction(1, 2)
+    by_float = clip_halfspace(_box(2), Hyperplane((1, 0), 0.5))
+    by_frac = clip_halfspace(_box(2), Hyperplane((1, 0), half))
+    assert by_float.points() == by_frac.points()
+    assert set(by_frac.points()) == {(0, 0), (half, 0), (half, 2), (0, 2)}
+    assert by_float.volume == by_frac.volume == 1
 
 
 def test_clip_simplex_scaling():

@@ -31,7 +31,6 @@ from resnewt.oracle import (
     lift_direction,
     mixed_cells,
     rho_vector,
-    vtx,
 )
 
 
@@ -637,7 +636,7 @@ def test_vtx_frozen_values_implicit_mode():
 
 def test_vtx_frozen_value_sylvester():
     sysd = _sys(SYLVESTER, "full")
-    v, _ = vtx(sysd, (1, 0, 0, 0, 0))
+    v, _ = VertexOracle(sysd).vtx((1, 0, 0, 0, 0))
     assert v == (2, 0, 0, 0, 2)
 
 
@@ -730,7 +729,7 @@ def test_vtx_seed_stability_on_generic_directions():
     rng = random.Random(99)
     for _ in range(10):
         w = canonical([rng.randint(-50, 50) * 2 + 1 for _ in range(6)])
-        answers = {vtx(sysd, w, seed=s)[0] for s in range(4)}
+        answers = {VertexOracle(sysd, seed=s).vtx(w)[0] for s in range(4)}
         assert len(answers) == 1
 
 
