@@ -9,7 +9,9 @@ block on stderr.
 
 Exit codes: 0 success, 2 unusable input (parse/usage), 3 non-essential
 family (the violating blocks are printed), 4 an internal exactness or
-call-bound invariant failed (reported on one stderr line).
+call-bound invariant failed (reported on one stderr line, with nothing on
+stdout: the call bound is checked on every exact and approx run before the
+result is printed).
 """
 
 import argparse
@@ -215,6 +217,8 @@ def _compute(config, system, out, err):
     else:
         state = compute_pi(system, seed=config.seed, use_cache=use_cache)
     wall = time.perf_counter() - t0
+    if not random_mode:
+        st = reconstruct_stats(state)  # raises on a broken call bound, before output
 
     doc = {
         "mode": config.mode,
@@ -259,7 +263,6 @@ def _compute(config, system, out, err):
         if random_mode:
             lines = [("oracle calls", state.oracle.pipeline_runs)]
         else:
-            st = reconstruct_stats(state)
             lines = [
                 ("oracle calls", st["oracle_calls"]),
                 ("init calls", st["init_calls"]),

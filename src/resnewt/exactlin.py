@@ -8,12 +8,13 @@ columns are a simplex's facet planes; integer kernels with unimodular
 bookkeeping (so kernel lattice bases are saturated); saturated subspace
 bases; affine lattice charts (integer coordinates of a point in p0 + Z.B,
 by adjugates); and canonical integer direction/hyperplane normal forms.
-No elimination runs over ``Fraction``: rational input is cleared of
-denominators first (``clear_denominators``), row by row or vector by
-vector, with a positive multiplier, which keeps every rank, kernel and span.
+Every coordinate is an ``int``, the one coordinate type of the exact
+layer: ``rank_int``, ``integer_kernel`` and ``saturated_basis`` raise
+``ValueError`` on any other entry (``int_vector``, the check the hulls and
+``MinorCache`` share), so no elimination ever reads a ``Fraction`` or a
+float.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInput, InvalidDirection
@@ -26,7 +27,7 @@ __all__ = [
     "primitive",
     "canonical_direction",
     "canonical_hyperplane",
-    "clear_denominators",
+    "int_vector",
     "echelon_reduce",
     "echelon_extend",
     "rank_int",
@@ -46,6 +47,13 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def int_vector(vec):
+    """``vec`` itself; raises ``ValueError`` unless every entry is an ``int``."""
+    if not all(map(int.__instancecheck__, vec)):  # no ABC check per entry
+        raise ValueError("coordinates must be ints, got %r" % (vec,))
+    return vec
+
+
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (sign preserved).
 
@@ -53,8 +61,8 @@ def primitive(vec):
     """
     g = gcd(*vec)
     if g <= 1:
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)
+        return tuple(vec)
+    return tuple(x // g for x in vec)
 
 
 def canonical_direction(vec):
@@ -79,22 +87,6 @@ def canonical_hyperplane(normal, offset):
     if g <= 1:
         return tuple(normal), offset
     return tuple(x // g for x in normal), offset // g
-
-
-def clear_denominators(vec):
-    """(integer tuple, positive multiplier m) with the tuple m.vec.
-
-    Each entry is read exactly as ``Fraction(x)``, floats included.  A
-    vector of ``int``s is returned as it is, with m = 1.
-    """
-    if all(map(int.__instancecheck__, vec)):  # no Fraction ABC check per entry
-        return vec, 1
-    fracs = [Fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        d = f.denominator
-        mult = mult // gcd(mult, d) * d
-    return tuple(int(f * mult) for f in fracs), mult
 
 
 # -- fraction-free elimination -----------------------------------------------
@@ -165,7 +157,7 @@ def echelon_extend(vec, rows, pivots):
 
 
 def rank_int(rows, cap=None):
-    """Rank of a rational/integer matrix (exact).
+    """Rank of an integer matrix (exact).
 
     ``rows`` may be any iterable.  With ``cap`` the elimination stops once
     the rank reaches it: the result is min(rank, cap), and later rows are
@@ -175,7 +167,7 @@ def rank_int(rows, cap=None):
         return 0
     echelon, pivots = [], []
     for row in rows:
-        echelon_extend(clear_denominators(row)[0], echelon, pivots)
+        echelon_extend(int_vector(row), echelon, pivots)
         if len(echelon) == cap:
             break
     return len(echelon)
@@ -201,17 +193,15 @@ def integer_kernel(rows, ncols=None):
     Returns a list of integer vectors forming a basis of the kernel as a
     lattice; because the basis arises from unimodular column operations it is
     automatically saturated (spans all integer points of the kernel space).
-    ``ncols`` is required when ``rows`` is empty.  Rational rows are cleared
-    of denominators first; a positive multiple of a row has the same kernel.
+    ``ncols`` is required when ``rows`` is empty.
     """
-    rows = [list(r) for r in rows]
-    if rows:
-        n = len(rows[0])
+    a = [int_vector(list(row)) for row in rows]
+    if a:
+        n = len(a[0])
     else:
         if ncols is None:
             raise ValueError("ncols required for an empty row list")
         n = ncols
-    a = [list(clear_denominators(row)[0]) for row in rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def col_swap(j1, j2):
@@ -256,9 +246,8 @@ def saturated_basis(vectors, ambient_dim=None):
     The result spans the same rational subspace and contains every integer
     point of that subspace (so coordinates of integer points in this basis
     are integers).  ``ambient_dim`` is required when ``vectors`` is empty.
-    Rational vectors are cleared of denominators first, which keeps the span.
     """
-    vecs = [clear_denominators(v)[0] for v in vectors]
+    vecs = list(vectors)
     if vecs:
         m = len(vecs[0])
     else:

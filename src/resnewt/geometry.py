@@ -13,10 +13,10 @@ facets with the points on each, plus a facet graph.  On top of them sit the
 pulling triangulation that Q and approx mode's outer polytope share,
 lattice-normalized volume and f-vector extraction.
 
-All arithmetic is exact; no floating point is ever used.  The hulls and
-their volumes run on integers: a rational point is kept as its homogeneous
-row (m.p, m), cleared of denominators once.  ``Fraction`` appears only in
-the volumes handed out.
+All arithmetic is exact and runs on integers.  A point is a tuple of
+``int``s, kept with its homogeneous row (p, 1); both hulls raise
+``ValueError`` on any other coordinate (``exactlin.int_vector``).
+``Fraction`` appears only in the volumes handed out.
 """
 
 from fractions import Fraction
@@ -30,8 +30,8 @@ from .exactlin import (
     adjugate,
     affine_dim,
     canonical_hyperplane,
-    clear_denominators,
     echelon_extend,
+    int_vector,
     saturated_basis,
     vec_sub,
 )
@@ -59,13 +59,16 @@ class Hyperplane(NamedTuple):
 
 
 def _hom_row(pt):
-    """(m.pt, m): the point's homogeneous row, cleared by a positive m.
+    """(pt, 1): the integer point's homogeneous row."""
+    return (*pt, 1)
 
-    Scaling a row by a positive integer keeps the sign of any determinant
-    it enters, so orientation signs can be taken over these rows.
-    """
-    row, mult = clear_denominators(pt)
-    return (*row, mult)
+
+def _int_point(point, k):
+    """The point as a tuple of k ``int``s; raises ``ValueError`` otherwise."""
+    pt = tuple(point)
+    if len(pt) != k:
+        raise ValueError("point has wrong dimension")
+    return int_vector(pt)
 
 
 # -- simplices as (mask, sign) pairs, the format of TriangulatedHull and the oracle --
@@ -164,9 +167,7 @@ class TriangulatedHull:
     simplices so too, and the rules that make them (``_simplex_facets``,
     ``_place``, ``_horizon_cone``, ``_cone``) serve both.  ``points`` and
     ``tags`` record, in order, every point that lay outside the hull when
-    inserted, and ``_hom`` each one's homogeneous row (m.p, m) by tag,
-    cleared of denominators once, so hulls of rational points orient on
-    integers too.
+    inserted, and ``_hom`` each one's homogeneous row (p, 1) by tag.
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
@@ -250,12 +251,10 @@ class TriangulatedHull:
         Points in the hull, duplicates among them, are no-ops.  A point
         outside the current affine hull raises the intrinsic dimension by
         coning the whole triangulation.  Raises ``ValueError`` on a point
-        of the wrong length or on a tag that is not a non-negative ``int``
-        or is a recorded point's.
+        of the wrong length or with a coordinate that is not an ``int``, and
+        on a tag that is not a non-negative ``int`` or is a recorded point's.
         """
-        pt = tuple(point)
-        if len(pt) != self.ambient:
-            raise ValueError("point has wrong dimension")
+        pt = _int_point(point, self.ambient)
         if tag is None:
             tag = len(self.points)
         if type(tag) is not int or tag < 0 or tag in self._hom:
@@ -263,9 +262,9 @@ class TriangulatedHull:
         if self.dim == -1:
             self._record(pt, _hom_row(pt), tag)
             self.dim = 0
-            self._cells = [(1 << tag, 1)]  # the sign of the 1x1 row (m), m > 0
+            self._cells = [(1 << tag, 1)]  # the sign of the 1x1 row (1)
         elif self.dim < self.ambient and echelon_extend(
-            clear_denominators(vec_sub(pt, self.points[0]))[0], self._echelon, self._pivots
+            vec_sub(pt, self.points[0]), self._echelon, self._pivots
         ):
             self._dim_jump(pt, tag)
         else:
@@ -335,7 +334,7 @@ class TriangulatedHull:
 def _simplex_planes(rows):
     """The outward facet planes of a simplex in R^k, the one opposite each point.
 
-    ``rows`` are the k + 1 points' cleared homogeneous rows (m.p, m), m > 0.
+    ``rows`` are the k + 1 points' homogeneous integer rows (a, d), d > 0.
     Column i of the adjugate of their matrix H vanishes on every row but row
     i, on which it takes det H: it is the plane through the other points,
     and -sign(det H) turns it away from point i.  All planes come from one
@@ -365,12 +364,11 @@ class FacetHull:
     its mask.  ``_graph`` maps each facet's plane to the planes of the
     facets it shares a ridge with: the facet graph.
 
-    An insert takes a = m.g(p) per facet over the point's cleared row, and
-    the point sees the facets with a > 0.  A seen F and an unseen neighbour
-    G meet in a horizon ridge F & G, and a1.g2 - a2.g1 is the plane through
-    it and the point, at most 0 on the hull since a1 > 0 >= a2 (the dual of
-    the edge combination in ``outer.clip_halfspace``); when a2 = 0 it is G,
-    which gains the point.  The horizon ridges make a (k-2)-sphere, so each
+    An insert takes a = g(p) per facet, and the point sees the facets with
+    a > 0.  A seen F and an unseen neighbour G meet in a horizon ridge
+    F & G, and a1.g2 - a2.g1 is the plane through it and the point, at most
+    0 on the hull since a1 > 0 >= a2 (the dual of the edge combination in
+    ``outer.clip_halfspace``); when a2 = 0 it is G, which gains the point.  The horizon ridges make a (k-2)-sphere, so each
     facet of one lies on one other, and the facets through the point over
     those two ridges meet in a ridge unless they are one.  ``hull_volume``
     takes the pulling triangulation on first read; after that each insert
@@ -378,7 +376,7 @@ class FacetHull:
     """
 
     def __init__(self, points, tags=None):
-        pts = [tuple(p) for p in points]
+        pts = [int_vector(tuple(p)) for p in points]
         tags = pts if tags is None else list(tags)
         k = self.dim = len(pts[0])
         self.points, self.tags, self._hom, self._index = [], [], [], {}
@@ -386,7 +384,7 @@ class FacetHull:
         echelon, pivots, rest = [], [], []
         for p, t in zip(pts, tags):
             if not self.points or (len(self.points) <= k and echelon_extend(
-                clear_denominators(vec_sub(p, self.points[0]))[0], echelon, pivots
+                vec_sub(p, self.points[0]), echelon, pivots
             )):
                 self._record(p, _hom_row(p), t)
             else:
@@ -416,24 +414,20 @@ class FacetHull:
     def insert(self, point, tag=None):
         """Insert a point; returns the list of facet planes it added.
 
-        Duplicates and points in the hull are no-ops.  Raises
-        ``InvariantViolation`` when the facet graph is found corrupted: a
-        facet of a horizon ridge that lies on no other.
+        Duplicates and points in the hull are no-ops.  Raises ``ValueError``
+        on a point of the wrong length or with a coordinate that is not an
+        ``int``, and ``InvariantViolation`` when the facet graph is found
+        corrupted: a facet of a horizon ridge that lies on no other.
         """
-        pt = tuple(point)
-        k = self.dim
-        if len(pt) != k:
-            raise ValueError("point has wrong dimension")
+        pt = _int_point(point, self.dim)
         if pt in self._index:
             return []
-        row = _hom_row(pt)
-        x, m = row[:k], row[k]
         facets, graph = self._facets, self._graph
-        a_of = {plane: sum(map(mul, plane.normal, x)) - m * plane.offset for plane in facets}
+        a_of = {plane: sum(map(mul, plane.normal, pt)) - plane.offset for plane in facets}
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
             return []
-        vid = self._record(pt, row, tag)
+        vid = self._record(pt, _hom_row(pt), tag)
         if self._volume is not None:
             self._volume += self._cone_volume(vid, seen)
         bit = 1 << vid

@@ -13,7 +13,10 @@ serves two geometric predicates built from the same column data:
 
 Because the base matrix excludes both the lifting and the homogenizing row,
 every cached minor is independent of the lifting, so one cache accelerates
-predicate evaluations across many lifting directions.
+predicate evaluations across many lifting directions.  The base matrix and
+the liftings are integers: ``MinorCache`` raises ``ValueError`` on a column
+entry that is not an ``int`` (``exactlin.int_vector``), so every minor is
+an exact integer.
 
 Most predicate calls are answered from cached minors, so the work around a
 lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
@@ -30,6 +33,8 @@ benchmark's result context); there is one, in pure Python.
 """
 
 from time import perf_counter
+
+from .exactlin import int_vector
 
 __all__ = [
     "det_bareiss",
@@ -104,7 +109,8 @@ def mask_with_parity(cols):
 class MinorCache:
     """Cache of signed minors of one fixed integer base matrix.
 
-    The base matrix is given column-wise; minors are keyed by the bitmask of
+    The base matrix is given column-wise, each column a vector of ``int``s
+    (any other entry raises ``ValueError``); minors are keyed by the bitmask of
     their columns (bit c for column c), taken in increasing order, and
     always take the *top* rows of matching count.  Two tables are kept:
 
@@ -134,7 +140,7 @@ class MinorCache:
     """
 
     def __init__(self, columns, threshold=10 ** 6, use_cache=True):
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [int_vector(tuple(c)) for c in columns]
         if cols:
             nrows = len(cols[0])
             for c in cols:
@@ -308,10 +314,9 @@ class MinorCache:
         The matrix has the coordinate rows of the chosen columns, one row of
         per-column lifting values, then the all-ones row.  ``lifting`` is
         aligned with ``cols`` (any order; the permutation sign is folded in)
-        and its values may be integers or ``fractions.Fraction``.  The
-        expansion runs along the lifting row of the sorted columns; every
-        homogeneous sub-minor is requested (and thus cached) even when its
-        lifting coefficient is 0.
+        and its values are integers.  The expansion runs along the lifting
+        row of the sorted columns; every homogeneous sub-minor is requested
+        (and thus cached) even when its lifting coefficient is 0.
         """
         cols = tuple(cols)
         k = len(cols)

@@ -35,22 +35,16 @@ against per-block masks.
 
 from random import Random
 
-from .exactlin import canonical_direction, clear_denominators
+from .exactlin import canonical_direction
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
 from .kernels import MinorCache
 
 __all__ = [
     "VertexOracle",
-    "canonical",
     "lift_direction",
     "mixed_cells",
     "rho_vector",
 ]
-
-
-def canonical(w):
-    """Canonical integer form of a rational direction (orientation kept)."""
-    return canonical_direction(clear_denominators(w)[0])
 
 
 def lift_direction(sys, w):
@@ -214,12 +208,12 @@ class VertexOracle:
     # -- oracle calls --------------------------------------------------------------
 
     def vtx(self, w):
-        """Vertex of the projected polytope extreme in direction w.
+        """Vertex of the projected polytope extreme in the integer direction w.
 
         Returns (projected point, full rho vector); memoized per canonical
         direction (the memo key set is W).
         """
-        key = canonical(w)
+        key = canonical_direction(w)
         hit = self.memo.get(key)
         if hit is not None:
             return hit

@@ -11,15 +11,17 @@ triangulation built from the tight sets by the routine that Q's
 has been read updates it from the smaller side of the cut; a clip of one
 whose volume has not leaves its own unread too.
 
-All arithmetic is exact and runs on integers; ``Fraction`` appears only in
-the volumes and vertex coordinates handed out.
+All arithmetic is exact and runs on integers: a vertex is a primitive
+integer row, and a cut's normal and offset are ``int``s (``clip_halfspace``
+raises ``ValueError`` on any other).  ``Fraction`` appears only in the
+volumes and vertex coordinates handed out.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateInput, EmptyIntersection
-from .exactlin import clear_denominators, dot, primitive
-from .geometry import _hom_row, _pulling_volume, _simplex_planes
+from .exactlin import dot, int_vector, primitive
+from .geometry import _pulling_volume, _simplex_planes
 
 __all__ = ["OuterPolytope", "clip_halfspace"]
 
@@ -35,8 +37,11 @@ def _vertex_masks(tight):
 
 
 def _constraint_row(plane):
-    """Primitive integer row g with g.(m.x, m) of the sign of normal.x - offset."""
-    return primitive(clear_denominators((*plane.normal, -plane.offset))[0])
+    """Primitive integer row g with g.(d.x, d) of the sign of normal.x - offset.
+
+    Raises ``ValueError`` on a normal or offset that is not an ``int``.
+    """
+    return primitive(int_vector((*plane.normal, -plane.offset)))
 
 
 class OuterPolytope:
@@ -68,15 +73,16 @@ class OuterPolytope:
         return self._volume
 
     @classmethod
-    def simplex(cls, points):
-        """The simplex spanned by dim + 1 affinely independent points.
+    def simplex(cls, rows):
+        """The simplex on dim + 1 affinely independent vertices.
 
-        The facet opposite point i gets id i, so point i is tight at every
-        constraint but its own.  Raises ``InvariantViolation`` when the
-        points are affinely dependent.
+        ``rows`` are the vertices in the polytope's own format, primitive
+        integer homogeneous rows (a, d), d > 0.  The facet opposite vertex
+        i gets id i, so vertex i is tight at every constraint but its own.
+        Raises ``InvariantViolation`` when the vertices are affinely
+        dependent.
         """
-        k = len(points) - 1
-        rows = [primitive(_hom_row(p)) for p in points]
+        k = len(rows) - 1
         if k == 0:
             return cls(0, rows, [frozenset()], [], Fraction(1))
         constraints = _simplex_planes(rows)

@@ -25,6 +25,7 @@ from .exactlin import (
     echelon_extend,
     echelon_reduce,
     integer_kernel,
+    primitive,
     rank_int,
     vec_sub,
 )
@@ -310,28 +311,28 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
             ratio=Fraction(1),
             threshold=threshold,
             reached=True,
-            outer=OuterPolytope.simplex([()]),
+            outer=OuterPolytope.simplex([(1,)]),
         )
         return state, report
 
     # Bounding simplex: |xi_i| is bounded via xi = S (x - p0) with
     # S = (B^T B)^{-1} B^T = pull^T / gram_det and the coordinate-wise
     # diameter of the target, which the +-e_j queries already pinned down
-    # exactly.
+    # exactly.  Its vertices, with radius r / g = bound / g + 1, are the
+    # homogeneous rows (-r, ..., -r, g) and, for each t, the row with
+    # (2k - 1).r at t.
     chart = state.chart
     xs = list(state.hull.tags)
     diam = [max(x[j] for x in xs) - min(x[j] for x in xs) for j in range(state.m)]
     bound = max(
         sum(abs(row[i]) * dj for row, dj in zip(chart.pull, diam)) for i in range(k)
     )
-    radius = Fraction(bound, chart.gram_det) + 1
-
-    base = tuple(-radius for _ in range(k))
-    apexes = [
-        tuple((2 * k - 1) * radius if i == t else -radius for i in range(k))
-        for t in range(k)
+    g = chart.gram_det
+    r = bound + g
+    rows = [(*[-r] * k, g)] + [
+        (*[(2 * k - 1) * r if i == t else -r for i in range(k)], g) for t in range(k)
     ]
-    outer = OuterPolytope.simplex([base] + apexes)
+    outer = OuterPolytope.simplex([primitive(row) for row in rows])
 
     for w in sorted(state.oracle.memo):
         point = state.oracle.memo[w][0]

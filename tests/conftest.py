@@ -24,12 +24,14 @@ def cells_volume(points):
     cells of a placing triangulation, each |det(edges)| / d! by ``ref_det``.
 
     A reference that shares no code with the pulling triangulation behind
-    ``hull_volume`` and ``OuterPolytope.volume``.
+    ``hull_volume`` and ``OuterPolytope.volume``.  Rational points are
+    triangulated scaled by their common denominator, which keeps the cells.
     """
     d = len(points[0])
+    den = math.lcm(*(Fraction(x).denominator for p in points for x in p))
     plain = TriangulatedHull(d)
     for i, p in enumerate(points):
-        plain.insert(tuple(p), tag=i)
+        plain.insert(tuple(int(x * den) for x in p), tag=i)
     total = 0
     for mask, _ in plain.cells:
         cell = [p for i, p in enumerate(points) if mask >> i & 1]

@@ -392,6 +392,29 @@ def test_compute_invariant_violation_exit_4(tmp_path, capsys, monkeypatch):
     assert err == "error: internal invariant violated: oracle answer fell below a facet of Q\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_broken_call_bound_exits_4_before_any_output(tmp_path, capsys, monkeypatch, mode):
+    # One oracle call more than vertices + facets allow, with no --stats:
+    # the bound is checked on every run, before the result is printed.
+    name = "compute_pi" if mode == "exact" else "compute_pi_approx"
+    real = getattr(cli, name)
+
+    def over_budget(*args, **kwargs):
+        result = real(*args, **kwargs)
+        state = result[0] if isinstance(result, tuple) else result
+        hull = state.hull
+        budget = len(hull.points) + len(hull.facet_map())
+        state.oracle.pipeline_runs = state.init_calls + budget + 1
+        return result
+
+    monkeypatch.setattr(cli, name, over_budget)
+    path = _write(tmp_path, "sylvester.txt", SYLVESTER_TEXT)
+    code, out, err = _run(["compute", path, "--mode", mode], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: internal invariant violated: oracle call bound violated")
+
+
 @pytest.mark.parametrize(
     "golden, mode, args",
     [

@@ -27,7 +27,6 @@ from resnewt.exactlin import (
     affine_dim,
     canonical_direction,
     canonical_hyperplane,
-    clear_denominators,
     integer_kernel,
     primitive,
     rank_int,
@@ -187,10 +186,12 @@ def test_orientation_shift_invariance():
 
 
 def test_orientation_fraction_lifting():
+    # The lifting 1/2, -1/3, 5/6 scaled by its common denominator 6, which
+    # keeps the sign.
     base = [(0, 0), (1, 0), (0, 1), (2, 3)]
     cache = MinorCache(base)
     cols = (0, 1, 3)
-    lifting = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)]
+    lifting = [3, -2, 5]
     d = ref_det(_orientation_matrix(base, cols, lifting))
     assert cache.orientation(cols, lifting) == _sign(d)
 
@@ -215,7 +216,8 @@ def test_predicates_over_every_column_order():
             d = ref_det(_hom_matrix(base, order))
             assert cache.hom_sign(order) == _sign(d), order
         cols = rng.sample(range(ncols), k_orient)
-        lifting = [rng.choice((0, 0, 1, -2, 3, Fraction(1, 2))) for _ in cols]
+        # The values 0, 1, -2, 3 and 1/2 scaled by 2.
+        lifting = [rng.choice((0, 0, 2, -4, 6, 1)) for _ in cols]
         for perm in permutations(range(k_orient)):
             order = [cols[i] for i in perm]
             lift = [lifting[i] for i in perm]
@@ -506,17 +508,6 @@ def test_primitive_and_canonical_direction():
         canonical_direction([0, 0, 0])
 
 
-def test_clear_denominators():
-    # (m.vec, m) with m the least positive multiplier; a float is read as
-    # the Fraction it equals, not truncated.
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == ((3, 2), 6)
-    assert clear_denominators((2, -4)) == ((2, -4), 1)
-    assert clear_denominators([Fraction(-2, 5), 1]) == ((-2, 5), 5)
-    assert clear_denominators([Fraction(4, 2), True]) == ((2, 1), 1)
-    assert clear_denominators((0, 0.5, 0.75)) == ((0, 2, 3), 4)
-    assert clear_denominators((-1.5, 2)) == ((-3, 4), 2)
-
-
 def test_canonical_hyperplane():
     assert canonical_hyperplane([2, 4], 6) == ((1, 2), 3)
     assert canonical_hyperplane([-3, 0], 9) == ((-1, 0), 3)
@@ -613,8 +604,9 @@ def test_rank_and_affine_dim():
         for _ in range(rng.randint(0, 4)):
             rows.append([rng.randint(-4, 4) for _ in range(width)])
         assert rank_int(rows) == ref_rank(rows)
-        rational = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
-        assert rank_int(rational) == ref_rank(rows)
+        # Each row over denominators up to 6, scaled by their multiple 60.
+        scaled = [[x * 60 // rng.randint(1, 6) for x in row] for row in rows]
+        assert rank_int(scaled) == ref_rank(rows)
     assert affine_dim([]) == -1
     assert affine_dim([(3, 3)]) == 0
     assert affine_dim([(0, 0), (2, 0), (1, 0)]) == 1
@@ -650,9 +642,10 @@ def test_integer_kernel_basic():
 
 
 def test_kernel_and_saturation_clear_rational_entries():
-    # A row or vector is scaled by a positive integer, never truncated.
-    assert saturated_basis([(Fraction(1, 2), 1)], ambient_dim=2) in ([(1, 2)], [(-1, -2)])
-    assert integer_kernel([[Fraction(1, 2), 1]]) in ([(2, -1)], [(-2, 1)])
+    # The rational row (1/2, 1) scaled by its denominator 2 keeps its span
+    # and its kernel.
+    assert saturated_basis([(1, 2)], ambient_dim=2) in ([(1, 2)], [(-1, -2)])
+    assert integer_kernel([[1, 2]]) in ([(2, -1)], [(-2, 1)])
 
 
 def test_integer_kernel_is_saturated():

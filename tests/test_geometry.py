@@ -31,6 +31,13 @@ from resnewt import geometry
 from resnewt import oracle as oracle_module
 from resnewt import outer as outer_module
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
+from resnewt.exactlin import (
+    affine_dim,
+    integer_kernel,
+    primitive,
+    rank_int,
+    saturated_basis,
+)
 from resnewt.geometry import (
     FacetHull,
     Hyperplane,
@@ -39,7 +46,7 @@ from resnewt.geometry import (
     hull_volume,
     lattice_hull,
 )
-from resnewt.kernels import det_bareiss
+from resnewt.kernels import MinorCache, det_bareiss
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -191,7 +198,7 @@ def test_facet_hull_matches_brute_force_after_every_insert(d):
         sets.append(_random_points(rng, d, d + 5))
         grid = lambda: tuple(rng.randint(0, 2) for _ in range(d))
         sets.append(list(dict.fromkeys(grid() for _ in range(d + 5))))
-    half = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+    half = lambda: tuple(rng.randint(0, 4) for _ in range(d))  # halves, scaled by 2
     sets.append(list(dict.fromkeys(half() for _ in range(d + 5))))
     gained = 0
     for pts in sets:
@@ -299,28 +306,39 @@ def test_facet_map_keys_support_hull():
             assert _value(plane, p) == plane.offset
 
 
-# -- non-integer points ---------------------------------------------------------
+# -- the integer contract --------------------------------------------------------
 
 
-def test_float_points_build_the_hull_of_the_equal_fractions():
-    # A float coordinate is read exactly, as the Fraction it equals.
-    floats = [(0, 0), (1, 0), (0, 1), (0.5, 0.75), (0.25, 0.25), (1.5, -0.5)]
-    fracs = [tuple(Fraction(x) for x in p) for p in floats]
-    by_float, by_frac = FacetHull(floats), FacetHull(fracs)
-    assert by_float.facet_map() == by_frac.facet_map()
-    assert by_float.points == by_frac.points
-    assert hull_volume(by_float) == hull_volume(by_frac)
-    # (0.5, 0.75) lies beyond the triangle's diagonal x + y = 1.
-    quad = FacetHull([(0, 0), (1, 0), (0, 1), (0.5, 0.75)])
-    assert len(quad.points) == 4 and len(quad.facet_map()) == 4
-    assert any(mask >> 3 & 1 for mask in quad.facet_map().values())
-    # The triangulated hull, also on a flat of 3-space with a float offset.
-    for pts, ambient in ((floats, 2), ([(*p, 0.5) for p in floats], 3)):
-        exact = [tuple(Fraction(x) for x in p) for p in pts]
-        by_float, by_frac = _build(pts, ambient), _build(exact, ambient)
-        assert by_float.dim == by_frac.dim == 2
-        assert by_float.cells == by_frac.cells
-        assert by_float.boundary == by_frac.boundary
+@pytest.mark.parametrize(
+    "x", [Fraction(1, 2), 0.5, Fraction(1), 1.0], ids=["fraction", "float", "fraction-1", "float-1"]
+)
+def test_exact_layer_entries_reject_non_int_coordinates(x):
+    # Each entry that takes coordinates raises ValueError on one that is not
+    # an int, even one equal to an int, before it reads or changes anything.
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    tri, flat, facets = TriangulatedHull(2), TriangulatedHull(3), FacetHull(square)
+    for p in square:
+        tri.insert(p)
+    flat.insert((0, 0, 0))
+    entries = {
+        "rank_int": lambda: rank_int([(1, 0), (0, x)]),
+        "affine_dim": lambda: affine_dim([(0, 0), (x, 1)]),
+        "integer_kernel": lambda: integer_kernel([[1, x]]),
+        "saturated_basis": lambda: saturated_basis([(x, 1)]),
+        # At x = 0.5 this column was once truncated to (0, 0).
+        "MinorCache": lambda: MinorCache([(x, 0), (1, 0), (0, 1)]),
+        "first point": lambda: TriangulatedHull(2).insert((x, 0)),
+        "dimension jump": lambda: flat.insert((1, x, 0)),
+        "point inside": lambda: tri.insert((x, 1)),
+        "FacetHull": lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
+        "facet point": lambda: facets.insert((x, 0)),
+        "point beyond": lambda: facets.insert((3, x)),
+        "clip_halfspace": lambda: clip_halfspace(_box(2), Hyperplane((1, 0), x)),
+    }
+    for entry in entries.values():
+        with pytest.raises(ValueError, match="must be ints"):
+            entry()
+    assert len(tri.points) == len(facets.points) == 4 and flat.dim == 0
 
 
 # -- volumes -------------------------------------------------------------------
@@ -362,8 +380,8 @@ def test_lattice_hull_charts_points_over_their_own_lattice():
             )
             assert back == p
         assert hull_volume(hull) == volume
-    with pytest.raises(InvariantViolation):
-        lattice_hull([(0, 0), (Fraction(1, 2), 0)])  # off its own lattice
+    with pytest.raises(ValueError):
+        lattice_hull([(0, 0), (Fraction(1, 2), 0)])  # not an integer point
 
 
 def test_hull_volume_matches_shoelace():
@@ -380,9 +398,9 @@ def test_hull_volume_running_sum_across_dimension_jumps():
     # Integer prefixes rising through dimensions 0 to 3 have the volume of
     # their lattice_hull, which at full dimension is the volume of their own
     # FacetHull.  Once read, a hull keeps a running sum: after every further
-    # insert (rational points included) it must equal a fresh hull's
-    # volume of the same points and the sum over an independent
-    # triangulation's cells of |det(edges)| / 3!.
+    # insert (rational points with denominators up to 3, all points scaled
+    # by 6) it must equal a fresh hull's volume of the same points and the
+    # sum over an independent triangulation's cells of |det(edges)| / 3!.
     rng = random.Random(23)
     line = [(0, 0, 0), (2, 4, 6), (-1, -2, -3), (3, 6, 9)]
     plane = [(1, 0, 0), (3, 2, 3), (-4, -2, -3)]  # line + Z(1, 0, 0)
@@ -395,9 +413,10 @@ def test_hull_volume_running_sum_across_dimension_jumps():
         if hull.dim == 3:
             assert hull_volume(hull) == hull_volume(FacetHull(pts[:n]))
     assert dims[:4] == [0, 1, 1, 1] and dims[4:7] == [2, 2, 2] and dims[-1] == 3
+    pts = [tuple(6 * x for x in p) for p in pts]
     hull = FacetHull(pts)
     more = [
-        tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(3))
+        tuple(6 * rng.randint(-9, 9) // rng.choice((1, 2, 3)) for _ in range(3))
         for _ in range(6)
     ]
     hull_volume(hull)
@@ -416,17 +435,29 @@ def _clip_all(outer, planes):
     return outer
 
 
+def _simplex(points):
+    # The outer simplex on integer points, as their rows (p, 1).
+    return OuterPolytope.simplex([(*p, 1) for p in points])
+
+
+def _int_plane(normal, offset):
+    # {x : normal.x <= offset} for a rational offset, over its denominator.
+    c = Fraction(offset)
+    return Hyperplane(tuple(a * c.denominator for a in normal), c.numerator)
+
+
 def _box(side):
     """The square [0, side]^2 cut out of a simplex by two clips."""
-    simplex = OuterPolytope.simplex([(0, 0), (2 * side, 0), (0, 2 * side)])
+    simplex = _simplex([(0, 0), (2 * side, 0), (0, 2 * side)])
     return _clip_all(simplex, [((1, 0), side), ((0, 1), side)])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_simplex_planes_match_reference(d):
     # The outward planes read off one adjugate, against ref_simplex_planes, on
-    # seeded simplices with Fraction coordinates, so the homogeneous rows
-    # (m.p, m) have m > 1; the same points in another order permute them.
+    # seeded simplices with Fraction coordinates, given as primitive
+    # homogeneous rows (a, d) over the common denominator 12, so d > 1
+    # occurs; the same points in another order permute them.
     rng = random.Random(900 + d)
     done = cleared = 0
     while done < 6:
@@ -436,7 +467,7 @@ def test_simplex_planes_match_reference(d):
         ]
         if ref_affine_dim(pts) < d:
             continue
-        rows = [geometry._hom_row(p) for p in pts]
+        rows = [primitive((*(int(12 * x) for x in p), 12)) for p in pts]
         cleared += any(row[-1] > 1 for row in rows)
         planes = geometry._simplex_planes(rows)
         assert planes == ref_simplex_planes(pts)
@@ -451,7 +482,7 @@ def test_simplex_planes_match_reference(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_simplex_planes_of_dependent_points_raise(d):
     # Points on a common hyperplane: a repeated point, or one an affine
-    # combination of the others.
+    # combination of the others, all scaled by their common denominator 4.
     rng = random.Random(950 + d)
     pts = [tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(d)) for _ in range(d)]
     weights = [Fraction(rng.randint(-3, 3), 2) for _ in range(d - 1)]
@@ -459,14 +490,14 @@ def test_simplex_planes_of_dependent_points_raise(d):
         p0 + sum(w * (p[j] - p0) for w, p in zip(weights, pts[1:])) for j, p0 in enumerate(pts[0])
     )
     for extra in (pts[0], combo):
-        rows = [geometry._hom_row(p) for p in pts + [extra]]
+        rows = [geometry._hom_row(tuple(int(4 * x) for x in p)) for p in pts + [extra]]
         with pytest.raises(InvariantViolation):
             geometry._simplex_planes(rows)
 
 
 def test_outer_simplex_constraints():
     pts = [(0, 0, 0), (3, 0, 0), (0, Fraction(5, 2), 0), (1, 1, 4)]
-    simplex = OuterPolytope.simplex(pts)
+    simplex = OuterPolytope.simplex([(0, 0, 0, 1), (3, 0, 0, 1), (0, 5, 0, 2), (1, 1, 4, 1)])
     assert simplex.points() == pts
     assert simplex.volume == cells_volume(pts) == 5
     for cid, plane in enumerate(simplex.constraints):
@@ -492,22 +523,13 @@ def test_clip_rectangle_area():
     assert set(clipped.points()) == {(0, 0), (1, 0), (1, 4), (0, 4)}
 
 
-def test_clip_by_a_float_offset_cuts_as_the_equal_fraction():
-    half = Fraction(1, 2)
-    by_float = clip_halfspace(_box(2), Hyperplane((1, 0), 0.5))
-    by_frac = clip_halfspace(_box(2), Hyperplane((1, 0), half))
-    assert by_float.points() == by_frac.points()
-    assert set(by_frac.points()) == {(0, 0), (half, 0), (half, 2), (0, 2)}
-    assert by_float.volume == by_frac.volume == 1
-
-
 def test_clip_simplex_scaling():
     # Cutting the corner of the standard simplex at x <= t leaves
     # volume 1/6 - (1-t)^3/6 ... easier checked from the apex side:
     # {x >= t} intersected with the simplex is a scaled copy, volume (1-t)^3/6.
-    simplex = OuterPolytope.simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    simplex = _simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     t = Fraction(1, 3)
-    upper = clip_halfspace(simplex, Hyperplane((-1, 0, 0), -t))  # x >= t
+    upper = clip_halfspace(simplex, _int_plane((-1, 0, 0), -t))  # x >= t
     assert upper.volume == (1 - t) ** 3 / 6
 
 
@@ -522,7 +544,7 @@ def test_clip_cascade_monotone():
             continue
         c = max(sum(a * b for a, b in zip(n, p)) for p in outer.points()) - 1
         try:
-            outer = clip_halfspace(outer, Hyperplane(n, c))
+            outer = clip_halfspace(outer, _int_plane(n, c))
         except EmptyIntersection:
             break
         new_vol = outer.volume
@@ -537,8 +559,9 @@ def test_clip_cascades_match_vertex_enumeration(d):
     # Seeded cascades of clips from a simplex {x_i >= -r, sum x <= s}: after
     # every clip the outer polytope's vertices are those a brute-force
     # enumeration finds from the same constraints, and its running volume is
-    # that of a fresh facet hull of them.  Offsets are rational, some
-    # planes pass through a vertex, some miss the polytope.
+    # that of a fresh facet hull of them.  Offsets are rational (a plane
+    # is cut over the offset's denominator), some planes pass through a
+    # vertex, some miss the polytope.
     rng = random.Random(600 + d)
     for trial in range(4 if d < 4 else 2):
         r, s = rng.randint(1, 4), rng.randint(1, 6)
@@ -550,7 +573,7 @@ def test_clip_cascades_match_vertex_enumeration(d):
             tuple(s + (d - 1) * r if i == t else -r for i in range(d))
             for t in range(d)
         ]
-        outer = OuterPolytope.simplex(corners)
+        outer = _simplex(corners)
         for _ in range(7 if d < 4 else 5):
             n = tuple(rng.randint(-3, 3) for _ in range(d))
             if not any(n):
@@ -564,12 +587,13 @@ def test_clip_cascades_match_vertex_enumeration(d):
                 c = hi + Fraction(1, rng.randint(1, 3))
             else:
                 c = lo + (hi - lo) * Fraction(rng.randint(1, 11), 12)
-            clipped = clip_halfspace(outer, Hyperplane(n, c))
+            plane = _int_plane(n, c)
+            clipped = clip_halfspace(outer, plane)
             if c >= hi:
                 assert clipped is outer
                 continue
             outer = clipped
-            constraints.append((n, c))
+            constraints.append(plane)
             expect = brute_force_vertices(constraints, d)
             assert set(outer.points()) == expect
             assert outer.volume == cells_volume(sorted(expect))
@@ -602,7 +626,7 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
     corners = [(-r,) * d] + [
         tuple(s + (d - 1) * r if i == t else -r for i in range(d)) for t in range(d)
     ]
-    unread = OuterPolytope.simplex(corners)
+    unread = _simplex(corners)
     planes = []
     while len(planes) < 9:
         n = tuple(rng.randint(-3, 3) for _ in range(d))
@@ -620,14 +644,15 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
             c = hi + rng.randint(0, 2)
         else:
             c = lo + (hi - lo) * Fraction(rng.randint(1, 11), 12)
-        clipped = clip_halfspace(unread, Hyperplane(n, c))
+        plane = _int_plane(n, c)
+        clipped = clip_halfspace(unread, plane)
         assert (clipped is unread) == (kind == "nothing")
         unread = clipped
-        planes.append(Hyperplane(n, c))
+        planes.append(plane)
     assert not pulls
     expect = cells_volume(unread.points())
 
-    every = OuterPolytope.simplex(corners)
+    every = _simplex(corners)
     cuts = 0
     every_volumes = [every.volume]
     for plane in planes:
@@ -637,7 +662,7 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
         every_volumes.append(every.volume)
     assert len(pulls) == 1 + cuts  # the simplex's read, then one per cut
 
-    half = OuterPolytope.simplex(corners)
+    half = _simplex(corners)
     for k, plane in enumerate(planes, start=1):
         half = clip_halfspace(half, plane)
         if k == len(planes) // 2:
@@ -661,7 +686,7 @@ def test_clip_adjacency_needs_more_than_rank():
     ]
     constraints += [(tuple(1 if i == t else 0 for i in range(d)), 2) for t in range(d)]
     constraints += [((1, -1, 0, 0), 0), ((0, 0, 1, 1), 3)]
-    outer = _clip_all(OuterPolytope.simplex(corners), constraints[d + 1:])
+    outer = _clip_all(_simplex(corners), constraints[d + 1:])
     expect = brute_force_vertices(constraints, d)
     assert (0, 0, Fraction(3, 2), Fraction(3, 2)) not in expect
     assert set(outer.points()) == expect
@@ -747,7 +772,9 @@ def _same_up_to_sign(a, b):
 
 def _flat_points(rng, ambient, n, rational):
     # Points of a random flat of R^ambient, drawn along its directions in
-    # reverse order, so the chart's pivots often arrive out of order.
+    # reverse order, so the chart's pivots often arrive out of order.  With
+    # ``rational`` the coefficients have denominators up to 3 and every
+    # point is scaled by their common denominator 6.
     k = rng.randint(1, ambient)
     p0 = [rng.randint(-3, 3) for _ in range(ambient)]
     dirs = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
@@ -764,12 +791,15 @@ def _flat_points(rng, ambient, n, rational):
         pts.append(tuple(
             x + sum(c * d[i] for c, d in zip(coef, dirs)) for i, x in enumerate(p0)
         ))
+    if rational:
+        pts = [tuple(int(6 * x) for x in p) for p in pts]
     return list(dict.fromkeys(pts))
 
 
 def test_flat_chart_matches_intrinsic_hull():
     # Points p0 + a.u + b.v of a 2-flat in R^4 (u, v a saturated basis of
-    # its direction space), some with Fraction (a, b).  The flat hull orients
+    # its direction space), with Fraction (a, b) scaled by their common
+    # denominator 6.  The flat hull orients
     # over its chart; the hull of the (a, b) in R^2 orients directly.  Both
     # must make every decision alike: same cells, same boundary simplices,
     # their signs the same up to the chart's one factor; and the facets of
@@ -783,6 +813,7 @@ def test_flat_chart_matches_intrinsic_hull():
             b = Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2)))
             if (a, b) not in ab:
                 ab.append((a, b))
+        ab = [(int(6 * a), int(6 * b)) for a, b in ab]
         flat_pts = [
             tuple(x + a * y + b * z for x, y, z in zip(p0, u, v)) for a, b in ab
         ]
@@ -1056,8 +1087,8 @@ def test_plane_visibility_matches_orientation(d):
     # reported additions must give the table's keys.
     rng = random.Random(700 + d)
     for trial in range(5):
-        if trial == 4:  # half-integer grid: rational points
-            draw = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+        if trial == 4:  # half-integer grid, scaled by 2
+            draw = lambda: tuple(rng.randint(0, 4) for _ in range(d))
         else:
             draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
         pts = list(dict.fromkeys(draw() for _ in range(d + 7)))
@@ -1144,8 +1175,8 @@ def _pencil_points(rng, d, kind):
         return _random_points(rng, d, d + 5)
     if kind == "grid":  # coplanar points: planes that gain the new point
         draw = lambda: tuple(rng.randint(0, 2) for _ in range(d))
-    else:  # half-integer grid: rational points
-        draw = lambda: tuple(Fraction(rng.randint(0, 4), 2) for _ in range(d))
+    else:  # half-integer grid, scaled by 2
+        draw = lambda: tuple(rng.randint(0, 4) for _ in range(d))
     return list(dict.fromkeys(draw() for _ in range(d + 5)))
 
 
@@ -1211,9 +1242,11 @@ def test_horizon_ridge_meets_a_neighbour_in_an_edge():
     # round e make a prism, so a ridge through e meets the facet two steps
     # round it in e alone, three points, as many as a facet of the ridge
     # may have; only maximality tells e from the ridge's facets.  A point
-    # just beyond one facet through e must leave the true facet graph.
-    prism = [(x, y, z, 0, 0) for x, y in ((0, 0), (2, 0), (0, 2)) for z in (0, 2)]
-    b, a = (1, 1, 1, 2, 0), (1, 1, 1, 0, 2)
+    # just beyond one facet through e must leave the true facet graph.  All
+    # points are scaled by 350, the denominator of that point.
+    k = 350
+    prism = [(k * x, k * y, k * z, 0, 0) for x, y in ((0, 0), (2, 0), (0, 2)) for z in (0, 2)]
+    b, a = (k, k, k, 2 * k, 0), (k, k, k, 0, 2 * k)
     mid = tuple((u + v) // 2 for u, v in zip(a, b))
     hull = FacetHull(prism + [b, mid, a])
     assert mid in hull.points
@@ -1224,8 +1257,8 @@ def test_horizon_ridge_meets_a_neighbour_in_an_edge():
     ]
     assert len(on_e) == 5
     plane, mask = next((plane, mask) for plane, mask in on_e if len(_on(hull, mask)) == 7)
-    inside = [sum(Fraction(q[i]) for q in _on(hull, mask)) / 7 for i in range(5)]
-    p = tuple(c + Fraction(n, 50) for c, n in zip(inside, plane.normal))
+    inside = [sum(q[i] for q in _on(hull, mask)) // 7 for i in range(5)]
+    p = tuple(c + 7 * n for c, n in zip(inside, plane.normal))  # k.(n / 50)
     assert [pl for pl in hull.facet_map() if _sees(pl, p)] == [plane]
     hull.insert(p)
     _assert_facet_graph(hull)

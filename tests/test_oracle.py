@@ -23,11 +23,11 @@ from resnewt import oracle as oracle_module
 from resnewt.cayley import build_cayley
 from resnewt.cli import gen_random
 from resnewt.errors import InvalidDirection
+from resnewt.exactlin import canonical_direction
 from resnewt.geometry import TriangulatedHull
 from resnewt.kernels import MinorCache, det_bareiss
 from resnewt.oracle import (
     VertexOracle,
-    canonical,
     lift_direction,
     mixed_cells,
     rho_vector,
@@ -55,13 +55,11 @@ def _cols(mask):
 
 
 def test_canonical_direction_normalization():
-    from fractions import Fraction
-
-    assert canonical([2, -4, 6]) == (1, -2, 3)
-    assert canonical([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    assert canonical([0, -5]) == (0, -1)
+    assert canonical_direction([2, -4, 6]) == (1, -2, 3)
+    assert canonical_direction([3, 2]) == (3, 2)  # (1/2, 1/3) over its denominator 6
+    assert canonical_direction([0, -5]) == (0, -1)
     with pytest.raises(InvalidDirection):
-        canonical([0, 0])
+        canonical_direction([0, 0])
 
 
 def test_lift_direction_places_symbolic_heights():
@@ -96,8 +94,8 @@ def test_mixed_cells_classification():
 def test_triangulation_matches_frozen_cells():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)
-    plus, plus_volumes = oracle.triangulation(canonical([1, 0, 0, 0, 0, 0]))
-    minus, minus_volumes = oracle.triangulation(canonical([-1, 0, 0, 0, 0, 0]))
+    plus, plus_volumes = oracle.triangulation(canonical_direction([1, 0, 0, 0, 0, 0]))
+    minus, minus_volumes = oracle.triangulation(canonical_direction([-1, 0, 0, 0, 0, 0]))
     # Cells come back as column masks in no promised order.
     assert sorted(_cols(c) for c in plus) == sorted(MONOMIAL_SURFACE_CELLS_PLUS)
     assert sorted(_cols(c) for c in minus) == sorted(MONOMIAL_SURFACE_CELLS_MINUS)
@@ -161,7 +159,7 @@ def _directions_with_zeros(rng, m, count):
             w[i] = 0
         if not any(w):
             w[0] = 1
-        yield canonical(w)
+        yield canonical_direction(w)
 
 
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
@@ -294,7 +292,7 @@ def test_row_space_direction_keeps_every_column_on_a_tilted_flat(index, monkeypa
     # later column on the flat from a cell's lifted orientation, and places
     # it there.
     sysd = _generated_systems("full")[index]
-    w = canonical(_row_space_lift(sysd, random.Random(67 + index)))
+    w = canonical_direction(_row_space_lift(sysd, random.Random(67 + index)))
     seed = next(seed for seed in range(100) if _spanning_head(sysd, w, seed))
     head = _spanning_head(sysd, w, seed)
     lift = lift_direction(sysd, w)
@@ -319,7 +317,7 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
     lift = _row_space_lift(sysd, random.Random(71 + index))
     j = sysd.projection.index(0)
     lift[j] += 1  # column 0 off the flat
-    w = canonical(lift)
+    w = canonical_direction(lift)
 
     def wanted(seed):
         order = _placing_order(sysd, w, seed)
@@ -344,7 +342,7 @@ def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
     sysd = _generated_systems("full")[index]
     full = 2 * sysd.n + 1
     rng = random.Random(73 + index)
-    w = canonical([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(sysd.m)])
+    w = canonical_direction([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(sysd.m)])
 
     def misses_a_block(seed):
         head = _placing_order(sysd, w, seed)[:full]
@@ -486,7 +484,7 @@ def test_mask_pairs_face_a_point_inside_the_hull(mode, monkeypatch):
         # Coordinate directions lift one column, so a full projection's
         # hull often reaches dimension 2n before it.
         axes = [
-            canonical([sign * (i == k) for i in range(sysd.m)])
+            canonical_direction([sign * (i == k) for i in range(sysd.m)])
             for k in range(sysd.m)
             for sign in (1, -1)
         ]
@@ -616,8 +614,8 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
 def test_vtx_frozen_values_full_mode():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)
-    v_plus, rho_plus = oracle.vtx(canonical([1, 0, 0, 0, 0, 0]))
-    v_minus, rho_minus = oracle.vtx(canonical([-1, 0, 0, 0, 0, 0]))
+    v_plus, rho_plus = oracle.vtx(canonical_direction([1, 0, 0, 0, 0, 0]))
+    v_minus, rho_minus = oracle.vtx(canonical_direction([-1, 0, 0, 0, 0, 0]))
     assert rho_plus == MONOMIAL_SURFACE_RHO_PLUS
     assert rho_minus == MONOMIAL_SURFACE_RHO_MINUS
     # Full mode projects onto all coordinates.
@@ -628,9 +626,9 @@ def test_vtx_frozen_values_full_mode():
 def test_vtx_frozen_values_implicit_mode():
     sysd = _sys(MONOMIAL_SURFACE, "implicitization")
     oracle = VertexOracle(sysd, seed=0)
-    v, _ = oracle.vtx(canonical([1, 0, 0]))
+    v, _ = oracle.vtx(canonical_direction([1, 0, 0]))
     assert v == (4, 0, 0)
-    v, _ = oracle.vtx(canonical([-1, 0, 0]))
+    v, _ = oracle.vtx(canonical_direction([-1, 0, 0]))
     assert v == (0, 2, 1)
 
 
@@ -646,7 +644,7 @@ def test_vtx_frozen_value_sylvester():
 def test_vtx_memoizes_by_direction():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     oracle = VertexOracle(sysd, seed=0)
-    w = canonical([1, -2, 0, 0, 1, 0])
+    w = canonical_direction([1, -2, 0, 0, 1, 0])
     first = oracle.vtx(w)
     runs = oracle.pipeline_runs
     again = oracle.vtx(w)
@@ -654,8 +652,8 @@ def test_vtx_memoizes_by_direction():
     assert oracle.pipeline_runs == runs
     assert w in oracle.memo
     # Scalar multiples share the canonical key; opposites do not.
-    assert canonical([2, -4, 0, 0, 2, 0]) == w
-    opposite = canonical([-1, 2, 0, 0, -1, 0])
+    assert canonical_direction([2, -4, 0, 0, 2, 0]) == w
+    opposite = canonical_direction([-1, 2, 0, 0, -1, 0])
     assert opposite != w
 
 
@@ -664,7 +662,7 @@ def test_oracle_is_freed_without_the_cycle_collector():
     # freed as soon as it is dropped; otherwise every run's oracle, cache and
     # base hull would wait for the cycle collector and raise peak memory.
     oracle = VertexOracle(_sys(MONOMIAL_SURFACE, "full"), seed=0)
-    oracle.vtx(canonical([1, -2, 0, 0, 1, 0]))
+    oracle.vtx(canonical_direction([1, -2, 0, 0, 1, 0]))
     freed = weakref.ref(oracle)
     gc.disable()
     try:
@@ -692,7 +690,7 @@ def test_vtx_answers_are_golden_vertices():
             w = [rng.randint(-9, 9) for _ in range(sysd.m)]
             if all(x == 0 for x in w):
                 continue
-            w = canonical(w)
+            w = canonical_direction(w)
             v, rho = oracle.vtx(w)
             assert v in vertices  # extreme answers only
             assert all(isinstance(x, int) for x in v)
@@ -714,7 +712,7 @@ def test_rho_satisfies_block_invariant():
         w = [rng.randint(-6, 6) for _ in range(6)]
         if all(x == 0 for x in w):
             continue
-        _, rho = oracle.vtx(canonical(w))
+        _, rho = oracle.vtx(canonical_direction(w))
         image = tuple(_dot(row, rho) for row in sysd.M)
         if expected is None:
             expected = image
@@ -728,7 +726,7 @@ def test_vtx_seed_stability_on_generic_directions():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     rng = random.Random(99)
     for _ in range(10):
-        w = canonical([rng.randint(-50, 50) * 2 + 1 for _ in range(6)])
+        w = canonical_direction([rng.randint(-50, 50) * 2 + 1 for _ in range(6)])
         answers = {VertexOracle(sysd, seed=s).vtx(w)[0] for s in range(4)}
         assert len(answers) == 1
 
@@ -738,6 +736,6 @@ def test_bicubic_oracle_stays_extreme():
     oracle = VertexOracle(sysd, seed=0)
     rng = random.Random(5)
     for _ in range(8):
-        w = canonical([rng.randint(-7, 7) or 1 for _ in range(3)])
+        w = canonical_direction([rng.randint(-7, 7) or 1 for _ in range(3)])
         v, _ = oracle.vtx(w)
         assert v in BICUBIC["vertices"]

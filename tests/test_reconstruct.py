@@ -408,31 +408,69 @@ def test_n1_custom_projection_facets_match_the_projected_resultant():
     assert len(dims) > 1  # projections of several dimensions
 
 
+def _n1_supports(rng, sizes, projection):
+    # Sorted supports in [0, 6] with these sizes, as the projection needs:
+    # 0 in each for implicit, support 0 the unit simplex {0, 1} for u-res.
+    if projection == "implicit":
+        return [[0] + sorted(rng.sample(range(1, 7), size - 1)) for size in sizes]
+    supports = [sorted(rng.sample(range(7), size)) for size in sizes]
+    if projection == "u-res":
+        supports[0] = [0, 1]
+    return supports
+
+
 def test_n1_cli_output_is_the_sylvester_newton_polytope():
-    # Through the CLI (parse, preprocess, JSON output), on full projections
-    # of supports that need not contain 0, of up to 4 points in [0, 6]:
-    # every printed vertex is an exponent of the Sylvester determinant of
-    # the supports shifted to start at 0, with coefficient +-1 (Gelfand,
-    # Kapranov & Zelevinsky, 1994), and every exponent satisfies every
-    # printed facet and equation.  Together the two prove equality.
+    # Through the CLI (parse, preprocess, JSON output), on supports of up to
+    # 4 points in [0, 6] that need not contain 0 unless the projection asks
+    # for it.  The projection of the resultant's Newton polytope is the hull
+    # of the exponents of the Sylvester determinant of the supports shifted
+    # to start at 0, projected onto the symbolic coefficients.  Every
+    # printed vertex is a projected exponent, of coefficient +-1 for the
+    # full projection (Gelfand, Kapranov & Zelevinsky, 1994), and every
+    # projected exponent satisfies every printed facet and equation.
+    # Together the two prove equality.  The projections after the full one
+    # take one round of sizes each, which keeps the four under 2 s.
+    for projection in ("full", "implicit", "u-res", "custom"):
+        _check_n1_cli_projection(projection)
+
+
+def _check_n1_cli_projection(projection):
     rng = random.Random(23)
-    for sizes in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)] * 2:
+    rounds = 2 if projection == "full" else 1
+    for sizes in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)] * rounds:
         while True:
-            supports = [sorted(rng.sample(range(7), size)) for size in sizes]
+            supports = _n1_supports(rng, sizes, projection)
             if math.gcd(*(p - s[0] for s in supports for p in s)) == 1:
                 break
+        points = [(i, j) for i, s in enumerate(supports) for j in range(len(s))]
+        words = projection
+        if projection == "full":
+            symbolic = points
+        elif projection == "implicit":
+            symbolic = [(i, 0) for i in range(2)]
+        elif projection == "u-res":
+            symbolic = [(0, 0), (0, 1)]
+        else:
+            symbolic = sorted(rng.sample(points, rng.randint(1, len(points) - 1)))
+            words += "".join(", %d %d" % pair for pair in symbolic)
         terms = _sylvester_terms(*([p - s[0] for p in s] for s in supports))
-        text = "\n".join(["1", *(" ; ".join(map(str, s)) for s in supports), "projection: full", ""])
+        at = [points.index(pair) for pair in symbolic]
+        projected = {tuple(e[k] for k in at) for e in terms}
+        text = "\n".join(["1", *(" ; ".join(map(str, s)) for s in supports), "projection: " + words, ""])
         out, err = io.StringIO(), io.StringIO()
         assert cli.run(cli.RunConfig(fmt="json"), stdin=text, stdout=out, stderr=err) == 0
         doc = json.loads(out.getvalue())
         for v in doc["vertices"]:
-            assert abs(terms.get(tuple(v), 0)) == 1, (supports, v)
-        facets, equations = doc["facets"], doc["equations"]
-        assert len(facets) > doc["dim"] and len(equations) == doc["ambient"] - doc["dim"]
-        for e in terms:
-            assert all(_dot(f["normal"], e) <= f["offset"] for f in facets), (supports, e)
-            assert all(_dot(q["normal"], e) == q["offset"] for q in equations), (supports, e)
+            assert tuple(v) in projected, (projection, supports, symbolic, v)
+            if projection == "full":
+                assert abs(terms[tuple(v)]) == 1, (supports, v)
+        facets, equations = doc.get("facets", []), doc.get("equations", [])
+        assert doc["dim"] == 0 or len(facets) > doc["dim"], (projection, supports)
+        assert len(equations) == doc["ambient"] - doc["dim"], (projection, supports)
+        for e in projected:
+            where = (projection, supports, symbolic, e)
+            assert all(_dot(f["normal"], e) <= f["offset"] for f in facets), where
+            assert all(_dot(q["normal"], e) == q["offset"] for q in equations), where
 
 
 def test_stats_call_bound_and_shape():
