@@ -16,6 +16,7 @@ float.
 """
 
 from math import gcd
+from operator import mul, sub
 
 from .errors import DegenerateInput, InvalidDirection
 
@@ -40,11 +41,11 @@ __all__ = [
 # -- small vector helpers -----------------------------------------------------
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def int_vector(vec):
@@ -57,9 +58,14 @@ def int_vector(vec):
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (sign preserved).
 
-    The zero vector is returned unchanged.
+    The zero vector is returned unchanged.  Raises ``ValueError`` on an
+    entry that is not an ``int``.
     """
-    g = gcd(*vec)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # an entry gcd refuses: int_vector names it
+        int_vector(vec)
+        raise
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -71,9 +77,13 @@ def canonical_direction(vec):
     Divides the integer entries by their gcd; orientation (sign) is
     preserved, so opposite directions stay distinct.  A tuple that is
     already primitive is returned as it is.  Raises ``InvalidDirection`` on
-    the zero vector.
+    the zero vector and ``ValueError`` on an entry that is not an ``int``.
     """
-    g = gcd(*vec)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # an entry gcd refuses: int_vector names it
+        int_vector(vec)
+        raise
     if g == 0:
         raise InvalidDirection("zero vector is not a direction")
     if g == 1:
@@ -82,8 +92,15 @@ def canonical_direction(vec):
 
 
 def canonical_hyperplane(normal, offset):
-    """Reduce (normal, offset) by their common gcd, preserving orientation."""
-    g = gcd(*normal, offset)
+    """Reduce (normal, offset) by their common gcd, preserving orientation.
+
+    Raises ``ValueError`` on an entry that is not an ``int``.
+    """
+    try:
+        g = gcd(*normal, offset)
+    except TypeError:
+        int_vector((*normal, offset))
+        raise
     if g <= 1:
         return tuple(normal), offset
     return tuple(x // g for x in normal), offset // g

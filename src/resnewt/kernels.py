@@ -21,12 +21,18 @@ an exact integer.
 Most predicate calls are answered from cached minors, so the work around a
 lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
 column c: a key hashes as one integer, and a column goes in or out by one
-OR or XOR.  The any-order entries fold in the parity of the permutation
-that sorts their columns (``mask_with_parity``).  The oracle's hulls call
-batches on the (mask, q) pairs of a whole boundary: ``split_boundary`` at
-dimension 2n, ``split_lifted`` and ``upper_facets`` on a full-dimensional
-lifted hull.  Every entry and every batch reads one clock pair and checks
-the cache threshold once.
+OR or XOR.  The any-order entries check their arguments, fold in the
+parity of the permutation that sorts their columns (``mask_with_parity``)
+and call one mask-level routine each: ``hom_minor`` (h of a mask, behind
+``hom_sign`` and ``volume_predicate``) or ``lifted_sign`` (a sorted mask
+followed by one column under a lift, behind ``orientation``).  The oracle
+calls those routines directly on masks it built, for the sign of its
+first simplex and the side of a tilted flat, so its queries pay for no
+argument check.  Its hulls call batches on the (mask, q) pairs of a whole
+boundary: ``split_boundary`` at dimension 2n, ``split_lifted`` and
+``upper_facets`` on a full-dimensional lifted hull.  Every mask-level
+routine and every batch reads one clock pair and checks the cache
+threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
@@ -130,8 +136,9 @@ class MinorCache:
     nonzero lift multiplies.
 
     The public entries take column tuples and convert them once; each
-    raises ``ValueError`` on no columns, too many or one out of range, and
-    only then answers 0 for a repeated column.  Statistics
+    raises ``ValueError`` on no columns, too many, one that is not an
+    ``int`` or out of range (``orientation`` also on a lifting value that
+    is not an ``int``), and only then answers 0 for a repeated column.  Statistics
     count hits and misses (misses = actually computed minors), with
     pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
@@ -262,6 +269,8 @@ class MinorCache:
             raise ValueError("a predicate needs at least one column")
         if len(cols) > max_len:
             raise ValueError("too many columns for this base matrix")
+        if not all(map(int.__instancecheck__, cols)):
+            raise ValueError("column indices must be ints, got %r" % (cols,))
         if min(cols) < 0 or max(cols) >= len(self._columns):
             raise ValueError("column indices must be in range")
         if len(set(cols)) != len(cols):
@@ -269,8 +278,9 @@ class MinorCache:
         return mask_with_parity(cols)
 
     # -- public API ---------------------------------------------------------
-    # Each entry takes one perf_counter pair and ends with ``_done``, so no
-    # clock pair nests.
+    # Each entry checks its arguments, then calls one mask-level routine,
+    # which takes one perf_counter pair and ends with ``_done``, so no clock
+    # pair nests.
 
     def hom_sign(self, cols):
         """Sign of the homogeneous determinant with columns in *given* order.
@@ -282,12 +292,7 @@ class MinorCache:
         if not mask:
             self.predicate_calls += 1
             return 0
-        t0 = perf_counter()
-        value = self._hom_tab.get(mask)
-        hit = value is not None
-        if not hit:
-            value = self._hom(mask)
-        self._done(t0, 1, hit)
+        value = self.hom_minor(mask)
         return parity * _sign(value)
 
     def volume_predicate(self, cols):
@@ -300,12 +305,7 @@ class MinorCache:
         if not mask:
             self.predicate_calls += 1
             return 0
-        t0 = perf_counter()
-        value = self._hom_tab.get(mask)
-        hit = value is not None
-        if not hit:
-            value = self._hom(mask)
-        self._done(t0, 1, hit)
+        value = self.hom_minor(mask)
         return value if value >= 0 else -value
 
     def orientation(self, cols, lifting):
@@ -314,31 +314,58 @@ class MinorCache:
         The matrix has the coordinate rows of the chosen columns, one row of
         per-column lifting values, then the all-ones row.  ``lifting`` is
         aligned with ``cols`` (any order; the permutation sign is folded in)
-        and its values are integers.  The expansion runs along the lifting
-        row of the sorted columns; every homogeneous sub-minor is requested
-        (and thus cached) even when its lifting coefficient is 0.
+        and its values are ``int``s.  The expansion runs along the lifting
+        row of the sorted columns (``lifted_sign``).
         """
         cols = tuple(cols)
-        k = len(cols)
-        if k != len(lifting):
+        lifting = int_vector(tuple(lifting))
+        if len(cols) != len(lifting):
             raise ValueError("lifting must align with cols")
         mask, parity = self._checked_mask(cols, self._nrows + 2)
         if not mask:
             self.predicate_calls += 1
             return 0
-        lift = dict(zip(cols, lifting))
+        # The sorted columns are the rest of the mask followed by its top one.
+        top = mask.bit_length() - 1
+        return parity * self.lifted_sign(mask ^ 1 << top, top, dict(zip(cols, lifting)))
+
+    # -- mask-level predicates -----------------------------------------------------
+    # The routines behind the entries above, on a column mask the caller
+    # knows to be valid: the oracle calls them on masks it built itself.
+    # Each counts one predicate call.
+
+    def hom_minor(self, mask):
+        """h(mask), the homogeneous minor of the sorted columns of ``mask`` != 0."""
+        t0 = perf_counter()
+        value = self._hom_tab.get(mask)
+        hit = value is not None
+        if not hit:
+            value = self._hom(mask)
+        self._done(t0, 1, hit)
+        return value
+
+    def lifted_sign(self, mask, col, lift):
+        """Lifted orientation of the sorted columns of ``mask``, then ``col``.
+
+        ``col`` is not in ``mask``; ``lift`` is indexed by column.  The
+        determinant of the columns, extended by their lifts and the ones row,
+        is expanded along the lifting row of the sorted columns, and every
+        homogeneous sub-minor is requested (and thus cached) even when its
+        lifting coefficient is 0.
+        """
         t0 = perf_counter()
         hom_tab = self._hom_tab
         hits = 0
         total = 0
+        cols = mask | 1 << col
         # The column in sorted place i has cofactor sign (-1)^(k-2+i) along
         # row k-2: (-1)^k for the lowest bit, then alternating.
-        sign = -1 if k & 1 else 1
-        m = mask
+        sign = -1 if cols.bit_count() & 1 else 1
+        m = cols
         while m:
             low = m & -m
             m ^= low
-            sub = mask ^ low
+            sub = cols ^ low
             h = hom_tab.get(sub)
             if h is None:
                 h = self._hom(sub)
@@ -349,7 +376,11 @@ class MinorCache:
                 total += sign * w * h
             sign = -sign
         self._done(t0, 1, hits)
-        return parity * _sign(total)
+        # Appending col after the sorted mask flips the sorted orientation
+        # once per column of mask above col.
+        if (mask >> col).bit_count() & 1:
+            total = -total
+        return (total > 0) - (total < 0)
 
     # -- batches for the oracle's hulls -----------------------------------------
     # Each counts one predicate call per simplex, a pair (mask, q) of a hull

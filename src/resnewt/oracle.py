@@ -9,7 +9,11 @@ vertex of the projected polytope maximizing w.
 One :class:`VertexOracle` per computation: it owns the minor cache, the
 placing triangulation of the unlifted (non-symbolic) columns — built once —
 the per-direction memo (the used-normal set W), and the seeded insertion
-orders that stand in for generic perturbation.
+orders that stand in for generic perturbation: one ``Random``, reseeded by
+(seed, direction) on each query, so an order never depends on the queries
+before it.  It also keeps a memo of mixed-cell classes (upper-facet mask
+to mixed vertex column, or -1) that ``rho_vector`` reads and extends; a
+class depends on the mask alone, and masks recur across queries.
 
 The lifted hull is a ``TriangulatedHull``, a clone of the base hull that
 orients over its own integer chart and tags each point by its column, until
@@ -22,11 +26,13 @@ followed by a point of the hull off its hyperplane, and at 2n the cells as
 minor-cache batch and geometry's ``_place``; the first column off it cones
 over the flat (``_cone``), each sign from the side of the flat the column
 is on: the sign of its lift while the flat's lift is 0, else -s times the
-lifted orientation of a cell (mask, s) of the flat followed by the column.
+lifted orientation of a cell (mask, s) of the flat followed by the column
+(``MinorCache.lifted_sign``).
 A base of dimension 2n is kept that way once per oracle.  With no base (a
 full projection) the hull starts at 2n as the simplex on the first 2n+1
-columns placed, when one ``hom_sign`` finds they span, and is a clone only
-when they do not.  At 2n+1 a column goes in by one batch over the lifted
+columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
+span, and is a clone only when they do not.  Both predicates are read on
+masks the oracle built, so they skip the public entries' checks.  At 2n+1 a column goes in by one batch over the lifted
 determinant and a cone over the horizon, and the upper facets come from
 one more batch, whose minors are the volumes rho sums.  A simplex is
 handed on as its column mask, and blocks are classified by popcounts
@@ -77,20 +83,29 @@ def mixed_cells(simplices, sys):
     return out
 
 
-def rho_vector(simplices, sys, cache, volumes=None):
+def rho_vector(simplices, sys, cache, volumes=None, classes=None):
     """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
 
     ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
     ``triangulation`` returns them) saves reading each volume from
-    ``cache``.
+    ``cache``.  ``classes`` memoizes ``mixed_cells`` across calls on the
+    same system: it maps a simplex to its mixed vertex column, or -1 when
+    it is not mixed, and this call adds the simplices it lacks.
     """
+    if classes is None:
+        classes = {}
+    fresh = [s for s in simplices if s not in classes]
+    for s, cls in zip(fresh, mixed_cells(fresh, sys)):
+        classes[s] = -1 if cls is None else cls[1]
     rho = [0] * sys.num_columns
-    for i, cls in enumerate(mixed_cells(simplices, sys)):
-        if cls is not None and volumes is None:
-            s = simplices[i]
-            rho[cls[1]] += cache.volume_predicate([c for c in range(s.bit_length()) if s >> c & 1])
-        elif cls is not None:
-            rho[cls[1]] += volumes[i]
+    for i, s in enumerate(simplices):
+        col = classes[s]
+        if col < 0:
+            continue
+        if volumes is None:
+            rho[col] += cache.volume_predicate([c for c in range(s.bit_length()) if s >> c & 1])
+        else:
+            rho[col] += volumes[i]
     return tuple(rho)
 
 
@@ -116,6 +131,8 @@ class VertexOracle:
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
         self._base = None  # the base hull, built on first use
         self._base_flat = None  # its (cells, pairs) when it has dimension 2n
+        self._rng = Random()  # reseeded by (seed, direction) per query
+        self._classes = {}  # simplex mask -> mixed vertex column, or -1
 
     # -- triangulation pipeline -------------------------------------------------
 
@@ -156,18 +173,20 @@ class VertexOracle:
         sys, full = self.sys, self._full
         lift = lift_direction(sys, w)
         order = list(sys.projection)
-        Random(f"{self.seed}|{tuple(w)}").shuffle(order)
+        self._rng.seed(f"{self.seed}|{tuple(w)}")
+        self._rng.shuffle(order)
         base, cache = self._base_hull(), self.cache
         cells = pairs = None
         placed = 0
         if self._base_flat is not None:
             cells, pairs = self._base_flat
-        elif base.dim == -1:
+        elif base.dim == -1 and len(order) >= full:
             head = sorted(order[:full])
-            s = cache.hom_sign(head) if len(head) == full else 0
-            if s:
-                placed = full
-                cells, pairs = [(sum(1 << c for c in head), s)], _simplex_facets(head, s)
+            mask = sum(1 << c for c in head)
+            h = cache.hom_minor(mask)
+            if h:
+                placed, s = full, 1 if h > 0 else -1
+                cells, pairs = [(mask, s)], _simplex_facets(head, s)
         if pairs is None:
             hull = base.extended_clone()
             for placed, col in enumerate(order, 1):
@@ -211,7 +230,9 @@ class VertexOracle:
         """Vertex of the projected polytope extreme in the integer direction w.
 
         Returns (projected point, full rho vector); memoized per canonical
-        direction (the memo key set is W).
+        direction (the memo key set is W).  Raises ``InvalidDirection`` on
+        the zero vector and ``ValueError`` on an entry that is not an
+        ``int`` (``canonical_direction``).
         """
         key = canonical_direction(w)
         hit = self.memo.get(key)
@@ -219,7 +240,7 @@ class VertexOracle:
             return hit
         self.pipeline_runs += 1
         simplices, volumes = self.triangulation(key)
-        rho = rho_vector(simplices, self.sys, self.cache, volumes)
+        rho = rho_vector(simplices, self.sys, self.cache, volumes, self._classes)
         point = tuple(rho[c] for c in self.sys.projection)
         answer = (point, rho)
         self.memo[key] = answer
@@ -236,8 +257,8 @@ def _height(cache, cell, lift):
     minor cache.
     """
     mask, s = cell
-    flat = [c for c in range(mask.bit_length()) if mask >> c & 1]
-    return lambda c: -s * cache.orientation(flat + [c], [lift[x] for x in flat] + [lift[c]])
+    lifted = cache.lifted_sign
+    return lambda c: -s * lifted(mask, c, lift)
 
 
 def _on_flat(cache, cells, pairs, col):

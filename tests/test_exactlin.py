@@ -407,6 +407,16 @@ def test_cache_validates_columns():
         lambda: cache.orientation((4, 4), [1, 1]),
         lambda: cache.orientation((0, 0, 0, 0, 0), [1] * 5),
         lambda: cache.orientation((0, 1), [1]),  # misaligned lifting
+        # Non-int lifting values and column indices, even ones equal to an
+        # int: the determinant is exact only over ints.
+        lambda: cache.orientation((0, 1, 2), (1, 2, 0.5)),
+        lambda: cache.orientation((0, 1, 2), (1, 2, Fraction(1, 2))),
+        lambda: cache.orientation((0, 1, 2), (1, 2, 3.0)),
+        lambda: cache.orientation((0, 1.0, 2), (1, 2, 3)),
+        lambda: cache.hom_sign((0, 1.0, 2)),
+        lambda: cache.hom_sign((0, Fraction(2))),
+        lambda: cache.volume_predicate((0, 1.0)),
+        lambda: cache.volume_predicate((1.0, 1.0)),  # repeated, not an int
         lambda: MinorCache([(1, 0), (0,)]),  # ragged columns
     ]
     for entry in bad:
@@ -512,6 +522,26 @@ def test_canonical_hyperplane():
     assert canonical_hyperplane([2, 4], 6) == ((1, 2), 3)
     assert canonical_hyperplane([-3, 0], 9) == ((-1, 0), 3)
     assert canonical_hyperplane([0, 0, 5], 0) == ((0, 0, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        primitive,
+        canonical_direction,
+        lambda vec: canonical_hyperplane(vec[:-1], vec[-1]),
+    ],
+    ids=["primitive", "canonical_direction", "canonical_hyperplane"],
+)
+@pytest.mark.parametrize(
+    "x", [Fraction(1, 2), 0.5, Fraction(1), 1.0], ids=["fraction", "float", "fraction-1", "float-1"]
+)
+def test_normal_forms_reject_non_int_entries(entry, x):
+    # math.gcd raises TypeError on these, even on one equal to an int; the
+    # exact layer raises ValueError, as its other entries do.
+    for vec in ([x, 1], (2, 4, x), [x, x]):
+        with pytest.raises(ValueError, match="must be ints"):
+            entry(vec)
 
 
 # -- charts / rank / kernels --------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -655,6 +656,44 @@ def test_vtx_memoizes_by_direction():
     assert canonical_direction([2, -4, 0, 0, 2, 0]) == w
     opposite = canonical_direction([-1, 2, 0, 0, -1, 0])
     assert opposite != w
+
+
+@pytest.mark.parametrize(
+    "golden, mode", [(CIRCLE_LINE, "full"), (BICUBIC, "implicitization")], ids=["full", "implicit"]
+)
+def test_answers_depend_only_on_seed_and_direction(golden, mode):
+    # The oracle keeps one RNG and one mixed-class memo across queries.  Two
+    # fresh oracles with one seed, queried in opposite orders, must agree on
+    # every answer and every triangulation; the coordinate directions +-e_i
+    # lift few columns, so their placing order shows in the answer.  Rho
+    # read through the oracle's memo equals the sum without one.
+    sysd = _sys(golden, mode)
+    m = sysd.m
+    rng = random.Random(89)
+    dirs = [tuple(s if j == i else 0 for j in range(m)) for i in range(m) for s in (1, -1)]
+    dirs += [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(16)]
+    dirs = list(dict.fromkeys(canonical_direction(w) for w in dirs if any(w)))
+    seen = []
+    for order in (dirs, dirs[::-1]):
+        oracle = VertexOracle(sysd, seed=3)
+        answers, cells = {}, {}
+        for w in order:
+            answers[w] = oracle.vtx(w)
+            simplices, volumes = oracle.triangulation(w)
+            cells[w] = set(simplices)
+            assert rho_vector(simplices, sysd, oracle.cache, volumes) == answers[w][1]
+        seen.append((answers, cells))
+    assert seen[0] == seen[1]
+
+
+def test_vtx_rejects_non_int_directions():
+    # A direction is canonicalized in integers: any other entry raises
+    # ValueError, as the rest of the exact layer does, before any query.
+    oracle = VertexOracle(_sys(SYLVESTER, "full"))
+    for w in ([Fraction(1, 2), 1, 0, 0, 0], [1, 0, 0, 0, 2.0], [Fraction(1), 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="must be ints"):
+            oracle.vtx(w)
+    assert oracle.pipeline_runs == 0 and not oracle.memo
 
 
 def test_oracle_is_freed_without_the_cycle_collector():

@@ -65,3 +65,7 @@ def test_tracer_installs_runs_and_restores(monkeypatch):
     assert len(in_vtx) == len(fresh) == calls, "oracle query outside VertexOracle.vtx"
     metrics = layer_metrics(tracer.spans, tracer.flat, records, approx=False)
     assert metrics["oracle.calls"] == calls and metrics["geometry.insert_calls"] > 0
+    # Rho is summed inside oracle.rho_vector and the lifted hull is built
+    # inside VertexOracle.triangulation, where the benchmark times them:
+    # work moved out of either would zero its metric.
+    assert metrics["oracle.rho_s"] > 0 and metrics["oracle.triangulation_s"] > 0
