@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     ResnewtError,
 )
-from .exactlin import AffineChart, affine_dim, rank_int, vec_sub
+from .exactlin import AffineChart, affine_dim, int_vector, rank_int, vec_sub
 from .geometry import FacetHull, lattice_hull
 
 __all__ = [
@@ -471,13 +471,15 @@ def unproject(sys, projected_vertices, rho_ref):
     projected vertex B solves M_spec X = C - M_sym B exactly.  Solutions
     must be unique and integral: ``AmbiguousUnprojection`` is raised when
     the specialized columns leave degrees of freedom, ``ResnewtError`` when
-    a vertex has no integral solution.
+    a vertex has no integral solution.  Projected vertices are integer
+    points: an entry that is not an ``int`` raises ``ValueError``
+    (``int_vector``).
     """
     total = sys.num_columns
     if len(rho_ref) != total:
         raise ValueError("reference vertex has wrong length")
     if sys.m == total:
-        return [tuple(int(x) for x in b) for b in projected_vertices]
+        return [int_vector(tuple(b)) for b in projected_vertices]
     c_vec = [sum(row[j] * rho_ref[j] for j in range(total)) for row in sys.M]
     spec_cols = [j for j in range(total) if j not in set(sys.projection)]
     try:
@@ -492,6 +494,7 @@ def unproject(sys, projected_vertices, rho_ref):
     for b in projected_vertices:
         if len(b) != sys.m:
             raise ValueError("projected vertex has wrong length")
+        int_vector(b)
         rhs = [
             c_vec[r]
             - sum(sys.M[r][col] * b[k] for k, col in enumerate(sys.projection))
@@ -504,7 +507,7 @@ def unproject(sys, projected_vertices, rho_ref):
             )
         full = [0] * total
         for k, col in enumerate(sys.projection):
-            full[col] = int(b[k])
+            full[col] = b[k]
         for k, col in enumerate(spec_cols):
             full[col] = sol[k]
         out.append(tuple(full))

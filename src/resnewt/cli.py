@@ -18,8 +18,9 @@ import argparse
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from .cayley import (
@@ -279,22 +280,8 @@ def _compute(config, system, out, err):
 
 def _lattice(n, delta, kind):
     if kind == "dense":
-        box = delta
-    else:
-        box = delta // 2
-    pts = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            pts.append(tuple(prefix))
-            return
-        for x in range(box + 1):
-            rec(prefix + [x])
-
-    rec([])
-    if kind == "dense":
-        pts = [p for p in pts if sum(p) <= delta]
-    return pts
+        return [p for p in product(range(delta + 1), repeat=n) if sum(p) <= delta]
+    return list(product(range(delta // 2 + 1), repeat=n))
 
 
 def gen_random(n, delta, kind, sizes, seed, mode="full"):
@@ -358,7 +345,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="reconstruct a projected polytope")
-    c.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
+    # Each destination is the name of a RunConfig field.
+    c.add_argument(
+        "input_path", nargs="?", default="-", metavar="input", help="input file or - for stdin"
+    )
     c.add_argument(
         "--mode", choices=["exact", "approx", "random"], default="exact"
     )
@@ -379,7 +369,7 @@ def _build_parser():
         help="override the input's projection line, e.g. 'implicit' or 'custom 0 1, 1 0'",
     )
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--format", choices=["plain", "json"], default="plain")
+    c.add_argument("--format", dest="fmt", choices=["plain", "json"], default="plain")
     c.add_argument("--no-hash", action="store_true", help="disable the minor cache")
     c.add_argument("--no-preprocess", action="store_true")
     c.add_argument("--unproject", action="store_true")
@@ -437,21 +427,8 @@ def main(argv=None):
         _sys.stderr.write("error: threshold must lie strictly between 0 and 1\n")
         return 2
 
-    config = RunConfig(
-        input_path=args.input,
-        mode=args.mode,
-        threshold=threshold,
-        directions=args.directions,
-        projection=args.projection,
-        seed=args.seed,
-        fmt=args.format,
-        no_hash=args.no_hash,
-        no_preprocess=args.no_preprocess,
-        unproject=args.unproject,
-        f_vector=args.f_vector,
-        stats=args.stats,
-    )
-    return run(config)
+    args.threshold = threshold
+    return run(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ from one fraction-free Gauss-Jordan elimination (``adjugate``), whose
 columns are a simplex's facet planes; integer kernels with unimodular
 bookkeeping (so kernel lattice bases are saturated); saturated subspace
 bases; affine lattice charts (integer coordinates of a point in p0 + Z.B,
-by adjugates); and canonical integer direction/hyperplane normal forms.
+by adjugates); and one gcd normal form, ``primitive``, which the canonical
+direction and hyperplane forms are read off.
 Every coordinate is an ``int``, the one coordinate type of the exact
 layer: ``rank_int``, ``integer_kernel`` and ``saturated_basis`` raise
 ``ValueError`` on any other entry (``int_vector``, the check the hulls and
@@ -58,8 +59,9 @@ def int_vector(vec):
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (sign preserved).
 
-    The zero vector is returned unchanged.  Raises ``ValueError`` on an
-    entry that is not an ``int``.
+    The one gcd normal form of the exact layer.  The zero vector, and a
+    tuple that is already primitive, come back as they are.  Raises
+    ``ValueError`` on an entry that is not an ``int``.
     """
     try:
         g = gcd(*vec)
@@ -67,43 +69,31 @@ def primitive(vec):
         int_vector(vec)
         raise
     if g <= 1:
-        return tuple(vec)
-    return tuple(x // g for x in vec)
-
-
-def canonical_direction(vec):
-    """Canonical integer representative of a nonzero direction.
-
-    Divides the integer entries by their gcd; orientation (sign) is
-    preserved, so opposite directions stay distinct.  A tuple that is
-    already primitive is returned as it is.  Raises ``InvalidDirection`` on
-    the zero vector and ``ValueError`` on an entry that is not an ``int``.
-    """
-    try:
-        g = gcd(*vec)
-    except TypeError:  # an entry gcd refuses: int_vector names it
-        int_vector(vec)
-        raise
-    if g == 0:
-        raise InvalidDirection("zero vector is not a direction")
-    if g == 1:
         return vec if type(vec) is tuple else tuple(vec)
     return tuple(x // g for x in vec)
 
 
-def canonical_hyperplane(normal, offset):
-    """Reduce (normal, offset) by their common gcd, preserving orientation.
+def canonical_direction(vec):
+    """Canonical integer representative of a nonzero direction: ``primitive``.
 
-    Raises ``ValueError`` on an entry that is not an ``int``.
+    Orientation (sign) is preserved, so opposite directions stay distinct.
+    Raises ``InvalidDirection`` on the zero vector and ``ValueError`` on an
+    entry that is not an ``int``.
     """
-    try:
-        g = gcd(*normal, offset)
-    except TypeError:
-        int_vector((*normal, offset))
-        raise
-    if g <= 1:
-        return tuple(normal), offset
-    return tuple(x // g for x in normal), offset // g
+    vec = primitive(vec)
+    if not any(vec):
+        raise InvalidDirection("zero vector is not a direction")
+    return vec
+
+
+def canonical_hyperplane(normal, offset):
+    """(normal, offset) reduced by their common gcd, orientation preserved.
+
+    ``primitive`` of the row (*normal, offset); raises ``ValueError`` on an
+    entry that is not an ``int``.
+    """
+    row = primitive((*normal, offset))
+    return row[:-1], row[-1]
 
 
 # -- fraction-free elimination -----------------------------------------------

@@ -27,8 +27,8 @@ and call one mask-level routine each: ``hom_minor`` (h of a mask, behind
 ``hom_sign`` and ``volume_predicate``) or ``lifted_sign`` (a sorted mask
 followed by one column under a lift, behind ``orientation``).  The oracle
 calls those routines directly on masks it built, for the sign of its
-first simplex and the side of a tilted flat, so its queries pay for no
-argument check.  Its hulls call batches on the (mask, q) pairs of a whole
+first simplex, the side of a tilted flat and the volumes of the cells
+that rho sums, so its queries pay for no argument check.  Its hulls call batches on the (mask, q) pairs of a whole
 boundary: ``split_boundary`` at dimension 2n, ``split_lifted`` and
 ``upper_facets`` on a full-dimensional lifted hull.  Every mask-level
 routine and every batch reads one clock pair and checks the cache
@@ -264,7 +264,7 @@ class MinorCache:
 
     def _checked_mask(self, cols, max_len):
         # (mask, parity) of distinct columns in any order, or (0, 0) when a
-        # column repeats: the determinant is 0, and the caller counts one call.
+        # column repeats: the determinant is 0, which counts as one call.
         if not cols:
             raise ValueError("a predicate needs at least one column")
         if len(cols) > max_len:
@@ -274,6 +274,7 @@ class MinorCache:
         if min(cols) < 0 or max(cols) >= len(self._columns):
             raise ValueError("column indices must be in range")
         if len(set(cols)) != len(cols):
+            self.predicate_calls += 1
             return 0, 0
         return mask_with_parity(cols)
 
@@ -290,10 +291,8 @@ class MinorCache:
         """
         mask, parity = self._checked_mask(tuple(cols), self._nrows + 1)
         if not mask:
-            self.predicate_calls += 1
             return 0
-        value = self.hom_minor(mask)
-        return parity * _sign(value)
+        return parity * _sign(self.hom_minor(mask))
 
     def volume_predicate(self, cols):
         """Absolute homogeneous determinant (normalized simplex volume).
@@ -302,11 +301,7 @@ class MinorCache:
         columns give 0.
         """
         mask = self._checked_mask(tuple(cols), self._nrows + 1)[0]
-        if not mask:
-            self.predicate_calls += 1
-            return 0
-        value = self.hom_minor(mask)
-        return value if value >= 0 else -value
+        return abs(self.hom_minor(mask)) if mask else 0
 
     def orientation(self, cols, lifting):
         """Sign of the determinant of columns extended by lifting + ones row.
@@ -323,7 +318,6 @@ class MinorCache:
             raise ValueError("lifting must align with cols")
         mask, parity = self._checked_mask(cols, self._nrows + 2)
         if not mask:
-            self.predicate_calls += 1
             return 0
         # The sorted columns are the rest of the mask followed by its top one.
         top = mask.bit_length() - 1

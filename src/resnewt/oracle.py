@@ -31,8 +31,9 @@ lifted orientation of a cell (mask, s) of the flat followed by the column
 A base of dimension 2n is kept that way once per oracle.  With no base (a
 full projection) the hull starts at 2n as the simplex on the first 2n+1
 columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
-span, and is a clone only when they do not.  Both predicates are read on
-masks the oracle built, so they skip the public entries' checks.  At 2n+1 a column goes in by one batch over the lifted
+span, and is a clone only when they do not.  Both predicates, and any
+volume ``rho_vector`` reads, are read on masks the oracle built, so they
+skip the public entries' checks.  At 2n+1 a column goes in by one batch over the lifted
 determinant and a cone over the horizon, and the upper facets come from
 one more batch, whose minors are the volumes rho sums.  A simplex is
 handed on as its column mask, and blocks are classified by popcounts
@@ -88,9 +89,11 @@ def rho_vector(simplices, sys, cache, volumes=None, classes=None):
 
     ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
     ``triangulation`` returns them) saves reading each volume from
-    ``cache``.  ``classes`` memoizes ``mixed_cells`` across calls on the
-    same system: it maps a simplex to its mixed vertex column, or -1 when
-    it is not mixed, and this call adds the simplices it lacks.
+    ``cache``, where a mixed simplex's volume is |h(mask)|, one
+    ``MinorCache.hom_minor`` on its mask.  ``classes`` memoizes
+    ``mixed_cells`` across calls on the same system: it maps a simplex to
+    its mixed vertex column, or -1 when it is not mixed, and this call adds
+    the simplices it lacks.
     """
     if classes is None:
         classes = {}
@@ -103,7 +106,7 @@ def rho_vector(simplices, sys, cache, volumes=None, classes=None):
         if col < 0:
             continue
         if volumes is None:
-            rho[col] += cache.volume_predicate([c for c in range(s.bit_length()) if s >> c & 1])
+            rho[col] += abs(cache.hom_minor(s))
         else:
             rho[col] += volumes[i]
     return tuple(rho)

@@ -14,7 +14,7 @@ whose volume has not leaves its own unread too.
 All arithmetic is exact and runs on integers: a vertex is a primitive
 integer row, and a cut's normal and offset are ``int``s (``clip_halfspace``
 raises ``ValueError`` on any other).  ``Fraction`` appears only in the
-volumes and vertex coordinates handed out.
+volumes handed out.
 """
 
 from fractions import Fraction
@@ -89,13 +89,6 @@ class OuterPolytope:
         everything = frozenset(range(k + 1))
         tight = [everything - {i} for i in range(k + 1)]
         return cls(k, rows, tight, constraints)
-
-    def points(self):
-        """The vertices as rational points, in the order of ``rows``."""
-        return [
-            tuple(a if row[-1] == 1 else Fraction(a, row[-1]) for a in row[:-1])
-            for row in self.rows
-        ]
 
 
 def clip_halfspace(outer, plane):

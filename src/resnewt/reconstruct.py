@@ -135,7 +135,7 @@ class SandwichReport:
 
 
 def _normalize_equation(normal, offset):
-    nrm, off = canonical_hyperplane(list(normal), offset)
+    nrm, off = canonical_hyperplane(normal, offset)
     lead = next((x for x in nrm if x != 0), 0)
     if lead < 0:
         nrm = tuple(-a for a in nrm)
@@ -240,22 +240,20 @@ def _enqueue(state, added):
 def _process(state, on_call=None):
     """Drain the illegal queue; returns True iff it emptied (Q = target).
 
-    ``on_call(w, v)`` is invoked after each fresh oracle call once Q has been
-    updated; returning True stops the loop early (approximation mode).
+    Every live facet popped is queried in its pullback direction.  A
+    direction asked before (a parallel facet's) is answered by the oracle's
+    memo, running no pipeline: that answer lies on this facet's hyperplane
+    and is already in Q, so the facet is certified and Q does not change.
+    ``on_call(w, v)`` is invoked after each answer once Q has been updated;
+    returning True stops the loop early (approximation mode).
     """
-    ctx = state.oracle
+    vtx = state.oracle.vtx
     while state.illegal:
         key = state.illegal.popleft()
         if key not in state.hull.facet_map():
             continue  # facet destroyed while it waited
         w = state.pullback(key.normal)
-        if w in ctx.memo:
-            # A parallel facet was queried before; its answer lies on this
-            # hyperplane and inside Q, so the facet already supports the
-            # target.
-            state.legal[key] = ctx.memo[w][0]
-            continue
-        v, _ = ctx.vtx(w)
+        v, _ = vtx(w)
         xi_v = state.xi_of(v)
         val = dot(key.normal, xi_v)
         if val < key.offset:
@@ -286,7 +284,7 @@ def _outer_constraint(state, w, point):
     if all(a == 0 for a in normal):
         return None
     offset = dot(w, vec_sub(point, chart.p0))
-    nrm, off = canonical_hyperplane(list(normal), offset)
+    nrm, off = canonical_hyperplane(normal, offset)
     return Hyperplane(nrm, off)
 
 
@@ -304,28 +302,19 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         threshold = Fraction(threshold)
     state = initialize(sys, seed=seed, use_cache=use_cache, query_equations=True)
     k = state.hull.dim
-    if k == 0:
-        report = SandwichReport(
-            inner_volume=Fraction(1),
-            outer_volume=Fraction(1),
-            ratio=Fraction(1),
-            threshold=threshold,
-            reached=True,
-            outer=OuterPolytope.simplex([(1,)]),
-        )
-        return state, report
 
     # Bounding simplex: |xi_i| is bounded via xi = S (x - p0) with
     # S = (B^T B)^{-1} B^T = pull^T / gram_det and the coordinate-wise
     # diameter of the target, which the +-e_j queries already pinned down
     # exactly.  Its vertices, with radius r / g = bound / g + 1, are the
     # homogeneous rows (-r, ..., -r, g) and, for each t, the row with
-    # (2k - 1).r at t.
+    # (2k - 1).r at t.  A point target (k = 0) gets the point simplex.
     chart = state.chart
     xs = list(state.hull.tags)
     diam = [max(x[j] for x in xs) - min(x[j] for x in xs) for j in range(state.m)]
     bound = max(
-        sum(abs(row[i]) * dj for row, dj in zip(chart.pull, diam)) for i in range(k)
+        (sum(abs(row[i]) * dj for row, dj in zip(chart.pull, diam)) for i in range(k)),
+        default=0,
     )
     g = chart.gram_det
     r = bound + g
@@ -334,11 +323,15 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
     ]
     outer = OuterPolytope.simplex([primitive(row) for row in rows])
 
-    for w in sorted(state.oracle.memo):
-        point = state.oracle.memo[w][0]
+    def clip(w, point):
+        nonlocal outer
         plane = _outer_constraint(state, w, point)
         if plane is not None:
             outer = clip_halfspace(outer, plane)
+
+    memo = state.oracle.memo
+    for w in sorted(memo):
+        clip(w, memo[w][0])
 
     def sandwich():
         vol_q = hull_volume(state.hull)
@@ -351,10 +344,7 @@ def compute_pi_approx(sys, threshold, seed=0, use_cache=True):
         return state, report
 
     def on_call(w, v):
-        nonlocal outer
-        plane = _outer_constraint(state, w, v)
-        if plane is not None:
-            outer = clip_halfspace(outer, plane)
+        clip(w, v)
         return sandwich().reached
 
     _process(state, on_call=on_call)

@@ -311,3 +311,14 @@ def count_lattice_points(vertices):
         if point_in_hull(cand, verts):
             count += 1
     return count
+
+
+def outer_points(outer):
+    """The vertices of an ``OuterPolytope`` as rational points, in row order.
+
+    A vertex is a homogeneous row (a, d), d > 0, standing for a/d.
+    """
+    return [
+        tuple(a if row[-1] == 1 else Fraction(a, row[-1]) for a in row[:-1])
+        for row in outer.rows
+    ]

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -574,8 +575,10 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
 # -- reference instances -------------------------------------------------------------
 
 # Reference instances, generated with --seed 1: the sha1 of the whole stdout
-# of ``compute`` in exact and approx mode.  The roadmap's S and M project onto every coefficient, so their lifted hulls have no
-# unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
+# of ``compute`` in exact and approx mode, and of its ``--stats`` block with
+# the time values stripped, which pins every counter of a cached run.  The
+# roadmap's S and M project onto every coefficient, so their lifted hulls
+# have no unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
 # that the first lifted column cones over; U3 (u-resultant) has a lower
 # base, so its hulls grow point by point.
 REFERENCE_INSTANCES = {
@@ -585,17 +588,48 @@ REFERENCE_INSTANCES = {
     "I3": ["3", "3", "--sizes", "4,4,4,4", "--projection", "implicit"],
     "U3": ["3", "3", "--sizes", "4,4,4,4", "--projection", "u-res"],
 }
+STATS_TIME = re.compile(r"(time: )[0-9.]+s$", re.M)
 REFERENCE_DIGESTS = {
-    ("S", "exact"): "2cb48c83b80b09ced099f6922dc49390c3325a1c",
-    ("S", "approx"): "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
-    ("M", "exact"): "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
-    ("M", "approx"): "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
-    ("I2", "exact"): "9b20941d378f94c7a85ca9f30992173df1a12665",
-    ("I2", "approx"): "bb6f34f0fd4c4149bcedbdea7cd8bf0fd249725d",
-    ("I3", "exact"): "6acfef967328703aae61e526ee5dec8be910ee82",
-    ("I3", "approx"): "b48bcd9c7f6414e829b9f0b873c9f91998a82731",
-    ("U3", "exact"): "ad65964232c5b325da50b369368a21536254a4a0",
-    ("U3", "approx"): "8103418f8ec40bb955c4dce6622d45648c9e6626",
+    ("S", "exact"): (
+        "2cb48c83b80b09ced099f6922dc49390c3325a1c",
+        "7546b0f40c92ec696c406e653db9344d84813f55",
+    ),
+    ("S", "approx"): (
+        "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
+        "3d08b09630a009aed96ff64369b656752b28db79",
+    ),
+    ("M", "exact"): (
+        "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
+        "92e9e282566db93db69f3e69d1b86f18c00d5aab",
+    ),
+    ("M", "approx"): (
+        "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
+        "b7b5859b62cc8f7412b5c89801d9057780b998cd",
+    ),
+    ("I2", "exact"): (
+        "9b20941d378f94c7a85ca9f30992173df1a12665",
+        "0199302590faa4f3678299e7327a19be9b38267e",
+    ),
+    ("I2", "approx"): (
+        "bb6f34f0fd4c4149bcedbdea7cd8bf0fd249725d",
+        "f8083bab014a9b87854e38f14f962811ef7e0f2b",
+    ),
+    ("I3", "exact"): (
+        "6acfef967328703aae61e526ee5dec8be910ee82",
+        "b32211eca0c7e4ef97caa84cbeac01568b80bbaa",
+    ),
+    ("I3", "approx"): (
+        "b48bcd9c7f6414e829b9f0b873c9f91998a82731",
+        "2c7576b013e130c0049fc59b71f31f1c8b6ab870",
+    ),
+    ("U3", "exact"): (
+        "ad65964232c5b325da50b369368a21536254a4a0",
+        "580459825816613749f09d92c885183a2902455d",
+    ),
+    ("U3", "approx"): (
+        "8103418f8ec40bb955c4dce6622d45648c9e6626",
+        "478b84a87a4667487a10551ee6a1d2267357dbf9",
+    ),
 }
 
 
@@ -605,10 +639,14 @@ def test_reference_instance_stdout_digests(tmp_path, capsys, name, mode, no_hash
     code, text, _ = _run(["generate", *REFERENCE_INSTANCES[name], "--seed", "1"], capsys)
     assert code == 0
     path = _write(tmp_path, name + ".txt", text)
-    argv = ["compute", path, "--mode", mode] + (["--no-hash"] if no_hash else [])
-    code, out, _ = _run(argv, capsys)
+    argv = ["compute", path, "--mode", mode, "--stats"] + (["--no-hash"] if no_hash else [])
+    code, out, err = _run(argv, capsys)
     assert code == 0
-    assert hashlib.sha1(out.encode()).hexdigest() == REFERENCE_DIGESTS[name, mode]
+    stdout_digest, stats_digest = REFERENCE_DIGESTS[name, mode]
+    assert hashlib.sha1(out.encode()).hexdigest() == stdout_digest
+    if not no_hash:  # without the cache, every minor counts as a miss
+        counters = STATS_TIME.sub(r"\1", err)
+        assert hashlib.sha1(counters.encode()).hexdigest() == stats_digest
 
 
 # -- installation -------------------------------------------------------------------

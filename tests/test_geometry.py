@@ -20,6 +20,7 @@ from reference import (
     brute_force_facets,
     brute_force_vertices,
     extreme_points,
+    outer_points,
     point_in_hull,
     ref_affine_dim,
     ref_plane,
@@ -30,6 +31,7 @@ from reference import (
 from resnewt import geometry
 from resnewt import oracle as oracle_module
 from resnewt import outer as outer_module
+from resnewt.cayley import unproject
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.exactlin import (
     affine_dim,
@@ -320,6 +322,10 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
     for p in square:
         tri.insert(p)
     flat.insert((0, 0, 0))
+    segments = system_from(1, [[(0,), (1,)], [(0,), (1,)]], "full")
+    surface = system_from(
+        MONOMIAL_SURFACE["n"], MONOMIAL_SURFACE["supports"], "implicitization"
+    )
     entries = {
         "rank_int": lambda: rank_int([(1, 0), (0, x)]),
         "affine_dim": lambda: affine_dim([(0, 0), (x, 1)]),
@@ -334,6 +340,10 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
         "facet point": lambda: facets.insert((x, 0)),
         "point beyond": lambda: facets.insert((3, x)),
         "clip_halfspace": lambda: clip_halfspace(_box(2), Hyperplane((1, 0), x)),
+        # At x = 1/2 the full projection's vertex was once truncated to
+        # (0, 0, 1, 1), and the other branch reported no integral solution.
+        "unproject full": lambda: unproject(segments, [(x, 0, 1, 1)], (0, 1, 1, 0)),
+        "unproject": lambda: unproject(surface, [(x, 0, 0)], (0,) * surface.num_columns),
     }
     for entry in entries.values():
         with pytest.raises(ValueError, match="must be ints"):
@@ -498,7 +508,7 @@ def test_simplex_planes_of_dependent_points_raise(d):
 def test_outer_simplex_constraints():
     pts = [(0, 0, 0), (3, 0, 0), (0, Fraction(5, 2), 0), (1, 1, 4)]
     simplex = OuterPolytope.simplex([(0, 0, 0, 1), (3, 0, 0, 1), (0, 5, 0, 2), (1, 1, 4, 1)])
-    assert simplex.points() == pts
+    assert outer_points(simplex) == pts
     assert simplex.volume == cells_volume(pts) == 5
     for cid, plane in enumerate(simplex.constraints):
         values = [sum(a * x for a, x in zip(plane.normal, p)) for p in pts]
@@ -509,7 +519,7 @@ def test_outer_simplex_constraints():
 
 def test_clip_identity_and_empty():
     square = _box(2)
-    assert set(square.points()) == {(0, 0), (2, 0), (2, 2), (0, 2)}
+    assert set(outer_points(square)) == {(0, 0), (2, 0), (2, 2), (0, 2)}
     same = clip_halfspace(square, Hyperplane((1, 0), 5))
     assert same is square  # nothing strictly outside: identity object
     with pytest.raises(EmptyIntersection):
@@ -520,7 +530,7 @@ def test_clip_rectangle_area():
     square = _box(4)
     clipped = clip_halfspace(square, Hyperplane((1, 0), 1))
     assert clipped.volume == 4
-    assert set(clipped.points()) == {(0, 0), (1, 0), (1, 4), (0, 4)}
+    assert set(outer_points(clipped)) == {(0, 0), (1, 0), (1, 4), (0, 4)}
 
 
 def test_clip_simplex_scaling():
@@ -542,7 +552,7 @@ def test_clip_cascade_monotone():
         n = (rng.randint(-2, 2), rng.randint(-2, 2))
         if n == (0, 0):
             continue
-        c = max(sum(a * b for a, b in zip(n, p)) for p in outer.points()) - 1
+        c = max(sum(a * b for a, b in zip(n, p)) for p in outer_points(outer)) - 1
         try:
             outer = clip_halfspace(outer, _int_plane(n, c))
         except EmptyIntersection:
@@ -550,7 +560,7 @@ def test_clip_cascade_monotone():
         new_vol = outer.volume
         assert new_vol <= vol
         vol = new_vol
-        for p in outer.points():
+        for p in outer_points(outer):
             assert sum(a * b for a, b in zip(n, p)) <= c
 
 
@@ -578,7 +588,7 @@ def test_clip_cascades_match_vertex_enumeration(d):
             n = tuple(rng.randint(-3, 3) for _ in range(d))
             if not any(n):
                 continue
-            values = [sum(a * x for a, x in zip(n, p)) for p in outer.points()]
+            values = [sum(a * x for a, x in zip(n, p)) for p in outer_points(outer)]
             lo, hi = min(values), max(values)
             pick = rng.random()
             if pick < 0.2:
@@ -595,11 +605,11 @@ def test_clip_cascades_match_vertex_enumeration(d):
             outer = clipped
             constraints.append(plane)
             expect = brute_force_vertices(constraints, d)
-            assert set(outer.points()) == expect
+            assert set(outer_points(outer)) == expect
             assert outer.volume == cells_volume(sorted(expect))
             for cid, (cn, cc) in enumerate(constraints):
                 assert outer.constraints[cid] == (cn, cc)
-                for p, tight in zip(outer.points(), outer.tight):
+                for p, tight in zip(outer_points(outer), outer.tight):
                     value = sum(a * x for a, x in zip(cn, p))
                     assert (value == cc) == (cid in tight)
 
@@ -632,7 +642,7 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
         n = tuple(rng.randint(-3, 3) for _ in range(d))
         if not any(n):
             continue
-        values = [sum(a * x for a, x in zip(n, p)) for p in unread.points()]
+        values = [sum(a * x for a, x in zip(n, p)) for p in outer_points(unread)]
         lo, hi = min(values), max(values)
         kind = ("vertex", "nothing", "between")[len(planes) % 3]
         if kind == "vertex":
@@ -650,7 +660,7 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
         unread = clipped
         planes.append(plane)
     assert not pulls
-    expect = cells_volume(unread.points())
+    expect = cells_volume(outer_points(unread))
 
     every = _simplex(corners)
     cuts = 0
@@ -671,7 +681,7 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
     del pulls[:]
     assert unread.volume == every.volume == half.volume == expect
     assert len(pulls) == 1
-    assert unread.points() == every.points() == half.points()
+    assert outer_points(unread) == outer_points(every) == outer_points(half)
 
 
 def test_clip_adjacency_needs_more_than_rank():
@@ -689,7 +699,7 @@ def test_clip_adjacency_needs_more_than_rank():
     outer = _clip_all(_simplex(corners), constraints[d + 1:])
     expect = brute_force_vertices(constraints, d)
     assert (0, 0, Fraction(3, 2), Fraction(3, 2)) not in expect
-    assert set(outer.points()) == expect
+    assert set(outer_points(outer)) == expect
     # Half of the cube, times the 7/8 of [0, 2]^2 below x3 + x4 = 3:
     assert outer.volume == cells_volume(sorted(expect)) == 7
 

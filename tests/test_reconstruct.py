@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 from reference import (
     brute_force_facets,
     count_lattice_points,
+    outer_points,
     point_in_hull,
     ref_rank,
     ref_solve_unique,
@@ -624,6 +626,76 @@ def test_each_plane_enqueued_once(name, sysd, vertices, monkeypatch):
         assert len(planes) == len(set(planes)), name
 
 
+# Oracle pipeline runs of I2 (``generate 2 4 --sizes 6,6,6 --projection
+# implicit --seed 1``) in exact and approx 9/10 mode.  Its main loop pops
+# three live facets whose direction was asked before, in both modes.
+I2_PIPELINE_RUNS = {"exact": 19, "approx": 11}
+
+
+@pytest.mark.parametrize("mode", sorted(I2_PIPELINE_RUNS))
+def test_repeated_directions_are_answered_by_vtx(mode, monkeypatch):
+    # Every live facet popped makes exactly one vtx call.  A direction asked
+    # before is answered by vtx's memo, running no pipeline: the facet ends
+    # legal with the memo answer, and in approx mode Q_o stays the same
+    # object.
+    events = []
+    real_vtx, real_clip, real_process = (
+        VertexOracle.vtx, reconstruct.clip_halfspace, reconstruct._process
+    )
+
+    class Pops(deque):
+        def popleft(self):
+            key = super().popleft()
+            events.append(("pop", key, key in self.hull.facet_map()))
+            return key
+
+    def vtx(self, w):
+        before = self.memo.get(w)
+        answer = real_vtx(self, w)
+        events.append(("vtx", before, answer[0]))
+        return answer
+
+    def clip(outer, plane):
+        result = real_clip(outer, plane)
+        events.append(("clip", result is outer))
+        return result
+
+    def process(state, on_call=None):
+        events.clear()  # the main loop only
+        state.illegal = Pops(state.illegal)
+        state.illegal.hull = state.hull
+        return real_process(state, on_call)
+
+    monkeypatch.setattr(VertexOracle, "vtx", vtx)
+    monkeypatch.setattr(reconstruct, "clip_halfspace", clip)
+    monkeypatch.setattr(reconstruct, "_process", process)
+    fam = gen_random(2, 4, "dense", [6, 6, 6], 1, mode="implicitization")
+    sysd = build_cayley(preprocess(fam))
+    if mode == "exact":
+        state = compute_pi(sysd)
+    else:
+        state = compute_pi_approx(sysd, Fraction(9, 10))[0]
+    assert state.oracle.pipeline_runs == I2_PIPELINE_RUNS[mode]
+    pops = [i for i, e in enumerate(events) if e[0] == "pop"] + [len(events)]
+    repeats = 0
+    for i, end in zip(pops, pops[1:]):
+        _, key, live = events[i]
+        block = events[i + 1:end]
+        if not live:
+            assert block == []
+            continue
+        assert [e[0] for e in block] == (["vtx"] if mode == "exact" else ["vtx", "clip"])
+        _, before, point = block[0]
+        if before is None:
+            continue
+        repeats += 1
+        assert point == before[0]
+        assert state.legal[key] == point
+        if mode == "approx":
+            assert block[1] == ("clip", True)
+    assert repeats == 3
+
+
 # -- approximation -----------------------------------------------------------------
 
 
@@ -649,7 +721,7 @@ def test_approx_threshold_sandwich(name, sysd, vertices):
             xi = exact_state.xi_of(v)
             assert _dot(plane.normal, xi) <= plane.offset
     # Q_o's running volume is that of the hull of its vertices:
-    assert report.outer_volume == outer.volume == cells_volume(outer.points())
+    assert report.outer_volume == outer.volume == cells_volume(outer_points(outer))
 
 
 def test_approx_reads_q_o_volume_only_at_sandwiches(monkeypatch):
@@ -709,8 +781,12 @@ def test_approx_zero_dim_immediate():
     state, report = compute_pi_approx(sysd, threshold=Fraction(1, 2))
     assert state.dim == 0
     assert state.vertices() == [(1,)]
-    assert report.ratio == 1
+    assert report.inner_volume == report.outer_volume == report.ratio == 1
+    assert report.threshold == Fraction(1, 2)
     assert report.reached
+    # The bounding simplex of a point target is the point itself.
+    outer = report.outer
+    assert (outer.dim, outer.rows, outer.constraints) == (0, [(1,)], [])
 
 
 # -- random directions ---------------------------------------------------------
