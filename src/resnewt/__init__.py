@@ -10,7 +10,6 @@ a cache of reusable minors.
 
 from .cayley import (
     CayleySystem,
-    ProjectionSpec,
     SupportFamily,
     build_cayley,
     check_essential,
@@ -71,7 +70,6 @@ __all__ = [
     "NotEssential",
     "OuterPolytope",
     "ParseError",
-    "ProjectionSpec",
     "ResnewtError",
     "SandwichReport",
     "SupportFamily",

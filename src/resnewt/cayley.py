@@ -24,7 +24,6 @@ from .geometry import FacetHull, lattice_hull
 
 __all__ = [
     "SupportFamily",
-    "ProjectionSpec",
     "CayleySystem",
     "parse_text",
     "parse_json",
@@ -50,14 +49,6 @@ _MODE_ALIASES = {
 
 
 @dataclass
-class ProjectionSpec:
-    """Projection mode plus, for custom mode, explicit symbolic points."""
-
-    mode: str
-    pairs: list  # list of (block, point-index) pairs; only for custom mode
-
-
-@dataclass
 class SupportFamily:
     """n+1 supports in Z^n with per-point symbolic flags.
 
@@ -71,10 +62,6 @@ class SupportFamily:
     supports: list
     symbolic: list
     mode: str
-
-    @property
-    def num_symbolic(self):
-        return sum(sum(1 for f in flags if f) for flags in self.symbolic)
 
 
 # -- parsing --------------------------------------------------------------------
@@ -90,11 +77,13 @@ def _parse_point(text, n):
         raise ParseError("non-integer coordinate in point %r" % text) from None
 
 
-def _apply_projection(n, supports, spec):
+def _apply_projection(n, supports, mode, pairs=()):
+    """The family of ``supports`` with the symbolic points that canonical
+    ``mode`` selects (in custom mode, the (block, point) ``pairs``)."""
     symbolic = [[False] * len(s) for s in supports]
-    if spec.mode == "full":
+    if mode == "full":
         symbolic = [[True] * len(s) for s in supports]
-    elif spec.mode == "u-resultant":
+    elif mode == "u-resultant":
         simplex = {tuple([0] * n)} | {
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         }
@@ -103,7 +92,7 @@ def _apply_projection(n, supports, spec):
                 "u-resultant mode requires support 0 to be the unit simplex"
             )
         symbolic[0] = [True] * len(supports[0])
-    elif spec.mode == "implicitization":
+    elif mode == "implicitization":
         origin = tuple([0] * n)
         for i, s in enumerate(supports):
             if origin not in s:
@@ -111,28 +100,29 @@ def _apply_projection(n, supports, spec):
                     "implicitization mode requires the origin in support %d" % i
                 )
             symbolic[i][s.index(origin)] = True
-    elif spec.mode == "custom":
-        if not spec.pairs:
+    elif mode == "custom":
+        if not pairs:
             raise ParseError("custom projection lists no symbolic points")
         seen = set()
-        for (i, j) in spec.pairs:
+        for (i, j) in pairs:
             if not (0 <= i < len(supports)) or not (0 <= j < len(supports[i])):
                 raise ParseError("symbolic pair (%d, %d) out of range" % (i, j))
             if (i, j) in seen:
                 raise ParseError("symbolic pair (%d, %d) repeated" % (i, j))
             seen.add((i, j))
             symbolic[i][j] = True
-    else:
-        raise ParseError("unknown projection mode %r" % spec.mode)
-    family = SupportFamily(n, supports, symbolic, spec.mode)
-    if family.num_symbolic == 0:
+    if not any(map(any, symbolic)):
         raise ParseError("no symbolic coefficients selected")
-    return family
+    return SupportFamily(n, supports, symbolic, mode)
+
+
+def _check_n(n):
+    """Reject n below 1, before a line or point count is read by it."""
+    if n < 1:
+        raise ParseError("n must be at least 1")
 
 
 def _validate_supports(n, supports):
-    if n < 1:
-        raise ParseError("n must be at least 1")
     if len(supports) != n + 1:
         raise ParseError("expected %d supports, got %d" % (n + 1, len(supports)))
     for i, s in enumerate(supports):
@@ -162,6 +152,7 @@ def parse_text(text):
         n = int(lines[0])
     except ValueError:
         raise ParseError("first line must be the integer n") from None
+    _check_n(n)
     if len(lines) < n + 3:
         raise ParseError("expected %d support lines plus a projection line" % (n + 1))
     supports = []
@@ -176,13 +167,23 @@ def parse_text(text):
     rest = proj_line.split(":", 1)
     if len(rest) != 2:
         raise ParseError("projection line must be 'projection: <mode> ...'")
-    spec = _projection_spec(rest[1])
+    mode, pairs = _projection_spec(rest[1])
     _validate_supports(n, supports)
-    return _apply_projection(n, supports, spec)
+    return _apply_projection(n, supports, mode, pairs)
+
+
+def _read_mode(word, has_arguments):
+    """The canonical mode named by ``word``; only custom mode has arguments."""
+    mode = _MODE_ALIASES.get(str(word).lower())
+    if mode is None:
+        raise ParseError("unknown projection mode %r" % word)
+    if has_arguments and mode != "custom":
+        raise ParseError("mode %r takes no extra arguments" % mode)
+    return mode
 
 
 def _projection_spec(text):
-    """ProjectionSpec from a mode word and, for custom mode, index pairs.
+    """(mode, pairs) from a mode word and, for custom mode, index pairs.
 
     ``text`` is the projection as written, on the input's projection line
     or in ``--projection``: words split at spaces and commas.
@@ -190,23 +191,15 @@ def _projection_spec(text):
     words = text.replace(",", " ").split()
     if not words:
         raise ParseError("projection names no mode")
-    mode_word = words[0].lower()
-    if mode_word not in _MODE_ALIASES:
-        raise ParseError("unknown projection mode %r" % words[0])
-    mode = _MODE_ALIASES[mode_word]
-    pairs = []
-    if mode == "custom":
-        idx = words[1:]
-        if len(idx) % 2 != 0:
-            raise ParseError("custom projection needs (block, point) index pairs")
-        try:
-            nums = [int(x) for x in idx]
-        except ValueError:
-            raise ParseError("non-integer index in custom projection") from None
-        pairs = list(zip(nums[0::2], nums[1::2]))
-    elif len(words) > 1:
-        raise ParseError("mode %r takes no extra arguments" % mode)
-    return ProjectionSpec(mode, pairs)
+    mode = _read_mode(words[0], len(words) > 1)
+    idx = words[1:]
+    if len(idx) % 2 != 0:
+        raise ParseError("custom projection needs (block, point) index pairs")
+    try:
+        nums = [int(x) for x in idx]
+    except ValueError:
+        raise ParseError("non-integer index in custom projection") from None
+    return mode, list(zip(nums[0::2], nums[1::2]))
 
 
 def parse_json(text):
@@ -214,8 +207,9 @@ def parse_json(text):
 
     ``{"n": ..., "supports": [[[...], ...], ...],
        "projection": {"mode": ..., "symbolic": [[i, j], ...]}}``
-    (``symbolic`` only for custom mode; a bare string is accepted for
-    ``projection`` as shorthand for {"mode": ...}).
+    (``symbolic`` for custom mode only, as the text format's index pairs;
+    a bare string is accepted for ``projection`` as shorthand for
+    {"mode": ...}).
     """
     try:
         data = json.loads(text)
@@ -226,6 +220,7 @@ def parse_json(text):
     n, raw_supports = data.get("n"), data.get("supports")
     if type(n) is not int or not isinstance(raw_supports, list):
         raise ParseError("JSON input needs integer 'n' and a list 'supports'")
+    _check_n(n)
     supports = []
     for s in raw_supports:
         if not _int_rows(s, n):
@@ -236,16 +231,12 @@ def parse_json(text):
         proj = {"mode": proj}
     if not isinstance(proj, dict):
         raise ParseError("'projection' must be a mode name or an object")
-    mode_word = str(proj.get("mode", "full")).lower()
-    if mode_word not in _MODE_ALIASES:
-        raise ParseError("unknown projection mode %r" % proj.get("mode"))
-    mode = _MODE_ALIASES[mode_word]
-    pairs = proj.get("symbolic", []) if mode == "custom" else []
+    mode = _read_mode(proj.get("mode", "full"), "symbolic" in proj)
+    pairs = proj.get("symbolic", [])
     if not _int_rows(pairs, 2):
         raise ParseError("symbolic pairs must be [block, point] integer pairs")
-    pairs = [tuple(p) for p in pairs]
     _validate_supports(n, supports)
-    return _apply_projection(n, supports, ProjectionSpec(mode, pairs))
+    return _apply_projection(n, supports, mode, [tuple(p) for p in pairs])
 
 
 def _int_rows(value, length):
@@ -264,18 +255,24 @@ def parse_input(text):
     return parse_text(text)
 
 
+def _symbolic_pairs(family):
+    """The (block, point) index pairs of the symbolic points, in order."""
+    return [
+        (i, j)
+        for i, flags in enumerate(family.symbolic)
+        for j, f in enumerate(flags)
+        if f
+    ]
+
+
 def family_to_text(family):
     """Serialize a family to the plain-text input format."""
     lines = [str(family.n)]
     for s in family.supports:
         lines.append(" ; ".join(" ".join(str(x) for x in p) for p in s))
     if family.mode == "custom":
-        pairs = []
-        for i, flags in enumerate(family.symbolic):
-            for j, f in enumerate(flags):
-                if f:
-                    pairs.append("%d %d" % (i, j))
-        lines.append("projection: custom " + ", ".join(pairs))
+        pairs = ", ".join("%d %d" % p for p in _symbolic_pairs(family))
+        lines.append("projection: custom " + pairs)
     else:
         lines.append("projection: %s" % family.mode)
     return "\n".join(lines) + "\n"
@@ -285,12 +282,7 @@ def family_to_json(family):
     """Serialize a family to the JSON input format."""
     proj = {"mode": family.mode}
     if family.mode == "custom":
-        proj["symbolic"] = [
-            [i, j]
-            for i, flags in enumerate(family.symbolic)
-            for j, f in enumerate(flags)
-            if f
-        ]
+        proj["symbolic"] = [list(p) for p in _symbolic_pairs(family)]
     data = {
         "n": family.n,
         "supports": [[list(p) for p in s] for s in family.supports],
@@ -400,7 +392,8 @@ class CayleySystem:
     ``columns`` lists the |A| Cayley points in Z^{2n} in block-major input
     order (point a of block i becomes (a, e_i) with e_0 = 0).  ``projection``
     lists the symbolic column indices (same order); projected vectors use
-    that coordinate order.  ``M`` is the (2n+1) x |A| matrix whose column for
+    that coordinate order, and ``specialized`` lists the other columns in
+    order.  ``M`` is the (2n+1) x |A| matrix whose column for
     a point a of block i is (a, unit_i) with unit_i in {0,1}^{n+1}; M maps
     exponent vectors to their block-degree/content invariants.
     ``block_masks[i]`` is the column bit mask of block i.
@@ -410,8 +403,9 @@ class CayleySystem:
     family: SupportFamily
     columns: list
     block_of: list
-    blocks: list
+    block_masks: list
     projection: list
+    specialized: list
     m: int
     M: list
 
@@ -419,32 +413,25 @@ class CayleySystem:
     def num_columns(self):
         return len(self.columns)
 
-    def is_symbolic(self, col):
-        return col in self._symbolic_set
-
-    def __post_init__(self):
-        self._symbolic_set = set(self.projection)
-        self.block_masks = [sum(1 << c for c in ids) for ids in self.blocks]
-
 
 def build_cayley(family):
     """Assemble the Cayley system for an essential, preprocessed family."""
     n = family.n
     columns = []
     block_of = []
-    blocks = []
+    block_masks = []
     projection = []
+    specialized = []
     for i, s in enumerate(family.supports):
-        ids = []
+        mask = 0
         unit = tuple(1 if k == i - 1 else 0 for k in range(n))
         for j, p in enumerate(s):
             col = len(columns)
             columns.append(tuple(p) + unit)
             block_of.append(i)
-            ids.append(col)
-            if family.symbolic[i][j]:
-                projection.append(col)
-        blocks.append(ids)
+            mask |= 1 << col
+            (projection if family.symbolic[i][j] else specialized).append(col)
+        block_masks.append(mask)
     m = len(projection)
     big_m = []
     for r in range(n):
@@ -456,8 +443,9 @@ def build_cayley(family):
         family=family,
         columns=columns,
         block_of=block_of,
-        blocks=blocks,
+        block_masks=block_masks,
         projection=projection,
+        specialized=specialized,
         m=m,
         M=big_m,
     )
@@ -481,10 +469,9 @@ def unproject(sys, projected_vertices, rho_ref):
     if sys.m == total:
         return [int_vector(tuple(b)) for b in projected_vertices]
     c_vec = [sum(row[j] * rho_ref[j] for j in range(total)) for row in sys.M]
-    spec_cols = [j for j in range(total) if j not in set(sys.projection)]
     try:
         chart = AffineChart(
-            [0] * len(sys.M), [[row[j] for row in sys.M] for j in spec_cols]
+            [0] * len(sys.M), [[row[j] for row in sys.M] for j in sys.specialized]
         )
     except DegenerateInput:
         raise AmbiguousUnprojection(
@@ -508,7 +495,7 @@ def unproject(sys, projected_vertices, rho_ref):
         full = [0] * total
         for k, col in enumerate(sys.projection):
             full[col] = b[k]
-        for k, col in enumerate(spec_cols):
+        for k, col in enumerate(sys.specialized):
             full[col] = sol[k]
         out.append(tuple(full))
     return out

@@ -24,9 +24,9 @@ from itertools import product
 from random import Random
 
 from .cayley import (
-    ProjectionSpec,
     _MODE_ALIASES,
     _apply_projection,
+    _check_n,
     _projection_spec,
     build_cayley,
     check_essential,
@@ -66,10 +66,6 @@ class RunConfig:
     unproject: bool = False
     f_vector: bool = False
     stats: bool = False
-
-
-def _fr(x):
-    return str(Fraction(x))
 
 
 def _emit_plain(doc, out):
@@ -165,14 +161,13 @@ def run(config, stdin=None, stdout=None, stderr=None):
     try:
         family = parse_input(text)
         if config.projection:
-            spec = _projection_spec(config.projection)
             family = _apply_projection(
-                family.n, [list(s) for s in family.supports], spec
+                family.n, family.supports, *_projection_spec(config.projection)
             )
         check_essential(family)
         if not config.no_preprocess:
             family = preprocess(family)
-        system = build_cayley(family)
+        return _compute(config, build_cayley(family), out, err)
     except ParseError as exc:
         err.write("error: %s\n" % exc)
         return 2
@@ -187,9 +182,6 @@ def run(config, stdin=None, stdout=None, stderr=None):
                 "error: family is not essential; supports do not span\n"
             )
         return 3
-
-    try:
-        return _compute(config, system, out, err)
     except InvariantViolation as exc:
         err.write("error: internal invariant violated: %s\n" % exc)
         return 4
@@ -203,11 +195,9 @@ def _compute(config, system, out, err):
     sandwich = None
     if random_mode:
         if config.directions < max(1, system.m + 1):
-            err.write(
-                "error: random mode needs --directions >= m + 1 = %d\n"
-                % (system.m + 1)
+            raise ParseError(
+                "random mode needs --directions >= m + 1 = %d" % (system.m + 1)
             )
-            return 2
         state = compute_pi_random(
             system, config.directions, seed=config.seed, use_cache=use_cache
         )
@@ -228,7 +218,7 @@ def _compute(config, system, out, err):
         "points" if random_mode else "vertices": [list(v) for v in state.vertices()],
     }
     if random_mode:
-        doc["volume"] = _fr(hull_volume(state.hull))
+        doc["volume"] = str(hull_volume(state.hull))
         doc["directions"] = config.directions
     else:
         if state.dim > 0:
@@ -244,10 +234,10 @@ def _compute(config, system, out, err):
         doc["f_vector"] = list(f_vector(state.hull))
     if sandwich is not None:
         doc["sandwich"] = {
-            "inner_volume": _fr(sandwich.inner_volume),
-            "outer_volume": _fr(sandwich.outer_volume),
-            "ratio": _fr(sandwich.ratio),
-            "threshold": _fr(sandwich.threshold),
+            "inner_volume": str(sandwich.inner_volume),
+            "outer_volume": str(sandwich.outer_volume),
+            "ratio": str(sandwich.ratio),
+            "threshold": str(sandwich.threshold),
             "reached": sandwich.reached,
         }
     if config.unproject:
@@ -292,8 +282,7 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
     origin into every block; u-resultant mode fixes block 0 to the unit
     simplex.  Resamples until the family is essential.
     """
-    if n < 1:
-        raise ParseError("n must be at least 1")
+    _check_n(n)
     if len(sizes) != n + 1:
         raise ParseError("need %d block sizes, got %d" % (n + 1, len(sizes)))
     if any(s < 1 for s in sizes):
@@ -324,11 +313,7 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
                 )
             chosen = forced + rng.sample(pool, size - len(forced))
             supports.append(sorted(chosen))
-        spec = ProjectionSpec(mode, [])
-        try:
-            family = _apply_projection(n, supports, spec)
-        except ParseError:
-            continue
+        family = _apply_projection(n, supports, mode)
         if essential_violation(family) is None:
             return family
     raise ResnewtError("could not generate an essential family; enlarge delta")

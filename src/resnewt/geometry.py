@@ -41,7 +41,6 @@ __all__ = [
     "FacetHull",
     "Hyperplane",
     "TriangulatedHull",
-    "affine_dim",
     "hull_volume",
     "lattice_hull",
     "f_vector",

@@ -145,7 +145,7 @@ class VertexOracle:
         if self._base is None:
             sys = self.sys
             hull = TriangulatedHull(2 * sys.n)
-            cols = [c for c in range(sys.num_columns) if not sys.is_symbolic(c)]
+            cols = sys.specialized
             for placed, col in enumerate(cols, 1):
                 hull.insert(sys.columns[col], tag=col)
                 if hull.dim == self._full - 1:

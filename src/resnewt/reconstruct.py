@@ -145,10 +145,7 @@ def _normalize_equation(normal, offset):
 
 def _equation_rank(sys):
     """How many independent equations M.rho = M.rho0 gives the projection."""
-    specialized = [
-        [row[c] for c in range(sys.num_columns) if not sys.is_symbolic(c)]
-        for row in sys.M
-    ]
+    specialized = [[row[c] for c in sys.specialized] for row in sys.M]
     return rank_int(sys.M) - rank_int(specialized)
 
 

@@ -4,14 +4,14 @@ import math
 from fractions import Fraction
 
 from reference import ref_det
-from resnewt.cayley import ProjectionSpec, _apply_projection, build_cayley
+from resnewt.cayley import _apply_projection, build_cayley
 from resnewt.geometry import TriangulatedHull
 
 
 def family_from(n, supports, mode, pairs=()):
     """Build a SupportFamily from raw supports and a projection mode."""
     sup = [[tuple(p) for p in s] for s in supports]
-    return _apply_projection(n, sup, ProjectionSpec(mode=mode, pairs=list(pairs)))
+    return _apply_projection(n, sup, mode, list(pairs))
 
 
 def system_from(n, supports, mode, pairs=()):

@@ -371,7 +371,7 @@ def test_criterion_10_hashing_speedup():
             fam = gen_random(
                 2, 6, "dense", [20, 20, 20], seed=seed, mode="implicitization"
             )
-            assert sum(len(s) for s in fam.supports) == 60 and fam.num_symbolic == 3
+            assert sum(len(s) for s in fam.supports) == 60 and sum(map(sum, fam.symbolic)) == 3
             text = family_to_text(fam)
             t_hash, n_hash, out_hash = _predicate_cost(text, no_hash=False)
             t_plain, n_plain, out_plain = _predicate_cost(text, no_hash=True)

@@ -389,7 +389,7 @@ def test_build_cayley_monomial_surface():
         (2, 0, 0, 1),
     ]
     assert sysd.block_of == [0, 0, 1, 1, 2, 2]
-    assert sysd.blocks == [[0, 1], [2, 3], [4, 5]]
+    assert sysd.block_masks == [0b000011, 0b001100, 0b110000]
     # Row structure of the homogenized block matrix: n coordinate rows
     # (the original exponents), then one indicator row per block.
     assert len(sysd.M) == 2 * sysd.n + 1
@@ -400,7 +400,7 @@ def test_build_cayley_monomial_surface():
             1 if b == i else 0 for b in sysd.block_of
         )
     assert sysd.projection == list(range(6))
-    assert all(sysd.is_symbolic(j) for j in range(6))
+    assert sysd.specialized == []
 
 
 def test_build_cayley_implicit_projection():
@@ -410,14 +410,7 @@ def test_build_cayley_implicit_projection():
     assert len(sysd.columns) == 6
     assert sysd.m == 3  # one projection coordinate per block
     assert sysd.projection == [0, 2, 4]  # the origin column of each block
-    assert [sysd.is_symbolic(j) for j in range(6)] == [
-        True,
-        False,
-        True,
-        False,
-        True,
-        False,
-    ]
+    assert sysd.specialized == [1, 3, 5]  # every other column
 
 
 def test_unproject_full_mode_identity():

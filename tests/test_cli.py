@@ -3,8 +3,10 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
 
 import resnewt
 from resnewt import cli
-from resnewt.cayley import family_to_text
+from resnewt.cayley import family_to_json, family_to_text
 from resnewt.cli import main
 from resnewt.errors import InvariantViolation
 from resnewt.geometry import hull_volume
@@ -313,6 +315,11 @@ def test_compute_errors_exit_2(tmp_path, capsys):
     typo = _write(tmp_path, "typo.txt", "1\n2;;1\n2; 0\nprojection: full\n")
     code, out, err = _run(["compute", typo], capsys)
     assert code == 2 and "empty point" in err and not out
+    # n below 1 is refused before any line is read by it.
+    for text in ("-5\nprojection: full\n", "-5\n", "0\n1\n1\n", "-1\n1; 0\n", "-2\n"):
+        path = _write(tmp_path, "small.txt", text)
+        code, out, err = _run(["compute", path], capsys)
+        assert (code, out, err) == (2, "", "error: n must be at least 1\n"), text
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
@@ -348,6 +355,7 @@ def test_compute_random_ambiguous_unprojection_exit_2(tmp_path, capsys):
 
 
 SYLVESTER_SUPPORTS = [[[2], [1], [0]], [[2], [0]]]
+FULL_WITH_PAIRS = {"mode": "full", "symbolic": [[0, 1]]}
 
 
 @pytest.mark.parametrize(
@@ -362,6 +370,8 @@ SYLVESTER_SUPPORTS = [[[2], [1], [0]], [[2], [0]]]
         {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": 3},
         {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": {"mode": "custom", "symbolic": 7}},
         {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": {"mode": "custom", "symbolic": [5]}},
+        {"n": -5, "supports": SYLVESTER_SUPPORTS},
+        {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": FULL_WITH_PAIRS},
     ],
 )
 def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
@@ -371,6 +381,13 @@ def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
     code, out, err = _run(["compute", path], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    if doc["n"] == -5:
+        assert err == "error: n must be at least 1\n"
+    if doc.get("projection") == FULL_WITH_PAIRS:
+        # Symbolic points are for custom mode only, in either format.
+        text = _write(tmp_path, "bad.txt", SYLVESTER_TEXT.replace("full", "full 0 1"))
+        assert _run(["compute", text], capsys)[2] == err
+        assert err == "error: mode 'full' takes no extra arguments\n"
 
 
 def test_compute_not_essential_exit_3(tmp_path, capsys):
@@ -414,6 +431,165 @@ def test_broken_call_bound_exits_4_before_any_output(tmp_path, capsys, monkeypat
     assert code == 4
     assert out == ""
     assert err.startswith("error: internal invariant violated: oracle call bound violated")
+
+
+# -- compute: mutated input ----------------------------------------------------------
+
+FUZZ_WORDS = ["true", "1.5", "1e3", "0", "-1", "-7", "10" * 12, "x", ";", ","]
+FUZZ_PROJECTIONS = [
+    "", "hybrid", "custom", "custom 0", "custom 9 9", "custom -1 0",
+    "custom 0 0, 0 0", "custom a b", "full 0 1", "implicit 1",
+]
+FUZZ_VALUES = [True, 1.5, 10**24, -3, 0, "x", None, []]
+FUZZ_JSON_PROJECTIONS = [
+    "hybrid", {"mode": 7}, {"mode": "full", "symbolic": [[0, 1]]},
+    {"mode": "custom", "symbolic": [[9, 9]]}, {"mode": "custom", "symbolic": [[-1, 0]]},
+    {"mode": "custom", "symbolic": [[0, 0], [0, 0]]},
+]
+# Runs each input of a JSON list read from stdin as ``cli.run`` does in the
+# test; prints the [exit code, stdout, stderr] of each as one JSON list.
+FUZZ_RUNNER = """
+import io, json, sys
+from resnewt import cli
+results = []
+for text in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(cli.RunConfig(), stdin=text, stdout=out, stderr=err)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _fuzz_sources():
+    # S, the small goldens (one in custom mode) and small generated families.
+    fams = [
+        cli.gen_random(1, 4, "dense", [4, 4], 1),
+        family_from(SYLVESTER["n"], SYLVESTER["supports"], "full"),
+        family_from(SYLVESTER["n"], SYLVESTER["supports"], "custom", [(0, 1), (1, 0)]),
+        family_from(MONOMIAL_SURFACE["n"], MONOMIAL_SURFACE["supports"], "implicitization"),
+        family_from(CIRCLE_LINE["n"], CIRCLE_LINE["supports"], "u-resultant"),
+    ]
+    fams += [
+        cli.gen_random(1, 4, kind, [2, 3], seed, mode)
+        for seed in (1, 2)
+        for kind in ("dense", "sparse")
+        for mode in ("full", "implicitization", "u-resultant")
+    ]
+    return fams
+
+
+def _mutate_text(text, rng):
+    lines = text.splitlines()
+    op = rng.randrange(8)
+    if op == 0:  # n below 1 on an input of 1 to 3 lines
+        lines = [rng.choice(["0", "-1", "-2", "-5"])] + lines[1 : rng.randint(1, 3)]
+    elif op == 1:
+        lines.insert(rng.randint(0, len(lines)), "")
+    elif op == 2:  # an empty point on a support line
+        i = rng.randrange(1, len(lines) - 1)
+        pieces = lines[i].split(";")
+        pieces.insert(rng.randint(0, len(pieces)), " ")
+        lines[i] = ";".join(pieces)
+    elif op == 3:
+        lines[-1] = "projection: " + rng.choice(FUZZ_PROJECTIONS)
+    else:  # drop, duplicate, swap or replace a word
+        tokens = re.split(r"(\s+|[;,:])", text)
+        words = [k for k in range(0, len(tokens), 2) if tokens[k]]
+        i, j = rng.choice(words), rng.choice(words)
+        if op == 4:
+            tokens[i] = ""
+        elif op == 5:
+            tokens[i] += " " + tokens[i]
+        elif op == 6:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = rng.choice(FUZZ_WORDS)
+        return "".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _mutate_json(text, rng):
+    doc = json.loads(text)
+    op = rng.randrange(8)
+    if op == 0:
+        doc["n"] = rng.choice([0, -1, -2, -5] + FUZZ_VALUES)
+    elif op == 1:  # an empty point
+        block = rng.choice(doc["supports"])
+        block.insert(rng.randint(0, len(block)), [])
+    elif op == 2:
+        doc["projection"] = rng.choice(FUZZ_JSON_PROJECTIONS)
+    elif op == 3:  # drop a token of the JSON text
+        tokens = re.split(r"([\s\[\]{},:])", text)
+        tokens[rng.randrange(len(tokens))] = ""
+        return "".join(tokens)
+    else:  # drop, duplicate, swap or replace an entry of some list
+        lists, todo = [], list(doc.values())
+        while todo:
+            value = todo.pop()
+            if isinstance(value, dict):
+                todo += value.values()
+            elif isinstance(value, list) and value:
+                lists.append(value)
+                todo += value
+        entries = rng.choice(lists)
+        i, j = rng.randrange(len(entries)), rng.randrange(len(entries))
+        if op == 4:
+            del entries[i]
+        elif op == 5:
+            entries.insert(i, entries[i])
+        elif op == 6:
+            entries[i], entries[j] = entries[j], entries[i]
+        else:
+            entries[i] = rng.choice(FUZZ_VALUES)
+    return json.dumps(doc)
+
+
+def fuzz_corpus(per_source=100):
+    """One seeded mutation each of ``per_source`` copies of the text and the
+    JSON form of every family of ``_fuzz_sources``."""
+    corpus = []
+    for k, fam in enumerate(_fuzz_sources()):
+        for form, mutate in ((family_to_text, _mutate_text), (family_to_json, _mutate_json)):
+            rng = random.Random("fuzz|%d|%s" % (k, form.__name__))
+            corpus += [mutate(form(fam), rng) for _ in range(per_source)]
+    return corpus
+
+
+def test_mutated_inputs_exit_0_2_or_3():
+    # Every mutated input ends in a result (0), one error line and nothing
+    # on stdout (2, or 3 for a family that is not essential), never a
+    # traceback.  A fixed slice run under python -O gives the same bytes.
+    corpus = fuzz_corpus()
+    results = []
+    for text in corpus:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = cli.run(cli.RunConfig(), stdin=text, stdout=out, stderr=err)
+        except Exception as exc:  # reported with its input below
+            code = repr(exc)
+        results.append([code, out.getvalue(), err.getvalue()])
+    bad = [
+        (text, code, err)
+        for text, (code, out, err) in zip(corpus, results)
+        if code not in (0, 2, 3) or code and (out or not re.fullmatch(r"error: .*\n", err))
+    ]
+    assert bad == []
+    assert {code for code, _, _ in results} == {0, 2, 3}
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resnewt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    sliced = slice(None, None, 8)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", FUZZ_RUNNER],
+        input=json.dumps(corpus[sliced]),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == results[sliced]
 
 
 @pytest.mark.parametrize(

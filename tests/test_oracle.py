@@ -127,8 +127,7 @@ def _plain_upper_simplices(sysd, w, seed):
     lift = lift_direction(sysd, w)
     n2 = 2 * sysd.n
     hull = TriangulatedHull(n2 + 1)
-    base = [c for c in range(sysd.num_columns) if not sysd.is_symbolic(c)]
-    for col in base + _placing_order(sysd, w, seed):
+    for col in sysd.specialized + _placing_order(sysd, w, seed):
         hull.insert(sysd.columns[col] + (lift[col],), tag=col)
     if hull.dim < n2 + 1:
         return {_cols(mask) for mask, _ in hull.cells}
