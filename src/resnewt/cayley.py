@@ -9,6 +9,7 @@ projected ones.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,14 +68,21 @@ class SupportFamily:
 # -- parsing --------------------------------------------------------------------
 
 
+_DECIMAL = re.compile(r"[+-]?\d+(_\d+)*")  # an integer literal as ``int`` reads it
+
+
 def _parse_point(text, n):
     parts = text.split()
+    echo = text if len(text) <= 40 else text[:37] + "..."
     if len(parts) != n:
-        raise ParseError("point %r must have %d coordinates" % (text, n))
+        raise ParseError("point %r must have %d coordinates" % (echo, n))
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ParseError("non-integer coordinate in point %r" % text) from None
+        # int fails on a literal only past Python's int-string limit.
+        long = all(_DECIMAL.fullmatch(p) for p in parts)
+        what = "coordinate with too many digits" if long else "non-integer coordinate"
+        raise ParseError("%s in point %r" % (what, echo)) from None
 
 
 def _apply_projection(n, supports, mode, pairs=()):
@@ -215,6 +223,10 @@ def parse_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
+    except ValueError:  # an integer past the int-string limit
+        raise ParseError("invalid JSON: a number with too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("JSON input must be an object")
     n, raw_supports = data.get("n"), data.get("supports")

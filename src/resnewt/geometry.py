@@ -28,7 +28,6 @@ from .errors import DegenerateInput, InvariantViolation
 from .exactlin import (
     AffineChart,
     adjugate,
-    affine_dim,
     canonical_hyperplane,
     echelon_extend,
     int_vector,
@@ -148,8 +147,8 @@ def _cone(cells, pairs, tag, t):
 class TriangulatedHull:
     """Incremental convex hull with maintained placing triangulation.
 
-    This is the oracle's hull: its base hull of the unlifted columns and
-    the lifted clones of it, until the oracle goes on with its simplices
+    This is the oracle's hull: the placement of its unlifted columns and
+    each query's copy of it, until the oracle goes on with its simplices
     alone.  Points live in ``ambient_dim`` coordinates; the hull tracks its
     intrinsic dimension, growing it as points outside the current affine
     hull arrive.
@@ -192,9 +191,10 @@ class TriangulatedHull:
         self.dim = -1
         self._echelon = []  # primitive integer rows spanning the affine hull
         self._pivots = []  # pivot coordinate of each echelon row
-        # The pivots in increasing order, so that a clone of a full-dimensional
-        # hull orients over its old coordinates in their old order, then the
-        # homogeneous coordinate (index -1 of a _hom row).
+        # The pivots in increasing order, then the homogeneous coordinate
+        # (index -1 of a _hom row): a hull one dimension below its ambient
+        # with the last coordinate no pivot orients as the rows without
+        # that coordinate do, which the oracle's handoff at 2n relies on.
         self._chart = [-1]
         self._cells = []
         self._boundary = []
@@ -307,26 +307,19 @@ class TriangulatedHull:
         """Raises ``DegenerateInput``: a triangulated hull keeps no facets."""
         raise DegenerateInput("a TriangulatedHull keeps no facet table; see FacetHull")
 
-    # -- cloning ----------------------------------------------------------------
+    def copy(self):
+        """A hull in the same state that takes points without changing this one.
 
-    def extended_clone(self):
-        """Clone into one more ambient coordinate (appended, set to 0).
-
-        The triangulation, boundary, chart, tags and point order carry over
-        unchanged; the clone can then take points whose new coordinate is
-        nonzero, which raises its intrinsic dimension.  A hull made by jumps
-        alone is built first.
+        A hull made by jumps alone is built first, so its copies share that
+        build.
         """
-        out = TriangulatedHull(self.ambient + 1)
-        out.points = [pt + (0,) for pt in self.points]
-        out.tags = list(self.tags)
-        out._hom = {t: h[:-1] + (0, h[-1]) for t, h in self._hom.items()}
+        out = TriangulatedHull(self.ambient)
+        out.points, out.tags = list(self.points), list(self.tags)
+        out._hom = dict(self._hom)
         out.dim = self.dim
-        out._echelon = [row + (0,) for row in self._echelon]
-        out._pivots = list(self._pivots)
+        out._echelon, out._pivots = list(self._echelon), list(self._pivots)
         out._chart = list(self._chart)
-        out._cells = list(self.cells)
-        out._boundary = list(self._boundary)  # built by the read of cells
+        out._cells, out._boundary = list(self.cells), list(self.boundary)
         return out
 
 
@@ -610,26 +603,27 @@ def lattice_hull(points):
 def f_vector(hull):
     """Face counts (f_0, ..., f_{dim-1}) of a ``FacetHull``.
 
-    Faces are obtained by closing the facets' point sets under intersection
-    and grading by affine dimension (a single point gives (1,)).  A
+    A face is known by the mask of the points on it, and its facets are its
+    maximal proper nonempty meets with the hull's facets, the rule
+    ``_pulling_simplices`` follows.  So the faces are found one dimension
+    at a time, down from the facets (a single point gives (1,)).  A
     ``TriangulatedHull`` keeps no facets and raises ``DegenerateInput``.
     """
     facet_sets = set(hull.facet_map().values())
     if hull.dim == 0:
         return (1,)
-    faces = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        faces |= new
-        frontier = new
     counts = [0] * hull.dim
-    for f in faces:
-        d = affine_dim([p for i, p in enumerate(hull.points) if f >> i & 1])
-        counts[d] += 1
+    faces = facet_sets
+    for d in range(hull.dim - 1, 0, -1):
+        counts[d] = len(faces)
+        below = set()
+        for face in faces:
+            meets = {face & g for g in facet_sets} - {0, face}
+            facets = []
+            for t in sorted(meets, key=int.bit_count, reverse=True):
+                if all(t & u != t for u in facets):
+                    facets.append(t)
+            below.update(facets)
+        faces = below
+    counts[0] = len(faces)
     return tuple(counts)

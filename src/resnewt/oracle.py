@@ -7,7 +7,7 @@ volumes into the extreme exponent vector rho; the projection of rho is a
 vertex of the projected polytope maximizing w.
 
 One :class:`VertexOracle` per computation: it owns the minor cache, the
-placing triangulation of the unlifted (non-symbolic) columns — built once —
+placement of the unlifted (non-symbolic) columns — the base, built once —
 the per-direction memo (the used-normal set W), and the seeded insertion
 orders that stand in for generic perturbation: one ``Random``, reseeded by
 (seed, direction) on each query, so an order never depends on the queries
@@ -15,11 +15,12 @@ before it.  It also keeps a memo of mixed-cell classes (upper-facet mask
 to mixed vertex column, or -1) that ``rho_vector`` reads and extends; a
 class depends on the mask alone, and masks recur across queries.
 
-The lifted hull is a ``TriangulatedHull``, a clone of the base hull that
-orients over its own integer chart and tags each point by its column, until
-it has dimension 2n with the lift not a pivot of that chart (so that its
-chart's determinants are the homogeneous minors h), or 2n+1.  From there on
-the oracle goes on with the hull's own simplices, in geometry's format: the
+One routine places columns, for the base (every lift 0) and for each query
+after it.  Its hull is a ``TriangulatedHull`` in R^(2n+1) that orients over
+its own integer chart and tags each point by its column, until it has
+dimension 2n with the lift not a pivot of that chart (so that its chart's
+determinants are the homogeneous minors h), or 2n+1.  From there on the
+oracle goes on with the hull's own simplices, in geometry's format: the
 boundary as (mask, q) pairs, q the orientation of the mask's sorted columns
 followed by a point of the hull off its hyperplane, and at 2n the cells as
 (mask, sign of h(mask)).  A column on the 2n-flat goes in by one
@@ -27,17 +28,17 @@ minor-cache batch and geometry's ``_place``; the first column off it cones
 over the flat (``_cone``), each sign from the side of the flat the column
 is on: the sign of its lift while the flat's lift is 0, else -s times the
 lifted orientation of a cell (mask, s) of the flat followed by the column
-(``MinorCache.lifted_sign``).
-A base of dimension 2n is kept that way once per oracle.  With no base (a
-full projection) the hull starts at 2n as the simplex on the first 2n+1
-columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
-span, and is a clone only when they do not.  Both predicates, and any
-volume ``rho_vector`` reads, are read on masks the oracle built, so they
-skip the public entries' checks.  At 2n+1 a column goes in by one batch over the lifted
-determinant and a cone over the horizon, and the upper facets come from
-one more batch, whose minors are the volumes rho sums.  A simplex is
-handed on as its column mask, and blocks are classified by popcounts
-against per-block masks.
+(``MinorCache.lifted_sign``).  At 2n+1 a column goes in by one batch over
+the lifted determinant and a cone over the horizon, and the upper facets
+come from one more batch, whose minors are the volumes rho sums.
+
+A query starts from a copy of a base hull below 2n, or from a base's cells
+and pairs at 2n as they are.  With no base (a full projection) it starts at
+2n as the simplex on the first 2n+1 columns placed, when one
+``MinorCache.hom_minor`` on their mask finds they span.  Both predicates,
+and any volume ``rho_vector`` reads, are read on masks the oracle built, so
+they skip the public entries' checks.  A simplex is handed on as its column
+mask, and blocks are classified by popcounts against per-block masks.
 """
 
 from random import Random
@@ -113,15 +114,14 @@ def rho_vector(simplices, sys, cache, volumes=None, classes=None):
 
 
 class VertexOracle:
-    """Oracle context: minor cache, cached base triangulation, direction memo.
+    """Oracle context: minor cache, base placement, direction memo.
 
     ``memo`` maps each canonical direction ever queried to its (projected
     point, full rho) answer; its key set is the used-normal set W — opposite
-    directions are distinct members.  The placing hull of the non-symbolic
-    (never lifted) columns is built once, in input column order: kept as
-    cells and boundary pairs when it has dimension 2n, else cloned into the
-    lifted space for every query.  The symbolic columns are then placed in
-    an order drawn from a PRNG seeded by (seed, direction), so reruns are
+    directions are distinct members.  The non-symbolic (never lifted)
+    columns are placed once, in input column order, into the base that
+    every query starts from.  The symbolic columns are then placed in an
+    order drawn from a PRNG seeded by (seed, direction), so reruns are
     reproducible and distinct directions decouple.
     """
 
@@ -132,30 +132,54 @@ class VertexOracle:
         self.memo = {}
         self.pipeline_runs = 0
         self._full = 2 * sys.n + 1  # columns in a full-dimensional Cayley simplex
-        self._base = None  # the base hull, built on first use
-        self._base_flat = None  # its (cells, pairs) when it has dimension 2n
+        self._base = None  # the placed non-symbolic columns, on first use
         self._rng = Random()  # reseeded by (seed, direction) per query
         self._classes = {}  # simplex mask -> mixed vertex column, or -1
 
     # -- triangulation pipeline -------------------------------------------------
 
-    def _base_hull(self):
-        # Built once: handed on at dimension 2n, where the rest of the base
-        # goes in as pairs.
-        if self._base is None:
-            sys = self.sys
-            hull = TriangulatedHull(2 * sys.n)
-            cols = sys.specialized
-            for placed, col in enumerate(cols, 1):
-                hull.insert(sys.columns[col], tag=col)
-                if hull.dim == self._full - 1:
-                    cells, pairs = hull.cells, hull.boundary
-                    for c in cols[placed:]:
-                        cells, pairs = _on_flat(self.cache, cells, pairs, c)
-                    self._base_flat = cells, pairs
+    def _advance(self, state, cols, lift):
+        """The placement state once ``cols``, lifted by ``lift``, go in in order.
+
+        A state is a ``TriangulatedHull``, which takes the columns in place,
+        (cells, pairs) at dimension 2n, or pairs at 2n+1: the three stages
+        of the module docstring.
+        """
+        sys, cache, full = self.sys, self.cache, self._full
+        cols = iter(cols)
+        if isinstance(state, TriangulatedHull):
+            for col in cols:
+                state.insert(sys.columns[col] + (lift[col],), tag=col)
+                if state.dim == full:
+                    state = state.boundary
                     break
-            self._base = hull
-        return self._base
+                if state.dim == full - 1 and full - 1 not in state._pivots:
+                    state = state.cells, state.boundary
+                    break
+            else:
+                return state
+        lift_mask = sum(1 << c for c, x in enumerate(lift) if x)
+        if type(state) is tuple:
+            cells, pairs = state
+            # The side of the flat a column is on: its lift while the flat's
+            # is 0, else read off a cell's lifted orientation.  The first
+            # cell spans the flat, which is tilted when a column of it is.
+            tilted = cells[0][0] & lift_mask
+            height = _height(cache, cells[0], lift) if tilted else lift.__getitem__
+            for col in cols:
+                up = height(col)
+                if up:
+                    # Putting col last multiplies h by -sign(up).
+                    state = _cone(cells, pairs, col, -1 if up > 0 else 1)
+                    break
+                cells, pairs = _on_flat(cache, cells, pairs, col)
+            else:
+                return cells, pairs
+        for col in cols:
+            visible, keep = cache.split_lifted(state, col, lift, lift_mask)
+            if visible:
+                state = keep + _horizon_cone(visible, col)
+        return state
 
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
@@ -165,67 +189,35 @@ class VertexOracle:
         full-dimensional, and then their normalized volumes too, aligned with
         them (else None).  ``w`` must already be canonical.
 
-        The hull starts as the base hull's cells and pairs when the base
-        has dimension 2n, else, with no base, as the 2n-simplex on the
-        sorted first 2n+1 columns of the order when their h is nonzero.
-        Otherwise it is a clone of the base hull until it has dimension 2n
-        with the lift not a pivot of its chart, or 2n+1.  From there on the
-        oracle goes on with cells and boundary pairs, as the module
-        docstring says.
+        The symbolic columns go in after the base, as the module docstring
+        says; no query changes the base.
         """
         sys, full = self.sys, self._full
         lift = lift_direction(sys, w)
         order = list(sys.projection)
         self._rng.seed(f"{self.seed}|{tuple(w)}")
         self._rng.shuffle(order)
-        base, cache = self._base_hull(), self.cache
-        cells = pairs = None
-        placed = 0
-        if self._base_flat is not None:
-            cells, pairs = self._base_flat
-        elif base.dim == -1 and len(order) >= full:
-            head = sorted(order[:full])
+        if self._base is None:
+            empty = TriangulatedHull(full)
+            self._base = self._advance(empty, sys.specialized, [0] * sys.num_columns)
+        state = self._base
+        if isinstance(state, TriangulatedHull):
+            # With no base, start at 2n from the head simplex when it spans.
+            head = sorted(order[:full]) if state.dim == -1 else ()
             mask = sum(1 << c for c in head)
-            h = cache.hom_minor(mask)
+            h = len(head) == full and self.cache.hom_minor(mask)
             if h:
-                placed, s = full, 1 if h > 0 else -1
-                cells, pairs = [(mask, s)], _simplex_facets(head, s)
-        if pairs is None:
-            hull = base.extended_clone()
-            for placed, col in enumerate(order, 1):
-                hull.insert(sys.columns[col] + (lift[col],), tag=col)
-                if hull.dim == full:
-                    pairs = hull.boundary
-                    break
-                if hull.dim == full - 1 and full - 1 not in hull._pivots:
-                    cells, pairs = hull.cells, hull.boundary
-                    break
+                s = 1 if h > 0 else -1
+                state, order = ([(mask, s)], _simplex_facets(head, s)), order[full:]
             else:
-                # Every column is in; the hull's cells are the answer.
-                return [mask for mask, _ in hull.cells], None
-        if cells is not None:
-            # The side of the flat at 2n a column is on: its lift while the
-            # flat's is 0, else read off a cell's lifted orientation.
-            tilted = any(lift[c] for c in order[:placed])
-            height = _height(cache, cells[0], lift) if tilted else lift.__getitem__
-            for col in order[placed:]:
-                placed += 1
-                up = height(col)
-                if up:
-                    # Putting col last multiplies h by -sign(up).
-                    pairs = _cone(cells, pairs, col, -1 if up > 0 else 1)
-                    break
-                cells, pairs = _on_flat(cache, cells, pairs, col)
-            else:
-                # Every column is in at dimension 2n; its cells are the answer.
-                return [mask for mask, _ in cells], None
-        lift_mask = sum(1 << c for c in order if lift[c])
-        for col in order[placed:]:
-            visible, keep = cache.split_lifted(pairs, col, lift, lift_mask)
-            if visible:
-                pairs = keep + _horizon_cone(visible, col)
-        # The upper facets, with the minors h(mask) that found them.
-        return cache.upper_facets(pairs)
+                state = state.copy()
+        state = self._advance(state, order, lift)
+        if type(state) is list:
+            # The upper facets, with the minors h(mask) that found them.
+            return self.cache.upper_facets(state)
+        # Every column is in below dimension 2n+1; the cells are the answer.
+        cells = state.cells if isinstance(state, TriangulatedHull) else state[0]
+        return [mask for mask, _ in cells], None
 
     # -- oracle calls --------------------------------------------------------------
 

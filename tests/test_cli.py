@@ -320,6 +320,12 @@ def test_compute_errors_exit_2(tmp_path, capsys):
         path = _write(tmp_path, "small.txt", text)
         code, out, err = _run(["compute", path], capsys)
         assert (code, out, err) == (2, "", "error: n must be at least 1\n"), text
+    # A coordinate past Python's int-string limit is named as such, and the
+    # point is echoed cut short.
+    huge = _write(tmp_path, "huge.txt", "1\n%s; 0\n2; 0\nprojection: full\n" % ("7" * 5000))
+    code, out, err = _run(["compute", huge], capsys)
+    assert code == 2 and not out
+    assert err == "error: coordinate with too many digits in point '%s...'\n" % ("7" * 37)
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
@@ -372,15 +378,25 @@ FULL_WITH_PAIRS = {"mode": "full", "symbolic": [[0, 1]]}
         {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": {"mode": "custom", "symbolic": [5]}},
         {"n": -5, "supports": SYLVESTER_SUPPORTS},
         {"n": 1, "supports": SYLVESTER_SUPPORTS, "projection": FULL_WITH_PAIRS},
+        # Raw text: a number past Python's int-string limit, and nesting
+        # deeper than the decoder's recursion.
+        pytest.param(
+            '{"n": 1, "supports": [[[%s], [0]], [[2], [0]]]}' % ("7" * 5000), id="huge-number"
+        ),
+        pytest.param('{"n": 1, "supports": %s%s}' % ("[" * 10**5, "]" * 10**5), id="deep-nesting"),
     ],
 )
 def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
     # Wrongly shaped JSON input ends with an error line and exit 2, not a
     # traceback or a guess; a JSON true or false is no integer.
-    path = _write(tmp_path, "bad.json", json.dumps(doc))
+    path = _write(tmp_path, "bad.json", doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = _run(["compute", path], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    if isinstance(doc, str):
+        what = "a number with too many digits" if "7" * 5000 in doc else "nested too deeply"
+        assert err == "error: invalid JSON: %s\n" % what
+        return
     if doc["n"] == -5:
         assert err == "error: n must be at least 1\n"
     if doc.get("projection") == FULL_WITH_PAIRS:

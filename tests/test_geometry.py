@@ -853,11 +853,12 @@ def test_flat_chart_matches_intrinsic_hull():
 
 
 @pytest.mark.parametrize("base_dim", [2, 3])
-def test_extended_clone_matches_direct_build(base_dim):
-    # A base hull in R^3 (full, or in a plane when base_dim is 2), cloned
-    # into R^4 and given lifted points, ends with the cells of a hull built
-    # in R^4 from all the points in the same order.  The base starts along
-    # the last axes first, so its chart's pivots arrive out of order.
+def test_copied_base_matches_direct_build(base_dim):
+    # A base hull in R^4 whose points have last coordinate 0 (a 3-flat, or
+    # a plane when base_dim is 2), copied and given lifted points, ends with
+    # the cells of a hull built in R^4 from all the points in the same
+    # order, and the base is left as it was.  The base starts along the
+    # last axes first, so its chart's pivots arrive out of order.
     rng = random.Random(70 + base_dim)
     for trial in range(5):
         if base_dim == 3:
@@ -868,23 +869,24 @@ def test_extended_clone_matches_direct_build(base_dim):
             base = list(dict.fromkeys(
                 (x, y, 2 * x - y) for x, y in start + _random_points(rng, 2, 7)
             ))
+        base = [p + (0,) for p in base]
         lifted = list(dict.fromkeys(
             p + (rng.randint(-9, 9),) for p in _random_points(rng, 3, 6)
         ))
         small = _build(base)
-        clone = small.extended_clone()
-        direct = TriangulatedHull(4)
-        for i, p in enumerate(base):
-            direct.insert(p + (0,), tag=i)
-        _assert_signs_fresh(clone)
+        before = (list(small.points), dict(small._hom), _hull_state(small))
+        copy = small.copy()
+        direct = _build(base)
+        _assert_signs_fresh(copy)
         for i, p in enumerate(lifted, len(base)):
-            clone.insert(p, tag=i)
+            copy.insert(p, tag=i)
             direct.insert(p, tag=i)
-            _assert_signs_fresh(clone)
-        assert clone.dim == direct.dim
-        assert clone.points == direct.points
-        assert clone.cells == direct.cells
-        assert sorted(clone.boundary) == sorted(direct.boundary)
+            _assert_signs_fresh(copy)
+        assert copy.dim == direct.dim
+        assert copy.points == direct.points
+        assert copy.cells == direct.cells
+        assert sorted(copy.boundary) == sorted(direct.boundary)
+        assert (small.points, small._hom, _hull_state(small)) == before
 
 
 def test_cached_planes_track_every_insert():
@@ -986,29 +988,29 @@ def _hull_state(hull):
 
 
 @pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("clone", [False, True])
-def test_simplex_built_on_read_matches_eager_jumps(ambient, clone):
+@pytest.mark.parametrize("copied", [False, True])
+def test_simplex_built_on_read_matches_eager_jumps(ambient, copied):
     # A hull whose boundary is read after every insert builds its simplex at
     # dimension 1 and makes every later jump eagerly; a hull read only after
     # the last insert builds its simplex then (or at its first standard
     # insert) from one orientation.  Each prefix of the points must leave
-    # both in the same state, order included.  With clone, the points
-    # before the first with a nonzero last coordinate go into a hull of one
-    # dimension less, whose extended clone (built first, as the oracle's
-    # clone of a base hull made by jumps alone is) takes the rest.
-    rng = random.Random(900 + 10 * ambient + clone)
+    # both in the same state, order included.  With copied, the hull is
+    # copied (built first, as the oracle's copy of a base made by jumps
+    # alone is) before the first point with a nonzero last coordinate, and
+    # the copy takes the rest.
+    rng = random.Random(900 + 10 * ambient + copied)
 
     def make(pts, read):
-        base = next((i for i, p in enumerate(pts) if p[-1]), len(pts)) if clone else 0
-        hull = TriangulatedHull(ambient - 1 if base else ambient)
+        base = next((i for i, p in enumerate(pts) if p[-1]), len(pts)) if copied else 0
+        hull = TriangulatedHull(ambient)
         for i, p in enumerate(pts):
             if base and i == base:
-                hull = hull.extended_clone()
-            hull.insert(p[:-1] if i < base else p, tag=i)
+                hull = hull.copy()
+            hull.insert(p, tag=i)
             if read:
                 hull.boundary
         if base == len(pts):
-            hull = hull.extended_clone()
+            hull = hull.copy()
         return hull
 
     for trial in range(6):
@@ -1016,7 +1018,7 @@ def test_simplex_built_on_read_matches_eager_jumps(ambient, clone):
             pts = _flat_points(rng, ambient, ambient + 4, trial % 4 == 3)
         else:
             pts = _random_points(rng, ambient, ambient + 4)
-        if clone:
+        if copied:
             lead = rng.randint(1, ambient + 1)
             pts = list(dict.fromkeys(p[:-1] + (0,) if i < lead else p for i, p in enumerate(pts)))
         for n in range(1, len(pts) + 1):

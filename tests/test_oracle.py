@@ -166,24 +166,25 @@ def _directions_with_zeros(rng, m, count):
 def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # Directions with zero entries leave symbolic columns unlifted, so the
     # lifted hull spends inserts at dimension 2n.  The oracle's
-    # TriangulatedHull serves only below that: once the base hull or a
-    # lifted clone reaches 2n with the lift not a pivot the oracle goes on
-    # with its cells and pairs, and it takes no insert there.  A full
-    # projection has no base, so the hull starts at 2n as the simplex on
-    # the first 2n+1 columns when they span; implicitization's base has
-    # dimension 2n and is handed on once, so every call starts from its
-    # pairs; u-resultant's base is lower, so its clones grow to 2n and are
-    # handed on there.
+    # TriangulatedHull, in R^(2n+1), serves only below that: once the base
+    # or a query's copy of it reaches 2n with the lift not a pivot the
+    # oracle goes on with its cells and pairs, and it takes no insert
+    # there.  A full projection has no base, so the hull starts at 2n as
+    # the simplex on the first 2n+1 columns when they span;
+    # implicitization's base has dimension 2n and is handed on once, so
+    # every call starts from its pairs; u-resultant's base is lower, so its
+    # copies grow to 2n and are handed on there.
     systems = _generated_systems(mode)
     late_inserts = [0]  # standard inserts of a hull that should be pairs
     in_oracle = [False]  # the plain hull below is not the oracle's
     starts = {"2n simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
     standard = TriangulatedHull._standard_insert
     facets, triangulation = oracle_module._simplex_facets, VertexOracle.triangulation
-    cells = TriangulatedHull.cells
+    cells, copy = TriangulatedHull.cells, TriangulatedHull.copy
+    copies = {}  # id -> each copy the oracle made, kept so that ids stay distinct
 
     def spy_standard(hull, pt, tag):
-        n2 = hull.ambient - hull.ambient % 2  # the base is in R^2n, a clone in R^(2n+1)
+        n2 = hull.ambient - 1
         if in_oracle[0] and hull.dim == n2:
             late_inserts[0] += n2 not in hull._pivots
         return standard(hull, pt, tag)
@@ -193,9 +194,14 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         starts["2n simplex"] += 1
         return facets(head, s)
 
+    def spy_copy(hull):
+        out = copy(hull)
+        copies[id(out)] = out
+        return out
+
     def spy_cells(hull):
-        # Read on the base hull in R^2n, or on a lifted clone in R^(2n+1).
-        starts["handoff at 2n"] += in_oracle[0] and hull.ambient % 2
+        # Counted on a query's copy of the base, not on the base itself.
+        starts["handoff at 2n"] += in_oracle[0] and id(hull) in copies
         return cells.fget(hull)
 
     def spy_triangulation(oracle, w):
@@ -205,12 +211,13 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         finally:
             in_oracle[0] = False
         starts["calls"] += 1
-        starts["base pairs"] += oracle._base_flat is not None
+        starts["base pairs"] += type(oracle._base) is tuple
         return out
 
     monkeypatch.setattr(TriangulatedHull, "_standard_insert", spy_standard)
     monkeypatch.setattr(oracle_module, "_simplex_facets", spy_start)
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
+    monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
     monkeypatch.setattr(TriangulatedHull, "cells", property(spy_cells))
     rng = random.Random(31)
     for sysd in systems:
@@ -231,20 +238,20 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
 
 def _spy_starts(monkeypatch):
     # What one triangulation does from dimension 2n on: the heads it starts
-    # from, the clones it makes, the side each column is found on, the
-    # columns placed on the flat and the column that cones off it.
-    seen = {"heads": [], "clones": 0, "sides": [], "on flat": [], "cones": []}
+    # from, the copies of the base it makes, the side each column is found
+    # on, the columns placed on the flat and the column that cones off it.
+    seen = {"heads": [], "copies": 0, "sides": [], "on flat": [], "cones": []}
     facets, height = oracle_module._simplex_facets, oracle_module._height
     on_flat, cone = oracle_module._on_flat, oracle_module._cone
-    clone = TriangulatedHull.extended_clone
+    copy = TriangulatedHull.copy
 
     def spy_facets(head, s):
         seen["heads"].append(tuple(head))
         return facets(head, s)
 
-    def spy_clone(hull):
-        seen["clones"] += 1
-        return clone(hull)
+    def spy_copy(hull):
+        seen["copies"] += 1
+        return copy(hull)
 
     def spy_height(cache, cell, lift):
         side = height(cache, cell, lift)
@@ -267,7 +274,7 @@ def _spy_starts(monkeypatch):
     monkeypatch.setattr(oracle_module, "_height", spy_height)
     monkeypatch.setattr(oracle_module, "_on_flat", spy_on_flat)
     monkeypatch.setattr(oracle_module, "_cone", spy_cone)
-    monkeypatch.setattr(TriangulatedHull, "extended_clone", spy_clone)
+    monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
     return seen
 
 
@@ -300,7 +307,7 @@ def test_row_space_direction_keeps_every_column_on_a_tilted_flat(index, monkeypa
     seen = _spy_starts(monkeypatch)
     got, volumes = VertexOracle(sysd, seed=seed).triangulation(w)
     later = _placing_order(sysd, w, seed)[len(head):]
-    assert seen["heads"] == [tuple(head)] and seen["clones"] == 0
+    assert seen["heads"] == [tuple(head)] and seen["copies"] == 0
     assert seen["sides"] == [(c, 0) for c in later] and seen["on flat"] == later
     assert not seen["cones"] and volumes is None
     assert len(set(got)) == len(got)
@@ -327,7 +334,7 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
     order = _placing_order(sysd, w, seed)
     seen = _spy_starts(monkeypatch)
     got, volumes = VertexOracle(sysd, seed=seed).triangulation(w)
-    assert seen["heads"] == [tuple(sorted(order[:full]))] and seen["clones"] == 0
+    assert seen["heads"] == [tuple(sorted(order[:full]))] and seen["copies"] == 0
     assert [c for c, _ in seen["sides"]] == order[full:full + 2]
     assert seen["sides"][0][1] == 0 and seen["sides"][1][1] != 0
     assert seen["on flat"] == [order[full]] and seen["cones"] == [0]
@@ -338,7 +345,8 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
 @pytest.mark.parametrize("index", range(3))
 def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
     # 2n+1 columns that miss a block lie on a face of the Cayley polytope,
-    # so their h is 0: the oracle takes no 2n start and grows a clone.
+    # so their h is 0: the oracle takes no 2n start and grows a copy of
+    # the empty base.
     sysd = _generated_systems("full")[index]
     full = 2 * sysd.n + 1
     rng = random.Random(73 + index)
@@ -352,7 +360,7 @@ def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
     assert not _spanning_head(sysd, w, seed)
     seen = _spy_starts(monkeypatch)
     got, _ = VertexOracle(sysd, seed=seed).triangulation(w)
-    assert seen["heads"] == [] and seen["clones"] == 1
+    assert seen["heads"] == [] and seen["copies"] == 1
     assert len(set(got)) == len(got)
     assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
 
@@ -563,16 +571,16 @@ def test_mask_batches_match_explicit_determinants(mode, use_cache):
 @pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
 def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
     # The oracle's hulls read after every insert build any simplex made by
-    # jumps alone at once and jump eagerly from then on; left alone, a clone
+    # jumps alone at once and jump eagerly from then on; left alone, a copy
     # made by jumps alone stays one simplex until a standard insert reads it
     # or it is handed on as (mask, q) pairs.  Both ways must give the
     # same triangulation and leave every hull in the same state, order and
-    # signs included.
+    # signs included, and the base too, be it a hull or cells and pairs.
     insert = TriangulatedHull.insert
-    clone = TriangulatedHull.extended_clone
+    copy = TriangulatedHull.copy
     build = TriangulatedHull._build
     read_every_insert = [False]
-    clones = []
+    copies = []
     late_builds = [0]  # builds of a simplex made by two jumps or more
 
     def reading_insert(hull, point, tag=None):
@@ -581,9 +589,9 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
             hull.boundary
         return out
 
-    def recorded_clone(hull):
-        out = clone(hull)
-        clones.append(out)
+    def recorded_copy(hull):
+        out = copy(hull)
+        copies.append(out)
         return out
 
     def counted_build(hull):
@@ -591,10 +599,12 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
         build(hull)
 
     def state(hull):
+        if not isinstance(hull, TriangulatedHull):
+            return hull
         return hull.dim, list(hull.cells), list(hull.boundary)
 
     monkeypatch.setattr(TriangulatedHull, "insert", reading_insert)
-    monkeypatch.setattr(TriangulatedHull, "extended_clone", recorded_clone)
+    monkeypatch.setattr(TriangulatedHull, "copy", recorded_copy)
     monkeypatch.setattr(TriangulatedHull, "_build", counted_build)
     rng = random.Random(53)
     for sysd in _generated_systems(mode):
@@ -602,10 +612,10 @@ def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
         runs = []
         for read in (True, False):
             read_every_insert[0] = read
-            del clones[:]
+            del copies[:]
             oracle = VertexOracle(sysd, seed=4)
             got = [oracle.triangulation(w) for w in dirs]
-            hulls = [oracle._base] + clones
+            hulls = [oracle._base] + copies
             runs.append((got, [state(h) for h in hulls]))
         assert runs[0] == runs[1]
     assert late_builds[0] > 0
@@ -657,15 +667,32 @@ def test_vtx_memoizes_by_direction():
     assert opposite != w
 
 
+def _base_state(base):
+    # Everything a query could change in the oracle's base: a hull's points,
+    # chart, cells and boundary, or the cells and pairs at dimension 2n.
+    if not isinstance(base, TriangulatedHull):
+        return base
+    return (
+        base.dim, list(base.points), list(base.tags), dict(base._hom), list(base._echelon),
+        list(base._pivots), list(base._chart), list(base.cells), list(base.boundary),
+    )
+
+
 @pytest.mark.parametrize(
-    "golden, mode", [(CIRCLE_LINE, "full"), (BICUBIC, "implicitization")], ids=["full", "implicit"]
+    "golden, mode",
+    [(CIRCLE_LINE, "full"), (BICUBIC, "implicitization"), (CIRCLE_LINE, "u-resultant")],
+    ids=["full", "implicit", "u-res"],
 )
 def test_answers_depend_only_on_seed_and_direction(golden, mode):
-    # The oracle keeps one RNG and one mixed-class memo across queries.  Two
-    # fresh oracles with one seed, queried in opposite orders, must agree on
+    # The oracle keeps one RNG, one mixed-class memo and one placement of
+    # the non-symbolic columns (the base) across queries.  Two fresh
+    # oracles with one seed, queried in opposite orders, must agree on
     # every answer and every triangulation; the coordinate directions +-e_i
     # lift few columns, so their placing order shows in the answer.  Rho
-    # read through the oracle's memo equals the sum without one.
+    # read through the oracle's memo equals the sum without one.  No query
+    # changes the base: u-resultant's is a hull below dimension 2n, which
+    # each query copies and grows, and implicitization's is the cells and
+    # pairs at 2n that each query starts from.
     sysd = _sys(golden, mode)
     m = sysd.m
     rng = random.Random(89)
@@ -678,11 +705,16 @@ def test_answers_depend_only_on_seed_and_direction(golden, mode):
         answers, cells = {}, {}
         for w in order:
             answers[w] = oracle.vtx(w)
+            if len(answers) == 1:
+                base = _base_state(oracle._base)
             simplices, volumes = oracle.triangulation(w)
             cells[w] = set(simplices)
             assert rho_vector(simplices, sysd, oracle.cache, volumes) == answers[w][1]
+        assert _base_state(oracle._base) == base
         seen.append((answers, cells))
     assert seen[0] == seen[1]
+    if mode == "u-resultant":
+        assert isinstance(oracle._base, TriangulatedHull) and 0 < oracle._base.dim < 2 * sysd.n
 
 
 def test_vtx_rejects_non_int_directions():
