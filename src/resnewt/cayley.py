@@ -71,18 +71,26 @@ class SupportFamily:
 _DECIMAL = re.compile(r"[+-]?\d+(_\d+)*")  # an integer literal as ``int`` reads it
 
 
+def _read_ints(words, noun, where):
+    """The ints the ``words`` spell, or ``ParseError`` naming the ``noun`` read.
+
+    ``int`` fails on a decimal literal only past Python's int-string limit,
+    so when every word is one the error names too many digits.
+    """
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        if all(_DECIMAL.fullmatch(w) for w in words):
+            raise ParseError("%s with too many digits %s" % (noun, where)) from None
+        raise ParseError("non-integer %s %s" % (noun, where)) from None
+
+
 def _parse_point(text, n):
     parts = text.split()
     echo = text if len(text) <= 40 else text[:37] + "..."
     if len(parts) != n:
         raise ParseError("point %r must have %d coordinates" % (echo, n))
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        # int fails on a literal only past Python's int-string limit.
-        long = all(_DECIMAL.fullmatch(p) for p in parts)
-        what = "coordinate with too many digits" if long else "non-integer coordinate"
-        raise ParseError("%s in point %r" % (what, echo)) from None
+    return tuple(_read_ints(parts, "coordinate", "in point %r" % echo))
 
 
 def _apply_projection(n, supports, mode, pairs=()):
@@ -156,10 +164,7 @@ def parse_text(text):
             lines.append(line)
     if not lines:
         raise ParseError("empty input")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError("first line must be the integer n") from None
+    n = _read_ints([lines[0]], "n", "on the first line")[0]
     _check_n(n)
     if len(lines) < n + 3:
         raise ParseError("expected %d support lines plus a projection line" % (n + 1))
@@ -203,10 +208,7 @@ def _projection_spec(text):
     idx = words[1:]
     if len(idx) % 2 != 0:
         raise ParseError("custom projection needs (block, point) index pairs")
-    try:
-        nums = [int(x) for x in idx]
-    except ValueError:
-        raise ParseError("non-integer index in custom projection") from None
+    nums = _read_ints(idx, "index", "in custom projection")
     return mode, list(zip(nums[0::2], nums[1::2]))
 
 
@@ -330,17 +332,16 @@ def essential_violation(family):
 
 
 def check_essential(family):
-    """Raise ``NotEssential`` (with the violating blocks) unless essential."""
+    """Raise ``NotEssential`` (with the violating blocks) unless essential.
+
+    Its message is the reason the CLI prints: "supports do not span" or
+    "violating blocks [...]".
+    """
     violation = essential_violation(family)
-    if violation is None:
-        return
     if violation == ():
-        raise NotEssential((), "supports do not jointly affinely span R^%d" % family.n)
-    raise NotEssential(
-        violation,
-        "subfamily %s has Minkowski-sum dimension below %d"
-        % (list(violation), len(violation)),
-    )
+        raise NotEssential((), "supports do not span")
+    if violation is not None:
+        raise NotEssential(violation, "violating blocks %s" % list(violation))
 
 
 # -- preprocessing -----------------------------------------------------------------

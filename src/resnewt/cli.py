@@ -119,31 +119,6 @@ def _emit(doc, fmt, out):
         _emit_plain(doc, out)
 
 
-def _stats_block(lines, err):
-    err.write("stats:\n")
-    for k, v in lines:
-        err.write("  %s: %s\n" % (k, v))
-
-
-def _cache_stat_lines(cache_stats, wall):
-    return [
-        ("backend", BACKEND),
-        ("minors cached", cache_stats["entries"]),
-        (
-            "pure misses",
-            "%d (hits %d)" % (cache_stats["pure_misses"], cache_stats["pure_hits"]),
-        ),
-        (
-            "hom misses",
-            "%d (hits %d)" % (cache_stats["hom_misses"], cache_stats["hom_hits"]),
-        ),
-        ("cache clears", cache_stats["clears"]),
-        ("predicate calls", cache_stats["predicate_calls"]),
-        ("predicate time", "%.6fs" % cache_stats["predicate_time"]),
-        ("wall time", "%.6fs" % wall),
-    ]
-
-
 def run(config, stdin=None, stdout=None, stderr=None):
     """Execute one compute invocation; returns the process exit code."""
     out = stdout if stdout is not None else _sys.stdout
@@ -172,15 +147,7 @@ def run(config, stdin=None, stdout=None, stderr=None):
         err.write("error: %s\n" % exc)
         return 2
     except NotEssential as exc:
-        if exc.blocks:
-            err.write(
-                "error: family is not essential; violating blocks %s\n"
-                % list(exc.blocks)
-            )
-        else:
-            err.write(
-                "error: family is not essential; supports do not span\n"
-            )
+        err.write("error: family is not essential; %s\n" % exc)
         return 3
     except InvariantViolation as exc:
         err.write("error: internal invariant violated: %s\n" % exc)
@@ -194,7 +161,7 @@ def _compute(config, system, out, err):
     t0 = time.perf_counter()
     sandwich = None
     if random_mode:
-        if config.directions < max(1, system.m + 1):
+        if config.directions < system.m + 1:
             raise ParseError(
                 "random mode needs --directions >= m + 1 = %d" % (system.m + 1)
             )
@@ -261,7 +228,20 @@ def _compute(config, system, out, err):
                 ("vertices", st["vertices"]),
                 ("facets", st["facets"]),
             ]
-        _stats_block(lines + _cache_stat_lines(state.oracle.cache.stats(), wall), err)
+        cs = state.oracle.cache.stats()
+        lines += [
+            ("backend", BACKEND),
+            ("minors cached", cs["entries"]),
+            ("pure misses", "%d (hits %d)" % (cs["pure_misses"], cs["pure_hits"])),
+            ("hom misses", "%d (hits %d)" % (cs["hom_misses"], cs["hom_hits"])),
+            ("cache clears", cs["clears"]),
+            ("predicate calls", cs["predicate_calls"]),
+            ("predicate time", "%.6fs" % cs["predicate_time"]),
+            ("wall time", "%.6fs" % wall),
+        ]
+        err.write("stats:\n")
+        for k, v in lines:
+            err.write("  %s: %s\n" % (k, v))
     return 0
 
 

@@ -230,9 +230,8 @@ class TriangulatedHull:
         return [hom[t] for t in range(mask.bit_length()) if mask >> t & 1]
 
     def _orient(self, rows):
-        # The orientation of the points with these homogeneous rows.
-        if self.dim == self.ambient:
-            return _sign(det_bareiss(rows))
+        # The orientation of the points with these homogeneous rows; at full
+        # dimension the chart lists every coordinate in order.
         chart = self._chart
         return _sign(det_bareiss([[row[j] for j in chart] for row in rows]))
 
@@ -479,13 +478,7 @@ class FacetHull:
         near = graph[f] if len(graph[f]) < len(graph[g]) else graph[g]
         subs = {ridge & facets[x] for x in near}
         subs.discard(ridge)  # the meet with F or G
-        out = []
-        for t in sorted(subs, key=int.bit_count, reverse=True):
-            if t.bit_count() < k - 2:
-                break  # too few points for a (k-3)-face
-            if all(t & u != t for u in out):
-                out.append(t)
-        return out
+        return _maximal(subs, k - 2)  # a (k-3)-face has k - 2 points or more
 
     def _cone_volume(self, vid, seen):
         # The volume the point adds: it coned over the pulling triangulation
@@ -501,6 +494,21 @@ class FacetHull:
             for cell in _pulling_simplices(mf, ridges, self.dim - 1, memo):
                 total += _cell_volume([apex] + [hom[v] for v in cell])
         return Fraction(total) / factorial(self.dim)
+
+
+def _maximal(meets, least=0):
+    """The inclusion-maximal masks among ``meets`` with ``least`` points or more.
+
+    The masks are taken by popcount, largest first, and each is kept unless
+    a kept one contains it.
+    """
+    out = []
+    for t in sorted(meets, key=int.bit_count, reverse=True):
+        if t.bit_count() < least:
+            break
+        if all(t & u != t for u in out):
+            out.append(t)
+    return out
 
 
 # -- volume ---------------------------------------------------------------------
@@ -618,12 +626,7 @@ def f_vector(hull):
         counts[d] = len(faces)
         below = set()
         for face in faces:
-            meets = {face & g for g in facet_sets} - {0, face}
-            facets = []
-            for t in sorted(meets, key=int.bit_count, reverse=True):
-                if all(t & u != t for u in facets):
-                    facets.append(t)
-            below.update(facets)
+            below.update(_maximal({face & g for g in facet_sets} - {0, face}))
         faces = below
     counts[0] = len(faces)
     return tuple(counts)

@@ -22,17 +22,17 @@ Most predicate calls are answered from cached minors, so the work around a
 lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
 column c: a key hashes as one integer, and a column goes in or out by one
 OR or XOR.  The any-order entries check their arguments, fold in the
-parity of the permutation that sorts their columns (``mask_with_parity``)
-and call one mask-level routine each: ``hom_minor`` (h of a mask, behind
-``hom_sign`` and ``volume_predicate``) or ``lifted_sign`` (a sorted mask
-followed by one column under a lift, behind ``orientation``).  The oracle
-calls those routines directly on masks it built, for the sign of its
-first simplex, the side of a tilted flat and the volumes of the cells
-that rho sums, so its queries pay for no argument check.  Its hulls call batches on the (mask, q) pairs of a whole
-boundary: ``split_boundary`` at dimension 2n, ``split_lifted`` and
-``upper_facets`` on a full-dimensional lifted hull.  Every mask-level
-routine and every batch reads one clock pair and checks the cache
-threshold once.
+parity of the permutation that sorts their columns and call one mask-level
+routine each: ``hom_minor`` (h of a mask, behind ``hom_sign`` and
+``volume_predicate``) or ``lifted_sign`` (a sorted mask followed by one
+column under a lift, behind ``orientation``).  The oracle calls those
+routines directly on masks it built, for the sign of its first simplex,
+the side of a tilted flat and the volumes of the cells that rho sums, so
+its queries pay for no argument check.  Its hulls call batches on the
+(mask, q) pairs of a whole boundary: ``split_boundary`` at dimension 2n,
+``split_lifted`` and ``upper_facets`` on a full-dimensional lifted hull.
+Every mask-level routine and every batch reads one clock pair and checks
+the cache threshold once.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
@@ -46,7 +46,6 @@ __all__ = [
     "det_bareiss",
     "MinorCache",
     "BACKEND",
-    "mask_with_parity",
 ]
 
 BACKEND = "python"
@@ -96,20 +95,6 @@ def _sign(value):
     if value < 0:
         return -1
     return 0
-
-
-def mask_with_parity(cols):
-    """(bitmask of the distinct ``cols``, sign of the permutation sorting them).
-
-    Putting column c into a mask S flips the parity once per column of S
-    above c, so it flips exactly when ``(S >> c).bit_count()`` is odd.
-    """
-    mask, parity = 0, 1
-    for c in cols:
-        if (mask >> c).bit_count() & 1:
-            parity = -parity
-        mask |= 1 << c
-    return mask, parity
 
 
 class MinorCache:
@@ -276,7 +261,14 @@ class MinorCache:
         if len(set(cols)) != len(cols):
             self.predicate_calls += 1
             return 0, 0
-        return mask_with_parity(cols)
+        # Putting column c into a mask S flips the parity once per column of
+        # S above c, so it flips exactly when ``(S >> c).bit_count()`` is odd.
+        mask, parity = 0, 1
+        for c in cols:
+            if (mask >> c).bit_count() & 1:
+                parity = -parity
+            mask |= 1 << c
+        return mask, parity
 
     # -- public API ---------------------------------------------------------
     # Each entry checks its arguments, then calls one mask-level routine,

@@ -50,7 +50,6 @@ from .kernels import MinorCache
 __all__ = [
     "VertexOracle",
     "lift_direction",
-    "mixed_cells",
     "rho_vector",
 ]
 
@@ -65,45 +64,32 @@ def lift_direction(sys, w):
     return lift
 
 
-def mixed_cells(simplices, sys):
-    """Classify each simplex: (block, vertex column) if mixed, else None.
-
-    A simplex is a column bitmask (bit c for column c).  It is i-mixed when
-    it takes exactly one column from block i and exactly two from every
-    other block; the single block-i column is the associated mixed-cell
-    vertex.  Each count is one popcount against a block's mask.
-    """
-    masks = sys.block_masks
-    out = []
-    for simplex in simplices:
-        counts = [(simplex & bm).bit_count() for bm in masks]
-        if counts.count(1) == 1 and counts.count(2) == sys.n:
-            block = counts.index(1)
-            out.append((block, (simplex & masks[block]).bit_length() - 1))
-        else:
-            out.append(None)
-    return out
-
-
 def rho_vector(simplices, sys, cache, volumes=None, classes=None):
     """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
 
     ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
     ``triangulation`` returns them) saves reading each volume from
     ``cache``, where a mixed simplex's volume is |h(mask)|, one
-    ``MinorCache.hom_minor`` on its mask.  ``classes`` memoizes
-    ``mixed_cells`` across calls on the same system: it maps a simplex to
-    its mixed vertex column, or -1 when it is not mixed, and this call adds
-    the simplices it lacks.
+    ``MinorCache.hom_minor`` on its mask.  A simplex is i-mixed when it
+    takes exactly one column from block i and exactly two from every other
+    block; that single column is its mixed vertex, and each count is one
+    popcount against a block's mask.  ``classes`` memoizes the classes
+    across calls on the same system: it maps a simplex to its mixed vertex
+    column, or -1 when it is not mixed, and this call adds the simplices it
+    lacks.
     """
     if classes is None:
         classes = {}
-    fresh = [s for s in simplices if s not in classes]
-    for s, cls in zip(fresh, mixed_cells(fresh, sys)):
-        classes[s] = -1 if cls is None else cls[1]
+    masks, n = sys.block_masks, sys.n
     rho = [0] * sys.num_columns
     for i, s in enumerate(simplices):
-        col = classes[s]
+        col = classes.get(s)
+        if col is None:
+            counts = [(s & bm).bit_count() for bm in masks]
+            col = -1
+            if counts.count(1) == 1 and counts.count(2) == n:
+                col = (s & masks[counts.index(1)]).bit_length() - 1
+            classes[s] = col
         if col < 0:
             continue
         if volumes is None:
@@ -162,17 +148,21 @@ class VertexOracle:
         if type(state) is tuple:
             cells, pairs = state
             # The side of the flat a column is on: its lift while the flat's
-            # is 0, else read off a cell's lifted orientation.  The first
-            # cell spans the flat, which is tilted when a column of it is.
-            tilted = cells[0][0] & lift_mask
-            height = _height(cache, cells[0], lift) if tilted else lift.__getitem__
+            # is 0, else -s times the lifted orientation of the flat's first
+            # cell (mask, s) followed by the column, since the lift row less
+            # the flat's lift is nonzero at that column alone.  That cell
+            # spans the flat, which is tilted when a column of it is.
+            mask, s = cells[0]
+            tilted = mask & lift_mask
             for col in cols:
-                up = height(col)
+                up = -s * cache.lifted_sign(mask, col, lift) if tilted else lift[col]
                 if up:
                     # Putting col last multiplies h by -sign(up).
                     state = _cone(cells, pairs, col, -1 if up > 0 else 1)
                     break
-                cells, pairs = _on_flat(cache, cells, pairs, col)
+                visible, keep = cache.split_boundary(pairs, col)
+                if visible:
+                    cells, pairs = _place(cells, visible, keep, col)
             else:
                 return cells, pairs
         for col in cols:
@@ -240,24 +230,4 @@ class VertexOracle:
         answer = (point, rho)
         self.memo[key] = answer
         return answer
-
-
-def _height(cache, cell, lift):
-    """height(c): the sign of lifted column c's side of a tilted 2n-flat.
-
-    ``cell`` is a (mask, s) cell of the flat, s = sign h(mask).  Along the
-    lift row less the flat's lift only c is nonzero, so the orientation of
-    the cell's sorted columns followed by c is -(lift(c) less the flat's
-    lift at c) * h(mask): the side is -s times that orientation, from the
-    minor cache.
-    """
-    mask, s = cell
-    lifted = cache.lifted_sign
-    return lambda c: -s * lifted(mask, c, lift)
-
-
-def _on_flat(cache, cells, pairs, col):
-    """(cells, pairs) of a hull of dimension 2n with ``col``, on its flat, in."""
-    visible, keep = cache.split_boundary(pairs, col)
-    return _place(cells, visible, keep, col) if visible else (cells, pairs)
 

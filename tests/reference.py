@@ -41,11 +41,6 @@ def ref_sort_parity(seq):
     return -1 if inversions % 2 else 1
 
 
-def ref_mask_key(tags):
-    """(sum of 2**t over the distinct int ``tags``, their sort parity)."""
-    return sum(2 ** t for t in tags), ref_sort_parity(tags)
-
-
 def ref_affine_dim(points):
     """Dimension of the affine hull of a list of points."""
     pts = list(points)

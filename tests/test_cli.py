@@ -326,6 +326,12 @@ def test_compute_errors_exit_2(tmp_path, capsys):
     code, out, err = _run(["compute", huge], capsys)
     assert code == 2 and not out
     assert err == "error: coordinate with too many digits in point '%s...'\n" % ("7" * 37)
+    # So is an n line or a custom index past it, by the same integer reader.
+    huge_n = _write(tmp_path, "huge_n.txt", "%s\n0; 1\n0; 1\nprojection: full\n" % ("7" * 5000))
+    code, out, err = _run(["compute", huge_n], capsys)
+    assert (code, out, err) == (2, "", "error: n with too many digits on the first line\n")
+    code, out, err = _run(["compute", good, "--projection", "custom 0 %s" % ("7" * 5000)], capsys)
+    assert (code, out, err) == (2, "", "error: index with too many digits in custom projection\n")
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
@@ -409,9 +415,12 @@ def test_compute_malformed_json_exit_2(tmp_path, capsys, doc):
 def test_compute_not_essential_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "degenerate.txt", NOT_ESSENTIAL_TEXT)
     code, out, err = _run(["compute", path], capsys)
-    assert code == 3
-    assert "essential" in err
-    assert "0" in err and "1" in err  # the violating blocks
+    assert code == 3 and not out
+    assert err == "error: family is not essential; violating blocks [0, 1]\n"
+    # Every point on one line: the union does not span.
+    flat = _write(tmp_path, "flat.txt", "2\n0 0; 1 0\n0 0; 2 0\n0 0; 3 0\nprojection: full\n")
+    code, out, err = _run(["compute", flat], capsys)
+    assert (code, out, err) == (3, "", "error: family is not essential; supports do not span\n")
 
 
 def test_compute_invariant_violation_exit_4(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from reference import (
     ref_adjugate,
     ref_affine_dim,
     ref_det,
-    ref_mask_key,
     ref_rank,
     ref_solve_unique,
     ref_sort_parity,
@@ -32,7 +31,7 @@ from resnewt.exactlin import (
     rank_int,
     saturated_basis,
 )
-from resnewt.kernels import MinorCache, det_bareiss, mask_with_parity
+from resnewt.kernels import MinorCache, det_bareiss
 
 
 # -- det_bareiss ------------------------------------------------------------------
@@ -240,16 +239,23 @@ def test_predicates_over_every_column_order():
 
 
 def test_mask_parity_matches_inversion_count():
-    # Every order of random column sets, folded into a mask one column at a
-    # time: the mask has exactly the set's bits, and the parity is the sign
-    # of the permutation that sorts the order, counted by inversions.
+    # Every order of random column sets, through hom_sign, which folds the
+    # columns into a mask one at a time: it answers as the matrix built in
+    # that order, and as the sorted columns' sign times the sign of the
+    # permutation that sorts the order, counted by inversions.
     rng = random.Random(23)
-    for size in range(7):
+    base = [tuple(rng.randint(-50, 50) for _ in range(5)) for _ in range(70)]
+    cache = MinorCache(base)
+    for size in range(1, 7):
         for _ in range(4):
             cols = rng.sample(range(70), size)
+            sorted_sign = cache.hom_sign(sorted(cols))
+            assert sorted_sign != 0  # so that a wrong parity shows
             for order in permutations(cols):
-                assert mask_with_parity(order) == ref_mask_key(order), order
-    assert mask_with_parity(()) == (0, 1)
+                sign = _sign(ref_det(_hom_matrix(base, order)))
+                assert cache.hom_sign(order) == ref_sort_parity(order) * sorted_sign == sign, order
+    with pytest.raises(ValueError):
+        cache.hom_sign(())
 
 
 @pytest.mark.parametrize("use_cache", [True, False])

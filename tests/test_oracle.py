@@ -30,7 +30,6 @@ from resnewt.kernels import MinorCache, det_bareiss
 from resnewt.oracle import (
     VertexOracle,
     lift_direction,
-    mixed_cells,
     rho_vector,
 )
 
@@ -71,22 +70,32 @@ def test_lift_direction_places_symbolic_heights():
         lift_direction(sysd, (1, 2))  # wrong length
 
 
+def _classes(simplices, sysd):
+    # The class memo rho_vector fills: simplex -> mixed vertex column, or -1.
+    classes = {}
+    cache = MinorCache(sysd.columns)
+    rho_vector(simplices, sysd, cache, [0] * len(simplices), classes)
+    return classes
+
+
 def test_mixed_cells_classification():
     sysd = _sys(MONOMIAL_SURFACE, "full")
     cells = MONOMIAL_SURFACE_CELLS_PLUS
-    kinds = mixed_cells([_mask(cell) for cell in cells], sysd)
+    classes = _classes([_mask(cell) for cell in cells], sysd)
     # Every golden cell takes one column from one block and two from each of
     # the others: i-mixed with the single column recorded.
-    assert len(kinds) == len(cells)
-    for cell, kind in zip(cells, kinds):
-        assert kind is not None
-        block, single_col = kind
-        assert sysd.block_of[single_col] == block
+    assert len(classes) == len(cells)
+    for cell in cells:
+        single_col = classes[_mask(cell)]
+        assert single_col in cell
+        block = sysd.block_of[single_col]
         assert sum(1 for c in cell if sysd.block_of[c] == block) == 1
-    # A simplex missing a block entirely classifies as None.
+    # A simplex missing a block entirely is not mixed.
     syl = _sys(SYLVESTER, "full")
-    assert mixed_cells([_mask((0, 1, 2))], syl)[0] is None  # all from block 0
-    assert mixed_cells([_mask((0, 1, 3))], syl)[0] == (1, 3)
+    assert _classes([_mask((0, 1, 2))], syl) == {_mask((0, 1, 2)): -1}  # all from block 0
+    assert _classes([_mask((0,))], syl) == {_mask((0,)): -1}  # none from block 1
+    assert _classes([_mask((0, 1, 3))], syl) == {_mask((0, 1, 3)): 3}
+    assert syl.block_of[3] == 1
 
 
 # -- frozen pipeline evaluations ----------------------------------------------------
@@ -238,11 +247,12 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
 
 def _spy_starts(monkeypatch):
     # What one triangulation does from dimension 2n on: the heads it starts
-    # from, the copies of the base it makes, the side each column is found
-    # on, the columns placed on the flat and the column that cones off it.
+    # from, the copies of the base it makes, the lifted orientation each
+    # column is found at off a tilted flat (0 on it), the columns placed on
+    # the flat and the column that cones off it.
     seen = {"heads": [], "copies": 0, "sides": [], "on flat": [], "cones": []}
-    facets, height = oracle_module._simplex_facets, oracle_module._height
-    on_flat, cone = oracle_module._on_flat, oracle_module._cone
+    facets, cone = oracle_module._simplex_facets, oracle_module._cone
+    lifted_sign, split_boundary = MinorCache.lifted_sign, MinorCache.split_boundary
     copy = TriangulatedHull.copy
 
     def spy_facets(head, s):
@@ -253,26 +263,21 @@ def _spy_starts(monkeypatch):
         seen["copies"] += 1
         return copy(hull)
 
-    def spy_height(cache, cell, lift):
-        side = height(cache, cell, lift)
+    def spy_lifted_sign(cache, mask, col, lift):
+        seen["sides"].append((col, lifted_sign(cache, mask, col, lift)))
+        return seen["sides"][-1][1]
 
-        def recorded(c):
-            seen["sides"].append((c, side(c)))
-            return seen["sides"][-1][1]
-
-        return recorded
-
-    def spy_on_flat(cache, cells, pairs, col):
+    def spy_split_boundary(cache, pairs, col):
         seen["on flat"].append(col)
-        return on_flat(cache, cells, pairs, col)
+        return split_boundary(cache, pairs, col)
 
     def spy_cone(cells, pairs, col, t):
         seen["cones"].append(col)
         return cone(cells, pairs, col, t)
 
     monkeypatch.setattr(oracle_module, "_simplex_facets", spy_facets)
-    monkeypatch.setattr(oracle_module, "_height", spy_height)
-    monkeypatch.setattr(oracle_module, "_on_flat", spy_on_flat)
+    monkeypatch.setattr(MinorCache, "lifted_sign", spy_lifted_sign)
+    monkeypatch.setattr(MinorCache, "split_boundary", spy_split_boundary)
     monkeypatch.setattr(oracle_module, "_cone", spy_cone)
     monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
     return seen
