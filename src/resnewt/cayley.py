@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ResnewtError,
 )
-from .exactlin import AffineChart, affine_dim, int_vector, rank_int, vec_sub
+from .exactlin import AffineChart, int_vector, rank_int, vec_sub
 from .geometry import FacetHull, lattice_hull
 
 __all__ = [
@@ -316,8 +316,8 @@ def essential_violation(family):
     within-block edge vectors have rank below its cardinality is returned.
     """
     n = family.n
-    all_points = [p for s in family.supports for p in s]
-    if affine_dim(all_points, n) < n:
+    p0 = family.supports[0][0]
+    if rank_int((vec_sub(p, p0) for s in family.supports for p in s), n) < n:
         return ()
     for size in range(1, n + 1):
         for subset in combinations(range(n + 1), size):
@@ -409,13 +409,14 @@ class CayleySystem:
     order.  ``M`` is the (2n+1) x |A| matrix whose column for
     a point a of block i is (a, unit_i) with unit_i in {0,1}^{n+1}; M maps
     exponent vectors to their block-degree/content invariants.
-    ``block_masks[i]`` is the column bit mask of block i.
+    ``block_masks[i]`` is the column bit mask of block i, the one record of
+    a column's block: column c is in block i when bit c of it is set, and
+    M's indicator rows are these masks' bits.
     """
 
     n: int
     family: SupportFamily
     columns: list
-    block_of: list
     block_masks: list
     projection: list
     specialized: list
@@ -431,7 +432,6 @@ def build_cayley(family):
     """Assemble the Cayley system for an essential, preprocessed family."""
     n = family.n
     columns = []
-    block_of = []
     block_masks = []
     projection = []
     specialized = []
@@ -441,7 +441,6 @@ def build_cayley(family):
         for j, p in enumerate(s):
             col = len(columns)
             columns.append(tuple(p) + unit)
-            block_of.append(i)
             mask |= 1 << col
             (projection if family.symbolic[i][j] else specialized).append(col)
         block_masks.append(mask)
@@ -449,13 +448,12 @@ def build_cayley(family):
     big_m = []
     for r in range(n):
         big_m.append(tuple(columns[c][r] for c in range(len(columns))))
-    for i in range(n + 1):
-        big_m.append(tuple(1 if block_of[c] == i else 0 for c in range(len(columns))))
+    for mask in block_masks:
+        big_m.append(tuple(mask >> c & 1 for c in range(len(columns))))
     return CayleySystem(
         n=n,
         family=family,
         columns=columns,
-        block_of=block_of,
         block_masks=block_masks,
         projection=projection,
         specialized=specialized,

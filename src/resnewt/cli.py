@@ -129,7 +129,7 @@ def run(config, stdin=None, stdout=None, stderr=None):
                 text = fh.read()
         else:
             text = stdin if stdin is not None else _sys.stdin.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         err.write("error: cannot read input: %s\n" % exc)
         return 2
 

@@ -33,7 +33,6 @@ __all__ = [
     "echelon_reduce",
     "echelon_extend",
     "rank_int",
-    "affine_dim",
     "integer_kernel",
     "saturated_basis",
 ]
@@ -180,89 +179,52 @@ def rank_int(rows, cap=None):
     return len(echelon)
 
 
-def affine_dim(points, cap=None):
-    """Dimension of the affine hull of a point set (-1 for empty input).
-
-    With ``cap`` the result is min(dimension, cap), as in ``rank_int``.
-    """
-    pts = list(points)
-    if not pts:
-        return -1
-    p0 = pts[0]
-    return rank_int((vec_sub(p, p0) for p in pts[1:]), cap)
-
-
 # -- integer lattice routines --------------------------------------------------
 
-def integer_kernel(rows, ncols=None):
-    """Basis of the integer kernel lattice {x : rows @ x = 0}.
+def integer_kernel(rows, ncols):
+    """Basis of the integer kernel lattice {x : rows @ x = 0} in Z^ncols.
 
-    Returns a list of integer vectors forming a basis of the kernel as a
-    lattice; because the basis arises from unimodular column operations it is
-    automatically saturated (spans all integer points of the kernel space).
-    ``ncols`` is required when ``rows`` is empty.
+    Unimodular column operations on [rows; I] (Cohen, 1993, §2.4), each
+    column kept as one list: a column swap exchanges two lists, a reduction
+    rebuilds one.  Once every row is reduced, the identity block's columns
+    past the last pivot are the basis.  Because the operations are
+    unimodular the basis is saturated (it spans every integer point of the
+    kernel space), and its size is ``ncols`` minus the rank of ``rows``.
     """
-    a = [int_vector(list(row)) for row in rows]
-    if a:
-        n = len(a[0])
-    else:
-        if ncols is None:
-            raise ValueError("ncols required for an empty row list")
-        n = ncols
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in u:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def col_addmul(jdst, jsrc, q):
-        # column jdst -= q * column jsrc
-        for row in a:
-            row[jdst] -= q * row[jsrc]
-        for row in u:
-            row[jdst] -= q * row[jsrc]
-
+    a = [int_vector(row) for row in rows]
+    nrows = len(a)
+    cols = []
+    for j in range(ncols):
+        unit = [0] * ncols
+        unit[j] = 1
+        cols.append([row[j] for row in a] + unit)
     col = 0
-    for r in range(len(a)):
-        if col >= n:
+    for r in range(nrows):
+        if col >= ncols:
             break
-        j0 = -1
-        for j in range(col, n):
-            if a[r][j] != 0:
-                j0 = j
-                break
-        if j0 < 0:
+        j0 = next((j for j in range(col, ncols) if cols[j][r]), None)
+        if j0 is None:
             continue
-        if j0 != col:
-            col_swap(col, j0)
-        for j in range(col + 1, n):
-            while a[r][j] != 0:
-                q = a[r][j] // a[r][col]
-                col_addmul(j, col, q)
-                if a[r][j] != 0:
-                    col_swap(col, j)
+        cols[col], cols[j0] = cols[j0], cols[col]
+        for j in range(col + 1, ncols):
+            while cols[j][r]:
+                q = cols[j][r] // cols[col][r]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[col])]
+                if cols[j][r]:
+                    cols[col], cols[j] = cols[j], cols[col]
         col += 1
-    return [tuple(u[i][j] for i in range(n)) for j in range(col, n)]
+    return [tuple(c[nrows:]) for c in cols[col:]]
 
 
-def saturated_basis(vectors, ambient_dim=None):
+def saturated_basis(vectors, ambient_dim):
     """Basis of the saturation of the lattice spanned by integer ``vectors``.
 
-    The result spans the same rational subspace and contains every integer
-    point of that subspace (so coordinates of integer points in this basis
-    are integers).  ``ambient_dim`` is required when ``vectors`` is empty.
+    The vectors lie in Z^ambient_dim.  The result spans the same rational
+    subspace and contains every integer point of that subspace (so
+    coordinates of integer points in this basis are integers): the kernel
+    of the vectors' integer kernel.
     """
-    vecs = list(vectors)
-    if vecs:
-        m = len(vecs[0])
-    else:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim required for an empty vector list")
-        m = ambient_dim
-    annihilator = integer_kernel(vecs, ncols=m)
-    return integer_kernel(annihilator, ncols=m)
+    return integer_kernel(integer_kernel(vectors, ambient_dim), ambient_dim)
 
 
 # -- affine lattice charts ----------------------------------------------------

@@ -34,7 +34,7 @@ from .exactlin import (
     saturated_basis,
     vec_sub,
 )
-from .kernels import _sign, det_bareiss
+from .kernels import det_bareiss
 
 __all__ = [
     "FacetHull",
@@ -233,7 +233,8 @@ class TriangulatedHull:
         # The orientation of the points with these homogeneous rows; at full
         # dimension the chart lists every coordinate in order.
         chart = self._chart
-        return _sign(det_bareiss([[row[j] for j in chart] for row in rows]))
+        d = det_bareiss([[row[j] for j in chart] for row in rows])
+        return (d > 0) - (d < 0)
 
     def _nonzero_orient(self, rows):
         s = self._orient(rows)
@@ -595,7 +596,7 @@ def lattice_hull(points):
     pts = list(points)
     p0 = min(pts)
     diffs = [vec_sub(p, p0) for p in pts if p != p0]
-    chart = AffineChart(p0, saturated_basis(diffs, ambient_dim=len(p0)))
+    chart = AffineChart(p0, saturated_basis(diffs, len(p0)))
     xis = []
     for p in pts:
         xi = chart.coords(p)

@@ -89,14 +89,6 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
-def _sign(value):
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
 class MinorCache:
     """Cache of signed minors of one fixed integer base matrix.
 
@@ -284,7 +276,8 @@ class MinorCache:
         mask, parity = self._checked_mask(tuple(cols), self._nrows + 1)
         if not mask:
             return 0
-        return parity * _sign(self.hom_minor(mask))
+        h = self.hom_minor(mask)
+        return parity * ((h > 0) - (h < 0))
 
     def volume_predicate(self, cols):
         """Absolute homogeneous determinant (normalized simplex volume).

@@ -135,12 +135,10 @@ class SandwichReport:
 
 
 def _normalize_equation(normal, offset):
-    nrm, off = canonical_hyperplane(normal, offset)
-    lead = next((x for x in nrm if x != 0), 0)
-    if lead < 0:
-        nrm = tuple(-a for a in nrm)
-        off = -off
-    return (nrm, off)
+    # The normal is a canonical direction: only its leading sign is fixed.
+    if next(x for x in normal if x) < 0:
+        return tuple(-a for a in normal), -offset
+    return normal, offset
 
 
 def _equation_rank(sys):
@@ -154,10 +152,11 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
 
     Queries the 2m coordinate directions, then repeatedly picks an integer
     direction orthogonal to the points found so far and independent of the
-    equations already certified, querying both orientations.  Each round
-    either grows the rank of the point set or certifies a new independent
-    equation (when max equals min), so rank + #equations reaches m in at
-    most m rounds.
+    equations already certified, querying both orientations: a vector of
+    the points' integer kernel, taken once per point set, whose size is m
+    minus their rank.  Each round either grows that rank or certifies a new
+    independent equation (when max equals min), so in at most m rounds the
+    kernel holds as many vectors as there are equations.
 
     The target has at most m - ``_equation_rank`` dimensions.  Once the
     points seen span that many, a round's direction is an equation through
@@ -182,24 +181,20 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     eq_rows, eq_pivots = [], []  # an echelon of the certified normals
     equations = []
     eq_rank = None  # at the first round, which many instances never reach
-    known = 0  # the number of points that r and kernel were taken over
+    known = 0  # the number of points the kernel was taken over
     while True:
         if len(seen) != known:
             known = len(seen)
             pts = list(seen)
-            dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
-            r = rank_int(dirs) if dirs else 0
-            kernel = None
-        if r + len(eq_rows) == m:
+            kernel = integer_kernel([vec_sub(p, pts[0]) for p in pts[1:]], m)
+        if len(kernel) == len(eq_rows):
             break
-        if kernel is None:
-            kernel = integer_kernel(dirs, ncols=m)
         w = next(cand for cand in kernel if any(echelon_reduce(cand, eq_rows, eq_pivots)))
         w = canonical_direction(w)
         if not query_equations:
             if eq_rank is None:
                 eq_rank = _equation_rank(sys)
-            if r + eq_rank == m:
+            if len(kernel) == eq_rank:
                 echelon_extend(list(w), eq_rows, eq_pivots)
                 equations.append(_normalize_equation(w, dot(w, pts[0])))
                 continue

@@ -131,6 +131,56 @@ def brute_force_facets(points):
     return facets
 
 
+def ref_integer_kernel(rows, ncols):
+    """The integer kernel basis, by column operations on two separate matrices.
+
+    Not independent of the package: this is the earlier form of
+    ``exactlin.integer_kernel``, which kept the rows and the unimodular
+    transform as row lists and swapped or reduced a column entry by entry.
+    The package's column-list form must return the same basis vectors in
+    the same order, since Q's chart and the certified equations are read
+    off that order.
+    """
+    a = [list(row) for row in rows]
+    n = len(a[0]) if a else ncols
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_swap(j1, j2):
+        for row in a:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in u:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    def col_addmul(jdst, jsrc, q):
+        # column jdst -= q * column jsrc
+        for row in a:
+            row[jdst] -= q * row[jsrc]
+        for row in u:
+            row[jdst] -= q * row[jsrc]
+
+    col = 0
+    for r in range(len(a)):
+        if col >= n:
+            break
+        j0 = -1
+        for j in range(col, n):
+            if a[r][j] != 0:
+                j0 = j
+                break
+        if j0 < 0:
+            continue
+        if j0 != col:
+            col_swap(col, j0)
+        for j in range(col + 1, n):
+            while a[r][j] != 0:
+                q = a[r][j] // a[r][col]
+                col_addmul(j, col, q)
+                if a[r][j] != 0:
+                    col_swap(col, j)
+        col += 1
+    return [tuple(u[i][j] for i in range(n)) for j in range(col, n)]
+
+
 def _nullspace(rows, ncols):
     """A basis of {x : rows.x = 0}, by Gauss-Jordan over Fractions."""
     a = [[Fraction(x) for x in row] for row in rows]

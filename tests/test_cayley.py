@@ -25,7 +25,6 @@ from resnewt.cayley import (
 )
 from resnewt.cli import gen_random
 from resnewt.errors import NotEssential, ParseError, ResnewtError
-from resnewt.exactlin import affine_dim
 from resnewt.reconstruct import compute_pi
 
 
@@ -362,7 +361,7 @@ def test_preprocess_builds_one_hull_per_block(monkeypatch):
         for pts, flags in zip(fam.supports, fam.symbolic):
             spec = [p for p, f in zip(pts, flags) if not f]
             if spec:
-                expect.append(affine_dim(spec))
+                expect.append(ref_affine_dim(spec))
         assert builds == expect
 
 
@@ -388,8 +387,12 @@ def test_build_cayley_monomial_surface():
         (0, 0, 0, 1),
         (2, 0, 0, 1),
     ]
-    assert sysd.block_of == [0, 0, 1, 1, 2, 2]
     assert sysd.block_masks == [0b000011, 0b001100, 0b110000]
+    block_of = [
+        next(i for i, mask in enumerate(sysd.block_masks) if mask >> c & 1)
+        for c in range(sysd.num_columns)
+    ]
+    assert block_of == [0, 0, 1, 1, 2, 2]
     # Row structure of the homogenized block matrix: n coordinate rows
     # (the original exponents), then one indicator row per block.
     assert len(sysd.M) == 2 * sysd.n + 1
@@ -397,7 +400,7 @@ def test_build_cayley_monomial_surface():
         assert sysd.M[r] == tuple(c[r] for c in sysd.columns)
     for i in range(sysd.n + 1):
         assert sysd.M[sysd.n + i] == tuple(
-            1 if b == i else 0 for b in sysd.block_of
+            1 if b == i else 0 for b in block_of
         )
     assert sysd.projection == list(range(6))
     assert sysd.specialized == []

@@ -334,6 +334,35 @@ def test_compute_errors_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: index with too many digits in custom projection\n")
 
 
+NOT_UTF8 = b"\xff\xfe\x00\x01"
+NOT_UTF8_ERROR = (
+    "error: cannot read input: 'utf-8' codec can't decode byte 0xff in position 0: "
+    "invalid start byte\n"
+)
+
+
+def test_compute_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(NOT_UTF8)
+    assert _run(["compute", str(path)], capsys) == (2, "", NOT_UTF8_ERROR)
+
+
+def test_compute_non_utf8_stdin_exits_2():
+    # Python decodes stdin strictly under a UTF-8 locale other than C; the
+    # encoding variable forces that here.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resnewt.__file__)))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "resnewt", "compute", "-"],
+        input=NOT_UTF8,
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (2, b"", NOT_UTF8_ERROR)
+
+
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
     # Valid implicit instance whose non-symbolic coordinates are not pinned
     # by the block invariant: unprojection must fail cleanly, not traceback.
@@ -651,21 +680,44 @@ def test_compute_json_identical_under_python_O(golden, mode, args):
     assert outs[0] == outs[1]
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips assert, so every invariant in the package is a typed
-    # error instead.
+def _package_nodes():
+    # (file name, AST node) for every node of every module of the package.
     pkg = os.path.dirname(os.path.abspath(resnewt.__file__))
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read(), filename=name)
-            found += [
-                "%s:%d" % (name, node.lineno)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Assert)
-            ]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so every invariant in the package is a typed
+    # error instead.
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
+
+
+def test_every_private_definition_is_referenced():
+    # A private function or class that no name, attribute or import in the
+    # package refers to is dead code, such as a wrapper nothing calls.
+    defined, used = [], set()
+    for name, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append("%s:%d %s" % (name, node.lineno, node.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    assert defined  # the scan found the package's private helpers
+    assert [d for d in defined if d.split()[-1] not in used] == []
 
 
 def test_public_names_resolve():

@@ -14,6 +14,7 @@ from reference import (
     ref_adjugate,
     ref_affine_dim,
     ref_det,
+    ref_integer_kernel,
     ref_rank,
     ref_solve_unique,
     ref_sort_parity,
@@ -23,13 +24,13 @@ from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
     AffineChart,
     adjugate,
-    affine_dim,
     canonical_direction,
     canonical_hyperplane,
     integer_kernel,
     primitive,
     rank_int,
     saturated_basis,
+    vec_sub,
 )
 from resnewt.kernels import MinorCache, det_bareiss
 
@@ -643,10 +644,16 @@ def test_rank_and_affine_dim():
         # Each row over denominators up to 6, scaled by their multiple 60.
         scaled = [[x * 60 // rng.randint(1, 6) for x in row] for row in rows]
         assert rank_int(scaled) == ref_rank(rows)
-    assert affine_dim([]) == -1
-    assert affine_dim([(3, 3)]) == 0
-    assert affine_dim([(0, 0), (2, 0), (1, 0)]) == 1
-    assert affine_dim([(0, 0), (1, 0), (0, 1)]) == 2
+    # The affine dimension of a point set, as essential_violation reads it:
+    # the rank of the differences from the first point.
+    assert rank_int([]) == 0
+    assert _affine_rank([(3, 3)]) == 0
+    assert _affine_rank([(0, 0), (2, 0), (1, 0)]) == 1
+    assert _affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
+
+
+def _affine_rank(points, cap=None):
+    return rank_int([vec_sub(p, points[0]) for p in points[1:]], cap)
 
 
 def test_rank_and_affine_dim_stop_at_their_cap():
@@ -659,7 +666,7 @@ def test_rank_and_affine_dim_stop_at_their_cap():
         for cap in range(width + 2):
             assert rank_int(rows, cap) == min(rank, cap)
             if points:
-                assert affine_dim(points, cap) == min(ref_affine_dim(points), cap)
+                assert _affine_rank(points, cap) == min(ref_affine_dim(points), cap)
     # Rows past the one that reaches the cap are never read.
     def rows_then_fail():
         yield (1, 0, 0)
@@ -670,25 +677,37 @@ def test_rank_and_affine_dim_stop_at_their_cap():
 
 def test_integer_kernel_basic():
     rows = [[1, 1, 0], [0, 1, 1]]
-    basis = integer_kernel(rows)
+    basis = integer_kernel(rows, 3)
     assert len(basis) == 1
     v = basis[0]
     assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in rows)
-    assert integer_kernel([], ncols=2) == [(1, 0), (0, 1)]
+    assert integer_kernel([], 2) == [(1, 0), (0, 1)]
+
+
+def test_integer_kernel_size_is_the_corank():
+    # initialize reads a point set's rank off its kernel: ncols - rank.
+    rng = random.Random(3302)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+        rows += [list(row) for row in rows[: rng.randint(0, 2)]]  # repeated rows
+        basis = integer_kernel(rows, ncols)
+        assert len(basis) == ncols - ref_rank(rows)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in basis)
 
 
 def test_kernel_and_saturation_clear_rational_entries():
     # The rational row (1/2, 1) scaled by its denominator 2 keeps its span
     # and its kernel.
     assert saturated_basis([(1, 2)], ambient_dim=2) in ([(1, 2)], [(-1, -2)])
-    assert integer_kernel([[1, 2]]) in ([(2, -1)], [(-2, 1)])
+    assert integer_kernel([[1, 2]], 2) in ([(2, -1)], [(-2, 1)])
 
 
 def test_integer_kernel_is_saturated():
     # The returned basis must generate ALL integer kernel vectors over Z,
     # not just over Q.  This matrix defeats naive cleared-fraction RREF.
     rows = [[3, 1, 0, 1], [0, 0, 1, 0]]
-    basis = integer_kernel(rows)
+    basis = integer_kernel(rows, 4)
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r[j] * v[j] for j in range(4)) == 0 for r in rows)
@@ -699,6 +718,30 @@ def test_integer_kernel_is_saturated():
         sol = ref_solve_unique(rows_b, target)
         assert sol is not None
         assert all(x.denominator == 1 for x in sol)
+
+
+def test_integer_kernel_matches_its_earlier_form():
+    # The column-list form does the earlier form's arithmetic, so it returns
+    # the same basis vectors in the same order: Q's chart and the certified
+    # equations are read off that order.  Empty row lists, zero rows and
+    # repeated rows are drawn too, up to 10 x 9.
+    rng = random.Random(3301)
+    vectors = 0
+    for _ in range(20000):
+        ncols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 10)):
+            kind = rng.random()
+            if rows and kind < 0.1:
+                rows.append(list(rng.choice(rows)))
+            elif kind < 0.2:
+                rows.append([0] * ncols)
+            else:
+                rows.append([rng.choice((0, 0, 1, -1, 2, -3, rng.randint(-50, 50))) for _ in range(ncols)])
+        basis = integer_kernel(rows, ncols)
+        assert basis == ref_integer_kernel(rows, ncols), rows
+        vectors += len(basis)
+    assert vectors > 20000  # most draws have a kernel
 
 
 def test_saturated_basis_properties():

@@ -34,7 +34,6 @@ from resnewt import outer as outer_module
 from resnewt.cayley import unproject
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.exactlin import (
-    affine_dim,
     integer_kernel,
     primitive,
     rank_int,
@@ -328,9 +327,10 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
     )
     entries = {
         "rank_int": lambda: rank_int([(1, 0), (0, x)]),
-        "affine_dim": lambda: affine_dim([(0, 0), (x, 1)]),
-        "integer_kernel": lambda: integer_kernel([[1, x]]),
-        "saturated_basis": lambda: saturated_basis([(x, 1)]),
+        # Capped, as essential_violation reads an affine dimension.
+        "rank_int capped": lambda: rank_int([(0, 0), (x, 1)], 2),
+        "integer_kernel": lambda: integer_kernel([[1, x]], 2),
+        "saturated_basis": lambda: saturated_basis([(x, 1)], 2),
         # At x = 0.5 this column was once truncated to (0, 0).
         "MinorCache": lambda: MinorCache([(x, 0), (1, 0), (0, 1)]),
         "first point": lambda: TriangulatedHull(2).insert((x, 0)),

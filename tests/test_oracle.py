@@ -51,6 +51,11 @@ def _cols(mask):
     return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
+def _block(sysd, col):
+    # The block of a column, read off the block masks.
+    return next(i for i, mask in enumerate(sysd.block_masks) if mask >> col & 1)
+
+
 # -- direction helpers ----------------------------------------------------------
 
 
@@ -88,14 +93,14 @@ def test_mixed_cells_classification():
     for cell in cells:
         single_col = classes[_mask(cell)]
         assert single_col in cell
-        block = sysd.block_of[single_col]
-        assert sum(1 for c in cell if sysd.block_of[c] == block) == 1
+        block = _block(sysd, single_col)
+        assert sum(1 for c in cell if _block(sysd, c) == block) == 1
     # A simplex missing a block entirely is not mixed.
     syl = _sys(SYLVESTER, "full")
     assert _classes([_mask((0, 1, 2))], syl) == {_mask((0, 1, 2)): -1}  # all from block 0
     assert _classes([_mask((0,))], syl) == {_mask((0,)): -1}  # none from block 1
     assert _classes([_mask((0, 1, 3))], syl) == {_mask((0, 1, 3)): 3}
-    assert syl.block_of[3] == 1
+    assert _block(syl, 3) == 1
 
 
 # -- frozen pipeline evaluations ----------------------------------------------------
@@ -359,7 +364,7 @@ def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
 
     def misses_a_block(seed):
         head = _placing_order(sysd, w, seed)[:full]
-        return len({sysd.block_of[c] for c in head}) <= sysd.n
+        return len({_block(sysd, c) for c in head}) <= sysd.n
 
     seed = next(seed for seed in range(100) if misses_a_block(seed))
     assert not _spanning_head(sysd, w, seed)
