@@ -470,15 +470,13 @@ def unproject(sys, projected_vertices, rho_ref):
     projected vertex B solves M_spec X = C - M_sym B exactly.  Solutions
     must be unique and integral: ``AmbiguousUnprojection`` is raised when
     the specialized columns leave degrees of freedom, ``ResnewtError`` when
-    a vertex has no integral solution.  Projected vertices are integer
-    points: an entry that is not an ``int`` raises ``ValueError``
-    (``int_vector``).
+    a vertex has no integral solution.  ``rho_ref`` (|A| entries) and each
+    projected vertex (m entries) pass ``int_vector``.
     """
     total = sys.num_columns
-    if len(rho_ref) != total:
-        raise ValueError("reference vertex has wrong length")
+    rho_ref = int_vector(rho_ref, total)
     if sys.m == total:
-        return [int_vector(tuple(b)) for b in projected_vertices]
+        return [int_vector(b, total) for b in projected_vertices]
     c_vec = [sum(row[j] * rho_ref[j] for j in range(total)) for row in sys.M]
     try:
         chart = AffineChart(
@@ -490,9 +488,7 @@ def unproject(sys, projected_vertices, rho_ref):
         ) from None
     out = []
     for b in projected_vertices:
-        if len(b) != sys.m:
-            raise ValueError("projected vertex has wrong length")
-        int_vector(b)
+        b = int_vector(b, sys.m)
         rhs = [
             c_vec[r]
             - sum(sys.M[r][col] * b[k] for k, col in enumerate(sys.projection))

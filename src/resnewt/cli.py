@@ -20,7 +20,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import product
+from math import comb
 from random import Random
 
 from .cayley import (
@@ -248,10 +248,36 @@ def _compute(config, system, out, err):
 # -- random input generation ---------------------------------------------------
 
 
-def _lattice(n, delta, kind):
-    if kind == "dense":
-        return [p for p in product(range(delta + 1), repeat=n) if sum(p) <= delta]
-    return list(product(range(delta // 2 + 1), repeat=n))
+def _lattice_size(n, delta, kind):
+    # The lattice points of the delta-simplex (dense) or the (delta/2)-cube (sparse).
+    if delta < 0:
+        return 0
+    return comb(delta + n, n) if kind == "dense" else (delta // 2 + 1) ** n
+
+
+def _lattice_point(n, delta, kind, index):
+    # The index-th of those points in lexicographic order, without listing them.
+    point = []
+    if kind != "dense":  # the index's digits in base delta/2 + 1
+        for _ in range(n):
+            index, digit = divmod(index, delta // 2 + 1)
+            point.append(digit)
+        return tuple(reversed(point))
+    for r in range(n, 0, -1):
+        # comb(delta - v + r, r) points have a first coordinate of v or more:
+        # take the largest v with at most ``index`` points before it.
+        total = comb(delta + r, r)
+        lo, hi = 0, delta
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if total - comb(delta - mid + r, r) <= index:
+                lo = mid
+            else:
+                hi = mid - 1
+        index -= total - comb(delta - lo + r, r)
+        delta -= lo
+        point.append(lo)
+    return tuple(point)
 
 
 def gen_random(n, delta, kind, sizes, seed, mode="full"):
@@ -260,7 +286,9 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
     ``dense`` samples each block from the lattice points of the delta-simplex,
     ``sparse`` from the (delta/2)-cube.  Implicitization mode forces the
     origin into every block; u-resultant mode fixes block 0 to the unit
-    simplex.  Resamples until the family is essential.
+    simplex.  Resamples until the family is essential.  A block draws the
+    indices of its points in the sorted lattice, so the lattice is never
+    listed.
     """
     _check_n(n)
     if len(sizes) != n + 1:
@@ -269,7 +297,7 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
         raise ParseError("block sizes must be at least 1")
     if mode not in ("full", "implicitization", "u-resultant"):
         raise ParseError("generate supports full, implicit and u-res modes only")
-    lattice = sorted(_lattice(n, delta, kind))
+    points = _lattice_size(n, delta, kind)
     origin = tuple([0] * n)
     unit_simplex = sorted(
         [origin] + [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
@@ -281,17 +309,16 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
             if mode == "u-resultant" and i == 0:
                 supports.append(list(unit_simplex))
                 continue
-            pool = list(lattice)
-            forced = []
-            if mode == "implicitization":
-                forced = [origin]
-                pool = [p for p in pool if p != origin]
-            if size - len(forced) > len(pool):
+            forced = [origin] if mode == "implicitization" else []
+            skip = len(forced) if points else 0  # the origin is point 0
+            pool = points - skip
+            if size - len(forced) > pool:
                 raise ParseError(
                     "block %d wants %d points but the lattice has %d"
-                    % (i, size, len(pool) + len(forced))
+                    % (i, size, pool + len(forced))
                 )
-            chosen = forced + rng.sample(pool, size - len(forced))
+            picks = rng.sample(range(pool), size - len(forced))
+            chosen = forced + [_lattice_point(n, delta, kind, j + skip) for j in picks]
             supports.append(sorted(chosen))
         family = _apply_projection(n, supports, mode)
         if essential_violation(family) is None:

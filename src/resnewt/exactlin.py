@@ -8,21 +8,23 @@ columns are a simplex's facet planes; integer kernels with unimodular
 bookkeeping (so kernel lattice bases are saturated); saturated subspace
 bases; affine lattice charts (integer coordinates of a point in p0 + Z.B,
 by adjugates); and one gcd normal form, ``primitive``, which the canonical
-direction and hyperplane forms are read off.
+direction and the canonical ``Hyperplane`` are read off.
 Every coordinate is an ``int``, the one coordinate type of the exact
-layer: ``rank_int``, ``integer_kernel`` and ``saturated_basis`` raise
-``ValueError`` on any other entry (``int_vector``, the check the hulls and
-``MinorCache`` share), so no elimination ever reads a ``Fraction`` or a
-float.
+layer, and ``int_vector(vec, length)`` its one vector check: each entry
+that takes a point, row, column or direction passes it, so a wrong length
+or an entry that is not an ``int`` raises ``ValueError``.  No elimination
+ever reads a ``Fraction`` or a float.
 """
 
 from math import gcd
 from operator import mul, sub
+from typing import NamedTuple
 
 from .errors import DegenerateInput, InvalidDirection
 
 __all__ = [
     "AffineChart",
+    "Hyperplane",
     "adjugate",
     "dot",
     "vec_sub",
@@ -48,11 +50,24 @@ def vec_sub(u, v):
     return tuple(map(sub, u, v))
 
 
-def int_vector(vec):
-    """``vec`` itself; raises ``ValueError`` unless every entry is an ``int``."""
+def int_vector(vec, length=None):
+    """``vec`` as a tuple; ``ValueError`` unless it is ``length`` (if given) ``int``s."""
+    vec = tuple(vec)
+    if length is not None and len(vec) != length:
+        raise ValueError("expected %d coordinates, got %r" % (length, vec))
     if not all(map(int.__instancecheck__, vec)):  # no ABC check per entry
         raise ValueError("coordinates must be ints, got %r" % (vec,))
     return vec
+
+
+class Hyperplane(NamedTuple):
+    """Oriented hyperplane {x : normal.x = offset}; outer side normal.x > offset.
+
+    Normal entries and offset are integers with overall gcd 1.
+    """
+
+    normal: tuple
+    offset: int
 
 
 def primitive(vec):
@@ -86,13 +101,13 @@ def canonical_direction(vec):
 
 
 def canonical_hyperplane(normal, offset):
-    """(normal, offset) reduced by their common gcd, orientation preserved.
+    """The ``Hyperplane`` (normal, offset) reduced by their common gcd.
 
-    ``primitive`` of the row (*normal, offset); raises ``ValueError`` on an
-    entry that is not an ``int``.
+    ``primitive`` of the row (*normal, offset), orientation preserved;
+    raises ``ValueError`` on an entry that is not an ``int``.
     """
     row = primitive((*normal, offset))
-    return row[:-1], row[-1]
+    return Hyperplane(row[:-1], row[-1])
 
 
 # -- fraction-free elimination -----------------------------------------------
@@ -126,7 +141,7 @@ def adjugate(mat):
     sign.  Raises ``DegenerateInput`` when M is singular.
     """
     n = len(mat)
-    a = [list(row) + [0] * n for row in mat]
+    a = [[*int_vector(row, n)] + [0] * n for row in mat]
     for i, row in enumerate(a):
         row[n + i] = 1
     sign = prev = 1
@@ -171,9 +186,10 @@ def rank_int(rows, cap=None):
     """
     if cap == 0:
         return 0
-    echelon, pivots = [], []
+    echelon, pivots, width = [], [], None  # every row as long as the first
     for row in rows:
-        echelon_extend(int_vector(row), echelon, pivots)
+        echelon_extend(int_vector(row, width), echelon, pivots)
+        width = len(row)
         if len(echelon) == cap:
             break
     return len(echelon)
@@ -191,7 +207,7 @@ def integer_kernel(rows, ncols):
     unimodular the basis is saturated (it spans every integer point of the
     kernel space), and its size is ``ncols`` minus the rank of ``rows``.
     """
-    a = [int_vector(row) for row in rows]
+    a = [int_vector(row, ncols) for row in rows]
     nrows = len(a)
     cols = []
     for j in range(ncols):
@@ -245,9 +261,9 @@ class AffineChart:
     def __init__(self, p0, basis):
         echelon, pivots = [], []
         for b in basis:
-            if not echelon_extend(b, echelon, pivots):
+            if not echelon_extend(int_vector(b, len(p0)), echelon, pivots):
                 raise DegenerateInput("basis vectors are linearly dependent")
-        self.p0 = tuple(p0)
+        self.p0 = int_vector(p0)
         self.basis = list(basis)
         self.rows = sorted(pivots)
         b_j = [[b[j] for b in basis] for j in self.rows]
@@ -272,7 +288,7 @@ class AffineChart:
         entry of num.
         """
         d = self.det
-        v = vec_sub(x, self.p0)
+        v = vec_sub(int_vector(x, len(self.p0)), self.p0)
         v_j = [v[j] for j in self.rows]
         num = [dot(row, v_j) for row in self.adj]
         if any(dot(row, num) != d * v[j] for j, row in self._off_j):

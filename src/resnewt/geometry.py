@@ -14,19 +14,20 @@ pulling triangulation that Q and approx mode's outer polytope share,
 lattice-normalized volume and f-vector extraction.
 
 All arithmetic is exact and runs on integers.  A point is a tuple of
-``int``s, kept with its homogeneous row (p, 1); both hulls raise
-``ValueError`` on any other coordinate (``exactlin.int_vector``).
-``Fraction`` appears only in the volumes handed out.
+``int``s of the hull's dimension (``exactlin.int_vector``), kept with its
+homogeneous row (p, 1); a facet plane is ``exactlin.Hyperplane``, which is
+re-exported here.  Volumes are ``Fraction``s, and so is a cell's whose rows
+do not all end in 1, as Q_o's may (``_cell_volume``).
 """
 
 from fractions import Fraction
 from math import factorial, prod
 from operator import mul
-from typing import NamedTuple
 
 from .errors import DegenerateInput, InvariantViolation
 from .exactlin import (
     AffineChart,
+    Hyperplane,
     adjugate,
     canonical_hyperplane,
     echelon_extend,
@@ -46,27 +47,17 @@ __all__ = [
 ]
 
 
-class Hyperplane(NamedTuple):
-    """Oriented hyperplane {x : normal.x = offset}; outer side normal.x > offset.
-
-    Normal entries and offset are integers with overall gcd 1.
-    """
-
-    normal: tuple
-    offset: int
-
-
 def _hom_row(pt):
     """(pt, 1): the integer point's homogeneous row."""
     return (*pt, 1)
 
 
-def _int_point(point, k):
-    """The point as a tuple of k ``int``s; raises ``ValueError`` otherwise."""
-    pt = tuple(point)
-    if len(pt) != k:
-        raise ValueError("point has wrong dimension")
-    return int_vector(pt)
+def _int_points(points):
+    """The points as tuples of ``int``s as long as the first; there must be one."""
+    pts = list(points)
+    if not pts:
+        raise ValueError("a hull needs at least one point")
+    return [int_vector(p, len(pts[0])) for p in pts]
 
 
 # -- simplices as (mask, sign) pairs, the format of TriangulatedHull and the oracle --
@@ -253,7 +244,7 @@ class TriangulatedHull:
         of the wrong length or with a coordinate that is not an ``int``, and
         on a tag that is not a non-negative ``int`` or is a recorded point's.
         """
-        pt = _int_point(point, self.ambient)
+        pt = int_vector(point, self.ambient)
         if tag is None:
             tag = len(self.points)
         if type(tag) is not int or tag < 0 or tag in self._hom:
@@ -338,10 +329,7 @@ def _simplex_planes(rows):
     except DegenerateInput:
         raise InvariantViolation("simplex vertices are affinely dependent") from None
     s = -1 if det > 0 else 1
-    return [
-        Hyperplane(*canonical_hyperplane([s * a for a in col[:-1]], -s * col[-1]))
-        for col in zip(*adj)
-    ]
+    return [canonical_hyperplane([s * a for a in col[:-1]], -s * col[-1]) for col in zip(*adj)]
 
 
 class FacetHull:
@@ -368,7 +356,7 @@ class FacetHull:
     """
 
     def __init__(self, points, tags=None):
-        pts = [int_vector(tuple(p)) for p in points]
+        pts = _int_points(points)
         tags = pts if tags is None else list(tags)
         k = self.dim = len(pts[0])
         self.points, self.tags, self._hom, self._index = [], [], [], {}
@@ -411,7 +399,7 @@ class FacetHull:
         ``int``, and ``InvariantViolation`` when the facet graph is found
         corrupted: a facet of a horizon ridge that lies on no other.
         """
-        pt = _int_point(point, self.dim)
+        pt = int_vector(point, self.dim)
         if pt in self._index:
             return []
         facets, graph = self._facets, self._graph
@@ -438,7 +426,7 @@ class FacetHull:
                 else:
                     normal = [a1 * v - a2 * u for u, v in zip(f.normal, g.normal)]
                     offset = a1 * g.offset - a2 * f.offset
-                    plane = Hyperplane(*canonical_hyperplane(normal, offset))
+                    plane = canonical_hyperplane(normal, offset)
                     through[plane] = through.get(plane, bit) | ridge
                     bases.append((plane, g))
                 for t in self._ridge_facets(ridge, f, g):
@@ -593,7 +581,7 @@ def lattice_hull(points):
     ``FacetHull`` in the order given, each tagged by itself; it is
     full-dimensional in the chart.  Returns (hull, chart).
     """
-    pts = list(points)
+    pts = _int_points(points)
     p0 = min(pts)
     diffs = [vec_sub(p, p0) for p in pts if p != p0]
     chart = AffineChart(p0, saturated_basis(diffs, len(p0)))

@@ -14,9 +14,8 @@ serves two geometric predicates built from the same column data:
 Because the base matrix excludes both the lifting and the homogenizing row,
 every cached minor is independent of the lifting, so one cache accelerates
 predicate evaluations across many lifting directions.  The base matrix and
-the liftings are integers: ``MinorCache`` raises ``ValueError`` on a column
-entry that is not an ``int`` (``exactlin.int_vector``), so every minor is
-an exact integer.
+the liftings are integers, each column and lifting checked by
+``exactlin.int_vector`` with its length, so every minor is an exact integer.
 
 Most predicate calls are answered from cached minors, so the work around a
 lookup is kept small.  A set of columns is an ``int`` bitmask, bit c for
@@ -92,8 +91,8 @@ def det_bareiss(rows):
 class MinorCache:
     """Cache of signed minors of one fixed integer base matrix.
 
-    The base matrix is given column-wise, each column a vector of ``int``s
-    (any other entry raises ``ValueError``); minors are keyed by the bitmask of
+    The base matrix is given column-wise, as vectors of ``int``s of one
+    length (else ``ValueError``); minors are keyed by the bitmask of
     their columns (bit c for column c), taken in increasing order, and
     always take the *top* rows of matching count.  Two tables are kept:
 
@@ -114,8 +113,8 @@ class MinorCache:
 
     The public entries take column tuples and convert them once; each
     raises ``ValueError`` on no columns, too many, one that is not an
-    ``int`` or out of range (``orientation`` also on a lifting value that
-    is not an ``int``), and only then answers 0 for a repeated column.  Statistics
+    ``int`` or out of range (``orientation`` also on a lifting that is not
+    one ``int`` per column), and only then answers 0 for a repeated column.  Statistics
     count hits and misses (misses = actually computed minors), with
     pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
@@ -124,14 +123,9 @@ class MinorCache:
     """
 
     def __init__(self, columns, threshold=10 ** 6, use_cache=True):
-        cols = [int_vector(tuple(c)) for c in columns]
-        if cols:
-            nrows = len(cols[0])
-            for c in cols:
-                if len(c) != nrows:
-                    raise ValueError("all columns must have equal length")
-        else:
-            nrows = 0
+        cols = list(columns)
+        nrows = len(cols[0]) if cols else 0
+        cols = [int_vector(c, nrows) for c in cols]
         self._columns = cols
         self._nrows = nrows
         self._rows = [tuple(c[r] for c in cols) for r in range(nrows)]
@@ -298,9 +292,7 @@ class MinorCache:
         row of the sorted columns (``lifted_sign``).
         """
         cols = tuple(cols)
-        lifting = int_vector(tuple(lifting))
-        if len(cols) != len(lifting):
-            raise ValueError("lifting must align with cols")
+        lifting = int_vector(lifting, len(cols))
         mask, parity = self._checked_mask(cols, self._nrows + 2)
         if not mask:
             return 0

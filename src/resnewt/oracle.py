@@ -43,7 +43,7 @@ mask, and blocks are classified by popcounts against per-block masks.
 
 from random import Random
 
-from .exactlin import canonical_direction
+from .exactlin import canonical_direction, int_vector
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
 from .kernels import MinorCache
 
@@ -56,8 +56,7 @@ __all__ = [
 
 def lift_direction(sys, w):
     """Lifting over all |A| columns: w_k at the k-th symbolic column, else 0."""
-    if len(w) != sys.m:
-        raise ValueError("direction must have length m = %d" % sys.m)
+    w = int_vector(w, sys.m)
     lift = [0] * sys.num_columns
     for k, col in enumerate(sys.projection):
         lift[col] = w[k]

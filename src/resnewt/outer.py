@@ -12,9 +12,9 @@ has been read updates it from the smaller side of the cut; a clip of one
 whose volume has not leaves its own unread too.
 
 All arithmetic is exact and runs on integers: a vertex is a primitive
-integer row, and a cut's normal and offset are ``int``s (``clip_halfspace``
-raises ``ValueError`` on any other).  ``Fraction`` appears only in the
-volumes handed out.
+integer row (a, d), d > 0, and a cut a ``Hyperplane`` of ``int``s, each of
+its length (``exactlin.int_vector``).  A cell with some d > 1 has a
+``Fraction`` volume, which the volume adds up with the ``int`` ones.
 """
 
 from fractions import Fraction
@@ -36,12 +36,12 @@ def _vertex_masks(tight):
     return masks
 
 
-def _constraint_row(plane):
+def _constraint_row(plane, k):
     """Primitive integer row g with g.(d.x, d) of the sign of normal.x - offset.
 
-    Raises ``ValueError`` on a normal or offset that is not an ``int``.
+    Raises ``ValueError`` unless the normal is k ``int``s and the offset one.
     """
-    return primitive(int_vector((*plane.normal, -plane.offset)))
+    return primitive(int_vector((*plane.normal, -plane.offset), k + 1))
 
 
 class OuterPolytope:
@@ -79,9 +79,13 @@ class OuterPolytope:
         ``rows`` are the vertices in the polytope's own format, primitive
         integer homogeneous rows (a, d), d > 0.  The facet opposite vertex
         i gets id i, so vertex i is tight at every constraint but its own.
-        Raises ``InvariantViolation`` when the vertices are affinely
-        dependent.
+        Raises ``ValueError`` unless there are k + 1 rows of k + 1 ``int``s,
+        each with d > 0, and ``InvariantViolation`` when the vertices are
+        affinely dependent.
         """
+        rows = [int_vector(row, len(rows)) for row in rows]
+        if not rows or min(row[-1] for row in rows) <= 0:
+            raise ValueError("a simplex needs rows (a, d) with d > 0")
         k = len(rows) - 1
         if k == 0:
             return cls(0, rows, [frozenset()], [], Fraction(1))
@@ -103,9 +107,7 @@ def clip_halfspace(outer, plane):
     volume has been read, the result's is updated by triangulating the
     smaller side of the cut only; otherwise it is left to its first read.
     """
-    if len(plane.normal) != outer.dim:
-        raise ValueError("plane has wrong dimension")
-    g = _constraint_row(plane)
+    g = _constraint_row(plane, outer.dim)
     rows, tight = outer.rows, outer.tight
     vals = [dot(g, h) for h in rows]
     inside = [i for i, v in enumerate(vals) if v < 0]

@@ -29,7 +29,7 @@ from .exactlin import (
     rank_int,
     vec_sub,
 )
-from .geometry import FacetHull, Hyperplane, hull_volume, lattice_hull
+from .geometry import FacetHull, hull_volume, lattice_hull
 from .oracle import VertexOracle
 from .outer import OuterPolytope, clip_halfspace
 
@@ -275,9 +275,7 @@ def _outer_constraint(state, w, point):
     normal = tuple(dot(b, w) for b in chart.basis)
     if all(a == 0 for a in normal):
         return None
-    offset = dot(w, vec_sub(point, chart.p0))
-    nrm, off = canonical_hyperplane(normal, offset)
-    return Hyperplane(nrm, off)
+    return canonical_hyperplane(normal, dot(w, vec_sub(point, chart.p0)))
 
 
 def compute_pi_approx(sys, threshold, seed=0, use_cache=True):

@@ -367,3 +367,51 @@ def outer_points(outer):
         tuple(a if row[-1] == 1 else Fraction(a, row[-1]) for a in row[:-1])
         for row in outer.rows
     ]
+
+
+def ref_lattice(n, delta, kind):
+    """Every lattice point of the delta-simplex (``dense``) or the
+    (delta/2)-cube (``sparse``) in Z^n, sorted, by enumeration."""
+    if kind == "dense":
+        return sorted(p for p in product(range(delta + 1), repeat=n) if sum(p) <= delta)
+    return sorted(product(range(delta // 2 + 1), repeat=n))
+
+
+def ref_gen_random(n, delta, kind, sizes, seed, mode="full"):
+    """``cli.gen_random`` as it was first written: each block samples a list
+    of the whole ``ref_lattice``.  Its checks of n, sizes and mode are left
+    to the caller.
+    """
+    from random import Random
+
+    from resnewt.cayley import _apply_projection, essential_violation
+    from resnewt.errors import ParseError, ResnewtError
+
+    lattice = ref_lattice(n, delta, kind)
+    origin = tuple([0] * n)
+    unit_simplex = sorted(
+        [origin] + [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    )
+    rng = Random(f"{seed}|gen")
+    for _ in range(10000):
+        supports = []
+        for i, size in enumerate(sizes):
+            if mode == "u-resultant" and i == 0:
+                supports.append(list(unit_simplex))
+                continue
+            pool = list(lattice)
+            forced = []
+            if mode == "implicitization":
+                forced = [origin]
+                pool = [p for p in pool if p != origin]
+            if size - len(forced) > len(pool):
+                raise ParseError(
+                    "block %d wants %d points but the lattice has %d"
+                    % (i, size, len(pool) + len(forced))
+                )
+            chosen = forced + rng.sample(pool, size - len(forced))
+            supports.append(sorted(chosen))
+        family = _apply_projection(n, supports, mode)
+        if essential_violation(family) is None:
+            return family
+    raise ResnewtError("could not generate an essential family; enlarge delta")

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 
@@ -15,12 +16,13 @@ import pytest
 
 from conftest import family_from, system_from
 from golden import BICUBIC, CIRCLE_LINE, MONOMIAL_SURFACE, SYLVESTER
+from reference import ref_gen_random, ref_lattice
 
 import resnewt
 from resnewt import cli
 from resnewt.cayley import family_to_json, family_to_text
 from resnewt.cli import main
-from resnewt.errors import InvariantViolation
+from resnewt.errors import InvariantViolation, ResnewtError
 from resnewt.geometry import hull_volume
 from resnewt.reconstruct import compute_pi
 
@@ -823,6 +825,90 @@ def test_generate_pipes_into_compute(tmp_path, capsys):
     code, out, err = _run(["compute", path], capsys)
     assert code == 0
     assert any(l.startswith("v ") for l in out.splitlines())
+
+
+def _outcome(gen, *args, **kwargs):
+    try:
+        return gen(*args, **kwargs)
+    except ResnewtError as exc:
+        return type(exc), str(exc)
+
+
+def test_gen_random_matches_its_enumerating_form():
+    # gen_random draws lattice indices and ranks each one; the reference
+    # samples a list of the whole lattice.  random.sample picks the same
+    # indices from a range as from a list of its length, so every family and
+    # every error agree.  Each lattice point is ranked as the list orders it,
+    # and a negative delta has no lattice points.
+    for n in (1, 2, 3):
+        for delta in (-3, -1, 0, 1, 2, 3, 4, 6):
+            for kind in ("dense", "sparse"):
+                lattice = ref_lattice(n, delta, kind)
+                assert cli._lattice_size(n, delta, kind) == len(lattice)
+                ranked = [cli._lattice_point(n, delta, kind, i) for i in range(len(lattice))]
+                assert ranked == lattice
+    families = 0
+    for n in (1, 2, 3):
+        for sizes in ([2] * (n + 1), [3] * (n + 1), [n + 2] + [2] * n):
+            for delta in (-1, 2, 3, 4, 6):
+                for kind in ("dense", "sparse"):
+                    for mode in ("full", "implicitization", "u-resultant"):
+                        for seed in range(4):
+                            args = (n, delta, kind, sizes, seed)
+                            got = _outcome(cli.gen_random, *args, mode=mode)
+                            assert got == _outcome(ref_gen_random, *args, mode=mode), args
+                            families += type(got) is not tuple
+    assert families > 700  # of 1,080 draws
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv", [["3", "1000000", "--sizes", "2,2,2,2"], ["9", "20", "--sizes", "2," * 9 + "2"]]
+)
+def test_generate_never_lists_the_lattice(argv):
+    # The dense lattices have about 1.7e17 and 1.0e7 points; listing either
+    # once ran out of time and memory.  The child alone gets 1 GB of address
+    # space.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resnewt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "resnewt", "generate", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=2,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(argv[0] + "\n")
+
+
+# sha256 prefixes of the joined input texts of one benchmark run
+# (perfbench/workloads.py, instance_texts) per workload and seed.  A change to
+# the generator shows in the benchmark only as digests it has not recorded;
+# here it fails.
+INSTANCE_TEXT_DIGESTS = {
+    ("exact-full", 1): "6045dad44c68f73c",
+    ("exact-full", 2): "b0eb7a36d23ce126",
+    ("implicit", 1): "6bc41691d4b8af45",
+    ("implicit", 2): "5aa9853badf48d73",
+    ("approx", 1): "004840230f80897d",
+    ("approx", 2): "c840c04c37818d3a",
+}
+
+
+@pytest.mark.parametrize("workload, seed", list(INSTANCE_TEXT_DIGESTS))
+def test_benchmark_instance_texts_are_pinned(monkeypatch, workload, seed):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from workloads import WORKLOADS, instance_texts
+
+    texts = "".join(text for _, text in instance_texts(WORKLOADS[workload], seed))
+    assert hashlib.sha256(texts.encode()).hexdigest()[:16] == INSTANCE_TEXT_DIGESTS[workload, seed]
 
 
 # -- reference instances -------------------------------------------------------------

@@ -34,6 +34,8 @@ from resnewt import outer as outer_module
 from resnewt.cayley import unproject
 from resnewt.errors import DegenerateInput, EmptyIntersection, InvariantViolation
 from resnewt.exactlin import (
+    AffineChart,
+    adjugate,
     integer_kernel,
     primitive,
     rank_int,
@@ -48,6 +50,7 @@ from resnewt.geometry import (
     lattice_hull,
 )
 from resnewt.kernels import MinorCache, det_bareiss
+from resnewt.oracle import lift_direction
 from resnewt.outer import OuterPolytope, clip_halfspace
 from resnewt.reconstruct import compute_pi
 
@@ -349,6 +352,94 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
         with pytest.raises(ValueError, match="must be ints"):
             entry()
     assert len(tri.points) == len(facets.points) == 4 and flat.dim == 0
+
+
+def _vector_entry_calls():
+    # Each exact-layer entry that takes a point, row, column or direction,
+    # as {(entry, case): call}, every call one that exactlin.int_vector must
+    # stop.
+    x = Fraction(1, 2)
+    surface = system_from(
+        MONOMIAL_SURFACE["n"], MONOMIAL_SURFACE["supports"], "implicitization"
+    )
+    segments = system_from(1, [[(0,), (1,)], [(0,), (1,)]], "full")  # m = |A|
+    zeros = (0,) * surface.num_columns
+    cache = MinorCache([(0, 0), (1, 0), (0, 1)])
+    square = FacetHull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    chart = AffineChart((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+    return {
+        ("TriangulatedHull.insert", "length"): lambda: TriangulatedHull(2).insert((0, 0, 0)),
+        ("TriangulatedHull.insert", "non-int"): lambda: TriangulatedHull(2).insert((x, 0)),
+        ("FacetHull", "length"): lambda: FacetHull([(0, 0), (1, 0), (0, 1, 5)]),
+        ("FacetHull", "non-int"): lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
+        ("FacetHull", "empty"): lambda: FacetHull([]),
+        ("FacetHull.insert", "length"): lambda: square.insert((3, 3, 3)),
+        ("FacetHull.insert", "non-int"): lambda: square.insert((3, x)),
+        ("lattice_hull", "length"): lambda: lattice_hull([(0, 0), (1, 0, 0)]),
+        ("lattice_hull", "non-int"): lambda: lattice_hull([(0, 0), (x, 0)]),
+        ("lattice_hull", "empty"): lambda: lattice_hull([]),
+        ("MinorCache", "length"): lambda: MinorCache([(0, 0), (1,), (0, 1)]),
+        ("MinorCache", "non-int"): lambda: MinorCache([(x, 0), (1, 0), (0, 1)]),
+        ("orientation", "length"): lambda: cache.orientation((0, 1, 2), (1, 2)),
+        ("orientation", "non-int"): lambda: cache.orientation((0, 1, 2), (x, 0, 0)),
+        # Once read as rank 2.
+        ("rank_int", "length"): lambda: rank_int([(1, 0), (0, 0, 5)]),
+        ("rank_int", "non-int"): lambda: rank_int([(1, 0), (0, x)]),
+        ("integer_kernel", "length"): lambda: integer_kernel([[1, 2, 3]], 2),
+        ("integer_kernel", "non-int"): lambda: integer_kernel([[1, x]], 2),
+        ("adjugate", "length"): lambda: adjugate([[1, 2, 3], [4, 5, 6]]),
+        ("adjugate", "non-int"): lambda: adjugate([[x, 0], [0, 1]]),
+        # Its point (3, 0) once got the coordinates (3,).
+        ("AffineChart", "length"): lambda: AffineChart((0, 0), [(1, 0, 9)]),
+        ("AffineChart", "non-int"): lambda: AffineChart((0, 0), [(x, 1)]),
+        # Once (1, 2) for a point of four coordinates.
+        ("AffineChart.coords", "length"): lambda: chart.coords((1, 2, 0, 7)),
+        ("AffineChart.coords", "non-int"): lambda: chart.coords((x, 0, 0)),
+        # Two rows of three once read as affinely dependent, and a short
+        # row as an IndexError.
+        ("OuterPolytope.simplex", "length"): lambda: OuterPolytope.simplex([(0, 0, 1), (2, 0, 1)]),
+        ("OuterPolytope.simplex", "short row"): lambda: OuterPolytope.simplex(
+            [(0, 0, 1), (2, 0), (0, 2, 1)]
+        ),
+        ("OuterPolytope.simplex", "non-int"): lambda: OuterPolytope.simplex(
+            [(0, 0, 1), (x, 0, 1), (0, 2, 1)]
+        ),
+        # Its volume once read -2.
+        ("OuterPolytope.simplex", "d not positive"): lambda: OuterPolytope.simplex(
+            [(0, 0, 1), (2, 0, -1), (0, 2, 1)]
+        ),
+        ("clip_halfspace", "length"): lambda: clip_halfspace(_box(2), Hyperplane((1, 0, 0), 1)),
+        ("clip_halfspace", "non-int"): lambda: clip_halfspace(_box(2), Hyperplane((1, 0), x)),
+        ("lift_direction", "length"): lambda: lift_direction(surface, (1, 2)),
+        ("lift_direction", "non-int"): lambda: lift_direction(surface, (x, 0, 0)),
+        ("unproject rho_ref", "length"): lambda: unproject(surface, [(4, 0, 0)], (0, 0)),
+        ("unproject rho_ref", "non-int"): lambda: unproject(surface, [(4, 0, 0)], (x, *zeros[1:])),
+        ("unproject", "length"): lambda: unproject(surface, [(1, 2)], zeros),
+        ("unproject", "non-int"): lambda: unproject(surface, [(x, 0, 0)], zeros),
+        # Its vertex (1, 2) once came back as a full vertex of a 4-column system.
+        ("unproject full", "length"): lambda: unproject(segments, [(1, 2)], (0, 1, 1, 0)),
+        ("unproject full", "non-int"): lambda: unproject(segments, [(x, 0, 1, 1)], (0, 1, 1, 0)),
+    }
+
+
+VECTOR_CHECKS = {
+    "length": r"expected \d+ coordinates",
+    "short row": r"expected \d+ coordinates",
+    "non-int": "must be ints",
+    "empty": "at least one point",
+    "d not positive": "d > 0",
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case", list(_vector_entry_calls()), ids=lambda v: v.replace(" ", "_")
+)
+def test_exact_layer_entries_check_every_vector(entry, case):
+    # One check, exactlin.int_vector(vec, length), for every vector the exact
+    # layer takes in: a wrong length or an entry that is not an int raises
+    # ValueError, as do no points at all and a simplex row with d <= 0.
+    with pytest.raises(ValueError, match=VECTOR_CHECKS[case]):
+        _vector_entry_calls()[entry, case]()
 
 
 # -- volumes -------------------------------------------------------------------
