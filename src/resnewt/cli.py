@@ -297,6 +297,8 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
         raise ParseError("block sizes must be at least 1")
     if mode not in ("full", "implicitization", "u-resultant"):
         raise ParseError("generate supports full, implicit and u-res modes only")
+    if kind not in ("dense", "sparse"):
+        raise ParseError("unknown kind %r: generate draws dense or sparse families" % (kind,))
     points = _lattice_size(n, delta, kind)
     origin = tuple([0] * n)
     unit_simplex = sorted(

@@ -16,12 +16,12 @@ lattice-normalized volume and f-vector extraction.
 All arithmetic is exact and runs on integers.  A point is a tuple of
 ``int``s of the hull's dimension (``exactlin.int_vector``), kept with its
 homogeneous row (p, 1); a facet plane is ``exactlin.Hyperplane``, which is
-re-exported here.  Volumes are ``Fraction``s, and so is a cell's whose rows
-do not all end in 1, as Q_o's may (``_cell_volume``).
+re-exported here.  A volume adds its cells as ``int``s over one common
+denominator and is one ``Fraction``.
 """
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import DegenerateInput, InvariantViolation
@@ -358,6 +358,8 @@ class FacetHull:
     def __init__(self, points, tags=None):
         pts = _int_points(points)
         tags = pts if tags is None else list(tags)
+        if len(tags) != len(pts):
+            raise ValueError("%d tags for %d points" % (len(tags), len(pts)))
         k = self.dim = len(pts[0])
         self.points, self.tags, self._hom, self._index = [], [], [], {}
         self._volume = None
@@ -392,7 +394,8 @@ class FacetHull:
         return self._facets
 
     def insert(self, point, tag=None):
-        """Insert a point; returns the list of facet planes it added.
+        """Insert a point tagged ``tag``, by default the point; returns the
+        list of facet planes it added.
 
         Duplicates and points in the hull are no-ops.  Raises ``ValueError``
         on a point of the wrong length or with a coordinate that is not an
@@ -407,7 +410,7 @@ class FacetHull:
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
             return []
-        vid = self._record(pt, _hom_row(pt), tag)
+        vid = self._record(pt, _hom_row(pt), pt if tag is None else tag)
         if self._volume is not None:
             self._volume += self._cone_volume(vid, seen)
         bit = 1 << vid
@@ -472,7 +475,7 @@ class FacetHull:
     def _cone_volume(self, vid, seen):
         # The volume the point adds: it coned over the pulling triangulation
         # of each facet it sees, whose ridges are its mask's meets with its
-        # neighbours'.
+        # neighbours'.  The rows all end in 1: a cell adds its |det| alone.
         facets, graph, hom = self._facets, self._graph, self._hom
         apex = hom[vid]
         memo = {}
@@ -481,8 +484,8 @@ class FacetHull:
             mf = facets[f]
             ridges = {mf & facets[g] for g in graph[f]}
             for cell in _pulling_simplices(mf, ridges, self.dim - 1, memo):
-                total += _cell_volume([apex] + [hom[v] for v in cell])
-        return Fraction(total) / factorial(self.dim)
+                total += abs(det_bareiss([apex] + [hom[v] for v in cell]))
+        return Fraction(total, factorial(self.dim))
 
 
 def _maximal(meets, least=0):
@@ -501,13 +504,6 @@ def _maximal(meets, least=0):
 
 
 # -- volume ---------------------------------------------------------------------
-
-
-def _cell_volume(rows):
-    """dim! times the volume of the simplex with these homogeneous rows."""
-    d = abs(det_bareiss(rows))
-    m = prod(row[-1] for row in rows)
-    return d if m == 1 else Fraction(d, m)
 
 
 def _pulling_simplices(face, sets, d, memo):
@@ -544,14 +540,19 @@ def _pulling_volume(dim, rows, sets):
 
     ``rows`` are its points as homogeneous rows and ``sets`` the bit masks
     of the points on each facet (bit i for ``rows[i]``), so that a face is
-    known by its point set.
+    known by its point set.  A cell is |det| / m of its rows, m the product
+    of their last entries, which divides ``scale``: the cells add as
+    ``int``s over that one denominator.
     """
     face = 0
     for t in sets:
         face |= t
-    cells = _pulling_simplices(face, sets, dim, {})
-    total = sum(_cell_volume([rows[v] for v in cell]) for cell in cells)
-    return Fraction(total) / factorial(dim)
+    scale = lcm(*(row[-1] for row in rows)) ** (dim + 1)
+    total = 0
+    for cell in _pulling_simplices(face, sets, dim, {}):
+        cell_rows = [rows[v] for v in cell]
+        total += abs(det_bareiss(cell_rows)) * scale // prod(row[-1] for row in cell_rows)
+    return Fraction(total, scale * factorial(dim))
 
 
 def hull_volume(hull):

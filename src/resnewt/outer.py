@@ -13,8 +13,7 @@ whose volume has not leaves its own unread too.
 
 All arithmetic is exact and runs on integers: a vertex is a primitive
 integer row (a, d), d > 0, and a cut a ``Hyperplane`` of ``int``s, each of
-its length (``exactlin.int_vector``).  A cell with some d > 1 has a
-``Fraction`` volume, which the volume adds up with the ``int`` ones.
+its length (``exactlin.int_vector``).
 """
 
 from fractions import Fraction

@@ -22,7 +22,7 @@ import resnewt
 from resnewt import cli
 from resnewt.cayley import family_to_json, family_to_text
 from resnewt.cli import main
-from resnewt.errors import InvariantViolation, ResnewtError
+from resnewt.errors import InvariantViolation, ParseError, ResnewtError
 from resnewt.geometry import hull_volume
 from resnewt.reconstruct import compute_pi
 
@@ -859,6 +859,14 @@ def test_gen_random_matches_its_enumerating_form():
                             assert got == _outcome(ref_gen_random, *args, mode=mode), args
                             families += type(got) is not tuple
     assert families > 700  # of 1,080 draws
+
+
+def test_gen_random_rejects_an_unknown_kind():
+    # A family is dense or sparse; any other kind is a ParseError naming it,
+    # as an unknown mode is.
+    for kind in ("Dense", "sparse ", "", None):
+        with pytest.raises(ParseError, match=re.escape(repr(kind))):
+            cli.gen_random(1, 4, kind, [2, 2], 1)
 
 
 def _limit_address_space():

@@ -597,15 +597,21 @@ def test_simplex_planes_of_dependent_points_raise(d):
 
 
 def test_outer_simplex_constraints():
-    pts = [(0, 0, 0), (3, 0, 0), (0, Fraction(5, 2), 0), (1, 1, 4)]
-    simplex = OuterPolytope.simplex([(0, 0, 0, 1), (3, 0, 0, 1), (0, 5, 0, 2), (1, 1, 4, 1)])
-    assert outer_points(simplex) == pts
-    assert simplex.volume == cells_volume(pts) == 5
-    for cid, plane in enumerate(simplex.constraints):
-        values = [sum(a * x for a, x in zip(plane.normal, p)) for p in pts]
-        assert values[cid] < plane.offset
-        assert all(v == plane.offset for i, v in enumerate(values) if i != cid)
-        assert [cid in t for t in simplex.tight] == [i != cid for i in range(4)]
+    # The triangle's rows share the last entry 2, so its one cell's product
+    # of last entries, 8, is more than their lcm.
+    for rows, volume in (
+        ([(0, 0, 0, 1), (3, 0, 0, 1), (0, 5, 0, 2), (1, 1, 4, 1)], 5),
+        ([(1, 0, 2), (0, 1, 2), (1, 1, 2)], Fraction(1, 8)),
+    ):
+        pts = [tuple(Fraction(a, row[-1]) for a in row[:-1]) for row in rows]
+        simplex = OuterPolytope.simplex(rows)
+        assert outer_points(simplex) == pts
+        assert simplex.volume == cells_volume(pts) == volume
+        for cid, plane in enumerate(simplex.constraints):
+            values = [sum(a * x for a, x in zip(plane.normal, p)) for p in pts]
+            assert values[cid] < plane.offset
+            assert all(v == plane.offset for i, v in enumerate(values) if i != cid)
+            assert [cid in t for t in simplex.tight] == [i != cid for i in range(len(rows))]
 
 
 def test_clip_identity_and_empty():
@@ -703,6 +709,43 @@ def test_clip_cascades_match_vertex_enumeration(d):
                 for p, tight in zip(outer_points(outer), outer.tight):
                     value = sum(a * x for a, x in zip(cn, p))
                     assert (value == cc) == (cid in tight)
+
+
+def test_a_volume_read_builds_one_fraction(monkeypatch):
+    # A pulling triangulation's cells add as ints over one common
+    # denominator, so each volume is one Fraction, however many of its rows
+    # end in more than 1.  A seeded cascade of clips at rational offsets,
+    # read after each clip.
+    built, per_read = [], []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    pulling_volume = outer_module._pulling_volume
+
+    def spy(dim, rows, sets):
+        before = len(built)
+        out = pulling_volume(dim, rows, sets)
+        per_read.append((len(built) - before, any(row[-1] > 1 for row in rows)))
+        return out
+
+    monkeypatch.setattr(geometry, "Fraction", counted)
+    monkeypatch.setattr(outer_module, "_pulling_volume", spy)
+    rng = random.Random(808)
+    outer = _simplex([(0, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)])
+    assert outer.volume == Fraction(729, 6)
+    while len(per_read) < 8:
+        n = tuple(rng.randint(-3, 3) for _ in range(3))
+        if not any(n):
+            continue
+        values = [sum(a * x for a, x in zip(n, p)) for p in outer_points(outer)]
+        lo, hi = min(values), max(values)
+        c = lo + (hi - lo) * Fraction(rng.randint(6, 11), 12)
+        outer = clip_halfspace(outer, _int_plane(n, c))
+        assert outer.volume == cells_volume(outer_points(outer))
+    assert all(count == 1 for count, _ in per_read)
+    assert sum(rational for _, rational in per_read) >= 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -1252,6 +1295,23 @@ def test_insert_rejects_tags_that_are_not_new_non_negative_ints():
     hull.insert((1, 0), tag=5)
     hull.insert((0, 1), tag=5)
     assert hull.tags == [1, 0, 5] and hull.dim == 2
+
+
+def test_facet_hull_takes_one_tag_per_point():
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    for tags in (["a", "b", "c"], ["a", "b", "c", "d", "e"]):
+        with pytest.raises(ValueError):
+            FacetHull(square, tags=tags)
+    assert FacetHull(square, tags="abcd").tags == list("abcd")
+
+
+def test_facet_hull_tags_a_point_by_itself_by_default():
+    # In one call or by insert alike.
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    whole, grown = FacetHull(square), FacetHull(square[:3])
+    grown.insert(square[3])
+    assert whole.tags == grown.tags == square
+    assert hull_volume(whole) == hull_volume(grown) == 4
 
 
 def test_point_on_a_facet_plane_is_not_beyond_it(monkeypatch):
