@@ -58,7 +58,7 @@ class RunConfig:
     mode: str = "exact"
     threshold: Fraction = Fraction(9, 10)
     directions: int = 0
-    projection: str = ""
+    projection: str | None = None  # None keeps the input's projection
     seed: int = 0
     fmt: str = "plain"
     no_hash: bool = False
@@ -135,7 +135,7 @@ def run(config, stdin=None, stdout=None, stderr=None):
 
     try:
         family = parse_input(text)
-        if config.projection:
+        if config.projection is not None:
             family = _apply_projection(
                 family.n, family.supports, *_projection_spec(config.projection)
             )
@@ -359,7 +359,6 @@ def _build_parser():
     )
     c.add_argument(
         "--projection",
-        default="",
         help="override the input's projection line, e.g. 'implicit' or 'custom 0 1, 1 0'",
     )
     c.add_argument("--seed", type=int, default=0)

@@ -32,18 +32,21 @@ lifted orientation of a cell (mask, s) of the flat followed by the column
 the lifted determinant and a cone over the horizon, and the upper facets
 come from one more batch, whose minors are the volumes rho sums.
 
-A query starts from a copy of a base hull below 2n, or from a base's cells
-and pairs at 2n as they are.  With no base (a full projection) it starts at
-2n as the simplex on the first 2n+1 columns placed, when one
-``MinorCache.hom_minor`` on their mask finds they span.  Both predicates,
-and any volume ``rho_vector`` reads, are read on masks the oracle built, so
-they skip the public entries' checks.  A simplex is handed on as its column
-mask, and blocks are classified by popcounts against per-block masks.
+A query starts from a base's cells and pairs at 2n as they are.  With no
+base (a full projection) it starts at 2n as the simplex on the first 2n+1
+columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
+span.  Else ``_rank_first`` places first the columns that raise the lifted
+rank, which keeps the triangulation (see the README), and the query tries
+the new head or grows a copy of the base by jumps up to the handoff.  Both
+predicates, and any volume ``rho_vector`` reads, are read on masks the
+oracle built, so they skip the public entries' checks.  A simplex is handed
+on as its column mask, and blocks are classified by popcounts against
+per-block masks.
 """
 
 from random import Random
 
-from .exactlin import canonical_direction, int_vector
+from .exactlin import canonical_direction, echelon_extend, int_vector, vec_sub
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
 from .kernels import MinorCache
 
@@ -170,6 +173,30 @@ class VertexOracle:
                 state = keep + _horizon_cone(visible, col)
         return state
 
+    def _rank_first(self, order, lift, base):
+        """``order`` with the columns that raise the lifted rank moved first.
+
+        Each column that raises the rank of the lifted points before it, on
+        ``base``'s echelon, goes to the front until they span as far as
+        ``_advance`` hands a hull on; the skipped columns, then the rest,
+        keep their order behind them.
+        """
+        sys, full = self.sys, self._full
+        rows, pivots = list(base._echelon), list(base._pivots)
+        origin = base.points[0] if base.points else None
+        front, skipped = [], []
+        for i, col in enumerate(order):
+            pt = sys.columns[col] + (lift[col],)
+            if origin is None:
+                origin = pt
+            elif not echelon_extend(vec_sub(pt, origin), rows, pivots):
+                skipped.append(col)
+                continue
+            front.append(col)
+            if len(rows) == full or len(rows) == full - 1 and full - 1 not in pivots:
+                return front + skipped + order[i + 1:]
+        return front + skipped
+
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
@@ -191,10 +218,14 @@ class VertexOracle:
             self._base = self._advance(empty, sys.specialized, [0] * sys.num_columns)
         state = self._base
         if isinstance(state, TriangulatedHull):
-            # With no base, start at 2n from the head simplex when it spans.
-            head = sorted(order[:full]) if state.dim == -1 else ()
-            mask = sum(1 << c for c in head)
-            h = len(head) == full and self.cache.hom_minor(mask)
+            # With no base, start at 2n from a spanning head, rank-first if need be.
+            for again in (True, False):
+                head = sorted(order[:full]) if state.dim == -1 else ()
+                mask = sum(1 << c for c in head)
+                h = len(head) == full and self.cache.hom_minor(mask)
+                if h or not again:
+                    break
+                order = self._rank_first(order, lift, state)
             if h:
                 s = 1 if h > 0 else -1
                 state, order = ([(mask, s)], _simplex_facets(head, s)), order[full:]

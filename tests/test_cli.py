@@ -312,8 +312,10 @@ def test_compute_errors_exit_2(tmp_path, capsys):
         ["compute", good, "--mode", "random", "--directions", "2"], capsys
     )
     assert code == 2
-    code, out, err = _run(["compute", good, "--projection", " "], capsys)
-    assert code == 2 and "names no mode" in err
+    # An empty override is refused as a blank one is, not read as no override.
+    for blank in (" ", ""):
+        code, out, err = _run(["compute", good, "--projection", blank], capsys)
+        assert (code, out, err) == (2, "", "error: projection names no mode\n")
     typo = _write(tmp_path, "typo.txt", "1\n2;;1\n2; 0\nprojection: full\n")
     code, out, err = _run(["compute", typo], capsys)
     assert code == 2 and "empty point" in err and not out
@@ -927,7 +929,11 @@ def test_benchmark_instance_texts_are_pinned(monkeypatch, workload, seed):
 # roadmap's S and M project onto every coefficient, so their lifted hulls
 # have no unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
 # that the first lifted column cones over; U3 (u-resultant) has a lower
-# base, so its hulls grow point by point.
+# base, so its hulls grow point by point.  The S and M stats digests were
+# re-recorded when a query whose head does not span came to place the
+# columns that raise the rank first: each such query asks one more cached
+# hom_minor, so only "hom hits" and "predicate calls" moved (S exact 3122 ->
+# 3190 hits, 1429 -> 1464 calls).
 REFERENCE_INSTANCES = {
     "S": ["1", "4", "--sizes", "4,4"],
     "M": ["2", "3", "--sizes", "4,4,3"],
@@ -939,19 +945,19 @@ STATS_TIME = re.compile(r"(time: )[0-9.]+s$", re.M)
 REFERENCE_DIGESTS = {
     ("S", "exact"): (
         "2cb48c83b80b09ced099f6922dc49390c3325a1c",
-        "7546b0f40c92ec696c406e653db9344d84813f55",
+        "1e59908d52768c2e6c0f1bf05ff7e2752098a760",
     ),
     ("S", "approx"): (
         "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
-        "3d08b09630a009aed96ff64369b656752b28db79",
+        "deac8756e563796e205144f2e4598211b21b5d62",
     ),
     ("M", "exact"): (
         "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
-        "92e9e282566db93db69f3e69d1b86f18c00d5aab",
+        "a813b1849db00023face9ec73316f96b73d5ec03",
     ),
     ("M", "approx"): (
         "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
-        "b7b5859b62cc8f7412b5c89801d9057780b998cd",
+        "858f069f12425d39aee331b355cdc477b55a3c02",
     ),
     ("I2", "exact"): (
         "9b20941d378f94c7a85ca9f30992173df1a12665",

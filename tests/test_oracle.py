@@ -187,20 +187,27 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # the simplex on the first 2n+1 columns when they span;
     # implicitization's base has dimension 2n and is handed on once, so
     # every call starts from its pairs; u-resultant's base is lower, so its
-    # copies grow to 2n and are handed on there.
+    # copies grow to 2n and are handed on there, or at 2n+1.  A query that
+    # copies the base places the columns that raise the rank first, so its
+    # copy grows by dimension jumps alone, and a full projection's copy
+    # reaches 2n+1: at 2n the lift was a pivot, else its head would span.
     systems = _generated_systems(mode)
     late_inserts = [0]  # standard inserts of a hull that should be pairs
+    copy_inserts = [0]  # standard inserts of a query's copy of the base
     in_oracle = [False]  # the plain hull below is not the oracle's
-    starts = {"2n simplex": 0, "base pairs": 0, "handoff at 2n": 0, "calls": 0}
+    starts = {"2n simplex": 0, "base pairs": 0, "calls": 0}
+    starts.update({"handoff at 2n": 0, "handoff at 2n+1": 0})
     standard = TriangulatedHull._standard_insert
     facets, triangulation = oracle_module._simplex_facets, VertexOracle.triangulation
-    cells, copy = TriangulatedHull.cells, TriangulatedHull.copy
+    cells, boundary = TriangulatedHull.cells, TriangulatedHull.boundary
+    copy = TriangulatedHull.copy
     copies = {}  # id -> each copy the oracle made, kept so that ids stay distinct
 
     def spy_standard(hull, pt, tag):
         n2 = hull.ambient - 1
         if in_oracle[0] and hull.dim == n2:
             late_inserts[0] += n2 not in hull._pivots
+        copy_inserts[0] += in_oracle[0] and id(hull) in copies
         return standard(hull, pt, tag)
 
     def spy_start(head, s):
@@ -218,6 +225,12 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         starts["handoff at 2n"] += in_oracle[0] and id(hull) in copies
         return cells.fget(hull)
 
+    def spy_boundary(hull):
+        # A copy's boundary alone is read when it is handed on at 2n+1.
+        full = in_oracle[0] and id(hull) in copies and hull.dim == hull.ambient
+        starts["handoff at 2n+1"] += full
+        return boundary.fget(hull)
+
     def spy_triangulation(oracle, w):
         in_oracle[0] = True
         try:
@@ -233,6 +246,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
     monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
     monkeypatch.setattr(TriangulatedHull, "cells", property(spy_cells))
+    monkeypatch.setattr(TriangulatedHull, "boundary", property(spy_boundary))
     rng = random.Random(31)
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
@@ -242,12 +256,53 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
             assert {_cols(s) for s in got} == _plain_upper_simplices(
                 sysd, w, 2
             )
-    assert late_inserts[0] == 0
+    assert late_inserts[0] == 0 and copy_inserts[0] == 0
     # Each start ran where its input allows it, and only there.
     assert (starts["2n simplex"] > 0) == (mode == "full")
     implicit = mode == "implicitization"
     assert starts["base pairs"] == (starts["calls"] if implicit else 0)
-    assert (starts["handoff at 2n"] > 0) == (not implicit), starts
+    assert (starts["handoff at 2n"] > 0) == (mode == "u-resultant"), starts
+    if mode == "full":
+        assert starts["handoff at 2n+1"] == len(copies) > 0, starts
+
+
+# The columns of this full family lie on the x-axis and do not span, so
+# every query grows one hull below dimension 2n; compute_pi on it finds
+# the origin alone.
+NON_SPANNING = [[(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0)], [(0, 0), (3, 0)]]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
+    # A query whose head does not span places the columns that raise the
+    # lifted rank first.  Each query's upper simplices (its cells, when the
+    # lifted hull stays below 2n+1) and rho must be those of one fresh hull
+    # that places the base and then the query's columns in their drawn order.
+    systems = _generated_systems("full") + [
+        build_cayley(gen_random(3, 2, "dense", [3, 3, 3, 3], 7))
+    ]
+    systems += _generated_systems("u-resultant") + _generated_systems("implicitization")
+    systems.append(system_from(2, NON_SPANNING, "full"))
+    rank_first = VertexOracle._rank_first
+    moved = [0]  # queries whose order the rank pass changed
+
+    def spy_rank_first(oracle, order, lift, base):
+        out = rank_first(oracle, order, lift, base)
+        assert sorted(out) == sorted(order)
+        moved[0] += out != order
+        return out
+
+    monkeypatch.setattr(VertexOracle, "_rank_first", spy_rank_first)
+    rng = random.Random(79)
+    for sysd in systems:
+        oracle = VertexOracle(sysd, seed=seed)
+        for w in _directions_with_zeros(rng, sysd.m, 12):
+            got, volumes = oracle.triangulation(w)
+            want = _plain_upper_simplices(sysd, w, seed)
+            assert {_cols(s) for s in got} == want
+            rho = rho_vector([_mask(cols) for cols in want], sysd, oracle.cache)
+            assert rho_vector(got, sysd, oracle.cache, volumes) == rho
+    assert moved[0] > 0
 
 
 def _spy_starts(monkeypatch):
@@ -355,8 +410,9 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
 @pytest.mark.parametrize("index", range(3))
 def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
     # 2n+1 columns that miss a block lie on a face of the Cayley polytope,
-    # so their h is 0: the oracle takes no 2n start and grows a copy of
-    # the empty base.
+    # so their h is 0.  Here the head the rank pass puts first does not
+    # span either (the lift is a pivot at 2n), so the oracle takes no 2n
+    # start and grows a copy of the empty base.
     sysd = _generated_systems("full")[index]
     full = 2 * sysd.n + 1
     rng = random.Random(73 + index)
