@@ -195,8 +195,9 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     late_inserts = [0]  # standard inserts of a hull that should be pairs
     copy_inserts = [0]  # standard inserts of a query's copy of the base
     in_oracle = [False]  # the plain hull below is not the oracle's
-    starts = {"2n simplex": 0, "base pairs": 0, "calls": 0}
-    starts.update({"handoff at 2n": 0, "handoff at 2n+1": 0})
+    starts = dict.fromkeys(
+        ("2n simplex", "base pairs", "handoff at 2n", "handoff at 2n+1", "calls"), 0
+    )
     standard = TriangulatedHull._standard_insert
     facets, triangulation = oracle_module._simplex_facets, VertexOracle.triangulation
     cells, boundary = TriangulatedHull.cells, TriangulatedHull.boundary
