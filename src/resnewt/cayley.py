@@ -153,9 +153,9 @@ def parse_text(text):
 
     Line 1: n.  Then n+1 lines, one per support, points separated by ';',
     each point n integers; an empty point, as between two ';' or after a
-    trailing one, is an error.  Then one line ``projection: <mode>`` where mode
-    is full | u-res | implicit | custom followed by (block, point) index
-    pairs.  '#' starts a comment; blank lines are skipped.
+    trailing one, is an error.  Then the last line, ``projection: <mode>``
+    where mode is full | u-res | implicit | custom followed by (block,
+    point) index pairs.  '#' starts a comment; blank lines are skipped.
     """
     lines = []
     for raw in text.splitlines():
@@ -166,21 +166,18 @@ def parse_text(text):
         raise ParseError("empty input")
     n = _read_ints([lines[0]], "n", "on the first line")[0]
     _check_n(n)
-    if len(lines) < n + 3:
-        raise ParseError("expected %d support lines plus a projection line" % (n + 1))
+    if len(lines) != n + 3:
+        raise ParseError("expected %d support lines, then the projection line last" % (n + 1))
     supports = []
     for i in range(1, n + 2):
         pieces = [p.strip() for p in lines[i].split(";")]
         if not all(pieces):
             raise ParseError("support line %d has an empty point" % i)
         supports.append([_parse_point(p, n) for p in pieces])
-    proj_line = lines[n + 2]
-    if not proj_line.lower().startswith("projection"):
-        raise ParseError("missing projection line")
-    rest = proj_line.split(":", 1)
-    if len(rest) != 2:
+    key, colon, spec = lines[n + 2].partition(":")
+    if not colon or key.strip().lower() != "projection":
         raise ParseError("projection line must be 'projection: <mode> ...'")
-    mode, pairs = _projection_spec(rest[1])
+    mode, pairs = _projection_spec(spec)
     _validate_supports(n, supports)
     return _apply_projection(n, supports, mode, pairs)
 

@@ -142,7 +142,8 @@ class TriangulatedHull:
     each query's copy of it, until the oracle goes on with its simplices
     alone.  Points live in ``ambient_dim`` coordinates; the hull tracks its
     intrinsic dimension, growing it as points outside the current affine
-    hull arrive.
+    hull arrive.  ``insert`` takes only those and says whether it took the
+    point, so a query's copy is also its rank pass; ``place`` takes any.
 
     Each point carries a tag, a distinct non-negative ``int``, by default
     its id (the number of points recorded before it), and a simplex is the
@@ -236,13 +237,14 @@ class TriangulatedHull:
     # -- insertion -----------------------------------------------------------
 
     def insert(self, point, tag=None):
-        """Insert a point tagged ``tag``.
-
-        Points in the hull, duplicates among them, are no-ops.  A point
-        outside the current affine hull raises the intrinsic dimension by
-        coning the whole triangulation.  Raises ``ValueError`` on a point
-        of the wrong length or with a coordinate that is not an ``int``, and
-        on a tag that is not a non-negative ``int`` or is a recorded point's.
+        """Record a point tagged ``tag`` if it is the first or lies outside
+        the affine hull, a dimension jump that cones the whole
+        triangulation; returns whether it did.  A point in the affine hull,
+        as every point is once the hull spans its space, is refused and
+        nothing is recorded (``place`` takes it).  Raises ``ValueError`` on
+        a point of the wrong length or with a coordinate that is not an
+        ``int``, and on a tag that is not a non-negative ``int`` or is a
+        recorded point's.
         """
         pt = int_vector(point, self.ambient)
         if tag is None:
@@ -258,7 +260,14 @@ class TriangulatedHull:
         ):
             self._dim_jump(pt, tag)
         else:
-            self._standard_insert(pt, tag)
+            return False
+        return True
+
+    def place(self, point, tag=None):
+        """``insert``, then the Beneath-and-Beyond step for a point it
+        refuses; a point in the hull, a duplicate among them, is a no-op."""
+        if not self.insert(point, tag):
+            self._standard_insert(tuple(point), len(self.points) if tag is None else tag)
 
     def _record(self, pt, row, tag):
         self.points.append(pt)

@@ -35,9 +35,10 @@ come from one more batch, whose minors are the volumes rho sums.
 A query starts from a base's cells and pairs at 2n as they are.  With no
 base (a full projection) it starts at 2n as the simplex on the first 2n+1
 columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
-span.  Else ``_rank_first`` places first the columns that raise the lifted
-rank, which keeps the triangulation (see the README), and the query tries
-the new head or grows a copy of the base by jumps up to the handoff.  Both
+span.  Else a copy of the base is the query's rank pass: its ``insert``
+records in order each column that raises the lifted rank, up to the
+handoff, and refuses the others, which go in after them.  That order keeps
+the triangulation (see the README), and reduces each column once.  Both
 predicates, and any volume ``rho_vector`` reads, are read on masks the
 oracle built, so they skip the public entries' checks.  A simplex is handed
 on as its column mask, and blocks are classified by popcounts against
@@ -46,7 +47,7 @@ per-block masks.
 
 from random import Random
 
-from .exactlin import canonical_direction, echelon_extend, int_vector, vec_sub
+from .exactlin import canonical_direction, int_vector
 from .geometry import TriangulatedHull, _cone, _horizon_cone, _place, _simplex_facets
 from .kernels import MinorCache
 
@@ -136,16 +137,12 @@ class VertexOracle:
         sys, cache, full = self.sys, self.cache, self._full
         cols = iter(cols)
         if isinstance(state, TriangulatedHull):
-            for col in cols:
-                state.insert(sys.columns[col] + (lift[col],), tag=col)
-                if state.dim == full:
-                    state = state.boundary
-                    break
-                if state.dim == full - 1 and full - 1 not in state._pivots:
-                    state = state.cells, state.boundary
-                    break
-            else:
-                return state
+            while not self._handoff(state):
+                col = next(cols, None)
+                if col is None:
+                    return state
+                state.place(sys.columns[col] + (lift[col],), tag=col)
+            state = state.boundary if state.dim == full else (state.cells, state.boundary)
         lift_mask = sum(1 << c for c, x in enumerate(lift) if x)
         if type(state) is tuple:
             cells, pairs = state
@@ -173,29 +170,10 @@ class VertexOracle:
                 state = keep + _horizon_cone(visible, col)
         return state
 
-    def _rank_first(self, order, lift, base):
-        """``order`` with the columns that raise the lifted rank moved first.
-
-        Each column that raises the rank of the lifted points before it, on
-        ``base``'s echelon, goes to the front until they span as far as
-        ``_advance`` hands a hull on; the skipped columns, then the rest,
-        keep their order behind them.
-        """
-        sys, full = self.sys, self._full
-        rows, pivots = list(base._echelon), list(base._pivots)
-        origin = base.points[0] if base.points else None
-        front, skipped = [], []
-        for i, col in enumerate(order):
-            pt = sys.columns[col] + (lift[col],)
-            if origin is None:
-                origin = pt
-            elif not echelon_extend(vec_sub(pt, origin), rows, pivots):
-                skipped.append(col)
-                continue
-            front.append(col)
-            if len(rows) == full or len(rows) == full - 1 and full - 1 not in pivots:
-                return front + skipped + order[i + 1:]
-        return front + skipped
+    def _handoff(self, hull):
+        """Whether ``hull`` is at the handoff: 2n+1, or 2n with the lift no pivot."""
+        full = self._full
+        return hull.dim == full or hull.dim == full - 1 and full - 1 not in hull._pivots
 
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
@@ -218,19 +196,22 @@ class VertexOracle:
             self._base = self._advance(empty, sys.specialized, [0] * sys.num_columns)
         state = self._base
         if isinstance(state, TriangulatedHull):
-            # With no base, start at 2n from a spanning head, rank-first if need be.
-            for again in (True, False):
-                head = sorted(order[:full]) if state.dim == -1 else ()
-                mask = sum(1 << c for c in head)
-                h = len(head) == full and self.cache.hom_minor(mask)
-                if h or not again:
-                    break
-                order = self._rank_first(order, lift, state)
+            # With no base, start at 2n from a spanning head.
+            head = sorted(order[:full]) if state.dim == -1 else ()
+            mask = sum(1 << c for c in head)
+            h = len(head) == full and self.cache.hom_minor(mask)
             if h:
                 s = 1 if h > 0 else -1
                 state, order = ([(mask, s)], _simplex_facets(head, s)), order[full:]
             else:
-                state = state.copy()
+                # The rank pass: the copy records the rank-raising columns.
+                state, rest, refused = state.copy(), iter(order), []
+                for col in rest:
+                    if not state.insert(sys.columns[col] + (lift[col],), tag=col):
+                        refused.append(col)
+                    elif self._handoff(state):
+                        break
+                order = refused + list(rest)
         state = self._advance(state, order, lift)
         if type(state) is list:
             # The upper facets, with the minors h(mask) that found them.

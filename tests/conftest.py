@@ -31,7 +31,7 @@ def cells_volume(points):
     den = math.lcm(*(Fraction(x).denominator for p in points for x in p))
     plain = TriangulatedHull(d)
     for i, p in enumerate(points):
-        plain.insert(tuple(int(x * den) for x in p), tag=i)
+        plain.place(tuple(int(x * den) for x in p), tag=i)
     total = 0
     for mask, _ in plain.cells:
         cell = [p for i, p in enumerate(points) if mask >> i & 1]

@@ -341,6 +341,35 @@ def shoelace_area(points2d):
     return abs(s) / 2
 
 
+def polygon_area(points2d):
+    """Area of the convex hull of 2-d points in any order (0 when flat).
+
+    The hull's vertices come from Andrew's monotone chain, in
+    counter-clockwise order, and their area from ``shoelace_area``.
+    """
+    pts = sorted(set(map(tuple, points2d)))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return shoelace_area(chain(pts) + chain(pts[::-1])) if len(pts) > 2 else Fraction(0)
+
+
+def mixed_area(p, q):
+    """MV(P, Q) of two planar lattice point sets: area(P + Q) - area(P) - area(Q),
+    normalized so that two unit triangles give 1."""
+    minkowski = [(a + c, b + d) for a, b in p for c, d in q]
+    return polygon_area(minkowski) - polygon_area(p) - polygon_area(q)
+
+
 def count_lattice_points(vertices):
     """Number of integer points inside conv(vertices), exact.
 

@@ -60,7 +60,7 @@ def _build(points, ambient=None):
     ambient = ambient if ambient is not None else len(points[0])
     hull = TriangulatedHull(ambient)
     for i, p in enumerate(points):
-        hull.insert(tuple(p), tag=i)
+        hull.place(tuple(p), tag=i)
     return hull
 
 
@@ -322,7 +322,7 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     tri, flat, facets = TriangulatedHull(2), TriangulatedHull(3), FacetHull(square)
     for p in square:
-        tri.insert(p)
+        tri.place(p)
     flat.insert((0, 0, 0))
     segments = system_from(1, [[(0,), (1,)], [(0,), (1,)]], "full")
     surface = system_from(
@@ -338,7 +338,7 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
         "MinorCache": lambda: MinorCache([(x, 0), (1, 0), (0, 1)]),
         "first point": lambda: TriangulatedHull(2).insert((x, 0)),
         "dimension jump": lambda: flat.insert((1, x, 0)),
-        "point inside": lambda: tri.insert((x, 1)),
+        "point inside": lambda: tri.place((x, 1)),
         "FacetHull": lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
         "facet point": lambda: facets.insert((x, 0)),
         "point beyond": lambda: facets.insert((3, x)),
@@ -370,6 +370,8 @@ def _vector_entry_calls():
     return {
         ("TriangulatedHull.insert", "length"): lambda: TriangulatedHull(2).insert((0, 0, 0)),
         ("TriangulatedHull.insert", "non-int"): lambda: TriangulatedHull(2).insert((x, 0)),
+        ("TriangulatedHull.place", "length"): lambda: TriangulatedHull(2).place((0, 0, 0)),
+        ("TriangulatedHull.place", "non-int"): lambda: TriangulatedHull(2).place((x, 0)),
         ("FacetHull", "length"): lambda: FacetHull([(0, 0), (1, 0), (0, 1, 5)]),
         ("FacetHull", "non-int"): lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
         ("FacetHull", "empty"): lambda: FacetHull([]),
@@ -964,7 +966,7 @@ def test_flat_chart_matches_intrinsic_hull():
         flat = _build(flat_pts, ambient=4)
         intrinsic = TriangulatedHull(2)
         for i, (a, b) in enumerate(ab):
-            intrinsic.insert((a, b), tag=i)
+            intrinsic.place((a, b), tag=i)
         assert flat.dim == intrinsic.dim == 2
         assert flat.tags == intrinsic.tags
         _same_up_to_sign(
@@ -1013,8 +1015,8 @@ def test_copied_base_matches_direct_build(base_dim):
         direct = _build(base)
         _assert_signs_fresh(copy)
         for i, p in enumerate(lifted, len(base)):
-            copy.insert(p, tag=i)
-            direct.insert(p, tag=i)
+            copy.place(p, tag=i)
+            direct.place(p, tag=i)
             _assert_signs_fresh(copy)
         assert copy.dim == direct.dim
         assert copy.points == direct.points
@@ -1071,7 +1073,7 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
             pts = _random_points(rng, ambient, ambient + 6)
         hull = TriangulatedHull(ambient)
         for i, p in enumerate(pts):
-            hull.insert(p, tag=i)
+            hull.place(p, tag=i)
             _assert_signs_fresh(hull)
 
 
@@ -1096,7 +1098,7 @@ def test_dimension_jump_takes_one_orientation():
         ((0, 4, 0, 0), 4, 1),
     ]:
         del calls[:]
-        hull.insert(p)
+        hull.place(p)
         assert hull.dim == dim
         if asked is not None:
             assert len(calls) == asked
@@ -1110,7 +1112,7 @@ def test_dimension_jump_takes_one_orientation():
     simplex._orient = lambda rows: calls.append(rows) or orient(rows)
     del calls[:]
     for i, p in enumerate(corners):
-        simplex.insert(p, tag=i)
+        assert simplex.insert(p, tag=i)
     assert simplex.dim == 4 and not calls
     assert len(simplex.boundary) == 5 and calls == [[simplex._hom[t] for t in range(5)]]
     _assert_signs_fresh(simplex)
@@ -1140,7 +1142,7 @@ def test_simplex_built_on_read_matches_eager_jumps(ambient, copied):
         for i, p in enumerate(pts):
             if base and i == base:
                 hull = hull.copy()
-            hull.insert(p, tag=i)
+            hull.place(p, tag=i)
             if read:
                 hull.boundary
         if base == len(pts):
@@ -1167,7 +1169,7 @@ def test_simplex_built_on_read_matches_eager_jumps(ambient, copied):
 )
 def test_oracle_lifted_hull_signs(monkeypatch, name):
     # The oracle's hulls orient over their own charts; after every insert
-    # of a compute_pi run their stored signs must still be fresh
+    # and place of a compute_pi run their stored signs must still be fresh
     # orientations, and they keep no facet table.  A hull is handed on as
     # (mask, q) pairs once it reaches dimension 2n, or, with no unlifted
     # base, the lifted hull starts at 2n as the simplex on its first 2n+1
@@ -1182,16 +1184,21 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     }[name]
     sysd = system_from(golden["n"], golden["supports"], mode)
     dims = []
-    insert = TriangulatedHull.insert
+    insert, place = TriangulatedHull.insert, TriangulatedHull.place
 
-    def checked_insert(hull, point, tag=None):
-        out = insert(hull, point, tag)
-        _assert_signs_fresh(hull)
-        assert out is None
-        with pytest.raises(DegenerateInput):
-            hull.facet_map()
-        dims.append(hull.dim)
-        return out
+    def checked(step):
+        def run(hull, point, tag=None):
+            before = len(hull.points)
+            out = step(hull, point, tag)
+            _assert_signs_fresh(hull)
+            # An insert says whether it recorded the point; a place, nothing.
+            assert out is (len(hull.points) > before if step is insert else None)
+            with pytest.raises(DegenerateInput):
+                hull.facet_map()
+            dims.append(hull.dim)
+            return out
+
+        return run
 
     facets = oracle_module._simplex_facets
 
@@ -1203,7 +1210,8 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
         dims.append(2 * sysd.n)
         return facets(head, s)
 
-    monkeypatch.setattr(TriangulatedHull, "insert", checked_insert)
+    monkeypatch.setattr(TriangulatedHull, "insert", checked(insert))
+    monkeypatch.setattr(TriangulatedHull, "place", checked(place))
     monkeypatch.setattr(oracle_module, "_simplex_facets", checked_start)
     compute_pi(sysd)
     assert max(dims) >= 2 * sysd.n  # a hull was handed on
@@ -1242,7 +1250,7 @@ def test_plane_visibility_matches_orientation(d):
         keys = set()
         for hull, so_far, added in _grown(pts):
             for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
-                plain.insert(so_far[i], tag=i)
+                plain.place(so_far[i], tag=i)
             assert set(hull.points) == set(plain.points)
             p = so_far[-1]
             after = set(hull.facet_map())
@@ -1264,13 +1272,13 @@ def test_plane_visibility_matches_orientation(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_only_the_facet_hull_keeps_facets(d):
     # A triangulated hull keeps no facet table at any dimension, so it has
-    # no hull_volume or f_vector either, and its inserts return nothing;
+    # no hull_volume or f_vector either, and its places return nothing;
     # each insert of a facet hull returns exactly the keys it added.
     rng = random.Random(800 + d)
     pts = _random_points(rng, d, d + 8)
     plain = TriangulatedHull(d)
     for i, p in enumerate(pts):
-        assert plain.insert(p, tag=i) is None
+        assert plain.place(p, tag=i) is None
         for read in (TriangulatedHull.facet_map, hull_volume, f_vector):
             with pytest.raises(DegenerateInput):
                 read(plain)
@@ -1292,9 +1300,56 @@ def test_insert_rejects_tags_that_are_not_new_non_negative_ints():
         with pytest.raises(ValueError):
             hull.insert((2, 0), tag=tag)
     hull.insert((2, 0), tag=0)
-    hull.insert((1, 0), tag=5)
+    hull.place((1, 0), tag=5)
     hull.insert((0, 1), tag=5)
     assert hull.tags == [1, 0, 5] and hull.dim == 2
+
+
+def _whole_state(hull):
+    # Everything a hull keeps, its chart included, read without building it.
+    return (
+        list(hull.points), list(hull.tags), dict(hull._hom), hull.dim,
+        list(hull._echelon), list(hull._pivots), list(hull._chart),
+        list(hull._cells), list(hull._boundary), hull._pending,
+    )
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3, 4])
+def test_insert_refuses_a_point_in_the_affine_hull(ambient):
+    # insert records the first point and each point off the affine hull,
+    # and returns True; it returns False for a point in the affine hull, a
+    # repeated point and every point once the hull is full-dimensional
+    # among them, and leaves the hull as it was.  place then takes that
+    # point, and the hull ends as one built by place alone.
+    rng = random.Random(1100 + ambient)
+    refused = 0
+    for trial in range(6):
+        if trial % 2:
+            pts = _flat_points(rng, ambient, ambient + 6, trial % 4 == 3)
+        else:
+            pts = _random_points(rng, ambient, ambient + 6)
+        pts += [pts[0], tuple(9 * (i + 2) for i in range(ambient))]
+        hull, placed = TriangulatedHull(ambient), TriangulatedHull(ambient)
+        for i, p in enumerate(pts):
+            before = _whole_state(hull)
+            flat = hull.dim >= 0 and ref_affine_dim(hull.points + [p]) == hull.dim
+            assert hull.insert(p, tag=i) is not flat
+            if flat:
+                refused += 1
+                assert _whole_state(hull) == before
+                hull.place(p, tag=i)
+            placed.place(p, tag=i)
+            assert _hull_state(hull) == _hull_state(placed)
+            assert hull.points == placed.points and hull.tags == placed.tags
+        if hull.dim == ambient:
+            # Outside the hull, and still refused: the hull spans its space.
+            far = tuple(-99 for _ in range(ambient))
+            before = _whole_state(hull)
+            assert hull.insert(far, tag=len(pts)) is False
+            assert _whole_state(hull) == before
+            hull.place(far, tag=len(pts))
+            assert hull.points[-1] == far
+    assert refused > 0
 
 
 def test_facet_hull_takes_one_tag_per_point():
@@ -1365,7 +1420,7 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
                 if keys:
                     assert not dets
                 for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
-                    plain.insert(so_far[i], tag=i)
+                    plain.place(so_far[i], tag=i)
                 assert _facet_points(hull) == _grouped(plain)
                 _assert_facet_graph(hull)
                 vid = len(hull.points) - 1

@@ -142,7 +142,7 @@ def _plain_upper_simplices(sysd, w, seed):
     n2 = 2 * sysd.n
     hull = TriangulatedHull(n2 + 1)
     for col in sysd.specialized + _placing_order(sysd, w, seed):
-        hull.insert(sysd.columns[col] + (lift[col],), tag=col)
+        hull.place(sysd.columns[col] + (lift[col],), tag=col)
     if hull.dim < n2 + 1:
         return {_cols(mask) for mask, _ in hull.cells}
     up = [0] * n2 + [1, 0]
@@ -188,9 +188,10 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     # implicitization's base has dimension 2n and is handed on once, so
     # every call starts from its pairs; u-resultant's base is lower, so its
     # copies grow to 2n and are handed on there, or at 2n+1.  A query that
-    # copies the base places the columns that raise the rank first, so its
-    # copy grows by dimension jumps alone, and a full projection's copy
-    # reaches 2n+1: at 2n the lift was a pivot, else its head would span.
+    # copies the base records in it only the columns that raise the rank,
+    # so its copy grows by dimension jumps alone, and each copy is handed
+    # on once, at 2n or 2n+1, a full projection's too when its drawn head
+    # does not span.
     systems = _generated_systems(mode)
     late_inserts = [0]  # standard inserts of a hull that should be pairs
     copy_inserts = [0]  # standard inserts of a query's copy of the base
@@ -262,9 +263,9 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     assert (starts["2n simplex"] > 0) == (mode == "full")
     implicit = mode == "implicitization"
     assert starts["base pairs"] == (starts["calls"] if implicit else 0)
-    assert (starts["handoff at 2n"] > 0) == (mode == "u-resultant"), starts
-    if mode == "full":
-        assert starts["handoff at 2n+1"] == len(copies) > 0, starts
+    assert (starts["handoff at 2n"] > 0) == (mode != "implicitization"), starts
+    assert starts["handoff at 2n"] + starts["handoff at 2n+1"] == len(copies), starts
+    assert (len(copies) > 0) == (mode != "implicitization"), starts
 
 
 # The columns of this full family lie on the x-axis and do not span, so
@@ -276,24 +277,44 @@ NON_SPANNING = [[(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0)], [(0, 0), (3, 0)]]
 @pytest.mark.parametrize("seed", [0, 3])
 def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
     # A query whose head does not span places the columns that raise the
-    # lifted rank first.  Each query's upper simplices (its cells, when the
-    # lifted hull stays below 2n+1) and rho must be those of one fresh hull
-    # that places the base and then the query's columns in their drawn order.
+    # lifted rank first: its copy of the base records them and refuses the
+    # rest, which go in after them, each column once.  Each query's upper
+    # simplices (its cells, when the lifted hull stays below 2n+1) and rho
+    # must be those of one fresh hull that places the base and then the
+    # query's columns in their drawn order.
     systems = _generated_systems("full") + [
         build_cayley(gen_random(3, 2, "dense", [3, 3, 3, 3], 7))
     ]
     systems += _generated_systems("u-resultant") + _generated_systems("implicitization")
     systems.append(system_from(2, NON_SPANNING, "full"))
-    rank_first = VertexOracle._rank_first
-    moved = [0]  # queries whose order the rank pass changed
+    insert, copy, advance = TriangulatedHull.insert, TriangulatedHull.copy, VertexOracle._advance
+    refused = {}  # id of each query's copy -> whether it has refused a column
+    copies = []  # kept, so that ids stay distinct
+    moved = [0]  # columns the rank pass recorded after refusing one
 
-    def spy_rank_first(oracle, order, lift, base):
-        out = rank_first(oracle, order, lift, base)
-        assert sorted(out) == sorted(order)
-        moved[0] += out != order
+    def spy_copy(hull):
+        out = copy(hull)
+        copies.append(out)
+        refused[id(out)] = False
         return out
 
-    monkeypatch.setattr(VertexOracle, "_rank_first", spy_rank_first)
+    def spy_insert(hull, point, tag=None):
+        out = insert(hull, point, tag)
+        if id(hull) in refused:
+            moved[0] += out and refused[id(hull)]
+            refused[id(hull)] |= not out
+        return out
+
+    def spy_advance(oracle, state, cols, lift):
+        if id(state) in refused:
+            cols = list(cols)
+            recorded = state.tags[len(oracle._base.tags):]
+            assert sorted(recorded + cols) == sorted(oracle.sys.projection)
+        return advance(oracle, state, cols, lift)
+
+    monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
+    monkeypatch.setattr(TriangulatedHull, "insert", spy_insert)
+    monkeypatch.setattr(VertexOracle, "_advance", spy_advance)
     rng = random.Random(79)
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=seed)
@@ -411,9 +432,9 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
 @pytest.mark.parametrize("index", range(3))
 def test_head_missing_a_block_falls_back_to_the_clone(index, monkeypatch):
     # 2n+1 columns that miss a block lie on a face of the Cayley polytope,
-    # so their h is 0.  Here the head the rank pass puts first does not
-    # span either (the lift is a pivot at 2n), so the oracle takes no 2n
-    # start and grows a copy of the empty base.
+    # so their h is 0.  The oracle then takes no 2n start: it grows a copy
+    # of the empty base, which records the columns that raise the rank
+    # first.
     sysd = _generated_systems("full")[index]
     full = 2 * sysd.n + 1
     rng = random.Random(73 + index)
