@@ -7,8 +7,9 @@ from one fraction-free Gauss-Jordan elimination (``adjugate``), whose
 columns are a simplex's facet planes; integer kernels with unimodular
 bookkeeping (so kernel lattice bases are saturated); saturated subspace
 bases; affine lattice charts (integer coordinates of a point in p0 + Z.B,
-by adjugates); and one gcd normal form, ``primitive``, which the canonical
-direction and the canonical ``Hyperplane`` are read off.
+read off one inverse, (B^T B)^{-1} B^T, from the Gram adjugate); and one
+gcd normal form, ``primitive``, which the canonical direction and the
+canonical ``Hyperplane`` are read off.
 Every coordinate is an ``int``, the one coordinate type of the exact
 layer, and ``int_vector(vec, length)`` its one vector check: each entry
 that takes a point, row, column or direction passes it, so a wrong length
@@ -249,30 +250,23 @@ class AffineChart:
     """Integer coordinates on the lattice p0 + Z.B, computed in integers only.
 
     For the k independent integer basis vectors B (as columns), kept in
-    ``basis``, ``rows`` are k coordinates J on which B is nonsingular,
-    ``det`` is det B_J, ``adj`` the integer adjugate of B_J (so
-    adj.B_J = det.I), ``span`` the m rows of B, ``gram_det`` is
-    det(B^T B) > 0 and ``pull`` the m rows of
-    B.adj(B^T B), so that (B^T B)^{-1} B^T is pull^T / gram_det.  Each
-    determinant and its adjugate come from one ``adjugate`` elimination.
-    Raises ``DegenerateInput`` when the basis vectors are dependent.
+    ``basis``, ``span`` holds the m rows of B, ``gram_det`` is
+    det(B^T B) > 0 and ``pull`` the m rows of B.adj(B^T B), so that the
+    chart's one inverse, (B^T B)^{-1} B^T, is pull^T / gram_det.  Both come
+    from one ``adjugate`` elimination of the Gram matrix B^T B, which is
+    singular exactly when the basis vectors are dependent; then
+    ``DegenerateInput`` is raised.
     """
 
     def __init__(self, p0, basis):
-        echelon, pivots = [], []
-        for b in basis:
-            if not echelon_extend(int_vector(b, len(p0)), echelon, pivots):
-                raise DegenerateInput("basis vectors are linearly dependent")
         self.p0 = int_vector(p0)
-        self.basis = list(basis)
-        self.rows = sorted(pivots)
-        b_j = [[b[j] for b in basis] for j in self.rows]
-        self.det, self.adj = adjugate(b_j)
-        self.span = [tuple(b[j] for b in basis) for j in range(len(self.p0))]
-        on_j = set(self.rows)
-        self._off_j = [(j, row) for j, row in enumerate(self.span) if j not in on_j]
-        gram = [[dot(a, b) for b in basis] for a in basis]
-        self.gram_det, adj_gram = adjugate(gram)
+        self.basis = [int_vector(b, len(self.p0)) for b in basis]
+        self.span = [tuple(b[j] for b in self.basis) for j in range(len(self.p0))]
+        gram = [[dot(a, b) for b in self.basis] for a in self.basis]
+        try:
+            self.gram_det, adj_gram = adjugate(gram)
+        except DegenerateInput:
+            raise DegenerateInput("basis vectors are linearly dependent") from None
         self.pull = [
             tuple(dot(row, col) for col in zip(*adj_gram)) for row in self.span
         ]
@@ -280,19 +274,18 @@ class AffineChart:
     def coords(self, x):
         """The integer xi with x = p0 + B.xi, or None when there is none.
 
-        With v = x - p0, num = adj(B_J).v_J equals det(B_J).xi whenever
-        v = B.xi.  The point lies on the affine hull exactly when
-        B.num = det(B_J).v.  On the rows J that holds by construction,
-        B_J.adj(B_J).v_J = det(B_J).v_J, so only the other rows are tested.
-        The point lies on the lattice exactly when det(B_J) divides every
-        entry of num.
+        With v = x - p0, num = pull^T.v = adj(B^T B).B^T.v equals
+        gram_det.xi whenever v = B.xi.  So an integer solution needs
+        gram_det to divide every entry of num, and xi = num / gram_det is
+        then the one candidate: B has full column rank, so it is the
+        solution exactly when B.xi = v on every row.
         """
-        d = self.det
+        g = self.gram_det
         v = vec_sub(int_vector(x, len(self.p0)), self.p0)
-        v_j = [v[j] for j in self.rows]
-        num = [dot(row, v_j) for row in self.adj]
-        if any(dot(row, num) != d * v[j] for j, row in self._off_j):
+        num = [dot(col, v) for col in zip(*self.pull)]
+        if any(t % g for t in num):
             return None
-        if any(t % d for t in num):
+        xi = [t // g for t in num]
+        if any(dot(row, xi) != t for row, t in zip(self.span, v)):
             return None
-        return tuple(t // d for t in num)
+        return tuple(xi)

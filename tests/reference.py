@@ -241,22 +241,38 @@ def ref_simplex_planes(points):
     return [ref_plane(points[:i] + points[i + 1:], points[i]) for i in range(len(points))]
 
 
-def _solve_square(rows, rhs):
-    """Unique solution of a square system by Gauss-Jordan over Fractions."""
+def _det_and_solutions(rows, rhss):
+    """(det A, [A^-1 b for b in rhss]) by one Gauss-Jordan pass over Fractions.
+
+    The solutions are None when A is singular.
+    """
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(b[r]) for b in rhss]
+        for r, row in enumerate(rows)
+    ]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
+            return 0, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
         lead = aug[col][col]
+        det *= lead
         aug[col] = [x / lead for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
+    return det, [[row[n + i] for row in aug] for i in range(len(rhss))]
+
+
+def _solve_square(rows, rhs):
+    """Unique solution of a square system by Gauss-Jordan over Fractions."""
+    _, solutions = _det_and_solutions(rows, [rhs])
+    return None if solutions is None else tuple(solutions[0])
 
 
 def brute_force_vertices(constraints, dim):
@@ -396,6 +412,87 @@ def outer_points(outer):
         tuple(a if row[-1] == 1 else Fraction(a, row[-1]) for a in row[:-1])
         for row in outer.rows
     ]
+
+
+def ref_cayley_points(supports):
+    """The Cayley points (a, e_i) of a family, block by block in input order.
+
+    e_0 is the zero vector and e_i, i >= 1, the i-th unit vector of
+    Z^(r - 1) for r blocks, so the points of n + 1 blocks lie in Z^(2n).
+    """
+    r = len(supports) - 1
+    return [
+        tuple(a) + tuple(int(k == i - 1) for k in range(r))
+        for i, support in enumerate(supports)
+        for a in support
+    ]
+
+
+def ref_simplex_charts(points):
+    """Every full-dimensional simplex of ``points`` in R^d, with the others.
+
+    Returns (simplex, vol, others) triples: ``simplex`` is d + 1 point
+    indices, vol = |det[(p, 1) for p in simplex]| > 0, and ``others`` holds
+    a pair (x, num) for every other point x, where num / vol are x's
+    barycentric coordinates on the simplex, integers by Cramer's rule.
+    """
+    charts = []
+    for simplex in combinations(range(len(points)), len(points[0]) + 1):
+        cols = list(zip(*[(*points[k], 1) for k in simplex]))
+        rest = [x for x in range(len(points)) if x not in simplex]
+        det, lams = _det_and_solutions(cols, [(*points[x], 1) for x in rest])
+        if det == 0:
+            continue
+        vol = abs(int(det))
+        others = [(x, [int(t * vol) for t in lam]) for x, lam in zip(rest, lams)]
+        charts.append((simplex, vol, others))
+    return charts
+
+
+def ref_upper_cells(charts, lift):
+    """The cells of the upper regular subdivision of points lifted by ``lift``.
+
+    A simplex of ``ref_simplex_charts`` is a cell when its lifted points
+    span a hyperplane with every other lifted point strictly below it; x,
+    at barycentric coordinates num / vol, is below when
+    vol * lift[x] < sum(num_k * lift[k]) over the simplex's points k.
+    Returns (simplex, vol) pairs, or None when the lift is not generic: some
+    simplex has every other lifted point on or below its plane, one on it.
+    """
+    cells = []
+    for simplex, vol, others in charts:
+        heights = [lift[k] for k in simplex]
+        top = max(
+            (vol * lift[x] - sum(a * h for a, h in zip(num, heights)) for x, num in others),
+            default=-1,
+        )
+        if top < 0:
+            cells.append((simplex, vol))
+        elif top == 0:
+            return None
+    return cells
+
+
+def ref_rho(supports, charts, lift):
+    """The rho vector of the triangulation lifted by ``lift``, or None.
+
+    rho(a), for a in block i, adds the volumes of the i-mixed cells holding
+    a: one point of block i and two of every other block (Sturmfels, On the
+    Newton polytope of the resultant, 1994).  None when the lift is not
+    generic, so its subdivision need not be a triangulation.
+    """
+    cells = ref_upper_cells(charts, lift)
+    if cells is None:
+        return None
+    block = [i for i, support in enumerate(supports) for _ in support]
+    mixed = [1] + [2] * (len(supports) - 1)
+    rho = [0] * len(block)
+    for simplex, vol in cells:
+        counts = [sum(block[k] == i for k in simplex) for i in range(len(supports))]
+        if sorted(counts) == mixed:
+            single = counts.index(1)
+            rho[next(k for k in simplex if block[k] == single)] += vol
+    return tuple(rho)
 
 
 def ref_lattice(n, delta, kind):

@@ -405,6 +405,30 @@ def test_readme_examples_print_what_they_show():
         assert result.stdout == shown, command
 
 
+def test_readme_library_example_gives_the_compute_example(tmp_path, monkeypatch):
+    # The README's ``## Library`` block, run where instance.txt is the
+    # ``compute`` example's input, finds that example's v and f lines.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        (block,) = re.findall(r"^## Library\n+```python\n(.*?)^```$", f.read(), re.M | re.S)
+    (command, shown), _ = _readme_examples()
+    feed, _ = command.split("|")
+    instance = subprocess.run(["sh", "-c", feed], capture_output=True, text=True, timeout=60)
+    (tmp_path / "instance.txt").write_text(instance.stdout)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    state = namespace["state"]
+    vertices = [tuple(map(int, line.split()[1:])) for line in shown.splitlines() if line[:2] == "v "]
+    facets = []
+    for line in shown.splitlines():
+        if line[:2] == "f ":
+            lhs, rhs = line[2:].split(" <= ")
+            facets.append((tuple(map(int, lhs.split())), int(rhs)))
+    assert state.vertices() == vertices
+    assert state.facets_x() == sorted(facets)
+
+
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):
     # Valid implicit instance whose non-symbolic coordinates are not pinned
     # by the block invariant: unprojection must fail cleanly, not traceback.

@@ -1,4 +1,4 @@
-"""Outputs for n >= 2 checked against truths known in closed form.
+"""Outputs for n >= 2 checked against truths computed apart from the package.
 
 - The resultant is homogeneous in the coefficients of each f_i, of degree
   MV(A_j : j != i) (Gelfand, Kapranov & Zelevinsky, 1994, ch. 8; Pedersen
@@ -10,16 +10,23 @@
   of its coefficients as resultant, so its output is the Birkhoff polytope:
   the permutation matrices as vertices, one facet rho_(i,a) >= 0 per
   coefficient, and dimension n^2.
+- A brute-force reference oracle (``reference.ref_rho``) lifts the Cayley
+  points by w, finds the upper cells by exhaustion and sums the mixed
+  cells' volumes into rho (Sturmfels, 1994): rho is the vertex of the full
+  projection extreme in the direction w.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from random import Random
 
 import pytest
 
-from reference import mixed_area, ref_rank
+from conftest import system_from
+from reference import mixed_area, ref_cayley_points, ref_rank, ref_rho, ref_simplex_charts
 from resnewt.cayley import parse_text
 from resnewt.cli import main
+from resnewt.oracle import VertexOracle
 
 
 def _run(argv, capsys):
@@ -121,3 +128,71 @@ def test_dense_linear_family_gives_the_birkhoff_polytope(tmp_path, capsys, n):
         frozenset(s for s in sigmas if s[i] != k) for i in range(n + 1) for k in range(n + 1)
     }
     assert all(_value(normal, v) == offset for normal, offset in equations for v in vertices)
+
+
+def _reference_rho(supports, charts, base, rng):
+    # (w, rho) at w = 1000 * base plus a small perturbation, redrawn until
+    # the lift is generic.
+    for _ in range(100):
+        w = [1000 * b + rng.randint(-3, 3) for b in base]
+        rho = ref_rho(supports, charts, w)
+        if rho is not None:
+            return w, rho
+    raise AssertionError("no generic lift near %r" % (base,))
+
+
+def _check_vertices_are_reference_rhos(supports, charts, out, rng):
+    # (a) Each printed vertex v is rho at a direction inside its normal cone,
+    # the sum of the printed facet normals through v, and so is vtx there.
+    _, vertices, facets, _ = _printed(out)
+    oracle = VertexOracle(system_from(2, supports, "full"))
+    for v in vertices:
+        through = [normal for normal, offset in facets if _value(normal, v) == offset]
+        base = [int(sum(col)) for col in zip(*through)] if through else [0] * len(v)
+        w, rho = _reference_rho(supports, charts, base, rng)
+        assert rho == v, v
+        assert oracle.vtx(w)[1] == rho, v
+
+
+def _check_facets_hold_reference_rhos(supports, charts, out, rng, draws=3):
+    # (b) Near each printed facet's normal, rho is a printed vertex on that
+    # facet and on every printed equation, and it maximizes w over the
+    # printed vertices.
+    _, vertices, facets, equations = _printed(out)
+    for normal, offset in facets:
+        for _ in range(draws):
+            w, rho = _reference_rho(supports, charts, [int(a) for a in normal], rng)
+            assert rho in vertices, (normal, rho)
+            assert _value(normal, rho) == offset, (normal, rho)
+            assert all(_value(e, rho) == b for e, b in equations), (normal, rho)
+            assert _value(w, rho) == max(_value(w, v) for v in vertices), (normal, rho)
+
+
+def _check_neighbours_are_printed(supports, charts, out, rng):
+    # (c) From each printed vertex u, along each edge: dim - 1 facets S
+    # through u with an edge [u, x] as their face take x when w adds their
+    # normals and subtracts, far less, those of u's other facets.  Every
+    # rho found is a printed vertex, so a dropped vertex with a printed
+    # neighbour is found missing.
+    dim, vertices, facets, _ = _printed(out)
+    for u in vertices:
+        through = [[int(a) for a in normal] for normal, offset in facets if _value(normal, u) == offset]
+        for keep in combinations(range(len(through)), dim - 1):
+            base = [
+                sum(1000 * a if t in keep else -a for t, a in enumerate(col))
+                for col in zip(*through)
+            ]
+            w, rho = _reference_rho(supports, charts, base, rng)
+            assert rho in vertices, (u, keep, rho)
+            assert _value(w, rho) == max(_value(w, v) for v in vertices), (u, keep, rho)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_reference_oracle_confirms_a_full_projection(tmp_path, capsys, seed):
+    args = ["2", "3", "--sizes", "3,3,3", "--seed", str(seed)]
+    supports, out = _generated(tmp_path, capsys, args)
+    charts = ref_simplex_charts(ref_cayley_points(supports))
+    rng = Random(seed)
+    _check_vertices_are_reference_rhos(supports, charts, out, rng)
+    _check_facets_hold_reference_rhos(supports, charts, out, rng)
+    _check_neighbours_are_printed(supports, charts, out, rng)

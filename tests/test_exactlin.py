@@ -559,14 +559,14 @@ def test_affine_chart_outcomes():
     chart = AffineChart((1, 1), [(2, 0), (0, 3)])
     assert chart.coords((5, 7)) == (2, 2)
     assert chart.coords((2, 1)) is None  # xi = (1/2, 0): off the lattice
-    assert chart.det in (6, -6)
+    assert chart.gram_det == 36  # det(B^T B) = det(B)^2
     # A line in the plane: off its affine hull, and on it but off the lattice
-    # of a basis vector with det +-2.
+    # of a basis vector with B^T B = 8.
     line = AffineChart((0, 0), [(2, 2)])
     assert line.coords((4, 4)) == (2,)
     assert line.coords((1, 0)) is None
     assert line.coords((1, 1)) is None
-    assert abs(line.det) == 2
+    assert line.gram_det == 8
     # Dependent basis vectors:
     with pytest.raises(DegenerateInput):
         AffineChart((0, 0), [(1, 1), (2, 2)])
@@ -584,11 +584,19 @@ def test_affine_chart_outcomes():
 
 
 def test_affine_chart_random_vs_reference():
+    # Random bases and saturated ones with one column doubled, m up to 6.
+    # Each chart reads a lattice point, the point half a doubled column
+    # past it (on the affine hull, off the lattice) and a random point.
     rng = random.Random(2024)
-    for _ in range(80):
-        k = rng.randint(1, 4)
-        m = rng.randint(k, k + 2)
+    halves = 0
+    for trial in range(120):
+        m = rng.randint(1, 6)
+        k = rng.randint(1, m)
         cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        if trial % 2:
+            cols = [list(c) for c in saturated_basis(cols, m)] or cols
+            cols[0] = [2 * x for x in cols[0]]
+        k = len(cols)
         rows = [[c[j] for c in cols] for j in range(m)]
         p0 = [rng.randint(-3, 3) for _ in range(m)]
         if ref_rank(cols) < k:
@@ -599,18 +607,21 @@ def test_affine_chart_random_vs_reference():
         xi = tuple(rng.randint(-5, 5) for _ in range(k))
         on = [p + sum(r * t for r, t in zip(row, xi)) for p, row in zip(p0, rows)]
         assert chart.coords(on) == xi
+        if not any(x % 2 for x in cols[0]):
+            assert chart.coords([a + b // 2 for a, b in zip(on, cols[0])]) is None
+            halves += 1
         x = [rng.randint(-6, 6) for _ in range(m)]
         ref = ref_solve_unique(rows, [a - b for a, b in zip(x, p0)])
         if ref is None or any(t.denominator != 1 for t in ref):
             assert chart.coords(x) is None
         else:
             assert chart.coords(x) == ref
+    assert halves >= 50
 
 
-def test_affine_chart_tests_the_rows_off_its_pivots():
-    # coords reads xi off the rows J alone, where B_J is nonsingular, and
-    # tests only the other rows: a point that agrees on J with a lattice
-    # point but differs in one row outside J is off the affine hull.
+def test_affine_chart_refuses_points_off_its_affine_hull():
+    # A lattice point moved along one coordinate that leaves the affine hull
+    # (checked by rank) has no coordinates, whichever coordinate it is.
     rng = random.Random(1452)
     checked = 0
     while checked < 30:
@@ -624,9 +635,9 @@ def test_affine_chart_tests_the_rows_off_its_pivots():
         xi = tuple(rng.randint(-5, 5) for _ in basis)
         x = [p + sum(b[j] * t for b, t in zip(basis, xi)) for j, p in enumerate(p0)]
         assert chart.coords(x) == xi
-        j = rng.choice([j for j in range(m) if j not in chart.rows])
-        x[j] += rng.choice([-2, -1, 1, 2])
-        assert ref_rank(list(basis) + [[a - b for a, b in zip(x, p0)]]) > len(basis)
+        x[rng.randrange(m)] += rng.choice([-2, -1, 1, 2])
+        if ref_rank(list(basis) + [[a - b for a, b in zip(x, p0)]]) == len(basis):
+            continue  # still on the affine hull: not this test's case
         assert chart.coords(x) is None
         checked += 1
 
