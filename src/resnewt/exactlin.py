@@ -120,7 +120,8 @@ def echelon_reduce(vec, rows, pivots):
     ``pivots[i]`` and zero at every earlier pivot.  The remainder is a
     nonzero multiple of ``vec`` minus an integer combination of the rows; it
     is zero at every pivot, and it is the zero vector exactly when ``vec``
-    lies in the span of the rows.
+    lies in the span of the rows.  The multiple is positive when every
+    row's pivot entry is, as ``echelon_extend`` keeps them.
     """
     v = vec
     for row, c in zip(rows, pivots):
@@ -166,16 +167,23 @@ def adjugate(mat):
 def echelon_extend(vec, rows, pivots):
     """Append ``vec``'s remainder to the echelon unless it is zero.
 
-    Returns False, leaving the echelon as it was, when ``vec`` lies in the
-    span of the rows.
+    The row stored is the primitive remainder with a positive entry at its
+    pivot, its first nonzero coordinate.  Returns the remainder's sign
+    there, or 0, leaving the echelon as it was, when ``vec`` lies in the
+    span of the rows.  In an echelon built by this call alone every pivot
+    entry is positive, so ``echelon_reduce`` multiplies ``vec`` by positive
+    numbers only: the sign is that of ``vec`` less the one span vector
+    that agrees with it at the old pivots, read at the new pivot.
     """
     rem = echelon_reduce(vec, rows, pivots)
     pivot = next((j for j, x in enumerate(rem) if x), None)
     if pivot is None:
-        return False
-    rows.append(primitive(rem))
+        return 0
+    row = primitive(rem)
+    sign = 1 if row[pivot] > 0 else -1
+    rows.append(row if sign > 0 else tuple(-x for x in row))
     pivots.append(pivot)
-    return True
+    return sign
 
 
 def rank_int(rows, cap=None):

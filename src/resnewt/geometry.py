@@ -161,18 +161,21 @@ class TriangulatedHull:
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
-    jump, each zero at the pivot coordinates of the rows before it.
-    Membership is a remainder against the echelon; orientation is the sign
-    over the pivot coordinates alone, on which the affine hull projects
-    bijectively.  That sign is the intrinsic one times a factor fixed within
-    one dimension, so every comparison of signs answers exactly as in
-    intrinsic coordinates.  While every insert has been a dimension jump,
-    the hull is one simplex: its sign and boundary wait for the first
-    standard insert or read (``_build``).  After that, a dimension jump to
-    a point v takes one orientation, of the first cell with v, and
-    ``_cone`` gets every other new sign from the stored ones.  A fresh
-    simplex's sign follows from its parent's visibility test.  The hull
-    keeps no facet table: facets are ``FacetHull``'s.
+    jump, each zero at the pivot coordinates of the rows before it and
+    positive at its own (``echelon_extend``).  Membership is a remainder
+    against the echelon; orientation is the sign over the pivot coordinates
+    alone, on which the affine hull projects bijectively.  That sign is the
+    intrinsic one times a factor fixed within one dimension, so every
+    comparison of signs answers exactly as in intrinsic coordinates.  A
+    dimension jump takes no orientation: the sign of the point's remainder
+    at its new pivot, and that pivot's place among the others, give the
+    factor by which putting the point after a cell multiplies the cell's
+    sign (``_dim_jump``), and ``_cone`` gets every new sign from the stored
+    ones.  The first point's boundary is the empty simplex, which the first
+    jump cones into a segment's two ends.  So ``cells`` and ``boundary``
+    are current after every insert.  A fresh simplex's sign follows from
+    its parent's visibility test.  The hull keeps no facet table: facets
+    are ``FacetHull``'s.
     """
 
     def __init__(self, ambient_dim):
@@ -188,32 +191,8 @@ class TriangulatedHull:
         # with the last coordinate no pivot orients as the rows without
         # that coordinate do, which the oracle's handoff at 2n relies on.
         self._chart = [-1]
-        self._cells = []
-        self._boundary = []
-        self._pending = False  # a simplex above dimension 0 awaiting _build
-
-    # -- the state a jump-only prefix builds on first read --------------------
-
-    @property
-    def cells(self):
-        if self._pending:
-            self._build()
-        return self._cells
-
-    @property
-    def boundary(self):
-        if self._pending:
-            self._build()
-        return self._boundary
-
-    def _build(self):
-        # The state the jumps would have left, from one orientation: each
-        # jump put the facet opposite its point first.
-        self._pending = False
-        mask = sum(1 << t for t in self.tags)
-        s = self._nonzero_orient(self._rows(mask))
-        self._cells = [(mask, s)]
-        self._boundary = _simplex_facets(self.tags[::-1], s)
+        self.cells = []
+        self.boundary = []
 
     # -- predicates ----------------------------------------------------------
 
@@ -227,12 +206,6 @@ class TriangulatedHull:
         chart = self._chart
         d = det_bareiss([[row[j] for j in chart] for row in rows])
         return (d > 0) - (d < 0)
-
-    def _nonzero_orient(self, rows):
-        s = self._orient(rows)
-        if s == 0:
-            raise InvariantViolation("boundary simplex with a flat witness")
-        return s
 
     # -- insertion -----------------------------------------------------------
 
@@ -254,14 +227,16 @@ class TriangulatedHull:
         if self.dim == -1:
             self._record(pt, _hom_row(pt), tag)
             self.dim = 0
-            self._cells = [(1 << tag, 1)]  # the sign of the 1x1 row (1)
-        elif self.dim < self.ambient and echelon_extend(
+            # The sign of the 1x1 row (1), and the empty simplex, which the
+            # point lies off: a jump cones them into a segment's two ends.
+            self.cells, self.boundary = [(1 << tag, 1)], [(0, 1)]
+            return True
+        sign = self.dim < self.ambient and echelon_extend(
             vec_sub(pt, self.points[0]), self._echelon, self._pivots
-        ):
-            self._dim_jump(pt, tag)
-        else:
-            return False
-        return True
+        )
+        if sign:
+            self._dim_jump(pt, tag, sign)
+        return bool(sign)
 
     def place(self, point, tag=None):
         """``insert``, then the Beneath-and-Beyond step for a point it
@@ -274,52 +249,47 @@ class TriangulatedHull:
         self.tags.append(tag)
         self._hom[tag] = row
 
-    def _dim_jump(self, pt, tag):
-        row = _hom_row(pt)
-        self._record(pt, row, tag)
-        self._chart = sorted(self._pivots) + [-1]
+    def _dim_jump(self, pt, tag, sign):
+        # The new pivot p is the i-th of the sorted pivots.  Putting the
+        # point after a cell of k + 1 points multiplies the cell's
+        # orientation by t = (-1)^(k+1+i) * sign: take the cell's first row
+        # from the others and expand along the homogeneous column, then
+        # trade the point's difference row for the remainder, a positive
+        # multiple of it plus rows of the old flat, and expand along
+        # column p, where the remainder alone is nonzero.
+        self._record(pt, _hom_row(pt), tag)
+        pivots = sorted(self._pivots)
+        i = pivots.index(self._pivots[-1])
+        self._chart = pivots + [-1]
+        t = -sign if (self.dim + i) & 1 == 0 else sign
         self.dim += 1
-        if self._pending or self.dim == 1:
-            self._pending = True  # jumps alone so far: one simplex
-            return
-        # Old points keep their old coordinates and get 0 in the new one, so
-        # putting the point after any tuple of old points multiplies its
-        # orientation by the same t: one call gives t.
-        cells, bit = self._cells, 1 << tag
-        mask, s = cells[0]
-        t = self._nonzero_orient(self._rows(mask) + [row]) * s
-        self._boundary = _cone(cells, self._boundary, tag, t)
-        self._cells = [(m | bit, s * (-t if (m >> tag).bit_count() & 1 else t)) for m, s in cells]
+        cells, bit = self.cells, 1 << tag
+        self.boundary = _cone(cells, self.boundary, tag, t)
+        self.cells = [(m | bit, s * (-t if (m >> tag).bit_count() & 1 else t)) for m, s in cells]
 
     def _standard_insert(self, pt, tag):
-        if self._pending:
-            self._build()
         row = _hom_row(pt)
         visible, keep = [], []
-        for pair in self._boundary:
+        for pair in self.boundary:
             beyond = self._orient(self._rows(pair[0]) + [row]) == -pair[1]
             (visible if beyond else keep).append(pair)
         if visible:
             self._record(pt, row, tag)
-            self._cells, self._boundary = _place(self._cells, visible, keep, tag)
+            self.cells, self.boundary = _place(self.cells, visible, keep, tag)
 
     def facet_map(self):
         """Raises ``DegenerateInput``: a triangulated hull keeps no facets."""
         raise DegenerateInput("a TriangulatedHull keeps no facet table; see FacetHull")
 
     def copy(self):
-        """A hull in the same state that takes points without changing this one.
-
-        A hull made by jumps alone is built first, so its copies share that
-        build.
-        """
+        """A hull in the same state that takes points without changing this one."""
         out = TriangulatedHull(self.ambient)
         out.points, out.tags = list(self.points), list(self.tags)
         out._hom = dict(self._hom)
         out.dim = self.dim
         out._echelon, out._pivots = list(self._echelon), list(self._pivots)
         out._chart = list(self._chart)
-        out._cells, out._boundary = list(self.cells), list(self.boundary)
+        out.cells, out.boundary = list(self.cells), list(self.boundary)
         return out
 
 

@@ -275,6 +275,30 @@ def _solve_square(rows, rhs):
     return None if solutions is None else tuple(solutions[0])
 
 
+def ref_remainders(vectors):
+    """(pivot, sign) of each vector's remainder against the ones before it.
+
+    A vector's remainder is the vector less the one vector of the span of
+    the earlier independent ones that agrees with it at their pivots,
+    solved over Fractions; its pivot is its first nonzero coordinate and
+    its sign the sign there.  A vector in that span gives (None, 0).
+    """
+    span, pivots, out = [], [], []
+    for vec in vectors:
+        coef = _solve_square(
+            [[u[c] for u in span] for c in pivots], [vec[c] for c in pivots]
+        ) if span else ()
+        rem = [x - sum(a * u[j] for a, u in zip(coef, span)) for j, x in enumerate(vec)]
+        pivot = next((j for j, x in enumerate(rem) if x), None)
+        if pivot is None:
+            out.append((None, 0))
+            continue
+        span.append(vec)
+        pivots.append(pivot)
+        out.append((pivot, 1 if rem[pivot] > 0 else -1))
+    return out
+
+
 def brute_force_vertices(constraints, dim):
     """Vertices of {x : normal.x <= offset for every (normal, offset)}.
 

@@ -202,6 +202,25 @@ def test_compute_unproject_lines(tmp_path, capsys):
     assert ulines == MONOMIAL_SURFACE["mode_full_vertices"]
 
 
+def test_unproject_lines_cover_the_points_preprocessing_keeps(tmp_path, capsys):
+    # Block 0's point 1 is specialized and inside its segment, so
+    # preprocessing drops it: the u lines have one entry per point kept,
+    # 5 of the 6, in input order.  Kept, it leaves the specialized columns
+    # short of pinning the full vertices, and --unproject exits 2.
+    text = "1\n0 ; 1 ; 2\n0 ; 1 ; 3\nprojection: custom 1 0, 1 1, 1 2\n"
+    path = _write(tmp_path, "dropped.txt", text)
+    code, out, err = _run(["compute", path, "--unproject"], capsys)
+    assert code == 0 and err == ""
+    ulines = [l for l in out.splitlines() if l.startswith("u ")]
+    assert ulines == ["u 0 3 2 0 0", "u 1 2 0 2 0", "u 3 0 0 0 2"]
+    code, out, err = _run(["compute", path, "--unproject", "--no-preprocess"], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: cannot unproject: specialized columns do not determine the"
+        " remaining coordinates\n"
+    )
+
+
 def test_compute_projection_override(tmp_path, capsys):
     # The same supports computed in full mode via --projection.
     path = _write(tmp_path, "surface.txt", SURFACE_TEXT)

@@ -16,6 +16,7 @@ from reference import (
     ref_det,
     ref_integer_kernel,
     ref_rank,
+    ref_remainders,
     ref_solve_unique,
     ref_sort_parity,
 )
@@ -26,6 +27,7 @@ from resnewt.exactlin import (
     adjugate,
     canonical_direction,
     canonical_hyperplane,
+    echelon_extend,
     integer_kernel,
     primitive,
     rank_int,
@@ -661,6 +663,41 @@ def test_rank_and_affine_dim():
     assert _affine_rank([(3, 3)]) == 0
     assert _affine_rank([(0, 0), (2, 0), (1, 0)]) == 1
     assert _affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
+
+
+def test_echelon_extend_returns_the_remainders_sign():
+    # echelon_extend returns 0 exactly when the vector is in the span of
+    # the ones before it (ref_rank), and else the sign of its remainder at
+    # the new pivot, as ref_remainders finds them over Fractions.  Every
+    # row it stores is primitive and positive at its pivot.  The rows come
+    # in with the last coordinates first, so pivots land before earlier
+    # ones, and with both signs.
+    rng = random.Random(12)
+    signs, late = set(), 0
+    for _ in range(60):
+        width = rng.randint(1, 5)
+        vecs = []
+        for _ in range(rng.randint(1, 7)):
+            if vecs and rng.random() < 0.3:  # a combination of earlier vectors
+                a, b = rng.sample(vecs + vecs, 2)
+                vecs.append([rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)])
+            else:
+                lead = rng.randint(0, width - 1)
+                vecs.append([0] * lead + [rng.randint(-4, 4) for _ in range(width - lead)])
+        rows, pivots = [], []
+        for i, (vec, (pivot, sign)) in enumerate(zip(vecs, ref_remainders(vecs))):
+            got = echelon_extend(vec, rows, pivots)
+            assert (got == 0) == (ref_rank(vecs[: i + 1]) == ref_rank(vecs[:i]))
+            assert got == sign
+            if got:
+                assert pivots[-1] == pivot
+                late += any(c > pivot for c in pivots)
+            signs.add(got)
+        assert len(rows) == ref_rank(vecs)
+        for row, c in zip(rows, pivots):
+            assert primitive(row) == row and row[c] > 0
+            assert not any(row[:c])
+    assert signs == {-1, 0, 1} and late > 0
 
 
 def _affine_rank(points, cap=None):

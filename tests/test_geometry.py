@@ -1047,18 +1047,6 @@ def test_cached_planes_track_every_insert():
         assert got == expect
 
 
-def test_flat_witness_raises_invariant_violation():
-    # An orientation that finds every simplex flat breaks the hull's
-    # invariants; that must raise a typed error even under -O.  A hull
-    # built by jumps alone orients its cell when the boundary is read.
-    hull = TriangulatedHull(2)
-    hull._orient = lambda rows: 0
-    with pytest.raises(InvariantViolation):
-        for p in [(0, 0), (1, 0), (0, 1)]:
-            hull.insert(p)
-        hull.boundary
-
-
 # -- stored signs and plane visibility ----------------------------------------
 
 
@@ -1077,91 +1065,50 @@ def test_stored_signs_match_fresh_orientations(ambient, rational):
             _assert_signs_fresh(hull)
 
 
-def test_dimension_jump_takes_one_orientation():
-    # Jumps alone orient nothing: the hull is one simplex, whose sign and
-    # boundary its first read builds from one orientation of the cell.  A
-    # standard insert is such a read.  Once built, a jump orients the first
-    # cell with the new point and derives every other sign.  Signs are read
-    # only once the hull is built, or the prefix would be built eagerly.
-    hull = TriangulatedHull(4)
-    calls = []
-    orient = hull._orient
-    hull._orient = lambda rows: calls.append(rows) or orient(rows)
-    hull.insert((0, 0, 0, 0))
-    for p, dim, asked in [
-        ((0, 0, 0, 3), 1, 0),
-        ((0, 0, 2, 1), 2, 0),
-        ((0, 0, 5, 5), 2, 1 + 3),  # the build, then one test per edge
-        ((0, 0, -1, 4), 2, None),
-        ((1, 1, 1, 1), 3, 1),
-        ((2, 2, 1, 2), 3, None),
-        ((0, 4, 0, 0), 4, 1),
-    ]:
-        del calls[:]
-        hull.place(p)
-        assert hull.dim == dim
-        if asked is not None:
-            assert len(calls) == asked
-            assert dim < 3 or len(hull.cells) >= 3  # many signs derived
-        if asked != 0:
-            _assert_signs_fresh(hull)
+def test_dimension_jump_takes_no_orientation(monkeypatch):
+    # A dimension jump reads its sign off the echelon remainder: it calls
+    # neither _orient nor det_bareiss, and every sign it leaves is a fresh
+    # orientation.  The points come along the last axes first, so new
+    # pivots land before old ones, and several remainders are negative at
+    # their pivots; standard inserts come between the jumps.
+    calls, signs, coned, late = [], [], [], [0]
+    orient, det, extend = TriangulatedHull._orient, geometry.det_bareiss, geometry.echelon_extend
+    monkeypatch.setattr(
+        TriangulatedHull, "_orient", lambda hull, rows: calls.append(rows) or orient(hull, rows)
+    )
+    monkeypatch.setattr(geometry, "det_bareiss", lambda rows: calls.append(rows) or det(rows))
 
-    corners = [(0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 1), (1, 1, 1, 1), (0, 4, 0, 0)]
-    simplex = TriangulatedHull(4)
-    orient = simplex._orient
-    simplex._orient = lambda rows: calls.append(rows) or orient(rows)
-    del calls[:]
-    for i, p in enumerate(corners):
-        assert simplex.insert(p, tag=i)
-    assert simplex.dim == 4 and not calls
-    assert len(simplex.boundary) == 5 and calls == [[simplex._hom[t] for t in range(5)]]
-    _assert_signs_fresh(simplex)
+    def spy_extend(vec, rows, pivots):
+        sign = extend(vec, rows, pivots)
+        if sign:
+            signs.append(sign)
+            late[0] += any(c > pivots[-1] for c in pivots[:-1])
+        return sign
+
+    monkeypatch.setattr(geometry, "echelon_extend", spy_extend)
+    walk = [
+        (0, 0, 0, 0), (0, 0, 0, -3), (0, 0, -2, 1), (0, 0, 5, 5), (0, 0, -1, 4),
+        (-1, 1, 1, 1), (2, 2, 1, -2), (2, 2, 1, 2), (0, 4, 0, 0),
+    ]
+    rng = random.Random(17)
+    runs = [walk] + [_flat_points(rng, 4, 9, trial % 2) for trial in range(6)]
+    for pts in runs:
+        hull = TriangulatedHull(4)
+        for i, p in enumerate(pts):
+            dim = hull.dim
+            del calls[:]
+            hull.place(p, tag=i)
+            if hull.dim > dim:
+                assert not calls, p
+                coned.append(len(hull.cells))
+            _assert_signs_fresh(hull)
+    assert -1 in signs and 1 in signs and late[0] > 0
+    assert max(coned) > 1  # a jump that cones several cells
 
 
 def _hull_state(hull):
     # Cells and boundary, in order, signs included.
     return list(hull.cells), list(hull.boundary)
-
-
-@pytest.mark.parametrize("ambient", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("copied", [False, True])
-def test_simplex_built_on_read_matches_eager_jumps(ambient, copied):
-    # A hull whose boundary is read after every insert builds its simplex at
-    # dimension 1 and makes every later jump eagerly; a hull read only after
-    # the last insert builds its simplex then (or at its first standard
-    # insert) from one orientation.  Each prefix of the points must leave
-    # both in the same state, order included.  With copied, the hull is
-    # copied (built first, as the oracle's copy of a base made by jumps
-    # alone is) before the first point with a nonzero last coordinate, and
-    # the copy takes the rest.
-    rng = random.Random(900 + 10 * ambient + copied)
-
-    def make(pts, read):
-        base = next((i for i, p in enumerate(pts) if p[-1]), len(pts)) if copied else 0
-        hull = TriangulatedHull(ambient)
-        for i, p in enumerate(pts):
-            if base and i == base:
-                hull = hull.copy()
-            hull.place(p, tag=i)
-            if read:
-                hull.boundary
-        if base == len(pts):
-            hull = hull.copy()
-        return hull
-
-    for trial in range(6):
-        if trial % 2:
-            pts = _flat_points(rng, ambient, ambient + 4, trial % 4 == 3)
-        else:
-            pts = _random_points(rng, ambient, ambient + 4)
-        if copied:
-            lead = rng.randint(1, ambient + 1)
-            pts = list(dict.fromkeys(p[:-1] + (0,) if i < lead else p for i, p in enumerate(pts)))
-        for n in range(1, len(pts) + 1):
-            eager, lazy = make(pts[:n], True), make(pts[:n], False)
-            assert lazy.dim == eager.dim
-            assert _hull_state(lazy) == _hull_state(eager)
-        _assert_signs_fresh(eager)
 
 
 @pytest.mark.parametrize(
@@ -1306,11 +1253,11 @@ def test_insert_rejects_tags_that_are_not_new_non_negative_ints():
 
 
 def _whole_state(hull):
-    # Everything a hull keeps, its chart included, read without building it.
+    # Everything a hull keeps, its chart included.
     return (
         list(hull.points), list(hull.tags), dict(hull._hom), hull.dim,
         list(hull._echelon), list(hull._pivots), list(hull._chart),
-        list(hull._cells), list(hull._boundary), hull._pending,
+        list(hull.cells), list(hull.boundary),
     )
 
 

@@ -201,8 +201,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     )
     standard = TriangulatedHull._standard_insert
     facets, triangulation = oracle_module._simplex_facets, VertexOracle.triangulation
-    cells, boundary = TriangulatedHull.cells, TriangulatedHull.boundary
-    copy = TriangulatedHull.copy
+    copy, advance = TriangulatedHull.copy, VertexOracle._advance
     copies = {}  # id -> each copy the oracle made, kept so that ids stay distinct
 
     def spy_standard(hull, pt, tag):
@@ -222,16 +221,13 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
         copies[id(out)] = out
         return out
 
-    def spy_cells(hull):
-        # Counted on a query's copy of the base, not on the base itself.
-        starts["handoff at 2n"] += in_oracle[0] and id(hull) in copies
-        return cells.fget(hull)
-
-    def spy_boundary(hull):
-        # A copy's boundary alone is read when it is handed on at 2n+1.
-        full = in_oracle[0] and id(hull) in copies and hull.dim == hull.ambient
-        starts["handoff at 2n+1"] += full
-        return boundary.fget(hull)
+    def spy_advance(oracle, state, cols, lift):
+        # Counted on a query's copy of the base, not on the base itself: the
+        # rank pass hands it on at the handoff, at 2n or 2n+1.
+        if in_oracle[0] and id(state) in copies:
+            assert oracle._handoff(state)
+            starts["handoff at 2n+1" if state.dim == state.ambient else "handoff at 2n"] += 1
+        return advance(oracle, state, cols, lift)
 
     def spy_triangulation(oracle, w):
         in_oracle[0] = True
@@ -247,8 +243,7 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     monkeypatch.setattr(oracle_module, "_simplex_facets", spy_start)
     monkeypatch.setattr(VertexOracle, "triangulation", spy_triangulation)
     monkeypatch.setattr(TriangulatedHull, "copy", spy_copy)
-    monkeypatch.setattr(TriangulatedHull, "cells", property(spy_cells))
-    monkeypatch.setattr(TriangulatedHull, "boundary", property(spy_boundary))
+    monkeypatch.setattr(VertexOracle, "_advance", spy_advance)
     rng = random.Random(31)
     for sysd in systems:
         oracle = VertexOracle(sysd, seed=2)
@@ -654,59 +649,6 @@ def test_mask_batches_match_explicit_determinants(mode, use_cache):
             assert list(zip(masks, volumes)) == expect
             seen["up"] += len(expect)
     assert all(n > 20 for n in seen.values()), seen
-
-
-@pytest.mark.parametrize("mode", ["full", "implicitization", "u-resultant"])
-def test_lifted_hulls_built_on_read_match_eager_jumps(mode, monkeypatch):
-    # The oracle's hulls read after every insert build any simplex made by
-    # jumps alone at once and jump eagerly from then on; left alone, a copy
-    # made by jumps alone stays one simplex until a standard insert reads it
-    # or it is handed on as (mask, q) pairs.  Both ways must give the
-    # same triangulation and leave every hull in the same state, order and
-    # signs included, and the base too, be it a hull or cells and pairs.
-    insert = TriangulatedHull.insert
-    copy = TriangulatedHull.copy
-    build = TriangulatedHull._build
-    read_every_insert = [False]
-    copies = []
-    late_builds = [0]  # builds of a simplex made by two jumps or more
-
-    def reading_insert(hull, point, tag=None):
-        out = insert(hull, point, tag)
-        if read_every_insert[0]:
-            hull.boundary
-        return out
-
-    def recorded_copy(hull):
-        out = copy(hull)
-        copies.append(out)
-        return out
-
-    def counted_build(hull):
-        late_builds[0] += hull.dim > 1
-        build(hull)
-
-    def state(hull):
-        if not isinstance(hull, TriangulatedHull):
-            return hull
-        return hull.dim, list(hull.cells), list(hull.boundary)
-
-    monkeypatch.setattr(TriangulatedHull, "insert", reading_insert)
-    monkeypatch.setattr(TriangulatedHull, "copy", recorded_copy)
-    monkeypatch.setattr(TriangulatedHull, "_build", counted_build)
-    rng = random.Random(53)
-    for sysd in _generated_systems(mode):
-        dirs = list(_directions_with_zeros(rng, sysd.m, 10))
-        runs = []
-        for read in (True, False):
-            read_every_insert[0] = read
-            del copies[:]
-            oracle = VertexOracle(sysd, seed=4)
-            got = [oracle.triangulation(w) for w in dirs]
-            hulls = [oracle._base] + copies
-            runs.append((got, [state(h) for h in hulls]))
-        assert runs[0] == runs[1]
-    assert late_builds[0] > 0
 
 
 def test_vtx_frozen_values_full_mode():
