@@ -9,13 +9,13 @@ the oracle's own format, so the rules that make them (a simplex's boundary,
 a cone over the horizon, a cone over a flat) are written once, here, and
 the oracle reads the hull as it stands.  ``FacetHull`` is Q's: a
 full-dimensional polytope kept as a double description, its points and its
-facets with the points on each, plus a facet graph.  On top of them sit the
-pulling triangulation that Q and approx mode's outer polytope share,
-lattice-normalized volume and f-vector extraction.
+facets with the points on each, plus a facet graph.  On top of them sit
+pulling triangulations, lattice-normalized volume (Q's is one point coned
+over its facets' pulling triangulations) and f-vector extraction.
 
 All arithmetic is exact and runs on integers.  A point is a tuple of
-``int``s of the hull's dimension (``exactlin.int_vector``), kept with its
-homogeneous row (p, 1); a facet plane is ``exactlin.Hyperplane``, which is
+``int``s of the hull's dimension (``exactlin.int_vector``), whose
+homogeneous row is (p, 1); a facet plane is ``exactlin.Hyperplane``, which is
 re-exported here.  A volume adds its cells as ``int``s over one common
 denominator and is one ``Fraction``.
 """
@@ -316,9 +316,9 @@ class FacetHull:
 
     The first point and each later one that raises the affine rank make a
     simplex, whose planes are its adjugate's columns (``_simplex_planes``);
-    the other points are then inserted in order.  ``points``, ``tags`` (by
-    default the points) and ``_hom`` record, simplex first, each point that
-    lay outside the hull when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
+    the other points are then inserted in order.  ``points`` and ``tags``
+    (by default the points) record, simplex first, each point that lay
+    outside the hull when it came.  ``facet_map()`` is {Hyperplane: bitmask of the ids of
     the recorded points on it}; the masks are exact, so a face is known by
     its mask.  ``_graph`` maps each facet's plane to the planes of the
     facets it shares a ridge with: the facet graph.
@@ -329,9 +329,9 @@ class FacetHull:
     0 on the hull since a1 > 0 >= a2 (the dual of the edge combination in
     ``outer.clip_halfspace``); when a2 = 0 it is G, which gains the point.  The horizon ridges make a (k-2)-sphere, so each
     facet of one lies on one other, and the facets through the point over
-    those two ridges meet in a ridge unless they are one.  ``hull_volume``
-    takes the pulling triangulation on first read; after that each insert
-    adds the point coned over the pulling triangulation of each seen facet.
+    those two ridges meet in a ridge unless they are one.  ``_cone_volume``
+    gives the volume: ``hull_volume``'s first read cones point 0 over the
+    facets that miss it, and each insert adds its point over those it sees.
     """
 
     def __init__(self, points, tags=None):
@@ -340,29 +340,28 @@ class FacetHull:
         if len(tags) != len(pts):
             raise ValueError("%d tags for %d points" % (len(tags), len(pts)))
         k = self.dim = len(pts[0])
-        self.points, self.tags, self._hom, self._index = [], [], [], {}
+        self.points, self.tags, self._index = [], [], {}
         self._volume = None
         echelon, pivots, rest = [], [], []
         for p, t in zip(pts, tags):
             if not self.points or (len(self.points) <= k and echelon_extend(
                 vec_sub(p, self.points[0]), echelon, pivots
             )):
-                self._record(p, _hom_row(p), t)
+                self._record(p, t)
             else:
                 rest.append((p, t))
         if len(self.points) <= k:
             raise DegenerateInput("points span %d of %d dimensions" % (len(echelon), k))
-        planes = _simplex_planes(self._hom) if k else []
+        planes = _simplex_planes([_hom_row(p) for p in self.points]) if k else []
         everything = (1 << (k + 1)) - 1
         self._facets = {plane: everything ^ 1 << i for i, plane in enumerate(planes)}
         self._graph = {plane: set(planes) - {plane} for plane in planes}
         for p, t in rest:
             self.insert(p, t)
 
-    def _record(self, pt, row, tag):
+    def _record(self, pt, tag):
         vid = len(self.points)
         self.points.append(pt)
-        self._hom.append(row)
         self.tags.append(tag)
         self._index[pt] = vid
         return vid
@@ -389,7 +388,7 @@ class FacetHull:
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
             return []
-        vid = self._record(pt, _hom_row(pt), pt if tag is None else tag)
+        vid = self._record(pt, pt if tag is None else tag)
         if self._volume is not None:
             self._volume += self._cone_volume(vid, seen)
         bit = 1 << vid
@@ -452,18 +451,19 @@ class FacetHull:
         return _maximal(subs, k - 2)  # a (k-3)-face has k - 2 points or more
 
     def _cone_volume(self, vid, seen):
-        # The volume the point adds: it coned over the pulling triangulation
-        # of each facet it sees, whose ridges are its mask's meets with its
-        # neighbours'.  The rows all end in 1: a cell adds its |det| alone.
-        facets, graph, hom = self._facets, self._graph, self._hom
-        apex = hom[vid]
+        # Point vid coned over the pulling triangulation of each facet in
+        # seen, whose ridges are its mask's meets with its neighbours': the
+        # volume an insert adds, or, over the facets that miss vid, the
+        # hull's.  The (p, 1) rows all end in 1: a cell adds its |det| alone.
+        facets, graph, points = self._facets, self._graph, self.points
+        apex = (*points[vid], 1)
         memo = {}
         total = 0
         for f in seen:
             mf = facets[f]
             ridges = {mf & facets[g] for g in graph[f]}
             for cell in _pulling_simplices(mf, ridges, self.dim - 1, memo):
-                total += abs(det_bareiss([apex] + [hom[v] for v in cell]))
+                total += abs(det_bareiss([apex] + [(*points[v], 1) for v in cell]))
         return Fraction(total, factorial(self.dim))
 
 
@@ -540,15 +540,15 @@ def hull_volume(hull):
     The hull of a ``lattice_hull`` is full-dimensional over its points' own
     lattice, so integer polytopes get their lattice-normalized volume and
     volume *ratios* of hulls sharing one space are
-    parameterization-independent.  The first call takes the pulling
-    triangulation; inserts keep the volume from then on.  A
+    parameterization-independent.  The first call cones point 0 over the
+    facets that miss it, and inserts keep the volume (``FacetHull``).  A
     ``TriangulatedHull`` keeps no facets and raises ``DegenerateInput``.
     """
     facets = hull.facet_map()
     if hull.dim == 0:
         return Fraction(1)
     if hull._volume is None:
-        hull._volume = _pulling_volume(hull.dim, hull._hom, facets.values())
+        hull._volume = hull._cone_volume(0, [f for f, mask in facets.items() if not mask & 1])
     return hull._volume
 
 

@@ -6,8 +6,8 @@ tight at each vertex (Fukuda & Prodon's double description method).
 ``clip_halfspace`` cuts it down by one halfspace: the cut points come from
 one integer combination of an edge's two rows, and edges are recognized
 from the tight sets alone.  The volume is taken on first read, by a pulling
-triangulation built from the tight sets by the routine that Q's
-``geometry.FacetHull`` uses, and kept.  A clip of a polytope whose volume
+triangulation built from the tight sets (``geometry._pulling_volume``, which
+Q's volume does not use), and kept.  A clip of a polytope whose volume
 has been read updates it from the smaller side of the cut; a clip of one
 whose volume has not leaves its own unread too.
 

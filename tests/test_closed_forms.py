@@ -9,7 +9,9 @@
 - The dense linear family in n variables has the (n+1) x (n+1) determinant
   of its coefficients as resultant, so its output is the Birkhoff polytope:
   the permutation matrices as vertices, one facet rho_(i,a) >= 0 per
-  coefficient, and dimension n^2.
+  coefficient, and dimension n^2.  Its normalized volume is 3 for B3 and
+  352 for B4 (De Loera, Liu & Yoshida, 2009), and two permutation matrices
+  span an edge exactly when sigma^-1 tau is a single cycle.
 - A brute-force reference oracle (``reference.ref_rho``) lifts the Cayley
   points by w, finds the upper cells by exhaustion and sums the mixed
   cells' volumes into rho (Sturmfels, 1994): rho is the vertex of the full
@@ -18,6 +20,7 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -26,7 +29,9 @@ from conftest import system_from
 from reference import mixed_area, ref_cayley_points, ref_rank, ref_rho, ref_simplex_charts
 from resnewt.cayley import parse_text
 from resnewt.cli import main
+from resnewt.geometry import f_vector, hull_volume
 from resnewt.oracle import VertexOracle
+from resnewt.reconstruct import compute_pi
 
 
 def _run(argv, capsys):
@@ -128,6 +133,29 @@ def test_dense_linear_family_gives_the_birkhoff_polytope(tmp_path, capsys, n):
         frozenset(s for s in sigmas if s[i] != k) for i in range(n + 1) for k in range(n + 1)
     }
     assert all(_value(normal, v) == offset for normal, offset in equations for v in vertices)
+    # Q's volume and faces: f_0 = (n+1)!, one facet per coefficient, an edge
+    # per pair of permutations a single cycle apart, and the whole f-vectors
+    # as found, which satisfy Euler's relation.
+    state = compute_pi(system_from(n, supports, "full"))
+    assert state.dim == dim
+    assert hull_volume(state.hull) * factorial(dim) == {2: 3, 3: 352}[n]
+    f = f_vector(state.hull)
+    cycles = sum(map(_one_cycle, sigmas))
+    assert (f[0], f[1], f[-1]) == (len(sigmas), len(sigmas) * cycles // 2, (n + 1) ** 2)
+    assert f == {2: (6, 15, 18, 9), 3: (24, 240, 978, 1968, 2176, 1392, 528, 120, 16)}[n]
+    assert sum((-1) ** i * x for i, x in enumerate(f)) == 1 - (-1) ** dim
+
+
+def _one_cycle(sigma):
+    # Whether the permutation moves the points it moves round one cycle.
+    moved = {i for i, k in enumerate(sigma) if i != k}
+    if not moved:
+        return False
+    i, orbit = min(moved), set()
+    while i not in orbit:
+        orbit.add(i)
+        i = sigma[i]
+    return orbit == moved
 
 
 def _reference_rho(supports, charts, base, rng):

@@ -209,8 +209,9 @@ def test_facet_hull_matches_brute_force_after_every_insert(d):
         seen = False
         for hull, so_far, added in _grown(pts):
             _assert_double_description(hull, so_far)
+            rows = [geometry._hom_row(p) for p in hull.points]
             assert hull_volume(hull) == geometry._pulling_volume(
-                d, hull._hom, hull.facet_map().values()
+                d, rows, hull.facet_map().values()
             )
             assert hull_volume(hull) == cells_volume(so_far)
             if d == 2:
@@ -527,6 +528,55 @@ def test_hull_volume_running_sum_across_dimension_jumps():
         hull.insert(p)
         assert hull_volume(hull) == hull_volume(FacetHull(pts + more[:n]))
         assert hull_volume(hull) == cells_volume(pts + more[:n])
+
+
+def _first_read_sets():
+    # Point sets whose first point is often no vertex: the centre of
+    # [0, 2]^d, or (1, 0, ..., 0) on a face of it, before its corners, for
+    # d = 1 to 5, and seeded random sets led by the origin.
+    rng = random.Random(41)
+    for d in range(1, 6):
+        corners = list(product((0, 2), repeat=d))
+        for first in ((1,) * d, (1,) + (0,) * (d - 1)):
+            yield [first] + corners
+    for d in range(1, 6):
+        for _ in range(4):
+            yield list(dict.fromkeys([(0,) * d] + _random_points(rng, d, d + 6)))
+
+
+def test_first_volume_read_cones_from_the_first_point():
+    # vol(Q) has one routine: the first read is point 0 coned over the
+    # facets that miss it, whether or not point 0 is a vertex.  It equals
+    # the sum over an independent triangulation's cells and the general
+    # pulling volume over the facets' point sets.
+    inside = 0
+    for pts in _first_read_sets():
+        hull = _hull(pts)
+        if hull is None:
+            continue
+        d, masks = hull.dim, hull.facet_map().values()
+        inside += not any(mask & 1 for mask in masks)
+        rows = [geometry._hom_row(p) for p in hull.points]
+        pulling = geometry._pulling_volume(d, rows, masks)
+        assert hull_volume(hull) == cells_volume(pts) == pulling, pts
+        if pts[1:] == list(product((0, 2), repeat=d)):
+            assert hull_volume(hull) == 2 ** d
+    assert inside > 6  # the cube centres, and some random origins
+
+
+def test_first_volume_read_calls_no_pulling_volume(monkeypatch):
+    # Only the outer polytope takes the general pulling volume: Q's first
+    # read and every later insert go through the cone routine.
+    hulls = [_hull(pts) for pts in _first_read_sets()]
+
+    def refuse(*args):
+        raise AssertionError("vol(Q) took the pulling volume")
+
+    monkeypatch.setattr(geometry, "_pulling_volume", refuse)
+    for hull in filter(None, hulls):
+        assert hull_volume(hull) > 0
+        hull.insert((3,) * hull.dim)
+        assert hull_volume(hull) > 0
 
 
 # -- outer polytope and halfspace clipping ---------------------------------------------
