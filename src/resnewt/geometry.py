@@ -145,19 +145,19 @@ class TriangulatedHull:
     hull arrive.  ``insert`` takes only those and says whether it took the
     point, so a query's copy is also its rank pass; ``place`` takes any.
 
-    Each point carries a tag, a distinct non-negative ``int``, by default
-    its id (the number of points recorded before it), and a simplex is the
-    bitmask of its points' tags, bit t for the point tagged t.  ``cells``
-    holds the placing triangulation as pairs (mask, s), s the orientation
-    of the cell's points in increasing tag order; the cells partition the
-    hull.  ``boundary`` holds the boundary simplices as pairs (mask, q), q
-    the orientation of the mask's points in tag order followed by any point
-    of the hull off its hyperplane, so a new point lies beyond one exactly
-    when it orients as -q in that point's place.  The oracle keeps its
-    simplices so too, and the rules that make them (``_simplex_facets``,
-    ``_place``, ``_horizon_cone``, ``_cone``) serve both.  ``points`` and
-    ``tags`` record, in order, every point that lay outside the hull when
-    inserted, and ``_hom`` each one's homogeneous row (p, 1) by tag.
+    Each point carries a tag, a distinct non-negative ``int`` its caller
+    gives, and a simplex is the bitmask of its points' tags, bit t for the
+    point tagged t.  ``cells`` holds the placing triangulation as pairs
+    (mask, s), s the orientation of the cell's points in increasing tag
+    order; the cells partition the hull.  ``boundary`` holds the boundary
+    simplices as pairs (mask, q), q the orientation of the mask's points in
+    tag order followed by any point of the hull off its hyperplane, so a
+    new point lies beyond one exactly when it orients as -q in that point's
+    place.  The oracle keeps its simplices so too, and the rules that make
+    them (``_simplex_facets``, ``_place``, ``_horizon_cone``, ``_cone``)
+    serve both.  ``_hom``, the hull's one record of its points, maps the
+    tag of every point that lay outside the hull when inserted, in order,
+    to its homogeneous row (p, 1).
 
     Below full dimension the hull keeps an integer chart of its affine hull:
     a fraction-free echelon of the span, one primitive row per dimension
@@ -180,9 +180,8 @@ class TriangulatedHull:
 
     def __init__(self, ambient_dim):
         self.ambient = ambient_dim
-        self.points = []
-        self.tags = []
         self._hom = {}
+        self._origin = None  # the first point, from which the echelon reduces
         self.dim = -1
         self._echelon = []  # primitive integer rows spanning the affine hull
         self._pivots = []  # pivot coordinate of each echelon row
@@ -209,7 +208,7 @@ class TriangulatedHull:
 
     # -- insertion -----------------------------------------------------------
 
-    def insert(self, point, tag=None):
+    def insert(self, point, tag):
         """Record a point tagged ``tag`` if it is the first or lies outside
         the affine hull, a dimension jump that cones the whole
         triangulation; returns whether it did.  A point in the affine hull,
@@ -220,34 +219,27 @@ class TriangulatedHull:
         recorded point's.
         """
         pt = int_vector(point, self.ambient)
-        if tag is None:
-            tag = len(self.points)
         if type(tag) is not int or tag < 0 or tag in self._hom:
             raise ValueError("tag %r is not a non-negative int of a new point" % (tag,))
         if self.dim == -1:
-            self._record(pt, _hom_row(pt), tag)
+            self._origin, self._hom[tag] = pt, _hom_row(pt)
             self.dim = 0
             # The sign of the 1x1 row (1), and the empty simplex, which the
             # point lies off: a jump cones them into a segment's two ends.
             self.cells, self.boundary = [(1 << tag, 1)], [(0, 1)]
             return True
         sign = self.dim < self.ambient and echelon_extend(
-            vec_sub(pt, self.points[0]), self._echelon, self._pivots
+            vec_sub(pt, self._origin), self._echelon, self._pivots
         )
         if sign:
             self._dim_jump(pt, tag, sign)
         return bool(sign)
 
-    def place(self, point, tag=None):
+    def place(self, point, tag):
         """``insert``, then the Beneath-and-Beyond step for a point it
         refuses; a point in the hull, a duplicate among them, is a no-op."""
         if not self.insert(point, tag):
-            self._standard_insert(tuple(point), len(self.points) if tag is None else tag)
-
-    def _record(self, pt, row, tag):
-        self.points.append(pt)
-        self.tags.append(tag)
-        self._hom[tag] = row
+            self._standard_insert(tuple(point), tag)
 
     def _dim_jump(self, pt, tag, sign):
         # The new pivot p is the i-th of the sorted pivots.  Putting the
@@ -257,7 +249,7 @@ class TriangulatedHull:
         # trade the point's difference row for the remainder, a positive
         # multiple of it plus rows of the old flat, and expand along
         # column p, where the remainder alone is nonzero.
-        self._record(pt, _hom_row(pt), tag)
+        self._hom[tag] = _hom_row(pt)
         pivots = sorted(self._pivots)
         i = pivots.index(self._pivots[-1])
         self._chart = pivots + [-1]
@@ -274,7 +266,7 @@ class TriangulatedHull:
             beyond = self._orient(self._rows(pair[0]) + [row]) == -pair[1]
             (visible if beyond else keep).append(pair)
         if visible:
-            self._record(pt, row, tag)
+            self._hom[tag] = row
             self.cells, self.boundary = _place(self.cells, visible, keep, tag)
 
     def facet_map(self):
@@ -284,8 +276,7 @@ class TriangulatedHull:
     def copy(self):
         """A hull in the same state that takes points without changing this one."""
         out = TriangulatedHull(self.ambient)
-        out.points, out.tags = list(self.points), list(self.tags)
-        out._hom = dict(self._hom)
+        out._hom, out._origin = dict(self._hom), self._origin
         out.dim = self.dim
         out._echelon, out._pivots = list(self._echelon), list(self._pivots)
         out._chart = list(self._chart)
@@ -371,9 +362,9 @@ class FacetHull:
         own: inserts keep it current, and callers must not change it."""
         return self._facets
 
-    def insert(self, point, tag=None):
-        """Insert a point tagged ``tag``, by default the point; returns the
-        list of facet planes it added.
+    def insert(self, point, tag):
+        """Insert a point tagged ``tag``; returns the list of facet planes
+        it added.
 
         Duplicates and points in the hull are no-ops.  Raises ``ValueError``
         on a point of the wrong length or with a coordinate that is not an
@@ -388,7 +379,7 @@ class FacetHull:
         seen = [plane for plane, a in a_of.items() if a > 0]
         if not seen:
             return []
-        vid = self._record(pt, pt if tag is None else tag)
+        vid = self._record(pt, tag)
         if self._volume is not None:
             self._volume += self._cone_volume(vid, seen)
         bit = 1 << vid

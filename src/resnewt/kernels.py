@@ -30,8 +30,8 @@ the side of a tilted flat and the volumes of the cells that rho sums, so
 its queries pay for no argument check.  Its hulls call batches on the
 (mask, q) pairs of a whole boundary: ``split_boundary`` at dimension 2n,
 ``split_lifted`` and ``upper_facets`` on a full-dimensional lifted hull.
-Every mask-level routine and every batch reads one clock pair and checks
-the cache threshold once.
+Every mask-level routine and every batch reads one clock pair and clears
+the cache once it holds more than ``CLEAR_AT`` minors.
 
 ``BACKEND`` names the implementation in run reports (``--stats`` and the
 benchmark's result context); there is one, in pure Python.
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 BACKEND = "python"
+CLEAR_AT = 10 ** 6  # minors the tables hold before a routine clears them
 
 
 def det_bareiss(rows):
@@ -119,10 +120,10 @@ class MinorCache:
     pure-minor counts broken down by size; counters are cumulative and
     survive cache clears.  ``predicate_time`` sums the time spent inside the
     entries and batches after their arguments are checked; each clears the
-    tables on its way out once they hold more than ``threshold`` minors.
+    tables on its way out once they hold more than ``CLEAR_AT`` minors.
     """
 
-    def __init__(self, columns, threshold=10 ** 6, use_cache=True):
+    def __init__(self, columns, use_cache=True):
         cols = list(columns)
         nrows = len(cols[0]) if cols else 0
         cols = [int_vector(c, nrows) for c in cols]
@@ -131,7 +132,6 @@ class MinorCache:
         self._rows = [tuple(c[r] for c in cols) for r in range(nrows)]
         # Per row, the mask of the columns with a nonzero entry there.
         self._nonzero = [sum(1 << c for c, x in enumerate(row) if x) for row in self._rows]
-        self.threshold = threshold
         self.use_cache = use_cache
         self._pure_tab = {}
         self._hom_tab = {}
@@ -454,9 +454,9 @@ class MinorCache:
         return masks, volumes
 
     def _done(self, t0, calls, hits):
-        # Count, stop the clock pair, and clear past ``threshold`` minors.
+        # Count, stop the clock pair, and clear past ``CLEAR_AT`` minors.
         self.predicate_calls += calls
         self.hom_hits += hits
         self.predicate_time += perf_counter() - t0
-        if len(self._pure_tab) + len(self._hom_tab) > self.threshold:
+        if len(self._pure_tab) + len(self._hom_tab) > CLEAR_AT:
             self.clear()

@@ -67,11 +67,11 @@ def lift_direction(sys, w):
     return lift
 
 
-def rho_vector(simplices, sys, cache, volumes=None, classes=None):
+def rho_vector(simplices, sys, cache, volumes, classes):
     """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
 
     ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
-    ``triangulation`` returns them) saves reading each volume from
+    ``triangulation`` returns them, or None) saves reading each volume from
     ``cache``, where a mixed simplex's volume is |h(mask)|, one
     ``MinorCache.hom_minor`` on its mask.  A simplex is i-mixed when it
     takes exactly one column from block i and exactly two from every other
@@ -81,8 +81,6 @@ def rho_vector(simplices, sys, cache, volumes=None, classes=None):
     column, or -1 when it is not mixed, and this call adds the simplices it
     lacks.
     """
-    if classes is None:
-        classes = {}
     masks, n = sys.block_masks, sys.n
     rho = [0] * sys.num_columns
     for i, s in enumerate(simplices):

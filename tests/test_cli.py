@@ -805,6 +805,52 @@ def test_every_private_definition_is_referenced():
     assert [d for d in defined if d.split()[-1] not in used] == []
 
 
+# The defaults that only a caller outside the package sets: the streams and
+# the argument list the tests and the console script hand the CLI.
+SEAM_DEFAULTS = {
+    "cli.py run(stdin)", "cli.py run(stdout)", "cli.py run(stderr)", "cli.py main(argv)",
+}
+
+
+def test_every_default_is_overridden_in_the_package():
+    # A parameter default that no call in the package overrides, by keyword
+    # or by position, is one value dressed as an option.  A call reaches a
+    # definition by name: the called name or attribute, or the class for
+    # __init__.
+    functions, methods, calls = [], {}, {}
+    for name, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append((name, node))
+        elif isinstance(node, ast.ClassDef):
+            methods.update(
+                (id(f), node.name) for f in node.body if isinstance(f, ast.FunctionDef)
+            )
+        elif isinstance(node, ast.Call):
+            func = node.func
+            key = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(key, []).append(node)
+    unset = []
+    for name, fn in functions:
+        cls = methods.get(id(fn))
+        key = cls if fn.name == "__init__" else fn.name
+        params = fn.args.posonlyargs + fn.args.args
+        skip = 0 if cls is None else 1  # a method's self or cls
+        first = len(params) - len(fn.args.defaults)
+        defaulted = [(i - skip, p.arg) for i, p in enumerate(params) if i >= first]
+        defaulted += [
+            (None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d
+        ]
+        for pos, arg in defaulted:
+            where = "%s %s(%s)" % (name, fn.name, arg)
+            if where not in SEAM_DEFAULTS and not any(
+                any(k.arg == arg for k in call.keywords) or pos is not None and len(call.args) > pos
+                for call in calls.get(key, ())
+            ):
+                unset.append(where)
+    assert functions and calls  # the scan found the package's definitions and calls
+    assert unset == []
+
+
 def test_public_names_resolve():
     # Every name a module exports, the package's included, must exist there.
     pkg = os.path.dirname(os.path.abspath(resnewt.__file__))

@@ -15,7 +15,9 @@
 - A brute-force reference oracle (``reference.ref_rho``) lifts the Cayley
   points by w, finds the upper cells by exhaustion and sums the mixed
   cells' volumes into rho (Sturmfels, 1994): rho is the vertex of the full
-  projection extreme in the direction w.
+  projection extreme in the direction w.  On an implicit projection, where
+  only the symbolic columns are lifted far above the rest, rho's symbolic
+  part is the projected polytope's vertex extreme in the symbolic lift.
 """
 
 from fractions import Fraction
@@ -224,3 +226,69 @@ def test_reference_oracle_confirms_a_full_projection(tmp_path, capsys, seed):
     _check_vertices_are_reference_rhos(supports, charts, out, rng)
     _check_facets_hold_reference_rhos(supports, charts, out, rng)
     _check_neighbours_are_printed(supports, charts, out, rng)
+
+
+def _projected_rho(supports, charts, projection, symbolic, rng):
+    # (w, the symbolic part of rho) where the symbolic columns are lifted by
+    # w = symbolic() and the others by randint(-3, 3), redrawn until the
+    # lift is generic.
+    width = sum(map(len, supports))
+    for _ in range(100):
+        lift, w = [rng.randint(-3, 3) for _ in range(width)], symbolic()
+        for k, col in enumerate(projection):
+            lift[col] = w[k]
+        rho = ref_rho(supports, charts, lift)
+        if rho is not None:
+            return w, tuple(rho[col] for col in projection)
+    raise AssertionError("no generic lift")
+
+
+IMPLICIT_FAMILIES = [("3", "3,3,3", seed) for seed in range(1, 7)] + [
+    ("4", "4,4,4", seed) for seed in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("delta, sizes, seed", IMPLICIT_FAMILIES)
+def test_reference_oracle_confirms_an_implicit_projection(tmp_path, capsys, delta, sizes, seed):
+    # Pi is the projection of N(R) onto the symbolic columns; compute reads
+    # the preprocessed family, the reference lifts the raw one.  A vertex
+    # of N(R) may project inside Pi, so a lift picks Pi's vertex only when
+    # its symbolic part decides alone: that part sits far above the noise
+    # on the other columns, and a tie-break scale sits between them.
+    args = ["2", delta, "--sizes", sizes, "--projection", "implicit", "--seed", str(seed)]
+    supports, out = _generated(tmp_path, capsys, args)
+    dim, vertices, facets, _ = _printed(out)
+    projection = system_from(2, supports, "implicitization").projection
+    charts = ref_simplex_charts(ref_cayley_points(supports))
+    rng = Random(seed)
+
+    def through(v):
+        return [[int(a) for a in n] for n, offset in facets if _value(n, v) == offset]
+
+    # (a) Each printed vertex v is picked by the sum of the facet normals
+    # through it.
+    for v in vertices:
+        base = [sum(col) for col in zip(*through(v))] or [0] * len(v)
+        symbolic = lambda: [10 ** 6 * x + rng.randint(-3, 3) for x in base]
+        assert _projected_rho(supports, charts, projection, symbolic, rng)[1] == v, v
+    # (b) A facet's normal, with a tie-break above the noise, picks a
+    # printed vertex on that facet that maximizes w over the printed ones.
+    for normal, offset in facets:
+        symbolic = lambda: [10 ** 9 * int(a) + 10 ** 4 * rng.randint(-50, 50) for a in normal]
+        w, rho = _projected_rho(supports, charts, projection, symbolic, rng)
+        assert rho in vertices and _value(normal, rho) == offset, (normal, rho)
+        assert _value(w, rho) == max(_value(w, v) for v in vertices), (normal, rho)
+    # (c) From each printed vertex u, dim - 1 facets through it, less u's
+    # other facets, pick the far end of an edge at u: a printed vertex, so
+    # a dropped vertex with a printed neighbour is found missing.
+    for u in vertices:
+        normals = through(u)
+        for keep in combinations(range(len(normals)), dim - 1):
+            base = [
+                sum(10 ** 9 * a if t in keep else -(10 ** 6) * a for t, a in enumerate(col))
+                for col in zip(*normals)
+            ]
+            symbolic = lambda: [x + rng.randint(-3, 3) for x in base]
+            w, rho = _projected_rho(supports, charts, projection, symbolic, rng)
+            assert rho in vertices, (u, keep, rho)
+            assert _value(w, rho) == max(_value(w, v) for v in vertices), (u, keep, rho)

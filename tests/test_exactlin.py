@@ -21,6 +21,7 @@ from reference import (
     ref_sort_parity,
 )
 
+from resnewt import kernels
 from resnewt.errors import DegenerateInput, InvalidDirection
 from resnewt.exactlin import (
     AffineChart,
@@ -382,12 +383,13 @@ def test_cache_clear_keeps_stats():
     assert cache.stats()["pure_misses"] > before
 
 
-def test_cache_threshold_maintenance():
-    # Every public entry clears the tables once they exceed the threshold,
-    # and answers as a cache that stores nothing.
+def test_cache_threshold_maintenance(monkeypatch):
+    # Every public entry clears the tables once they hold more than
+    # CLEAR_AT minors, and answers as a cache that stores nothing.
+    monkeypatch.setattr(kernels, "CLEAR_AT", 5)
     rng = random.Random(3)
     base = _random_base(rng, 4, 9)
-    cache = MinorCache(base, threshold=5)
+    cache = MinorCache(base)
     plain = MinorCache(base, use_cache=False)
     for _ in range(10):
         calls = [

@@ -64,6 +64,11 @@ def _build(points, ambient=None):
     return hull
 
 
+def _points(hull):
+    # A triangulated hull's recorded points, in record order.
+    return [row[:-1] for row in hull._hom.values()]
+
+
 def _hull(points):
     # The FacetHull of the points, or None when they do not span their space.
     try:
@@ -83,7 +88,7 @@ def _grown(pts):
     hull = FacetHull(pts[:n])
     yield hull, pts[:n], list(hull.facet_map())
     for i in range(n, len(pts)):
-        added = hull.insert(pts[i])
+        added = hull.insert(pts[i], pts[i])
         yield hull, pts[: i + 1], added
 
 
@@ -105,10 +110,10 @@ def _grouped(hull):
     # A triangulated hull's facets: its boundary simplices grouped by their
     # planes, taken by tests/reference.py, each with the points of the
     # simplices on it.  A plane is taken away from any recorded point off it.
-    point, groups = dict(zip(hull.tags, hull.points)), {}
+    point, groups = {t: row[:-1] for t, row in hull._hom.items()}, {}
     for mask, _ in hull.boundary:
         on = tuple(point[t] for t in _tags(mask))
-        for t in (t for t in hull.tags if not mask >> t & 1):
+        for t in (t for t in point if not mask >> t & 1):
             plane = _ref_plane(on, point[t])
             if plane is not None:
                 break  # else t lies on the plane
@@ -193,7 +198,7 @@ def test_facet_hull_matches_brute_force_after_every_insert(d):
     # vertex of the brute-force facets.
     if d == 0:
         hull = FacetHull([()])
-        assert hull.facet_map() == {} and hull.insert(()) == []
+        assert hull.facet_map() == {} and hull.insert((), ()) == []
         assert hull_volume(hull) == 1 and f_vector(hull) == (1,)
         return
     rng = random.Random(1000 + d)
@@ -322,9 +327,9 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
     # an int, even one equal to an int, before it reads or changes anything.
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     tri, flat, facets = TriangulatedHull(2), TriangulatedHull(3), FacetHull(square)
-    for p in square:
-        tri.place(p)
-    flat.insert((0, 0, 0))
+    for i, p in enumerate(square):
+        tri.place(p, tag=i)
+    flat.insert((0, 0, 0), tag=0)
     segments = system_from(1, [[(0,), (1,)], [(0,), (1,)]], "full")
     surface = system_from(
         MONOMIAL_SURFACE["n"], MONOMIAL_SURFACE["supports"], "implicitization"
@@ -337,12 +342,12 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
         "saturated_basis": lambda: saturated_basis([(x, 1)], 2),
         # At x = 0.5 this column was once truncated to (0, 0).
         "MinorCache": lambda: MinorCache([(x, 0), (1, 0), (0, 1)]),
-        "first point": lambda: TriangulatedHull(2).insert((x, 0)),
-        "dimension jump": lambda: flat.insert((1, x, 0)),
-        "point inside": lambda: tri.place((x, 1)),
+        "first point": lambda: TriangulatedHull(2).insert((x, 0), tag=0),
+        "dimension jump": lambda: flat.insert((1, x, 0), tag=1),
+        "point inside": lambda: tri.place((x, 1), tag=4),
         "FacetHull": lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
-        "facet point": lambda: facets.insert((x, 0)),
-        "point beyond": lambda: facets.insert((3, x)),
+        "facet point": lambda: facets.insert((x, 0), (x, 0)),
+        "point beyond": lambda: facets.insert((3, x), (3, x)),
         "clip_halfspace": lambda: clip_halfspace(_box(2), Hyperplane((1, 0), x)),
         # At x = 1/2 the full projection's vertex was once truncated to
         # (0, 0, 1, 1), and the other branch reported no integral solution.
@@ -352,7 +357,7 @@ def test_exact_layer_entries_reject_non_int_coordinates(x):
     for entry in entries.values():
         with pytest.raises(ValueError, match="must be ints"):
             entry()
-    assert len(tri.points) == len(facets.points) == 4 and flat.dim == 0
+    assert len(tri._hom) == len(facets.points) == 4 and flat.dim == 0
 
 
 def _vector_entry_calls():
@@ -369,15 +374,15 @@ def _vector_entry_calls():
     square = FacetHull([(0, 0), (2, 0), (0, 2), (2, 2)])
     chart = AffineChart((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
     return {
-        ("TriangulatedHull.insert", "length"): lambda: TriangulatedHull(2).insert((0, 0, 0)),
-        ("TriangulatedHull.insert", "non-int"): lambda: TriangulatedHull(2).insert((x, 0)),
-        ("TriangulatedHull.place", "length"): lambda: TriangulatedHull(2).place((0, 0, 0)),
-        ("TriangulatedHull.place", "non-int"): lambda: TriangulatedHull(2).place((x, 0)),
+        ("TriangulatedHull.insert", "length"): lambda: TriangulatedHull(2).insert((0, 0, 0), 0),
+        ("TriangulatedHull.insert", "non-int"): lambda: TriangulatedHull(2).insert((x, 0), 0),
+        ("TriangulatedHull.place", "length"): lambda: TriangulatedHull(2).place((0, 0, 0), 0),
+        ("TriangulatedHull.place", "non-int"): lambda: TriangulatedHull(2).place((x, 0), 0),
         ("FacetHull", "length"): lambda: FacetHull([(0, 0), (1, 0), (0, 1, 5)]),
         ("FacetHull", "non-int"): lambda: FacetHull([(0, 0), (1, 0), (x, 1)]),
         ("FacetHull", "empty"): lambda: FacetHull([]),
-        ("FacetHull.insert", "length"): lambda: square.insert((3, 3, 3)),
-        ("FacetHull.insert", "non-int"): lambda: square.insert((3, x)),
+        ("FacetHull.insert", "length"): lambda: square.insert((3, 3, 3), (3, 3, 3)),
+        ("FacetHull.insert", "non-int"): lambda: square.insert((3, x), (3, x)),
         ("lattice_hull", "length"): lambda: lattice_hull([(0, 0), (1, 0, 0)]),
         ("lattice_hull", "non-int"): lambda: lattice_hull([(0, 0), (x, 0)]),
         ("lattice_hull", "empty"): lambda: lattice_hull([]),
@@ -525,7 +530,7 @@ def test_hull_volume_running_sum_across_dimension_jumps():
     ]
     hull_volume(hull)
     for n, p in enumerate(more, start=1):
-        hull.insert(p)
+        hull.insert(p, p)
         assert hull_volume(hull) == hull_volume(FacetHull(pts + more[:n]))
         assert hull_volume(hull) == cells_volume(pts + more[:n])
 
@@ -575,7 +580,8 @@ def test_first_volume_read_calls_no_pulling_volume(monkeypatch):
     monkeypatch.setattr(geometry, "_pulling_volume", refuse)
     for hull in filter(None, hulls):
         assert hull_volume(hull) > 0
-        hull.insert((3,) * hull.dim)
+        far = (3,) * hull.dim
+        hull.insert(far, far)
         assert hull_volume(hull) > 0
 
 
@@ -940,7 +946,7 @@ def test_lower_dim_hull_membership():
         raw.append(tuple(a * u + b * v for u, v in zip(*base)))
     hull = _build(raw, ambient=4)
     assert hull.dim <= 2
-    for p in hull.points:
+    for p in _points(hull):
         assert point_in_hull(p, raw)
 
 
@@ -955,7 +961,7 @@ def _assert_signs_fresh(hull):
         assert s == hull._orient([hom[t] for t in _tags(mask)]) != 0, mask
     for mask, q in hull.boundary:
         rows = [hom[t] for t in _tags(mask)]
-        sides = {hull._orient(rows + [hom[t]]) for t in hull.tags if not mask >> t & 1}
+        sides = {hull._orient(rows + [hom[t]]) for t in hom if not mask >> t & 1}
         assert sides - {0} == {q}, mask
 
 
@@ -1018,7 +1024,7 @@ def test_flat_chart_matches_intrinsic_hull():
         for i, (a, b) in enumerate(ab):
             intrinsic.place((a, b), tag=i)
         assert flat.dim == intrinsic.dim == 2
-        assert flat.tags == intrinsic.tags
+        assert list(flat._hom) == list(intrinsic._hom)
         _same_up_to_sign(
             flat.cells + sorted(flat.boundary),
             intrinsic.cells + sorted(intrinsic.boundary),
@@ -1060,7 +1066,7 @@ def test_copied_base_matches_direct_build(base_dim):
             p + (rng.randint(-9, 9),) for p in _random_points(rng, 3, 6)
         ))
         small = _build(base)
-        before = (list(small.points), dict(small._hom), _hull_state(small))
+        before = (list(small._hom.items()), small._origin, _hull_state(small))
         copy = small.copy()
         direct = _build(base)
         _assert_signs_fresh(copy)
@@ -1069,10 +1075,10 @@ def test_copied_base_matches_direct_build(base_dim):
             direct.place(p, tag=i)
             _assert_signs_fresh(copy)
         assert copy.dim == direct.dim
-        assert copy.points == direct.points
+        assert list(copy._hom.items()) == list(direct._hom.items())
         assert copy.cells == direct.cells
         assert sorted(copy.boundary) == sorted(direct.boundary)
-        assert (small.points, small._hom, _hull_state(small)) == before
+        assert (list(small._hom.items()), small._origin, _hull_state(small)) == before
 
 
 def test_cached_planes_track_every_insert():
@@ -1184,12 +1190,12 @@ def test_oracle_lifted_hull_signs(monkeypatch, name):
     insert, place = TriangulatedHull.insert, TriangulatedHull.place
 
     def checked(step):
-        def run(hull, point, tag=None):
-            before = len(hull.points)
+        def run(hull, point, tag):
+            before = len(hull._hom)
             out = step(hull, point, tag)
             _assert_signs_fresh(hull)
             # An insert says whether it recorded the point; a place, nothing.
-            assert out is (len(hull.points) > before if step is insert else None)
+            assert out is (len(hull._hom) > before if step is insert else None)
             with pytest.raises(DegenerateInput):
                 hull.facet_map()
             dims.append(hull.dim)
@@ -1246,9 +1252,9 @@ def test_plane_visibility_matches_orientation(d):
         plain = TriangulatedHull(d)
         keys = set()
         for hull, so_far, added in _grown(pts):
-            for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
+            for i in range(max(plain._hom, default=-1) + 1, len(so_far)):
                 plain.place(so_far[i], tag=i)
-            assert set(hull.points) == set(plain.points)
+            assert set(hull.points) == set(_points(plain))
             p = so_far[-1]
             after = set(hull.facet_map())
             removed = keys - after
@@ -1288,24 +1294,23 @@ def test_only_the_facet_hull_keeps_facets(d):
 
 
 def test_insert_rejects_tags_that_are_not_new_non_negative_ints():
-    # A tag is a non-negative int that no recorded point has, the point's id
-    # by default.  A point in the hull is not recorded, so its tag stays
-    # free.
+    # A tag is a non-negative int that no recorded point has; the caller
+    # gives it.  A point in the hull is not recorded, so its tag stays free.
     hull = TriangulatedHull(2)
     hull.insert((0, 0), tag=1)
-    for tag in ("a", (1,), 1.0, True, -1, 1, None):  # None: the default id 1
+    for tag in ("a", (1,), 1.0, True, -1, 1, None):
         with pytest.raises(ValueError):
             hull.insert((2, 0), tag=tag)
     hull.insert((2, 0), tag=0)
     hull.place((1, 0), tag=5)
     hull.insert((0, 1), tag=5)
-    assert hull.tags == [1, 0, 5] and hull.dim == 2
+    assert list(hull._hom) == [1, 0, 5] and hull.dim == 2
 
 
 def _whole_state(hull):
     # Everything a hull keeps, its chart included.
     return (
-        list(hull.points), list(hull.tags), dict(hull._hom), hull.dim,
+        list(hull._hom.items()), hull._origin, hull.dim,
         list(hull._echelon), list(hull._pivots), list(hull._chart),
         list(hull.cells), list(hull.boundary),
     )
@@ -1329,7 +1334,7 @@ def test_insert_refuses_a_point_in_the_affine_hull(ambient):
         hull, placed = TriangulatedHull(ambient), TriangulatedHull(ambient)
         for i, p in enumerate(pts):
             before = _whole_state(hull)
-            flat = hull.dim >= 0 and ref_affine_dim(hull.points + [p]) == hull.dim
+            flat = hull.dim >= 0 and ref_affine_dim(_points(hull) + [p]) == hull.dim
             assert hull.insert(p, tag=i) is not flat
             if flat:
                 refused += 1
@@ -1337,7 +1342,7 @@ def test_insert_refuses_a_point_in_the_affine_hull(ambient):
                 hull.place(p, tag=i)
             placed.place(p, tag=i)
             assert _hull_state(hull) == _hull_state(placed)
-            assert hull.points == placed.points and hull.tags == placed.tags
+            assert list(hull._hom.items()) == list(placed._hom.items())
         if hull.dim == ambient:
             # Outside the hull, and still refused: the hull spans its space.
             far = tuple(-99 for _ in range(ambient))
@@ -1345,7 +1350,7 @@ def test_insert_refuses_a_point_in_the_affine_hull(ambient):
             assert hull.insert(far, tag=len(pts)) is False
             assert _whole_state(hull) == before
             hull.place(far, tag=len(pts))
-            assert hull.points[-1] == far
+            assert _points(hull)[-1] == far
     assert refused > 0
 
 
@@ -1358,10 +1363,10 @@ def test_facet_hull_takes_one_tag_per_point():
 
 
 def test_facet_hull_tags_a_point_by_itself_by_default():
-    # In one call or by insert alike.
+    # Built in one call, or grown by an insert given the point as its tag.
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     whole, grown = FacetHull(square), FacetHull(square[:3])
-    grown.insert(square[3])
+    grown.insert(square[3], square[3])
     assert whole.tags == grown.tags == square
     assert hull_volume(whole) == hull_volume(grown) == 4
 
@@ -1374,12 +1379,12 @@ def test_point_on_a_facet_plane_is_not_beyond_it(monkeypatch):
     )
     # On the plane y = 0 inside its facet, and inside the square: no-ops,
     # decided from the facet planes without a determinant.
-    assert hull.insert((2, 0)) == []
-    assert hull.insert((1, 3)) == []
+    assert hull.insert((2, 0), (2, 0)) == []
+    assert hull.insert((1, 3), (1, 3)) == []
     assert len(hull.points) == 4 and not dets
     # On y = 0 beyond x = 4: only the facet x = 4 sees it, and y = 0 grows.
     before = set(hull.facet_map())
-    hull.insert((6, 0))
+    hull.insert((6, 0), (6, 0))
     assert before - set(hull.facet_map()) == {Hyperplane((1, 0), 4)}
     bottom = hull.facet_map()[Hyperplane((0, -1), 0)]
     assert _on(hull, bottom) == {(0, 0), (4, 0), (6, 0)}
@@ -1416,7 +1421,7 @@ def test_fresh_planes_come_from_the_pencil(d, monkeypatch):
             for hull, so_far, added in _grown(pts):
                 if keys:
                     assert not dets
-                for i in range(len(plain.tags) and plain.tags[-1] + 1, len(so_far)):
+                for i in range(max(plain._hom, default=-1) + 1, len(so_far)):
                     plain.place(so_far[i], tag=i)
                 assert _facet_points(hull) == _grouped(plain)
                 _assert_facet_graph(hull)
@@ -1448,7 +1453,7 @@ def test_horizon_ridge_on_no_kept_plane_raises():
     hull._graph[bottom].discard(left)
     hull._graph[bottom].add(bottom)
     with pytest.raises(InvariantViolation):
-        hull.insert((2, -3))
+        hull.insert((2, -3), (2, -3))
 
 
 def test_horizon_ridge_meets_a_neighbour_in_an_edge():
@@ -1475,7 +1480,7 @@ def test_horizon_ridge_meets_a_neighbour_in_an_edge():
     inside = [sum(q[i] for q in _on(hull, mask)) // 7 for i in range(5)]
     p = tuple(c + 7 * n for c, n in zip(inside, plane.normal))  # k.(n / 50)
     assert [pl for pl in hull.facet_map() if _sees(pl, p)] == [plane]
-    hull.insert(p)
+    hull.insert(p, p)
     _assert_facet_graph(hull)
     pts = prism + [b, mid, a, p]
     assert _facet_points(hull) == {

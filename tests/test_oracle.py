@@ -121,8 +121,8 @@ def test_triangulation_matches_frozen_cells():
         (minus, minus_volumes, MONOMIAL_SURFACE_RHO_MINUS),
     ):
         assert volumes == [oracle.cache.volume_predicate(_cols(c)) for c in cells]
-        assert rho_vector(cells, sysd, oracle.cache) == rho
-        assert rho_vector(cells, sysd, oracle.cache, volumes) == rho
+        assert rho_vector(cells, sysd, oracle.cache, None, {}) == rho
+        assert rho_vector(cells, sysd, oracle.cache, volumes, {}) == rho
 
 
 def _placing_order(sysd, w, seed):
@@ -293,7 +293,7 @@ def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
         refused[id(out)] = False
         return out
 
-    def spy_insert(hull, point, tag=None):
+    def spy_insert(hull, point, tag):
         out = insert(hull, point, tag)
         if id(hull) in refused:
             moved[0] += out and refused[id(hull)]
@@ -303,7 +303,7 @@ def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
     def spy_advance(oracle, state, cols, lift):
         if id(state) in refused:
             cols = list(cols)
-            recorded = state.tags[len(oracle._base.tags):]
+            recorded = list(state._hom)[len(oracle._base._hom):]
             assert sorted(recorded + cols) == sorted(oracle.sys.projection)
         return advance(oracle, state, cols, lift)
 
@@ -317,8 +317,8 @@ def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
             got, volumes = oracle.triangulation(w)
             want = _plain_upper_simplices(sysd, w, seed)
             assert {_cols(s) for s in got} == want
-            rho = rho_vector([_mask(cols) for cols in want], sysd, oracle.cache)
-            assert rho_vector(got, sysd, oracle.cache, volumes) == rho
+            rho = rho_vector([_mask(cols) for cols in want], sysd, oracle.cache, None, {})
+            assert rho_vector(got, sysd, oracle.cache, volumes, {}) == rho
     assert moved[0] > 0
 
 
@@ -703,7 +703,7 @@ def _base_state(base):
     if not isinstance(base, TriangulatedHull):
         return base
     return (
-        base.dim, list(base.points), list(base.tags), dict(base._hom), list(base._echelon),
+        base.dim, list(base._hom.items()), base._origin, list(base._echelon),
         list(base._pivots), list(base._chart), list(base.cells), list(base.boundary),
     )
 
@@ -739,7 +739,7 @@ def test_answers_depend_only_on_seed_and_direction(golden, mode):
                 base = _base_state(oracle._base)
             simplices, volumes = oracle.triangulation(w)
             cells[w] = set(simplices)
-            assert rho_vector(simplices, sysd, oracle.cache, volumes) == answers[w][1]
+            assert rho_vector(simplices, sysd, oracle.cache, volumes, {}) == answers[w][1]
         assert _base_state(oracle._base) == base
         seen.append((answers, cells))
     assert seen[0] == seen[1]
