@@ -10,8 +10,8 @@ projected ones.
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousUnprojection,
@@ -49,8 +49,7 @@ _MODE_ALIASES = {
 }
 
 
-@dataclass
-class SupportFamily:
+class SupportFamily(NamedTuple):
     """n+1 supports in Z^n with per-point symbolic flags.
 
     ``supports[i]`` lists the points of the i-th support (input order,
@@ -395,8 +394,7 @@ def preprocess(family):
 # -- Cayley system -----------------------------------------------------------------
 
 
-@dataclass
-class CayleySystem:
+class CayleySystem(NamedTuple):
     """The Cayley point configuration of a support family.
 
     ``columns`` lists the |A| Cayley points in Z^{2n} in block-major input

@@ -18,10 +18,10 @@ import argparse
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from random import Random
+from typing import NamedTuple
 
 from .cayley import (
     _MODE_ALIASES,
@@ -50,8 +50,7 @@ from .reconstruct import (
 __all__ = ["RunConfig", "run", "gen_random", "main"]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one ``compute`` invocation needs."""
 
     input_path: str = "-"
@@ -421,7 +420,7 @@ def main(argv=None):
         return 2
 
     args.threshold = threshold
-    return run(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
+    return run(RunConfig(**{name: getattr(args, name) for name in RunConfig._fields}))
 
 
 if __name__ == "__main__":

@@ -99,12 +99,13 @@ def clip_halfspace(outer, plane):
 
     Returns the same object when nothing is strictly outside; raises
     ``EmptyIntersection`` when everything is strictly outside.  Otherwise
-    returns a new polytope: the vertices not strictly outside, plus the
-    point where the plane crosses each edge from a strictly inside vertex u
-    to a strictly outside vertex v.  They span an edge exactly when no third
-    vertex is tight at every constraint tight at both.  When ``outer``'s
-    volume has been read, the result's is updated by triangulating the
-    smaller side of the cut only; otherwise it is left to its first read.
+    returns a new polytope: the vertices on the plane and the point where
+    the plane crosses each edge from a strictly inside vertex u to a
+    strictly outside vertex v, in that order, then the vertices strictly
+    inside.  u and v span an edge exactly when no third vertex is tight at
+    every constraint tight at both.  When ``outer``'s volume has been read,
+    the result's is updated by triangulating the smaller side of the cut
+    only; otherwise it is left to its first read.
     """
     g = _constraint_row(plane, outer.dim)
     rows, tight = outer.rows, outer.tight
@@ -137,14 +138,18 @@ def clip_halfspace(outer, plane):
             gv = vals[v]
             cut_rows.append(primitive([gv * a - gu * b for a, b in zip(hu, rows[v])]))
             cut_tight.append(common | {cid})
-    on_tight = [tight[i] | {cid} for i in on_plane]
-    new_rows = [rows[i] for i in inside] + [rows[i] for i in on_plane] + cut_rows
-    new_tight = [tight[i] for i in inside] + on_tight + cut_tight
+    # The rows on the cut come first on both sides, so that each side's
+    # pulling triangulation cones from a vertex of the cut face and never
+    # triangulates that face.
+    face_rows = [rows[i] for i in on_plane] + cut_rows
+    face_tight = [tight[i] | {cid} for i in on_plane] + cut_tight
+    new_rows = face_rows + [rows[i] for i in inside]
+    new_tight = face_tight + [tight[i] for i in inside]
     if outer._volume is None:
         volume = None
     elif len(outside) < len(inside):
-        cap_rows = [rows[i] for i in outside] + new_rows[len(inside):]
-        cap_tight = [tight[i] for i in outside] + new_tight[len(inside):]
+        cap_rows = face_rows + [rows[i] for i in outside]
+        cap_tight = face_tight + [tight[i] for i in outside]
         cap_sets = _vertex_masks(cap_tight).values()
         volume = outer.volume - _pulling_volume(outer.dim, cap_rows, cap_sets)
     else:

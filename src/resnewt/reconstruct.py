@@ -12,13 +12,12 @@ approximation mode stops as soon as vol(Q)/vol(Q_o) reaches a threshold.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .exactlin import (
-    AffineChart,
     canonical_direction,
     canonical_hyperplane,
     dot,
@@ -29,7 +28,7 @@ from .exactlin import (
     rank_int,
     vec_sub,
 )
-from .geometry import FacetHull, hull_volume, lattice_hull
+from .geometry import hull_volume, lattice_hull
 from .oracle import VertexOracle
 from .outer import OuterPolytope, clip_halfspace
 
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class BuildState:
     """Everything the reconstruction loop maintains.
 
@@ -58,15 +56,16 @@ class BuildState:
     plane normal's pullback.
     """
 
-    oracle: VertexOracle
-    chart: AffineChart
-    equations: list
-    hull: FacetHull
-    illegal: deque = field(default_factory=deque)
-    legal: dict = field(default_factory=dict)
-    init_calls: int = 0
-    charted: dict = field(default_factory=dict, repr=False)
-    pulled: dict = field(default_factory=dict, repr=False)
+    def __init__(self, oracle, chart, equations, hull, init_calls=0):
+        self.oracle = oracle
+        self.chart = chart
+        self.equations = equations
+        self.hull = hull
+        self.illegal = deque()
+        self.legal = {}
+        self.init_calls = init_calls
+        self.charted = {}
+        self.pulled = {}
 
     @property
     def dim(self):
@@ -118,8 +117,7 @@ class BuildState:
         return sorted(out)
 
 
-@dataclass
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Certified volume sandwich vol(Q) <= vol(target) <= vol(Q_o).
 
     ``outer`` is Q_o in xi-space: its vertices and the certified

@@ -394,6 +394,22 @@ def test_compute_non_utf8_stdin_exits_2():
     assert (result.returncode, result.stdout, result.stderr.decode()) == (2, b"", NOT_UTF8_ERROR)
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # The package's records are NamedTuples and ``BuildState`` a plain
+    # class, so a fresh interpreter's ``import resnewt.cli`` adds neither
+    # ``dataclasses`` nor the ``inspect`` it imports (with ``ast``, ``dis``
+    # and ``tokenize``) to the start-up every ``resnewt`` process pays.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resnewt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, resnewt.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\n"
+
+
 def _readme_examples():
     # (command, output shown) for each README ``sh`` block that opens with a
     # "$ " line: the command after the "$ ", then the block's other lines.

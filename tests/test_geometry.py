@@ -876,6 +876,48 @@ def test_clip_chain_volume_taken_on_read(d, monkeypatch):
     assert outer_points(unread) == outer_points(every) == outer_points(half)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_clip_lists_the_cut_face_first(d, monkeypatch):
+    # After a clip that cuts, the new polytope's leading rows are exactly its
+    # vertices on the cut plane, and the rest lie strictly inside.  Each
+    # volume update, of the new side or of the cap, pulls from a row on the
+    # plane, so it cones from the cut face.  A seeded chain of cuts from a
+    # simplex, some through a vertex, with the volume read after each.
+    pulled = []
+    pulling_volume = outer_module._pulling_volume
+
+    def spy(dim, rows, sets):
+        pulled.append(rows[0])
+        return pulling_volume(dim, rows, sets)
+
+    monkeypatch.setattr(outer_module, "_pulling_volume", spy)
+    rng = random.Random(900 + d)
+    outer = _simplex([(0,) * d] + [tuple(12 if i == t else 0 for i in range(d)) for t in range(d)])
+    assert outer.volume
+    cuts = 0
+    while cuts < 8:
+        n = tuple(rng.randint(-3, 3) for _ in range(d))
+        if not any(n):
+            continue
+        values = [sum(a * x for a, x in zip(n, p)) for p in outer_points(outer)]
+        lo, hi = min(values), max(values)
+        through = [v for v in values if lo < v < hi]
+        if cuts % 2 and through:
+            c = rng.choice(through)
+        else:
+            c = lo + (hi - lo) * Fraction(rng.randint(1, 11), 12)
+        plane = _int_plane(n, c)
+        del pulled[:]
+        outer = clip_halfspace(outer, plane)
+        cuts += 1
+        values = [sum(a * x for a, x in zip(n, p)) for p in outer_points(outer)]
+        on = sum(v == c for v in values)
+        assert on >= d and values[:on] == [c] * on
+        assert all(v < c for v in values[on:])
+        assert len(pulled) == 1
+        assert sum(a * x for a, x in zip(plane.normal, pulled[0])) == plane.offset * pulled[0][-1]
+
+
 def test_clip_adjacency_needs_more_than_rank():
     # In R^4, x1 - x2 <= 0 cuts the cube [0, 2]^4 through its 2-face
     # G = {x1 = x2 = 0}.  Three constraints are then tight on all of G, as
