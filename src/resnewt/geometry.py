@@ -331,7 +331,7 @@ class FacetHull:
         if len(tags) != len(pts):
             raise ValueError("%d tags for %d points" % (len(tags), len(pts)))
         k = self.dim = len(pts[0])
-        self.points, self.tags, self._index = [], [], {}
+        self.points, self.tags, self._index = [], [], set()
         self._volume = None
         echelon, pivots, rest = [], [], []
         for p, t in zip(pts, tags):
@@ -354,7 +354,7 @@ class FacetHull:
         vid = len(self.points)
         self.points.append(pt)
         self.tags.append(tag)
-        self._index[pt] = vid
+        self._index.add(pt)
         return vid
 
     def facet_map(self):

@@ -132,13 +132,6 @@ class SandwichReport(NamedTuple):
     outer: OuterPolytope
 
 
-def _normalize_equation(normal, offset):
-    # The normal is a canonical direction: only its leading sign is fixed.
-    if next(x for x in normal if x) < 0:
-        return tuple(-a for a in normal), -offset
-    return normal, offset
-
-
 def _equation_rank(sys):
     """How many independent equations M.rho = M.rho0 gives the projection."""
     specialized = [[row[c] for c in sys.specialized] for row in sys.M]
@@ -149,18 +142,19 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     """Find the affine hull of the target and a full-dimensional seed Q.
 
     Queries the 2m coordinate directions, then repeatedly picks an integer
-    direction orthogonal to the points found so far and independent of the
-    equations already certified, querying both orientations: a vector of
-    the points' integer kernel, taken once per point set, whose size is m
-    minus their rank.  Each round either grows that rank or certifies a new
-    independent equation (when max equals min), so in at most m rounds the
-    kernel holds as many vectors as there are equations.
+    direction w orthogonal to the points found so far and independent of the
+    equations already certified: a vector of the points' integer kernel,
+    taken once per point set, whose size is m minus their rank.  A round
+    asks w, then -w.  If the two answers differ, the points' rank grew;
+    otherwise w is an equation through the points seen, recorded with its
+    first nonzero entry positive.  So in at most m rounds the kernel holds
+    as many vectors as there are equations.
 
     The target has at most m - ``_equation_rank`` dimensions.  Once the
-    points seen span that many, a round's direction is an equation through
-    them, recorded without an oracle call (the queries would certify the
-    same).  ``compute_pi_approx`` sets ``query_equations``: its Q and outer
-    bound start from those answers.
+    points seen span that many, every round is an equation, so its two
+    queries are skipped; that rank certificate changes nothing else.
+    ``compute_pi_approx`` sets ``query_equations``: its Q and outer bound
+    start from those answers.
     """
     ctx = VertexOracle(sys, seed=seed, use_cache=use_cache)
     m = sys.m
@@ -178,7 +172,9 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
 
     eq_rows, eq_pivots = [], []  # an echelon of the certified normals
     equations = []
-    eq_rank = None  # at the first round, which many instances never reach
+    # Taken at the first round, which many instances never reach; -1, a size
+    # no kernel has, when the equations are queried.
+    eq_rank = None
     known = 0  # the number of points the kernel was taken over
     while True:
         if len(seen) != known:
@@ -189,20 +185,14 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
             break
         w = next(cand for cand in kernel if any(echelon_reduce(cand, eq_rows, eq_pivots)))
         w = canonical_direction(w)
-        if not query_equations:
-            if eq_rank is None:
-                eq_rank = _equation_rank(sys)
-            if len(kernel) == eq_rank:
-                echelon_extend(list(w), eq_rows, eq_pivots)
-                equations.append(_normalize_equation(w, dot(w, pts[0])))
-                continue
-        vp = ask(w)
-        vm = ask(tuple(-x for x in w))
-        cp = dot(w, vp)
-        cm = dot(w, vm)
-        if cp == cm:
-            echelon_extend(list(w), eq_rows, eq_pivots)
-            equations.append(_normalize_equation(w, cp))
+        if eq_rank is None:
+            eq_rank = -1 if query_equations else _equation_rank(sys)
+        if len(kernel) != eq_rank and dot(w, ask(w)) != dot(w, ask(tuple(-x for x in w))):
+            continue  # the two answers differ: the points' rank grew
+        if next(x for x in w if x) < 0:
+            w = tuple(-x for x in w)  # only the leading sign is left to fix
+        echelon_extend(list(w), eq_rows, eq_pivots)
+        equations.append((w, dot(w, pts[0])))
 
     state = _seeded_state(ctx, seen, equations)
     _enqueue(state, state.hull.facet_map())

@@ -3,9 +3,11 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import resource
@@ -462,6 +464,47 @@ def test_readme_library_example_gives_the_compute_example(tmp_path, monkeypatch)
             facets.append((tuple(map(int, lhs.split())), int(rhs)))
     assert state.vertices() == vertices
     assert state.facets_x() == sorted(facets)
+
+
+def _readme_call_forms():
+    # (name, [parameter names]) for each ``name(a, b=default)`` that opens a
+    # backticked span of the README's ``## Library`` section, outside its
+    # code block.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        (section,) = re.findall(r"^## Library\n(.*?)^## ", f.read(), re.M | re.S)
+    section = re.sub(r"^```.*?^```$", "", section, flags=re.M | re.S)
+    param = r"\w+(?:=[^,`()]*)?"
+    forms = re.findall(r"`([\w.]+)\(((?:%s(?:,\s*%s)*)?)\)" % (param, param), section)
+    return [
+        (name, [p.split("=")[0] for p in re.split(r",\s*", params) if p]) for name, params in forms
+    ]
+
+
+def _resolve(name):
+    # The callable ``name`` names through ``resnewt`` or one of its modules.
+    modules = [info.name for info in pkgutil.iter_modules(resnewt.__path__)]
+    for root in [resnewt] + [importlib.import_module("resnewt." + m) for m in modules]:
+        obj = root
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if callable(obj):
+            return obj
+    return None
+
+
+def test_readme_call_forms_match_the_signatures():
+    checked = []
+    for name, params in _readme_call_forms():
+        obj = _resolve(name)
+        if obj is None:
+            continue
+        names = [p for p in inspect.signature(obj).parameters if p not in ("self", "cls")]
+        checked.append((name, params, names[: len(params)]))
+    assert len(checked) >= 20, checked
+    assert [(name, params) for name, params, _ in checked] == [
+        (name, names) for name, _, names in checked
+    ]
 
 
 def test_compute_ambiguous_unprojection_exit_2(tmp_path, capsys):

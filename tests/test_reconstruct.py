@@ -312,11 +312,44 @@ def test_compute_pi_deterministic_per_seed():
     assert a.oracle.pipeline_runs == b.oracle.pipeline_runs
 
 
+def _seed_families():
+    # The u-resultant golden, the reference instances S and M, and three
+    # small shapes at generator seeds 1-6, built as ``resnewt compute`` does.
+    yield _sys(CIRCLE_LINE, "u-resultant")
+    shapes = [(1, 4, [4, 4], "full", 1), (2, 3, [4, 4, 3], "full", 1)]
+    for sizes, mode in (
+        ([3, 3, 3], "full"), ([3, 3, 3], "implicitization"), ([3, 4, 4], "u-resultant")
+    ):
+        shapes += [(2, 3, sizes, mode, seed) for seed in range(1, 7)]
+    for n, delta, sizes, mode, seed in shapes:
+        yield build_cayley(preprocess(gen_random(n, delta, "dense", sizes, seed, mode=mode)))
+
+
+def _answer(state):
+    return state.vertices(), state.facets_x(), state.equations
+
+
+def _same_answer(a, b):
+    # Equal vertices and facets, and equations that cut out one affine hull:
+    # as many of them, and the [normal | offset] rows of both together have
+    # the rank of either's alone.
+    (va, fa, ea), (vb, fb, eb) = a, b
+    rows_a = [list(w) + [c] for w, c in ea]
+    rows_b = [list(w) + [c] for w, c in eb]
+    return (va, fa, len(ea)) == (vb, fb, len(eb)) and (
+        ref_rank(rows_a + rows_b) == ref_rank(rows_a) == ref_rank(rows_b)
+    )
+
+
 def test_compute_pi_seed_independent_answer():
-    sysd_fn = lambda: _sys(CIRCLE_LINE, "u-resultant")
-    reference = set(compute_pi(sysd_fn()).vertices())
-    for seed in (1, 2, 5):
-        assert set(compute_pi(sysd_fn(), seed=seed).vertices()) == reference
+    for sysd in _seed_families():
+        reference = _answer(compute_pi(sysd))
+        for seed in range(1, 5):
+            assert _same_answer(_answer(compute_pi(sysd, seed=seed)), reference)
+    # An equation offset shifted by 1 is another affine hull.
+    vertices, facets, equations = reference
+    (w, c), *rest = equations
+    assert not _same_answer((vertices, facets, [(w, c + 1)] + rest), reference)
 
 
 def test_facets_support_the_vertex_set():
