@@ -338,35 +338,23 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="reconstruct a projected polytope")
-    # Each destination is the name of a RunConfig field.
-    c.add_argument(
-        "input_path", nargs="?", default="-", metavar="input", help="input file or - for stdin"
-    )
-    c.add_argument(
-        "--mode", choices=["exact", "approx", "random"], default="exact"
-    )
-    c.add_argument(
-        "--threshold",
-        default="0.9",
-        help="volume-ratio stop for approx mode, in (0,1)",
-    )
-    c.add_argument(
-        "--directions",
-        type=int,
-        default=0,
-        help="number of random directions (random mode)",
-    )
+    # Each destination is the name of a RunConfig field, whose default it takes.
+    c.add_argument("input_path", nargs="?", metavar="input", help="input file or - for stdin")
+    c.add_argument("--mode", choices=["exact", "approx", "random"])
+    c.add_argument("--threshold", help="volume-ratio stop for approx mode, in (0,1)")
+    c.add_argument("--directions", type=int, help="number of random directions (random mode)")
     c.add_argument(
         "--projection",
         help="override the input's projection line, e.g. 'implicit' or 'custom 0 1, 1 0'",
     )
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--format", dest="fmt", choices=["plain", "json"], default="plain")
+    c.add_argument("--seed", type=int)
+    c.add_argument("--format", dest="fmt", choices=["plain", "json"])
     c.add_argument("--no-hash", action="store_true", help="disable the minor cache")
     c.add_argument("--no-preprocess", action="store_true")
     c.add_argument("--unproject", action="store_true")
     c.add_argument("--f-vector", dest="f_vector", action="store_true")
     c.add_argument("--stats", action="store_true")
+    c.set_defaults(**RunConfig._field_defaults)
 
     g = sub.add_parser("generate", help="emit a random essential input family")
     g.add_argument("n", type=int)

@@ -1,5 +1,16 @@
 """Exception types raised by the package."""
 
+__all__ = [
+    "ResnewtError",
+    "ParseError",
+    "NotEssential",
+    "InvalidDirection",
+    "DegenerateInput",
+    "EmptyIntersection",
+    "AmbiguousUnprojection",
+    "InvariantViolation",
+]
+
 
 class ResnewtError(Exception):
     """Base class for all package errors."""

@@ -910,21 +910,35 @@ def test_every_default_is_overridden_in_the_package():
     assert unset == []
 
 
-def test_public_names_resolve():
-    # Every name a module exports, the package's included, must exist there.
+def _package_modules():
     pkg = os.path.dirname(os.path.abspath(resnewt.__file__))
-    modules = [resnewt] + [
+    return [
         importlib.import_module("resnewt." + name[:-3])
         for name in sorted(os.listdir(pkg))
         if name.endswith(".py") and name not in ("__init__.py", "__main__.py")
     ]
+
+
+def test_public_names_resolve():
+    # Every name a module exports, the package's included, must exist there.
     missing = [
         "%s.%s" % (mod.__name__, name)
-        for mod in modules
+        for mod in [resnewt] + _package_modules()
         for name in getattr(mod, "__all__", ())
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_package_exports_whole_modules_only():
+    # The root declares no name of its own but __version__: its __all__ is
+    # the union of the __all__ of the modules it exports whole, and no name
+    # is in two of them.
+    exported = set(resnewt.__all__)
+    whole = [mod.__all__ for mod in _package_modules() if set(mod.__all__) <= exported]
+    names = [name for declared in whole for name in declared]
+    assert len(names) == len(set(names))
+    assert exported == {"__version__", *names}
 
 
 # -- generate ---------------------------------------------------------------------

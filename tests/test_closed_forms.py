@@ -12,6 +12,10 @@
   coefficient, and dimension n^2.  Its normalized volume is 3 for B3 and
   352 for B4 (De Loera, Liu & Yoshida, 2009), and two permutation matrices
   span an edge exactly when sigma^-1 tau is a single cycle.
+- The u-resultant of f_1, f_2 with f_0 = u_0 + u_1 x + u_2 y factors as
+  the product of u_0 + u.xi over the MV(A_1, A_2) common roots xi of f_1
+  and f_2, so its projection onto u_0, u_1, u_2 is MV times the unit
+  triangle, on the one equation u_0 + u_1 + u_2 = MV.
 - A brute-force reference oracle (``reference.ref_rho``) lifts the Cayley
   points by w, finds the upper cells by exhaustion and sums the mixed
   cells' volumes into rho (Sturmfels, 1994): rho is the vertex of the full
@@ -29,7 +33,7 @@ import pytest
 
 from conftest import system_from
 from reference import mixed_area, ref_cayley_points, ref_rank, ref_rho, ref_simplex_charts
-from resnewt.cayley import parse_text
+from resnewt.cayley import _projection_spec, parse_text
 from resnewt.cli import main
 from resnewt.geometry import f_vector, hull_volume
 from resnewt.oracle import VertexOracle
@@ -43,12 +47,13 @@ def _run(argv, capsys):
     return out
 
 
-def _generated(tmp_path, capsys, args):
-    # (supports, compute's plain stdout) of one generated family.
+def _generated(tmp_path, capsys, args, options=()):
+    # (supports, compute's plain stdout under ``options``) of one generated
+    # family.
     text = _run(["generate", *args], capsys)
     path = tmp_path / "family.txt"
     path.write_text(text)
-    return parse_text(text).supports, _run(["compute", str(path)], capsys)
+    return parse_text(text).supports, _run(["compute", str(path), *options], capsys)
 
 
 def _printed(out):
@@ -146,6 +151,26 @@ def test_dense_linear_family_gives_the_birkhoff_polytope(tmp_path, capsys, n):
     assert (f[0], f[1], f[-1]) == (len(sigmas), len(sigmas) * cycles // 2, (n + 1) ** 2)
     assert f == {2: (6, 15, 18, 9), 3: (24, 240, 978, 1968, 2176, 1392, 528, 120, 16)}[n]
     assert sum((-1) ** i * x for i, x in enumerate(f)) == 1 - (-1) ** dim
+
+
+U_RESULTANT_FAMILIES = [(sizes, seed) for sizes in ("3,5,5", "3,4,4") for seed in range(1, 7)]
+
+
+@pytest.mark.parametrize("sizes, seed", U_RESULTANT_FAMILIES)
+def test_u_resultant_gives_the_mixed_area_triangle(tmp_path, capsys, sizes, seed):
+    args = ["2", "4", "--sizes", sizes, "--projection", "u-res", "--seed", str(seed)]
+    supports, out = _generated(tmp_path, capsys, args)
+    dim, vertices, facets, equations = _printed(out)
+    mv = mixed_area(supports[1], supports[2])
+    assert mv > 0  # a generated family is essential
+    assert dim == 2
+    assert sorted(vertices) == sorted(tuple(mv * (k == i) for k in range(3)) for i in range(3))
+    assert equations == [((1, 1, 1), mv)]
+    # Each facet holds the triangle and is tight on two of its corners.
+    for normal, offset in facets:
+        assert all(_value(normal, v) <= offset for v in vertices)
+        assert sorted(_value(normal, v) == offset for v in vertices) == [False, True, True]
+    assert len(facets) == 3
 
 
 def _one_cycle(sigma):
@@ -250,17 +275,29 @@ IMPLICIT_FAMILIES = [("3", "3,3,3", seed) for seed in range(1, 7)] + [
 
 @pytest.mark.parametrize("delta, sizes, seed", IMPLICIT_FAMILIES)
 def test_reference_oracle_confirms_an_implicit_projection(tmp_path, capsys, delta, sizes, seed):
-    # Pi is the projection of N(R) onto the symbolic columns; compute reads
-    # the preprocessed family, the reference lifts the raw one.  A vertex
-    # of N(R) may project inside Pi, so a lift picks Pi's vertex only when
-    # its symbolic part decides alone: that part sits far above the noise
-    # on the other columns, and a tie-break scale sits between them.
     args = ["2", delta, "--sizes", sizes, "--projection", "implicit", "--seed", str(seed)]
-    supports, out = _generated(tmp_path, capsys, args)
+    _check_projection_by_reference(tmp_path, capsys, args, "implicit", Random(seed))
+
+
+def test_reference_oracle_confirms_a_custom_projection(tmp_path, capsys):
+    # ROADMAP's P6 projection: three symbolic points of block 0, two of
+    # block 1 and one of block 2.
+    args = ["2", "4", "--sizes", "4,4,4", "--seed", "1"]
+    spec = "custom 0 0, 0 1, 0 2, 1 0, 1 1, 2 0"
+    _check_projection_by_reference(tmp_path, capsys, args, spec, Random(1), once_per_face=True)
+
+
+def _check_projection_by_reference(tmp_path, capsys, args, spec, rng, once_per_face=False):
+    # Pi is the projection of N(R) onto the symbolic columns that ``spec``
+    # selects; compute reads the preprocessed family, the reference lifts
+    # the raw one.  A vertex of N(R) may project inside Pi, so a lift picks
+    # Pi's vertex only when its symbolic part decides alone: that part sits
+    # far above the noise on the other columns, and a tie-break scale sits
+    # between them.
+    supports, out = _generated(tmp_path, capsys, args, ["--projection", spec])
     dim, vertices, facets, _ = _printed(out)
-    projection = system_from(2, supports, "implicitization").projection
+    projection = system_from(2, supports, *_projection_spec(spec)).projection
     charts = ref_simplex_charts(ref_cayley_points(supports))
-    rng = Random(seed)
 
     def through(v):
         return [[int(a) for a in n] for n, offset in facets if _value(n, v) == offset]
@@ -280,15 +317,30 @@ def test_reference_oracle_confirms_an_implicit_projection(tmp_path, capsys, delt
         assert _value(w, rho) == max(_value(w, v) for v in vertices), (normal, rho)
     # (c) From each printed vertex u, dim - 1 facets through it, less u's
     # other facets, pick the far end of an edge at u: a printed vertex, so
-    # a dropped vertex with a printed neighbour is found missing.
+    # a dropped vertex with a printed neighbour is found missing.  With
+    # ``once_per_face``, facet sets that meet the printed vertices in the
+    # same face are tried once, and the tie-break sits far below the facet
+    # scales but far above the noise.
+    tie = 10 ** 3 if once_per_face else 1
     for u in vertices:
         normals = through(u)
+        tops = [_value(n, u) for n in normals]
+        on = [
+            sum(1 << t for t, n in enumerate(normals) if _value(n, v) == tops[t]) for v in vertices
+        ]
+        faces = set()
         for keep in combinations(range(len(normals)), dim - 1):
+            if once_per_face:
+                mask = sum(1 << t for t in keep)
+                face = frozenset(i for i, m in enumerate(on) if m & mask == mask)
+                if face in faces:
+                    continue
+                faces.add(face)
             base = [
                 sum(10 ** 9 * a if t in keep else -(10 ** 6) * a for t, a in enumerate(col))
                 for col in zip(*normals)
             ]
-            symbolic = lambda: [x + rng.randint(-3, 3) for x in base]
+            symbolic = lambda: [x + tie * rng.randint(-3, 3) for x in base]
             w, rho = _projected_rho(supports, charts, projection, symbolic, rng)
             assert rho in vertices, (u, keep, rho)
             assert _value(w, rho) == max(_value(w, v) for v in vertices), (u, keep, rho)
