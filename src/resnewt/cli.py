@@ -285,9 +285,9 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
     ``dense`` samples each block from the lattice points of the delta-simplex,
     ``sparse`` from the (delta/2)-cube.  Implicitization mode forces the
     origin into every block; u-resultant mode fixes block 0 to the unit
-    simplex.  Resamples until the family is essential.  A block draws the
-    indices of its points in the sorted lattice, so the lattice is never
-    listed.
+    simplex.  Refuses a drawn block of one point, which no essential family
+    has, then resamples until the family is essential.  A block draws the
+    indices of its points in the sorted lattice, so the lattice is never listed.
     """
     _check_n(n)
     if len(sizes) != n + 1:
@@ -298,6 +298,9 @@ def gen_random(n, delta, kind, sizes, seed, mode="full"):
         raise ParseError("generate supports full, implicit and u-res modes only")
     if kind not in ("dense", "sparse"):
         raise ParseError("unknown kind %r: generate draws dense or sparse families" % (kind,))
+    for i, size in enumerate(sizes):
+        if size == 1 and not (mode == "u-resultant" and i == 0):
+            raise ParseError("block %d has one point, so no family with it is essential" % i)
     points = _lattice_size(n, delta, kind)
     origin = tuple([0] * n)
     unit_simplex = sorted(

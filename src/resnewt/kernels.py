@@ -25,11 +25,11 @@ parity of the permutation that sorts their columns and call one mask-level
 routine each: ``hom_minor`` (h of a mask, behind ``hom_sign`` and
 ``volume_predicate``) or ``lifted_sign`` (a sorted mask followed by one
 column under a lift, behind ``orientation``).  The oracle calls those
-routines directly on masks it built, for the sign of its first simplex,
-the side of a tilted flat and the volumes of the cells that rho sums, so
-its queries pay for no argument check.  Its hulls call batches on the
-(mask, q) pairs of a whole boundary: ``split_boundary`` at dimension 2n,
-``split_lifted`` and ``upper_facets`` on a full-dimensional lifted hull.
+routines directly on masks it built, for the sign of its first simplex
+and the side of a tilted flat, so its queries pay for no argument check.
+Its hulls call batches on the (mask, q) pairs of a whole boundary:
+``split_boundary`` at dimension 2n, ``split_lifted`` at 2n+1, and
+``upper_facets``, which reads the volumes that rho sums.
 Every mask-level routine and every batch reads one clock pair and clears
 the cache once it holds more than ``CLEAR_AT`` minors.
 
@@ -435,7 +435,7 @@ class MinorCache:
 
         A point far up the lifting axis sees a facet when its orientation
         with it, which tends to -lift * h(mask), is -q: when h(mask) has the
-        sign q.
+        sign q, as every cell (mask, sign of h(mask)) of a flat hull has.
         """
         t0 = perf_counter()
         hom_tab = self._hom_tab

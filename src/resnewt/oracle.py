@@ -29,8 +29,9 @@ over the flat (``_cone``), each sign from the side of the flat the column
 is on: the sign of its lift while the flat's lift is 0, else -s times the
 lifted orientation of a cell (mask, s) of the flat followed by the column
 (``MinorCache.lifted_sign``).  At 2n+1 a column goes in by one batch over
-the lifted determinant and a cone over the horizon, and the upper facets
-come from one more batch, whose minors are the volumes rho sums.
+the lifted determinant and a cone over the horizon.  One more batch keeps
+the upper facets, or every cell of a flat, each with the sign of its h,
+and its minors are the volumes rho sums (``MinorCache.upper_facets``).
 
 A query starts from a base's cells and pairs at 2n as they are.  With no
 base (a full projection) it starts at 2n as the simplex on the first 2n+1
@@ -38,11 +39,12 @@ columns placed, when one ``MinorCache.hom_minor`` on their mask finds they
 span.  Else a copy of the base is the query's rank pass: its ``insert``
 records in order each column that raises the lifted rank, up to the
 handoff, and refuses the others, which go in after them.  That order keeps
-the triangulation (see the README), and reduces each column once.  Both
-predicates, and any volume ``rho_vector`` reads, are read on masks the
-oracle built, so they skip the public entries' checks.  A simplex is handed
-on as its column mask, and blocks are classified by popcounts against
-per-block masks.
+the triangulation (see the README), and reduces each column once.  A pass
+that runs out below the handoff leaves no 2n+1 columns with h != 0, so the
+query answers no simplex and places none of the refused columns.  The
+predicates and volumes are read on masks the oracle built, so they skip
+the public entries' checks.  A simplex is handed on as its column mask,
+and blocks are classified by popcounts against per-block masks.
 """
 
 from random import Random
@@ -67,23 +69,21 @@ def lift_direction(sys, w):
     return lift
 
 
-def rho_vector(simplices, sys, cache, volumes, classes):
+def rho_vector(simplices, sys, volumes, classes):
     """Extreme exponent vector: rho(a) = sum of volumes of a-mixed simplices.
 
-    ``simplices`` are column bitmasks.  ``volumes`` (aligned with them, as
-    ``triangulation`` returns them, or None) saves reading each volume from
-    ``cache``, where a mixed simplex's volume is |h(mask)|, one
-    ``MinorCache.hom_minor`` on its mask.  A simplex is i-mixed when it
-    takes exactly one column from block i and exactly two from every other
-    block; that single column is its mixed vertex, and each count is one
-    popcount against a block's mask.  ``classes`` memoizes the classes
-    across calls on the same system: it maps a simplex to its mixed vertex
-    column, or -1 when it is not mixed, and this call adds the simplices it
-    lacks.
+    ``simplices`` are column bitmasks and ``volumes`` their normalized
+    volumes |h(mask)|, aligned with them, as ``triangulation`` returns
+    them.  A simplex is i-mixed when it takes exactly one column from block
+    i and exactly two from every other block; that single column is its
+    mixed vertex, and each count is one popcount against a block's mask.
+    ``classes`` memoizes the classes across calls on the same system: it
+    maps a simplex to its mixed vertex column, or -1 when it is not mixed,
+    and this call adds the simplices it lacks.
     """
     masks, n = sys.block_masks, sys.n
     rho = [0] * sys.num_columns
-    for i, s in enumerate(simplices):
+    for s, volume in zip(simplices, volumes):
         col = classes.get(s)
         if col is None:
             counts = [(s & bm).bit_count() for bm in masks]
@@ -91,12 +91,8 @@ def rho_vector(simplices, sys, cache, volumes, classes):
             if counts.count(1) == 1 and counts.count(2) == n:
                 col = (s & masks[counts.index(1)]).bit_length() - 1
             classes[s] = col
-        if col < 0:
-            continue
-        if volumes is None:
-            rho[col] += abs(cache.hom_minor(s))
-        else:
-            rho[col] += volumes[i]
+        if col >= 0:
+            rho[col] += volume
     return tuple(rho)
 
 
@@ -176,10 +172,11 @@ class VertexOracle:
     def triangulation(self, w):
         """Placing triangulation refining the upper subdivision lifted by w.
 
-        Returns (simplices, volumes): the simplices as column bitmasks (bit
-        c for column c), the upper facets when the lifted hull is
-        full-dimensional, and then their normalized volumes too, aligned with
-        them (else None).  ``w`` must already be canonical.
+        Returns (simplices, volumes): the upper simplices as column bitmasks
+        (bit c for column c) and their normalized volumes |h(mask)|, aligned
+        with them.  They are the upper facets when the lifted hull is
+        full-dimensional, the cells when it is a 2n-flat, and none when the
+        columns do not span 2n.  ``w`` must already be canonical.
 
         The symbolic columns go in after the base, as the module docstring
         says; no query changes the base.
@@ -209,14 +206,12 @@ class VertexOracle:
                         refused.append(col)
                     elif self._handoff(state):
                         break
+                else:
+                    return [], []  # short of 2n: no simplex adds to rho
                 order = refused + list(rest)
         state = self._advance(state, order, lift)
-        if type(state) is list:
-            # The upper facets, with the minors h(mask) that found them.
-            return self.cache.upper_facets(state)
-        # Every column is in below dimension 2n+1; the cells are the answer.
-        cells = state.cells if isinstance(state, TriangulatedHull) else state[0]
-        return [mask for mask, _ in cells], None
+        # The pairs at 2n+1, else the cells of the flat, each (mask, sign h).
+        return self.cache.upper_facets(state if type(state) is list else state[0])
 
     # -- oracle calls --------------------------------------------------------------
 
@@ -234,7 +229,7 @@ class VertexOracle:
             return hit
         self.pipeline_runs += 1
         simplices, volumes = self.triangulation(key)
-        rho = rho_vector(simplices, self.sys, self.cache, volumes, self._classes)
+        rho = rho_vector(simplices, self.sys, volumes, self._classes)
         point = tuple(rho[c] for c in self.sys.projection)
         answer = (point, rho)
         self.memo[key] = answer

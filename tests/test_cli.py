@@ -993,6 +993,25 @@ def test_generate_modes_and_validation(capsys):
     assert code == 2  # empty support requested
 
 
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        (["2", "3", "--sizes", "1,3,3"], 0),
+        (["3", "3", "--sizes", "4,4,1,4", "--projection", "implicit"], 2),
+    ],
+)
+def test_generate_refuses_a_block_of_one_point(capsys, argv, block):
+    # A block of one point has no edge vector, so the subset of that block
+    # alone has rank 0 < 1 and no draw is essential, whatever delta is.
+    code, out, err = _run(["generate", *argv, "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: block %d has one point, so no family with it is essential\n" % block
+    # u-resultant fixes block 0 to the unit simplex, whatever size it asks.
+    argv = ["generate", "2", "3", "--sizes", "1,3,3", "--projection", "u-res", "--seed", "1"]
+    code, out, _ = _run(argv, capsys)
+    assert code == 0 and out.splitlines()[1] == "0 0 ; 0 1 ; 1 0"
+
+
 @pytest.mark.parametrize("sizes", ["3,,3,3", "3,3,3,", ",3,3,3", "3, ,3,3"])
 def test_generate_rejects_an_empty_size(capsys, sizes):
     code, out, err = _run(["generate", "2", "3", "--sizes", sizes], capsys)
@@ -1124,20 +1143,13 @@ def test_benchmark_instance_texts_are_pinned(monkeypatch, workload, seed):
 # -- reference instances -------------------------------------------------------------
 
 # Reference instances, generated with --seed 1: the sha1 of the whole stdout
-# of ``compute`` in exact and approx mode, and of its ``--stats`` block with
-# the time values stripped, which pins every counter of a cached run.  The
-# roadmap's S and M project onto every coefficient, so their lifted hulls
-# have no unlifted base.  I2 and I3 (implicitization) have a base of dimension 2n
-# that the first lifted column cones over; U3 (u-resultant) has a lower
-# base, so its hulls grow point by point.  The S and M stats digests were
-# re-recorded when a query whose head does not span came to place the
-# columns that raise the rank first: each such query asks one more cached
-# hom_minor, so only "hom hits" and "predicate calls" moved (S exact 3122 ->
-# 3190 hits, 1429 -> 1464 calls).  They were re-recorded again when the
-# query's copy of the base became its rank pass: such a query asks no
-# second hom_minor, and a rank-first head that spans 2n takes its sign from
-# the copy's one determinant instead, so those two counters fell back (S exact 3190 -> 3182
-# hits, 1464 -> 1456 calls; M exact 41824 -> 41801, 12015 -> 11992).
+# of ``compute`` in exact and approx mode, and the lines of its ``--stats``
+# block with the time values stripped, joined by "; ", which pin every
+# counter of a cached run.  The roadmap's S and M project onto every
+# coefficient, so their lifted hulls have no unlifted base.  I2 and I3
+# (implicitization) have a base of dimension 2n that the first lifted column
+# cones over; U3 (u-resultant) has a lower base, so its hulls grow point by
+# point.
 REFERENCE_INSTANCES = {
     "S": ["1", "4", "--sizes", "4,4"],
     "M": ["2", "3", "--sizes", "4,4,3"],
@@ -1146,52 +1158,82 @@ REFERENCE_INSTANCES = {
     "U3": ["3", "3", "--sizes", "4,4,4,4", "--projection", "u-res"],
 }
 STATS_TIME = re.compile(r"(time: )[0-9.]+s$", re.M)
-REFERENCE_DIGESTS = {
+REFERENCE_PINS = {
     ("S", "exact"): (
         "2cb48c83b80b09ced099f6922dc49390c3325a1c",
-        "baaec05f3729e0af4ee2a4545b6e19cb7bddad66",
+        "oracle calls: 40; init calls: 16; main calls: 24; vertices: 20; "
+        "facets: 12; backend: python; minors cached: 84; "
+        "pure misses: 28 (hits 140); hom misses: 56 (hits 3182); "
+        "cache clears: 0; predicate calls: 1456; predicate time: ; wall time: ",
     ),
     ("S", "approx"): (
         "9ae705bb65389b6ca32b8869f81e17e41e26fea4",
-        "cc1bfedc7240594eb5a9995a581e6dabadd20626",
+        "oracle calls: 40; init calls: 22; main calls: 18; vertices: 16; "
+        "facets: 18; backend: python; minors cached: 84; "
+        "pure misses: 28 (hits 140); hom misses: 56 (hits 2789); "
+        "cache clears: 0; predicate calls: 1429; predicate time: ; wall time: ",
     ),
     ("M", "exact"): (
         "af31ca5f485d7b2cb0dd3ff8255ce40b655386d9",
-        "bdf297c6484f280714e3d448fdf3d70fff1f9186",
+        "oracle calls: 87; init calls: 22; main calls: 65; vertices: 59; "
+        "facets: 25; backend: python; minors cached: 1011; "
+        "pure misses: 549 (hits 2301); hom misses: 462 (hits 41801); "
+        "cache clears: 0; predicate calls: 11992; predicate time: ; wall time: ",
     ),
     ("M", "approx"): (
         "ccec0d630412a9c06a6bc9f1ced524c99be77a9c",
-        "1200a207758baed29c65acc5c52687b0519b2f61",
+        "oracle calls: 56; init calls: 32; main calls: 24; vertices: 31; "
+        "facets: 69; backend: python; minors cached: 1011; "
+        "pure misses: 549 (hits 2301); hom misses: 462 (hits 17054); "
+        "cache clears: 0; predicate calls: 7080; predicate time: ; wall time: ",
     ),
     ("I2", "exact"): (
         "9b20941d378f94c7a85ca9f30992173df1a12665",
-        "0199302590faa4f3678299e7327a19be9b38267e",
+        "oracle calls: 19; init calls: 6; main calls: 13; vertices: 12; "
+        "facets: 9; backend: python; minors cached: 1663; "
+        "pure misses: 1227 (hits 2391); hom misses: 436 (hits 5627); "
+        "cache clears: 0; predicate calls: 4513; predicate time: ; wall time: ",
     ),
     ("I2", "approx"): (
         "bb6f34f0fd4c4149bcedbdea7cd8bf0fd249725d",
-        "f8083bab014a9b87854e38f14f962811ef7e0f2b",
+        "oracle calls: 11; init calls: 6; main calls: 5; vertices: 9; facets: 8; "
+        "backend: python; minors cached: 1650; pure misses: 1226 (hits 2331); "
+        "hom misses: 424 (hits 2643); cache clears: 0; predicate calls: 2529; "
+        "predicate time: ; wall time: ",
     ),
     ("I3", "exact"): (
         "6acfef967328703aae61e526ee5dec8be910ee82",
-        "b32211eca0c7e4ef97caa84cbeac01568b80bbaa",
+        "oracle calls: 56; init calls: 8; main calls: 48; vertices: 40; "
+        "facets: 22; backend: python; minors cached: 6916; "
+        "pure misses: 5534 (hits 11157); hom misses: 1382 (hits 43457); "
+        "cache clears: 0; predicate calls: 26602; predicate time: ; wall time: ",
     ),
     ("I3", "approx"): (
         "b48bcd9c7f6414e829b9f0b873c9f91998a82731",
-        "2c7576b013e130c0049fc59b71f31f1c8b6ab870",
+        "oracle calls: 40; init calls: 8; main calls: 32; vertices: 31; "
+        "facets: 31; backend: python; minors cached: 6903; "
+        "pure misses: 5534 (hits 11066); hom misses: 1369 (hits 29202); "
+        "cache clears: 0; predicate calls: 18754; predicate time: ; wall time: ",
     ),
     ("U3", "exact"): (
         "ad65964232c5b325da50b369368a21536254a4a0",
-        "580459825816613749f09d92c885183a2902455d",
+        "oracle calls: 12; init calls: 8; main calls: 4; vertices: 4; facets: 4; "
+        "backend: python; minors cached: 6140; pure misses: 5231 (hits 7182); "
+        "hom misses: 909 (hits 6235); cache clears: 0; predicate calls: 5457; "
+        "predicate time: ; wall time: ",
     ),
     ("U3", "approx"): (
         "8103418f8ec40bb955c4dce6622d45648c9e6626",
-        "478b84a87a4667487a10551ee6a1d2267357dbf9",
+        "oracle calls: 10; init calls: 10; main calls: 0; vertices: 4; "
+        "facets: 4; backend: python; minors cached: 5982; "
+        "pure misses: 5171 (hits 6490); hom misses: 811 (hits 3345); "
+        "cache clears: 0; predicate calls: 4367; predicate time: ; wall time: ",
     ),
 }
 
 
 @pytest.mark.parametrize("no_hash", [False, True])
-@pytest.mark.parametrize("name, mode", sorted(REFERENCE_DIGESTS))
+@pytest.mark.parametrize("name, mode", sorted(REFERENCE_PINS))
 def test_reference_instance_stdout_digests(tmp_path, capsys, name, mode, no_hash):
     code, text, _ = _run(["generate", *REFERENCE_INSTANCES[name], "--seed", "1"], capsys)
     assert code == 0
@@ -1199,11 +1241,11 @@ def test_reference_instance_stdout_digests(tmp_path, capsys, name, mode, no_hash
     argv = ["compute", path, "--mode", mode, "--stats"] + (["--no-hash"] if no_hash else [])
     code, out, err = _run(argv, capsys)
     assert code == 0
-    stdout_digest, stats_digest = REFERENCE_DIGESTS[name, mode]
+    stdout_digest, stats = REFERENCE_PINS[name, mode]
     assert hashlib.sha1(out.encode()).hexdigest() == stdout_digest
     if not no_hash:  # without the cache, every minor counts as a miss
-        counters = STATS_TIME.sub(r"\1", err)
-        assert hashlib.sha1(counters.encode()).hexdigest() == stats_digest
+        block = "stats:\n" + "".join("  %s\n" % line for line in stats.split("; "))
+        assert STATS_TIME.sub(r"\1", err) == block
 
 
 # -- installation -------------------------------------------------------------------

@@ -196,11 +196,11 @@ def _reference_rho(supports, charts, base, rng):
     raise AssertionError("no generic lift near %r" % (base,))
 
 
-def _check_vertices_are_reference_rhos(supports, charts, out, rng):
+def _check_vertices_are_reference_rhos(n, supports, charts, out, rng):
     # (a) Each printed vertex v is rho at a direction inside its normal cone,
     # the sum of the printed facet normals through v, and so is vtx there.
     _, vertices, facets, _ = _printed(out)
-    oracle = VertexOracle(system_from(2, supports, "full"))
+    oracle = VertexOracle(system_from(n, supports, "full"))
     for v in vertices:
         through = [normal for normal, offset in facets if _value(normal, v) == offset]
         base = [int(sum(col)) for col in zip(*through)] if through else [0] * len(v)
@@ -244,11 +244,20 @@ def _check_neighbours_are_printed(supports, charts, out, rng):
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_reference_oracle_confirms_a_full_projection(tmp_path, capsys, seed):
-    args = ["2", "3", "--sizes", "3,3,3", "--seed", str(seed)]
-    supports, out = _generated(tmp_path, capsys, args)
+    _check_full_projection_by_reference(tmp_path, capsys, ["2", "3", "--sizes", "3,3,3"], seed)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_reference_oracle_confirms_an_n3_full_projection(tmp_path, capsys, seed):
+    _check_full_projection_by_reference(tmp_path, capsys, ["3", "2", "--sizes", "3,3,3,3"], seed)
+
+
+def _check_full_projection_by_reference(tmp_path, capsys, args, seed):
+    # The vertex, facet and edge checks (a)-(c) on one generated family.
+    supports, out = _generated(tmp_path, capsys, args + ["--seed", str(seed)])
     charts = ref_simplex_charts(ref_cayley_points(supports))
     rng = Random(seed)
-    _check_vertices_are_reference_rhos(supports, charts, out, rng)
+    _check_vertices_are_reference_rhos(int(args[0]), supports, charts, out, rng)
     _check_facets_hold_reference_rhos(supports, charts, out, rng)
     _check_neighbours_are_printed(supports, charts, out, rng)
 
@@ -268,14 +277,18 @@ def _projected_rho(supports, charts, projection, symbolic, rng):
     raise AssertionError("no generic lift")
 
 
-IMPLICIT_FAMILIES = [("3", "3,3,3", seed) for seed in range(1, 7)] + [
-    ("4", "4,4,4", seed) for seed in range(1, 4)
-]
+# n is one less than the number of block sizes.
+IMPLICIT_FAMILIES = (
+    [("3", "3,3,3", seed) for seed in range(1, 7)]
+    + [("4", "4,4,4", seed) for seed in range(1, 4)]
+    + [("2", "3,3,3,3", 1), ("2", "3,3,3,3", 2), ("2", "4,3,3,3", 1)]
+)
 
 
 @pytest.mark.parametrize("delta, sizes, seed", IMPLICIT_FAMILIES)
 def test_reference_oracle_confirms_an_implicit_projection(tmp_path, capsys, delta, sizes, seed):
-    args = ["2", delta, "--sizes", sizes, "--projection", "implicit", "--seed", str(seed)]
+    n = str(sizes.count(","))
+    args = [n, delta, "--sizes", sizes, "--projection", "implicit", "--seed", str(seed)]
     _check_projection_by_reference(tmp_path, capsys, args, "implicit", Random(seed))
 
 
@@ -296,7 +309,7 @@ def _check_projection_by_reference(tmp_path, capsys, args, spec, rng, once_per_f
     # between them.
     supports, out = _generated(tmp_path, capsys, args, ["--projection", spec])
     dim, vertices, facets, _ = _printed(out)
-    projection = system_from(2, supports, *_projection_spec(spec)).projection
+    projection = system_from(int(args[0]), supports, *_projection_spec(spec)).projection
     charts = ref_simplex_charts(ref_cayley_points(supports))
 
     def through(v):

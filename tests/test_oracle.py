@@ -78,8 +78,7 @@ def test_lift_direction_places_symbolic_heights():
 def _classes(simplices, sysd):
     # The class memo rho_vector fills: simplex -> mixed vertex column, or -1.
     classes = {}
-    cache = MinorCache(sysd.columns)
-    rho_vector(simplices, sysd, cache, [0] * len(simplices), classes)
+    rho_vector(simplices, sysd, [0] * len(simplices), classes)
     return classes
 
 
@@ -114,15 +113,14 @@ def test_triangulation_matches_frozen_cells():
     # Cells come back as column masks in no promised order.
     assert sorted(_cols(c) for c in plus) == sorted(MONOMIAL_SURFACE_CELLS_PLUS)
     assert sorted(_cols(c) for c in minus) == sorted(MONOMIAL_SURFACE_CELLS_MINUS)
-    # The volumes the triangulation hands on are the cache's, and rho reads
-    # the same from either.
+    # The volumes the triangulation hands on are the cache's, and rho sums
+    # them into the golden vector.
     for cells, volumes, rho in (
         (plus, plus_volumes, MONOMIAL_SURFACE_RHO_PLUS),
         (minus, minus_volumes, MONOMIAL_SURFACE_RHO_MINUS),
     ):
         assert volumes == [oracle.cache.volume_predicate(_cols(c)) for c in cells]
-        assert rho_vector(cells, sysd, oracle.cache, None, {}) == rho
-        assert rho_vector(cells, sysd, oracle.cache, volumes, {}) == rho
+        assert rho_vector(cells, sysd, volumes, {}) == rho
 
 
 def _placing_order(sysd, w, seed):
@@ -137,14 +135,16 @@ def _plain_upper_simplices(sysd, w, seed):
     # lifted points, in the oracle's insertion order, filtered by explicit
     # determinants.  A boundary simplex (mask, q) is an upper facet when a
     # point far up the lift axis lies beyond it, that is when det(sorted
-    # columns; e_lift) is -q.
+    # columns; e_lift) is -q.  Below dimension 2n+1 the cells with h != 0
+    # are the answer: all of them on a 2n-flat over the unlifted span, none
+    # when the columns do not span 2n.
     lift = lift_direction(sysd, w)
     n2 = 2 * sysd.n
     hull = TriangulatedHull(n2 + 1)
     for col in sysd.specialized + _placing_order(sysd, w, seed):
         hull.place(sysd.columns[col] + (lift[col],), tag=col)
     if hull.dim < n2 + 1:
-        return {_cols(mask) for mask, _ in hull.cells}
+        return {_cols(mask) for mask, _ in hull.cells if _explicit_det(sysd, _cols(mask))[0]}
     up = [0] * n2 + [1, 0]
     out = set()
     for mask, q in hull.boundary:
@@ -263,9 +263,9 @@ def test_lifted_triangulation_matches_a_plain_hull(mode, monkeypatch):
     assert (len(copies) > 0) == (mode != "implicitization"), starts
 
 
-# The columns of this full family lie on the x-axis and do not span, so
-# every query grows one hull below dimension 2n; compute_pi on it finds
-# the origin alone.
+# The columns of this family lie on the x-axis and do not span 2n, so no
+# 2n+1 of them have h != 0 and every query's rank pass runs out below the
+# handoff; compute_pi on it finds the origin alone.
 NON_SPANNING = [[(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0)], [(0, 0), (3, 0)]]
 
 
@@ -274,9 +274,9 @@ def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
     # A query whose head does not span places the columns that raise the
     # lifted rank first: its copy of the base records them and refuses the
     # rest, which go in after them, each column once.  Each query's upper
-    # simplices (its cells, when the lifted hull stays below 2n+1) and rho
-    # must be those of one fresh hull that places the base and then the
-    # query's columns in their drawn order.
+    # simplices (its cells with h != 0, when the lifted hull stays below
+    # 2n+1), their volumes and rho must be those of one fresh hull that
+    # places the base and then the query's columns in their drawn order.
     systems = _generated_systems("full") + [
         build_cayley(gen_random(3, 2, "dense", [3, 3, 3, 3], 7))
     ]
@@ -317,9 +317,33 @@ def test_rank_first_order_keeps_each_querys_triangulation(seed, monkeypatch):
             got, volumes = oracle.triangulation(w)
             want = _plain_upper_simplices(sysd, w, seed)
             assert {_cols(s) for s in got} == want
-            rho = rho_vector([_mask(cols) for cols in want], sysd, oracle.cache, None, {})
-            assert rho_vector(got, sysd, oracle.cache, volumes, {}) == rho
+            assert volumes == [_explicit_det(sysd, _cols(s))[1] for s in got]
+            want_volumes = [_explicit_det(sysd, cols)[1] for cols in want]
+            rho = rho_vector([_mask(cols) for cols in want], sysd, want_volumes, {})
+            assert rho_vector(got, sysd, volumes, {}) == rho
     assert moved[0] > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "implicitization"])
+def test_columns_short_of_2n_answer_no_simplex(mode, monkeypatch):
+    # Columns that do not span 2n have no simplex that adds to rho, so each
+    # query answers the zero vector from no simplex at all: its rank pass
+    # runs out below the handoff, and the columns it refused are never
+    # placed.  Only the base, built once, makes standard inserts.
+    sysd = system_from(2, NON_SPANNING, mode)
+    oracle = VertexOracle(sysd, seed=1)
+    standard = TriangulatedHull._standard_insert
+    late = [0]  # standard inserts once the base is built
+
+    def spy_standard(hull, pt, tag):
+        late[0] += oracle._base is not None
+        return standard(hull, pt, tag)
+
+    monkeypatch.setattr(TriangulatedHull, "_standard_insert", spy_standard)
+    for w in _directions_with_zeros(random.Random(83), sysd.m, 6):
+        assert oracle.vtx(w) == ((0,) * sysd.m, (0,) * sysd.num_columns)
+        assert oracle.triangulation(w) == ([], [])
+    assert oracle.pipeline_runs > 1 and late[0] == 0
 
 
 def _spy_starts(monkeypatch):
@@ -391,7 +415,8 @@ def test_row_space_direction_keeps_every_column_on_a_tilted_flat(index, monkeypa
     later = _placing_order(sysd, w, seed)[len(head):]
     assert seen["heads"] == [tuple(head)] and seen["copies"] == 0
     assert seen["sides"] == [(c, 0) for c in later] and seen["on flat"] == later
-    assert not seen["cones"] and volumes is None
+    assert not seen["cones"]
+    assert volumes == [_explicit_det(sysd, _cols(s))[1] for s in got]
     assert len(set(got)) == len(got)
     assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
 
@@ -420,7 +445,8 @@ def test_tilted_flat_takes_a_column_on_it_then_cones_off_it(index, monkeypatch):
     assert [c for c, _ in seen["sides"]] == order[full:full + 2]
     assert seen["sides"][0][1] == 0 and seen["sides"][1][1] != 0
     assert seen["on flat"] == [order[full]] and seen["cones"] == [0]
-    assert volumes is not None and len(set(got)) == len(got)
+    assert volumes == [_explicit_det(sysd, _cols(s))[1] for s in got]
+    assert len(set(got)) == len(got)
     assert {_cols(s) for s in got} == _plain_upper_simplices(sysd, w, seed)
 
 
@@ -739,7 +765,7 @@ def test_answers_depend_only_on_seed_and_direction(golden, mode):
                 base = _base_state(oracle._base)
             simplices, volumes = oracle.triangulation(w)
             cells[w] = set(simplices)
-            assert rho_vector(simplices, sysd, oracle.cache, volumes, {}) == answers[w][1]
+            assert rho_vector(simplices, sysd, volumes, {}) == answers[w][1]
         assert _base_state(oracle._base) == base
         seen.append((answers, cells))
     assert seen[0] == seen[1]
