@@ -28,6 +28,7 @@ from .cayley import (
     _apply_projection,
     _check_n,
     _projection_spec,
+    _read_ints,
     build_cayley,
     check_essential,
     essential_violation,
@@ -383,16 +384,18 @@ def main(argv=None):
             pieces = args.sizes.split(",")
             if len(pieces) > 1 and not all(p.strip() for p in pieces):
                 raise ParseError("--sizes has an empty entry")
-            sizes = [int(x) for p in pieces for x in p.split()]
-            family = gen_random(
-                args.n,
-                args.delta,
-                args.kind,
-                sizes,
-                args.seed,
-                mode=_MODE_ALIASES[args.projection],
-            )
-        except (ValueError, ResnewtError) as exc:
+            sizes = _read_ints([x for p in pieces for x in p.split()], "size", "in --sizes")
+            mode = _MODE_ALIASES[args.projection]
+            # gen_random draws no u-res block 0 (it is the unit simplex), so
+            # its size is checked here; a wrong n or count is gen_random's error.
+            simplex = args.n + 1
+            if mode == "u-resultant" and len(sizes) == simplex > 1 and sizes[0] != simplex:
+                raise ParseError(
+                    "block 0 of a u-res family is the unit simplex of n+1 = %d points, not %d"
+                    % (simplex, sizes[0])
+                )
+            family = gen_random(args.n, args.delta, args.kind, sizes, args.seed, mode=mode)
+        except ResnewtError as exc:
             _sys.stderr.write("error: %s\n" % exc)
             return 2
         if args.format == "json":

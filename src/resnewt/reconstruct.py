@@ -49,11 +49,11 @@ class BuildState:
     ``hull`` is Q, kept in exact integer intrinsic coordinates: a point x of
     the target satisfies x = p0 + B.xi over the lattice ``chart`` p0 + Z.B,
     with B a saturated basis, so xi runs over a full-dimensional lattice
-    polytope.  ``legal`` maps a facet hyperplane (in xi-space) to the oracle
-    point certifying it; ``illegal`` holds hyperplanes still awaiting their
-    test query, each once.  ``charted`` keeps each point's intrinsic
-    coordinates once found, from Q's seed points on, and ``pulled`` each
-    plane normal's pullback.
+    polytope.  ``illegal`` holds hyperplanes (in xi-space) still awaiting
+    their test query, each once; a certified facet's certificate is the
+    oracle's memo answer for its pullback direction.  ``charted`` keeps each
+    point's intrinsic coordinates once found, from Q's seed points on, and
+    ``pulled`` each plane normal's pullback.
     """
 
     def __init__(self, oracle, chart, equations, hull, init_calls=0):
@@ -62,7 +62,6 @@ class BuildState:
         self.equations = equations
         self.hull = hull
         self.illegal = deque()
-        self.legal = {}
         self.init_calls = init_calls
         self.charted = {}
         self.pulled = {}
@@ -146,29 +145,23 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     equations already certified: a vector of the points' integer kernel,
     taken once per point set, whose size is m minus their rank.  A round
     asks w, then -w.  If the two answers differ, the points' rank grew;
-    otherwise w is an equation through the points seen, recorded with its
+    otherwise w is an equation through the points found, recorded with its
     first nonzero entry positive.  So in at most m rounds the kernel holds
-    as many vectors as there are equations.
+    as many vectors as there are equations.  The points found are the
+    oracle memo's distinct answers, and Q is seeded with all of them.
 
     The target has at most m - ``_equation_rank`` dimensions.  Once the
-    points seen span that many, every round is an equation, so its two
+    points found span that many, every round is an equation, so its two
     queries are skipped; that rank certificate changes nothing else.
     ``compute_pi_approx`` sets ``query_equations``: its Q and outer bound
     start from those answers.
     """
     ctx = VertexOracle(sys, seed=seed, use_cache=use_cache)
     m = sys.m
-    seen = {}
-
-    def ask(w):
-        point, _ = ctx.vtx(w)
-        seen.setdefault(point)
-        return point
-
     for i in range(m):
         e = tuple(1 if j == i else 0 for j in range(m))
-        ask(e)
-        ask(tuple(-x for x in e))
+        ctx.vtx(e)
+        ctx.vtx(tuple(-x for x in e))
 
     eq_rows, eq_pivots = [], []  # an echelon of the certified normals
     equations = []
@@ -177,9 +170,9 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
     eq_rank = None
     known = 0  # the number of points the kernel was taken over
     while True:
-        if len(seen) != known:
-            known = len(seen)
-            pts = list(seen)
+        pts = _answers(ctx)
+        if len(pts) != known:
+            known = len(pts)
             kernel = integer_kernel([vec_sub(p, pts[0]) for p in pts[1:]], m)
         if len(kernel) == len(eq_rows):
             break
@@ -187,24 +180,31 @@ def initialize(sys, seed=0, use_cache=True, *, query_equations=False):
         w = canonical_direction(w)
         if eq_rank is None:
             eq_rank = -1 if query_equations else _equation_rank(sys)
-        if len(kernel) != eq_rank and dot(w, ask(w)) != dot(w, ask(tuple(-x for x in w))):
+        if len(kernel) != eq_rank and (
+            dot(w, ctx.vtx(w)[0]) != dot(w, ctx.vtx(tuple(-x for x in w))[0])
+        ):
             continue  # the two answers differ: the points' rank grew
         if next(x for x in w if x) < 0:
             w = tuple(-x for x in w)  # only the leading sign is left to fix
         echelon_extend(list(w), eq_rows, eq_pivots)
         equations.append((w, dot(w, pts[0])))
 
-    state = _seeded_state(ctx, seen, equations)
+    state = _seeded_state(ctx, equations)
     _enqueue(state, state.hull.facet_map())
     return state
 
 
-def _seeded_state(ctx, seen, equations):
-    """The ``BuildState`` whose Q is the ``lattice_hull`` of the points seen.
+def _answers(ctx):
+    """The oracle's distinct answer points, in the order first given."""
+    return list(dict.fromkeys(p for p, _ in ctx.memo.values()))
+
+
+def _seeded_state(ctx, equations):
+    """The ``BuildState`` whose Q is the ``lattice_hull`` of every answer so far.
 
     The coordinates ``lattice_hull`` found for Q's points are kept.
     """
-    hull, chart = lattice_hull(seen)
+    hull, chart = lattice_hull(_answers(ctx))
     state = BuildState(ctx, chart, equations, hull, init_calls=ctx.pipeline_runs)
     state.charted.update(zip(hull.tags, hull.points))
     return state
@@ -238,8 +238,6 @@ def _process(state, on_call=None):
         val = dot(key.normal, xi_v)
         if val < key.offset:
             raise InvariantViolation("oracle answer fell below a facet of Q")
-        if val == key.offset:
-            state.legal[key] = v
         _enqueue(state, state.hull.insert(xi_v, tag=v))
         if on_call is not None and on_call(w, v):
             return False
@@ -351,14 +349,13 @@ def compute_pi_random(sys, k, seed=0, use_cache=True):
         if all(v == 0 for v in ints):
             continue
         dirs.append(canonical_direction(ints))
-    seen = {}
     for w in dirs:
-        seen.setdefault(ctx.vtx(w)[0])
-    return _seeded_state(ctx, seen, [])
+        ctx.vtx(w)
+    return _seeded_state(ctx, [])
 
 
 def stats(state):
-    """Summary statistics; checks the output-sensitive call bound."""
+    """The counts ``--stats`` prints; checks the output-sensitive call bound."""
     hull = state.hull
     nv = len(hull.points)
     nf = len(hull.facet_map())
@@ -375,7 +372,4 @@ def stats(state):
         "main_calls": main,
         "vertices": nv,
         "facets": nf,
-        "dim": hull.dim,
-        "equations": len(state.equations),
-        "cache": state.oracle.cache.stats(),
     }

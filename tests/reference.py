@@ -410,6 +410,56 @@ def mixed_area(p, q):
     return polygon_area(minkowski) - polygon_area(p) - polygon_area(q)
 
 
+def _slice_area(points3d, z):
+    # The area of conv(points) cut at height z: the cut is the hull of the
+    # points where the segments between the points cross z.
+    cut = []
+    for p, q in combinations(points3d, 2):
+        if p[2] == q[2] == z:
+            cut += [p[:2], q[:2]]
+        elif min(p[2], q[2]) <= z <= max(p[2], q[2]) and p[2] != q[2]:
+            t = Fraction(z - p[2], q[2] - p[2])
+            cut.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return polygon_area(cut)
+
+
+def hull_volume3(points3d):
+    """Volume of the convex hull of integer points in R^3 (0 when flat).
+
+    Cavalieri by slices: between two consecutive heights of the points, no
+    vertex lies strictly inside, so the cut's area is a quadratic in z and
+    Simpson's rule on ``polygon_area`` of three cuts is exact.
+    """
+    pts = sorted(set(map(tuple, points3d)))
+    if len(pts) == 1:
+        return Fraction(0)
+    heights = sorted({p[2] for p in pts})
+    return sum(
+        (Fraction(b - a) / 6)
+        * (_slice_area(pts, a) + 4 * _slice_area(pts, Fraction(a + b, 2)) + _slice_area(pts, b))
+        for a, b in zip(heights, heights[1:])
+    )
+
+
+def mixed_volume3(p, q, r):
+    """MV(P, Q, R) of three lattice point sets in R^3, by inclusion-exclusion:
+    vol(P+Q+R) - vol(P+Q) - vol(P+R) - vol(Q+R) + vol(P) + vol(Q) + vol(R),
+    normalized so that three unit tetrahedra give 1."""
+
+    def minkowski(*sets):
+        return [tuple(map(sum, zip(*pts))) for pts in product(*sets)]
+
+    return (
+        hull_volume3(minkowski(p, q, r))
+        - hull_volume3(minkowski(p, q))
+        - hull_volume3(minkowski(p, r))
+        - hull_volume3(minkowski(q, r))
+        + hull_volume3(p)
+        + hull_volume3(q)
+        + hull_volume3(r)
+    )
+
+
 def count_lattice_points(vertices):
     """Number of integer points inside conv(vertices), exact.
 

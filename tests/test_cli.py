@@ -1006,10 +1006,27 @@ def test_generate_refuses_a_block_of_one_point(capsys, argv, block):
     code, out, err = _run(["generate", *argv, "--seed", "1"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: block %d has one point, so no family with it is essential\n" % block
-    # u-resultant fixes block 0 to the unit simplex, whatever size it asks.
-    argv = ["generate", "2", "3", "--sizes", "1,3,3", "--projection", "u-res", "--seed", "1"]
+
+
+@pytest.mark.parametrize("sizes", ["1,3,3", "7,3,3", "2,3,3"])
+def test_generate_refuses_a_u_res_block_0_of_another_size(capsys, sizes):
+    # u-resultant fixes block 0 to the unit simplex of n+1 points, so a
+    # size that differs is refused, not silently replaced.
+    argv = ["generate", "2", "3", "--sizes", sizes, "--projection", "u-res", "--seed", "1"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    expected = "block 0 of a u-res family is the unit simplex of n+1 = 3 points, not %s"
+    assert err == "error: %s\n" % expected % sizes[0]
+    argv[4] = "3,3,3"
     code, out, _ = _run(argv, capsys)
     assert code == 0 and out.splitlines()[1] == "0 0 ; 0 1 ; 1 0"
+
+
+@pytest.mark.parametrize("sizes", ["3;3;3", "3,x,3", "3,2.5,3"])
+def test_generate_rejects_a_non_integer_size(capsys, sizes):
+    code, out, err = _run(["generate", "2", "3", "--sizes", sizes], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: non-integer size in --sizes\n"
 
 
 @pytest.mark.parametrize("sizes", ["3,,3,3", "3,3,3,", ",3,3,3", "3, ,3,3"])

@@ -15,7 +15,9 @@
 - The u-resultant of f_1, f_2 with f_0 = u_0 + u_1 x + u_2 y factors as
   the product of u_0 + u.xi over the MV(A_1, A_2) common roots xi of f_1
   and f_2, so its projection onto u_0, u_1, u_2 is MV times the unit
-  triangle, on the one equation u_0 + u_1 + u_2 = MV.
+  triangle, on the one equation u_0 + u_1 + u_2 = MV.  For n = 3 it is
+  MV(A_1, A_2, A_3) times the unit tetrahedron, with the mixed volume by
+  inclusion-exclusion over 3-d hull volumes (``reference.mixed_volume3``).
 - A brute-force reference oracle (``reference.ref_rho``) lifts the Cayley
   points by w, finds the upper cells by exhaustion and sums the mixed
   cells' volumes into rho (Sturmfels, 1994): rho is the vertex of the full
@@ -32,7 +34,15 @@ from random import Random
 import pytest
 
 from conftest import system_from
-from reference import mixed_area, ref_cayley_points, ref_rank, ref_rho, ref_simplex_charts
+from reference import (
+    hull_volume3,
+    mixed_area,
+    mixed_volume3,
+    ref_cayley_points,
+    ref_rank,
+    ref_rho,
+    ref_simplex_charts,
+)
 from resnewt.cayley import _projection_spec, parse_text
 from resnewt.cli import main
 from resnewt.geometry import f_vector, hull_volume
@@ -171,6 +181,37 @@ def test_u_resultant_gives_the_mixed_area_triangle(tmp_path, capsys, sizes, seed
         assert all(_value(normal, v) <= offset for v in vertices)
         assert sorted(_value(normal, v) == offset for v in vertices) == [False, True, True]
     assert len(facets) == 3
+
+
+def test_reference_mixed_volume_on_known_bodies():
+    tetrahedron = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert hull_volume3(tetrahedron) == Fraction(1, 6) and hull_volume3(cube) == 1
+    assert hull_volume3([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 0
+    doubled = [tuple(2 * x for x in p) for p in tetrahedron]
+    assert mixed_volume3(tetrahedron, tetrahedron, tetrahedron) == 1
+    # MV is linear under scaling of one argument.
+    mv = mixed_volume3(tetrahedron, tetrahedron, cube)
+    assert mixed_volume3(doubled, tetrahedron, cube) == 2 * mv
+    # MV(P, P, P) = 3! vol(P).
+    assert mixed_volume3(cube, cube, cube) == 6
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_u_resultant_gives_the_mixed_volume_tetrahedron(tmp_path, capsys, seed):
+    args = ["3", "2", "--sizes", "4,4,4,4", "--projection", "u-res", "--seed", str(seed)]
+    supports, out = _generated(tmp_path, capsys, args)
+    dim, vertices, facets, equations = _printed(out)
+    mv = mixed_volume3(*supports[1:])
+    assert mv > 0  # a generated family is essential
+    assert dim == 3
+    assert sorted(vertices) == sorted(tuple(mv * (k == i) for k in range(4)) for i in range(4))
+    assert equations == [((1, 1, 1, 1), mv)]
+    # Each facet holds the tetrahedron and is tight on three of its corners.
+    for normal, offset in facets:
+        assert all(_value(normal, v) <= offset for v in vertices)
+        assert sorted(_value(normal, v) == offset for v in vertices) == [False, True, True, True]
+    assert len(facets) == 4
 
 
 def _one_cycle(sigma):

@@ -95,6 +95,46 @@ def test_initialize_seeds_queue():
     assert state.init_calls == state.oracle.pipeline_runs
 
 
+SEEDING_RUNS = {
+    "exact": compute_pi,
+    "approx": lambda sysd: compute_pi_approx(sysd, Fraction(9, 10))[0],
+    "random": lambda sysd: compute_pi_random(sysd, sysd.m + 20, seed=3),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SEEDING_RUNS))
+def test_q_is_seeded_with_the_memo_answers_in_first_given_order(mode, monkeypatch):
+    # Q's seed points are the distinct answers the oracle gave before it,
+    # each where it was first given: a spy on vtx keeps every answer apart
+    # from the memo, and one on lattice_hull sees the points Q is built from.
+    # The memo lists the same points in the same order, ahead of the main
+    # loop's.
+    answers, seeded = [], []
+    real_vtx, real_hull = VertexOracle.vtx, reconstruct.lattice_hull
+
+    def vtx(self, w):
+        answer = real_vtx(self, w)
+        answers.append(answer[0])
+        return answer
+
+    def lattice_hull(points):
+        seeded.append((list(points), list(dict.fromkeys(answers))))
+        return real_hull(points)
+
+    monkeypatch.setattr(VertexOracle, "vtx", vtx)
+    monkeypatch.setattr(reconstruct, "lattice_hull", lattice_hull)
+    fam = gen_random(2, 3, "dense", [4, 4, 3], 1)
+    cases = [(name, _sys_copy(sysd)) for name, sysd, _ in GOLDEN_CASES]
+    for name, sysd in cases + [("M", build_cayley(preprocess(fam)))]:
+        del answers[:], seeded[:]
+        state = SEEDING_RUNS[mode](sysd)
+        [(points, given)] = seeded
+        assert points == given, name
+        assert state.hull.tags[0] == points[0], name
+        memo = list(dict.fromkeys(p for p, _ in state.oracle.memo.values()))
+        assert memo[:len(points)] == points, name
+
+
 def _init_system(name):
     kind, _, seed = name.rpartition("-")
     golden = {
@@ -523,8 +563,8 @@ def test_stats_call_bound_and_shape():
         assert s["vertices"] == len(vertices)
         assert s["oracle_calls"] == s["init_calls"] + s["main_calls"]
         assert s["main_calls"] <= s["vertices"] + s["facets"], name
-        assert s["dim"] + s["equations"] == state.m
-        assert "cache" in s
+        assert state.dim + len(state.equations) == state.m
+        assert set(s) == {"oracle_calls", "init_calls", "main_calls", "vertices", "facets"}
 
 
 def test_stats_rejects_violated_call_bound():
@@ -641,11 +681,15 @@ def test_sylvester_lattice_point_count():
 
 def test_legal_directions_certified():
     # After completion every queued direction was certified legal (supporting)
-    # or became stale; the legal map stores the supporting answers.
+    # or became stale.  Each facet left was certified by the memo's answer
+    # for its pullback direction: a vertex of Q on the facet.
     state = compute_pi(_sys(MONOMIAL_SURFACE, "full"))
     assert not state.illegal
-    for key, answer in state.legal.items():
+    memo = state.oracle.memo
+    for plane in state.hull.facet_map():
+        answer = memo[state.pullback(plane.normal)][0]
         assert answer in state.vertices()
+        assert _dot(plane.normal, state.xi_of(answer)) == plane.offset
 
 
 @pytest.mark.parametrize("name,sysd,vertices", GOLDEN_CASES, ids=lambda c: "")
@@ -676,9 +720,9 @@ I2_PIPELINE_RUNS = {"exact": 19, "approx": 11}
 @pytest.mark.parametrize("mode", sorted(I2_PIPELINE_RUNS))
 def test_repeated_directions_are_answered_by_vtx(mode, monkeypatch):
     # Every live facet popped makes exactly one vtx call.  A direction asked
-    # before is answered by vtx's memo, running no pipeline: the facet ends
-    # legal with the memo answer, and in approx mode Q_o stays the same
-    # object.
+    # before is answered by vtx's memo, running no pipeline: the memo answer
+    # lies on the facet, which ends legal, and in approx mode Q_o stays the
+    # same object.
     events = []
     real_vtx, real_clip, real_process = (
         VertexOracle.vtx, reconstruct.clip_halfspace, reconstruct._process
@@ -731,7 +775,8 @@ def test_repeated_directions_are_answered_by_vtx(mode, monkeypatch):
             continue
         repeats += 1
         assert point == before[0]
-        assert state.legal[key] == point
+        assert key in state.hull.facet_map()
+        assert _dot(key.normal, state.xi_of(point)) == key.offset
         if mode == "approx":
             assert block[1] == ("clip", True)
     assert repeats == 3
